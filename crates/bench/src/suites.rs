@@ -23,7 +23,7 @@ use std::time::Instant;
 /// Name, one-line description and entry point of every suite — the
 /// single source of truth `nn-bench --list` prints. Keep in sync with
 /// the `[[bench]]` shell targets in `Cargo.toml`.
-pub const SUITES: [(&str, &str, fn()); 12] = [
+pub const SUITES: [(&str, &str, fn()); 13] = [
     (
         "raw_crypto",
         "AES block, CMAC, CTR keystream, Ks derivation",
@@ -83,6 +83,11 @@ pub const SUITES: [(&str, &str, fn()); 12] = [
         "population",
         "flyweight-cohort per-endpoint cost, packet vs fluid",
         population,
+    ),
+    (
+        "report",
+        "1 MB full-matrix report: JSON render, parse, shard wire decode",
+        report,
     ),
 ];
 
@@ -729,5 +734,38 @@ pub fn population() {
         name: "metro_cell_1m_endpoints".into(),
         iters: reps,
         ns_per_iter: elapsed.as_nanos() as f64 / reps as f64,
+    });
+}
+
+/// The report path: rendering and parsing the ~1 MB JSON report of one
+/// `full` named-matrix run (1152 cells), and decoding the same cells off
+/// the shard wire as a `ProcessExecutor` parent or `--merge` does. The
+/// matrix runs once, outside every timed loop. Parsing is linear in the
+/// input; a parser that re-scans the rest of the document per character
+/// takes seconds per iteration here, so the gate fails outright on one.
+pub fn report() {
+    header("report");
+    use nn_lab::json::Json;
+    use nn_lab::{
+        finalize_report, merge_shards, named_matrix, run_shard, ExecutionPlan, ShardReport,
+    };
+
+    let full = named_matrix("full").expect("full matrix exists");
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let plan = ExecutionPlan::new(&full, 1);
+    let shard = run_shard(&full, &plan.assignments()[0], threads);
+    let wire = shard.to_json();
+    let merged = merge_shards(vec![shard]).expect("one shard is a complete set");
+    let text = finalize_report(merged, &full).to_json();
+    let tree = Json::parse(&text).expect("the report parses");
+
+    bench("json_render_full_1152cells", iters(50), || {
+        black_box(black_box(&tree).render());
+    });
+    bench("json_parse_full_1152cells", iters(50), || {
+        black_box(Json::parse(black_box(&text)).expect("the report parses"));
+    });
+    bench("shard_from_json_full_1152cells", iters(50), || {
+        black_box(ShardReport::from_json(black_box(&wire)).expect("the wire parses"));
     });
 }

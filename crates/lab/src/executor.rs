@@ -221,17 +221,33 @@ impl ProcessExecutor {
     }
 }
 
+/// Worker children that are killed and reaped when dropped, so every
+/// early `Err` out of [`ProcessExecutor::execute`] — a failed spawn, a
+/// failed worker, a bad report — leaves no worker running behind it.
+/// Children already waited on are untouched: `kill` on a reaped child is
+/// a no-op and `wait` returns its recorded status.
+struct Workers(Vec<Child>);
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
 impl CellExecutor for ProcessExecutor {
     fn execute(&mut self, plan: &ExecutionPlan<'_>) -> Result<Vec<ShardReport>, String> {
         // Spawn everything first so the shards genuinely run in
         // parallel, then collect in shard order.
-        let children = plan
-            .assignments()
-            .iter()
-            .map(|a| self.spawn_worker(a))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut reports = Vec::with_capacity(children.len());
-        for (assignment, mut child) in plan.assignments().iter().zip(children) {
+        let assignments = plan.assignments();
+        let mut workers = Workers(Vec::with_capacity(assignments.len()));
+        for assignment in &assignments {
+            workers.0.push(self.spawn_worker(assignment)?);
+        }
+        let mut reports = Vec::with_capacity(assignments.len());
+        for (assignment, child) in assignments.iter().zip(&mut workers.0) {
             let mut stdout = String::new();
             child
                 .stdout

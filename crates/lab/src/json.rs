@@ -1,8 +1,13 @@
 //! Minimal hand-rolled JSON — the workspace builds offline, so report
 //! serialization cannot lean on crates.io. The writer emits canonical,
 //! deterministic text (object keys in insertion order, shortest-roundtrip
-//! float formatting); the parser accepts standard JSON and exists so the
-//! binary and CI can validate what was written.
+//! float formatting); the parser accepts standard JSON. It re-reads what
+//! the binary wrote, and it also reads input this process did not write:
+//! the shard wire a `ProcessExecutor` collects from its workers and the
+//! shard files `--merge` takes from other processes or hosts. So it runs
+//! in time linear in its input, bounds nesting at [`MAX_DEPTH`] levels,
+//! and answers any malformed text with an error naming a byte offset —
+//! never a panic or a stack overflow.
 
 use std::fmt::Write as _;
 
@@ -134,20 +139,24 @@ impl Json {
     }
 
     /// Parses JSON text. Errors carry the byte offset of the problem.
+    /// Nesting deeper than [`MAX_DEPTH`] arrays and objects is an error,
+    /// not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(format!("trailing data at byte {}", p.pos));
         }
         Ok(v)
     }
 }
+
+/// The deepest array/object nesting [`Json::parse`] accepts. Reports nest
+/// at most six levels; the bound keeps hostile input (a shard file of
+/// 200k `[`) from exhausting the stack of the recursive descent.
+pub const MAX_DEPTH: usize = 64;
 
 fn render_string(s: &str, out: &mut String) {
     out.push('"');
@@ -168,15 +177,18 @@ fn render_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
+    fn bytes(&self) -> &[u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
         while self
-            .bytes
-            .get(self.pos)
+            .peek()
             .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
         {
             self.pos += 1;
@@ -184,7 +196,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), String> {
@@ -197,7 +209,7 @@ impl Parser<'_> {
     }
 
     fn eat_lit(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(())
         } else {
@@ -205,14 +217,27 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Eats the `[`/`{` opening one more level inside the `depth` levels
+    /// already open, refusing to go past [`MAX_DEPTH`].
+    fn open(&mut self, depth: usize, bracket: u8) -> Result<(), String> {
+        if depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.eat(bracket)
+    }
+
+    /// Parses one value nested inside `depth` arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         match self.peek() {
             Some(b'n') => self.eat_lit("null").map(|_| Json::Null),
             Some(b't') => self.eat_lit("true").map(|_| Json::Bool(true)),
             Some(b'f') => self.eat_lit("false").map(|_| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.array(depth),
+            Some(b'{') => self.object(depth),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
@@ -220,80 +245,82 @@ impl Parser<'_> {
 
     /// Reads the four hex digits of a `\u` escape. Entered with `pos` on
     /// the `u`; leaves `pos` on the last hex digit (the caller's shared
-    /// `pos += 1` then steps past it).
+    /// `pos += 1` then steps past it). Errors name the backslash.
     fn hex_escape(&mut self) -> Result<u32, String> {
+        let at = self.pos - 1;
         let hex = self
-            .bytes
+            .bytes()
             .get(self.pos + 1..self.pos + 5)
-            .ok_or("truncated \\u escape")?;
-        let code =
-            u32::from_str_radix(core::str::from_utf8(hex).map_err(|_| "bad \\u escape")?, 16)
-                .map_err(|_| "bad \\u escape")?;
+            .ok_or_else(|| format!("truncated \\u escape at byte {at}"))?;
+        let code = core::str::from_utf8(hex)
+            .ok()
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
         self.pos += 4;
         Ok(code)
     }
 
+    /// Decodes one escape. Entered with `pos` on the character after the
+    /// backslash; leaves `pos` on the escape's last byte.
+    fn escape(&mut self) -> Result<char, String> {
+        let at = self.pos - 1;
+        Ok(match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let code = self.hex_escape()?;
+                if (0xD800..0xDC00).contains(&code) {
+                    // High surrogate: must be followed by `\uDC00..\uDFFF`;
+                    // combine the pair.
+                    if self.bytes().get(self.pos + 1..self.pos + 3) != Some(b"\\u") {
+                        return Err(format!("high surrogate not followed by \\u at byte {at}"));
+                    }
+                    self.pos += 2;
+                    let low = self.hex_escape()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(format!("bad low surrogate {low:#06x} at byte {at}"));
+                    }
+                    let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                    char::from_u32(combined)
+                        .ok_or_else(|| format!("bad surrogate pair at byte {at}"))?
+                } else if (0xDC00..0xE000).contains(&code) {
+                    return Err(format!("unpaired low surrogate {code:#06x} at byte {at}"));
+                } else {
+                    char::from_u32(code).ok_or_else(|| format!("bad \\u escape at byte {at}"))?
+                }
+            }
+            other => return Err(format!("bad escape {other:?} at byte {at}")),
+        })
+    }
+
+    /// One forward scan: each unescaped run up to the next `"` or `\` is
+    /// copied with a single `push_str`. Both delimiters are ASCII, so a run
+    /// always ends on a char boundary of the input `&str` and needs no
+    /// re-validation — parse time stays linear in the input.
     fn string(&mut self) -> Result<String, String> {
+        let open = self.pos;
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let code = self.hex_escape()?;
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                // High surrogate: must be followed by
-                                // `\uDC00..\uDFFF`; combine the pair.
-                                self.pos += 1;
-                                if self.peek() != Some(b'\\') {
-                                    return Err("high surrogate not followed by \\u".to_string());
-                                }
-                                self.pos += 1;
-                                if self.peek() != Some(b'u') {
-                                    return Err("high surrogate not followed by \\u".to_string());
-                                }
-                                let low = self.hex_escape()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(format!("bad low surrogate {low:#06x}"));
-                                }
-                                let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(combined).ok_or("bad surrogate pair")?
-                            } else if (0xDC00..0xE000).contains(&code) {
-                                return Err(format!("unpaired low surrogate {code:#06x}"));
-                            } else {
-                                char::from_u32(code).ok_or("bad \\u escape")?
-                            };
-                            out.push(c);
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = core::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8")?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            let run = self.bytes()[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| format!("unterminated string opened at byte {open}"))?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.bytes()[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1;
+            out.push(self.escape()?);
+            self.pos += 1;
         }
     }
 
@@ -308,7 +335,7 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = core::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         if !text.contains(['.', 'e', 'E']) {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Json::UInt(u));
@@ -319,8 +346,8 @@ impl Parser<'_> {
             .map_err(|_| format!("bad number {text:?} at byte {start}"))
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
+        self.open(depth, b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -329,7 +356,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth + 1)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -337,13 +364,18 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Json::Arr(items));
                 }
-                other => return Err(format!("expected ',' or ']', got {other:?}")),
+                other => {
+                    return Err(format!(
+                        "expected ',' or ']', got {other:?} at byte {}",
+                        self.pos
+                    ))
+                }
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
+        self.open(depth, b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -356,7 +388,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth + 1)?;
             pairs.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -365,7 +397,12 @@ impl Parser<'_> {
                     self.pos += 1;
                     return Ok(Json::Obj(pairs));
                 }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
+                other => {
+                    return Err(format!(
+                        "expected ',' or '}}', got {other:?} at byte {}",
+                        self.pos
+                    ))
+                }
             }
         }
     }
@@ -374,6 +411,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn render_parse_roundtrip() {
@@ -420,7 +458,8 @@ mod tests {
         assert_eq!(Json::parse(r#""😀""#).unwrap().as_str(), Some("😀"));
         // Unpaired or malformed surrogates are errors, not silent U+FFFD.
         for bad in [r#""\ud83d""#, r#""\ud83dx""#, r#""\ude00""#, r#""\ud83dA""#] {
-            assert!(Json::parse(bad).is_err(), "{bad} should fail");
+            let err = Json::parse(bad).expect_err(bad);
+            assert!(err.contains("at byte 1"), "{bad}: {err}");
         }
     }
 
@@ -446,8 +485,50 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "\"unterminated"] {
-            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "tru",
+            "1 2",
+            "\"unterminated",
+            "[1 2",
+            "{\"a\":1]",
+            r#""\q""#,
+            r#""\u12"#,
+            r#""\u12g4""#,
+        ] {
+            let err = Json::parse(bad).expect_err(bad);
+            assert!(err.contains("at byte"), "{bad:?}: {err:?} names no offset");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for deep in ["[".repeat(200_000), "{\"a\":".repeat(200_000)] {
+            let err = Json::parse(&deep).unwrap_err();
+            assert!(err.contains("nesting") && err.contains("at byte"), "{err}");
+        }
+        // The bound itself: MAX_DEPTH levels parse, one more does not.
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.ends_with(&format!("at byte {MAX_DEPTH}")), "{err}");
+    }
+
+    proptest! {
+        /// Strings drawn so that unescaped runs meet quotes, backslashes,
+        /// control characters and multi-byte scalars at every boundary
+        /// survive render + parse, as array items and as object keys.
+        #[test]
+        fn strings_roundtrip_as_items_and_keys(
+            strings in collection::vec("[\"\\\n\u{1}/a-zA-Zé€😀]{0,12}", 0..6)
+        ) {
+            let items = Json::Arr(strings.iter().cloned().map(Json::Str).collect());
+            prop_assert_eq!(Json::parse(&items.render()), Ok(items));
+            let keys = Json::Obj(strings.into_iter().map(|s| (s, Json::Null)).collect());
+            prop_assert_eq!(Json::parse(&keys.render()), Ok(keys));
         }
     }
 

@@ -220,15 +220,28 @@ pub fn merge_shards(shards: Vec<ShardReport>) -> Result<MergedMatrix, MergeError
             });
         }
     }
+    // A complete set holds one report per shard position and one cell
+    // per index, so a header claiming more than was received names a gap.
+    // Checking that first means nothing below is sized by a header claim,
+    // and once a set passes it, every in-range, non-duplicate shard and
+    // cell it holds fills exactly the claimed positions.
+    if shard_count > shards.len() {
+        return Err(MergeError::MissingShard(first_gap(
+            shards.iter().map(|s| s.shard),
+        )));
+    }
+    let received: usize = shards.iter().map(|s| s.cells.len()).sum();
+    if total > received {
+        return Err(MergeError::MissingCell(first_gap(
+            shards.iter().flat_map(|s| s.cells.iter().map(|c| c.index)),
+        )));
+    }
     let mut shard_seen = vec![false; shard_count];
     for s in &shards {
         if shard_seen[s.shard] {
             return Err(MergeError::DuplicateShard(s.shard));
         }
         shard_seen[s.shard] = true;
-    }
-    if let Some(missing) = shard_seen.iter().position(|&seen| !seen) {
-        return Err(MergeError::MissingShard(missing));
     }
 
     let mut slots: Vec<Option<MatrixCell>> = (0..total).map(|_| None).collect();
@@ -256,17 +269,27 @@ pub fn merge_shards(shards: Vec<ShardReport>) -> Result<MergedMatrix, MergeError
             *slot = Some(cell);
         }
     }
-    let mut cells = Vec::with_capacity(total);
-    for (index, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(cell) => cells.push(cell),
-            None => return Err(MergeError::MissingCell(index)),
-        }
-    }
+    let cells = slots
+        .into_iter()
+        .map(|slot| slot.expect("at least `total` unique in-range cells fill every slot"))
+        .collect();
     Ok(MergedMatrix {
         name,
         pool_allocs,
         pool_recycled,
         cells,
     })
+}
+
+/// The smallest index not in `present`. With fewer distinct values than
+/// a set claims, this is a real hole below the claimed size.
+fn first_gap(present: impl Iterator<Item = usize>) -> usize {
+    let mut present: Vec<usize> = present.collect();
+    present.sort_unstable();
+    present.dedup();
+    present
+        .iter()
+        .enumerate()
+        .position(|(i, &v)| i != v)
+        .unwrap_or(present.len())
 }

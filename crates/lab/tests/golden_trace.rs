@@ -16,6 +16,7 @@
 //! NN_UPDATE_GOLDENS=1 cargo test -p nn-lab --test golden_trace
 //! ```
 
+use nn_lab::json::Json;
 use nn_lab::matrix::{named_matrix, run_matrix_with_threads, ExperimentSpec};
 use nn_lab::{
     finalize_report, merge_shards, run_shard, verify_merged_against_spec, AdversarySpec,
@@ -31,8 +32,18 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 /// Compares `actual` against the committed golden, or rewrites the
-/// golden when `NN_UPDATE_GOLDENS` is set.
+/// golden when `NN_UPDATE_GOLDENS` is set. A JSON report must also
+/// survive the parser: `parse(actual).render()` gives back the same
+/// bytes, finalized-only keys (`relative`, `verdict`, `detection`)
+/// included.
 fn assert_golden(name: &str, actual: &str) {
+    if name.ends_with(".json") {
+        let reparsed = Json::parse(actual).unwrap_or_else(|e| panic!("{name} is not JSON: {e}"));
+        assert!(
+            reparsed.render() == actual,
+            "{name} does not re-render byte-identically after parsing"
+        );
+    }
     let path = golden_path(name);
     if std::env::var_os("NN_UPDATE_GOLDENS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();

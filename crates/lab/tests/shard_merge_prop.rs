@@ -215,6 +215,35 @@ fn merge_rejects_out_of_range_cells_and_shards() {
     );
 }
 
+/// Parses a one-shard wire file whose header field `from` was edited to
+/// `to` — a shard file as hostile as `--merge` may be handed.
+fn tampered_one_shard(from: &str, to: &str) -> ShardReport {
+    let wire = fake_shard(0, 1, 2).to_json();
+    let tampered = wire.replace(from, to);
+    assert_ne!(tampered, wire, "{from} is in the header");
+    ShardReport::from_json(&tampered).expect("the header still parses")
+}
+
+#[test]
+fn merge_rejects_a_huge_cell_count_before_allocating() {
+    // Two cells received can never complete a trillion-cell expansion.
+    let report = tampered_one_shard("\"total_cells\":2,", "\"total_cells\":1000000000000,");
+    assert_eq!(
+        merge_shards(vec![report]).unwrap_err(),
+        MergeError::MissingCell(2)
+    );
+}
+
+#[test]
+fn merge_rejects_a_huge_shard_count_before_allocating() {
+    // One report can never complete a u64::MAX-shard set.
+    let report = tampered_one_shard("\"shards\":1,", "\"shards\":18446744073709551615,");
+    assert_eq!(
+        merge_shards(vec![report]).unwrap_err(),
+        MergeError::MissingShard(1)
+    );
+}
+
 #[test]
 fn shard_wire_format_rejects_relative_metrics() {
     let wire = fake_shard(0, 1, 2).to_json();
