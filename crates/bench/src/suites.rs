@@ -71,7 +71,7 @@ pub const SUITES: [(&str, &str, fn()); 13] = [
     ),
     (
         "matrix",
-        "nn-lab cell run and parallel matrix scaling",
+        "nn-lab cell runs and full-matrix planning",
         matrix,
     ),
     (
@@ -445,14 +445,15 @@ pub fn ablation_stateless() {
     });
 }
 
-/// Matrix-engine costs: one plain cell, one neutralized cell (the RSA
-/// handshake dominates), and the parallel runner's scaling over a small
-/// matrix — the fan-out that makes big sweeps tractable.
+/// Matrix-engine costs: one plain cell and one neutralized cell end to
+/// end, and planning the full matrix. The neutralized cell's keypairs
+/// are minted once per process, during warm-up, as in a sweep; its
+/// per-packet crypto stays in the timed loop.
 pub fn matrix() {
     header("matrix");
     use nn_lab::{
-        run_cell, run_matrix_with_threads, AdversarySpec, CellSpec, CellTuning, EventTimelineSpec,
-        ExperimentSpec, LinkProfileSpec, StackKind, TopologySpec, WorkloadSpec,
+        run_cell, AdversarySpec, CellSpec, CellTuning, EventTimelineSpec, LinkProfileSpec,
+        StackKind, TopologySpec, WorkloadSpec,
     };
     use std::time::Duration;
 
@@ -470,7 +471,7 @@ pub fn matrix() {
         probes: false,
         seed: 1,
     };
-    bench("cell_plain_dpi_200ms", iters(20), || {
+    bench("cell_plain_dpi_200ms", iters(500), || {
         black_box(run_cell(black_box(&plain), &tuning));
     });
 
@@ -478,27 +479,9 @@ pub fn matrix() {
         stack: StackKind::Neutralized,
         ..plain.clone()
     };
-    bench("cell_neutralized_dpi_200ms", iters(5), || {
+    bench("cell_neutralized_dpi_200ms", iters(100), || {
         black_box(run_cell(black_box(&neutralized), &tuning));
     });
-
-    let spec = ExperimentSpec {
-        name: "bench".to_string(),
-        topologies: vec![TopologySpec::chain(), TopologySpec::star_default()],
-        links: vec![LinkProfileSpec::Clean],
-        workloads: vec![WorkloadSpec::voip_default()],
-        adversaries: vec![AdversarySpec::None, AdversarySpec::content_dpi_default()],
-        stacks: vec![StackKind::Plain],
-        events: vec![EventTimelineSpec::Static],
-        seeds: vec![1],
-        probes: false,
-        tuning,
-    };
-    for threads in [1usize, 4] {
-        bench(&format!("matrix_8cells_{threads}thread"), iters(3), || {
-            black_box(run_matrix_with_threads(black_box(&spec), threads));
-        });
-    }
 
     // Planning-layer cost: lazily expanding the full 1152-cell spec into
     // an 8-shard plan — every cell's axis decomposition, spec clones and

@@ -120,14 +120,23 @@ pub fn open(private: &RsaPrivateKey, env: &E2eEnvelope) -> Result<(Vec<u8>, [u8;
         .as_slice()
         .try_into()
         .map_err(|_| CryptoError::BadKey)?;
-    let (enc_key, mac_key) = split_keys(&session_key);
+    let plaintext = open_with_key(&session_key, env)?;
+    Ok((plaintext, session_key))
+}
+
+/// Opens an envelope under a session key the receiver already holds,
+/// skipping the RSA unwrap: `wrapped_key` is not read, and the CMAC tag
+/// alone decides. A receiver that recovered the key from an earlier
+/// envelope of the same session opens repeats this way.
+pub fn open_with_key(session_key: &[u8; 16], env: &E2eEnvelope) -> Result<Vec<u8>> {
+    let (enc_key, mac_key) = split_keys(session_key);
     let mac = Cmac::new(&mac_key);
     if !mac.verify_parts(&[&env.nonce.to_be_bytes(), &env.ciphertext], &env.tag) {
         return Err(CryptoError::AuthFailed);
     }
     let mut plaintext = env.ciphertext.clone();
     AesCtr::new(&enc_key).apply_keystream(env.nonce, &mut plaintext);
-    Ok((plaintext, session_key))
+    Ok(plaintext)
 }
 
 /// An established symmetric channel: after the first envelope both ends
@@ -289,6 +298,43 @@ mod tests {
         env.tag[15] ^= 0x40;
         assert_eq!(
             open(&kp.private, &env).unwrap_err(),
+            CryptoError::AuthFailed
+        );
+    }
+
+    #[test]
+    fn open_with_key_roundtrip() {
+        let (mut rng, kp) = setup();
+        let key = [0x3c; 16];
+        let env = seal_keyed(&mut rng, &kp.public, b"repeat envelope", &key).unwrap();
+        assert_eq!(open_with_key(&key, &env).unwrap(), b"repeat envelope");
+        // The held key alone decides: the RSA-wrapped copy is not read.
+        let mut unwrapped = env.clone();
+        unwrapped.wrapped_key = vec![0xff; 3];
+        assert_eq!(open_with_key(&key, &unwrapped).unwrap(), b"repeat envelope");
+        assert!(open(&kp.private, &unwrapped).is_err());
+    }
+
+    #[test]
+    fn open_with_key_rejects_bad_tags() {
+        let (mut rng, kp) = setup();
+        let key = [0x3c; 16];
+        let env = seal_keyed(&mut rng, &kp.public, b"sensitive", &key).unwrap();
+        // Another session's key fails the tag.
+        assert_eq!(
+            open_with_key(&[0x3d; 16], &env).unwrap_err(),
+            CryptoError::AuthFailed
+        );
+        let mut tampered = env.clone();
+        tampered.ciphertext[0] ^= 1;
+        assert_eq!(
+            open_with_key(&key, &tampered).unwrap_err(),
+            CryptoError::AuthFailed
+        );
+        let mut forged = env;
+        forged.tag[0] ^= 0x80;
+        assert_eq!(
+            open_with_key(&key, &forged).unwrap_err(),
             CryptoError::AuthFailed
         );
     }

@@ -20,6 +20,7 @@ use crate::topology::{
 use crate::workload::WorkloadSpec;
 use nn_core::app::ScriptedApp;
 use nn_core::neutralizer::{NeutralizerConfig, NeutralizerNode};
+use nn_crypto::RsaKeypair;
 use nn_dns::{rtype, DnsCache, DnsName, Lookup, NeutInfo, Record, RecordData, ZoneStore};
 use nn_netsim::{
     CohortAggregate, CohortTx, FlowStats, Histogram, Node, RouterNode, SimTime, Simulator,
@@ -27,6 +28,8 @@ use nn_netsim::{
 use nn_packet::Ipv4Cidr;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// The destination's DNS name, whose `NEUT` record carries the bootstrap
@@ -373,6 +376,48 @@ fn derive_master_key(seed: u64) -> [u8; 16] {
     rng.gen()
 }
 
+/// Seed of every memoized destination keypair (see [`CellKeys`]).
+const DEST_KEY_SEED: u64 = 0x5e7;
+/// Seed of every memoized one-time source keypair (see [`CellKeys`]).
+const ONETIME_KEY_SEED: u64 = 0x07e;
+
+/// The keypairs a neutralized cell runs with: the destination's
+/// long-lived end-to-end key, which its `NEUT` record publishes (§3.1),
+/// and the source's one-time key for its single key setup (§3.2).
+struct CellKeys {
+    dest: Arc<RsaKeypair>,
+    onetime: Arc<RsaKeypair>,
+}
+
+impl CellKeys {
+    /// The process-wide keys for `tuning`'s modulus sizes. Each (role,
+    /// bits) keypair is minted once per process from its role's fixed
+    /// seed, so every cell — on any thread, shard or host — runs with
+    /// the same key bytes. No report depends on them: key sizes shape
+    /// the wire, key bytes do not (a unit test pins this per cell).
+    fn memoized(tuning: &CellTuning) -> CellKeys {
+        CellKeys {
+            dest: memoized_keypair(DEST_KEY_SEED, tuning.e2e_rsa_bits),
+            onetime: memoized_keypair(ONETIME_KEY_SEED, tuning.onetime_rsa_bits),
+        }
+    }
+}
+
+/// The keypair `generate_keypair(StdRng::seed_from_u64(seed), bits)`,
+/// minted on first use and shared afterwards. Concurrent first users
+/// wait for one keygen rather than each running their own.
+fn memoized_keypair(seed: u64, bits: usize) -> Arc<RsaKeypair> {
+    static MEMO: Mutex<BTreeMap<(u64, usize), Arc<RsaKeypair>>> = Mutex::new(BTreeMap::new());
+    // A keygen that panicked (bad `bits`) inserted nothing, so a
+    // poisoned map is still consistent.
+    let mut memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    let keypair = memo.entry((seed, bits)).or_insert_with(|| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Arc::new(nn_crypto::generate_keypair(&mut rng, bits))
+    });
+    Arc::clone(keypair)
+}
+
 /// Runs one cell to completion and extracts its report.
 pub fn run_cell(spec: &CellSpec, tuning: &CellTuning) -> CellReport {
     let mut pool = nn_netsim::FramePool::new();
@@ -389,15 +434,24 @@ pub fn run_cell_with_pool(
     tuning: &CellTuning,
     pool: &mut nn_netsim::FramePool,
 ) -> CellReport {
+    run_cell_keyed(spec, tuning, pool, || CellKeys::memoized(tuning))
+}
+
+/// [`run_cell_with_pool`] with the neutralized stack's keypairs taken
+/// from `keys`, which only neutralized cells call. Tests use it to run
+/// cells with keys other than the memo's.
+fn run_cell_keyed(
+    spec: &CellSpec,
+    tuning: &CellTuning,
+    pool: &mut nn_netsim::FramePool,
+    keys: impl FnOnce() -> CellKeys,
+) -> CellReport {
     let flow = spec.workload.name();
-    // §3.1 bootstrap — only neutralized cells mint the destination's
-    // end-to-end keypair and resolve its NEUT record; plain transports
-    // need neither, and RSA keygen is the expensive part of setup.
-    // Setup-time randomness comes from its own stream so it is
-    // independent of in-simulation draws.
+    // §3.1 bootstrap — only neutralized cells publish the destination's
+    // end-to-end key in a NEUT record and resolve it; plain transports
+    // need neither.
     let bootstrap_and_keys = (spec.stack == StackKind::Neutralized).then(|| {
-        let mut setup_rng = StdRng::seed_from_u64(spec.seed ^ 0x5e7u64);
-        let dest_keypair = nn_crypto::generate_keypair(&mut setup_rng, tuning.e2e_rsa_bits);
+        let keys = keys();
         let mut zone = ZoneStore::new();
         let name = DnsName::new(DST_NAME).expect("valid name");
         zone.add(Record::new(name.clone(), 300, RecordData::A(DST_ADDR)));
@@ -408,14 +462,11 @@ pub fn run_cell_with_pool(
                 // A multihomed destination lists one service address per
                 // provider, primary first (§3.5).
                 neutralizers: spec.topology.neut_addrs(),
-                pubkey_wire: dest_keypair.public.to_wire(),
+                pubkey_wire: keys.dest.public.to_wire(),
             }),
         ));
         let mut cache = DnsCache::new();
-        (
-            resolve_bootstrap(&zone, &mut cache, SimTime::ZERO),
-            dest_keypair,
-        )
+        (resolve_bootstrap(&zone, &mut cache, SimTime::ZERO), keys)
     });
 
     let mut sim = Simulator::new(spec.seed);
@@ -423,12 +474,12 @@ pub fn run_cell_with_pool(
     let schedule = spec.workload.schedule(tuning.duration);
     let app = Box::new(ScriptedApp::new(DST_NAME, schedule));
 
-    let src_node: Box<dyn Node> = if let Some((bootstrap, _)) = &bootstrap_and_keys {
+    let src_node: Box<dyn Node> = if let Some((bootstrap, keys)) = &bootstrap_and_keys {
         Box::new(NeutralizedSourceNode::new(
             SRC_ADDR,
             bootstrap.clone(),
             0,
-            tuning.onetime_rsa_bits,
+            Arc::clone(&keys.onetime),
             flow,
             app,
         ))
@@ -454,11 +505,11 @@ pub fn run_cell_with_pool(
             node: Box::new(NeutralizerNode::new(config_b, master_key)),
         }
     });
-    let dst_node: Box<dyn Node> = if let Some((_, dest_keypair)) = bootstrap_and_keys {
+    let dst_node: Box<dyn Node> = if let Some((_, keys)) = bootstrap_and_keys {
         Box::new(NeutralizedServerNode::new(
             DST_ADDR,
             ANYCAST_ADDR,
-            dest_keypair,
+            keys.dest,
             tuning.echo,
         ))
     } else {
@@ -543,8 +594,9 @@ pub fn run_cell_with_pool(
         "neutralizer-b.return_anonymized",
         "source.established",
         "source.failovers",
-        // Keygen work per cell: a count only, like key_cache_hit/_miss
-        // kept out of the golden-sensitive flow rows.
+        // Logical keygens per cell: the one-time key the source takes
+        // up, counted although the memo minted it once per process. A
+        // count only, kept out of the golden-sensitive flow rows.
         "source.keygens",
         "events.applied",
         "events.pause_drops",
@@ -655,6 +707,7 @@ pub fn run_cell_with_pool(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::to_matrix_cell;
 
     fn cell(adversary: AdversarySpec, stack: StackKind) -> CellSpec {
         CellSpec {
@@ -720,6 +773,42 @@ mod tests {
         // Neutralized: the destination address never appears on the wire.
         assert!(neutralized.flows[0].delivery_ratio > 0.9);
         assert_eq!(neutralized.policy_drops, 0);
+    }
+
+    /// Every cell of matrix `name` renders the same cell JSON with the
+    /// memo's keys as with keys minted per cell from another seed.
+    fn assert_reports_do_not_depend_on_key_bytes(name: &str) {
+        let spec = crate::matrix::named_matrix(name).expect("named matrix");
+        let tuning = &spec.tuning;
+        let mut pool = nn_netsim::FramePool::new();
+        for mc in spec.iter_cells() {
+            let memo = run_cell_with_pool(&mc.cell, tuning, &mut pool);
+            let minted = run_cell_keyed(&mc.cell, tuning, &mut pool, || {
+                let mut rng = StdRng::seed_from_u64(mc.cell.seed ^ 0x6b65_7973);
+                let mut mint = |bits| Arc::new(nn_crypto::generate_keypair(&mut rng, bits));
+                CellKeys {
+                    dest: mint(tuning.e2e_rsa_bits),
+                    onetime: mint(tuning.onetime_rsa_bits),
+                }
+            });
+            let json = |report| to_matrix_cell(&mc, report).to_json(false).render();
+            assert_eq!(json(memo), json(minted), "{name} cell {}", mc.index);
+        }
+    }
+
+    /// Reports do not depend on key bytes, only on key sizes: the
+    /// contract that lets every cell share one keypair per (role, bits).
+    /// Pinned for every named matrix but the 1152-cell `full`, one
+    /// thread per matrix.
+    #[test]
+    fn reports_do_not_depend_on_key_bytes() {
+        std::thread::scope(|scope| {
+            for name in crate::matrix::NAMED_MATRICES {
+                if name != "full" {
+                    scope.spawn(move || assert_reports_do_not_depend_on_key_bytes(name));
+                }
+            }
+        });
     }
 
     #[test]

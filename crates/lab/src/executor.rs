@@ -35,7 +35,7 @@ pub trait CellExecutor {
 
 /// Builds the finished [`MatrixCell`] for one run cell (no relative
 /// metrics — that is finalization's job).
-fn to_matrix_cell(mc: &MatrixCellSpec, report: crate::cell::CellReport) -> MatrixCell {
+pub(crate) fn to_matrix_cell(mc: &MatrixCellSpec, report: crate::cell::CellReport) -> MatrixCell {
     MatrixCell {
         index: mc.index,
         topology: mc.cell.topology.name(),
@@ -52,10 +52,11 @@ fn to_matrix_cell(mc: &MatrixCellSpec, report: crate::cell::CellReport) -> Matri
     }
 }
 
-/// Runs one assignment on `threads` in-process workers and returns its
-/// raw shard report. Cells are materialized lazily off a shared
-/// iterator — the full expansion never exists in memory — and each
-/// worker's frame pool stays warm across the cells it happens to pull.
+/// Runs one assignment on `threads` in-process workers (the calling
+/// thread plus `threads − 1` scoped threads) and returns its raw shard
+/// report. Cells are materialized lazily off a shared iterator — the
+/// full expansion never exists in memory — and each worker's frame pool
+/// stays warm across the cells it happens to pull.
 pub fn run_shard(
     spec: &ExperimentSpec,
     assignment: &CellAssignment,
@@ -85,38 +86,43 @@ pub fn run_shard_with_progress(
     let (pool_allocs, pool_recycled) = (AtomicU64::new(0), AtomicU64::new(0));
     let done = AtomicU64::new(0);
 
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let (queue, results, done) = (&queue, &results, &done);
-            let (pool_allocs, pool_recycled) = (&pool_allocs, &pool_recycled);
-            scope.spawn(move || {
-                // One frame pool per worker: consecutive cells reuse each
-                // other's recycled buffers (purely an allocator handoff —
-                // reports are byte-identical with or without it).
-                let mut pool = nn_netsim::FramePool::new();
-                let mut mine = 0u64;
-                loop {
-                    let next = queue.lock().expect("cell queue").next();
-                    let Some((pos, mc)) = next else { break };
-                    let report = run_cell_with_pool(&mc.cell, &spec.tuning, &mut pool);
-                    results.lock().expect("result slots")[pos] = Some(to_matrix_cell(&mc, report));
-                    mine += 1;
-                    let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if progress {
-                        eprintln!(
-                            "nn-lab: shard {}/{} worker {}: {}/{} cells (worker: {})",
-                            assignment.shard, assignment.shards, worker, finished, count, mine
-                        );
-                    }
-                }
-                // Alloc/recycle totals are per-cell-deterministic (pool
-                // warmth changes where an alloc is served from, never
-                // whether it happens), so the sums are invariant across
-                // thread and shard counts.
-                pool_allocs.fetch_add(pool.allocations(), Ordering::Relaxed);
-                pool_recycled.fetch_add(pool.recycle_count(), Ordering::Relaxed);
-            });
+    let work = |worker: usize| {
+        // One frame pool per worker: consecutive cells reuse each other's
+        // recycled buffers (purely an allocator handoff — reports are
+        // byte-identical with or without it).
+        let mut pool = nn_netsim::FramePool::new();
+        let mut mine = 0u64;
+        loop {
+            let next = queue.lock().expect("cell queue").next();
+            let Some((pos, mc)) = next else { break };
+            let report = run_cell_with_pool(&mc.cell, &spec.tuning, &mut pool);
+            results.lock().expect("result slots")[pos] = Some(to_matrix_cell(&mc, report));
+            mine += 1;
+            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+            if progress {
+                eprintln!(
+                    "nn-lab: shard {}/{} worker {}: {}/{} cells (worker: {})",
+                    assignment.shard, assignment.shards, worker, finished, count, mine
+                );
+            }
         }
+        // Alloc/recycle totals are per-cell-deterministic (pool warmth
+        // changes where an alloc is served from, never whether it
+        // happens), so the sums are invariant across thread and shard
+        // counts.
+        pool_allocs.fetch_add(pool.allocations(), Ordering::Relaxed);
+        pool_recycled.fetch_add(pool.recycle_count(), Ordering::Relaxed);
+    };
+    // Worker 0 runs on the calling thread. Every thread that allocates
+    // can leave a glibc malloc arena resident after it exits, and a sweep
+    // calls this once per matrix, so spawning one worker fewer keeps
+    // peak RSS flat as matrices go by faster.
+    std::thread::scope(|scope| {
+        let work = &work;
+        for worker in 1..threads {
+            scope.spawn(move || work(worker));
+        }
+        work(0);
     });
 
     let cells = results

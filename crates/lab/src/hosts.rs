@@ -29,6 +29,7 @@ use nn_packet::{
 };
 use rand::Rng;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Timer token for application wake-ups.
 const TOKEN_APP_WAKE: u64 = 0xA1;
@@ -348,9 +349,9 @@ pub struct NeutralizedSourceNode {
     addr: Ipv4Addr,
     bootstrap: Bootstrap,
     dscp: u8,
-    onetime_rsa_bits: usize,
     driver: AppDriver,
-    keypair: Option<RsaKeypair>,
+    /// The one-time keypair of §3.2, minted before the cell starts.
+    keypair: Arc<RsaKeypair>,
     established: Option<EstablishedSession>,
     /// App frames generated before key setup completed, with their
     /// original send timestamps already encoded.
@@ -381,12 +382,13 @@ pub struct NeutralizedSourceNode {
 }
 
 impl NeutralizedSourceNode {
-    /// Builds a neutralized source from bootstrap info.
+    /// Builds a neutralized source from bootstrap info and the one-time
+    /// keypair it offers the neutralizer in its single key setup.
     pub fn new(
         addr: Ipv4Addr,
         bootstrap: Bootstrap,
         dscp: u8,
-        onetime_rsa_bits: usize,
+        keypair: Arc<RsaKeypair>,
         flow: impl Into<String>,
         app: Box<dyn AppSource>,
     ) -> Self {
@@ -397,12 +399,11 @@ impl NeutralizedSourceNode {
             addr,
             bootstrap,
             dscp,
-            onetime_rsa_bits,
             driver: AppDriver {
                 app,
                 flow: flow.into(),
             },
-            keypair: None,
+            keypair,
             established: None,
             pending: Vec::new(),
             selector,
@@ -502,7 +503,6 @@ impl NeutralizedSourceNode {
 
     /// (Re)sends the `KeySetup` packet carrying the one-time public key.
     fn send_key_setup(&mut self, ctx: &mut Context) {
-        let Some(kp) = &self.keypair else { return };
         let shim = ShimRepr {
             shim_type: ShimType::KeySetup,
             flags: 0,
@@ -510,7 +510,7 @@ impl NeutralizedSourceNode {
             addr_block: ShimRepr::EMPTY_BLOCK,
             stamp: None,
         };
-        let wire = kp.public.to_wire();
+        let wire = self.keypair.public.to_wire();
         if let Some(pkt) = pooled_shim(ctx, self.addr, self.current, self.dscp, &shim, &wire) {
             ctx.send(0, pkt);
         }
@@ -518,8 +518,7 @@ impl NeutralizedSourceNode {
     }
 
     fn handle_key_reply(&mut self, ctx: &mut Context, payload: &[u8]) {
-        let Some(kp) = &self.keypair else { return };
-        let Ok(plain) = kp.private.decrypt(payload) else {
+        let Ok(plain) = self.keypair.private.decrypt(payload) else {
             ctx.stats.count("source.key_reply_bad");
             return;
         };
@@ -599,16 +598,13 @@ impl NeutralizedSourceNode {
 
 impl Node for NeutralizedSourceNode {
     fn on_start(&mut self, ctx: &mut Context) {
-        // §3.2 step 1: mint a one-time RSA key and ask the neutralizer
-        // for a session key bound to our address. Keygen draws from a
-        // sub-RNG forked with a single `ctx.rng` draw, so the host stream
-        // advances a fixed amount no matter how many candidates prime
-        // search rejects — goldens stay invariant to keygen internals.
-        let mut krng = nn_crypto::keygen_rng(ctx.rng);
-        self.keypair = Some(nn_crypto::generate_keypair(
-            &mut krng,
-            self.onetime_rsa_bits,
-        ));
+        // §3.2 step 1: offer the one-time RSA key and ask the neutralizer
+        // for a session key bound to our address. The key was minted
+        // before the cell started, but the source still makes the single
+        // `ctx.rng` draw that forks a keygen sub-RNG: the host RNG stream,
+        // and with it every golden, includes that draw. It also counts
+        // the one logical keygen.
+        let _ = nn_crypto::keygen_rng(ctx.rng);
         ctx.stats.count("source.keygens");
         self.send_key_setup(ctx);
         // Failover machinery only runs for multihomed destinations, so
@@ -668,6 +664,9 @@ impl Node for NeutralizedSourceNode {
 
 /// Per-session state on the neutralized destination.
 struct ServerSession {
+    /// The session key the first envelope carried; the source seals
+    /// every repeat envelope under it.
+    envelope_key: [u8; 16],
     /// Record channel (responder direction).
     session: E2eSession,
     /// The neutralizer that forwarded this session's latest data packet
@@ -684,7 +683,7 @@ pub struct NeutralizedServerNode {
     /// Default entry point for return traffic (the primary anycast
     /// address), used until a data packet stamps a serving provider.
     neutralizer: Ipv4Addr,
-    keypair: RsaKeypair,
+    keypair: Arc<RsaKeypair>,
     echo: bool,
     /// Record channels per (initiator, nonce): responder direction.
     sessions: HashMap<(u32, u64), ServerSession>,
@@ -694,7 +693,12 @@ pub struct NeutralizedServerNode {
 
 impl NeutralizedServerNode {
     /// Builds the destination stack.
-    pub fn new(addr: Ipv4Addr, neutralizer: Ipv4Addr, keypair: RsaKeypair, echo: bool) -> Self {
+    pub fn new(
+        addr: Ipv4Addr,
+        neutralizer: Ipv4Addr,
+        keypair: Arc<RsaKeypair>,
+        echo: bool,
+    ) -> Self {
         NeutralizedServerNode {
             addr,
             neutralizer,
@@ -757,21 +761,39 @@ impl NeutralizedServerNode {
         };
         let plain = match TransportMsg::from_bytes(parsed.payload) {
             Ok(TransportMsg::Envelope(env)) => {
-                let Ok((plain, session_key)) = e2e::open(&self.keypair.private, &env) else {
-                    ctx.stats.count("server.envelope_bad");
-                    return;
-                };
+                let id = (initiator.to_u32(), nonce);
                 // The source repeats envelopes until a reply confirms the
-                // channel; keep the existing session so the responder's
-                // record nonces never restart (CTR nonce reuse).
-                let entry = self
+                // channel, all under the key this session already holds:
+                // a tag that verifies under it opens the repeat without
+                // the RSA unwrap. Anything else pays for the CRT decrypt.
+                let held = self
                     .sessions
-                    .entry((initiator.to_u32(), nonce))
-                    .or_insert_with(|| ServerSession {
-                        session: E2eSession::new(&record_channel_key(&session_key), false),
-                        return_via,
-                    });
-                entry.return_via = return_via;
+                    .get(&id)
+                    .and_then(|s| e2e::open_with_key(&s.envelope_key, &env).ok());
+                let plain = match held {
+                    Some(plain) => plain,
+                    None => {
+                        let Ok((plain, session_key)) = e2e::open(&self.keypair.private, &env)
+                        else {
+                            ctx.stats.count("server.envelope_bad");
+                            return;
+                        };
+                        // Keep an existing session so the responder's
+                        // record nonces never restart (CTR nonce reuse).
+                        self.sessions.entry(id).or_insert_with(|| ServerSession {
+                            envelope_key: session_key,
+                            session: E2eSession::new(&record_channel_key(&session_key), false),
+                            return_via,
+                        });
+                        plain
+                    }
+                };
+                // Replies chase the provider that forwarded the latest
+                // authenticated packet — the §3.5 failover contract.
+                self.sessions
+                    .get_mut(&id)
+                    .expect("an opened envelope has a session")
+                    .return_via = return_via;
                 plain
             }
             Ok(TransportMsg::Record(rec)) => {
@@ -824,6 +846,7 @@ mod tests {
     fn key_setup_is_retransmitted_until_established() {
         let mut rng = StdRng::seed_from_u64(5);
         let kp = nn_crypto::generate_keypair(&mut rng, 320);
+        let onetime = Arc::new(nn_crypto::generate_keypair(&mut rng, 320));
         let mut sim = Simulator::new(9);
         let src = sim.add_node(
             "src",
@@ -835,7 +858,7 @@ mod tests {
                     dest_pubkey: kp.public,
                 },
                 0,
-                320,
+                onetime,
                 "flow",
                 Box::new(NullApp),
             )),
@@ -851,6 +874,102 @@ mod tests {
         let rx = sim.node_ref::<SinkNode>(sink).unwrap().rx_frames;
         assert!(rx >= 3, "initial setup plus retries expected, got {rx}");
         assert!(sim.stats().counter("source.setup_retry") >= 2);
+    }
+
+    const INITIATOR: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 10);
+    const DEST: Ipv4Addr = Ipv4Addr::new(10, 7, 0, 99);
+    const NEUT: Ipv4Addr = Ipv4Addr::new(198, 18, 0, 1);
+    /// Session nonce shared by every frame, so all envelopes belong to
+    /// one server session.
+    const NONCE: u64 = 0x5e55;
+
+    /// Sends its prebuilt frames back to back at start.
+    struct Replay(Vec<Vec<u8>>);
+
+    impl Node for Replay {
+        fn on_start(&mut self, ctx: &mut Context) {
+            for frame in std::mem::take(&mut self.0) {
+                ctx.send(0, frame);
+            }
+        }
+
+        fn on_packet(&mut self, ctx: &mut Context, _iface: IfaceId, frame: FrameBuf) {
+            ctx.recycle(frame);
+        }
+    }
+
+    /// A data packet of the test session carrying `env`.
+    fn envelope_frame(env: &e2e::E2eEnvelope) -> Vec<u8> {
+        let shim = ShimRepr {
+            shim_type: ShimType::Data,
+            flags: 0,
+            nonce: NONCE,
+            addr_block: ShimRepr::plain_addr_block(NEUT),
+            stamp: None,
+        };
+        let payload = TransportMsg::Envelope(env.clone()).to_bytes();
+        nn_packet::build_shim(INITIATOR, DEST, 0, &shim, &payload).expect("frame builds")
+    }
+
+    /// Seals one app frame to `keypair` under `session_key`.
+    fn envelope(rng: &mut StdRng, keypair: &RsaKeypair, session_key: [u8; 16]) -> e2e::E2eEnvelope {
+        let app = encode_app_frame("voip", SimTime::ZERO, b"rtp");
+        let inner = InnerPayload::data(app).to_bytes();
+        e2e::seal_keyed(rng, &keypair.public, &inner, &session_key).expect("envelope seals")
+    }
+
+    /// Runs a destination holding `keypair` over `envelopes`, delivered
+    /// in order; returns the frames it delivered and its
+    /// `server.envelope_bad` count.
+    fn serve(keypair: RsaKeypair, envelopes: &[e2e::E2eEnvelope]) -> (u64, u64) {
+        let mut sim = Simulator::new(3);
+        let frames = envelopes.iter().map(envelope_frame).collect();
+        let src = sim.add_node("src", Box::new(Replay(frames)));
+        let server = NeutralizedServerNode::new(DEST, NEUT, Arc::new(keypair), false);
+        let dst = sim.add_node("dst", Box::new(server));
+        sim.connect_sym(
+            src,
+            dst,
+            LinkProfile::new(10_000_000, Duration::from_millis(1)),
+        );
+        sim.run_until(SimTime::from_secs(1));
+        let rx = sim
+            .node_ref::<NeutralizedServerNode>(dst)
+            .unwrap()
+            .rx_frames;
+        (rx, sim.stats().counter("server.envelope_bad"))
+    }
+
+    /// The envelope fast path's one behaviour change: once a session
+    /// holds its key, a repeat envelope whose tag verifies under that
+    /// key is accepted even though its RSA-wrapped key is garbage. The
+    /// same envelope with no session held is `server.envelope_bad`.
+    #[test]
+    fn repeat_envelope_opens_under_the_held_session_key() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let kp = nn_crypto::generate_keypair(&mut rng, 320);
+        let key = [0x11; 16];
+        let first = envelope(&mut rng, &kp, key);
+        let mut repeat = envelope(&mut rng, &kp, key);
+        repeat.wrapped_key = vec![0xa5; repeat.wrapped_key.len()];
+        assert!(e2e::open(&kp.private, &repeat).is_err(), "unwrap fails");
+
+        assert_eq!(serve(kp.clone(), &[first, repeat.clone()]), (2, 0));
+        assert_eq!(serve(kp, &[repeat]), (0, 1));
+    }
+
+    /// An envelope whose tag fails under the held key still goes
+    /// through RSA: accepted when the unwrapped key opens it, counted
+    /// `server.envelope_bad` when the unwrap fails too.
+    #[test]
+    fn envelope_failing_the_held_key_falls_back_to_rsa() {
+        let mut rng = StdRng::seed_from_u64(22);
+        let kp = nn_crypto::generate_keypair(&mut rng, 320);
+        let first = envelope(&mut rng, &kp, [0x11; 16]);
+        let rewrapped = envelope(&mut rng, &kp, [0x22; 16]);
+        let mut garbage = envelope(&mut rng, &kp, [0x22; 16]);
+        garbage.wrapped_key = vec![0xa5; garbage.wrapped_key.len()];
+        assert_eq!(serve(kp, &[first, rewrapped, garbage]), (2, 1));
     }
 
     #[test]

@@ -156,6 +156,9 @@ pub enum MergeError {
     },
     /// A cell index in the expansion has no report.
     MissingCell(usize),
+    /// The shards' frame-pool counts (`"allocs"` or `"recycled"`) sum
+    /// past `u64::MAX`, which no real set of workers can reach.
+    PoolCountOverflow(&'static str),
 }
 
 impl std::fmt::Display for MergeError {
@@ -178,6 +181,9 @@ impl std::fmt::Display for MergeError {
                 write!(f, "cell {index} does not belong to shard {shard}")
             }
             MergeError::MissingCell(i) => write!(f, "cell {i} has no report"),
+            MergeError::PoolCountOverflow(counter) => {
+                write!(f, "shard pool {counter:?} counts sum past u64::MAX")
+            }
         }
     }
 }
@@ -247,8 +253,12 @@ pub fn merge_shards(shards: Vec<ShardReport>) -> Result<MergedMatrix, MergeError
     let mut slots: Vec<Option<MatrixCell>> = (0..total).map(|_| None).collect();
     let (mut pool_allocs, mut pool_recycled) = (0u64, 0u64);
     for s in shards {
-        pool_allocs += s.pool_allocs;
-        pool_recycled += s.pool_recycled;
+        pool_allocs = pool_allocs
+            .checked_add(s.pool_allocs)
+            .ok_or(MergeError::PoolCountOverflow("allocs"))?;
+        pool_recycled = pool_recycled
+            .checked_add(s.pool_recycled)
+            .ok_or(MergeError::PoolCountOverflow("recycled"))?;
         for cell in s.cells {
             if cell.index >= total {
                 return Err(MergeError::CellOutOfRange {

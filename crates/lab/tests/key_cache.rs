@@ -17,6 +17,7 @@ use nn_netsim::{Node, SimTime, Simulator};
 use nn_packet::Ipv4Cidr;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::Duration;
 
 const DURATION: Duration = Duration::from_millis(800);
@@ -50,7 +51,8 @@ struct CacheStats {
 /// derived-key cache capacity.
 fn run_neutralized(key_cache: usize) -> (Outcome, CacheStats) {
     let mut setup_rng = StdRng::seed_from_u64(0x5e7);
-    let dest_keypair = nn_crypto::generate_keypair(&mut setup_rng, RSA_BITS);
+    let dest_keypair = Arc::new(nn_crypto::generate_keypair(&mut setup_rng, RSA_BITS));
+    let onetime_keypair = Arc::new(nn_crypto::generate_keypair(&mut setup_rng, RSA_BITS));
     let bootstrap = Bootstrap {
         dest: DST_ADDR,
         neutralizers: vec![ANYCAST_ADDR],
@@ -62,7 +64,7 @@ fn run_neutralized(key_cache: usize) -> (Outcome, CacheStats) {
         SRC_ADDR,
         bootstrap,
         0,
-        RSA_BITS,
+        onetime_keypair,
         workload.name(),
         app,
     ));

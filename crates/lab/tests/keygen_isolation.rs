@@ -1,11 +1,15 @@
 //! Keygen RNG isolation: the one-time-key search must not leak into the
 //! host RNG stream.
 //!
-//! Prime search rejects a data-dependent number of candidates, so before
-//! ISSUE 10 every keygen-internals change (sieve width, Miller–Rabin
-//! rounds) shifted `ctx.rng` by a different amount and invalidated every
-//! matrix golden. The source now forks a keygen sub-RNG with exactly one
-//! parent draw; these tests pin that contract at both layers.
+//! Prime search rejects a data-dependent number of candidates, so a
+//! source that fed its simulation RNG straight into keygen shifted
+//! `ctx.rng` by a different amount on every keygen-internals change
+//! (sieve width, Miller–Rabin rounds) and invalidated every matrix
+//! golden. Keygen therefore forks a sub-RNG with exactly one parent draw.
+//! The source does not mint its one-time key itself — the cell runner
+//! hands it a keypair minted once per process — but it still makes that
+//! one parent draw at start, so the host stream does not depend on where
+//! the key came from. These tests pin the contract at both layers.
 
 use nn_lab::cell::{run_cell, CellSpec, CellTuning, StackKind};
 use nn_lab::{AdversarySpec, EventTimelineSpec, LinkProfileSpec, TopologySpec, WorkloadSpec};
@@ -69,8 +73,9 @@ fn cell_flow_metrics_invariant_to_onetime_key_size() {
     assert_eq!(a.replies, b.replies);
 }
 
-/// Keygen work is observable per cell: a neutralized cell mints exactly
-/// one one-time key, a plain cell none.
+/// Keygen work is observable per cell as a count of logical keygens: a
+/// neutralized cell counts the one one-time key its source takes up
+/// (minted once per process, counted once per cell), a plain cell none.
 #[test]
 fn keygen_count_surfaces_in_cell_counters() {
     let tuning = CellTuning::fast();

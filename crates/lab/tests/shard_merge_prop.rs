@@ -245,6 +245,21 @@ fn merge_rejects_a_huge_shard_count_before_allocating() {
 }
 
 #[test]
+fn merge_rejects_pool_counts_that_overflow() {
+    // Each count fits a u64; their sum over the set does not.
+    for (from, counter) in [("\"allocs\":10", "allocs"), ("\"recycled\":7", "recycled")] {
+        let wire = fake_shard(1, 2, 4).to_json();
+        let tampered = wire.replace(from, &format!("\"{counter}\":{}", u64::MAX));
+        assert_ne!(tampered, wire, "{from} is in the pool header");
+        let hostile = ShardReport::from_json(&tampered).expect("the header still parses");
+        assert_eq!(
+            merge_shards(vec![fake_shard(0, 2, 4), hostile]).unwrap_err(),
+            MergeError::PoolCountOverflow(counter)
+        );
+    }
+}
+
+#[test]
 fn shard_wire_format_rejects_relative_metrics() {
     let wire = fake_shard(0, 1, 2).to_json();
     ShardReport::from_json(&wire).expect("raw cells parse");
