@@ -213,14 +213,19 @@ pub fn data_path() {
     // through two forwarding routers to a sink — engine event handling,
     // link serialization, queueing and router parsing, with no crypto.
     // This is the hot loop the frame pool and the timing-wheel scheduler
-    // target; divide ns/iter by 1000 for the per-frame cost.
+    // target; divide ns/iter by 1000 for the per-frame cost. The second
+    // run puts a content-DPI throttle on the first router, so most
+    // frames die there and each drop bumps its per-rule counter — the
+    // discriminating-hub path the counter registry keeps off the heap.
     sim_data_path();
 }
 
-/// Blasts 1000 small UDP frames through `src → r1 → r2 → sink`.
+/// Blasts 1000 small UDP frames through `src → r1 → r2 → sink`, once
+/// with empty policies and once with a DPI throttle on `r1`.
 fn sim_data_path() {
     use nn_netsim::{
-        compute_routes, Context, IfaceId, LinkProfile, Node, RouterNode, Simulator, SinkNode,
+        compute_routes, Action, Context, IfaceId, LinkProfile, MatchExpr, Node, PolicyEngine,
+        RouterNode, Rule, Simulator, SinkNode,
     };
     use nn_packet::{build_udp, Ipv4Cidr};
     use std::time::Duration;
@@ -228,6 +233,7 @@ fn sim_data_path() {
     const FRAMES: u64 = 1000;
     const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 1);
     const DST: Ipv4Addr = Ipv4Addr::new(10, 0, 2, 1);
+    const MARKER: &[u8] = b"VOIP/RTP";
 
     /// Sends `FRAMES` copies of one prebuilt frame at start, out of
     /// pooled buffers.
@@ -246,9 +252,23 @@ fn sim_data_path() {
         }
     }
 
-    let template = build_udp(SRC, DST, 0, 4000, 4000, &[0x5au8; 100]).expect("frame builds");
+    let mut payload = MARKER.to_vec();
+    payload.resize(100, 0x5a);
+    let template = build_udp(SRC, DST, 0, 4000, 4000, &payload).expect("frame builds");
+    // A 1 Mbit/s, 1500-byte bucket: about a dozen of the thousand
+    // back-to-back frames conform, the rest drop at r1.
+    let throttle = || {
+        PolicyEngine::new().with(Rule::new(
+            "dpi-throttle",
+            MatchExpr::PayloadContains(MARKER.to_vec()),
+            Action::Throttle {
+                rate_bps: 1_000_000,
+                burst_bytes: 1500,
+            },
+        ))
+    };
     let mut pool = nn_netsim::FramePool::new();
-    let mut run = || {
+    let mut run = |dpi: bool| {
         let mut sim = Simulator::new(1);
         sim.install_pool(std::mem::take(&mut pool));
         let src = sim.add_node(
@@ -274,15 +294,33 @@ fn sim_data_path() {
                 .unwrap()
                 .set_routes(tables[&r].clone());
         }
+        if dpi {
+            sim.node_mut::<RouterNode>(r1)
+                .unwrap()
+                .set_policy(throttle());
+        }
         sim.run_until(nn_netsim::SimTime::from_secs(60));
         let delivered = sim.node_ref::<SinkNode>(sink).unwrap().rx_frames;
-        assert_eq!(delivered, FRAMES, "clean chain delivers everything");
+        let dropped = sim.stats().counter("r1.policy_drop.dpi-throttle");
+        assert_eq!(
+            delivered + dropped,
+            FRAMES,
+            "every frame is delivered or dropped"
+        );
+        if dpi {
+            assert!(dropped > FRAMES * 9 / 10, "the throttle drops most frames");
+        } else {
+            assert_eq!(delivered, FRAMES, "clean chain delivers everything");
+        }
         let n = sim.events_processed();
         pool = sim.take_pool();
         n
     };
     bench("sim_forward_2router_1kframes", iters(50), || {
-        black_box(run());
+        black_box(run(false));
+    });
+    bench("sim_dpi_drop_2router_1kframes", iters(50), || {
+        black_box(run(true));
     });
 }
 

@@ -33,6 +33,47 @@ fn preserve_ecn(incoming_ecn: u8, rebuilt: &mut FrameBuf) {
     Ipv4Packet::new_unchecked(rebuilt.as_mut_slice()).set_ecn(incoming_ecn);
 }
 
+nn_netsim::counter_set! {
+    /// A neutralizer's counters, `<stats_name>.<field>`. Reports carry
+    /// the four that show the neutralizer at work (key setups served,
+    /// data forwarded, returns anonymized, plain transit); the error,
+    /// cache and control-plane counters stay internal.
+    struct NeutralizerCounters {
+        parse_error: Internal,
+        shim_parse_error: Internal,
+        transit: Reported,
+        shim_transit: Internal,
+        emit_parse_error: Internal,
+        no_route: Internal,
+        setup_parse_error: Internal,
+        setup_pushback_reject: Internal,
+        setup_bad_pubkey: Internal,
+        setup_offloaded: Internal,
+        setup_encrypt_fail: Internal,
+        setup_served: Reported,
+        reply_parse_error: Internal,
+        offload_reply_forwarded: Internal,
+        data_parse_error: Internal,
+        data_expired_epoch: Internal,
+        key_cache_hit: Internal,
+        key_cache_miss: Internal,
+        data_unseal_fail: Internal,
+        data_not_customer: Internal,
+        data_stamped: Internal,
+        data_forwarded: Reported,
+        return_parse_error: Internal,
+        return_not_customer: Internal,
+        return_expired_epoch: Internal,
+        return_anonymized: Reported,
+        fetch_parse_error: Internal,
+        fetch_not_customer: Internal,
+        fetch_bad_request: Internal,
+        fetch_served: Internal,
+        pushback_flagged: Internal,
+        key_rotated: Internal,
+    }
+}
+
 /// Timer token for the pushback window tick.
 const TOKEN_PUSHBACK_TICK: u64 = 0xFB;
 /// Timer token for master-key rotation.
@@ -367,6 +408,7 @@ pub struct NeutralizerNode {
     pub data_packets: u64,
     /// RSA encryptions performed (key setups served locally).
     pub rsa_encryptions: u64,
+    ids: NeutralizerCounters,
 }
 
 impl NeutralizerNode {
@@ -380,6 +422,7 @@ impl NeutralizerNode {
             last_setup_iface: None,
             data_packets: 0,
             rsa_encryptions: 0,
+            ids: NeutralizerCounters::default(),
             config,
         }
     }
@@ -410,11 +453,6 @@ impl NeutralizerNode {
         self.pushback.as_ref()
     }
 
-    fn stat(&self, ctx: &mut Context, suffix: &str) {
-        ctx.stats
-            .count(&format!("{}.{}", self.config.stats_name, suffix));
-    }
-
     fn in_domain(&self, addr: Ipv4Addr) -> bool {
         self.config.domain.iter().any(|p| p.contains(addr))
     }
@@ -425,14 +463,14 @@ impl NeutralizerNode {
 
     fn route_out(&mut self, ctx: &mut Context, frame: FrameBuf) {
         let Ok(ip) = Ipv4Packet::new_checked(&frame[..]) else {
-            self.stat(ctx, "emit_parse_error");
+            ctx.stats.bump(self.ids.emit_parse_error);
             ctx.recycle(frame);
             return;
         };
         match self.routes.lookup(ip.dst_addr()) {
             Some(iface) => ctx.send(iface, frame),
             None => {
-                self.stat(ctx, "no_route");
+                ctx.stats.bump(self.ids.no_route);
                 ctx.recycle(frame);
             }
         }
@@ -470,7 +508,7 @@ impl NeutralizerNode {
     /// §3.2 key setup: one cheap RSA encryption (or an offload forward).
     fn handle_key_setup(&mut self, ctx: &mut Context, iface: IfaceId, frame: &[u8]) {
         let Ok(parsed) = parse_shim(frame) else {
-            self.stat(ctx, "setup_parse_error");
+            ctx.stats.bump(self.ids.setup_parse_error);
             return;
         };
         self.last_setup_iface = Some(iface);
@@ -478,12 +516,12 @@ impl NeutralizerNode {
         // flooded aggregate must cost hashes, not RSA.
         if let Some(pb) = &mut self.pushback {
             if !pb.admit(ctx.now, parsed.ip.src) {
-                self.stat(ctx, "setup_pushback_reject");
+                ctx.stats.bump(self.ids.setup_pushback_reject);
                 return;
             }
         }
         let Ok((pubkey, _)) = RsaPublicKey::from_wire(parsed.payload) else {
-            self.stat(ctx, "setup_bad_pubkey");
+            ctx.stats.bump(self.ids.setup_bad_pubkey);
             return;
         };
         // Fresh mints bypass the cache: a setup nonce is seen once here.
@@ -515,7 +553,7 @@ impl NeutralizerNode {
                 &payload,
                 None,
             ) {
-                self.stat(ctx, "setup_offloaded");
+                ctx.stats.bump(self.ids.setup_offloaded);
             }
             return;
         }
@@ -525,11 +563,11 @@ impl NeutralizerNode {
         msg.extend_from_slice(&nonce.to_be_bytes());
         msg.extend_from_slice(&ks);
         let Ok(ct) = pubkey.encrypt(ctx.rng, &msg) else {
-            self.stat(ctx, "setup_encrypt_fail");
+            ctx.stats.bump(self.ids.setup_encrypt_fail);
             return;
         };
         self.rsa_encryptions += 1;
-        self.stat(ctx, "setup_served");
+        ctx.stats.bump(self.ids.setup_served);
         let shim = ShimRepr {
             shim_type: ShimType::KeyReply,
             flags: 0,
@@ -552,7 +590,7 @@ impl NeutralizerNode {
     /// in a plaintext block; rewrite to (anycast → client) and forward.
     fn handle_key_reply_from_inside(&mut self, ctx: &mut Context, frame: &[u8]) {
         let Ok(parsed) = parse_shim(frame) else {
-            self.stat(ctx, "reply_parse_error");
+            ctx.stats.bump(self.ids.reply_parse_error);
             return;
         };
         let client = ShimRepr::addr_from_plain_block(&parsed.shim.addr_block);
@@ -572,7 +610,7 @@ impl NeutralizerNode {
             parsed.payload,
             None,
         ) {
-            self.stat(ctx, "offload_reply_forwarded");
+            ctx.stats.bump(self.ids.offload_reply_forwarded);
         }
     }
 
@@ -580,32 +618,29 @@ impl NeutralizerNode {
     /// stamp a fresh key on request, rewrite, forward.
     fn handle_data(&mut self, ctx: &mut Context, frame: &[u8]) {
         let Ok(parsed) = parse_shim(frame) else {
-            self.stat(ctx, "data_parse_error");
+            ctx.stats.bump(self.ids.data_parse_error);
             return;
         };
         let (opened, cache_hit) = match self.keys.sealer(parsed.shim.nonce, parsed.ip.src) {
             None => {
-                self.stat(ctx, "data_expired_epoch");
+                ctx.stats.bump(self.ids.data_expired_epoch);
                 return;
             }
             Some((sealer, hit)) => (sealer.open(parsed.shim.nonce, &parsed.shim.addr_block), hit),
         };
-        self.stat(
-            ctx,
-            if cache_hit {
-                "key_cache_hit"
-            } else {
-                "key_cache_miss"
-            },
-        );
+        ctx.stats.bump(if cache_hit {
+            self.ids.key_cache_hit
+        } else {
+            self.ids.key_cache_miss
+        });
         let Ok(dst_raw) = opened else {
-            self.stat(ctx, "data_unseal_fail");
+            ctx.stats.bump(self.ids.data_unseal_fail);
             return;
         };
         let real_dst = Ipv4Addr(dst_raw);
         if !self.in_domain(real_dst) {
             // The neutralizer serves its own customers only (§3).
-            self.stat(ctx, "data_not_customer");
+            ctx.stats.bump(self.ids.data_not_customer);
             return;
         }
         self.data_packets += 1;
@@ -616,7 +651,7 @@ impl NeutralizerNode {
                 .epochs()
                 .derive(nonce2, parsed.ip.src)
                 .expect("minted nonce is current-epoch");
-            self.stat(ctx, "data_stamped");
+            ctx.stats.bump(self.ids.data_stamped);
             Some(KeyStamp {
                 nonce: nonce2,
                 key: ks2,
@@ -649,7 +684,7 @@ impl NeutralizerNode {
             parsed.payload,
             Some(ecn_in),
         ) {
-            self.stat(ctx, "data_forwarded");
+            ctx.stats.bump(self.ids.data_forwarded);
         }
     }
 
@@ -658,11 +693,11 @@ impl NeutralizerNode {
     /// a dynamic QoS address, §3.4), forward.
     fn handle_return(&mut self, ctx: &mut Context, frame: &[u8]) {
         let Ok(parsed) = parse_shim(frame) else {
-            self.stat(ctx, "return_parse_error");
+            ctx.stats.bump(self.ids.return_parse_error);
             return;
         };
         if !self.in_domain(parsed.ip.src) {
-            self.stat(ctx, "return_not_customer");
+            ctx.stats.bump(self.ids.return_not_customer);
             return;
         }
         let initiator = ShimRepr::addr_from_plain_block(&parsed.shim.addr_block);
@@ -670,19 +705,16 @@ impl NeutralizerNode {
         // return path shares the forward path's cache entry.
         let (sealed, cache_hit) = match self.keys.sealer(parsed.shim.nonce, initiator) {
             None => {
-                self.stat(ctx, "return_expired_epoch");
+                ctx.stats.bump(self.ids.return_expired_epoch);
                 return;
             }
             Some((sealer, hit)) => (sealer.seal(parsed.shim.nonce, parsed.ip.src.to_u32()), hit),
         };
-        self.stat(
-            ctx,
-            if cache_hit {
-                "key_cache_hit"
-            } else {
-                "key_cache_miss"
-            },
-        );
+        ctx.stats.bump(if cache_hit {
+            self.ids.key_cache_hit
+        } else {
+            self.ids.key_cache_miss
+        });
         self.data_packets += 1;
         let wants_dyn = parsed.shim.flags & shim_flags::DYN_ADDR != 0;
         let visible_src = if wants_dyn {
@@ -714,7 +746,7 @@ impl NeutralizerNode {
             parsed.payload,
             Some(ecn_in),
         ) {
-            self.stat(ctx, "return_anonymized");
+            ctx.stats.bump(self.ids.return_anonymized);
         }
     }
 
@@ -722,15 +754,15 @@ impl NeutralizerNode {
     /// fetches `(nonce, Ks)` in plaintext — it is inside the trust domain.
     fn handle_key_fetch(&mut self, ctx: &mut Context, frame: &[u8]) {
         let Ok(parsed) = parse_shim(frame) else {
-            self.stat(ctx, "fetch_parse_error");
+            ctx.stats.bump(self.ids.fetch_parse_error);
             return;
         };
         if !self.in_domain(parsed.ip.src) {
-            self.stat(ctx, "fetch_not_customer");
+            ctx.stats.bump(self.ids.fetch_not_customer);
             return;
         }
         let Ok(req) = KeyFetchReq::from_bytes(parsed.payload) else {
-            self.stat(ctx, "fetch_bad_request");
+            ctx.stats.bump(self.ids.fetch_bad_request);
             return;
         };
         let nonce = self.keys.epochs().mint_nonce(ctx.rng);
@@ -762,13 +794,14 @@ impl NeutralizerNode {
             &reply.to_bytes(),
             None,
         ) {
-            self.stat(ctx, "fetch_served");
+            ctx.stats.bump(self.ids.fetch_served);
         }
     }
 }
 
 impl Node for NeutralizerNode {
     fn on_start(&mut self, ctx: &mut Context) {
+        self.ids = NeutralizerCounters::register(ctx.stats, &self.config.stats_name);
         if let Some(cfg) = self.config.pushback {
             self.pushback = Some(PushbackEngine::new(cfg, ctx.now));
             ctx.set_timer(cfg.window, TOKEN_PUSHBACK_TICK);
@@ -780,7 +813,7 @@ impl Node for NeutralizerNode {
 
     fn on_packet(&mut self, ctx: &mut Context, iface: IfaceId, frame: FrameBuf) {
         let Ok(ip) = Ipv4Packet::new_checked(&frame[..]) else {
-            self.stat(ctx, "parse_error");
+            ctx.stats.bump(self.ids.parse_error);
             ctx.recycle(frame);
             return;
         };
@@ -788,12 +821,12 @@ impl Node for NeutralizerNode {
         if protocol != nn_packet::proto::SHIM {
             // Plain traffic transits the border router untouched (§3.4's
             // opt-out: the neutralizer service is optional).
-            self.stat(ctx, "transit");
+            ctx.stats.bump(self.ids.transit);
             self.route_out(ctx, frame);
             return;
         }
         let Ok(shim_view) = nn_packet::ShimPacket::new_checked(&frame[20..]) else {
-            self.stat(ctx, "shim_parse_error");
+            ctx.stats.bump(self.ids.shim_parse_error);
             ctx.recycle(frame);
             return;
         };
@@ -810,7 +843,7 @@ impl Node for NeutralizerNode {
             _ => {
                 // Shim traffic in transit (e.g. toward some other domain's
                 // neutralizer, or replies flowing outward).
-                self.stat(ctx, "shim_transit");
+                ctx.stats.bump(self.ids.shim_transit);
                 self.route_out(ctx, frame);
                 return;
             }
@@ -829,7 +862,7 @@ impl Node for NeutralizerNode {
                 let limit_bps = (pb.config().limit_pps * 8.0 * 120.0) as u64; // ~120B setup frames
                 let release = pb.config().release_after;
                 for prefix in flagged {
-                    self.stat(ctx, "pushback_flagged");
+                    ctx.stats.bump(self.ids.pushback_flagged);
                     // Ask upstream to police the aggregate (§3.6).
                     if let Some(iface) = self.last_setup_iface {
                         let msg = PushbackMsg {
@@ -863,7 +896,7 @@ impl Node for NeutralizerNode {
             TOKEN_KEY_ROTATION => {
                 let fresh: [u8; 16] = ctx.rng.gen();
                 self.keys.rotate(fresh);
-                self.stat(ctx, "key_rotated");
+                ctx.stats.bump(self.ids.key_rotated);
                 if let Some(lifetime) = self.config.key_lifetime {
                     ctx.set_timer(lifetime, TOKEN_KEY_ROTATION);
                 }

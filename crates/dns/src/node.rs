@@ -26,6 +26,20 @@ pub const DNS_PORT: u16 = 53;
 /// Encrypted-resolver port.
 pub const ENCRYPTED_DNS_PORT: u16 = 853;
 
+nn_netsim::counter_set! {
+    /// A resolver's counters, `<stats_name>.<field>`; none are reported.
+    struct DnsCounters {
+        plain_query: Internal,
+        encrypted_query: Internal,
+        bad_frame: Internal,
+        bad_query: Internal,
+        wrong_port: Internal,
+        encrypted_unsupported: Internal,
+        bad_envelope: Internal,
+        envelope_auth_fail: Internal,
+    }
+}
+
 /// An authoritative resolver node.
 pub struct DnsServerNode {
     /// The server's own address (used as response source).
@@ -33,6 +47,7 @@ pub struct DnsServerNode {
     zone: ZoneStore,
     keypair: Option<RsaKeypair>,
     stats_name: String,
+    ids: DnsCounters,
 }
 
 impl DnsServerNode {
@@ -43,6 +58,7 @@ impl DnsServerNode {
             zone,
             keypair: None,
             stats_name: stats_name.into(),
+            ids: DnsCounters::default(),
         }
     }
 
@@ -74,26 +90,22 @@ impl DnsServerNode {
         udp: &nn_packet::ParsedUdp<'_>,
     ) -> Option<FrameBuf> {
         let Some(keypair) = &self.keypair else {
-            ctx.stats
-                .count(&format!("{}.encrypted_unsupported", self.stats_name));
+            ctx.stats.bump(self.ids.encrypted_unsupported);
             return None;
         };
         let Ok(envelope) = E2eEnvelope::from_bytes(udp.payload) else {
-            ctx.stats
-                .count(&format!("{}.bad_envelope", self.stats_name));
+            ctx.stats.bump(self.ids.bad_envelope);
             return None;
         };
         let Ok((inner, session_key)) = e2e::open(&keypair.private, &envelope) else {
-            ctx.stats
-                .count(&format!("{}.envelope_auth_fail", self.stats_name));
+            ctx.stats.bump(self.ids.envelope_auth_fail);
             return None;
         };
         let Ok(query) = DnsMessage::decode(&inner) else {
-            ctx.stats.count(&format!("{}.bad_query", self.stats_name));
+            ctx.stats.bump(self.ids.bad_query);
             return None;
         };
-        ctx.stats
-            .count(&format!("{}.encrypted_query", self.stats_name));
+        ctx.stats.bump(self.ids.encrypted_query);
         let resp = self.answer(&query);
         let mut session = E2eSession::new(&session_key, false);
         let record = session.seal_record(&resp.encode());
@@ -112,16 +124,20 @@ impl DnsServerNode {
 }
 
 impl Node for DnsServerNode {
+    fn on_start(&mut self, ctx: &mut Context) {
+        self.ids = DnsCounters::register(ctx.stats, &self.stats_name);
+    }
+
     fn on_packet(&mut self, ctx: &mut Context, iface: IfaceId, frame: FrameBuf) {
         let mut reply: Option<FrameBuf> = None;
         match parse_udp(&frame) {
             Err(_) => {
-                ctx.stats.count(&format!("{}.bad_frame", self.stats_name));
+                ctx.stats.bump(self.ids.bad_frame);
             }
             Ok(udp) => match udp.dst_port {
                 DNS_PORT => {
                     if let Ok(query) = DnsMessage::decode(udp.payload) {
-                        ctx.stats.count(&format!("{}.plain_query", self.stats_name));
+                        ctx.stats.bump(self.ids.plain_query);
                         let resp = self.answer(&query);
                         reply = ctx.alloc_built(|buf| {
                             build_udp_into(
@@ -135,14 +151,14 @@ impl Node for DnsServerNode {
                             )
                         });
                     } else {
-                        ctx.stats.count(&format!("{}.bad_query", self.stats_name));
+                        ctx.stats.bump(self.ids.bad_query);
                     }
                 }
                 ENCRYPTED_DNS_PORT => {
                     reply = self.answer_encrypted(ctx, &udp);
                 }
                 _ => {
-                    ctx.stats.count(&format!("{}.wrong_port", self.stats_name));
+                    ctx.stats.bump(self.ids.wrong_port);
                 }
             },
         }

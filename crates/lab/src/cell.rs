@@ -584,35 +584,15 @@ fn run_cell_keyed(
             .expect("plain source");
         (node.replies, 0)
     };
-    let mut counters: Vec<(String, u64)> = [
-        "neutralizer.setup_served",
-        "neutralizer.data_forwarded",
-        "neutralizer.return_anonymized",
-        "neutralizer.transit",
-        "neutralizer-b.setup_served",
-        "neutralizer-b.data_forwarded",
-        "neutralizer-b.return_anonymized",
-        "source.established",
-        "source.failovers",
-        // Logical keygens per cell: the one-time key the source takes
-        // up, counted although the memo minted it once per process. A
-        // count only, kept out of the golden-sensitive flow rows.
-        "source.keygens",
-        "events.applied",
-        "events.pause_drops",
-        "probe.pairs_tx",
-        "probe.plain_rx",
-        "probe.neut_rx",
-        "probe.hops_tx",
-        "probe.hop_rx",
-        "probe.size_rx",
-        "probe.reorder_rx",
-        "probe.responder_echoed",
-    ]
-    .into_iter()
-    .map(|name| (name.to_string(), sim.stats().counter(name)))
-    .filter(|(_, v)| *v > 0)
-    .collect();
+    // Every nonzero counter its node classed `Reported` (see the
+    // `counter_set!` declarations next to each node), e.g.
+    // `source.keygens`: the logical keygens per cell, counted although
+    // the memo minted the key once per process.
+    let mut counters: Vec<(String, u64)> = sim
+        .stats()
+        .reported()
+        .map(|(name, v)| (name.to_string(), v))
+        .collect();
     // The bottleneck direction's per-stage pipeline outcomes, so the
     // link axis is observable in every report.
     let bneck = sim.link_counters(built.bottleneck.0, built.bottleneck.1);

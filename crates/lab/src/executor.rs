@@ -113,16 +113,24 @@ pub fn run_shard_with_progress(
         pool_allocs.fetch_add(pool.allocations(), Ordering::Relaxed);
         pool_recycled.fetch_add(pool.recycle_count(), Ordering::Relaxed);
     };
-    // Worker 0 runs on the calling thread. Every thread that allocates
-    // can leave a glibc malloc arena resident after it exits, and a sweep
-    // calls this once per matrix, so spawning one worker fewer keeps
-    // peak RSS flat as matrices go by faster.
+    // Worker 0 runs on the calling thread, and the others are joined
+    // explicitly. Every thread that allocates holds a glibc malloc arena
+    // until it exits, and a sweep calls this once per matrix. The
+    // scope's implicit join returns once the closures finish, before the
+    // threads have exited and handed their arenas back, so the next
+    // matrix's workers could each open a fresh arena and peak RSS would
+    // climb as matrices go by faster.
     std::thread::scope(|scope| {
         let work = &work;
-        for worker in 1..threads {
-            scope.spawn(move || work(worker));
-        }
+        let helpers: Vec<_> = (1..threads)
+            .map(|worker| scope.spawn(move || work(worker)))
+            .collect();
         work(0);
+        for helper in helpers {
+            if let Err(panic) = helper.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     });
 
     let cells = results

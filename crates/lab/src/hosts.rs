@@ -38,6 +38,33 @@ const TOKEN_SETUP_RETRY: u64 = 0xA2;
 /// Timer token for the multihome liveness check (§3.5).
 const TOKEN_LIVENESS: u64 = 0xA3;
 
+nn_netsim::counter_set! {
+    /// Both source stacks' counters, `source.<field>`. Reports carry
+    /// sessions established, provider failovers and logical keygens;
+    /// the failure counters stay internal.
+    struct SourceCounters {
+        established: Reported,
+        failovers: Reported,
+        keygens: Reported,
+        setup_retry: Internal,
+        build_fail: Internal,
+        envelope_fail: Internal,
+        key_reply_bad: Internal,
+        return_bad: Internal,
+    }
+}
+
+nn_netsim::counter_set! {
+    /// The neutralized destination's counters, `server.<field>`; none
+    /// are reported.
+    struct ServerCounters {
+        envelope_bad: Internal,
+        record_no_session: Internal,
+        record_auth_fail: Internal,
+        transport_bad: Internal,
+    }
+}
+
 /// How long a neutralized source waits for a `KeyReply` before
 /// retransmitting its `KeySetup` (covers one lost packet per RTO).
 const SETUP_RETRY_INTERVAL: std::time::Duration = std::time::Duration::from_millis(250);
@@ -192,6 +219,7 @@ pub struct PlainSourceNode {
     dst: Ipv4Addr,
     dscp: u8,
     driver: AppDriver,
+    ids: SourceCounters,
     /// Echo replies received back from the server.
     pub replies: u64,
 }
@@ -213,6 +241,7 @@ impl PlainSourceNode {
                 app,
                 flow: flow.into(),
             },
+            ids: SourceCounters::default(),
             replies: 0,
         }
     }
@@ -223,7 +252,7 @@ impl PlainSourceNode {
                 Some(pkt) => ctx.send(0, pkt),
                 // flow_tx already counted this packet: record that it
                 // never left, so 0% delivery is not misread as loss.
-                None => ctx.stats.count("source.build_fail"),
+                None => ctx.stats.bump(self.ids.build_fail),
             }
         }
     }
@@ -231,6 +260,7 @@ impl PlainSourceNode {
 
 impl Node for PlainSourceNode {
     fn on_start(&mut self, ctx: &mut Context) {
+        self.ids = SourceCounters::register(ctx.stats, "source");
         self.flush(ctx);
     }
 
@@ -252,7 +282,7 @@ impl Node for PlainSourceNode {
         for frame in reactions {
             match pooled_udp(ctx, self.addr, self.dst, self.dscp, &frame) {
                 Some(pkt) => ctx.send(0, pkt),
-                None => ctx.stats.count("source.build_fail"),
+                None => ctx.stats.bump(self.ids.build_fail),
             }
         }
     }
@@ -372,6 +402,7 @@ pub struct NeutralizedSourceNode {
     path_alive: bool,
     /// Consecutive `KeySetup` retransmissions against `current`.
     setup_retries: u32,
+    ids: SourceCounters,
     /// Times the source switched providers (also the `source.failovers`
     /// stat).
     pub failovers: u64,
@@ -412,6 +443,7 @@ impl NeutralizedSourceNode {
             liveness_rx: 0,
             path_alive: false,
             setup_retries: 0,
+            ids: SourceCounters::default(),
             failovers: 0,
             replies: 0,
             verified_return_blocks: 0,
@@ -435,7 +467,7 @@ impl NeutralizedSourceNode {
         if next != self.current {
             self.current = next;
             self.failovers += 1;
-            ctx.stats.count("source.failovers");
+            ctx.stats.bump(self.ids.failovers);
             // The replacement starts unproven: its first silent window
             // must not immediately indict it too.
             self.path_alive = false;
@@ -460,7 +492,7 @@ impl NeutralizedSourceNode {
                 &inner.to_bytes(),
                 &est.e2e_key,
             ) else {
-                ctx.stats.count("source.envelope_fail");
+                ctx.stats.bump(self.ids.envelope_fail);
                 return;
             };
             TransportMsg::Envelope(env)
@@ -486,7 +518,7 @@ impl NeutralizedSourceNode {
             }
             // flow_tx already counted this packet: record that it never
             // left, so 0% delivery is not misread as loss.
-            None => ctx.stats.count("source.build_fail"),
+            None => ctx.stats.bump(self.ids.build_fail),
         }
     }
 
@@ -519,7 +551,7 @@ impl NeutralizedSourceNode {
 
     fn handle_key_reply(&mut self, ctx: &mut Context, payload: &[u8]) {
         let Ok(plain) = self.keypair.private.decrypt(payload) else {
-            ctx.stats.count("source.key_reply_bad");
+            ctx.stats.bump(self.ids.key_reply_bad);
             return;
         };
         if plain.len() != 24 || self.established.is_some() {
@@ -537,7 +569,7 @@ impl NeutralizedSourceNode {
             confirmed: false,
             e2e_key,
         });
-        ctx.stats.count("source.established");
+        ctx.stats.bump(self.ids.established);
         self.setup_retries = 0;
         let pending = std::mem::take(&mut self.pending);
         for frame in pending {
@@ -565,7 +597,7 @@ impl NeutralizedSourceNode {
             self.verified_return_blocks += 1;
         }
         let Some(plain) = opened else {
-            ctx.stats.count("source.return_bad");
+            ctx.stats.bump(self.ids.return_bad);
             return;
         };
         // An authenticated reply proves the destination has the session
@@ -605,7 +637,8 @@ impl Node for NeutralizedSourceNode {
         // and with it every golden, includes that draw. It also counts
         // the one logical keygen.
         let _ = nn_crypto::keygen_rng(ctx.rng);
-        ctx.stats.count("source.keygens");
+        self.ids = SourceCounters::register(ctx.stats, "source");
+        ctx.stats.bump(self.ids.keygens);
         self.send_key_setup(ctx);
         // Failover machinery only runs for multihomed destinations, so
         // single-homed cells schedule no extra timers (byte-identical
@@ -624,7 +657,7 @@ impl Node for NeutralizedSourceNode {
             // fallback provider, a few consecutive silent retries are
             // §3.5's "trial-and-error": try the next address instead.
             TOKEN_SETUP_RETRY if self.established.is_none() => {
-                ctx.stats.count("source.setup_retry");
+                ctx.stats.bump(self.ids.setup_retry);
                 self.setup_retries += 1;
                 if self.multihomed() && self.setup_retries >= SETUP_RETRIES_PER_PROVIDER {
                     self.fail_over(ctx);
@@ -687,6 +720,7 @@ pub struct NeutralizedServerNode {
     echo: bool,
     /// Record channels per (initiator, nonce): responder direction.
     sessions: HashMap<(u32, u64), ServerSession>,
+    ids: ServerCounters,
     /// App frames delivered.
     pub rx_frames: u64,
 }
@@ -705,6 +739,7 @@ impl NeutralizedServerNode {
             keypair,
             echo,
             sessions: HashMap::new(),
+            ids: ServerCounters::default(),
             rx_frames: 0,
         }
     }
@@ -734,6 +769,10 @@ impl NeutralizedServerNode {
 }
 
 impl Node for NeutralizedServerNode {
+    fn on_start(&mut self, ctx: &mut Context) {
+        self.ids = ServerCounters::register(ctx.stats, "server");
+    }
+
     fn on_packet(&mut self, ctx: &mut Context, _iface: IfaceId, frame: FrameBuf) {
         self.receive(ctx, &frame);
         ctx.recycle(frame);
@@ -775,7 +814,7 @@ impl NeutralizedServerNode {
                     None => {
                         let Ok((plain, session_key)) = e2e::open(&self.keypair.private, &env)
                         else {
-                            ctx.stats.count("server.envelope_bad");
+                            ctx.stats.bump(self.ids.envelope_bad);
                             return;
                         };
                         // Keep an existing session so the responder's
@@ -798,11 +837,11 @@ impl NeutralizedServerNode {
             }
             Ok(TransportMsg::Record(rec)) => {
                 let Some(entry) = self.sessions.get_mut(&(initiator.to_u32(), nonce)) else {
-                    ctx.stats.count("server.record_no_session");
+                    ctx.stats.bump(self.ids.record_no_session);
                     return;
                 };
                 let Ok(plain) = entry.session.open_record(&rec) else {
-                    ctx.stats.count("server.record_auth_fail");
+                    ctx.stats.bump(self.ids.record_auth_fail);
                     return;
                 };
                 // Replies chase the provider that forwarded the latest
@@ -811,7 +850,7 @@ impl NeutralizedServerNode {
                 plain
             }
             Err(_) => {
-                ctx.stats.count("server.transport_bad");
+                ctx.stats.bump(self.ids.transport_bad);
                 return;
             }
         };

@@ -28,7 +28,7 @@ use crate::hosts::APP_PORT;
 use crate::json::Json;
 use nn_core::probe::{ProbeKind, ProbePayload};
 use nn_netsim::nodes::TTL_REPLY_MAGIC;
-use nn_netsim::{Context, FrameBuf, Histogram, IfaceId, Node};
+use nn_netsim::{Context, CounterClass, CounterId, FrameBuf, Histogram, IfaceId, Node};
 use nn_packet::{build_udp_into, parse_udp, Ipv4Addr, Ipv4Packet};
 use std::time::Duration;
 
@@ -62,6 +62,21 @@ const TOKEN_PAIR: u64 = 0xB1;
 const TOKEN_HOP: u64 = 0xB2;
 const TOKEN_SIZE: u64 = 0xB3;
 const TOKEN_REORDER: u64 = 0xB4;
+
+nn_netsim::counter_set! {
+    /// The prober's counters, `probe.<field>`. A hop probe that outlived
+    /// the path (`hop_echo_rx`) is not evidence, so it stays internal.
+    struct ProbeCounters {
+        pairs_tx: Reported,
+        hops_tx: Reported,
+        hop_rx: Reported,
+        plain_rx: Reported,
+        neut_rx: Reported,
+        size_rx: Reported,
+        reorder_rx: Reported,
+        hop_echo_rx: Internal,
+    }
+}
 
 /// Per-TTL observations from the hop train.
 #[derive(Debug, Clone, PartialEq)]
@@ -243,6 +258,7 @@ pub struct ProbeNode {
     reorder_tx: u64,
     reorder_high: Option<u32>,
     reorders: u64,
+    ids: ProbeCounters,
 }
 
 impl ProbeNode {
@@ -277,6 +293,7 @@ impl ProbeNode {
             reorder_tx: 0,
             reorder_high: None,
             reorders: 0,
+            ids: ProbeCounters::default(),
         }
     }
 
@@ -377,7 +394,7 @@ impl ProbeNode {
             send(neut, &mut self.neut_tx);
             send(plain, &mut self.plain_tx);
         }
-        ctx.stats.count("probe.pairs_tx");
+        ctx.stats.bump(self.ids.pairs_tx);
     }
 
     /// One TTL sweep, 1..=max_ttl.
@@ -394,7 +411,7 @@ impl ProbeNode {
                 let mut ip = Ipv4Packet::new_unchecked(&mut frame[..]);
                 ip.set_ttl(ttl);
                 ctx.send(0, frame);
-                ctx.stats.count("probe.hops_tx");
+                ctx.stats.bump(self.ids.hops_tx);
             }
         }
     }
@@ -458,7 +475,7 @@ impl ProbeNode {
         let ttl = probe.seq as u8;
         let rtt = ctx.now.as_nanos().saturating_sub(probe.sent_ns);
         let fwd = router_ns.saturating_sub(probe.sent_ns);
-        ctx.stats.count("probe.hop_rx");
+        ctx.stats.bump(self.ids.hop_rx);
         match self.hops.iter_mut().find(|h| h.ttl == ttl) {
             Some(h) => {
                 h.replies += 1;
@@ -483,34 +500,35 @@ impl ProbeNode {
                 self.plain_rx += 1;
                 self.plain_rtt_sum_ns += rtt;
                 self.plain_rtt.record(rtt);
-                ctx.stats.count("probe.plain_rx");
+                ctx.stats.bump(self.ids.plain_rx);
             }
             ProbeKind::DiffNeut => {
                 self.neut_rx += 1;
                 self.neut_rtt_sum_ns += rtt;
                 self.neut_rtt.record(rtt);
-                ctx.stats.count("probe.neut_rx");
+                ctx.stats.bump(self.ids.neut_rx);
             }
             ProbeKind::Size => {
                 self.max_echo_bytes = self.max_echo_bytes.max(frame_len as u64);
-                ctx.stats.count("probe.size_rx");
+                ctx.stats.bump(self.ids.size_rx);
             }
             ProbeKind::Reorder => {
                 match self.reorder_high {
                     Some(high) if probe.seq < high => self.reorders += 1,
                     _ => self.reorder_high = Some(probe.seq),
                 }
-                ctx.stats.count("probe.reorder_rx");
+                ctx.stats.bump(self.ids.reorder_rx);
             }
             // A hop probe whose TTL outlived the path comes back as an
             // ordinary echo; the hop table only wants expiry replies.
-            ProbeKind::Hop => ctx.stats.count("probe.hop_echo_rx"),
+            ProbeKind::Hop => ctx.stats.bump(self.ids.hop_echo_rx),
         }
     }
 }
 
 impl Node for ProbeNode {
     fn on_start(&mut self, ctx: &mut Context) {
+        self.ids = ProbeCounters::register(ctx.stats, "probe");
         ctx.set_timer(PAIR_START, TOKEN_PAIR);
         ctx.set_timer(HOP_START, TOKEN_HOP);
         ctx.set_timer(SIZE_AT, TOKEN_SIZE);
@@ -557,16 +575,28 @@ pub struct ProbeResponderNode {
     addr: Ipv4Addr,
     /// Probes echoed (exposed for harvest assertions).
     pub echoed: u64,
+    /// `probe.responder_echoed`, registered at start.
+    echoed_id: CounterId,
 }
 
 impl ProbeResponderNode {
     /// A responder answering on `addr`.
     pub fn new(addr: Ipv4Addr) -> Self {
-        ProbeResponderNode { addr, echoed: 0 }
+        ProbeResponderNode {
+            addr,
+            echoed: 0,
+            echoed_id: CounterId::default(),
+        }
     }
 }
 
 impl Node for ProbeResponderNode {
+    fn on_start(&mut self, ctx: &mut Context) {
+        self.echoed_id = ctx
+            .stats
+            .register("probe.responder_echoed", CounterClass::Reported);
+    }
+
     fn on_packet(&mut self, ctx: &mut Context, _iface: IfaceId, frame: FrameBuf) {
         let echo = match parse_udp(&frame[..]) {
             Ok(parsed)
@@ -582,7 +612,7 @@ impl Node for ProbeResponderNode {
         ctx.recycle(frame);
         if let Some(reply) = echo {
             self.echoed += 1;
-            ctx.stats.count("probe.responder_echoed");
+            ctx.stats.bump(self.echoed_id);
             ctx.send(0, reply);
         }
     }

@@ -37,7 +37,8 @@
 //!   but keep only per-cohort aggregate statistics, with an optional
 //!   fluid mode advancing bulk cohorts as rate equations between wheel
 //!   quanta.
-//! * [`stats`] — counters and per-flow delay/goodput accounting.
+//! * [`stats`] — the typed counter registry ([`counter_set!`]) and
+//!   per-flow delay/goodput accounting.
 //! * [`time`] — nanosecond simulated time.
 //!
 //! Everything is deterministic under a fixed seed: the same topology and
@@ -65,7 +66,7 @@ pub use frame::{FrameBuf, FramePool};
 pub use histogram::Histogram;
 pub use link::{LinkProfile, LossModel, QueueKind, StageSpec};
 pub use nodes::{RouterNode, SinkNode};
-pub use policy::{Action, MatchExpr, PolicyEngine, Rule, Verdict};
+pub use policy::{Action, MatchExpr, PolicyEngine, Rule, RuleId, Verdict};
 pub use population::{
     ArrivalClock, CohortAggregate, CohortModel, CohortTx, PopulationNode, PopulationSinkNode,
     AGGREGATE_STRIPES, FLUID_QUANTUM,
@@ -73,6 +74,6 @@ pub use population::{
 pub use queue::{DropTail, DscpPriority, EnqueueResult, Queue, Red, TokenBucket};
 pub use routing::{compute_routes, RouteTable};
 pub use sim::{Context, IfaceId, LinkCounters, Node, NodeId, Simulator};
-pub use stats::{FlowKey, FlowStats, Stats};
+pub use stats::{CounterClass, CounterId, FlowKey, FlowStats, Stats};
 pub use time::{tx_time, SimTime};
 pub use wheel::TimingWheel;

@@ -7,9 +7,10 @@
 //! tests and attack experiments.
 
 use crate::frame::FrameBuf;
-use crate::policy::{PolicyEngine, Verdict};
+use crate::policy::{PolicyEngine, RuleId, Verdict};
 use crate::routing::RouteTable;
 use crate::sim::{Context, IfaceId, Node};
+use crate::stats::{CounterClass, CounterId, Stats};
 use nn_packet::{build_udp_into, parse_udp, Ipv4Packet};
 use std::collections::HashMap;
 
@@ -21,6 +22,18 @@ pub const TTL_REPLY_MAGIC: &[u8; 4] = b"TTLX";
 /// quotes back (enough for a probe header, like ICMP's quoted bytes).
 const TTL_REPLY_QUOTE: usize = 32;
 
+crate::counter_set! {
+    /// A router's counters, `<stats_name>.<field>`. Per-rule drop
+    /// counters (`<stats_name>.policy_drop.<rule>`) are internal too and
+    /// register on the rule's first drop.
+    struct RouterCounters {
+        parse_error: Internal,
+        no_route: Internal,
+        ttl_expired: Internal,
+        policy_delayed: Internal,
+    }
+}
+
 /// An IP router: TTL handling, policy evaluation, longest-prefix-match
 /// forwarding.
 pub struct RouterNode {
@@ -31,6 +44,10 @@ pub struct RouterNode {
     next_token: u64,
     /// Statistics prefix, usually the node name.
     stats_name: String,
+    ids: RouterCounters,
+    /// Per-rule drop counters, parallel to the policy's rules; `None`
+    /// until the rule first drops.
+    rule_drops: Vec<Option<CounterId>>,
     /// Whether expired-TTL UDP packets earn a time-exceeded reply
     /// (off by default; see [`RouterNode::enable_ttl_replies`]).
     ttl_replies: bool,
@@ -45,6 +62,8 @@ impl RouterNode {
             pending: HashMap::new(),
             next_token: 0,
             stats_name: stats_name.into(),
+            ids: RouterCounters::default(),
+            rule_drops: Vec::new(),
             ttl_replies: false,
         }
     }
@@ -92,8 +111,10 @@ impl RouterNode {
         self.routes = routes;
     }
 
-    /// Installs a discrimination policy.
+    /// Installs a discrimination policy. Drop counts keep accumulating
+    /// across a swap: a rule of the same name maps to the same counter.
     pub fn set_policy(&mut self, policy: PolicyEngine) {
+        self.rule_drops = vec![None; policy.len()];
         self.policy = policy;
     }
 
@@ -107,9 +128,24 @@ impl RouterNode {
         &self.routes
     }
 
+    /// The drop counter of `rule`, registered on the rule's first drop
+    /// (kept out of line: it runs once per rule, not per frame).
+    #[cold]
+    #[inline(never)]
+    fn register_rule_drop(&mut self, stats: &mut Stats, rule: RuleId) -> CounterId {
+        let name = format!(
+            "{}.policy_drop.{}",
+            self.stats_name,
+            self.policy.rule_name(rule)
+        );
+        let id = stats.register(&name, CounterClass::Internal);
+        self.rule_drops[rule.0] = Some(id);
+        id
+    }
+
     fn forward(&mut self, ctx: &mut Context, frame: FrameBuf) {
         let Ok(ip) = Ipv4Packet::new_checked(&frame[..]) else {
-            ctx.stats.count(&format!("{}.parse_error", self.stats_name));
+            ctx.stats.bump(self.ids.parse_error);
             ctx.recycle(frame);
             return;
         };
@@ -123,7 +159,7 @@ impl RouterNode {
         match self.routes.lookup(dst) {
             Some(iface) => ctx.send(iface, frame),
             None => {
-                ctx.stats.count(&format!("{}.no_route", self.stats_name));
+                ctx.stats.bump(self.ids.no_route);
                 ctx.recycle(frame);
             }
         }
@@ -131,19 +167,23 @@ impl RouterNode {
 }
 
 impl Node for RouterNode {
+    fn on_start(&mut self, ctx: &mut Context) {
+        self.ids = RouterCounters::register(ctx.stats, &self.stats_name);
+    }
+
     fn on_packet(&mut self, ctx: &mut Context, _iface: IfaceId, mut frame: FrameBuf) {
         // TTL processing (the destination rides along so the forward
         // fast path never parses the header twice).
         let dst;
         {
             let Ok(mut ip) = Ipv4Packet::new_checked(frame.as_mut_slice()) else {
-                ctx.stats.count(&format!("{}.parse_error", self.stats_name));
+                ctx.stats.bump(self.ids.parse_error);
                 ctx.recycle(frame);
                 return;
             };
             let ttl = ip.ttl();
             if ttl <= 1 {
-                ctx.stats.count(&format!("{}.ttl_expired", self.stats_name));
+                ctx.stats.bump(self.ids.ttl_expired);
                 if self.ttl_replies {
                     if let Some((reply, to)) = self.ttl_reply(ctx, &frame) {
                         self.forward_to(ctx, reply, to);
@@ -167,8 +207,11 @@ impl Node for RouterNode {
                 self.forward(ctx, frame);
             }
             Verdict::Drop(rule) => {
-                ctx.stats
-                    .count(&format!("{}.policy_drop.{}", self.stats_name, rule));
+                let id = match self.rule_drops[rule.0] {
+                    Some(id) => id,
+                    None => self.register_rule_drop(ctx.stats, rule),
+                };
+                ctx.stats.bump(id);
                 ctx.recycle(frame);
             }
             Verdict::Delay(extra) => {
@@ -176,8 +219,7 @@ impl Node for RouterNode {
                 self.next_token += 1;
                 self.pending.insert(token, frame);
                 ctx.set_timer(extra, token);
-                ctx.stats
-                    .count(&format!("{}.policy_delayed", self.stats_name));
+                ctx.stats.bump(self.ids.policy_delayed);
             }
         }
     }
@@ -345,6 +387,45 @@ mod tests {
         let sink = sim.node_ref::<SinkNode>(b).unwrap();
         assert_eq!(sink.rx_frames, 1);
         assert_eq!(sim.stats().counter("r.policy_drop.block-victim"), 1);
+    }
+
+    /// A `PolicySwitch` replaces the engine, not the counters: a rule
+    /// of the same name keeps adding to the count its predecessor
+    /// started, even from a different position in the new engine.
+    #[test]
+    fn policy_drops_accumulate_across_a_policy_switch() {
+        let (mut sim, _a, r, b) = triangle();
+        let block = || {
+            Rule::new(
+                "block-victim",
+                MatchExpr::SrcPrefix(Ipv4Cidr::new(HOST_A, 32)),
+                Action::Drop { prob: 1.0 },
+            )
+        };
+        sim.node_mut::<RouterNode>(r)
+            .unwrap()
+            .set_policy(PolicyEngine::new().with(block()));
+        let frame = || build_udp(HOST_A, HOST_B, 0, 1, 2, b"v").unwrap();
+        sim.inject(crate::time::SimTime::ZERO, r, 0, frame());
+        let swapped = PolicyEngine::new()
+            .with(Rule::new(
+                "never",
+                MatchExpr::DstPort(9),
+                Action::Drop { prob: 1.0 },
+            ))
+            .with(block());
+        sim.schedule_event(
+            crate::time::SimTime::from_millis(10),
+            crate::events::NetEvent::PolicySwitch {
+                node: r,
+                policy: swapped,
+            },
+        );
+        sim.inject(crate::time::SimTime::from_millis(20), r, 0, frame());
+        sim.run(100);
+        assert_eq!(sim.node_ref::<SinkNode>(b).unwrap().rx_frames, 0);
+        assert_eq!(sim.stats().counter("r.policy_drop.block-victim"), 2);
+        assert_eq!(sim.stats().counter("r.policy_drop.never"), 0);
     }
 
     #[test]

@@ -189,15 +189,20 @@ pub struct PolicyEngine {
     hits: Vec<u64>,
 }
 
+/// A rule's position in its [`PolicyEngine`], in insertion order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RuleId(pub usize);
+
 /// Decision returned to the forwarding path.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Forward unchanged.
     Forward,
     /// Forward after rewriting DSCP.
     ForwardDscp(u8),
-    /// Drop; the rule name is reported for statistics.
-    Drop(String),
+    /// Drop; the rule is reported for statistics (its name via
+    /// [`PolicyEngine::rule_name`]).
+    Drop(RuleId),
     /// Hold for extra delay, then forward.
     Delay(Duration),
 }
@@ -236,12 +241,11 @@ impl PolicyEngine {
                 continue;
             }
             self.hits[i] += 1;
-            let name = self.rules[i].name.clone();
             return match &self.rules[i].action {
                 Action::Allow => Verdict::Forward,
                 Action::Drop { prob } => {
                     if draw < *prob {
-                        Verdict::Drop(name)
+                        Verdict::Drop(RuleId(i))
                     } else {
                         Verdict::Forward
                     }
@@ -256,13 +260,22 @@ impl PolicyEngine {
                     if bucket.conforms(now_ns, frame.len()) {
                         Verdict::Forward
                     } else {
-                        Verdict::Drop(name)
+                        Verdict::Drop(RuleId(i))
                     }
                 }
                 Action::SetDscp { dscp } => Verdict::ForwardDscp(*dscp),
             };
         }
         Verdict::Forward
+    }
+
+    /// Name of the rule behind a [`Verdict::Drop`].
+    ///
+    /// # Panics
+    ///
+    /// When `rule` did not come from this engine.
+    pub fn rule_name(&self, rule: RuleId) -> &str {
+        &self.rules[rule.0].name
     }
 
     /// Times the named rule matched.
@@ -393,10 +406,8 @@ mod tests {
         let dns = build_udp(SRC, DST, 0, 1000, 53, b"q").unwrap();
         let other = udp_frame(b"v");
         assert_eq!(pe.evaluate(0, &dns, 0.5), Verdict::Forward);
-        assert_eq!(
-            pe.evaluate(0, &other, 0.5),
-            Verdict::Drop("drop-all-udp".into())
-        );
+        assert_eq!(pe.evaluate(0, &other, 0.5), Verdict::Drop(RuleId(1)));
+        assert_eq!(pe.rule_name(RuleId(1)), "drop-all-udp");
         assert_eq!(pe.hits("allow-dns"), 1);
         assert_eq!(pe.hits("drop-all-udp"), 1);
         assert_eq!(pe.hits("nonexistent"), 0);

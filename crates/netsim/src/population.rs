@@ -41,6 +41,7 @@
 use crate::frame::FrameBuf;
 use crate::histogram::Histogram;
 use crate::sim::{Context, IfaceId, Node};
+use crate::stats::{CounterClass, CounterId};
 use crate::time::SimTime;
 use nn_packet::{build_udp_into, ecn, parse_udp, Ipv4Addr, Ipv4Packet};
 use rand::rngs::StdRng;
@@ -286,8 +287,8 @@ fn build_body(out: &mut Vec<u8>, marker: Option<&[u8]>, len: usize) {
     if let Some(m) = marker {
         out.extend_from_slice(m);
     }
-    while out.len() < len {
-        out.push(b'.');
+    if out.len() < len {
+        out.resize(len, b'.');
     }
 }
 
@@ -334,6 +335,8 @@ pub struct PopulationNode {
     cohorts: Vec<CohortRuntime>,
     body_scratch: Vec<u8>,
     payload_scratch: Vec<u8>,
+    /// `population.unexpected_rx`, registered at start.
+    unexpected_rx: CounterId,
 }
 
 impl PopulationNode {
@@ -370,6 +373,7 @@ impl PopulationNode {
             cohorts,
             body_scratch: Vec::new(),
             payload_scratch: Vec::new(),
+            unexpected_rx: CounterId::default(),
         }
     }
 
@@ -493,6 +497,9 @@ impl PopulationNode {
 
 impl Node for PopulationNode {
     fn on_start(&mut self, ctx: &mut Context) {
+        self.unexpected_rx = ctx
+            .stats
+            .register("population.unexpected_rx", CounterClass::Internal);
         for i in 0..self.cohorts.len() {
             if self.cohorts[i].model.needs_rng() {
                 let seed: u64 = ctx.rng.gen();
@@ -507,7 +514,7 @@ impl Node for PopulationNode {
     fn on_packet(&mut self, ctx: &mut Context, _iface: IfaceId, frame: FrameBuf) {
         // Populations are pure sources; anything delivered here (e.g. a
         // misrouted reply) is counted and recycled.
-        ctx.stats.count("population.unexpected_rx");
+        ctx.stats.bump(self.unexpected_rx);
         ctx.recycle(frame);
     }
 

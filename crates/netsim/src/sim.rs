@@ -293,11 +293,22 @@ pub struct Simulator {
     scratch_timers: Vec<(Duration, u64)>,
     started: bool,
     events_processed: u64,
+    ids: EngineCounters,
+}
+
+crate::counter_set! {
+    /// The engine's own counters, `events.<field>`.
+    struct EngineCounters {
+        applied: Reported,
+        pause_drops: Reported,
+    }
 }
 
 impl Simulator {
     /// Creates a simulator with a deterministic seed.
     pub fn new(seed: u64) -> Self {
+        let mut stats = Stats::new();
+        let ids = EngineCounters::register(&mut stats, "events");
         Simulator {
             now: SimTime::ZERO,
             events: TimingWheel::new(),
@@ -308,12 +319,13 @@ impl Simulator {
             dirs: Vec::new(),
             paused: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
-            stats: Stats::new(),
+            stats,
             pool: FramePool::new(),
             scratch_outbox: Vec::new(),
             scratch_timers: Vec::new(),
             started: false,
             events_processed: 0,
+            ids,
         }
     }
 
@@ -519,7 +531,7 @@ impl Simulator {
 
     /// Applies one dynamic event (see [`crate::events`] for semantics).
     fn apply_net_event(&mut self, event: NetEvent) {
-        self.stats.add("events.applied", 1);
+        self.stats.bump(self.ids.applied);
         match event {
             NetEvent::LinkDown { node, iface } => self.set_link_state(node, iface, false),
             NetEvent::LinkUp { node, iface } => self.set_link_state(node, iface, true),
@@ -659,7 +671,7 @@ impl Simulator {
                 // door (the link already counted them delivered — the
                 // outage is the node's, not the wire's).
                 if self.paused[node as usize] {
-                    self.stats.add("events.pause_drops", 1);
+                    self.stats.bump(self.ids.pause_drops);
                     self.pool.recycle(frame);
                     return;
                 }

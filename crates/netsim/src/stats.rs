@@ -3,6 +3,15 @@
 //! Experiments read everything they report from here: named counters
 //! and per-flow accounting (running delay/jitter sums plus log-scale
 //! histograms). Nodes write through [`crate::sim::Context::stats`].
+//!
+//! Counters live in a typed registry. A node registers each counter
+//! once, usually from [`crate::sim::Node::on_start`] through a
+//! [`counter_set!`](crate::counter_set) struct, and keeps the returned
+//! [`CounterId`]; a count is then a bump of one `Vec<u64>` slot, with no
+//! name formatting, hashing or allocation on the data path. Each
+//! counter is classed [`CounterClass::Reported`] (harvested into cell
+//! reports whenever nonzero) or [`CounterClass::Internal`] (readable by
+//! name, never reported).
 
 use crate::histogram::Histogram;
 use crate::time::SimTime;
@@ -109,10 +118,87 @@ impl FlowStats {
     }
 }
 
+/// Whether cell reports include a counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CounterClass {
+    /// Harvested into every report in which it is nonzero.
+    Reported,
+    /// Readable through [`Stats::counter`] (tests, diagnostics) but never
+    /// harvested.
+    Internal,
+}
+
+/// Handle to a registered counter: the index of its value slot.
+///
+/// The default id is unregistered; bumping it panics. Nodes hold default
+/// ids until [`crate::sim::Node::on_start`] registers the real ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CounterId(u32);
+
+impl Default for CounterId {
+    fn default() -> Self {
+        CounterId(u32::MAX)
+    }
+}
+
+/// Declares a node's counter set: a struct with one [`CounterId`] field
+/// per counter, and a `register(stats, prefix)` constructor that
+/// registers each field as `"{prefix}.{field}"` with the class written
+/// after it. Nodes call `register` once, from
+/// [`Node::on_start`](crate::sim::Node::on_start), and bump the fields
+/// on the data path. Adding a counter is one line here plus its bumps.
+///
+/// ```
+/// nn_netsim::counter_set! {
+///     /// A toy node's counters.
+///     struct ToyCounters {
+///         rx: Reported,
+///         bad_frame: Internal,
+///     }
+/// }
+/// let mut stats = nn_netsim::Stats::new();
+/// let ids = ToyCounters::register(&mut stats, "toy");
+/// stats.bump(ids.rx);
+/// assert_eq!(stats.counter("toy.rx"), 1);
+/// assert_eq!(stats.reported().collect::<Vec<_>>(), vec![("toy.rx", 1)]);
+/// ```
+#[macro_export]
+macro_rules! counter_set {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($field:ident: $class:ident),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default)]
+        $vis struct $name {
+            $($field: $crate::stats::CounterId,)*
+        }
+
+        impl $name {
+            /// Registers every counter of the set under `prefix`.
+            $vis fn register(stats: &mut $crate::stats::Stats, prefix: &str) -> Self {
+                $name {
+                    $($field: stats.register(
+                        &format!("{prefix}.{}", stringify!($field)),
+                        $crate::stats::CounterClass::$class,
+                    ),)*
+                }
+            }
+        }
+    };
+}
+
 /// Simulation-wide statistics sink.
 #[derive(Debug, Default)]
 pub struct Stats {
-    counters: HashMap<String, u64>,
+    /// Counter values, indexed by [`CounterId`].
+    counters: Vec<u64>,
+    /// Name and class per counter slot, in registration order.
+    counter_meta: Vec<(String, CounterClass)>,
+    /// Name → slot, for idempotent registration and by-name reads.
+    counter_ids: HashMap<String, CounterId>,
     flows: HashMap<FlowKey, FlowStats>,
 }
 
@@ -122,19 +208,54 @@ impl Stats {
         Self::default()
     }
 
-    /// Increments a named counter.
-    pub fn count(&mut self, name: &str) {
-        self.add(name, 1);
+    /// Registers a counter and returns its id. Idempotent: registering a
+    /// name again returns the same id, so two nodes (or one policy and
+    /// its replacement) that name the same counter share its count.
+    ///
+    /// # Panics
+    ///
+    /// When `name` is already registered with the other class.
+    pub fn register(&mut self, name: &str, class: CounterClass) -> CounterId {
+        if let Some(&id) = self.counter_ids.get(name) {
+            let registered = self.counter_meta[id.0 as usize].1;
+            assert_eq!(
+                registered, class,
+                "counter {name} registered as {registered:?} and {class:?}"
+            );
+            return id;
+        }
+        let id = CounterId(u32::try_from(self.counters.len()).expect("counter registry overflow"));
+        self.counters.push(0);
+        self.counter_meta.push((name.to_string(), class));
+        self.counter_ids.insert(name.to_string(), id);
+        id
     }
 
-    /// Adds to a named counter.
-    pub fn add(&mut self, name: &str, v: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += v;
+    /// Increments a registered counter.
+    ///
+    /// # Panics
+    ///
+    /// On an unregistered (default) id.
+    #[inline]
+    pub fn bump(&mut self, id: CounterId) {
+        self.counters[id.0 as usize] += 1;
     }
 
-    /// Reads a counter (0 if never written).
+    /// Reads a counter by name (0 if never registered).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counter_ids
+            .get(name)
+            .map_or(0, |id| self.counters[id.0 as usize])
+    }
+
+    /// Every nonzero [`CounterClass::Reported`] counter, in registration
+    /// order — what a cell report harvests.
+    pub fn reported(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.counter_meta
+            .iter()
+            .zip(&self.counters)
+            .filter(|((_, class), &v)| *class == CounterClass::Reported && v > 0)
+            .map(|((name, _), &v)| (name.as_str(), v))
     }
 
     /// Mutable access to a flow record, creating it on first touch. The
@@ -209,10 +330,40 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut s = Stats::new();
-        s.count("drops");
-        s.add("drops", 4);
+        let drops = s.register("drops", CounterClass::Internal);
+        s.bump(drops);
+        // Registration is idempotent: a second registrant shares the slot.
+        let again = s.register("drops", CounterClass::Internal);
+        assert_eq!(again, drops);
+        for _ in 0..4 {
+            s.bump(again);
+        }
         assert_eq!(s.counter("drops"), 5);
         assert_eq!(s.counter("never"), 0);
+    }
+
+    /// Harvest sees exactly the nonzero reported counters; internal and
+    /// never-bumped ones stay out.
+    #[test]
+    fn reported_skips_internal_and_zero_counters() {
+        let mut s = Stats::new();
+        let a = s.register("a.reported", CounterClass::Reported);
+        let b = s.register("b.internal", CounterClass::Internal);
+        s.register("c.idle", CounterClass::Reported);
+        s.bump(a);
+        s.bump(b);
+        s.bump(b);
+        assert_eq!(s.reported().collect::<Vec<_>>(), vec![("a.reported", 1)]);
+        assert_eq!(s.counter("b.internal"), 2);
+        assert_eq!(s.counter("c.idle"), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "registered as Reported and Internal")]
+    fn register_rejects_a_class_change() {
+        let mut s = Stats::new();
+        s.register("x", CounterClass::Reported);
+        s.register("x", CounterClass::Internal);
     }
 
     #[test]

@@ -355,18 +355,37 @@ impl Ipv4Repr {
 
 /// RFC 1071 internet checksum over `data`.
 pub fn checksum(data: &[u8]) -> u16 {
-    let mut sum = 0u32;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u16::from_be_bytes([c[0], c[1]]) as u32;
+    !fold(ones_sum(data))
+}
+
+/// Unfolded one's-complement sum of `data`, read as big-endian 32-bit
+/// words into a `u64` (RFC 1071 §2: summing wider words and folding
+/// gives the 16-bit one's-complement sum, since 2^16 ≡ 1 mod 0xffff).
+/// A short tail is zero-padded on the right, exactly like the odd byte
+/// of the 16-bit sum. For the same reason the sums of pieces add up to
+/// the sum of their concatenation, once folded, as long as every piece
+/// but the last has an even length.
+pub(crate) fn ones_sum(data: &[u8]) -> u64 {
+    let mut sum = 0u64;
+    let mut words = data.chunks_exact(4);
+    for w in &mut words {
+        sum += u32::from_be_bytes([w[0], w[1], w[2], w[3]]) as u64;
     }
-    if let [last] = chunks.remainder() {
-        sum += (*last as u32) << 8;
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u8; 4];
+        padded[..tail.len()].copy_from_slice(tail);
+        sum += u32::from_be_bytes(padded) as u64;
     }
+    sum
+}
+
+/// Folds a [`ones_sum`] to 16 bits with end-around carry.
+pub(crate) fn fold(mut sum: u64) -> u16 {
     while sum >> 16 != 0 {
         sum = (sum & 0xffff) + (sum >> 16);
     }
-    !(sum as u16)
+    sum as u16
 }
 
 #[cfg(test)]

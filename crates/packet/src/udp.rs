@@ -5,7 +5,7 @@
 //! Checksums use the standard IPv4 pseudo-header.
 
 use crate::error::{PacketError, Result};
-use crate::ip::{checksum, Ipv4Addr};
+use crate::ip::{fold, ones_sum, Ipv4Addr};
 
 /// UDP header length.
 pub const HEADER_LEN: usize = 8;
@@ -95,15 +95,16 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> UdpPacket<T> {
     }
 }
 
+/// The checksum over the IPv4 pseudo-header followed by `datagram`.
+/// The 12-byte pseudo-header is summed on its own and added in, so the
+/// datagram is never copied.
 fn pseudo_checksum(src: Ipv4Addr, dst: Ipv4Addr, datagram: &[u8]) -> u16 {
-    let mut pseudo = Vec::with_capacity(12 + datagram.len());
-    pseudo.extend_from_slice(&src.octets());
-    pseudo.extend_from_slice(&dst.octets());
-    pseudo.push(0);
-    pseudo.push(crate::ip::proto::UDP);
-    pseudo.extend_from_slice(&(datagram.len() as u16).to_be_bytes());
-    pseudo.extend_from_slice(datagram);
-    checksum(&pseudo)
+    let mut pseudo = [0u8; 12];
+    pseudo[..4].copy_from_slice(&src.octets());
+    pseudo[4..8].copy_from_slice(&dst.octets());
+    pseudo[9] = crate::ip::proto::UDP;
+    pseudo[10..].copy_from_slice(&(datagram.len() as u16).to_be_bytes());
+    !fold(ones_sum(&pseudo) + ones_sum(datagram))
 }
 
 /// High-level UDP representation.
