@@ -10,9 +10,9 @@ use crate::events::EventTimelineSpec;
 use crate::hosts::{
     Bootstrap, NeutralizedServerNode, NeutralizedSourceNode, PlainServerNode, PlainSourceNode,
 };
-use crate::json::Json;
 use crate::link::LinkProfileSpec;
 use crate::probe::{ProbeNode, ProbeResponderNode, ProbeSummary};
+use crate::schema::fields;
 use crate::topology::{
     secondary_dyn_pool, BuiltTopology, ProbePlane, SecondaryProvider, TopologySpec, ANYCAST_ADDR,
     DST_ADDR, PROBER_ADDR, PROBE_SINK_ADDR, SECONDARY_ANYCAST, SRC_ADDR,
@@ -117,92 +117,38 @@ impl CellTuning {
     }
 }
 
-/// Per-flow results extracted from [`nn_netsim::stats`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellFlow {
-    /// Flow name (the workload's axis name).
-    pub flow: String,
-    /// Packets sent by the application.
-    pub tx_packets: u64,
-    /// Packets delivered to the destination app.
-    pub rx_packets: u64,
-    /// rx/tx ratio.
-    pub delivery_ratio: f64,
-    /// Application-byte goodput over the delivery window, bits/sec.
-    pub goodput_bps: f64,
-    /// Mean one-way delay, milliseconds.
-    pub mean_delay_ms: f64,
-    /// Median one-way delay, milliseconds. Like the other percentile
-    /// columns, the upper bound of the delay-histogram bucket holding
-    /// the quantile (at most 25 % above the true sample).
-    pub p50_delay_ms: f64,
-    /// 95th-percentile one-way delay, milliseconds (histogram bound).
-    pub p95_delay_ms: f64,
-    /// 99th-percentile one-way delay, milliseconds (histogram bound).
-    pub p99_delay_ms: f64,
-    /// Mean absolute delay variation, milliseconds.
-    pub jitter_ms: f64,
-    /// Delivered packets that arrived ECN CE-marked.
-    pub ce_marks: u64,
+fields! {
+    /// Per-flow results extracted from [`nn_netsim::stats`].
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct CellFlow: Encode + Decode {
+        /// Flow name (the workload's axis name).
+        pub flow: String,
+        /// Packets sent by the application.
+        pub tx_packets: u64,
+        /// Packets delivered to the destination app.
+        pub rx_packets: u64,
+        /// rx/tx ratio.
+        pub delivery_ratio: f64,
+        /// Application-byte goodput over the delivery window, bits/sec.
+        pub goodput_bps: f64,
+        /// Mean one-way delay, milliseconds.
+        pub mean_delay_ms: f64,
+        /// Median one-way delay, milliseconds. Like the other percentile
+        /// columns, the upper bound of the delay-histogram bucket holding
+        /// the quantile (at most 25 % above the true sample).
+        pub p50_delay_ms: f64,
+        /// 95th-percentile one-way delay, milliseconds (histogram bound).
+        pub p95_delay_ms: f64,
+        /// 99th-percentile one-way delay, milliseconds (histogram bound).
+        pub p99_delay_ms: f64,
+        /// Mean absolute delay variation, milliseconds.
+        pub jitter_ms: f64,
+        /// Delivered packets that arrived ECN CE-marked.
+        pub ce_marks: u64,
+    }
 }
 
 impl CellFlow {
-    /// The canonical JSON object for one flow — shared by the matrix
-    /// report and the shard wire so the schema cannot drift between them.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("flow", Json::Str(self.flow.clone())),
-            ("tx_packets", Json::UInt(self.tx_packets)),
-            ("rx_packets", Json::UInt(self.rx_packets)),
-            ("delivery_ratio", Json::Num(self.delivery_ratio)),
-            ("goodput_bps", Json::Num(self.goodput_bps)),
-            ("mean_delay_ms", Json::Num(self.mean_delay_ms)),
-            ("p50_delay_ms", Json::Num(self.p50_delay_ms)),
-            ("p95_delay_ms", Json::Num(self.p95_delay_ms)),
-            ("p99_delay_ms", Json::Num(self.p99_delay_ms)),
-            ("jitter_ms", Json::Num(self.jitter_ms)),
-            ("ce_marks", Json::UInt(self.ce_marks)),
-        ])
-    }
-
-    /// Parses one flow back from its JSON object (the shard wire
-    /// format). `null` metrics — the writer's rendering of non-finite
-    /// floats — come back as NaN, so render(parse(x)) reproduces the
-    /// original bytes.
-    pub fn from_json(v: &Json) -> Result<CellFlow, String> {
-        let field = |k: &str| v.get(k).ok_or_else(|| format!("flow missing {k:?}"));
-        let num = |k: &str| {
-            let j = field(k)?;
-            match j {
-                Json::Null => Ok(f64::NAN),
-                _ => j
-                    .as_f64()
-                    .ok_or_else(|| format!("flow field {k:?} is not a number")),
-            }
-        };
-        let uint = |k: &str| {
-            field(k)?
-                .as_u64()
-                .ok_or_else(|| format!("flow field {k:?} malformed"))
-        };
-        Ok(CellFlow {
-            flow: field("flow")?
-                .as_str()
-                .ok_or("flow field \"flow\" is not a string")?
-                .to_string(),
-            tx_packets: uint("tx_packets")?,
-            rx_packets: uint("rx_packets")?,
-            delivery_ratio: num("delivery_ratio")?,
-            goodput_bps: num("goodput_bps")?,
-            mean_delay_ms: num("mean_delay_ms")?,
-            p50_delay_ms: num("p50_delay_ms")?,
-            p95_delay_ms: num("p95_delay_ms")?,
-            p99_delay_ms: num("p99_delay_ms")?,
-            jitter_ms: num("jitter_ms")?,
-            ce_marks: uint("ce_marks")?,
-        })
-    }
-
     /// The workload flow's row, from its packet-level accounting.
     fn from_flow_stats(flow: &str, fs: &FlowStats) -> CellFlow {
         CellFlow {
@@ -251,45 +197,9 @@ fn delay_quantile_ms(delay_hist: &Histogram, q: f64) -> f64 {
     delay_hist.quantile_upper(q) as f64 / 1e6
 }
 
-/// The canonical JSON array for named counters (`[{name, value}, …]`).
-pub fn counters_to_json(counters: &[(String, u64)]) -> Json {
-    Json::Arr(
-        counters
-            .iter()
-            .map(|(name, v)| {
-                Json::obj(vec![
-                    ("name", Json::Str(name.clone())),
-                    ("value", Json::UInt(*v)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Parses a counters array back from [`counters_to_json`]'s format.
-pub fn counters_from_json(v: &Json) -> Result<Vec<(String, u64)>, String> {
-    v.as_arr()
-        .ok_or("counters are not an array")?
-        .iter()
-        .map(|c| {
-            let name = c
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("counter missing name")?;
-            let value = c
-                .get("value")
-                .and_then(Json::as_u64)
-                .ok_or("counter missing value")?;
-            Ok((name.to_string(), value))
-        })
-        .collect()
-}
-
 /// The outcome of one cell run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellReport {
-    /// Seed the run used.
-    pub seed: u64,
     /// Per-flow accounting: the workload flow first, then one row per
     /// population cohort (sorted by cohort flow name) when the
     /// topology carries a population plane.
@@ -673,7 +583,6 @@ fn run_cell_keyed(
     *pool = sim.take_pool();
 
     CellReport {
-        seed: spec.seed,
         flows,
         replies,
         verified_return_blocks,

@@ -23,10 +23,10 @@
 use crate::adversary::AdversarySpec;
 use crate::cell::StackKind;
 use crate::events::EventTimelineSpec;
-use crate::json::Json;
 use crate::link::LinkProfileSpec;
 use crate::matrix::{ExperimentSpec, MatrixCell, RelativeMetrics};
 use crate::probe::ProbeSummary;
+use crate::schema::fields;
 use crate::topology::TopologySpec;
 use crate::workload::WorkloadSpec;
 
@@ -43,83 +43,47 @@ struct Baseline {
     p99_delay: f64,
 }
 
-/// The discrimination-inference verdict for one probed cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Verdict {
-    /// Did the inference pass conclude the path discriminates?
-    pub detected: bool,
-    /// Suspected mechanism (`"blocking"`, `"content-throttle"`,
-    /// `"delay-injection"`); `"none"` when undetected.
-    pub mechanism: String,
-    /// Confidence in the stated verdict, 0–1.
-    pub confidence: f64,
-    /// Adversary-axis ground truth: `"negative"` (no discrimination),
-    /// `"positive"` (discriminating and visible to differential
-    /// probing), or `"evades"` (discriminating, but treating both probe
-    /// twins identically — excluded from precision/recall scoring).
-    pub truth: String,
-    /// Did the flow's delay-histogram p99 corroborate the verdict by
-    /// inflating more than 3× over the baseline cell's?
-    pub corroborated: bool,
-}
-
-impl Verdict {
-    /// Canonical JSON object for the verdict.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("detected", Json::Bool(self.detected)),
-            ("mechanism", Json::Str(self.mechanism.clone())),
-            ("confidence", Json::Num(self.confidence)),
-            ("truth", Json::Str(self.truth.clone())),
-            ("corroborated", Json::Bool(self.corroborated)),
-        ])
-    }
-
-    /// Parses a verdict back from its JSON object.
-    pub fn from_json(v: &Json) -> Result<Verdict, String> {
-        let field = |k: &str| v.get(k).ok_or_else(|| format!("verdict missing {k:?}"));
-        let boolean = |k: &str| {
-            field(k)?
-                .as_bool()
-                .ok_or_else(|| format!("verdict field {k:?} is not a bool"))
-        };
-        let string = |k: &str| {
-            Ok::<String, String>(
-                field(k)?
-                    .as_str()
-                    .ok_or_else(|| format!("verdict field {k:?} is not a string"))?
-                    .to_string(),
-            )
-        };
-        Ok(Verdict {
-            detected: boolean("detected")?,
-            mechanism: string("mechanism")?,
-            confidence: field("confidence")?
-                .as_f64()
-                .ok_or("verdict field \"confidence\" malformed")?,
-            truth: string("truth")?,
-            corroborated: boolean("corroborated")?,
-        })
+fields! {
+    /// The discrimination-inference verdict for one probed cell.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Verdict: Encode {
+        /// Did the inference pass conclude the path discriminates?
+        pub detected: bool,
+        /// Suspected mechanism (`"blocking"`, `"content-throttle"`,
+        /// `"delay-injection"`); `"none"` when undetected.
+        pub mechanism: String,
+        /// Confidence in the stated verdict, 0–1.
+        pub confidence: f64,
+        /// Adversary-axis ground truth: `"negative"` (no discrimination),
+        /// `"positive"` (discriminating and visible to differential
+        /// probing), or `"evades"` (discriminating, but treating both probe
+        /// twins identically — excluded from precision/recall scoring).
+        pub truth: String,
+        /// Did the flow's delay-histogram p99 corroborate the verdict by
+        /// inflating more than 3× over the baseline cell's?
+        pub corroborated: bool,
     }
 }
 
-/// Matrix-level scoring of every verdict against ground truth.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectionSummary {
-    /// Cells carrying a verdict (including `"evades"` ground truth).
-    pub scored: u64,
-    /// Detected cells whose ground truth is `"positive"`.
-    pub true_positives: u64,
-    /// Detected cells whose ground truth is `"negative"`.
-    pub false_positives: u64,
-    /// Undetected cells whose ground truth is `"positive"`.
-    pub false_negatives: u64,
-    /// `tp / (tp + fp)`; `NaN` (JSON `null`) when nothing was detected.
-    pub precision: f64,
-    /// `tp / (tp + fn)`; `"evades"` cells are excluded from the
-    /// denominator — a mechanism invisible to differential probing is a
-    /// documented limitation, not an inference miss.
-    pub recall: f64,
+fields! {
+    /// Matrix-level scoring of every verdict against ground truth.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct DetectionSummary: Encode {
+        /// Cells carrying a verdict (including `"evades"` ground truth).
+        pub scored: u64,
+        /// Detected cells whose ground truth is `"positive"`.
+        pub true_positives: u64,
+        /// Detected cells whose ground truth is `"negative"`.
+        pub false_positives: u64,
+        /// Undetected cells whose ground truth is `"positive"`.
+        pub false_negatives: u64,
+        /// `tp / (tp + fp)`; `NaN` (JSON `null`) when nothing was detected.
+        pub precision: f64,
+        /// `tp / (tp + fn)`; `"evades"` cells are excluded from the
+        /// denominator — a mechanism invisible to differential probing is a
+        /// documented limitation, not an inference miss.
+        pub recall: f64,
+    }
 }
 
 /// Scores every verdict-carrying cell against its adversary-axis ground

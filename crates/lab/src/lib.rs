@@ -38,6 +38,8 @@
 //! * [`matrix`] — the spec, hashed per-cell seeds, named matrices, and
 //!   JSON/CSV reports.
 //! * [`json`] — minimal hand-rolled JSON (the workspace builds offline).
+//! * [`schema`] — the `Encode`/`Decode` traits and one field list per
+//!   report type, from which the JSON report and the shard wire derive.
 //!
 //! Running a matrix is a pipeline of four explicit layers, so a sweep
 //! can be split across processes — or hosts — and reassembled later:
@@ -71,6 +73,7 @@ pub mod plan;
 pub mod population;
 pub mod probe;
 mod scenario;
+pub mod schema;
 pub mod shard;
 pub mod topology;
 pub mod workload;

@@ -15,19 +15,22 @@
 //! in expansion order, and [`crate::finalize`] computes the
 //! baseline-relative goodput/delay/jitter per cell — the baseline being
 //! the `(adversary = none, stack = plain)` cell of the same topology,
-//! link, workload and seed. [`MatrixReport`] serializes to JSON and CSV
-//! by hand (the workspace builds offline).
+//! link, workload and seed. [`MatrixReport`] renders to JSON and CSV
+//! from the field lists of [`crate::schema`] and one CSV column table.
 
 use crate::adversary::AdversarySpec;
 use crate::cell::{CellFlow, CellReport, CellSpec, CellTuning, StackKind};
 use crate::events::EventTimelineSpec;
 use crate::executor::{CellExecutor, ThreadExecutor};
+use crate::finalize::{DetectionSummary, Verdict};
 use crate::json::Json;
 use crate::link::LinkProfileSpec;
 use crate::plan::ExecutionPlan;
-use crate::shard::{merge_shards, MergedMatrix};
+use crate::schema::{fields, Encode};
+use crate::shard::{merge_shards, pool_json, MergedMatrix};
 use crate::topology::TopologySpec;
 use crate::workload::WorkloadSpec;
+use std::fmt::Write as _;
 
 /// The declarative description of a whole experiment matrix.
 #[derive(Debug, Clone)]
@@ -124,7 +127,7 @@ impl Fnv1a {
 }
 
 /// A finished cell: coordinates, outcome, and baseline-relative metrics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MatrixCell {
     /// Position in expansion order.
     pub index: usize,
@@ -151,18 +154,45 @@ pub struct MatrixCell {
     pub relative: Option<RelativeMetrics>,
     /// The discrimination-inference verdict, when the cell carried
     /// probe evidence. Owned by the finalize pass, like `relative`.
-    pub verdict: Option<crate::finalize::Verdict>,
+    pub verdict: Option<Verdict>,
 }
 
-/// A cell's headline metrics divided by its baseline cell's.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RelativeMetrics {
-    /// Goodput ÷ baseline goodput (1.0 = unharmed, 0 = dead).
-    pub goodput_ratio: f64,
-    /// Mean delay ÷ baseline mean delay.
-    pub mean_delay_ratio: f64,
-    /// Jitter ÷ baseline jitter.
-    pub jitter_ratio: f64,
+// The raw cell, as a worker measured it and the shard wire carries it;
+// `MatrixCell::to_json` appends the finalize-owned context.
+fields! {
+    impl Encode + Decode for MatrixCell {
+        index,
+        topology,
+        link,
+        workload,
+        adversary,
+        stack,
+        events,
+        seed_axis,
+        sim_seed,
+        flows = report.flows,
+        replies = report.replies,
+        verified_return_blocks = report.verified_return_blocks,
+        policy_drops = report.policy_drops,
+        counters = report.counters,
+        // "events" is the axis name above; the simulator's processed
+        // event count keeps its own key.
+        sim_events = report.events,
+        probe = report.probe,
+    }
+}
+
+fields! {
+    /// A cell's headline metrics divided by its baseline cell's.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct RelativeMetrics: Encode {
+        /// Goodput ÷ baseline goodput (1.0 = unharmed, 0 = dead).
+        pub goodput_ratio: f64,
+        /// Mean delay ÷ baseline mean delay.
+        pub mean_delay_ratio: f64,
+        /// Jitter ÷ baseline jitter.
+        pub jitter_ratio: f64,
+    }
 }
 
 /// The aggregated outcome of a matrix run.
@@ -275,261 +305,138 @@ pub fn verify_merged_against_spec(
 impl MatrixCell {
     /// The canonical JSON object for one finished cell. Shard reports
     /// set `include_relative` to `false` — raw metrics only; relatives
-    /// are cross-shard context the finalize pass owns.
+    /// and verdicts are cross-shard context the finalize pass owns.
     pub fn to_json(&self, include_relative: bool) -> Json {
-        let flows: Vec<Json> = self.report.flows.iter().map(CellFlow::to_json).collect();
-        let counters = crate::cell::counters_to_json(&self.report.counters);
-        let mut pairs = vec![
-            ("index", Json::UInt(self.index as u64)),
-            ("topology", Json::Str(self.topology.clone())),
-            ("link", Json::Str(self.link.clone())),
-            ("workload", Json::Str(self.workload.clone())),
-            ("adversary", Json::Str(self.adversary.clone())),
-            ("stack", Json::Str(self.stack.clone())),
-            ("events", Json::Str(self.events.clone())),
-            ("seed_axis", Json::UInt(self.seed_axis)),
-            ("sim_seed", Json::UInt(self.sim_seed)),
-            ("flows", Json::Arr(flows)),
-            ("replies", Json::UInt(self.report.replies)),
-            (
-                "verified_return_blocks",
-                Json::UInt(self.report.verified_return_blocks),
-            ),
-            ("policy_drops", Json::UInt(self.report.policy_drops)),
-            ("counters", counters),
-            // "events" is the axis name above; the simulator's processed
-            // event count keeps its own key.
-            ("sim_events", Json::UInt(self.report.events)),
-            // Raw probe evidence travels the shard wire; the verdict it
-            // supports is finalize-owned, like `relative`.
-            (
-                "probe",
-                match &self.report.probe {
-                    Some(p) => p.to_json(),
-                    None => Json::Null,
-                },
-            ),
-        ];
-        if include_relative {
-            let relative = match &self.relative {
-                Some(r) => Json::obj(vec![
-                    ("goodput_ratio", Json::Num(r.goodput_ratio)),
-                    ("mean_delay_ratio", Json::Num(r.mean_delay_ratio)),
-                    ("jitter_ratio", Json::Num(r.jitter_ratio)),
-                ]),
-                None => Json::Null,
-            };
-            pairs.push(("relative", relative));
-            let verdict = match &self.verdict {
-                Some(v) => v.to_json(),
-                None => Json::Null,
-            };
-            pairs.push(("verdict", verdict));
+        let mut json = self.encode();
+        if let (true, Json::Obj(pairs)) = (include_relative, &mut json) {
+            pairs.push(("relative".to_string(), self.relative.encode()));
+            pairs.push(("verdict".to_string(), self.verdict.encode()));
         }
-        Json::obj(pairs)
+        json
     }
+}
 
-    /// Parses one cell back from its JSON object (the shard wire
-    /// format). Round-trips exactly: the writer's shortest-roundtrip
-    /// float formatting means parse(render(x)) reproduces every metric
-    /// bit-for-bit.
-    pub fn from_json(v: &Json) -> Result<MatrixCell, String> {
-        let field = |k: &str| v.get(k).ok_or_else(|| format!("cell missing {k:?}"));
-        let uint = |k: &str| {
-            field(k)?
-                .as_u64()
-                .ok_or_else(|| format!("cell field {k:?} malformed"))
-        };
-        let string = |k: &str| {
-            Ok::<String, String>(
-                field(k)?
-                    .as_str()
-                    .ok_or_else(|| format!("cell field {k:?} is not a string"))?
-                    .to_string(),
-            )
-        };
-        let flows = field("flows")?
-            .as_arr()
-            .ok_or("cell field \"flows\" is not an array")?
-            .iter()
-            .map(CellFlow::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let counters = crate::cell::counters_from_json(field("counters")?)?;
-        let relative = match v.get("relative") {
-            None | Some(Json::Null) => None,
-            Some(r) => {
-                let num = |k: &str| {
-                    r.get(k)
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| format!("relative field {k:?} malformed"))
-                };
-                Some(RelativeMetrics {
-                    goodput_ratio: num("goodput_ratio")?,
-                    mean_delay_ratio: num("mean_delay_ratio")?,
-                    jitter_ratio: num("jitter_ratio")?,
-                })
-            }
-        };
-        let probe = match v.get("probe") {
-            None | Some(Json::Null) => None,
-            Some(p) => Some(crate::probe::ProbeSummary::from_json(p)?),
-        };
-        let verdict = match v.get("verdict") {
-            None | Some(Json::Null) => None,
-            Some(j) => Some(crate::finalize::Verdict::from_json(j)?),
-        };
-        let sim_seed = uint("sim_seed")?;
-        Ok(MatrixCell {
-            index: uint("index")? as usize,
-            topology: string("topology")?,
-            link: string("link")?,
-            workload: string("workload")?,
-            adversary: string("adversary")?,
-            stack: string("stack")?,
-            events: string("events")?,
-            seed_axis: uint("seed_axis")?,
-            sim_seed,
-            report: CellReport {
-                seed: sim_seed,
-                flows,
-                replies: uint("replies")?,
-                verified_return_blocks: uint("verified_return_blocks")?,
-                policy_drops: uint("policy_drops")?,
-                counters,
-                events: uint("sim_events")?,
-                probe,
-            },
-            relative,
-            verdict,
-        })
-    }
+/// One CSV row: a cell and one of its flows. The finalize-owned
+/// context describes the workload flow, so cohort rows carry none.
+#[derive(Clone, Copy)]
+struct CsvRow<'a> {
+    cell: &'a MatrixCell,
+    flow: &'a CellFlow,
+    relative: Option<&'a RelativeMetrics>,
+    verdict: Option<(&'a Verdict, &'a DetectionSummary)>,
+}
+
+/// A CSV column: its header, and its value in a row (printed as in
+/// [`csv_value`]).
+type CsvColumn = (&'static str, fn(&CsvRow) -> Json);
+
+/// The CSV layout, one column per line.
+#[rustfmt::skip] // a table: one column per line, however long
+const CSV_COLUMNS: &[CsvColumn] = &[
+    ("index", |r| r.cell.index.encode()),
+    ("topology", |r| r.cell.topology.encode()),
+    ("link", |r| r.cell.link.encode()),
+    ("workload", |r| r.cell.workload.encode()),
+    ("adversary", |r| r.cell.adversary.encode()),
+    ("stack", |r| r.cell.stack.encode()),
+    ("events", |r| r.cell.events.encode()),
+    ("seed_axis", |r| r.cell.seed_axis.encode()),
+    ("sim_seed", |r| r.cell.sim_seed.encode()),
+    ("flow", |r| r.flow.flow.encode()),
+    ("tx_packets", |r| r.flow.tx_packets.encode()),
+    ("rx_packets", |r| r.flow.rx_packets.encode()),
+    ("delivery_ratio", |r| r.flow.delivery_ratio.encode()),
+    ("goodput_bps", |r| r.flow.goodput_bps.encode()),
+    ("mean_delay_ms", |r| r.flow.mean_delay_ms.encode()),
+    ("p50_delay_ms", |r| r.flow.p50_delay_ms.encode()),
+    ("p95_delay_ms", |r| r.flow.p95_delay_ms.encode()),
+    ("p99_delay_ms", |r| r.flow.p99_delay_ms.encode()),
+    ("jitter_ms", |r| r.flow.jitter_ms.encode()),
+    ("ce_marks", |r| r.flow.ce_marks.encode()),
+    ("replies", |r| r.cell.report.replies.encode()),
+    ("verified_return_blocks", |r| r.cell.report.verified_return_blocks.encode()),
+    ("policy_drops", |r| r.cell.report.policy_drops.encode()),
+    ("sim_events", |r| r.cell.report.events.encode()),
+    ("goodput_ratio", |r| r.relative.map(|m| m.goodput_ratio).encode()),
+    ("mean_delay_ratio", |r| r.relative.map(|m| m.mean_delay_ratio).encode()),
+    ("jitter_ratio", |r| r.relative.map(|m| m.jitter_ratio).encode()),
+    ("verdict", |r| r.verdict.map(|(v, _)| verdict_word(v)).encode()),
+    ("mechanism", |r| r.verdict.map(|(v, _)| v.mechanism.clone()).encode()),
+    ("confidence", |r| r.verdict.map(|(v, _)| v.confidence).encode()),
+    ("truth", |r| r.verdict.map(|(v, _)| v.truth.clone()).encode()),
+    // Matrix-level scores, repeated on every verdict-carrying row so a
+    // flat-file consumer keeps them.
+    ("precision", |r| r.verdict.map(|(_, d)| d.precision).encode()),
+    ("recall", |r| r.verdict.map(|(_, d)| d.recall).encode()),
+];
+
+/// The CSV's word for a verdict's `detected` flag.
+fn verdict_word(v: &Verdict) -> String {
+    let word = if v.detected { "detected" } else { "undetected" };
+    word.to_string()
+}
+
+/// Appends one CSV value: `null` (a `None`) as an empty field, floats
+/// with `Display` (`NaN` as is, unlike JSON), strings unquoted.
+fn csv_value(out: &mut String, v: &Json) {
+    let _ = match v {
+        Json::Null => Ok(()),
+        Json::UInt(u) => write!(out, "{u}"),
+        Json::Num(n) => write!(out, "{n}"),
+        Json::Str(s) => write!(out, "{s}"),
+        other => write!(out, "{}", other.render()),
+    };
 }
 
 impl MatrixReport {
     /// Scores every probed cell's verdict against ground truth; `None`
     /// when the matrix ran without probes.
-    pub fn detection_summary(&self) -> Option<crate::finalize::DetectionSummary> {
+    pub fn detection_summary(&self) -> Option<DetectionSummary> {
         crate::finalize::score_verdicts(&self.cells)
     }
 
     /// Renders the full report as JSON.
     pub fn to_json(&self) -> String {
         let cells: Vec<Json> = self.cells.iter().map(|c| c.to_json(true)).collect();
-        let detection = match self.detection_summary() {
-            Some(d) => Json::obj(vec![
-                ("scored", Json::UInt(d.scored)),
-                ("true_positives", Json::UInt(d.true_positives)),
-                ("false_positives", Json::UInt(d.false_positives)),
-                ("false_negatives", Json::UInt(d.false_negatives)),
-                ("precision", Json::Num(d.precision)),
-                ("recall", Json::Num(d.recall)),
-            ]),
-            None => Json::Null,
-        };
         Json::obj(vec![
-            ("matrix", Json::Str(self.name.clone())),
-            ("cell_count", Json::UInt(self.cells.len() as u64)),
-            (
-                "pool",
-                Json::obj(vec![
-                    ("allocs", Json::UInt(self.pool_allocs)),
-                    ("recycled", Json::UInt(self.pool_recycled)),
-                ]),
-            ),
-            ("detection", detection),
+            ("matrix", self.name.encode()),
+            ("cell_count", self.cells.len().encode()),
+            ("pool", pool_json(self.pool_allocs, self.pool_recycled)),
+            ("detection", self.detection_summary().encode()),
             ("cells", Json::Arr(cells)),
         ])
         .render()
     }
 
-    /// Renders CSV rows: one per cell keyed to its first (workload)
-    /// flow, plus one row per extra flow — population cohort rows —
-    /// with the cell columns repeated and the relative/verdict columns
-    /// empty (those are workload-flow context). Relative and verdict
-    /// columns are also empty when the cell has no baseline / no
-    /// probes; `precision`/`recall` are the matrix-level scores
-    /// repeated on every verdict-carrying row so a flat-file consumer
-    /// keeps them.
+    /// Renders CSV rows (columns: `CSV_COLUMNS`): one per cell keyed to its
+    /// first (workload) flow, plus one row per extra flow — population
+    /// cohort rows — with the cell columns repeated and the
+    /// finalize-owned relative/verdict columns empty. Those columns are
+    /// also empty when the cell has no baseline / no probes.
     pub fn to_csv(&self) -> String {
         let detection = self.detection_summary();
-        let mut out = String::from(
-            "index,topology,link,workload,adversary,stack,events,seed_axis,sim_seed,flow,\
-             tx_packets,rx_packets,delivery_ratio,goodput_bps,mean_delay_ms,p50_delay_ms,\
-             p95_delay_ms,p99_delay_ms,jitter_ms,ce_marks,replies,\
-             verified_return_blocks,policy_drops,sim_events,\
-             goodput_ratio,mean_delay_ratio,jitter_ratio,\
-             verdict,mechanism,confidence,truth,precision,recall\n",
-        );
-        for c in &self.cells {
-            let rel = match &c.relative {
-                Some(r) => format!(
-                    "{},{},{}",
-                    r.goodput_ratio, r.mean_delay_ratio, r.jitter_ratio
-                ),
-                None => ",,".to_string(),
+        let header: Vec<&str> = CSV_COLUMNS.iter().map(|&(name, _)| name).collect();
+        let mut out = header.join(",") + "\n";
+        let no_flow = CellFlow::default();
+        for cell in &self.cells {
+            let workload = CsvRow {
+                cell,
+                flow: cell.report.flows.first().unwrap_or(&no_flow),
+                relative: cell.relative.as_ref(),
+                verdict: cell.verdict.as_ref().zip(detection.as_ref()),
             };
-            let verdict = match (&c.verdict, &detection) {
-                (Some(v), Some(d)) => format!(
-                    "{},{},{},{},{},{}",
-                    if v.detected { "detected" } else { "undetected" },
-                    v.mechanism,
-                    v.confidence,
-                    v.truth,
-                    d.precision,
-                    d.recall,
-                ),
-                _ => ",,,,,".to_string(),
-            };
-            let mut push_row = |f: Option<&CellFlow>, rel: &str, verdict: &str| {
-                let (flow, tx, rx, delivery, goodput, mean_d, p50, p95, p99, jitter, ce) = match f {
-                    Some(f) => (
-                        f.flow.as_str(),
-                        f.tx_packets,
-                        f.rx_packets,
-                        f.delivery_ratio,
-                        f.goodput_bps,
-                        f.mean_delay_ms,
-                        f.p50_delay_ms,
-                        f.p95_delay_ms,
-                        f.p99_delay_ms,
-                        f.jitter_ms,
-                        f.ce_marks,
-                    ),
-                    None => ("", 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0),
-                };
-                out.push_str(&format!(
-                    "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                    c.index,
-                    c.topology,
-                    c.link,
-                    c.workload,
-                    c.adversary,
-                    c.stack,
-                    c.events,
-                    c.seed_axis,
-                    c.sim_seed,
-                    flow,
-                    tx,
-                    rx,
-                    delivery,
-                    goodput,
-                    mean_d,
-                    p50,
-                    p95,
-                    p99,
-                    jitter,
-                    ce,
-                    c.report.replies,
-                    c.report.verified_return_blocks,
-                    c.report.policy_drops,
-                    c.report.events,
-                    rel,
-                    verdict,
-                ));
-            };
-            push_row(c.report.flows.first(), &rel, &verdict);
-            for f in c.report.flows.iter().skip(1) {
-                push_row(Some(f), ",,", ",,,,,");
+            let cohorts = cell.report.flows.iter().skip(1).map(|flow| CsvRow {
+                flow,
+                relative: None,
+                verdict: None,
+                ..workload
+            });
+            for row in std::iter::once(workload).chain(cohorts) {
+                for (i, (_, value)) in CSV_COLUMNS.iter().enumerate() {
+                    out.push_str(if i == 0 { "" } else { "," });
+                    csv_value(&mut out, &value(&row));
+                }
+                out.push('\n');
             }
         }
         out

@@ -25,7 +25,7 @@
 //! [`RouterNode::enable_ttl_replies`]: nn_netsim::RouterNode::enable_ttl_replies
 
 use crate::hosts::APP_PORT;
-use crate::json::Json;
+use crate::schema::fields;
 use nn_core::probe::{ProbeKind, ProbePayload};
 use nn_netsim::nodes::TTL_REPLY_MAGIC;
 use nn_netsim::{Context, CounterClass, CounterId, FrameBuf, Histogram, IfaceId, Node};
@@ -78,48 +78,52 @@ nn_netsim::counter_set! {
     }
 }
 
-/// Per-TTL observations from the hop train.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HopReport {
-    /// Emitted TTL (1 = first router past the prober).
-    pub ttl: u8,
-    /// The answering router's stats name.
-    pub router: String,
-    /// Time-exceeded replies received for this TTL.
-    pub replies: u64,
-    /// Mean round trip to the router, milliseconds.
-    pub rtt_ms: f64,
-    /// Mean one-way delay to the router (its clock minus the probe's
-    /// send stamp — simulator clocks are synchronized), milliseconds.
-    pub fwd_ms: f64,
+fields! {
+    /// Per-TTL observations from the hop train.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct HopReport: Encode + Decode {
+        /// Emitted TTL (1 = first router past the prober).
+        pub ttl: u8,
+        /// The answering router's stats name.
+        pub router: String,
+        /// Time-exceeded replies received for this TTL.
+        pub replies: u64,
+        /// Mean round trip to the router, milliseconds.
+        pub rtt_ms: f64,
+        /// Mean one-way delay to the router (its clock minus the probe's
+        /// send stamp — simulator clocks are synchronized), milliseconds.
+        pub fwd_ms: f64,
+    }
 }
 
-/// What the measurement plane learned in one cell — the raw evidence
-/// the finalize pass turns into a verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProbeSummary {
-    /// Application-lookalike probes sent.
-    pub plain_tx: u64,
-    /// Application-lookalike echoes received.
-    pub plain_rx: u64,
-    /// Mean lookalike round trip, milliseconds (NaN when none came back).
-    pub plain_rtt_ms: f64,
-    /// 95th-percentile lookalike round trip, milliseconds.
-    pub plain_rtt_p95_ms: f64,
-    /// Unclassifiable probes sent.
-    pub neut_tx: u64,
-    /// Unclassifiable echoes received.
-    pub neut_rx: u64,
-    /// Mean unclassifiable round trip, milliseconds.
-    pub neut_rtt_ms: f64,
-    /// 95th-percentile unclassifiable round trip, milliseconds.
-    pub neut_rtt_p95_ms: f64,
-    /// Per-hop delay observations, TTL order.
-    pub hops: Vec<HopReport>,
-    /// Largest echoed frame observed by the size train, bytes.
-    pub max_echo_bytes: u64,
-    /// Reorder-burst echoes that arrived out of sequence.
-    pub reorders: u64,
+fields! {
+    /// What the measurement plane learned in one cell — the raw evidence
+    /// the finalize pass turns into a verdict.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct ProbeSummary: Encode + Decode {
+        /// Application-lookalike probes sent.
+        pub plain_tx: u64,
+        /// Application-lookalike echoes received.
+        pub plain_rx: u64,
+        /// Mean lookalike round trip, milliseconds (NaN when none came back).
+        pub plain_rtt_ms: f64,
+        /// 95th-percentile lookalike round trip, milliseconds.
+        pub plain_rtt_p95_ms: f64,
+        /// Unclassifiable probes sent.
+        pub neut_tx: u64,
+        /// Unclassifiable echoes received.
+        pub neut_rx: u64,
+        /// Mean unclassifiable round trip, milliseconds.
+        pub neut_rtt_ms: f64,
+        /// 95th-percentile unclassifiable round trip, milliseconds.
+        pub neut_rtt_p95_ms: f64,
+        /// Per-hop delay observations, TTL order.
+        pub hops: Vec<HopReport>,
+        /// Largest echoed frame observed by the size train, bytes.
+        pub max_echo_bytes: u64,
+        /// Reorder-burst echoes that arrived out of sequence.
+        pub reorders: u64,
+    }
 }
 
 impl ProbeSummary {
@@ -137,91 +141,6 @@ impl ProbeSummary {
             return 0.0;
         }
         self.neut_rx as f64 / self.neut_tx as f64
-    }
-
-    /// The canonical JSON object (shard wire format and final report
-    /// share it, like [`crate::cell::CellFlow`]'s).
-    pub fn to_json(&self) -> Json {
-        let hops: Vec<Json> = self
-            .hops
-            .iter()
-            .map(|h| {
-                Json::obj(vec![
-                    ("ttl", Json::UInt(h.ttl as u64)),
-                    ("router", Json::Str(h.router.clone())),
-                    ("replies", Json::UInt(h.replies)),
-                    ("rtt_ms", Json::Num(h.rtt_ms)),
-                    ("fwd_ms", Json::Num(h.fwd_ms)),
-                ])
-            })
-            .collect();
-        Json::obj(vec![
-            ("plain_tx", Json::UInt(self.plain_tx)),
-            ("plain_rx", Json::UInt(self.plain_rx)),
-            ("plain_rtt_ms", Json::Num(self.plain_rtt_ms)),
-            ("plain_rtt_p95_ms", Json::Num(self.plain_rtt_p95_ms)),
-            ("neut_tx", Json::UInt(self.neut_tx)),
-            ("neut_rx", Json::UInt(self.neut_rx)),
-            ("neut_rtt_ms", Json::Num(self.neut_rtt_ms)),
-            ("neut_rtt_p95_ms", Json::Num(self.neut_rtt_p95_ms)),
-            ("hops", Json::Arr(hops)),
-            ("max_echo_bytes", Json::UInt(self.max_echo_bytes)),
-            ("reorders", Json::UInt(self.reorders)),
-        ])
-    }
-
-    /// Parses a summary back from [`Self::to_json`]'s format (`null`
-    /// metrics come back as NaN, so render(parse(x)) is byte-exact).
-    pub fn from_json(v: &Json) -> Result<ProbeSummary, String> {
-        let field = |k: &str| v.get(k).ok_or_else(|| format!("probe missing {k:?}"));
-        let num = |k: &str| match field(k)? {
-            Json::Null => Ok(f64::NAN),
-            j => j
-                .as_f64()
-                .ok_or_else(|| format!("probe field {k:?} is not a number")),
-        };
-        let uint = |k: &str| {
-            field(k)?
-                .as_u64()
-                .ok_or_else(|| format!("probe field {k:?} malformed"))
-        };
-        let hops = field("hops")?
-            .as_arr()
-            .ok_or("probe field \"hops\" is not an array")?
-            .iter()
-            .map(|h| {
-                let hf = |k: &str| h.get(k).ok_or_else(|| format!("hop missing {k:?}"));
-                let hnum = |k: &str| match hf(k)? {
-                    Json::Null => Ok(f64::NAN),
-                    j => j
-                        .as_f64()
-                        .ok_or_else(|| format!("hop field {k:?} is not a number")),
-                };
-                Ok(HopReport {
-                    ttl: hf("ttl")?.as_u64().ok_or("hop ttl malformed")? as u8,
-                    router: hf("router")?
-                        .as_str()
-                        .ok_or("hop router is not a string")?
-                        .to_string(),
-                    replies: hf("replies")?.as_u64().ok_or("hop replies malformed")?,
-                    rtt_ms: hnum("rtt_ms")?,
-                    fwd_ms: hnum("fwd_ms")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(ProbeSummary {
-            plain_tx: uint("plain_tx")?,
-            plain_rx: uint("plain_rx")?,
-            plain_rtt_ms: num("plain_rtt_ms")?,
-            plain_rtt_p95_ms: num("plain_rtt_p95_ms")?,
-            neut_tx: uint("neut_tx")?,
-            neut_rx: uint("neut_rx")?,
-            neut_rtt_ms: num("neut_rtt_ms")?,
-            neut_rtt_p95_ms: num("neut_rtt_p95_ms")?,
-            hops,
-            max_echo_bytes: uint("max_echo_bytes")?,
-            reorders: uint("reorders")?,
-        })
     }
 }
 
@@ -708,44 +627,5 @@ mod tests {
             "probe plane must stay out of goodput accounting"
         );
         assert!(sim.stats().counter("probe.pairs_tx") > 0);
-    }
-
-    #[test]
-    fn summary_json_roundtrips_byte_exactly() {
-        let s = ProbeSummary {
-            plain_tx: 28,
-            plain_rx: 3,
-            plain_rtt_ms: 61.25,
-            plain_rtt_p95_ms: 80.0,
-            neut_tx: 28,
-            neut_rx: 28,
-            neut_rtt_ms: 8.5,
-            neut_rtt_p95_ms: 9.0,
-            hops: vec![HopReport {
-                ttl: 1,
-                router: "isp".to_string(),
-                replies: 3,
-                rtt_ms: 4.25,
-                fwd_ms: 2.125,
-            }],
-            max_echo_bytes: 1052,
-            reorders: 0,
-        };
-        let rendered = s.to_json().render();
-        let parsed =
-            ProbeSummary::from_json(&Json::parse(&rendered).expect("valid JSON")).expect("parses");
-        assert_eq!(parsed, s);
-        assert_eq!(parsed.to_json().render(), rendered);
-        // NaN renders as null and comes back as NaN.
-        let empty = ProbeSummary {
-            plain_rx: 0,
-            plain_rtt_ms: f64::NAN,
-            ..s
-        };
-        let rendered = empty.to_json().render();
-        assert!(rendered.contains("\"plain_rtt_ms\":null"));
-        let parsed = ProbeSummary::from_json(&Json::parse(&rendered).unwrap()).unwrap();
-        assert!(parsed.plain_rtt_ms.is_nan());
-        assert_eq!(parsed.to_json().render(), rendered);
     }
 }

@@ -9,16 +9,17 @@
 //! ([`crate::finalize`]) after [`merge_shards`] has reassembled the
 //! complete cell set.
 //!
-//! Shard reports serialize with the same hand-rolled JSON as the final
-//! report, so they are plain files that can be produced anywhere,
-//! shipped around, and merged later. [`merge_shards`] is strict: the
-//! shard set must be complete, consistent, and non-overlapping, and
-//! every cell must sit in the shard the strided plan assigns it to —
-//! anything else is a loud [`MergeError`], never a silently short
-//! report.
+//! Shard reports serialize with the same field lists as the final
+//! report ([`crate::schema`]), so they are plain files that can be
+//! produced anywhere, shipped around, and merged later. [`merge_shards`]
+//! is strict: the shard set must be complete, consistent, and
+//! non-overlapping, and every cell must sit in the shard the strided
+//! plan assigns it to — anything else is a loud [`MergeError`], never a
+//! silently short report.
 
 use crate::json::Json;
 use crate::matrix::MatrixCell;
+use crate::schema::{field, member, Encode};
 
 /// One worker's raw results for its assignment.
 #[derive(Debug, Clone)]
@@ -44,21 +45,12 @@ impl ShardReport {
     /// Renders the shard report as JSON (the worker wire format).
     pub fn to_json(&self) -> String {
         Json::obj(vec![
-            ("matrix", Json::Str(self.matrix.clone())),
-            ("shard", Json::UInt(self.shard as u64)),
-            ("shards", Json::UInt(self.shards as u64)),
-            ("total_cells", Json::UInt(self.total_cells as u64)),
-            (
-                "pool",
-                Json::obj(vec![
-                    ("allocs", Json::UInt(self.pool_allocs)),
-                    ("recycled", Json::UInt(self.pool_recycled)),
-                ]),
-            ),
-            (
-                "cells",
-                Json::Arr(self.cells.iter().map(|c| c.to_json(false)).collect()),
-            ),
+            ("matrix", self.matrix.encode()),
+            ("shard", self.shard.encode()),
+            ("shards", self.shards.encode()),
+            ("total_cells", self.total_cells.encode()),
+            ("pool", pool_json(self.pool_allocs, self.pool_recycled)),
+            ("cells", self.cells.encode()),
         ])
         .render()
     }
@@ -66,58 +58,39 @@ impl ShardReport {
     /// Parses a shard report from JSON text.
     pub fn from_json(text: &str) -> Result<ShardReport, String> {
         let v = Json::parse(text)?;
-        let field = |k: &str| {
-            v.get(k)
-                .ok_or_else(|| format!("shard report missing {k:?}"))
-        };
-        let uint = |k: &str| {
-            field(k)?
-                .as_u64()
-                .ok_or_else(|| format!("shard report field {k:?} is not an unsigned integer"))
-        };
-        let matrix = field("matrix")?
-            .as_str()
-            .ok_or("shard report field \"matrix\" is not a string")?
-            .to_string();
-        let pool = field("pool")?;
-        let pool_uint = |k: &str| {
-            pool.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("shard report pool field {k:?} missing or malformed"))
-        };
-        let cells = field("cells")?
-            .as_arr()
-            .ok_or("shard report field \"cells\" is not an array")?
-            .iter()
-            .map(|c| {
-                // Shard cells are raw metrics only — a `relative` or
-                // `verdict` field means the file is not a worker's output
-                // (baselines and inference are cross-shard context only
-                // finalization can compute).
-                if c.get("relative").is_some_and(|r| *r != Json::Null) {
-                    return Err(
-                        "shard cells must not carry relative metrics (raw wire format only)"
-                            .to_string(),
-                    );
-                }
-                if c.get("verdict").is_some_and(|r| *r != Json::Null) {
-                    return Err(
-                        "shard cells must not carry verdicts (raw wire format only)".to_string()
-                    );
-                }
-                MatrixCell::from_json(c)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        // Shard cells are raw metrics only — a `relative` or `verdict`
+        // field means the file is not a worker's output (baselines and
+        // inference are cross-shard context only finalization can
+        // compute).
+        let cells = v.get("cells").and_then(Json::as_arr).unwrap_or_default();
+        for key in ["relative", "verdict"] {
+            let carried = |c: &Json| c.get(key).is_some_and(|r| *r != Json::Null);
+            if cells.iter().any(carried) {
+                return Err(format!(
+                    "shard cells must not carry {key:?} (raw wire format only)"
+                ));
+            }
+        }
+        let pool = member(&v, "pool")?;
         Ok(ShardReport {
-            matrix,
-            shard: uint("shard")? as usize,
-            shards: uint("shards")? as usize,
-            total_cells: uint("total_cells")? as usize,
-            pool_allocs: pool_uint("allocs")?,
-            pool_recycled: pool_uint("recycled")?,
-            cells,
+            matrix: field(&v, "matrix")?,
+            shard: field(&v, "shard")?,
+            shards: field(&v, "shards")?,
+            total_cells: field(&v, "total_cells")?,
+            pool_allocs: field(pool, "allocs")?,
+            pool_recycled: field(pool, "recycled")?,
+            cells: field(&v, "cells")?,
         })
     }
+}
+
+/// The frame-pool counters, as the `"pool"` object of a shard or
+/// matrix report.
+pub(crate) fn pool_json(allocs: u64, recycled: u64) -> Json {
+    Json::obj(vec![
+        ("allocs", allocs.encode()),
+        ("recycled", recycled.encode()),
+    ])
 }
 
 /// Why a shard set refused to merge.

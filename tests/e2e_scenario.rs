@@ -4,7 +4,8 @@
 //! throttling, and the simulator must be exactly reproducible under a
 //! fixed seed.
 
-use net_neutrality::lab::{named_matrix, run_cell, CellFlow, CellReport, ExperimentSpec};
+use net_neutrality::lab::schema::Encode;
+use net_neutrality::lab::{named_matrix, run_cell, CellReport, ExperimentSpec};
 
 /// Runs the `spec` cell with the given adversary and stack axis names.
 fn run(spec: &ExperimentSpec, adversary: &str, stack: &str) -> CellReport {
@@ -75,10 +76,7 @@ fn same_seed_runs_are_byte_identical() {
         let a = run_cell(&mc.cell, &spec.tuning);
         let b = run_cell(&mc.cell, &spec.tuning);
         let render = |r: &CellReport| -> Vec<String> {
-            r.flows
-                .iter()
-                .map(|f| CellFlow::to_json(f).render())
-                .collect()
+            r.flows.iter().map(|f| f.encode().render()).collect()
         };
         assert_eq!(
             render(&a),
