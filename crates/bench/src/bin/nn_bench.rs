@@ -21,12 +21,14 @@
 //! Raw numbers are machine-dependent, so `--check` on different
 //! hardware than the baseline's needs `--calibrate SUITE/BENCH`: the
 //! named bench (a stable, CPU-bound one like
-//! `raw_crypto/aes128_encrypt_block`) must appear in both the current
-//! run and the baseline, and every baseline number is scaled by the
-//! current/baseline ratio of it before comparison — cross-machine
+//! `key_setup/rsa512_crt_decrypt_source`) must appear in both the
+//! current run and the baseline, and every baseline number is scaled by
+//! the current/baseline ratio of it before comparison — cross-machine
 //! speed differences cancel, leaving genuine per-frame regressions
-//! visible. Without `--calibrate`, compare files only against baselines
-//! recorded on the same machine.
+//! visible. Calibrate on a bench whose code path is the same on every
+//! CPU: the AES benches are not, since AES runs on AES-NI where the CPU
+//! has it and on T-tables elsewhere. Without `--calibrate`, compare
+//! files only against baselines recorded on the same machine.
 
 use nn_bench::{suites::SUITES, take_results, BenchResult};
 use nn_lab::json::Json;

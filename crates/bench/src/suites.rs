@@ -197,17 +197,21 @@ pub fn data_path() {
         black_box(s.seal(7, black_box(0x0a07_0063)));
     });
 
-    // Endpoint record channel on a 160-byte VoIP frame.
+    // Endpoint record channel on a 160-byte VoIP frame and a 1200-byte
+    // bulk frame: per-call copies and the serial CMAC weigh most in the
+    // first, the pipelined CTR keystream in the second.
     let mut tx = E2eSession::new(&ks, true);
     let rx = E2eSession::new(&ks, false);
-    let frame = vec![0x77u8; 160];
-    let rec = tx.seal_record(&frame);
-    bench("e2e_record_seal_160B", n / 10, || {
-        black_box(tx.seal_record(black_box(&frame)));
-    });
-    bench("e2e_record_open_160B", n / 10, || {
-        black_box(rx.open_record(black_box(&rec)).unwrap());
-    });
+    for len in [160, 1200] {
+        let frame = vec![0x77u8; len];
+        let rec = tx.seal_record(&frame);
+        bench(&format!("e2e_record_seal_{len}B"), n / 10, || {
+            black_box(tx.seal_record(black_box(&frame)));
+        });
+        bench(&format!("e2e_record_open_{len}B"), n / 10, || {
+            black_box(rx.open_record(black_box(&rec)).unwrap());
+        });
+    }
 
     // The *simulator's* per-frame data-path cost: 1000 UDP frames pushed
     // through two forwarding routers to a sink — engine event handling,

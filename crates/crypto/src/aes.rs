@@ -13,11 +13,21 @@
 //! definition rather than transcribed, and the implementation is
 //! validated against the FIPS-197 appendix vectors in the tests below.
 //!
-//! [`Aes128::encrypt_blocks`] pipelines pairs of blocks through the
+//! On an x86_64 CPU with AES-NI, [`Aes128`] runs every block on the
+//! `AESENC`/`AESDEC` instructions instead, with round keys taken from the
+//! same software key schedule. The backend is chosen at run time, once
+//! per key schedule, by `is_x86_feature_detected!("aes")`; AES output
+//! does not depend on it, and the tests check the hardware path against
+//! the T-table one byte for byte. The T-table cipher is the fallback on
+//! every other CPU and the reference.
+//!
+//! [`Aes128::encrypt_blocks`] pipelines independent blocks through the
 //! rounds together, giving the CTR keystream path instruction-level
-//! parallelism on top of the table lookups. Two lanes is the measured
-//! sweet spot: eight live state words fit the register file, where four
-//! lanes spill every round and run no faster than single blocks.
+//! parallelism. The hardware path keeps eight blocks in flight, enough
+//! to cover the `AESENC` latency. The T-table path pipelines pairs:
+//! two lanes is its measured sweet spot, because eight live state words
+//! fit the register file, where four lanes spill every round and run no
+//! faster than single blocks.
 
 use std::sync::OnceLock;
 
@@ -127,7 +137,8 @@ fn inv_mix_word(w: u32) -> u32 {
     ])
 }
 
-/// How many blocks [`Aes128::encrypt_blocks`] pipelines per inner pass.
+/// How many blocks the T-table path of [`Aes128::encrypt_blocks`]
+/// pipelines per inner pass.
 pub const BATCH: usize = 2;
 
 /// AES-128 with a precomputed key schedule.
@@ -142,6 +153,10 @@ pub struct Aes128 {
     /// Equivalent-inverse-cipher round keys: reversed, with
     /// InvMixColumns applied to the nine inner round keys.
     dk: [u32; 44],
+    /// The same round keys laid out for AES-NI; `Some` only on a CPU
+    /// with AES-NI, which is what makes the hardware calls sound.
+    #[cfg(target_arch = "x86_64")]
+    ni: Option<ni::RoundKeys>,
 }
 
 impl core::fmt::Debug for Aes128 {
@@ -197,11 +212,54 @@ impl Aes128 {
                 };
             }
         }
-        Aes128 { ek, dk }
+        Aes128 {
+            #[cfg(target_arch = "x86_64")]
+            ni: ni::RoundKeys::new(&ek, &dk),
+            ek,
+            dk,
+        }
     }
 
     /// Encrypts one block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(keys) = &self.ni {
+            // SAFETY: `keys` exists only if `is_x86_feature_detected!("aes")`
+            // returned true, and `aes` is the one feature the callee enables.
+            #[allow(unsafe_code)]
+            return unsafe { ni::encrypt_block(keys, block) };
+        }
+        self.table_encrypt_block(block);
+    }
+
+    /// Encrypts a batch of blocks in place, pipelining independent blocks
+    /// through the rounds together. Bit-identical to calling
+    /// [`encrypt_block`](Self::encrypt_block) on each block.
+    pub fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(keys) = &self.ni {
+            // SAFETY: `keys` exists only if `is_x86_feature_detected!("aes")`
+            // returned true, and `aes` is the one feature the callee enables.
+            #[allow(unsafe_code)]
+            return unsafe { ni::encrypt_blocks(keys, blocks) };
+        }
+        self.table_encrypt_blocks(blocks);
+    }
+
+    /// Decrypts one block in place.
+    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(keys) = &self.ni {
+            // SAFETY: `keys` exists only if `is_x86_feature_detected!("aes")`
+            // returned true, and `aes` is the one feature the callee enables.
+            #[allow(unsafe_code)]
+            return unsafe { ni::decrypt_block(keys, block) };
+        }
+        self.table_decrypt_block(block);
+    }
+
+    /// Encrypts one block in place on the T-table cipher.
+    fn table_encrypt_block(&self, block: &mut [u8; 16]) {
         let t = tables();
         let mut s = load_columns(block);
         xor_round_key(&mut s, &self.ek[..4]);
@@ -211,11 +269,10 @@ impl Aes128 {
         store_columns(block, &enc_last_round(&s, &t.sbox, &self.ek[40..44]));
     }
 
-    /// Encrypts a batch of blocks in place, pipelining [`BATCH`] blocks
-    /// through the rounds together so independent table lookups overlap.
-    /// Bit-identical to calling [`encrypt_block`](Self::encrypt_block)
-    /// on each block.
-    pub fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
+    /// Encrypts a batch of blocks in place on the T-table cipher,
+    /// pipelining [`BATCH`] blocks through the rounds together so
+    /// independent table lookups overlap.
+    fn table_encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
         let t = tables();
         let mut chunks = blocks.chunks_exact_mut(BATCH);
         for chunk in &mut chunks {
@@ -233,12 +290,12 @@ impl Aes128 {
             store_columns(&mut chunk[1], &enc_last_round(&b, &t.sbox, rk));
         }
         for block in chunks.into_remainder() {
-            self.encrypt_block(block);
+            self.table_encrypt_block(block);
         }
     }
 
-    /// Decrypts one block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
+    /// Decrypts one block in place on the T-table cipher.
+    fn table_decrypt_block(&self, block: &mut [u8; 16]) {
         let t = tables();
         let mut s = load_columns(block);
         xor_round_key(&mut s, &self.dk[..4]);
@@ -384,6 +441,116 @@ fn dec_last_round(s: &[u32; 4], inv_sbox: &[u8; 256], rk: &[u32]) -> [u32; 4] {
     ]
 }
 
+/// The AES-NI backend. Each function runs the same cipher as its
+/// T-table counterpart on the round keys of [`Aes128::new`]: `AESENC`
+/// and `AESENCLAST` take the forward keys, `AESDEC` and `AESDECLAST` the
+/// equivalent-inverse keys, which are InvMixColumns-transformed exactly
+/// as `AESIMC` would make them.
+#[cfg(target_arch = "x86_64")]
+mod ni {
+    use core::arch::x86_64::{
+        __m128i, _mm_aesdec_si128, _mm_aesdeclast_si128, _mm_aesenc_si128, _mm_aesenclast_si128,
+        _mm_cvtsi128_si64, _mm_set_epi64x, _mm_unpackhi_epi64, _mm_xor_si128,
+    };
+
+    /// Blocks [`encrypt_blocks`] keeps in flight: enough independent
+    /// `AESENC`s to cover the instruction's latency.
+    const LANES: usize = 8;
+
+    /// Both key schedules as round-key bytes in FIPS-197 order, ready to
+    /// load into registers.
+    #[derive(Clone)]
+    pub(super) struct RoundKeys {
+        enc: [[u8; 16]; 11],
+        dec: [[u8; 16]; 11],
+    }
+
+    impl RoundKeys {
+        /// Converts the software schedules, or returns `None` when the
+        /// CPU lacks AES-NI. A `RoundKeys` is thus proof of the feature.
+        pub(super) fn new(ek: &[u32; 44], dk: &[u32; 44]) -> Option<Self> {
+            if !std::arch::is_x86_feature_detected!("aes") {
+                return None;
+            }
+            let bytes = |w: &[u32; 44]| {
+                let mut keys = [[0u8; 16]; 11];
+                for (key, words) in keys.iter_mut().zip(w.chunks_exact(4)) {
+                    for (k, word) in key.chunks_exact_mut(4).zip(words) {
+                        k.copy_from_slice(&word.to_be_bytes());
+                    }
+                }
+                keys
+            };
+            Some(RoundKeys {
+                enc: bytes(ek),
+                dec: bytes(dk),
+            })
+        }
+    }
+
+    /// Loads block byte `i` into register byte `i`; the compiler emits
+    /// one unaligned load. SSE2 is part of the x86_64 baseline, and
+    /// `aes` implies it, so only `aes` is detected.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn load(block: &[u8; 16]) -> __m128i {
+        let [lo, hi] =
+            [0, 8].map(|i| i64::from_le_bytes(block[i..i + 8].try_into().expect("8-byte half")));
+        _mm_set_epi64x(hi, lo)
+    }
+
+    /// Stores register byte `i` into block byte `i`.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn store(block: &mut [u8; 16], v: __m128i) {
+        block[..8].copy_from_slice(&_mm_cvtsi128_si64(v).to_le_bytes());
+        block[8..].copy_from_slice(&_mm_cvtsi128_si64(_mm_unpackhi_epi64(v, v)).to_le_bytes());
+    }
+
+    #[target_feature(enable = "aes")]
+    pub(super) fn encrypt_block(k: &RoundKeys, block: &mut [u8; 16]) {
+        let mut s = _mm_xor_si128(load(block), load(&k.enc[0]));
+        for rk in &k.enc[1..10] {
+            s = _mm_aesenc_si128(s, load(rk));
+        }
+        store(block, _mm_aesenclast_si128(s, load(&k.enc[10])));
+    }
+
+    #[target_feature(enable = "aes")]
+    pub(super) fn encrypt_blocks(k: &RoundKeys, blocks: &mut [[u8; 16]]) {
+        let mut chunks = blocks.chunks_exact_mut(LANES);
+        for chunk in &mut chunks {
+            let rk = load(&k.enc[0]);
+            let mut s = [rk; LANES];
+            for (x, b) in s.iter_mut().zip(chunk.iter()) {
+                *x = _mm_xor_si128(load(b), rk);
+            }
+            for rk in &k.enc[1..10] {
+                let rk = load(rk);
+                for x in &mut s {
+                    *x = _mm_aesenc_si128(*x, rk);
+                }
+            }
+            let rk = load(&k.enc[10]);
+            for (x, b) in s.into_iter().zip(chunk.iter_mut()) {
+                store(b, _mm_aesenclast_si128(x, rk));
+            }
+        }
+        for block in chunks.into_remainder() {
+            encrypt_block(k, block);
+        }
+    }
+
+    #[target_feature(enable = "aes")]
+    pub(super) fn decrypt_block(k: &RoundKeys, block: &mut [u8; 16]) {
+        let mut s = _mm_xor_si128(load(block), load(&k.dec[0]));
+        for rk in &k.dec[1..10] {
+            s = _mm_aesdec_si128(s, load(rk));
+        }
+        store(block, _mm_aesdeclast_si128(s, load(&k.dec[10])));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,29 +653,54 @@ mod tests {
         }
     }
 
+    /// Runs one FIPS-197 vector through the T-table cipher and, on a CPU
+    /// with AES-NI, through the hardware path: one block each way, and a
+    /// batch across the hardware lane width and its remainder.
+    fn check_vector(key: &str, plain: &str, cipher: &str) {
+        let aes = Aes128::new(&block(key));
+        let (plain, cipher) = (block(plain), block(cipher));
+        let mut b = plain;
+        aes.table_encrypt_block(&mut b);
+        assert_eq!(b, cipher, "T-table encrypt");
+        aes.table_decrypt_block(&mut b);
+        assert_eq!(b, plain, "T-table decrypt");
+        let mut batch = [plain; 9];
+        aes.table_encrypt_blocks(&mut batch);
+        assert_eq!(batch, [cipher; 9], "T-table batch");
+        if on_hardware(&aes) {
+            aes.encrypt_block(&mut b);
+            assert_eq!(b, cipher, "AES-NI encrypt");
+            aes.decrypt_block(&mut b);
+            assert_eq!(b, plain, "AES-NI decrypt");
+            let mut batch = [plain; 9];
+            aes.encrypt_blocks(&mut batch);
+            assert_eq!(batch, [cipher; 9], "AES-NI batch");
+        }
+    }
+
     #[test]
     fn fips197_appendix_b() {
-        let aes = Aes128::new(&block("2b7e151628aed2a6abf7158809cf4f3c"));
-        let mut b = block("3243f6a8885a308d313198a2e0370734");
-        aes.encrypt_block(&mut b);
-        assert_eq!(b, block("3925841d02dc09fbdc118597196a0b32"));
+        check_vector(
+            "2b7e151628aed2a6abf7158809cf4f3c",
+            "3243f6a8885a308d313198a2e0370734",
+            "3925841d02dc09fbdc118597196a0b32",
+        );
     }
 
     #[test]
     fn fips197_appendix_c1() {
-        let aes = Aes128::new(&block("000102030405060708090a0b0c0d0e0f"));
-        let mut b = block("00112233445566778899aabbccddeeff");
-        aes.encrypt_block(&mut b);
-        assert_eq!(b, block("69c4e0d86a7b0430d8cdb78070b4c55a"));
-        aes.decrypt_block(&mut b);
-        assert_eq!(b, block("00112233445566778899aabbccddeeff"));
+        check_vector(
+            "000102030405060708090a0b0c0d0e0f",
+            "00112233445566778899aabbccddeeff",
+            "69c4e0d86a7b0430d8cdb78070b4c55a",
+        );
     }
 
     #[test]
     fn batch_encrypt_matches_single_blocks() {
         let aes = Aes128::new(&block("000102030405060708090a0b0c0d0e0f"));
-        // Lengths around the batch width, including the ragged tail.
-        for len in 0..=(2 * BATCH + 1) {
+        // Lengths around both paths' lane widths, with ragged tails.
+        for len in 0..=17 {
             let mut batch: Vec<[u8; 16]> = (0..len)
                 .map(|i| core::array::from_fn(|j| (i * 16 + j) as u8))
                 .collect();
@@ -516,6 +708,26 @@ mod tests {
             aes.encrypt_blocks(&mut batch);
             assert_eq!(batch, singles, "len={len}");
         }
+    }
+
+    /// Whether `aes` runs on AES-NI. On a CPU without it the hardware
+    /// half of a test has nothing to check, and the test says so.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+    fn on_hardware(aes: &Aes128) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if aes.ni.is_some() {
+            return true;
+        }
+        static NOTE: std::sync::Once = std::sync::Once::new();
+        NOTE.call_once(|| eprintln!("no AES-NI on this CPU: skipping the hardware-path checks"));
+        false
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn hardware_path_follows_cpu_detection() {
+        let aes = Aes128::new(&[7; 16]);
+        assert_eq!(aes.ni.is_some(), std::arch::is_x86_feature_detected!("aes"));
     }
 
     #[test]
@@ -553,6 +765,42 @@ mod tests {
             let mut batch = blocks;
             aes.encrypt_blocks(&mut batch);
             prop_assert_eq!(batch, singles);
+        }
+
+        /// The hardware path equals the T-table reference byte for byte,
+        /// at every length across the eight-block lane width and its
+        /// remainder, and the T-table batch equals T-table singles.
+        #[test]
+        fn prop_hardware_matches_table(
+            key in any::<[u8;16]>(),
+            blocks in proptest::collection::vec(any::<[u8;16]>(), 17),
+        ) {
+            let aes = Aes128::new(&key);
+            let hardware = on_hardware(&aes);
+            let encrypted: Vec<[u8;16]> = blocks.iter().map(|b| {
+                let mut b = *b;
+                aes.table_encrypt_block(&mut b);
+                b
+            }).collect();
+            for len in 0..=blocks.len() {
+                let mut batch = blocks[..len].to_vec();
+                aes.table_encrypt_blocks(&mut batch);
+                prop_assert_eq!(&batch[..], &encrypted[..len], "T-table batch, len {}", len);
+                if hardware {
+                    let mut batch = blocks[..len].to_vec();
+                    aes.encrypt_blocks(&mut batch);
+                    prop_assert_eq!(&batch[..], &encrypted[..len], "AES-NI batch, len {}", len);
+                }
+            }
+            for (b, e) in blocks.iter().zip(&encrypted).filter(|_| hardware) {
+                let mut hw = *b;
+                aes.encrypt_block(&mut hw);
+                prop_assert_eq!(&hw, e);
+                let (mut hw, mut table) = (*b, *b);
+                aes.decrypt_block(&mut hw);
+                aes.table_decrypt_block(&mut table);
+                prop_assert_eq!(hw, table);
+            }
         }
     }
 }

@@ -4,6 +4,9 @@
 //! "IPsec as a black box", §3.1) and wherever more than one block must be
 //! encrypted under a session key. The counter block layout is
 //! `nonce (8 bytes, big-endian) || block counter (8 bytes, big-endian)`.
+//!
+//! Nothing here knows which AES backend runs: with AES-NI, the CTR lanes
+//! are where the hardware path's eight-block pipeline pays off.
 
 use crate::aes::Aes128;
 
@@ -38,8 +41,9 @@ impl AesCtr {
     /// into `data`. Encrypt and decrypt are the same operation.
     ///
     /// Keystream blocks are generated eight at a time through
-    /// [`Aes128::encrypt_blocks`], amortizing table loads across the
-    /// batch; the bytes produced are identical to block-at-a-time CTR.
+    /// [`Aes128::encrypt_blocks`], which keeps them all in flight on
+    /// AES-NI and amortizes table loads on the T-table path; the bytes
+    /// produced are identical to block-at-a-time CTR.
     pub fn apply_keystream_at(&self, nonce: u64, first_block: u64, data: &mut [u8]) {
         const LANES: usize = 8;
         let mut counter = first_block;

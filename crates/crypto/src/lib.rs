@@ -11,7 +11,8 @@
 //!   on the source side.
 //! * [`aes`] / [`cmac`] / [`ctr`] — "128-bit AES for both hashing and
 //!   encryption/decryption" (§4): the block cipher, the RFC 4493 keyed
-//!   hash, and the stream mode.
+//!   hash, and the stream mode. The cipher runs on AES-NI where the CPU
+//!   has it, chosen at run time, and on T-tables elsewhere.
 //! * [`kdf`] — the stateless derivation `Ks = hash(KM, nonce, srcIP)`.
 //! * [`sealed`] — the 16-byte encrypted-address block carried in the shim
 //!   header, with redundancy so wrong keys are detected.
@@ -23,8 +24,13 @@
 //! reproduces a 2006 research design, including its deliberately short
 //! keys — but all primitives are test-vector-validated (FIPS-197,
 //! RFC 4493, NIST SP 800-38A) and panic-free on attacker-controlled input.
+//!
+//! The crate denies `unsafe_code`. The three exceptions are in [`aes`]:
+//! the calls into its `#[target_feature(enable = "aes")]` functions,
+//! each made only after `is_x86_feature_detected!("aes")` returned true.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod aes;
