@@ -7,7 +7,6 @@
 //! [`crate::iters`]).
 
 use crate::{bench, header, iters, report_result, BenchResult};
-use nn_core::pushback::{PushbackConfig, PushbackEngine};
 use nn_crypto::factor::{factor_semiprime, rho_ops_estimate};
 use nn_crypto::kdf::MasterKey;
 use nn_crypto::sealed::AddrSealer;
@@ -23,7 +22,7 @@ use std::time::Instant;
 /// Name, one-line description and entry point of every suite — the
 /// single source of truth `nn-bench --list` prints. Keep in sync with
 /// the `[[bench]]` shell targets in `Cargo.toml`.
-pub const SUITES: [(&str, &str, fn()); 13] = [
+pub const SUITES: [(&str, &str, fn()); 12] = [
     (
         "raw_crypto",
         "AES block, CMAC, CTR keystream, Ks derivation",
@@ -43,11 +42,6 @@ pub const SUITES: [(&str, &str, fn()); 13] = [
         "data_path",
         "neutralizer per-packet work, record channel",
         data_path,
-    ),
-    (
-        "dos_pushback",
-        "pushback admission and window accounting",
-        dos_pushback,
     ),
     (
         "factoring",
@@ -325,47 +319,6 @@ fn sim_data_path() {
     });
     bench("sim_dpi_drop_2router_1kframes", iters(50), || {
         black_box(run(true));
-    });
-}
-
-/// Pushback admission cost (§3.6): rejecting a flooded aggregate must
-/// cost a hash lookup, not an RSA operation — compare against
-/// [`key_setup`]'s encryption numbers.
-pub fn dos_pushback() {
-    header("dos_pushback");
-    let n = iters(100_000);
-
-    let mut engine = PushbackEngine::new(PushbackConfig::default(), SimTime::ZERO);
-    let mut t = 0u64;
-    bench("admit_unflagged", n, || {
-        t += 1;
-        black_box(engine.admit(SimTime(t), Ipv4Addr::new(10, (t % 200) as u8, 0, 1)));
-    });
-
-    // Flood one aggregate, flag it, then measure the rejection path.
-    let mut engine = PushbackEngine::new(
-        PushbackConfig {
-            setup_rate_threshold_pps: 100.0,
-            ..PushbackConfig::default()
-        },
-        SimTime::ZERO,
-    );
-    for i in 0..100_000u64 {
-        engine.admit(SimTime(i), Ipv4Addr::new(66, 6, 6, 6));
-    }
-    engine.tick(SimTime::from_millis(100));
-    let mut t = SimTime::from_millis(100).as_nanos();
-    bench("admit_flagged_aggregate", n, || {
-        t += 1;
-        black_box(engine.admit(SimTime(t), Ipv4Addr::new(66, 6, 6, 6)));
-    });
-
-    let mut engine = PushbackEngine::new(PushbackConfig::default(), SimTime::ZERO);
-    for i in 0..10_000u64 {
-        engine.admit(SimTime(i), Ipv4Addr::new((i % 250) as u8, 1, 2, 3));
-    }
-    bench("tick_10k_sources", iters(1_000), || {
-        black_box(engine.tick(SimTime::from_millis(100)));
     });
 }
 

@@ -7,18 +7,12 @@
 //!
 //! * [`neutralizer`] — the stateless border middlebox of §3: key setup
 //!   (one cheap RSA-e3 encryption), the data path (CMAC key derivation +
-//!   one AES block per packet), return-path anonymization, epoch-based
-//!   master-key rotation and optional RSA offload.
-//! * [`pushback`] — aggregate-based DoS defense for the key-setup path
-//!   (§3.6): flag and rate-limit flooding aggregates *before* spending
-//!   RSA cycles.
-//! * [`qos`] — §3.4's dynamic addresses: stateless per-(customer, flow)
-//!   addresses so guaranteed-service state can be pinned without
-//!   revealing the customer.
+//!   one AES block per packet), return-path anonymization and
+//!   epoch-based master-key rotation.
 //! * [`multihome`] — §3.5's source-side neutralizer selection across
 //!   multiple neutral providers, including trial-and-error probing.
 //! * [`wire`] — application-layer framing inside neutralized packets:
-//!   end-to-end transport messages, key-fetch and pushback payloads.
+//!   end-to-end transport messages and the key-rollover stamp they carry.
 //! * [`probe`] — active-measurement probe payloads: the edge
 //!   measurement plane's hop, differential-pair, size and reorder
 //!   trains over the wire.
@@ -32,13 +26,10 @@ pub mod app;
 pub mod multihome;
 pub mod neutralizer;
 pub mod probe;
-pub mod pushback;
-pub mod qos;
 pub mod wire;
 
 pub use app::{AppCommand, AppSource, EchoApp, NullApp, ScriptedApp};
 pub use multihome::{NeutralizerSelector, SelectPolicy};
 pub use neutralizer::{KeyTable, MasterKeyEpochs, NeutralizerConfig, NeutralizerNode};
 pub use probe::{ProbeKind, ProbePayload};
-pub use pushback::{PushbackConfig, PushbackEngine};
-pub use wire::{InnerPayload, KeyFetchReply, KeyFetchReq, PushbackMsg, TransportMsg};
+pub use wire::{InnerPayload, TransportMsg};

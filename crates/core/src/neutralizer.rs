@@ -11,16 +11,13 @@
 //! * key-setup packet → one short-RSA **encryption** (cheap, e = 3);
 //! * data/return packet → one CMAC derivation + one AES block operation.
 
-use crate::pushback::{PushbackConfig, PushbackEngine};
-use crate::qos;
-use crate::wire::{KeyFetchReply, KeyFetchReq, PushbackMsg};
 use nn_crypto::kdf::MasterKey;
 use nn_crypto::sealed::AddrSealer;
 use nn_crypto::RsaPublicKey;
 use nn_netsim::{Context, FrameBuf, IfaceId, Node, RouteTable};
 use nn_packet::{
-    build_shim, build_shim_into, parse_shim, shim_flags, Ipv4Addr, Ipv4Cidr, Ipv4Packet, KeyStamp,
-    ShimRepr, ShimType,
+    build_shim_into, parse_shim, shim_flags, Ipv4Addr, Ipv4Cidr, Ipv4Packet, KeyStamp, ShimRepr,
+    ShimType,
 };
 use rand::Rng;
 
@@ -37,7 +34,7 @@ nn_netsim::counter_set! {
     /// A neutralizer's counters, `<stats_name>.<field>`. Reports carry
     /// the four that show the neutralizer at work (key setups served,
     /// data forwarded, returns anonymized, plain transit); the error,
-    /// cache and control-plane counters stay internal.
+    /// cache and rotation counters stay internal.
     struct NeutralizerCounters {
         parse_error: Internal,
         shim_parse_error: Internal,
@@ -46,13 +43,9 @@ nn_netsim::counter_set! {
         emit_parse_error: Internal,
         no_route: Internal,
         setup_parse_error: Internal,
-        setup_pushback_reject: Internal,
         setup_bad_pubkey: Internal,
-        setup_offloaded: Internal,
         setup_encrypt_fail: Internal,
         setup_served: Reported,
-        reply_parse_error: Internal,
-        offload_reply_forwarded: Internal,
         data_parse_error: Internal,
         data_expired_epoch: Internal,
         key_cache_hit: Internal,
@@ -65,17 +58,10 @@ nn_netsim::counter_set! {
         return_not_customer: Internal,
         return_expired_epoch: Internal,
         return_anonymized: Reported,
-        fetch_parse_error: Internal,
-        fetch_not_customer: Internal,
-        fetch_bad_request: Internal,
-        fetch_served: Internal,
-        pushback_flagged: Internal,
         key_rotated: Internal,
     }
 }
 
-/// Timer token for the pushback window tick.
-const TOKEN_PUSHBACK_TICK: u64 = 0xFB;
 /// Timer token for master-key rotation.
 const TOKEN_KEY_ROTATION: u64 = 0xFC;
 
@@ -130,11 +116,6 @@ impl MasterKeyEpochs {
         } else {
             None
         }
-    }
-
-    /// The current master key (for dynamic-address derivation).
-    pub fn current_key(&self) -> &MasterKey {
-        &self.current
     }
 
     /// Whether nonces minted in `epoch` are still derivable (current
@@ -361,14 +342,8 @@ impl KeyTable {
 pub struct NeutralizerConfig {
     /// The anycast service address all customers publish (§3).
     pub anycast: Ipv4Addr,
-    /// Dynamic-address pool for QoS flows (§3.4); routed to this box.
-    pub dyn_pool: Ipv4Cidr,
     /// Customer prefixes this neutralizer serves ("inside" the domain).
     pub domain: Vec<Ipv4Cidr>,
-    /// Offload RSA work to this willing customer (§3.2), if set.
-    pub offload_helper: Option<Ipv4Addr>,
-    /// DoS defense (§3.6), if enabled.
-    pub pushback: Option<PushbackConfig>,
     /// Rotate the master key automatically at this interval (§4's
     /// one-hour lifetime), if set.
     pub key_lifetime: Option<std::time::Duration>,
@@ -384,10 +359,7 @@ impl NeutralizerConfig {
     pub fn new(anycast: Ipv4Addr, domain: Vec<Ipv4Cidr>) -> Self {
         NeutralizerConfig {
             anycast,
-            dyn_pool: Ipv4Cidr::new(Ipv4Addr::new(198, 19, 255, 0), 24),
             domain,
-            offload_helper: None,
-            pushback: None,
             key_lifetime: None,
             key_cache: 1024,
             stats_name: "neutralizer".to_string(),
@@ -400,14 +372,6 @@ pub struct NeutralizerNode {
     config: NeutralizerConfig,
     keys: KeyTable,
     routes: RouteTable,
-    pushback: Option<PushbackEngine>,
-    /// Ingress iface of the most recent flood aggregate (for upstream
-    /// pushback requests).
-    last_setup_iface: Option<IfaceId>,
-    /// Packets processed on the data path (forward + return).
-    pub data_packets: u64,
-    /// RSA encryptions performed (key setups served locally).
-    pub rsa_encryptions: u64,
     ids: NeutralizerCounters,
 }
 
@@ -416,12 +380,8 @@ impl NeutralizerNode {
     pub fn new(config: NeutralizerConfig, master_key: [u8; 16]) -> Self {
         let keys = KeyTable::new(MasterKeyEpochs::new(master_key), config.key_cache);
         NeutralizerNode {
-            pushback: None, // armed in on_start (needs sim time)
             keys,
             routes: RouteTable::new(),
-            last_setup_iface: None,
-            data_packets: 0,
-            rsa_encryptions: 0,
             ids: NeutralizerCounters::default(),
             config,
         }
@@ -432,33 +392,13 @@ impl NeutralizerNode {
         self.routes = routes;
     }
 
-    /// The epoch machinery (tests and harnesses).
-    pub fn keys(&self) -> &MasterKeyEpochs {
-        self.keys.epochs()
-    }
-
     /// The derived-key cache (tests and harnesses).
     pub fn key_table(&self) -> &KeyTable {
         &self.keys
     }
 
-    /// Forces a master-key rotation with the given material. Cached
-    /// keys of the epoch that just expired are purged.
-    pub fn rotate_master_key(&mut self, key: [u8; 16]) {
-        self.keys.rotate(key);
-    }
-
-    /// The pushback engine, when enabled.
-    pub fn pushback(&self) -> Option<&PushbackEngine> {
-        self.pushback.as_ref()
-    }
-
     fn in_domain(&self, addr: Ipv4Addr) -> bool {
         self.config.domain.iter().any(|p| p.contains(addr))
-    }
-
-    fn is_service_addr(&self, addr: Ipv4Addr) -> bool {
-        addr == self.config.anycast || self.config.dyn_pool.contains(addr)
     }
 
     fn route_out(&mut self, ctx: &mut Context, frame: FrameBuf) {
@@ -505,21 +445,12 @@ impl NeutralizerNode {
         true
     }
 
-    /// §3.2 key setup: one cheap RSA encryption (or an offload forward).
-    fn handle_key_setup(&mut self, ctx: &mut Context, iface: IfaceId, frame: &[u8]) {
+    /// §3.2 key setup: one cheap RSA encryption.
+    fn handle_key_setup(&mut self, ctx: &mut Context, frame: &[u8]) {
         let Ok(parsed) = parse_shim(frame) else {
             ctx.stats.bump(self.ids.setup_parse_error);
             return;
         };
-        self.last_setup_iface = Some(iface);
-        // Pushback admission runs BEFORE any cryptography: rejecting a
-        // flooded aggregate must cost hashes, not RSA.
-        if let Some(pb) = &mut self.pushback {
-            if !pb.admit(ctx.now, parsed.ip.src) {
-                ctx.stats.bump(self.ids.setup_pushback_reject);
-                return;
-            }
-        }
         let Ok((pubkey, _)) = RsaPublicKey::from_wire(parsed.payload) else {
             ctx.stats.bump(self.ids.setup_bad_pubkey);
             return;
@@ -532,33 +463,7 @@ impl NeutralizerNode {
             .derive(nonce, parsed.ip.src)
             .expect("minted nonce is current-epoch");
 
-        if let Some(helper) = self.config.offload_helper {
-            // §3.2 offload: stamp (nonce, Ks) into the request and forward
-            // to a willing customer, which performs the RSA encryption.
-            let mut payload = parsed.payload.to_vec();
-            payload.extend_from_slice(&parsed.ip.src.octets());
-            let shim = ShimRepr {
-                shim_type: ShimType::KeySetup,
-                flags: 0,
-                nonce,
-                addr_block: ShimRepr::EMPTY_BLOCK,
-                stamp: Some(KeyStamp { nonce, key: ks }),
-            };
-            if self.emit_shim(
-                ctx,
-                self.config.anycast,
-                helper,
-                parsed.ip.dscp,
-                &shim,
-                &payload,
-                None,
-            ) {
-                ctx.stats.bump(self.ids.setup_offloaded);
-            }
-            return;
-        }
-
-        // Local path: RSA-encrypt (nonce ‖ Ks) under the one-time key.
+        // RSA-encrypt (nonce ‖ Ks) under the one-time key.
         let mut msg = Vec::with_capacity(24);
         msg.extend_from_slice(&nonce.to_be_bytes());
         msg.extend_from_slice(&ks);
@@ -566,7 +471,6 @@ impl NeutralizerNode {
             ctx.stats.bump(self.ids.setup_encrypt_fail);
             return;
         };
-        self.rsa_encryptions += 1;
         ctx.stats.bump(self.ids.setup_served);
         let shim = ShimRepr {
             shim_type: ShimType::KeyReply,
@@ -584,34 +488,6 @@ impl NeutralizerNode {
             &ct,
             None,
         );
-    }
-
-    /// Offload return leg: a helper's KeyReply carries the client address
-    /// in a plaintext block; rewrite to (anycast → client) and forward.
-    fn handle_key_reply_from_inside(&mut self, ctx: &mut Context, frame: &[u8]) {
-        let Ok(parsed) = parse_shim(frame) else {
-            ctx.stats.bump(self.ids.reply_parse_error);
-            return;
-        };
-        let client = ShimRepr::addr_from_plain_block(&parsed.shim.addr_block);
-        let shim = ShimRepr {
-            shim_type: ShimType::KeyReply,
-            flags: 0,
-            nonce: 0,
-            addr_block: ShimRepr::EMPTY_BLOCK,
-            stamp: None,
-        };
-        if self.emit_shim(
-            ctx,
-            self.config.anycast,
-            client,
-            parsed.ip.dscp,
-            &shim,
-            parsed.payload,
-            None,
-        ) {
-            ctx.stats.bump(self.ids.offload_reply_forwarded);
-        }
     }
 
     /// §3.2 forward data path: derive Ks, open the sealed destination,
@@ -643,7 +519,6 @@ impl NeutralizerNode {
             ctx.stats.bump(self.ids.data_not_customer);
             return;
         }
-        self.data_packets += 1;
         let stamp = if parsed.shim.flags & shim_flags::KEY_REQUEST != 0 {
             let nonce2 = self.keys.epochs().mint_nonce(ctx.rng);
             let ks2 = self
@@ -689,8 +564,8 @@ impl NeutralizerNode {
     }
 
     /// §3.2 return path: seal the customer's address under the key bound
-    /// to the *outside* initiator, hide the source behind the anycast (or
-    /// a dynamic QoS address, §3.4), forward.
+    /// to the *outside* initiator, hide the source behind the anycast,
+    /// forward.
     fn handle_return(&mut self, ctx: &mut Context, frame: &[u8]) {
         let Ok(parsed) = parse_shim(frame) else {
             ctx.stats.bump(self.ids.return_parse_error);
@@ -715,21 +590,9 @@ impl NeutralizerNode {
         } else {
             self.ids.key_cache_miss
         });
-        self.data_packets += 1;
-        let wants_dyn = parsed.shim.flags & shim_flags::DYN_ADDR != 0;
-        let visible_src = if wants_dyn {
-            qos::dynamic_address(
-                self.config.dyn_pool,
-                self.keys.epochs().current_key(),
-                parsed.ip.src,
-                parsed.shim.nonce,
-            )
-        } else {
-            self.config.anycast
-        };
         let shim = ShimRepr {
             shim_type: ShimType::Return,
-            flags: shim_flags::ANONYMIZED | (parsed.shim.flags & shim_flags::DYN_ADDR),
+            flags: shim_flags::ANONYMIZED,
             nonce: parsed.shim.nonce,
             addr_block: sealed,
             stamp: None,
@@ -739,7 +602,7 @@ impl NeutralizerNode {
         let ecn_in = Ipv4Packet::new_checked(frame).map(|p| p.ecn()).unwrap_or(0);
         if self.emit_shim(
             ctx,
-            visible_src,
+            self.config.anycast,
             initiator,
             parsed.ip.dscp,
             &shim,
@@ -749,75 +612,23 @@ impl NeutralizerNode {
             ctx.stats.bump(self.ids.return_anonymized);
         }
     }
-
-    /// §3.3 reverse-direction bootstrap: a customer inside the domain
-    /// fetches `(nonce, Ks)` in plaintext — it is inside the trust domain.
-    fn handle_key_fetch(&mut self, ctx: &mut Context, frame: &[u8]) {
-        let Ok(parsed) = parse_shim(frame) else {
-            ctx.stats.bump(self.ids.fetch_parse_error);
-            return;
-        };
-        if !self.in_domain(parsed.ip.src) {
-            ctx.stats.bump(self.ids.fetch_not_customer);
-            return;
-        }
-        let Ok(req) = KeyFetchReq::from_bytes(parsed.payload) else {
-            ctx.stats.bump(self.ids.fetch_bad_request);
-            return;
-        };
-        let nonce = self.keys.epochs().mint_nonce(ctx.rng);
-        // Bound to the OUTSIDE address, so both directions derive the
-        // same key from packet headers alone.
-        let key = self
-            .keys
-            .epochs()
-            .derive(nonce, req.remote)
-            .expect("minted nonce is current-epoch");
-        let reply = KeyFetchReply {
-            nonce,
-            key,
-            remote: req.remote,
-        };
-        let shim = ShimRepr {
-            shim_type: ShimType::KeyFetchReply,
-            flags: 0,
-            nonce: 0,
-            addr_block: ShimRepr::EMPTY_BLOCK,
-            stamp: None,
-        };
-        if self.emit_shim(
-            ctx,
-            self.config.anycast,
-            parsed.ip.src,
-            parsed.ip.dscp,
-            &shim,
-            &reply.to_bytes(),
-            None,
-        ) {
-            ctx.stats.bump(self.ids.fetch_served);
-        }
-    }
 }
 
 impl Node for NeutralizerNode {
     fn on_start(&mut self, ctx: &mut Context) {
         self.ids = NeutralizerCounters::register(ctx.stats, &self.config.stats_name);
-        if let Some(cfg) = self.config.pushback {
-            self.pushback = Some(PushbackEngine::new(cfg, ctx.now));
-            ctx.set_timer(cfg.window, TOKEN_PUSHBACK_TICK);
-        }
         if let Some(lifetime) = self.config.key_lifetime {
             ctx.set_timer(lifetime, TOKEN_KEY_ROTATION);
         }
     }
 
-    fn on_packet(&mut self, ctx: &mut Context, iface: IfaceId, frame: FrameBuf) {
+    fn on_packet(&mut self, ctx: &mut Context, _iface: IfaceId, frame: FrameBuf) {
         let Ok(ip) = Ipv4Packet::new_checked(&frame[..]) else {
             ctx.stats.bump(self.ids.parse_error);
             ctx.recycle(frame);
             return;
         };
-        let (src, dst, protocol) = (ip.src_addr(), ip.dst_addr(), ip.protocol());
+        let (dst, protocol) = (ip.dst_addr(), ip.protocol());
         if protocol != nn_packet::proto::SHIM {
             // Plain traffic transits the border router untouched (§3.4's
             // opt-out: the neutralizer service is optional).
@@ -830,16 +641,11 @@ impl Node for NeutralizerNode {
             ctx.recycle(frame);
             return;
         };
+        let for_service = dst == self.config.anycast;
         match shim_view.shim_type() {
-            ShimType::KeySetup if self.is_service_addr(dst) => {
-                self.handle_key_setup(ctx, iface, &frame);
-            }
-            ShimType::KeyReply if self.in_domain(src) => {
-                self.handle_key_reply_from_inside(ctx, &frame);
-            }
-            ShimType::Data if self.is_service_addr(dst) => self.handle_data(ctx, &frame),
-            ShimType::Return if self.is_service_addr(dst) => self.handle_return(ctx, &frame),
-            ShimType::KeyFetch if self.is_service_addr(dst) => self.handle_key_fetch(ctx, &frame),
+            ShimType::KeySetup if for_service => self.handle_key_setup(ctx, &frame),
+            ShimType::Data if for_service => self.handle_data(ctx, &frame),
+            ShimType::Return if for_service => self.handle_return(ctx, &frame),
             _ => {
                 // Shim traffic in transit (e.g. toward some other domain's
                 // neutralizer, or replies flowing outward).
@@ -854,54 +660,14 @@ impl Node for NeutralizerNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Context, token: u64) {
-        match token {
-            TOKEN_PUSHBACK_TICK => {
-                let Some(pb) = &mut self.pushback else { return };
-                let window = pb.config().window;
-                let flagged = pb.tick(ctx.now);
-                let limit_bps = (pb.config().limit_pps * 8.0 * 120.0) as u64; // ~120B setup frames
-                let release = pb.config().release_after;
-                for prefix in flagged {
-                    ctx.stats.bump(self.ids.pushback_flagged);
-                    // Ask upstream to police the aggregate (§3.6).
-                    if let Some(iface) = self.last_setup_iface {
-                        let msg = PushbackMsg {
-                            prefix: prefix.addr,
-                            prefix_len: prefix.prefix_len,
-                            rate_bps: limit_bps.max(1),
-                            duration_ns: release.as_nanos() as u64,
-                        };
-                        let shim = ShimRepr {
-                            shim_type: ShimType::Pushback,
-                            flags: 0,
-                            nonce: 0,
-                            addr_block: ShimRepr::EMPTY_BLOCK,
-                            stamp: None,
-                        };
-                        // Addressed link-locally to the upstream neighbor;
-                        // PushbackRouterNode intercepts by type.
-                        if let Ok(out) = build_shim(
-                            self.config.anycast,
-                            Ipv4Addr::new(255, 255, 255, 255),
-                            0,
-                            &shim,
-                            &msg.to_bytes(),
-                        ) {
-                            ctx.send(iface, out);
-                        }
-                    }
-                }
-                ctx.set_timer(window, TOKEN_PUSHBACK_TICK);
-            }
-            TOKEN_KEY_ROTATION => {
-                let fresh: [u8; 16] = ctx.rng.gen();
-                self.keys.rotate(fresh);
-                ctx.stats.bump(self.ids.key_rotated);
-                if let Some(lifetime) = self.config.key_lifetime {
-                    ctx.set_timer(lifetime, TOKEN_KEY_ROTATION);
-                }
-            }
-            _ => {}
+        if token != TOKEN_KEY_ROTATION {
+            return;
+        }
+        let fresh: [u8; 16] = ctx.rng.gen();
+        self.keys.rotate(fresh);
+        ctx.stats.bump(self.ids.key_rotated);
+        if let Some(lifetime) = self.config.key_lifetime {
+            ctx.set_timer(lifetime, TOKEN_KEY_ROTATION);
         }
     }
 }

@@ -112,109 +112,9 @@ impl InnerPayload {
     }
 }
 
-/// Payload of a `KeyFetch` request (§3.3): the outside address the inside
-/// customer wants to talk to, so the neutralizer can bind `Ks` to it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeyFetchReq {
-    /// The outside destination.
-    pub remote: nn_packet::Ipv4Addr,
-}
-
-impl KeyFetchReq {
-    /// Serializes (4 bytes).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.remote.octets().to_vec()
-    }
-
-    /// Parses.
-    pub fn from_bytes(data: &[u8]) -> Result<Self, CryptoError> {
-        if data.len() != 4 {
-            return Err(CryptoError::BadLength);
-        }
-        Ok(KeyFetchReq {
-            remote: nn_packet::Ipv4Addr::new(data[0], data[1], data[2], data[3]),
-        })
-    }
-}
-
-/// Payload of a `KeyFetchReply` (§3.3): plaintext `(nonce, Ks)` — safe
-/// because it never leaves the neutral domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeyFetchReply {
-    /// The session nonce.
-    pub nonce: u64,
-    /// The symmetric key bound to (nonce, remote).
-    pub key: [u8; 16],
-    /// Echo of the remote the key is bound to.
-    pub remote: nn_packet::Ipv4Addr,
-}
-
-impl KeyFetchReply {
-    /// Serializes (28 bytes).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(28);
-        out.extend_from_slice(&self.nonce.to_be_bytes());
-        out.extend_from_slice(&self.key);
-        out.extend_from_slice(&self.remote.octets());
-        out
-    }
-
-    /// Parses.
-    pub fn from_bytes(data: &[u8]) -> Result<Self, CryptoError> {
-        if data.len() != 28 {
-            return Err(CryptoError::BadLength);
-        }
-        Ok(KeyFetchReply {
-            nonce: u64::from_be_bytes(data[..8].try_into().unwrap()),
-            key: data[8..24].try_into().unwrap(),
-            remote: nn_packet::Ipv4Addr::new(data[24], data[25], data[26], data[27]),
-        })
-    }
-}
-
-/// Payload of a `Pushback` control frame (§3.6): ask the upstream router
-/// to police an aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PushbackMsg {
-    /// Aggregate prefix address.
-    pub prefix: nn_packet::Ipv4Addr,
-    /// Aggregate prefix length.
-    pub prefix_len: u8,
-    /// Policing rate, bits/second.
-    pub rate_bps: u64,
-    /// How long the limit should stay installed, nanoseconds.
-    pub duration_ns: u64,
-}
-
-impl PushbackMsg {
-    /// Serializes (21 bytes).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(21);
-        out.extend_from_slice(&self.prefix.octets());
-        out.push(self.prefix_len);
-        out.extend_from_slice(&self.rate_bps.to_be_bytes());
-        out.extend_from_slice(&self.duration_ns.to_be_bytes());
-        out
-    }
-
-    /// Parses.
-    pub fn from_bytes(data: &[u8]) -> Result<Self, CryptoError> {
-        if data.len() != 21 {
-            return Err(CryptoError::BadLength);
-        }
-        Ok(PushbackMsg {
-            prefix: nn_packet::Ipv4Addr::new(data[0], data[1], data[2], data[3]),
-            prefix_len: data[4],
-            rate_bps: u64::from_be_bytes(data[5..13].try_into().unwrap()),
-            duration_ns: u64::from_be_bytes(data[13..21].try_into().unwrap()),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nn_packet::Ipv4Addr;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -269,34 +169,5 @@ mod tests {
         assert!(InnerPayload::from_bytes(&bytes[..10]).is_err());
         assert!(InnerPayload::from_bytes(&[]).is_err());
         assert!(InnerPayload::from_bytes(&[9]).is_err());
-    }
-
-    #[test]
-    fn key_fetch_roundtrips() {
-        let req = KeyFetchReq {
-            remote: Ipv4Addr::new(8, 8, 4, 4),
-        };
-        assert_eq!(KeyFetchReq::from_bytes(&req.to_bytes()).unwrap(), req);
-        assert!(KeyFetchReq::from_bytes(&[1, 2, 3]).is_err());
-
-        let reply = KeyFetchReply {
-            nonce: 42,
-            key: [3u8; 16],
-            remote: Ipv4Addr::new(8, 8, 4, 4),
-        };
-        assert_eq!(KeyFetchReply::from_bytes(&reply.to_bytes()).unwrap(), reply);
-        assert!(KeyFetchReply::from_bytes(&reply.to_bytes()[..27]).is_err());
-    }
-
-    #[test]
-    fn pushback_roundtrip() {
-        let msg = PushbackMsg {
-            prefix: Ipv4Addr::new(10, 66, 0, 0),
-            prefix_len: 16,
-            rate_bps: 1_000_000,
-            duration_ns: 5_000_000_000,
-        };
-        assert_eq!(PushbackMsg::from_bytes(&msg.to_bytes()).unwrap(), msg);
-        assert!(PushbackMsg::from_bytes(&msg.to_bytes()[..20]).is_err());
     }
 }

@@ -160,11 +160,6 @@ impl BigUint {
         self.limbs.get(limb).is_some_and(|l| (l >> off) & 1 == 1)
     }
 
-    /// Returns the low 64 bits.
-    pub fn low_u64(&self) -> u64 {
-        self.limbs.first().copied().unwrap_or(0)
-    }
-
     /// Exposes the little-endian limbs (for Montgomery internals).
     pub(crate) fn limbs(&self) -> &[u64] {
         &self.limbs

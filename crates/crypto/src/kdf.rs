@@ -13,9 +13,6 @@ use crate::cmac::Cmac;
 /// master key can never collide with other CMAC uses.
 const DERIVE_LABEL: &[u8; 4] = b"NNKS";
 
-/// Label for dynamic-address derivation (QoS sessions, §3.4).
-const DYNADDR_LABEL: &[u8; 4] = b"NNDA";
-
 /// A neutralizer master key `KM` with a precomputed CMAC schedule.
 #[derive(Clone)]
 pub struct MasterKey {
@@ -48,18 +45,6 @@ impl MasterKey {
         msg[12..16].copy_from_slice(&src_ip.to_be_bytes());
         self.mac.tag(&msg)
     }
-
-    /// Derives a dynamic address suffix for QoS flows (§3.4): stable for a
-    /// (customer, flow-id) pair under one master key, unlinkable to the
-    /// customer without `KM`.
-    pub fn derive_dynamic_addr(&self, customer_ip: u32, flow_id: u64) -> u32 {
-        let mut msg = [0u8; 16];
-        msg[..4].copy_from_slice(DYNADDR_LABEL);
-        msg[4..8].copy_from_slice(&customer_ip.to_be_bytes());
-        msg[8..16].copy_from_slice(&flow_id.to_be_bytes());
-        let tag = self.mac.tag(&msg);
-        u32::from_be_bytes([tag[0], tag[1], tag[2], tag[3]])
-    }
 }
 
 #[cfg(test)]
@@ -86,25 +71,6 @@ mod tests {
         let a = MasterKey::new([0x01; 16]);
         let b = MasterKey::new([0x02; 16]);
         assert_ne!(a.derive_ks(5, 5), b.derive_ks(5, 5));
-    }
-
-    #[test]
-    fn dynamic_addr_stable_and_flow_scoped() {
-        let km = MasterKey::new([0x33; 16]);
-        let a1 = km.derive_dynamic_addr(0xc0a80001, 1);
-        assert_eq!(a1, km.derive_dynamic_addr(0xc0a80001, 1));
-        assert_ne!(a1, km.derive_dynamic_addr(0xc0a80001, 2));
-        assert_ne!(a1, km.derive_dynamic_addr(0xc0a80002, 1));
-    }
-
-    #[test]
-    fn domain_separation_between_labels() {
-        // A Ks derivation and a dynamic-address derivation with aligned
-        // inputs must not be related.
-        let km = MasterKey::new([0x44; 16]);
-        let ks = km.derive_ks(0, 0);
-        let da = km.derive_dynamic_addr(0, 0);
-        assert_ne!(u32::from_be_bytes([ks[0], ks[1], ks[2], ks[3]]), da);
     }
 
     proptest! {

@@ -69,11 +69,6 @@ impl DnsServerNode {
         self
     }
 
-    /// The public key clients need for port 853, RSA wire format.
-    pub fn public_key_wire(&self) -> Option<Vec<u8>> {
-        self.keypair.as_ref().map(|kp| kp.public.to_wire())
-    }
-
     fn answer(&self, query: &DnsMessage) -> DnsMessage {
         match self.zone.query(&query.question.name, query.question.qtype) {
             Lookup::Found(records) => query.response(Rcode::NoError, records),

@@ -14,8 +14,8 @@ use crate::link::LinkProfileSpec;
 use crate::probe::{ProbeNode, ProbeResponderNode, ProbeSummary};
 use crate::schema::fields;
 use crate::topology::{
-    secondary_dyn_pool, BuiltTopology, ProbePlane, SecondaryProvider, TopologySpec, ANYCAST_ADDR,
-    DST_ADDR, PROBER_ADDR, PROBE_SINK_ADDR, SECONDARY_ANYCAST, SRC_ADDR,
+    BuiltTopology, ProbePlane, TopologySpec, ANYCAST_ADDR, DST_ADDR, PROBER_ADDR, PROBE_SINK_ADDR,
+    SECONDARY_ANYCAST, SRC_ADDR,
 };
 use crate::workload::WorkloadSpec;
 use nn_core::app::ScriptedApp;
@@ -398,9 +398,6 @@ fn run_cell_keyed(
     };
     let master_key = derive_master_key(spec.seed);
     let neut_config = NeutralizerConfig::new(ANYCAST_ADDR, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
-    // Route the neutralizer's dynamic QoS pool (§3.4) wherever the config
-    // puts it, rather than duplicating the literal here.
-    let dyn_pool = neut_config.dyn_pool;
     let neut_node: Box<dyn Node> = Box::new(NeutralizerNode::new(neut_config, master_key));
     // The multihomed shape gets a second provider sharing the master key
     // (the neutralizers are stateless, §3: either can serve any session,
@@ -408,12 +405,8 @@ fn run_cell_keyed(
     let secondary = matches!(spec.topology, TopologySpec::Multihomed).then(|| {
         let mut config_b =
             NeutralizerConfig::new(SECONDARY_ANYCAST, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
-        config_b.dyn_pool = secondary_dyn_pool();
         config_b.stats_name = "neutralizer-b".to_string();
-        SecondaryProvider {
-            dyn_pool: config_b.dyn_pool,
-            node: Box::new(NeutralizerNode::new(config_b, master_key)),
-        }
+        Box::new(NeutralizerNode::new(config_b, master_key)) as Box<dyn Node>
     });
     let dst_node: Box<dyn Node> = if let Some((_, keys)) = bootstrap_and_keys {
         Box::new(NeutralizedServerNode::new(
@@ -446,7 +439,6 @@ fn run_cell_keyed(
         neut_node,
         secondary,
         dst_node,
-        dyn_pool,
         &spec.link,
         probe_plane,
     );

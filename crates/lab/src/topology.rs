@@ -45,11 +45,6 @@ pub const ANYCAST_ADDR: Ipv4Addr = Ipv4Addr::new(198, 18, 0, 1);
 /// the [`TopologySpec::Multihomed`] shape, and listed second in the
 /// destination's `NEUT` record (§3.5).
 pub const SECONDARY_ANYCAST: Ipv4Addr = Ipv4Addr::new(198, 18, 1, 1);
-/// The secondary provider's dynamic QoS pool (disjoint from the
-/// primary's default `198.19.255.0/24`).
-pub fn secondary_dyn_pool() -> Ipv4Cidr {
-    Ipv4Cidr::new(Ipv4Addr::new(198, 19, 254, 0), 24)
-}
 /// The measurement-plane prober's address: its own prefix beside the
 /// source's (the prober is another customer of the same access ISP).
 pub const PROBER_ADDR: Ipv4Addr = Ipv4Addr::new(203, 0, 114, 10);
@@ -157,17 +152,6 @@ pub enum TopologySpec {
     /// neutralization does); the `prov-a → neut` hop carries the link
     /// axis and is the natural target for flap/partition timelines.
     Multihomed,
-}
-
-/// The second provider of a [`TopologySpec::Multihomed`] destination:
-/// its neutralizer node (which must share the primary's master key, so
-/// sessions survive failover — the neutralizers are stateless, §3) and
-/// the dynamic QoS pool prefix that node advertises.
-pub struct SecondaryProvider {
-    /// The secondary neutralizer node.
-    pub node: Box<dyn Node>,
-    /// The secondary's dynamic QoS pool prefix.
-    pub dyn_pool: Ipv4Cidr,
 }
 
 /// The measurement plane's two nodes, attached by every shape at the
@@ -319,12 +303,13 @@ impl TopologySpec {
     /// Builds the topology into `sim`: adds the endpoints and routers,
     /// connects links, computes and installs route tables. `neut_node`
     /// must be a [`NeutralizerNode`] (it receives the neutral domain's
-    /// routes); `dyn_pool` is its dynamic QoS pool prefix, advertised
-    /// alongside the anycast address. The `link` axis is lowered onto
-    /// the shape's bottleneck direction (forward path only — the return
-    /// path keeps the native wire, so degradation is attributable).
-    /// `secondary` is the second provider's neutralizer: required by the
-    /// [`TopologySpec::Multihomed`] shape, rejected by every other.
+    /// routes). The `link` axis is lowered onto the shape's bottleneck
+    /// direction (forward path only — the return path keeps the native
+    /// wire, so degradation is attributable). `secondary` is the second
+    /// provider's neutralizer node, which must share the primary's master
+    /// key so sessions survive failover (the neutralizers are stateless,
+    /// §3): required by the [`TopologySpec::Multihomed`] shape, rejected
+    /// by every other.
     /// `probe` optionally attaches the measurement plane: the prober
     /// lands beside the source, the responder on the destination side,
     /// and every router answers expired-TTL probes.
@@ -334,9 +319,8 @@ impl TopologySpec {
         sim: &mut Simulator,
         src_node: Box<dyn Node>,
         neut_node: Box<dyn Node>,
-        secondary: Option<SecondaryProvider>,
+        secondary: Option<Box<dyn Node>>,
         dst_node: Box<dyn Node>,
-        dyn_pool: Ipv4Cidr,
         link: &LinkProfileSpec,
         probe: Option<ProbePlane>,
     ) -> BuiltTopology {
@@ -377,7 +361,7 @@ impl TopologySpec {
                 );
                 sim.connect_sym(neut, dst, edge_link());
 
-                let mut advertised = base_prefixes(src, dst, neut, dyn_pool);
+                let mut advertised = base_prefixes(src, dst, neut);
                 let (prober, responder) =
                     attach_probe_plane(sim, probe, routers[0], last, &routers, &mut advertised);
                 install_routes(sim, &routers, &[neut], &advertised);
@@ -418,7 +402,7 @@ impl TopologySpec {
                 sim.connect_sym(isp, leaf_l, edge_link());
                 sim.connect_sym(core, leaf_r, edge_link());
 
-                let mut advertised = base_prefixes(src, dst, neut, dyn_pool);
+                let mut advertised = base_prefixes(src, dst, neut);
                 advertised.push((stub_prefix(1), leaf_l));
                 advertised.push((stub_prefix(2), leaf_r));
                 // Cross traffic: near-side customers flooding the
@@ -473,7 +457,7 @@ impl TopologySpec {
                 );
                 sim.connect_sym(neut, dst, edge_link());
 
-                let mut advertised = base_prefixes(src, dst, neut, dyn_pool);
+                let mut advertised = base_prefixes(src, dst, neut);
                 for i in 0..spokes.saturating_sub(2) {
                     let leaf =
                         sim.add_node(format!("leaf{i}"), Box::new(nn_netsim::SinkNode::new()));
@@ -537,7 +521,7 @@ impl TopologySpec {
                 );
                 sim.connect_sym(neut, dst, edge_link());
 
-                let mut advertised = base_prefixes(src, dst, neut, dyn_pool);
+                let mut advertised = base_prefixes(src, dst, neut);
                 for i in 0..spokes.saturating_sub(2) {
                     let leaf =
                         sim.add_node(format!("leaf{i}"), Box::new(nn_netsim::SinkNode::new()));
@@ -628,7 +612,7 @@ impl TopologySpec {
                 );
                 sim.connect_sym(neut, dst, edge_link());
 
-                let mut advertised = base_prefixes(src, dst, neut, dyn_pool);
+                let mut advertised = base_prefixes(src, dst, neut);
                 let (prober, responder) =
                     attach_probe_plane(sim, probe, routers[0], last, &routers, &mut advertised);
                 install_routes(sim, &routers, &[neut], &advertised);
@@ -650,10 +634,8 @@ impl TopologySpec {
                 }
             }
             TopologySpec::Multihomed => {
-                let SecondaryProvider {
-                    node: neut_b_node,
-                    dyn_pool: dyn_pool_b,
-                } = secondary.expect("the multihomed shape needs a secondary provider");
+                let neut_b_node =
+                    secondary.expect("the multihomed shape needs a secondary provider");
                 let src = sim.add_node("src", src_node);
                 let isp = sim.add_node("isp", Box::new(RouterNode::new("isp")));
                 let prov_a = sim.add_node("prov-a", Box::new(RouterNode::new("prov-a")));
@@ -680,9 +662,8 @@ impl TopologySpec {
                 sim.connect_sym(neut_b, dstr, edge_link());
                 sim.connect_sym(dstr, dst, edge_link());
 
-                let mut advertised = base_prefixes(src, dst, neut, dyn_pool);
+                let mut advertised = base_prefixes(src, dst, neut);
                 advertised.push((Ipv4Cidr::new(SECONDARY_ANYCAST, 24), neut_b));
-                advertised.push((dyn_pool_b, neut_b));
                 let (prober, responder) = attach_probe_plane(
                     sim,
                     probe,
@@ -717,17 +698,11 @@ impl TopologySpec {
 }
 
 /// The prefixes every topology advertises, in the legacy order.
-fn base_prefixes(
-    src: NodeId,
-    dst: NodeId,
-    neut: NodeId,
-    dyn_pool: Ipv4Cidr,
-) -> Vec<(Ipv4Cidr, NodeId)> {
+fn base_prefixes(src: NodeId, dst: NodeId, neut: NodeId) -> Vec<(Ipv4Cidr, NodeId)> {
     vec![
         (Ipv4Cidr::new(SRC_ADDR, 24), src),
         (Ipv4Cidr::new(DST_ADDR, 16), dst),
         (Ipv4Cidr::new(ANYCAST_ADDR, 24), neut),
-        (dyn_pool, neut),
     ]
 }
 
@@ -852,32 +827,32 @@ pub(crate) mod tests {
         build_with_link(spec, &LinkProfileSpec::Clean)
     }
 
+    /// The primary neutralizer for `spec`, plus the secondary when the
+    /// shape is multihomed; both share one master key.
+    fn providers(spec: &TopologySpec) -> (Box<dyn Node>, Option<Box<dyn Node>>) {
+        let domain = vec![Ipv4Cidr::new(DST_ADDR, 16)];
+        let config = NeutralizerConfig::new(ANYCAST_ADDR, domain.clone());
+        let secondary = matches!(spec, TopologySpec::Multihomed).then(|| {
+            let mut config_b = NeutralizerConfig::new(SECONDARY_ANYCAST, domain);
+            config_b.stats_name = "neutralizer-b".to_string();
+            Box::new(NeutralizerNode::new(config_b, [7u8; 16])) as Box<dyn Node>
+        });
+        (Box::new(NeutralizerNode::new(config, [7u8; 16])), secondary)
+    }
+
     /// Builds `spec` with sink endpoints and a chosen link axis.
     pub(crate) fn build_with_link(
         spec: &TopologySpec,
         link: &LinkProfileSpec,
     ) -> (Simulator, BuiltTopology) {
         let mut sim = Simulator::new(1);
-        let config = NeutralizerConfig::new(ANYCAST_ADDR, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
-        let dyn_pool = config.dyn_pool;
-        let neut = Box::new(NeutralizerNode::new(config, [7u8; 16]));
-        let secondary = matches!(spec, TopologySpec::Multihomed).then(|| {
-            let mut config_b =
-                NeutralizerConfig::new(SECONDARY_ANYCAST, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
-            config_b.dyn_pool = secondary_dyn_pool();
-            config_b.stats_name = "neutralizer-b".to_string();
-            SecondaryProvider {
-                dyn_pool: config_b.dyn_pool,
-                node: Box::new(NeutralizerNode::new(config_b, [7u8; 16])),
-            }
-        });
+        let (neut, secondary) = providers(spec);
         let built = spec.build(
             &mut sim,
             Box::new(SinkNode::new()),
             neut,
             secondary,
             Box::new(SinkNode::new()),
-            dyn_pool,
             link,
             None,
         );
@@ -901,19 +876,7 @@ pub(crate) mod tests {
             TopologySpec::Multihomed,
         ] {
             let mut sim = Simulator::new(1);
-            let config = NeutralizerConfig::new(ANYCAST_ADDR, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
-            let dyn_pool = config.dyn_pool;
-            let neut = Box::new(NeutralizerNode::new(config, [7u8; 16]));
-            let secondary = matches!(spec, TopologySpec::Multihomed).then(|| {
-                let mut config_b =
-                    NeutralizerConfig::new(SECONDARY_ANYCAST, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
-                config_b.dyn_pool = secondary_dyn_pool();
-                config_b.stats_name = "neutralizer-b".to_string();
-                SecondaryProvider {
-                    dyn_pool: config_b.dyn_pool,
-                    node: Box::new(NeutralizerNode::new(config_b, [7u8; 16])),
-                }
-            });
+            let (neut, secondary) = providers(&spec);
             let plane = ProbePlane {
                 prober: Box::new(SinkNode::new()),
                 responder: Box::new(SinkNode::new()),
@@ -924,7 +887,6 @@ pub(crate) mod tests {
                 neut,
                 secondary,
                 Box::new(SinkNode::new()),
-                dyn_pool,
                 &LinkProfileSpec::Clean,
                 Some(plane),
             );
@@ -1094,7 +1056,11 @@ pub(crate) mod tests {
             counters.tx_bytes > 100_000,
             "bottleneck must carry cross traffic: {counters:?}"
         );
-        let leaf_r_id = built.advertised[5].1;
+        let (_, leaf_r_id) = *built
+            .advertised
+            .iter()
+            .find(|(prefix, _)| *prefix == stub_prefix(2))
+            .expect("leaf-r advertises its stub prefix");
         let sink = sim
             .node_ref::<nn_netsim::SinkNode>(leaf_r_id)
             .expect("leaf-r sink");

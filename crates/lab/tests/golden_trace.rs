@@ -23,6 +23,7 @@ use nn_lab::{
     CellTuning, EventTimelineSpec, ExecutionPlan, LinkProfileSpec, MatrixCell, MatrixReport,
     ShardReport, StackKind, TopologySpec, WorkloadSpec,
 };
+use nn_packet::shim::{ShimPacket, ShimType, BASE_HEADER_LEN, SHIM_VERSION};
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -370,4 +371,51 @@ fn sharded_metro_run_matches_the_single_process_golden() {
     let sharded = run_sharded_via_wire(&spec, 3);
     assert_golden("metro_matrix.json", &sharded.to_json());
     assert_golden("metro_matrix.csv", &sharded.to_csv());
+}
+
+/// The `Reported` counter that shows a cell ran `shim_type`. The match
+/// has no `_` arm, so a new wire type does not compile until it names
+/// the counter of a golden cell that runs it.
+fn counter_that_runs(shim_type: ShimType) -> &'static str {
+    match shim_type {
+        ShimType::KeySetup => "neutralizer.setup_served",
+        ShimType::KeyReply => "source.established",
+        ShimType::Data => "neutralizer.data_forwarded",
+        ShimType::Return => "neutralizer.return_anonymized",
+    }
+}
+
+/// Every shim type the parser accepts runs in a committed golden cell:
+/// the `flaky` golden must show each type's counter above zero in at
+/// least one cell. A wire type that no cell drives fails here.
+#[test]
+fn every_wire_type_runs_in_a_golden_cell() {
+    let golden = std::fs::read_to_string(golden_path("flaky_matrix.json")).expect("flaky golden");
+    let report = Json::parse(&golden).expect("flaky golden is JSON");
+    let cells = report.get("cells").and_then(Json::as_arr).expect("cells");
+    let some_cell_shows = |name: &str| {
+        cells
+            .iter()
+            .flat_map(|cell| cell.get("counters").and_then(Json::as_arr).unwrap_or(&[]))
+            .filter(|c| c.get("name").and_then(Json::as_str) == Some(name))
+            .any(|c| c.get("value").and_then(Json::as_u64) > Some(0))
+    };
+    // Enumerate the wire types through the parser itself, so a type it
+    // accepts cannot be left out of this list.
+    let mut header = [0u8; BASE_HEADER_LEN];
+    let mut types = 0;
+    for nibble in 0..16u8 {
+        header[0] = (SHIM_VERSION << 4) | nibble;
+        let Ok(packet) = ShimPacket::new_checked(&header[..]) else {
+            continue;
+        };
+        types += 1;
+        let counter = counter_that_runs(packet.shim_type());
+        assert!(
+            some_cell_shows(counter),
+            "{:?}: no flaky golden cell shows {counter} above zero",
+            packet.shim_type()
+        );
+    }
+    assert!(types > 0, "the parser accepts no shim type");
 }

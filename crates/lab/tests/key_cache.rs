@@ -70,7 +70,6 @@ fn run_neutralized(key_cache: usize) -> (Outcome, CacheStats) {
     ));
     let mut config = NeutralizerConfig::new(ANYCAST_ADDR, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
     config.key_cache = key_cache;
-    let dyn_pool = config.dyn_pool;
     let neut: Box<dyn Node> = Box::new(NeutralizerNode::new(config, [7u8; 16]));
     let dst: Box<dyn Node> = Box::new(NeutralizedServerNode::new(
         DST_ADDR,
@@ -85,7 +84,6 @@ fn run_neutralized(key_cache: usize) -> (Outcome, CacheStats) {
         neut,
         None,
         dst,
-        dyn_pool,
         &LinkProfileSpec::Clean,
         None,
     );

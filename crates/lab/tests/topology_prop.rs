@@ -6,10 +6,9 @@
 use nn_core::neutralizer::{NeutralizerConfig, NeutralizerNode};
 use nn_lab::link::LinkProfileSpec;
 use nn_lab::topology::{
-    secondary_dyn_pool, BuiltTopology, SecondaryProvider, TopologySpec, ANYCAST_ADDR, DST_ADDR,
-    SECONDARY_ANYCAST, SRC_ADDR,
+    BuiltTopology, TopologySpec, ANYCAST_ADDR, DST_ADDR, SECONDARY_ANYCAST, SRC_ADDR,
 };
-use nn_netsim::{RouterNode, Simulator, SinkNode};
+use nn_netsim::{Node, RouterNode, Simulator, SinkNode};
 use nn_packet::Ipv4Cidr;
 use proptest::prelude::*;
 
@@ -18,16 +17,10 @@ use proptest::prelude::*;
 fn build(spec: &TopologySpec) -> (Simulator, BuiltTopology) {
     let mut sim = Simulator::new(1);
     let config = NeutralizerConfig::new(ANYCAST_ADDR, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
-    let dyn_pool = config.dyn_pool;
     let neut = Box::new(NeutralizerNode::new(config, [7u8; 16]));
     let secondary = matches!(spec, TopologySpec::Multihomed).then(|| {
-        let mut config_b =
-            NeutralizerConfig::new(SECONDARY_ANYCAST, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
-        config_b.dyn_pool = secondary_dyn_pool();
-        SecondaryProvider {
-            dyn_pool: config_b.dyn_pool,
-            node: Box::new(NeutralizerNode::new(config_b, [7u8; 16])),
-        }
+        let config_b = NeutralizerConfig::new(SECONDARY_ANYCAST, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
+        Box::new(NeutralizerNode::new(config_b, [7u8; 16])) as Box<dyn Node>
     });
     let built = spec.build(
         &mut sim,
@@ -35,7 +28,6 @@ fn build(spec: &TopologySpec) -> (Simulator, BuiltTopology) {
         neut,
         secondary,
         Box::new(SinkNode::new()),
-        dyn_pool,
         &LinkProfileSpec::Clean,
         None,
     );

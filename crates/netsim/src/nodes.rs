@@ -256,11 +256,6 @@ impl SinkNode {
             .find(|&&(s, _)| s == src)
             .map_or(0, |&(_, n)| n)
     }
-
-    /// Distinct source addresses seen.
-    pub fn source_count(&self) -> usize {
-        self.sources.len()
-    }
 }
 
 impl Node for SinkNode {

@@ -235,7 +235,7 @@ impl Queue for Red {
     }
 }
 
-/// Token-bucket policer used by discrimination/pushback rate limits.
+/// Token-bucket policer used by the discriminatory rate limits.
 ///
 /// This is a policing meter, not a shaping queue: callers ask whether a
 /// frame of `len` bytes conforms at time `now_ns`, and non-conforming

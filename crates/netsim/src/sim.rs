@@ -423,11 +423,6 @@ impl Simulator {
         &self.stats
     }
 
-    /// Measurement sink (write side, for harness-level annotations).
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.stats
-    }
-
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
@@ -490,18 +485,6 @@ impl Simulator {
         );
     }
 
-    /// Schedules a timer for `node` without a context (harness use).
-    pub fn schedule_timer(&mut self, at: SimTime, node: NodeId, token: u64) {
-        assert!(at >= self.now, "cannot schedule into the past");
-        self.events.push(
-            at,
-            EventKind::Timer {
-                node: node as u32,
-                token,
-            },
-        );
-    }
-
     /// Schedules one dynamic [`NetEvent`] at `at`. The event shares the
     /// timing wheel with frame traffic, so it applies at exactly that
     /// quantum, interleaved in submission order with everything else
@@ -517,16 +500,6 @@ impl Simulator {
         for (at, event) in timeline.into_entries() {
             self.schedule_event(at, event);
         }
-    }
-
-    /// True while `node` is paused by [`NetEvent::NodePause`].
-    pub fn is_paused(&self, node: NodeId) -> bool {
-        self.paused[node]
-    }
-
-    /// True while the direction leaving `node` on `iface` is up.
-    pub fn link_up(&self, node: NodeId, iface: IfaceId) -> bool {
-        self.dirs[self.ifaces[node][iface]].up
     }
 
     /// Applies one dynamic event (see [`crate::events`] for semantics).
@@ -644,11 +617,6 @@ impl Simulator {
         if self.now < until {
             self.now = until;
         }
-    }
-
-    /// Runs for `d` more simulated time.
-    pub fn run_for(&mut self, d: Duration) {
-        self.run_until(self.now + d);
     }
 
     /// Processes one event; false when the queue is empty.

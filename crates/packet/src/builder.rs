@@ -232,7 +232,7 @@ mod tests {
         let udp_frame = build_udp(A, B, 0, 1, 2, b"u").unwrap();
         assert_eq!(parse_shim(&udp_frame).unwrap_err(), PacketError::BadField);
         let shim = ShimRepr {
-            shim_type: ShimType::KeyFetch,
+            shim_type: ShimType::KeySetup,
             flags: 0,
             nonce: 0,
             addr_block: [0u8; 16],

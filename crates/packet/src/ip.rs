@@ -270,12 +270,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
         self.fill_checksum();
     }
 
-    /// Mutable payload view.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let total = self.total_len() as usize;
-        &mut self.buffer.as_mut()[HEADER_LEN..total]
-    }
-
     /// Recomputes the header checksum.
     pub fn fill_checksum(&mut self) {
         let d = self.buffer.as_mut();

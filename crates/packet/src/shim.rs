@@ -44,12 +44,6 @@ pub enum ShimType {
     Data,
     /// Customer → neutralizer → source: return path (§3.2 end).
     Return,
-    /// Customer (inside domain) → neutralizer: plaintext key fetch (§3.3).
-    KeyFetch,
-    /// Neutralizer → customer: plaintext `(nonce, Ks)` reply (§3.3).
-    KeyFetchReply,
-    /// Neutralizer → upstream router: rate-limit an aggregate (§3.6).
-    Pushback,
 }
 
 impl ShimType {
@@ -59,9 +53,6 @@ impl ShimType {
             ShimType::KeyReply => 2,
             ShimType::Data => 3,
             ShimType::Return => 4,
-            ShimType::KeyFetch => 5,
-            ShimType::KeyFetchReply => 6,
-            ShimType::Pushback => 7,
         }
     }
 
@@ -71,9 +62,6 @@ impl ShimType {
             2 => ShimType::KeyReply,
             3 => ShimType::Data,
             4 => ShimType::Return,
-            5 => ShimType::KeyFetch,
-            6 => ShimType::KeyFetchReply,
-            7 => ShimType::Pushback,
             _ => return Err(PacketError::BadVersion),
         })
     }
@@ -88,10 +76,8 @@ pub mod flags {
     pub const STAMPED: u8 = 0x02;
     /// Return packet has been anonymized by the neutralizer.
     pub const ANONYMIZED: u8 = 0x04;
-    /// Packet belongs to a QoS session using a dynamic address (§3.4).
-    pub const DYN_ADDR: u8 = 0x08;
     /// All bits this implementation understands.
-    pub const KNOWN: u8 = 0x0f;
+    pub const KNOWN: u8 = 0x07;
 }
 
 /// A `(nonce', Ks')` stamp inserted by the neutralizer.
@@ -375,17 +361,30 @@ mod tests {
             ShimPacket::new_checked(&buf[..]).unwrap_err(),
             PacketError::BadVersion
         );
-        buf[0] = (SHIM_VERSION << 4) | 0x0f; // type 15
-        assert_eq!(
-            ShimPacket::new_checked(&buf[..]).unwrap_err(),
-            PacketError::BadVersion
-        );
+        // Every type nibble outside 1–4 is unknown.
+        for ty in (0u8..16).filter(|t| !(1..=4).contains(t)) {
+            buf[0] = (SHIM_VERSION << 4) | ty;
+            assert_eq!(
+                ShimPacket::new_checked(&buf[..]).unwrap_err(),
+                PacketError::BadVersion,
+                "type nibble {ty}"
+            );
+        }
         buf[0] = orig;
-        buf[1] = 0xf0; // unknown flags
-        assert_eq!(
-            ShimPacket::new_checked(&buf[..]).unwrap_err(),
-            PacketError::BadField
-        );
+        // Every flag bit above ANONYMIZED is unknown, on parse and emit.
+        for flag in [0x08u8, 0xf0] {
+            buf[1] = flag;
+            assert_eq!(
+                ShimPacket::new_checked(&buf[..]).unwrap_err(),
+                PacketError::BadField,
+                "flag byte {flag:#04x}"
+            );
+        }
+        let unknown_flag = ShimRepr {
+            flags: 0x08,
+            ..sample()
+        };
+        assert_eq!(unknown_flag.emit(&mut buf), Err(PacketError::BadField));
     }
 
     #[test]
@@ -395,9 +394,6 @@ mod tests {
             ShimType::KeyReply,
             ShimType::Data,
             ShimType::Return,
-            ShimType::KeyFetch,
-            ShimType::KeyFetchReply,
-            ShimType::Pushback,
         ] {
             let repr = ShimRepr {
                 shim_type: t,

@@ -52,9 +52,6 @@ fn shim_build_parse_roundtrip_all_types() {
         ShimType::KeyReply,
         ShimType::Data,
         ShimType::Return,
-        ShimType::KeyFetch,
-        ShimType::KeyFetchReply,
-        ShimType::Pushback,
     ] {
         let shim = ShimRepr {
             shim_type: t,

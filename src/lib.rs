@@ -12,8 +12,8 @@
 //!   TTL-honoring client cache.
 //! * [`netsim`] ([`nn_netsim`]) — the deterministic discrete-event
 //!   simulator and the discriminatory-ISP policy engine.
-//! * [`core`] ([`nn_core`]) — the stateless neutralizer, pushback,
-//!   QoS addressing and multihoming.
+//! * [`core`] ([`nn_core`]) — the stateless neutralizer, multihomed
+//!   provider selection, measurement probes and application framing.
 //! * [`lab`] ([`nn_lab`]) — the experiment-matrix engine: host stacks,
 //!   topology generators, workload and adversary libraries, and the
 //!   parallel matrix runner (see the `nn-lab` binary). The paper's
