@@ -10,7 +10,7 @@ use crate::{bench, header, iters, report_result, BenchResult};
 use nn_crypto::factor::{factor_semiprime, rho_ops_estimate};
 use nn_crypto::kdf::MasterKey;
 use nn_crypto::sealed::AddrSealer;
-use nn_crypto::{e2e, Aes128, AesCtr, BigUint, Cmac, E2eSession};
+use nn_crypto::{e2e, Aes128, AesCtr, BigUint, Cmac, E2eSession, SealedRecord};
 use nn_netsim::SimTime;
 use nn_packet::Ipv4Addr;
 use rand::rngs::StdRng;
@@ -192,18 +192,29 @@ pub fn data_path() {
     });
 
     // Endpoint record channel on a 160-byte VoIP frame and a 1200-byte
-    // bulk frame: per-call copies and the serial CMAC weigh most in the
-    // first, the pipelined CTR keystream in the second.
+    // bulk frame, as the host stacks run it: sealed straight into a
+    // reused frame buffer, and opened in place. Each open first copies
+    // the sealed bytes back in, as a received frame would bring them.
+    // The CBC-MAC chain weighs most in the first, the pipelined CTR
+    // keystream in the second.
     let mut tx = E2eSession::new(&ks, true);
     let rx = E2eSession::new(&ks, false);
+    let mut frame = Vec::new();
     for len in [160, 1200] {
-        let frame = vec![0x77u8; len];
-        let rec = tx.seal_record(&frame);
+        let payload = vec![0x77u8; len];
+        let mut sealed = Vec::new();
+        tx.seal_into(&mut sealed, |buf| buf.extend_from_slice(&payload));
         bench(&format!("e2e_record_seal_{len}B"), n / 10, || {
-            black_box(tx.seal_record(black_box(&frame)));
+            frame.clear();
+            tx.seal_into(black_box(&mut frame), |buf| {
+                buf.extend_from_slice(black_box(&payload))
+            });
         });
+        let mut received = sealed.clone();
         bench(&format!("e2e_record_open_{len}B"), n / 10, || {
-            black_box(rx.open_record(black_box(&rec)).unwrap());
+            received.copy_from_slice(&sealed);
+            let record = SealedRecord::parse(black_box(&mut received)).unwrap();
+            black_box(rx.open_in_place(record).unwrap());
         });
     }
 

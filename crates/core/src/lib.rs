@@ -28,7 +28,7 @@ pub mod neutralizer;
 pub mod probe;
 pub mod wire;
 
-pub use app::{AppCommand, AppSource, EchoApp, NullApp, ScriptedApp};
+pub use app::{AppSource, NullApp};
 pub use multihome::{NeutralizerSelector, SelectPolicy};
 pub use neutralizer::{KeyTable, MasterKeyEpochs, NeutralizerConfig, NeutralizerNode};
 pub use probe::{ProbeKind, ProbePayload};

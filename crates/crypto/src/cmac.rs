@@ -57,25 +57,42 @@ impl Cmac {
     /// `tag(a ++ b)` for any split, which lets callers (record
     /// seal/open, key derivation) tag `header || payload` messages
     /// allocation-free.
+    ///
+    /// Whole blocks are absorbed straight out of each part through one
+    /// [`Aes128::cbc_mac`] call; only a block that straddles two parts
+    /// is copied together first.
     pub fn tag_parts(&self, parts: &[&[u8]]) -> [u8; 16] {
         let mut x = [0u8; 16];
         let mut buf = [0u8; 16];
         // Bytes buffered in `buf`. A full buffer is held back, not yet
-        // encrypted: CMAC treats the final block specially, so a block
+        // absorbed: CMAC treats the final block specially, so a block
         // may only be absorbed once more data proves it is not last.
         let mut fill = 0usize;
         for mut part in parts.iter().copied() {
-            while !part.is_empty() {
-                if fill == 16 {
-                    xor_block(&mut x, &buf);
-                    x = self.cipher.encrypt_copy(&x);
-                    fill = 0;
-                }
-                let take = (16 - fill).min(part.len());
-                buf[fill..fill + take].copy_from_slice(&part[..take]);
-                fill += take;
-                part = &part[take..];
+            if part.is_empty() {
+                continue;
             }
+            if fill > 0 {
+                if fill < 16 {
+                    let take = (16 - fill).min(part.len());
+                    buf[fill..fill + take].copy_from_slice(&part[..take]);
+                    fill += take;
+                    part = &part[take..];
+                    if part.is_empty() {
+                        continue;
+                    }
+                }
+                self.cipher.cbc_mac(&mut x, &buf);
+            }
+            // Absorb every whole block but the part's last (complete or
+            // partial) one, which is held back in `buf`.
+            fill = match part.len() % 16 {
+                0 => 16,
+                rest => rest,
+            };
+            let (body, last) = part.split_at(part.len() - fill);
+            self.cipher.cbc_mac(&mut x, body);
+            buf[..fill].copy_from_slice(last);
         }
         // Last block, masked with K1 (complete) or padded and masked with K2.
         let mut last = [0u8; 16];
@@ -87,8 +104,8 @@ impl Cmac {
             last[fill] = 0x80;
             xor_block(&mut last, &self.k2);
         }
-        xor_block(&mut x, &last);
-        self.cipher.encrypt_copy(&x)
+        self.cipher.cbc_mac(&mut x, &last);
+        x
     }
 
     /// Constant-shape tag verification.

@@ -42,30 +42,29 @@ impl AesCtr {
     ///
     /// Keystream blocks are generated eight at a time through
     /// [`Aes128::encrypt_blocks`], which keeps them all in flight on
-    /// AES-NI and amortizes table loads on the T-table path; the bytes
-    /// produced are identical to block-at-a-time CTR.
+    /// AES-NI and amortizes table loads on the T-table path; the tail
+    /// blocks past the last full eight go through one more, shorter
+    /// batch. The bytes produced are identical to block-at-a-time CTR.
     pub fn apply_keystream_at(&self, nonce: u64, first_block: u64, data: &mut [u8]) {
         const LANES: usize = 8;
         let mut counter = first_block;
-        let mut chunks = data.chunks_exact_mut(16 * LANES);
-        for chunk in &mut chunks {
+        for chunk in data.chunks_mut(16 * LANES) {
+            let blocks = chunk.len().div_ceil(16);
             let mut ks: [[u8; 16]; LANES] = core::array::from_fn(|i| {
                 Self::counter_block(nonce, counter.wrapping_add(i as u64))
             });
-            self.cipher.encrypt_blocks(&mut ks);
-            for (seg, k) in chunk.chunks_exact_mut(16).zip(ks.iter()) {
-                // Whole-block XOR as one 128-bit op.
-                let d = u128::from_ne_bytes(seg.try_into().unwrap()) ^ u128::from_ne_bytes(*k);
-                seg.copy_from_slice(&d.to_ne_bytes());
+            self.cipher.encrypt_blocks(&mut ks[..blocks]);
+            for (seg, k) in chunk.chunks_mut(16).zip(ks.iter()) {
+                if let Ok(seg) = <&mut [u8; 16]>::try_from(&mut *seg) {
+                    // Whole-block XOR as one 128-bit op.
+                    *seg = (u128::from_ne_bytes(*seg) ^ u128::from_ne_bytes(*k)).to_ne_bytes();
+                } else {
+                    for (b, k) in seg.iter_mut().zip(k.iter()) {
+                        *b ^= k;
+                    }
+                }
             }
-            counter = counter.wrapping_add(LANES as u64);
-        }
-        for chunk in chunks.into_remainder().chunks_mut(16) {
-            let ks = self.keystream_block_raw(&Self::counter_block(nonce, counter));
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                *b ^= k;
-            }
-            counter = counter.wrapping_add(1);
+            counter = counter.wrapping_add(blocks as u64);
         }
     }
 
@@ -130,6 +129,26 @@ mod tests {
         let mut tail = vec![0u8; 32];
         ctr.apply_keystream_at(7, 2, &mut tail);
         assert_eq!(&long[32..], &tail[..]);
+    }
+
+    /// The batched keystream equals block-at-a-time CTR at every length
+    /// across two full batches, so every tail size is covered.
+    #[test]
+    fn batched_keystream_matches_single_blocks() {
+        let ctr = AesCtr::new(&[0x2b; 16]);
+        for len in 0..=16 * 17 {
+            let mut data: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let expect: Vec<u8> = data
+                .chunks(16)
+                .enumerate()
+                .flat_map(|(i, seg)| {
+                    let ks = ctr.keystream_block_raw(&AesCtr::counter_block(9, 5 + i as u64));
+                    seg.iter().zip(ks).map(|(b, k)| b ^ k).collect::<Vec<u8>>()
+                })
+                .collect();
+            ctr.apply_keystream_at(9, 5, &mut data);
+            assert_eq!(data, expect, "len={len}");
+        }
     }
 
     #[test]

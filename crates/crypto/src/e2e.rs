@@ -155,45 +155,41 @@ impl core::fmt::Debug for E2eSession {
     }
 }
 
-/// A sealed record on an established session.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct E2eRecord {
-    /// Per-record CTR nonce (even = initiator, odd = responder).
-    pub nonce: u64,
-    /// AES-CTR ciphertext.
-    pub ciphertext: Vec<u8>,
-    /// CMAC over `nonce ‖ ciphertext`.
-    pub tag: [u8; 16],
+/// Bytes a sealed record carries before its ciphertext: `nonce(8) ‖ len(4)`.
+const RECORD_HEADER_LEN: usize = 12;
+/// Bytes of the CMAC tag that closes a sealed record.
+const TAG_LEN: usize = 16;
+
+/// A sealed record where it lies in a received packet,
+/// `nonce(8) ‖ len(4) ‖ ciphertext ‖ tag(16)`, borrowed mutably so
+/// [`E2eSession::open_in_place`] can decrypt it without a copy.
+///
+/// [`SealedRecord::parse`] is the only constructor and checks the length
+/// field against the bytes, so a record whose length field lies is
+/// rejected before any key touches it.
+#[derive(Debug)]
+pub struct SealedRecord<'a> {
+    bytes: &'a mut [u8],
 }
 
-impl E2eRecord {
-    /// Serializes as `nonce ‖ len ‖ ciphertext ‖ tag`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 4 + self.ciphertext.len() + 16);
-        out.extend_from_slice(&self.nonce.to_be_bytes());
-        out.extend_from_slice(&(self.ciphertext.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.ciphertext);
-        out.extend_from_slice(&self.tag);
-        out
+impl<'a> SealedRecord<'a> {
+    /// Frames the record in `bytes`: [`CryptoError::BadLength`] unless
+    /// the length field counts exactly the ciphertext bytes between the
+    /// header and the tag.
+    pub fn parse(bytes: &'a mut [u8]) -> Result<Self> {
+        let Some(clen) = bytes.len().checked_sub(RECORD_HEADER_LEN + TAG_LEN) else {
+            return Err(CryptoError::BadLength);
+        };
+        let field = u32::from_be_bytes(bytes[8..12].try_into().expect("4-byte length"));
+        if field as usize != clen {
+            return Err(CryptoError::BadLength);
+        }
+        Ok(SealedRecord { bytes })
     }
 
-    /// Parses a record.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < 8 + 4 + 16 {
-            return Err(CryptoError::BadLength);
-        }
-        let nonce = u64::from_be_bytes(bytes[..8].try_into().unwrap());
-        let clen = u32::from_be_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        if bytes.len() != 12 + clen + 16 {
-            return Err(CryptoError::BadLength);
-        }
-        let ciphertext = bytes[12..12 + clen].to_vec();
-        let tag: [u8; 16] = bytes[12 + clen..].try_into().unwrap();
-        Ok(E2eRecord {
-            nonce,
-            ciphertext,
-            tag,
-        })
+    /// The record's CTR nonce (even = initiator, odd = responder).
+    fn nonce(&self) -> u64 {
+        u64::from_be_bytes(self.bytes[..8].try_into().expect("8-byte nonce"))
     }
 }
 
@@ -210,29 +206,41 @@ impl E2eSession {
         }
     }
 
-    /// Seals a record in the sending direction.
-    pub fn seal_record(&mut self, plaintext: &[u8]) -> E2eRecord {
+    /// Appends one record in the sending direction to `out`, as
+    /// `nonce ‖ len ‖ ciphertext ‖ tag`. `write` appends the plaintext
+    /// to `out`; it is encrypted where it lies, so sealing into a frame
+    /// buffer copies nothing and allocates nothing beyond `out`'s own
+    /// growth.
+    pub fn seal_into(&mut self, out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
         let nonce = self.next_nonce;
         self.next_nonce = self.next_nonce.wrapping_add(2);
-        let mut ciphertext = plaintext.to_vec();
-        self.enc.apply_keystream(nonce, &mut ciphertext);
-        let tag = self.mac.tag_parts(&[&nonce.to_be_bytes(), &ciphertext]);
-        E2eRecord {
-            nonce,
-            ciphertext,
-            tag,
-        }
+        let start = out.len();
+        out.extend_from_slice(&nonce.to_be_bytes());
+        out.extend_from_slice(&[0; 4]);
+        write(out);
+        let body = start + RECORD_HEADER_LEN;
+        let clen = u32::try_from(out.len() - body).expect("a record fits a packet");
+        out[body - 4..body].copy_from_slice(&clen.to_be_bytes());
+        let ciphertext = &mut out[body..];
+        self.enc.apply_keystream(nonce, ciphertext);
+        let tag = self.mac.tag_parts(&[&nonce.to_be_bytes(), ciphertext]);
+        out.extend_from_slice(&tag);
     }
 
-    /// Opens a record from the peer.
-    pub fn open_record(&self, record: &E2eRecord) -> Result<Vec<u8>> {
-        let parts: [&[u8]; 2] = [&record.nonce.to_be_bytes(), &record.ciphertext];
-        if !self.mac.verify_parts(&parts, &record.tag) {
+    /// Opens a record from the peer where it lies: checks the tag over
+    /// `nonce ‖ ciphertext`, then decrypts the ciphertext in place and
+    /// returns it. On [`CryptoError::AuthFailed`] the bytes are left
+    /// untouched.
+    pub fn open_in_place<'a>(&self, record: SealedRecord<'a>) -> Result<&'a mut [u8]> {
+        let nonce = record.nonce();
+        let (head, rest) = record.bytes.split_at_mut(RECORD_HEADER_LEN);
+        let (ciphertext, tag) = rest.split_at_mut(rest.len() - TAG_LEN);
+        let tag: &[u8; 16] = (&*tag).try_into().expect("16-byte tag");
+        if !self.mac.verify_parts(&[&head[..8], ciphertext], tag) {
             return Err(CryptoError::AuthFailed);
         }
-        let mut plaintext = record.ciphertext.clone();
-        self.enc.apply_keystream(record.nonce, &mut plaintext);
-        Ok(plaintext)
+        self.enc.apply_keystream(nonce, ciphertext);
+        Ok(ciphertext)
     }
 }
 
@@ -356,27 +364,61 @@ mod tests {
         }
     }
 
+    /// Seals `msg` as the session's next record, into a fresh buffer.
+    fn seal_record(session: &mut E2eSession, msg: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        session.seal_into(&mut out, |buf| buf.extend_from_slice(msg));
+        out
+    }
+
+    /// Opens a copy of `record` in place.
+    fn open_record(session: &E2eSession, record: &[u8]) -> Result<Vec<u8>> {
+        let mut bytes = record.to_vec();
+        let plain = session.open_in_place(SealedRecord::parse(&mut bytes)?)?;
+        Ok(plain.to_vec())
+    }
+
     #[test]
     fn session_bidirectional() {
         let key = [0x77u8; 16];
         let mut alice = E2eSession::new(&key, true);
         let mut bob = E2eSession::new(&key, false);
 
-        let r1 = alice.seal_record(b"hello bob");
-        assert_eq!(bob.open_record(&r1).unwrap(), b"hello bob");
-        let r2 = bob.seal_record(b"hello alice");
-        assert_eq!(alice.open_record(&r2).unwrap(), b"hello alice");
+        let r1 = seal_record(&mut alice, b"hello bob");
+        assert_eq!(open_record(&bob, &r1).unwrap(), b"hello bob");
+        let r2 = seal_record(&mut bob, b"hello alice");
+        assert_eq!(open_record(&alice, &r2).unwrap(), b"hello alice");
         // Nonce spaces must not collide.
-        assert_ne!(r1.nonce, r2.nonce);
+        assert_ne!(r1[..8], r2[..8]);
     }
 
+    /// The wire layout is `nonce ‖ len ‖ ciphertext ‖ tag`, appended after
+    /// whatever the buffer already holds, and only a true length field
+    /// frames.
     #[test]
     fn session_record_wire_roundtrip() {
         let key = [0x12u8; 16];
         let mut s = E2eSession::new(&key, true);
-        let r = s.seal_record(b"record payload");
-        let parsed = E2eRecord::from_bytes(&r.to_bytes()).unwrap();
-        assert_eq!(parsed, r);
+        seal_record(&mut s, b"first");
+        let mut out = b"hdr".to_vec();
+        s.seal_into(&mut out, |buf| buf.extend_from_slice(b"record payload"));
+        assert_eq!(&out[..3], b"hdr");
+        let rec = &out[3..];
+        assert_eq!(rec.len(), 12 + 14 + 16);
+        assert_eq!(rec[..8], 2u64.to_be_bytes());
+        assert_eq!(rec[8..12], 14u32.to_be_bytes());
+        let mut bytes = rec.to_vec();
+        assert_eq!(SealedRecord::parse(&mut bytes).unwrap().nonce(), 2);
+        for lie in [13u32, 15, 0, u32::MAX] {
+            let mut bytes = rec.to_vec();
+            bytes[8..12].copy_from_slice(&lie.to_be_bytes());
+            assert_eq!(
+                SealedRecord::parse(&mut bytes).unwrap_err(),
+                CryptoError::BadLength
+            );
+        }
+        let rx = E2eSession::new(&key, false);
+        assert_eq!(open_record(&rx, rec).unwrap(), b"record payload");
     }
 
     #[test]
@@ -384,9 +426,25 @@ mod tests {
         let key = [0x13u8; 16];
         let mut a = E2eSession::new(&key, true);
         let b = E2eSession::new(&key, false);
-        let mut r = a.seal_record(b"authentic");
-        r.ciphertext.push(0);
-        assert!(b.open_record(&r).is_err());
+        let r = seal_record(&mut a, b"authentic");
+        // A flipped ciphertext bit fails the tag and leaves the bytes
+        // as they were: nothing is decrypted.
+        let mut bytes = r.clone();
+        bytes[12] ^= 1;
+        let flipped = bytes.clone();
+        let record = SealedRecord::parse(&mut bytes).unwrap();
+        assert_eq!(
+            b.open_in_place(record).unwrap_err(),
+            CryptoError::AuthFailed
+        );
+        assert_eq!(bytes, flipped);
+        // A byte appended to the ciphertext breaks the framing.
+        let mut longer = r;
+        longer.push(0);
+        assert_eq!(
+            open_record(&b, &longer).unwrap_err(),
+            CryptoError::BadLength
+        );
     }
 
     #[test]
@@ -398,8 +456,8 @@ mod tests {
         let (_, session_key) = open(&kp.private, &env).unwrap();
         let mut receiver = E2eSession::new(&session_key, false);
         let sender = E2eSession::new(&session_key, true);
-        let rec = receiver.seal_record(b"reply");
-        assert_eq!(sender.open_record(&rec).unwrap(), b"reply");
+        let rec = seal_record(&mut receiver, b"reply");
+        assert_eq!(open_record(&sender, &rec).unwrap(), b"reply");
     }
 
     proptest! {
@@ -409,8 +467,8 @@ mod tests {
             let mut tx = E2eSession::new(&key, true);
             let rx = E2eSession::new(&key, false);
             for m in &msgs {
-                let r = tx.seal_record(m);
-                prop_assert_eq!(&rx.open_record(&r).unwrap(), m);
+                let r = seal_record(&mut tx, m);
+                prop_assert_eq!(&open_record(&rx, &r).unwrap(), m);
             }
         }
     }

@@ -50,7 +50,7 @@ pub use aes::Aes128;
 pub use biguint::BigUint;
 pub use cmac::{cmac, Cmac};
 pub use ctr::AesCtr;
-pub use e2e::{E2eEnvelope, E2eRecord, E2eSession};
+pub use e2e::{E2eEnvelope, E2eSession, SealedRecord};
 pub use error::{CryptoError, Result};
 pub use kdf::MasterKey;
 pub use rsa::{generate_keypair, keygen_rng, RsaKeypair, RsaPrivateKey, RsaPublicKey};

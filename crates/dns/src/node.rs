@@ -102,8 +102,9 @@ impl DnsServerNode {
         };
         ctx.stats.bump(self.ids.encrypted_query);
         let resp = self.answer(&query);
-        let mut session = E2eSession::new(&session_key, false);
-        let record = session.seal_record(&resp.encode());
+        let mut record = Vec::new();
+        E2eSession::new(&session_key, false)
+            .seal_into(&mut record, |buf| buf.extend_from_slice(&resp.encode()));
         ctx.alloc_built(|buf| {
             build_udp_into(
                 buf,
@@ -112,7 +113,7 @@ impl DnsServerNode {
                 udp.ip.dscp,
                 ENCRYPTED_DNS_PORT,
                 udp.src_port,
-                &record.to_bytes(),
+                &record,
             )
         })
     }
@@ -171,7 +172,7 @@ mod tests {
     use super::*;
     use crate::name::DnsName;
     use crate::records::{rtype, NeutInfo, Record, RecordData};
-    use nn_crypto::E2eRecord;
+    use nn_crypto::SealedRecord;
     use nn_netsim::{LinkProfile, SimTime, Simulator, SinkNode};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -327,11 +328,13 @@ mod tests {
         // Client-side decrypt logic is exercised end-to-end in the
         // resolver integration test in tests/.
         let (_plain, session_key) = e2e::open(&kp.private, &envelope).unwrap();
-        let mut s = E2eSession::new(&session_key, false);
-        let rec = s.seal_record(b"check");
+        let mut rec = Vec::new();
+        E2eSession::new(&session_key, false)
+            .seal_into(&mut rec, |buf| buf.extend_from_slice(b"check"));
+        let sealed = SealedRecord::parse(&mut rec).unwrap();
         assert_eq!(
             E2eSession::new(&session_key, true)
-                .open_record(&E2eRecord::from_bytes(&rec.to_bytes()).unwrap())
+                .open_in_place(sealed)
                 .unwrap(),
             b"check"
         );

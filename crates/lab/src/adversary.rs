@@ -187,7 +187,8 @@ mod tests {
     use nn_packet::build_udp;
 
     fn voip_frame() -> Vec<u8> {
-        let payload = crate::workload::marked_payload(b"VOIP/RTP", 0, 160);
+        let mut payload = Vec::new();
+        crate::workload::marked_payload(&mut payload, b"VOIP/RTP", 0, 160);
         build_udp(
             Ipv4Addr::new(203, 0, 113, 10),
             Ipv4Addr::new(10, 7, 0, 99),

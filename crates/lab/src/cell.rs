@@ -18,7 +18,6 @@ use crate::topology::{
     SECONDARY_ANYCAST, SRC_ADDR,
 };
 use crate::workload::WorkloadSpec;
-use nn_core::app::ScriptedApp;
 use nn_core::neutralizer::{NeutralizerConfig, NeutralizerNode};
 use nn_crypto::RsaKeypair;
 use nn_dns::{rtype, DnsCache, DnsName, Lookup, NeutInfo, Record, RecordData, ZoneStore};
@@ -381,8 +380,7 @@ fn run_cell_keyed(
 
     let mut sim = Simulator::new(spec.seed);
     sim.install_pool(std::mem::take(pool));
-    let schedule = spec.workload.schedule(tuning.duration);
-    let app = Box::new(ScriptedApp::new(DST_NAME, schedule));
+    let app = Box::new(spec.workload.app(tuning.duration));
 
     let src_node: Box<dyn Node> = if let Some((bootstrap, keys)) = &bootstrap_and_keys {
         Box::new(NeutralizedSourceNode::new(
@@ -840,9 +838,10 @@ mod tests {
         // a bucket, so the upper bound differs from the sample itself.
         let mut stats = nn_netsim::Stats::new();
         let mut agg = CohortAggregate::new("pop0-voip", 4);
+        let voip = stats.flow_id("voip");
         for ms in 1..=100u64 {
             let (sent, now) = (SimTime::ZERO, SimTime::from_millis(ms));
-            stats.flow_rx("voip", 160, sent, now);
+            stats.flow_rx(voip, 160, sent, now);
             agg.record(ms as u32, 1, 160, sent, now, false);
         }
         let fs = stats.flow("voip").unwrap();

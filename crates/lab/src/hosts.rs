@@ -18,14 +18,14 @@
 
 use nn_core::app::AppSource;
 use nn_core::multihome::{NeutralizerSelector, SelectPolicy};
-use nn_core::wire::{InnerPayload, TransportMsg};
+use nn_core::wire::{put_envelope, put_record, InnerPayload, TransportMsg};
 use nn_crypto::e2e;
 use nn_crypto::sealed::AddrSealer;
 use nn_crypto::{Cmac, E2eSession, RsaKeypair};
-use nn_netsim::{Context, FrameBuf, IfaceId, Node, SimTime};
+use nn_netsim::{Context, FlowId, FrameBuf, IfaceId, Node, SimTime, Stats};
 use nn_packet::{
-    build_shim_into, build_udp_into, ecn, parse_shim, parse_udp, Ipv4Addr, Ipv4Packet, ShimRepr,
-    ShimType,
+    build_shim_with, build_udp_into, ecn, parse_shim_mut, parse_udp, Ipv4Addr, Ipv4Packet,
+    ShimRepr, ShimType,
 };
 use rand::Rng;
 use std::collections::HashMap;
@@ -108,29 +108,27 @@ fn pooled_udp(
     Some(pkt)
 }
 
-/// Builds `IP(SHIM(payload))` into a pooled buffer, ECT(0)-stamped.
+/// Builds `IP(SHIM(...))` into a pooled buffer, ECT(0)-stamped, with
+/// `write` appending the payload in place: records are sealed straight
+/// into the frame.
 fn pooled_shim(
     ctx: &mut Context,
     src: Ipv4Addr,
     dst: Ipv4Addr,
     dscp: u8,
     shim: &ShimRepr,
-    payload: &[u8],
+    write: impl FnOnce(&mut Vec<u8>),
 ) -> Option<FrameBuf> {
-    let mut pkt = ctx.alloc_built(|buf| build_shim_into(buf, src, dst, dscp, shim, payload))?;
+    let mut pkt = ctx.alloc_built(|buf| build_shim_with(buf, src, dst, dscp, shim, write))?;
     stamp_ect(&mut pkt);
     Some(pkt)
 }
 
-/// Records a CE-marked delivery against `flow` (receiver-side ECN
+/// Whether a delivered frame carries an ECN CE mark (receiver-side ECN
 /// accounting; the transports here have no congestion response, so the
 /// mark is measured rather than reacted to).
-fn note_ce(ctx: &mut Context, frame: &[u8], flow: &str) {
-    if let Ok(ip) = Ipv4Packet::new_checked(frame) {
-        if ip.ecn() == ecn::CE {
-            ctx.stats.flow_ce(flow);
-        }
-    }
+fn is_ce(frame: &[u8]) -> bool {
+    Ipv4Packet::new_checked(frame).is_ok_and(|ip| ip.ecn() == ecn::CE)
 }
 
 /// Derives the record-channel key from the envelope session key.
@@ -146,17 +144,15 @@ fn record_channel_key(session_key: &[u8; 16]) -> [u8; 16] {
     Cmac::new(session_key).tag(b"nn-record-channel")
 }
 
-/// Encodes `flow ‖ send-time ‖ data` for in-band flow accounting.
+/// Appends an app frame's header for in-band flow accounting; the
+/// application data follows it.
 ///
 /// Layout: `flow_len(1) ‖ flow ‖ sent_ns(8) ‖ data`.
-pub fn encode_app_frame(flow: &str, now: SimTime, data: &[u8]) -> Vec<u8> {
-    assert!(flow.len() <= 255, "flow names are one length byte");
-    let mut out = Vec::with_capacity(1 + flow.len() + 8 + data.len());
-    out.push(flow.len() as u8);
+fn put_app_frame_header(out: &mut Vec<u8>, flow: &str, now: SimTime) {
+    let flow_len = u8::try_from(flow.len()).expect("flow names are one length byte");
+    out.push(flow_len);
     out.extend_from_slice(flow.as_bytes());
     out.extend_from_slice(&now.as_nanos().to_be_bytes());
-    out.extend_from_slice(data);
-    out
 }
 
 /// Decodes an app frame; `None` on malformed input.
@@ -177,38 +173,57 @@ pub fn decode_app_frame(frame: &[u8]) -> Option<(&str, SimTime, &[u8])> {
 /// both source stacks.
 struct AppDriver {
     app: Box<dyn AppSource>,
-    flow: String,
+    name: String,
+    /// Registered from `on_start`.
+    flow: FlowId,
 }
 
 impl AppDriver {
-    /// Polls the app and returns encoded app frames ready for transport.
-    fn poll(&mut self, ctx: &mut Context) -> Vec<Vec<u8>> {
-        let cmds = self.app.poll(ctx.now, ctx.rng);
-        let mut frames = Vec::with_capacity(cmds.len());
-        for cmd in cmds {
-            ctx.stats.flow_tx(self.flow.as_str(), cmd.data.len());
-            frames.push(encode_app_frame(&self.flow, ctx.now, &cmd.data));
+    fn new(flow: impl Into<String>, app: Box<dyn AppSource>) -> Self {
+        AppDriver {
+            app,
+            name: flow.into(),
+            flow: FlowId::default(),
+        }
+    }
+
+    /// Registers the flow; the host calls it from `on_start`.
+    fn start(&mut self, stats: &mut Stats) {
+        self.flow = stats.flow_id(&self.name);
+    }
+
+    /// Writes the app's next due payload into `frame` (cleared first) as
+    /// an app frame and counts it sent. Once nothing more is due it arms
+    /// the next wake-up instead and returns false.
+    fn next(&mut self, ctx: &mut Context, frame: &mut Vec<u8>) -> bool {
+        frame.clear();
+        put_app_frame_header(frame, &self.name, ctx.now);
+        let header = frame.len();
+        if self.app.poll(ctx.now, frame) {
+            ctx.stats.flow_tx(self.flow, frame.len() - header);
+            return true;
         }
         if let Some(next) = self.app.next_wake(ctx.now) {
             if next > ctx.now {
                 ctx.set_timer(next - ctx.now, TOKEN_APP_WAKE);
             }
         }
-        frames
+        false
     }
+}
 
-    /// Hands a received echo reply to the app and returns its reaction
-    /// commands as encoded frames ready for transport (`None` for
-    /// malformed replies).
-    fn on_reply(&mut self, ctx: &mut Context, frame: &[u8]) -> Option<Vec<Vec<u8>>> {
-        let (_, _, data) = decode_app_frame(frame)?;
-        let cmds = self.app.on_receive(ctx.now, "peer", data);
-        let mut frames = Vec::with_capacity(cmds.len());
-        for cmd in cmds {
-            ctx.stats.flow_tx(self.flow.as_str(), cmd.data.len());
-            frames.push(encode_app_frame(&self.flow, ctx.now, &cmd.data));
+/// The flow a receiving host last accounted to. App frames name their
+/// flow, and a host sees one flow at a time, so the name is compared with
+/// the last flow's before the registry is searched.
+#[derive(Debug, Default)]
+struct LastFlow(Option<FlowId>);
+
+impl LastFlow {
+    fn resolve(&mut self, stats: &mut Stats, name: &str) -> FlowId {
+        match self.0 {
+            Some(id) if stats.flow_name(id) == name => id,
+            _ => *self.0.insert(stats.flow_id(name)),
         }
-        Some(frames)
     }
 }
 
@@ -219,6 +234,8 @@ pub struct PlainSourceNode {
     dst: Ipv4Addr,
     dscp: u8,
     driver: AppDriver,
+    /// The app frame being sent, reused for every send.
+    frame: Vec<u8>,
     ids: SourceCounters,
     /// Echo replies received back from the server.
     pub replies: u64,
@@ -237,18 +254,16 @@ impl PlainSourceNode {
             addr,
             dst,
             dscp,
-            driver: AppDriver {
-                app,
-                flow: flow.into(),
-            },
+            driver: AppDriver::new(flow, app),
+            frame: Vec::new(),
             ids: SourceCounters::default(),
             replies: 0,
         }
     }
 
     fn flush(&mut self, ctx: &mut Context) {
-        for frame in self.driver.poll(ctx) {
-            match pooled_udp(ctx, self.addr, self.dst, self.dscp, &frame) {
+        while self.driver.next(ctx, &mut self.frame) {
+            match pooled_udp(ctx, self.addr, self.dst, self.dscp, &self.frame) {
                 Some(pkt) => ctx.send(0, pkt),
                 // flow_tx already counted this packet: record that it
                 // never left, so 0% delivery is not misread as loss.
@@ -261,6 +276,7 @@ impl PlainSourceNode {
 impl Node for PlainSourceNode {
     fn on_start(&mut self, ctx: &mut Context) {
         self.ids = SourceCounters::register(ctx.stats, "source");
+        self.driver.start(ctx.stats);
         self.flush(ctx);
     }
 
@@ -271,19 +287,10 @@ impl Node for PlainSourceNode {
     }
 
     fn on_packet(&mut self, ctx: &mut Context, _iface: IfaceId, frame: FrameBuf) {
-        let reactions = parse_udp(&frame)
-            .ok()
-            .and_then(|parsed| self.driver.on_reply(ctx, parsed.payload));
+        let reply = parse_udp(&frame).is_ok_and(|p| decode_app_frame(p.payload).is_some());
         ctx.recycle(frame);
-        let Some(reactions) = reactions else {
-            return;
-        };
-        self.replies += 1;
-        for frame in reactions {
-            match pooled_udp(ctx, self.addr, self.dst, self.dscp, &frame) {
-                Some(pkt) => ctx.send(0, pkt),
-                None => ctx.stats.bump(self.ids.build_fail),
-            }
+        if reply {
+            self.replies += 1;
         }
     }
 }
@@ -293,6 +300,7 @@ impl Node for PlainSourceNode {
 pub struct PlainServerNode {
     addr: Ipv4Addr,
     echo: bool,
+    flow: LastFlow,
     /// App frames delivered.
     pub rx_frames: u64,
 }
@@ -303,6 +311,7 @@ impl PlainServerNode {
         PlainServerNode {
             addr,
             echo,
+            flow: LastFlow::default(),
             rx_frames: 0,
         }
     }
@@ -321,8 +330,11 @@ impl Node for PlainServerNode {
                 return;
             };
             self.rx_frames += 1;
+            let flow = self.flow.resolve(ctx.stats, flow);
             ctx.stats.flow_rx(flow, data.len(), sent, ctx.now);
-            note_ce(ctx, &frame, flow);
+            if is_ce(&frame) {
+                ctx.stats.flow_ce(flow);
+            }
             if self.echo {
                 reply = pooled_udp(
                     ctx,
@@ -380,6 +392,8 @@ pub struct NeutralizedSourceNode {
     bootstrap: Bootstrap,
     dscp: u8,
     driver: AppDriver,
+    /// The app frame being sent, reused for every send.
+    frame: Vec<u8>,
     /// The one-time keypair of §3.2, minted before the cell starts.
     keypair: Arc<RsaKeypair>,
     established: Option<EstablishedSession>,
@@ -430,10 +444,8 @@ impl NeutralizedSourceNode {
             addr,
             bootstrap,
             dscp,
-            driver: AppDriver {
-                app,
-                flow: flow.into(),
-            },
+            driver: AppDriver::new(flow, app),
+            frame: Vec::new(),
             keypair,
             established: None,
             pending: Vec::new(),
@@ -475,28 +487,11 @@ impl NeutralizedSourceNode {
         self.setup_retries = 0;
     }
 
-    /// Sends one app frame as a neutralized data packet.
+    /// Sends one app frame as a neutralized data packet: on a confirmed
+    /// channel a record sealed straight into the pooled frame.
     fn send_data(&mut self, ctx: &mut Context, app_frame: &[u8]) {
         let est = self.established.as_mut().expect("established");
-        let inner = InnerPayload::data(app_frame.to_vec());
-        let msg = if est.confirmed {
-            TransportMsg::Record(est.session.seal_record(&inner.to_bytes()))
-        } else {
-            // Until an authenticated reply confirms the destination holds
-            // the session key, every packet is a public-key envelope
-            // transporting it (§3.1's end-to-end black box): losing any
-            // one of them loses that packet only, never the channel.
-            let Ok(env) = e2e::seal_keyed(
-                ctx.rng,
-                &self.bootstrap.dest_pubkey,
-                &inner.to_bytes(),
-                &est.e2e_key,
-            ) else {
-                ctx.stats.bump(self.ids.envelope_fail);
-                return;
-            };
-            TransportMsg::Envelope(env)
-        };
+        let inner = InnerPayload::data(app_frame);
         let shim = ShimRepr {
             shim_type: ShimType::Data,
             flags: 0,
@@ -504,14 +499,28 @@ impl NeutralizedSourceNode {
             addr_block: est.sealed_dst,
             stamp: None,
         };
-        match pooled_shim(
-            ctx,
-            self.addr,
-            self.current,
-            self.dscp,
-            &shim,
-            &msg.to_bytes(),
-        ) {
+        let pkt = if est.confirmed {
+            pooled_shim(ctx, self.addr, self.current, self.dscp, &shim, |buf| {
+                put_record(buf, &mut est.session, &inner)
+            })
+        } else {
+            // Until an authenticated reply confirms the destination holds
+            // the session key, every packet is a public-key envelope
+            // transporting it (§3.1's end-to-end black box): losing any
+            // one of them loses that packet only, never the channel.
+            let mut plain = Vec::new();
+            inner.emit(&mut plain);
+            let Ok(env) =
+                e2e::seal_keyed(ctx.rng, &self.bootstrap.dest_pubkey, &plain, &est.e2e_key)
+            else {
+                ctx.stats.bump(self.ids.envelope_fail);
+                return;
+            };
+            pooled_shim(ctx, self.addr, self.current, self.dscp, &shim, |buf| {
+                put_envelope(buf, &env)
+            })
+        };
+        match pkt {
             Some(pkt) => {
                 ctx.send(0, pkt);
                 self.liveness_tx += 1;
@@ -523,14 +532,15 @@ impl NeutralizedSourceNode {
     }
 
     fn flush(&mut self, ctx: &mut Context) {
-        let frames = self.driver.poll(ctx);
-        if self.established.is_some() {
-            for frame in frames {
+        let mut frame = std::mem::take(&mut self.frame);
+        while self.driver.next(ctx, &mut frame) {
+            if self.established.is_some() {
                 self.send_data(ctx, &frame);
+            } else {
+                self.pending.push(frame.clone());
             }
-        } else {
-            self.pending.extend(frames);
         }
+        self.frame = frame;
     }
 
     /// (Re)sends the `KeySetup` packet carrying the one-time public key.
@@ -543,7 +553,9 @@ impl NeutralizedSourceNode {
             stamp: None,
         };
         let wire = self.keypair.public.to_wire();
-        if let Some(pkt) = pooled_shim(ctx, self.addr, self.current, self.dscp, &shim, &wire) {
+        if let Some(pkt) = pooled_shim(ctx, self.addr, self.current, self.dscp, &shim, |buf| {
+            buf.extend_from_slice(&wire)
+        }) {
             ctx.send(0, pkt);
         }
         ctx.set_timer(SETUP_RETRY_INTERVAL, TOKEN_SETUP_RETRY);
@@ -577,25 +589,21 @@ impl NeutralizedSourceNode {
         }
     }
 
-    fn handle_return(&mut self, ctx: &mut Context, shim: &ShimRepr, payload: &[u8]) {
-        let (verified, opened) = {
-            let Some(est) = &self.established else { return };
-            if shim.nonce != est.nonce {
-                return;
-            }
-            // The neutralizer sealed the true responder address into the
-            // return block; opening it proves which customer answered.
-            let verified =
-                est.sealer.open(shim.nonce, &shim.addr_block) == Ok(self.bootstrap.dest.to_u32());
-            let opened = match TransportMsg::from_bytes(payload) {
-                Ok(TransportMsg::Record(rec)) => est.session.open_record(&rec).ok(),
-                _ => None,
-            };
-            (verified, opened)
-        };
-        if verified {
+    /// Opens a return packet's record where it lies in the frame.
+    fn handle_return(&mut self, ctx: &mut Context, shim: &ShimRepr, payload: &mut [u8]) {
+        let Some(est) = &self.established else { return };
+        if shim.nonce != est.nonce {
+            return;
+        }
+        // The neutralizer sealed the true responder address into the
+        // return block; opening it proves which customer answered.
+        if est.sealer.open(shim.nonce, &shim.addr_block) == Ok(self.bootstrap.dest.to_u32()) {
             self.verified_return_blocks += 1;
         }
+        let opened = match TransportMsg::parse(payload) {
+            Ok(TransportMsg::Record(rec)) => est.session.open_in_place(rec).ok(),
+            _ => None,
+        };
         let Some(plain) = opened else {
             ctx.stats.bump(self.ids.return_bad);
             return;
@@ -605,25 +613,17 @@ impl NeutralizedSourceNode {
         if let Some(est) = self.established.as_mut() {
             est.confirmed = true;
         }
-        let Ok(inner) = InnerPayload::from_bytes(&plain) else {
+        let Ok(inner) = InnerPayload::parse(plain) else {
             return;
         };
         // An authenticated reply is proof of provider liveness: feed the
         // selector's srtt estimate and clear the silent-window counters.
         self.liveness_rx += 1;
         self.path_alive = true;
-        if let Some((_, sent, _)) = decode_app_frame(&inner.app) {
+        if let Some((_, sent, _)) = decode_app_frame(inner.app) {
             self.selector
                 .report_success(self.current, (ctx.now - sent).as_secs_f64());
-        }
-        let Some(reactions) = self.driver.on_reply(ctx, &inner.app) else {
-            return;
-        };
-        self.replies += 1;
-        // handle_return only runs while established, so reactions can go
-        // straight to the data path.
-        for frame in reactions {
-            self.send_data(ctx, &frame);
+            self.replies += 1;
         }
     }
 }
@@ -638,6 +638,7 @@ impl Node for NeutralizedSourceNode {
         // the one logical keygen.
         let _ = nn_crypto::keygen_rng(ctx.rng);
         self.ids = SourceCounters::register(ctx.stats, "source");
+        self.driver.start(ctx.stats);
         ctx.stats.bump(self.ids.keygens);
         self.send_key_setup(ctx);
         // Failover machinery only runs for multihomed destinations, so
@@ -679,12 +680,8 @@ impl Node for NeutralizedSourceNode {
         }
     }
 
-    fn on_packet(&mut self, ctx: &mut Context, _iface: IfaceId, frame: FrameBuf) {
-        {
-            let Ok(parsed) = parse_shim(&frame) else {
-                ctx.recycle(frame);
-                return;
-            };
+    fn on_packet(&mut self, ctx: &mut Context, _iface: IfaceId, mut frame: FrameBuf) {
+        if let Ok(parsed) = parse_shim_mut(&mut frame) {
             match parsed.shim.shim_type {
                 ShimType::KeyReply => self.handle_key_reply(ctx, parsed.payload),
                 ShimType::Return => self.handle_return(ctx, &parsed.shim, parsed.payload),
@@ -720,6 +717,7 @@ pub struct NeutralizedServerNode {
     echo: bool,
     /// Record channels per (initiator, nonce): responder direction.
     sessions: HashMap<(u32, u64), ServerSession>,
+    flow: LastFlow,
     ids: ServerCounters,
     /// App frames delivered.
     pub rx_frames: u64,
@@ -739,19 +737,19 @@ impl NeutralizedServerNode {
             keypair,
             echo,
             sessions: HashMap::new(),
+            flow: LastFlow::default(),
             ids: ServerCounters::default(),
             rx_frames: 0,
         }
     }
 
+    /// Echoes an app frame back as a record sealed straight into the
+    /// pooled return frame.
     fn echo_reply(&mut self, ctx: &mut Context, initiator: Ipv4Addr, nonce: u64, app_frame: &[u8]) {
         let entry = self
             .sessions
             .get_mut(&(initiator.to_u32(), nonce))
             .expect("session exists for delivered frame");
-        let inner = InnerPayload::data(app_frame.to_vec());
-        let msg = TransportMsg::Record(entry.session.seal_record(&inner.to_bytes()));
-        let return_via = entry.return_via;
         // §3.2 return path: the pre-anonymization packet carries the
         // initiator in plaintext; the neutralizer seals our address and
         // hides us behind the anycast.
@@ -762,7 +760,9 @@ impl NeutralizedServerNode {
             addr_block: ShimRepr::plain_addr_block(initiator),
             stamp: None,
         };
-        if let Some(pkt) = pooled_shim(ctx, self.addr, return_via, 0, &shim, &msg.to_bytes()) {
+        if let Some(pkt) = pooled_shim(ctx, self.addr, entry.return_via, 0, &shim, |buf| {
+            put_record(buf, &mut entry.session, &InnerPayload::data(app_frame))
+        }) {
             ctx.send(0, pkt);
         }
     }
@@ -773,15 +773,18 @@ impl Node for NeutralizedServerNode {
         self.ids = ServerCounters::register(ctx.stats, "server");
     }
 
-    fn on_packet(&mut self, ctx: &mut Context, _iface: IfaceId, frame: FrameBuf) {
-        self.receive(ctx, &frame);
+    fn on_packet(&mut self, ctx: &mut Context, _iface: IfaceId, mut frame: FrameBuf) {
+        self.receive(ctx, &mut frame);
         ctx.recycle(frame);
     }
 }
 
 impl NeutralizedServerNode {
-    fn receive(&mut self, ctx: &mut Context, frame: &FrameBuf) {
-        let Ok(parsed) = parse_shim(frame) else {
+    /// Opens a data packet's record where it lies in `frame`, accounts
+    /// the app frame and echoes it.
+    fn receive(&mut self, ctx: &mut Context, frame: &mut FrameBuf) {
+        let ce = is_ce(frame);
+        let Ok(parsed) = parse_shim_mut(frame) else {
             return;
         };
         if parsed.shim.shim_type != ShimType::Data {
@@ -798,7 +801,8 @@ impl NeutralizedServerNode {
         } else {
             stamped
         };
-        let plain = match TransportMsg::from_bytes(parsed.payload) {
+        let opened_envelope: Vec<u8>;
+        let plain: &[u8] = match TransportMsg::parse(parsed.payload) {
             Ok(TransportMsg::Envelope(env)) => {
                 let id = (initiator.to_u32(), nonce);
                 // The source repeats envelopes until a reply confirms the
@@ -809,7 +813,7 @@ impl NeutralizedServerNode {
                     .sessions
                     .get(&id)
                     .and_then(|s| e2e::open_with_key(&s.envelope_key, &env).ok());
-                let plain = match held {
+                opened_envelope = match held {
                     Some(plain) => plain,
                     None => {
                         let Ok((plain, session_key)) = e2e::open(&self.keypair.private, &env)
@@ -833,14 +837,14 @@ impl NeutralizedServerNode {
                     .get_mut(&id)
                     .expect("an opened envelope has a session")
                     .return_via = return_via;
-                plain
+                &opened_envelope
             }
             Ok(TransportMsg::Record(rec)) => {
                 let Some(entry) = self.sessions.get_mut(&(initiator.to_u32(), nonce)) else {
                     ctx.stats.bump(self.ids.record_no_session);
                     return;
                 };
-                let Ok(plain) = entry.session.open_record(&rec) else {
+                let Ok(plain) = entry.session.open_in_place(rec) else {
                     ctx.stats.bump(self.ids.record_auth_fail);
                     return;
                 };
@@ -854,17 +858,20 @@ impl NeutralizedServerNode {
                 return;
             }
         };
-        let Ok(inner) = InnerPayload::from_bytes(&plain) else {
+        let Ok(inner) = InnerPayload::parse(plain) else {
             return;
         };
-        let Some((flow, sent, data)) = decode_app_frame(&inner.app) else {
+        let Some((flow, sent, data)) = decode_app_frame(inner.app) else {
             return;
         };
         self.rx_frames += 1;
+        let flow = self.flow.resolve(ctx.stats, flow);
         ctx.stats.flow_rx(flow, data.len(), sent, ctx.now);
-        note_ce(ctx, frame, flow);
+        if ce {
+            ctx.stats.flow_ce(flow);
+        }
         if self.echo {
-            self.echo_reply(ctx, initiator, nonce, &inner.app);
+            self.echo_reply(ctx, initiator, nonce, inner.app);
         }
     }
 }
@@ -937,32 +944,44 @@ mod tests {
         }
     }
 
-    /// A data packet of the test session carrying `env`.
-    fn envelope_frame(env: &e2e::E2eEnvelope) -> Vec<u8> {
+    /// A data packet of the test session on `nonce` carrying `payload`.
+    fn data_frame(nonce: u64, payload: &[u8]) -> Vec<u8> {
         let shim = ShimRepr {
             shim_type: ShimType::Data,
             flags: 0,
-            nonce: NONCE,
+            nonce,
             addr_block: ShimRepr::plain_addr_block(NEUT),
             stamp: None,
         };
-        let payload = TransportMsg::Envelope(env.clone()).to_bytes();
-        nn_packet::build_shim(INITIATOR, DEST, 0, &shim, &payload).expect("frame builds")
+        nn_packet::build_shim(INITIATOR, DEST, 0, &shim, payload).expect("frame builds")
+    }
+
+    /// A data packet of the test session carrying `env`.
+    fn envelope_frame(env: &e2e::E2eEnvelope) -> Vec<u8> {
+        let mut payload = Vec::new();
+        put_envelope(&mut payload, env);
+        data_frame(NONCE, &payload)
+    }
+
+    /// The app frame every test packet carries.
+    fn app_frame(flow: &str, sent: SimTime, data: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        put_app_frame_header(&mut frame, flow, sent);
+        frame.extend_from_slice(data);
+        frame
     }
 
     /// Seals one app frame to `keypair` under `session_key`.
     fn envelope(rng: &mut StdRng, keypair: &RsaKeypair, session_key: [u8; 16]) -> e2e::E2eEnvelope {
-        let app = encode_app_frame("voip", SimTime::ZERO, b"rtp");
-        let inner = InnerPayload::data(app).to_bytes();
+        let mut inner = Vec::new();
+        InnerPayload::data(&app_frame("voip", SimTime::ZERO, b"rtp")).emit(&mut inner);
         e2e::seal_keyed(rng, &keypair.public, &inner, &session_key).expect("envelope seals")
     }
 
-    /// Runs a destination holding `keypair` over `envelopes`, delivered
-    /// in order; returns the frames it delivered and its
-    /// `server.envelope_bad` count.
-    fn serve(keypair: RsaKeypair, envelopes: &[e2e::E2eEnvelope]) -> (u64, u64) {
+    /// Runs a destination holding `keypair` over `frames`, delivered in
+    /// order, and returns the simulation and the destination's id.
+    fn serve_frames(keypair: RsaKeypair, frames: Vec<Vec<u8>>) -> (Simulator, nn_netsim::NodeId) {
         let mut sim = Simulator::new(3);
-        let frames = envelopes.iter().map(envelope_frame).collect();
         let src = sim.add_node("src", Box::new(Replay(frames)));
         let server = NeutralizedServerNode::new(DEST, NEUT, Arc::new(keypair), false);
         let dst = sim.add_node("dst", Box::new(server));
@@ -972,6 +991,14 @@ mod tests {
             LinkProfile::new(10_000_000, Duration::from_millis(1)),
         );
         sim.run_until(SimTime::from_secs(1));
+        (sim, dst)
+    }
+
+    /// Runs a destination holding `keypair` over `envelopes`, delivered
+    /// in order; returns the frames it delivered and its
+    /// `server.envelope_bad` count.
+    fn serve(keypair: RsaKeypair, envelopes: &[e2e::E2eEnvelope]) -> (u64, u64) {
+        let (sim, dst) = serve_frames(keypair, envelopes.iter().map(envelope_frame).collect());
         let rx = sim
             .node_ref::<NeutralizedServerNode>(dst)
             .unwrap()
@@ -1011,9 +1038,54 @@ mod tests {
         assert_eq!(serve(kp, &[first, rewrapped, garbage]), (2, 1));
     }
 
+    /// Hostile records, opened in place, sort into the destination's
+    /// three error counters by where they break, and none is delivered.
+    /// A cut anywhere, or a flipped tag byte or length field, does not
+    /// frame (`transport_bad`); any other flipped bit fails the tag
+    /// (`record_auth_fail`); a record on a session nonce the destination
+    /// never saw an envelope for is `record_no_session`.
+    #[test]
+    fn hostile_records_sort_into_the_destination_counters() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let kp = nn_crypto::generate_keypair(&mut rng, 320);
+        let key = [0x11; 16];
+        let mut session = E2eSession::new(&record_channel_key(&key), true);
+        let mut record = Vec::new();
+        let app = app_frame("voip", SimTime::ZERO, b"rtp");
+        put_record(&mut record, &mut session, &InnerPayload::data(&app));
+
+        let mut frames = vec![envelope_frame(&envelope(&mut rng, &kp, key))];
+        frames.extend((0..record.len()).map(|cut| data_frame(NONCE, &record[..cut])));
+        let (mut unframed, mut forged) = (record.len() as u64, 0);
+        for bit in 0..record.len() * 8 {
+            let mut bytes = record.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            frames.push(data_frame(NONCE, &bytes));
+            // Tag byte 0, nonce 1..9, length field 9..13.
+            if bit / 8 == 0 || (9..13).contains(&(bit / 8)) {
+                unframed += 1;
+            } else {
+                forged += 1;
+            }
+        }
+        frames.push(data_frame(NONCE + 1, &record));
+        frames.push(data_frame(NONCE, &record));
+
+        let (sim, dst) = serve_frames(kp, frames);
+        let counter = |name| sim.stats().counter(name);
+        assert_eq!(counter("server.transport_bad"), unframed);
+        assert_eq!(counter("server.record_auth_fail"), forged);
+        assert_eq!(counter("server.record_no_session"), 1);
+        assert_eq!(counter("server.envelope_bad"), 0);
+        // Only the envelope and the intact record were delivered.
+        let server = sim.node_ref::<NeutralizedServerNode>(dst).unwrap();
+        assert_eq!(server.rx_frames, 2);
+        assert_eq!(sim.stats().flow("voip").unwrap().rx_packets, 2);
+    }
+
     #[test]
     fn app_frame_roundtrip() {
-        let frame = encode_app_frame("voip", SimTime::from_millis(250), b"rtp payload");
+        let frame = app_frame("voip", SimTime::from_millis(250), b"rtp payload");
         let (flow, sent, data) = decode_app_frame(&frame).unwrap();
         assert_eq!(flow, "voip");
         assert_eq!(sent, SimTime::from_millis(250));
@@ -1025,7 +1097,7 @@ mod tests {
         assert!(decode_app_frame(&[]).is_none());
         assert!(decode_app_frame(&[10, b'a', b'b']).is_none());
         // Non-UTF8 flow name.
-        let mut frame = encode_app_frame("ab", SimTime::ZERO, b"");
+        let mut frame = app_frame("ab", SimTime::ZERO, b"");
         frame[1] = 0xff;
         assert!(decode_app_frame(&frame).is_none());
     }

@@ -13,14 +13,14 @@
 //! [`CohortApp`] is the same arrival lattice as an [`AppSource`]: one
 //! endpoint's schedule driving a full host stack. It is what
 //! `attach_background` stubs now wrap (a background customer is just a
-//! one-endpoint bulk cohort) and what the cross-validation tests use to
-//! run N real hosts on exactly the schedules a population models.
+//! one-endpoint bulk cohort), what every workload runs as (with a frame
+//! limit), and what the cross-validation tests use to run N real hosts
+//! on exactly the schedules a population models.
 
 use crate::workload::marked_payload;
-use nn_core::app::{AppCommand, AppSource};
+use nn_core::app::AppSource;
 use nn_netsim::population::ArrivalClock;
 use nn_netsim::{CohortModel, SimTime};
-use rand::rngs::StdRng;
 
 /// The DPI-visible traffic class of a cohort, keyed to the same
 /// content markers as the [`crate::workload`] axis so content-DPI
@@ -122,16 +122,17 @@ impl CohortDef {
         }
     }
 
-    /// The same schedule as an [`AppSource`] driving one host stack
-    /// toward the peer labeled `to` — the thin-wrapper path background
-    /// stubs and cross-validation hosts use.
-    pub fn app(&self, to: impl Into<String>) -> CohortApp {
-        CohortApp {
-            to: to.into(),
-            marker: self.kind.marker().unwrap_or(b"").to_vec(),
-            frame_bytes: self.frame_bytes as usize,
-            clock: ArrivalClock::new(self.interval_us * 1_000, self.endpoints),
-        }
+    /// The same schedule as an unbounded [`AppSource`] driving one host
+    /// stack — the thin-wrapper path background stubs and
+    /// cross-validation hosts use.
+    pub fn app(&self) -> CohortApp {
+        CohortApp::new(
+            self.kind.marker().unwrap_or(b""),
+            self.interval_us * 1_000,
+            self.endpoints,
+            self.frame_bytes as usize,
+            u64::MAX,
+        )
     }
 }
 
@@ -222,43 +223,60 @@ impl PopulationSpec {
     }
 }
 
-/// One endpoint-lattice schedule as an [`AppSource`]: emits
-/// [`marked_payload`] frames on the cohort's arrival clock. With one
-/// endpoint this is exactly the legacy background schedule (frame `seq`
-/// at `seq × interval`); with `N` endpoints it drives one host through
-/// the interleaved population schedule for cross-validation.
+/// One endpoint-lattice schedule as an [`AppSource`]: writes
+/// [`marked_payload`] frames into the host's buffer as the cohort's
+/// arrival clock makes them due, up to a frame limit. With one endpoint
+/// this is exactly the legacy background schedule (frame `seq` at
+/// `seq × interval`); with `N` endpoints it drives one host through the
+/// interleaved population schedule for cross-validation.
+#[derive(Debug, Clone)]
 pub struct CohortApp {
-    to: String,
-    marker: Vec<u8>,
+    marker: &'static [u8],
     frame_bytes: usize,
     clock: ArrivalClock,
+    /// Frames sent in all; `u64::MAX` never runs out.
+    limit: u64,
+}
+
+impl CohortApp {
+    /// `endpoints` sources, each sending a `frame_bytes` payload every
+    /// `interval_ns`, until `limit` frames have gone in all.
+    pub fn new(
+        marker: &'static [u8],
+        interval_ns: u64,
+        endpoints: u64,
+        frame_bytes: usize,
+        limit: u64,
+    ) -> CohortApp {
+        CohortApp {
+            marker,
+            frame_bytes,
+            clock: ArrivalClock::new(interval_ns, endpoints),
+            limit,
+        }
+    }
 }
 
 impl AppSource for CohortApp {
-    fn poll(&mut self, now: SimTime, _rng: &mut StdRng) -> Vec<AppCommand> {
-        let mut out = Vec::new();
-        while let Some(arrival) = self.clock.pop_due(now.as_nanos()) {
-            out.push(AppCommand {
-                to: self.to.clone(),
-                data: marked_payload(&self.marker, arrival.seq, self.frame_bytes),
-            });
+    fn poll(&mut self, now: SimTime, out: &mut Vec<u8>) -> bool {
+        if self.clock.next_seq() >= self.limit {
+            return false;
         }
-        out
+        let Some(arrival) = self.clock.pop_due(now.as_nanos()) else {
+            return false;
+        };
+        marked_payload(out, self.marker, arrival.seq, self.frame_bytes);
+        true
     }
 
     fn next_wake(&self, _now: SimTime) -> Option<SimTime> {
-        Some(SimTime(self.clock.next_time()))
-    }
-
-    fn on_receive(&mut self, _now: SimTime, _from: &str, _data: &[u8]) -> Vec<AppCommand> {
-        Vec::new()
+        (self.clock.next_seq() < self.limit).then(|| SimTime(self.clock.next_time()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn cohort_app_reproduces_the_legacy_background_schedule() {
@@ -266,16 +284,17 @@ mod tests {
         // seq, 1200) at seq × 4_800_000 ns with next_wake at the next
         // multiple; a one-endpoint Cross cohort must be byte-identical.
         let def = &PopulationSpec::background(1).cohorts[0];
-        let mut app = def.app("bg-sink");
-        let mut rng = StdRng::seed_from_u64(0);
-        let cmds = app.poll(SimTime(9_600_000), &mut rng);
-        assert_eq!(cmds.len(), 3); // seq 0, 1, 2 due at 0 / 4.8ms / 9.6ms
-        for (seq, cmd) in cmds.iter().enumerate() {
-            assert_eq!(cmd.to, "bg-sink");
-            assert_eq!(cmd.data, marked_payload(b"BG/CROSS", seq as u64, 1200));
+        let mut app = def.app();
+        // seq 0, 1, 2 are due at 0 / 4.8ms / 9.6ms.
+        for seq in 0..3 {
+            let mut data = Vec::new();
+            assert!(app.poll(SimTime(9_600_000), &mut data));
+            let mut expect = Vec::new();
+            marked_payload(&mut expect, b"BG/CROSS", seq, 1200);
+            assert_eq!(data, expect);
         }
         assert_eq!(app.next_wake(SimTime(9_600_000)), Some(SimTime(14_400_000)));
-        assert!(app.poll(SimTime(9_600_000), &mut rng).is_empty());
+        assert!(!app.poll(SimTime(9_600_000), &mut Vec::new()));
     }
 
     #[test]

@@ -748,7 +748,7 @@ fn attach_background(
         .enumerate()
         .map(|(i, cohort)| {
             let addr = Ipv4Addr::new(10, 210, i as u8, 1);
-            let app = Box::new(cohort.app("bg-sink"));
+            let app = Box::new(cohort.app());
             let node = sim.add_node(
                 format!("bg{i}"),
                 Box::new(PlainSourceNode::new(addr, target, 0, format!("bg{i}"), app)),

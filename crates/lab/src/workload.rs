@@ -1,15 +1,16 @@
 //! The workload library — one axis of the experiment matrix.
 //!
-//! Every workload compiles down to a deterministic `(send time, payload)`
-//! schedule driven through [`nn_core::app::ScriptedApp`], so the same
-//! traffic runs unchanged over the plain and neutralized host stacks and
-//! an A/B cell pair differs only in network treatment. Each workload
-//! carries a plaintext content marker (the string a real protocol would
-//! leak: RTP framing, HTTP verbs, transport-stream sync bytes) that a
-//! content-DPI adversary can key on — and that end-to-end encryption
-//! hides.
+//! Every workload is a deterministic one-endpoint arrival lattice (a
+//! [`CohortApp`] with a frame limit), generated lazily as its payloads
+//! fall due, so the same traffic runs unchanged over the plain and
+//! neutralized host stacks and an A/B cell pair differs only in network
+//! treatment. Each workload carries a plaintext content marker (the
+//! string a real protocol would leak: RTP framing, HTTP verbs,
+//! transport-stream sync bytes) that a content-DPI adversary can key on
+//! — and that end-to-end encryption hides.
 
-use nn_netsim::SimTime;
+use crate::population::CohortApp;
+use std::io::Write;
 use std::time::Duration;
 
 /// A declarative traffic generator: one point on the workload axis.
@@ -105,9 +106,10 @@ impl WorkloadSpec {
         }
     }
 
-    /// Expands the workload into its deterministic send schedule over
-    /// `duration` (at least one packet, matching the legacy harness).
-    pub fn schedule(&self, duration: Duration) -> Vec<(SimTime, Vec<u8>)> {
+    /// The workload as an app over `duration`: payload `i` is
+    /// [`marked_payload`] number `i`, due at `i × interval`, and at least
+    /// one is sent (matching the legacy harness).
+    pub fn app(&self, duration: Duration) -> CohortApp {
         let (interval, size) = match *self {
             WorkloadSpec::Voip {
                 packet_interval,
@@ -127,15 +129,8 @@ impl WorkloadSpec {
             } => (rate_interval(packet_bytes, rate_bps), packet_bytes),
         };
         let interval_ns = (interval.as_nanos() as u64).max(1);
-        let n = (duration.as_nanos() as u64 / interval_ns).max(1);
-        (0..n)
-            .map(|i| {
-                (
-                    SimTime(i * interval_ns),
-                    marked_payload(self.marker(), i, size),
-                )
-            })
-            .collect()
+        let frames = (duration.as_nanos() as u64 / interval_ns).max(1);
+        CohortApp::new(self.marker(), interval_ns, 1, size, frames)
     }
 }
 
@@ -145,10 +140,10 @@ fn rate_interval(packet_bytes: usize, rate_bps: u64) -> Duration {
     Duration::from_nanos((ns as u64).max(1))
 }
 
-/// Builds one app payload: the content marker plus a sequence number,
-/// padded to `size`. In plain cells this marker is exactly what the
-/// adversary's content classifier matches.
-pub fn marked_payload(marker: &[u8], seq: u64, size: usize) -> Vec<u8> {
+/// Appends one app payload to `out`: the content marker plus a sequence
+/// number, padded to `size`. In plain cells this marker is exactly what
+/// the adversary's content classifier matches.
+pub fn marked_payload(out: &mut Vec<u8>, marker: &[u8], seq: u64, size: usize) {
     // A payload too small to carry the marker would silently turn the
     // content-DPI cells into no-ops; fail loudly instead.
     assert!(
@@ -156,27 +151,74 @@ pub fn marked_payload(marker: &[u8], seq: u64, size: usize) -> Vec<u8> {
         "payload size must fit the {}-byte content marker",
         marker.len()
     );
-    let mut data = Vec::with_capacity(size);
-    data.extend_from_slice(marker);
-    data.extend_from_slice(b" seq=");
-    data.extend_from_slice(seq.to_string().as_bytes());
-    data.resize(size, b'.');
-    data
+    let start = out.len();
+    out.extend_from_slice(marker);
+    out.extend_from_slice(b" seq=");
+    write!(out, "{seq}").expect("writing to a Vec cannot fail");
+    out.resize(start + size, b'.');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nn_core::app::AppSource;
+    use nn_netsim::SimTime;
+
+    /// Every `(send time, payload)` the app emits over `duration`,
+    /// polled at each wake-up the way a host polls it.
+    fn sends(w: &WorkloadSpec, duration: Duration) -> Vec<(SimTime, Vec<u8>)> {
+        let mut app = w.app(duration);
+        let mut out = Vec::new();
+        let mut now = SimTime::ZERO;
+        loop {
+            let mut payload = Vec::new();
+            while app.poll(now, &mut payload) {
+                out.push((now, std::mem::take(&mut payload)));
+            }
+            match app.next_wake(now) {
+                Some(next) => now = next,
+                None => return out,
+            }
+        }
+    }
+
+    fn payload(marker: &[u8], seq: u64, size: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        marked_payload(&mut out, marker, seq, size);
+        out
+    }
 
     #[test]
     fn voip_schedule_matches_legacy_cadence() {
         let w = WorkloadSpec::voip_default();
-        let sched = w.schedule(Duration::from_millis(50));
+        let sched = sends(&w, Duration::from_millis(50));
         assert_eq!(sched.len(), 10);
         assert_eq!(sched[0].0, SimTime::ZERO);
         assert_eq!(sched[1].0, SimTime::from_millis(5));
+        assert_eq!(sched[9].0, SimTime::from_millis(45));
         assert_eq!(sched[0].1.len(), 160);
         assert!(sched[0].1.starts_with(b"VOIP/RTP seq=0"));
+        for (seq, (_, p)) in sched.iter().enumerate() {
+            assert_eq!(*p, payload(b"VOIP/RTP", seq as u64, 160));
+        }
+    }
+
+    /// A late poll hands over every payload that fell due, one per
+    /// call, and an app past its limit neither sends nor asks to wake.
+    #[test]
+    fn late_polls_catch_up_and_the_limit_ends_the_schedule() {
+        let mut app = WorkloadSpec::voip_default().app(Duration::from_millis(20));
+        let mut out = Vec::new();
+        assert!(app.poll(SimTime::ZERO, &mut out));
+        assert!(!app.poll(SimTime::ZERO, &mut out));
+        assert_eq!(app.next_wake(SimTime::ZERO), Some(SimTime::from_millis(5)));
+        for _ in 0..3 {
+            assert!(app.poll(SimTime::from_secs(1), &mut out));
+        }
+        assert_eq!(out.len(), 4 * 160, "payloads append to the buffer");
+        assert!(!app.poll(SimTime::from_secs(1), &mut out));
+        assert_eq!(out.len(), 4 * 160, "a refused poll leaves the buffer");
+        assert_eq!(app.next_wake(SimTime::from_secs(1)), None);
     }
 
     #[test]
@@ -187,7 +229,7 @@ mod tests {
             WorkloadSpec::web_default(),
             WorkloadSpec::stream_default(),
         ] {
-            let sched = w.schedule(Duration::from_millis(100));
+            let sched = sends(&w, Duration::from_millis(100));
             assert!(!sched.is_empty(), "{} produced no packets", w.name());
             for (_, p) in &sched {
                 assert!(
@@ -210,13 +252,13 @@ mod tests {
 
     #[test]
     fn tiny_duration_still_sends_one_packet() {
-        let sched = WorkloadSpec::voip_default().schedule(Duration::from_micros(1));
+        let sched = sends(&WorkloadSpec::voip_default(), Duration::from_micros(1));
         assert_eq!(sched.len(), 1);
     }
 
     #[test]
     #[should_panic(expected = "content marker")]
     fn undersized_payload_fails_loudly() {
-        marked_payload(b"VOIP/RTP", 0, 3);
+        payload(b"VOIP/RTP", 0, 3);
     }
 }

@@ -85,9 +85,10 @@ fn congested_story_spec() -> ExperimentSpec {
     }
 }
 
-#[test]
-fn smoke_matrix_json_matches_golden_at_any_thread_count() {
-    let spec = named_matrix("smoke").expect("smoke matrix exists");
+/// Runs the named matrix at one and at three threads and pins both
+/// renderings against `{name}_matrix.{json,csv}`.
+fn assert_named_matrix_golden(name: &str) {
+    let spec = named_matrix(name).unwrap_or_else(|| panic!("{name} matrix exists"));
     let one = run_matrix_with_threads(&spec, 1);
     let three = run_matrix_with_threads(&spec, 3);
     assert_eq!(
@@ -95,8 +96,25 @@ fn smoke_matrix_json_matches_golden_at_any_thread_count() {
         three.to_json(),
         "thread count must not leak into the report"
     );
-    assert_golden("smoke_matrix.json", &one.to_json());
-    assert_golden("smoke_matrix.csv", &one.to_csv());
+    assert_golden(&format!("{name}_matrix.json"), &one.to_json());
+    assert_golden(&format!("{name}_matrix.csv"), &one.to_csv());
+}
+
+#[test]
+fn smoke_matrix_json_matches_golden_at_any_thread_count() {
+    assert_named_matrix_golden("smoke");
+}
+
+/// The paper's own comparison: every record the neutralized host stacks
+/// seal and open runs in these four cells.
+#[test]
+fn paper_matrix_json_matches_golden_at_any_thread_count() {
+    assert_named_matrix_golden("paper");
+}
+
+#[test]
+fn default_matrix_json_matches_golden_at_any_thread_count() {
+    assert_named_matrix_golden("default");
 }
 
 #[test]

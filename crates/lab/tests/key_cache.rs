@@ -6,9 +6,7 @@
 //! actually serving hits on the data path. Anything the cache changes
 //! beyond the hit/miss counters is a correctness bug.
 
-use nn_core::app::ScriptedApp;
 use nn_core::neutralizer::{NeutralizerConfig, NeutralizerNode};
-use nn_lab::cell::DST_NAME;
 use nn_lab::hosts::{Bootstrap, NeutralizedServerNode, NeutralizedSourceNode};
 use nn_lab::link::LinkProfileSpec;
 use nn_lab::topology::{TopologySpec, ANYCAST_ADDR, DST_ADDR, SRC_ADDR};
@@ -59,7 +57,7 @@ fn run_neutralized(key_cache: usize) -> (Outcome, CacheStats) {
         dest_pubkey: dest_keypair.public.clone(),
     };
     let workload = WorkloadSpec::voip_default();
-    let app = Box::new(ScriptedApp::new(DST_NAME, workload.schedule(DURATION)));
+    let app = Box::new(workload.app(DURATION));
     let src: Box<dyn Node> = Box::new(NeutralizedSourceNode::new(
         SRC_ADDR,
         bootstrap,

@@ -21,7 +21,7 @@
 //! the merge of the N per-flow stats: counts exact, delay and jitter
 //! histograms byte-identical under [`Histogram::encode`].
 
-use nn_core::app::{AppCommand, AppSource};
+use nn_core::app::AppSource;
 use nn_lab::{PlainServerNode, PlainSourceNode};
 use nn_netsim::{
     compute_routes, CohortModel, Histogram, LinkProfile, PopulationNode, PopulationSinkNode,
@@ -29,7 +29,6 @@ use nn_netsim::{
 };
 use nn_packet::{Ipv4Addr, Ipv4Cidr};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
 use std::time::Duration;
 
 const SERVER_ADDR: Ipv4Addr = Ipv4Addr::new(10, 0, 200, 1);
@@ -46,24 +45,17 @@ struct EndpointApp {
 }
 
 impl AppSource for EndpointApp {
-    fn poll(&mut self, now: SimTime, _rng: &mut StdRng) -> Vec<AppCommand> {
-        let mut out = Vec::new();
-        while self.offset_ns + self.next_round * self.interval_ns <= now.as_nanos() {
-            out.push(AppCommand {
-                to: "server".to_string(),
-                data: vec![b'.'; self.frame_bytes],
-            });
-            self.next_round += 1;
+    fn poll(&mut self, now: SimTime, out: &mut Vec<u8>) -> bool {
+        if self.offset_ns + self.next_round * self.interval_ns > now.as_nanos() {
+            return false;
         }
-        out
+        out.resize(out.len() + self.frame_bytes, b'.');
+        self.next_round += 1;
+        true
     }
 
     fn next_wake(&self, _now: SimTime) -> Option<SimTime> {
         Some(SimTime(self.offset_ns + self.next_round * self.interval_ns))
-    }
-
-    fn on_receive(&mut self, _now: SimTime, _from: &str, _data: &[u8]) -> Vec<AppCommand> {
-        Vec::new()
     }
 }
 

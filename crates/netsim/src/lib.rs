@@ -74,6 +74,6 @@ pub use population::{
 pub use queue::{DropTail, DscpPriority, EnqueueResult, Queue, Red, TokenBucket};
 pub use routing::{compute_routes, RouteTable};
 pub use sim::{Context, IfaceId, LinkCounters, Node, NodeId, Simulator};
-pub use stats::{CounterClass, CounterId, FlowKey, FlowStats, Stats};
+pub use stats::{CounterClass, CounterId, FlowId, FlowStats, Stats};
 pub use time::{tx_time, SimTime};
 pub use wheel::TimingWheel;

@@ -93,11 +93,20 @@ fn ip_view(frame: &[u8]) -> Option<Ipv4Packet<&[u8]>> {
     Ipv4Packet::new_checked(frame).ok()
 }
 
+/// Substring search: scans for the needle's first byte and compares the
+/// rest only where it occurs, so a payload without that byte costs one
+/// pass and no compare call.
 fn contains(haystack: &[u8], needle: &[u8]) -> bool {
-    if needle.is_empty() {
+    let Some((&first, rest)) = needle.split_first() else {
         return true;
-    }
-    haystack.windows(needle.len()).any(|w| w == needle)
+    };
+    let Some(last_start) = haystack.len().checked_sub(needle.len()) else {
+        return false;
+    };
+    haystack[..=last_start]
+        .iter()
+        .enumerate()
+        .any(|(i, &b)| b == first && haystack[i + 1..i + needle.len()] == *rest)
 }
 
 /// Shannon-entropy heuristic: payload entropy above 85% of the maximum
@@ -303,6 +312,55 @@ impl PolicyEngine {
 mod tests {
     use super::*;
     use nn_packet::{build_shim, build_udp, Ipv4Addr, ShimRepr};
+    use proptest::prelude::*;
+
+    /// The window search the first-byte scan replaced: the reference.
+    fn naive_contains(haystack: &[u8], needle: &[u8]) -> bool {
+        needle.is_empty() || haystack.windows(needle.len()).any(|w| w == needle)
+    }
+
+    #[test]
+    fn contains_edge_cases() {
+        for (haystack, needle, expect) in [
+            (&b""[..], &b""[..], true),
+            (b"abc", b"", true),
+            (b"", b"a", false),
+            (b"ab", b"abc", false),
+            (b"abc", b"abc", true),
+            (b"abcdef", b"ab", true),
+            (b"abcdef", b"ef", true),
+            (b"abcdef", b"f", true),
+            (b"aaab", b"aab", true),
+            (b"abababc", b"ababc", true),
+            (b"ababab", b"ababc", false),
+        ] {
+            assert_eq!(
+                contains(haystack, needle),
+                expect,
+                "{haystack:?} / {needle:?}"
+            );
+            assert_eq!(naive_contains(haystack, needle), expect);
+        }
+    }
+
+    proptest! {
+        /// Over a two-letter alphabet, so matches, near misses and
+        /// overlapping prefixes are common, the scan agrees with the
+        /// window search for every needle length, the empty one and ones
+        /// longer than the haystack included.
+        #[test]
+        fn prop_contains_matches_window_search(
+            haystack in proptest::collection::vec(0u8..2, 0..24),
+            needle in proptest::collection::vec(0u8..2, 0..6),
+        ) {
+            prop_assert_eq!(contains(&haystack, &needle), naive_contains(&haystack, &needle));
+            // A needle cut from the haystack is always found, at either end.
+            for cut in 0..=haystack.len() {
+                prop_assert!(contains(&haystack, &haystack[..cut]));
+                prop_assert!(contains(&haystack, &haystack[cut..]));
+            }
+        }
+    }
 
     const SRC: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 5);
     const DST: Ipv4Addr = Ipv4Addr::new(172, 16, 0, 9);

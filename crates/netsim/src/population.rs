@@ -992,10 +992,10 @@ mod tests {
         let mut stats = Stats::new();
         for &(ep, sent, now, ce) in deliveries {
             agg.record(ep, 1, 180, SimTime(sent), SimTime(now), ce);
-            let flow = format!("coh-ep{ep}");
-            stats.flow_rx(&flow, 180, SimTime(sent), SimTime(now));
+            let flow = stats.flow_id(&format!("coh-ep{ep}"));
+            stats.flow_rx(flow, 180, SimTime(sent), SimTime(now));
             if ce {
-                stats.flow_ce(&flow);
+                stats.flow_ce(flow);
             }
         }
         let mut rx_packets = 0;

@@ -12,30 +12,14 @@
 //! counter is classed [`CounterClass::Reported`] (harvested into cell
 //! reports whenever nonzero) or [`CounterClass::Internal`] (readable by
 //! name, never reported).
+//!
+//! Flows are registered the same way: [`Stats::flow_id`] hands out a
+//! [`FlowId`] once per flow name, and the per-packet accounting calls
+//! index a `Vec` by it instead of hashing the name.
 
 use crate::histogram::Histogram;
 use crate::time::SimTime;
 use std::collections::HashMap;
-
-/// Identifies an application flow for accounting.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FlowKey(pub String);
-
-impl FlowKey {
-    /// Convenience constructor.
-    pub fn new(name: impl Into<String>) -> Self {
-        FlowKey(name.into())
-    }
-}
-
-/// Lets the per-packet accounting paths look flows up by `&str` without
-/// allocating a key (`HashMap::get` via `Borrow`). The owned key is only
-/// built on a flow's *first* packet.
-impl std::borrow::Borrow<str> for FlowKey {
-    fn borrow(&self) -> &str {
-        &self.0
-    }
-}
 
 /// Per-flow accounting record.
 #[derive(Debug, Clone, Default)]
@@ -190,6 +174,20 @@ macro_rules! counter_set {
     };
 }
 
+/// Handle to a registered flow: the index of its accounting record.
+///
+/// The default id is unregistered; accounting against it panics. Hosts
+/// hold default ids until [`crate::sim::Node::on_start`] registers the
+/// real ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FlowId(u32);
+
+impl Default for FlowId {
+    fn default() -> Self {
+        FlowId(u32::MAX)
+    }
+}
+
 /// Simulation-wide statistics sink.
 #[derive(Debug, Default)]
 pub struct Stats {
@@ -199,7 +197,10 @@ pub struct Stats {
     counter_meta: Vec<(String, CounterClass)>,
     /// Name → slot, for idempotent registration and by-name reads.
     counter_ids: HashMap<String, CounterId>,
-    flows: HashMap<FlowKey, FlowStats>,
+    /// Name and record per flow, indexed by [`FlowId`].
+    flows: Vec<(String, FlowStats)>,
+    /// Name → flow, for idempotent registration and by-name reads.
+    flow_ids: HashMap<String, FlowId>,
 }
 
 impl Stats {
@@ -258,36 +259,49 @@ impl Stats {
             .map(|((name, _), &v)| (name.as_str(), v))
     }
 
-    /// Mutable access to a flow record, creating it on first touch. The
-    /// lookup is by `&str`; an owned key is only allocated the first
-    /// time a flow appears — per-packet accounting stays allocation-free.
-    pub fn flow_mut(&mut self, name: &str) -> &mut FlowStats {
-        if !self.flows.contains_key(name) {
-            self.flows.insert(FlowKey::new(name), FlowStats::default());
+    /// Registers a flow and returns its handle. Idempotent: the sending
+    /// and the receiving host of one flow share its record.
+    pub fn flow_id(&mut self, name: &str) -> FlowId {
+        if let Some(&id) = self.flow_ids.get(name) {
+            return id;
         }
-        self.flows.get_mut(name).expect("just ensured present")
+        let id = FlowId(u32::try_from(self.flows.len()).expect("flow registry overflow"));
+        self.flows.push((name.to_string(), FlowStats::default()));
+        self.flow_ids.insert(name.to_string(), id);
+        id
     }
 
-    /// Reads a flow record.
+    /// The name a flow was registered under.
+    pub fn flow_name(&self, id: FlowId) -> &str {
+        &self.flows[id.0 as usize].0
+    }
+
+    /// Reads a flow record by name.
     pub fn flow(&self, name: &str) -> Option<&FlowStats> {
-        self.flows.get(name)
+        self.flow_ids
+            .get(name)
+            .map(|id| &self.flows[id.0 as usize].1)
     }
 
-    /// All flows, for report tables.
-    pub fn flows(&self) -> impl Iterator<Item = (&FlowKey, &FlowStats)> {
-        self.flows.iter()
+    /// All flows, in registration order, for report tables.
+    pub fn flows(&self) -> impl Iterator<Item = (&str, &FlowStats)> {
+        self.flows.iter().map(|(name, f)| (name.as_str(), f))
+    }
+
+    fn flow_mut(&mut self, id: FlowId) -> &mut FlowStats {
+        &mut self.flows[id.0 as usize].1
     }
 
     /// Records a packet transmission on a flow.
-    pub fn flow_tx(&mut self, name: &str, bytes: usize) {
-        let f = self.flow_mut(name);
+    pub fn flow_tx(&mut self, id: FlowId, bytes: usize) {
+        let f = self.flow_mut(id);
         f.tx_packets += 1;
         f.tx_bytes += bytes as u64;
     }
 
     /// Records a delivered packet that arrived CE-marked on a flow.
-    pub fn flow_ce(&mut self, name: &str) {
-        let f = self.flow_mut(name);
+    pub fn flow_ce(&mut self, id: FlowId) {
+        let f = self.flow_mut(id);
         f.ce_marks += 1;
         // Distance (in delivered packets) from the previous mark: a
         // burst of marks records small gaps, sparse marking large ones.
@@ -297,8 +311,8 @@ impl Stats {
     }
 
     /// Records a packet delivery on a flow.
-    pub fn flow_rx(&mut self, name: &str, bytes: usize, sent_at: SimTime, now: SimTime) {
-        let f = self.flow_mut(name);
+    pub fn flow_rx(&mut self, id: FlowId, bytes: usize, sent_at: SimTime, now: SimTime) {
+        let f = self.flow_mut(id);
         f.rx_packets += 1;
         f.rx_bytes += bytes as u64;
         let delay = (now - sent_at).as_secs_f64();
@@ -369,12 +383,13 @@ mod tests {
     #[test]
     fn flow_accounting() {
         let mut s = Stats::new();
-        let k = "voip:ann->ben";
+        let k = s.flow_id("voip:ann->ben");
+        assert_eq!(s.flow_id("voip:ann->ben"), k, "registration is idempotent");
         s.flow_tx(k, 100);
         s.flow_tx(k, 100);
         s.flow_rx(k, 100, SimTime::ZERO, SimTime::from_millis(30));
         s.flow_ce(k);
-        let f = s.flow(k).unwrap();
+        let f = s.flow("voip:ann->ben").unwrap();
         assert_eq!(f.tx_packets, 2);
         assert_eq!(f.rx_packets, 1);
         assert_eq!(f.ce_marks, 1);
@@ -395,11 +410,11 @@ mod tests {
     #[test]
     fn percentiles_and_jitter() {
         let mut s = Stats::new();
-        let k = "f";
+        let k = s.flow_id("f");
         for ms in [10, 20, 30, 40, 100] {
             s.flow_rx(k, 10, SimTime::ZERO, SimTime::from_millis(ms));
         }
-        let f = s.flow(k).unwrap();
+        let f = s.flow("f").unwrap();
         // (10+20+30+40+100) / 5 = 40 ms.
         assert!((f.mean_delay() - 0.040).abs() < 1e-12);
         // |0.01|+|0.01|+|0.01|+|0.06| / 4 = 0.0225
@@ -424,9 +439,10 @@ mod tests {
             one.quantile_bounds(1.0)
         };
         let mut s = Stats::new();
+        let f = s.flow_id("f");
         for ms in [50, 10, 30] {
             // Deliberately unsorted.
-            s.flow_rx("f", 10, SimTime::ZERO, SimTime::from_millis(ms));
+            s.flow_rx(f, 10, SimTime::ZERO, SimTime::from_millis(ms));
         }
         let h = &s.flow("f").unwrap().delay_hist;
         assert_eq!(h.quantile_bounds(0.0), bucket(10));
@@ -434,7 +450,8 @@ mod tests {
         assert_eq!(h.quantile_bounds(-1.0), bucket(10));
         assert_eq!(h.quantile_bounds(10.0), bucket(50));
 
-        s.flow_rx("single", 10, SimTime::ZERO, SimTime::from_millis(42));
+        let single = s.flow_id("single");
+        s.flow_rx(single, 10, SimTime::ZERO, SimTime::from_millis(42));
         let single = &s.flow("single").unwrap().delay_hist;
         for q in [0.0, 0.37, 0.5, 0.99, 1.0] {
             assert_eq!(single.quantile_bounds(q), bucket(42));
@@ -446,7 +463,7 @@ mod tests {
     #[test]
     fn flow_histograms_track_deliveries() {
         let mut s = Stats::new();
-        let k = "f";
+        let k = s.flow_id("f");
         // Two in-order deliveries 10ms apart in delay.
         s.flow_rx(k, 10, SimTime::ZERO, SimTime::from_millis(20));
         s.flow_rx(k, 10, SimTime::from_millis(5), SimTime::from_millis(35));
@@ -455,7 +472,7 @@ mod tests {
         s.flow_ce(k);
         s.flow_rx(k, 10, SimTime::from_millis(6), SimTime::from_millis(50));
         s.flow_ce(k);
-        let f = s.flow(k).unwrap();
+        let f = s.flow("f").unwrap();
         assert_eq!(f.delay_hist.total(), 4);
         assert_eq!(f.jitter_hist.total(), 3);
         // One send-order regression of 4 ms (sent 1ms vs max seen 5ms).
@@ -470,12 +487,12 @@ mod tests {
     #[test]
     fn goodput_over_window() {
         let mut s = Stats::new();
-        let k = "bulk";
+        let k = s.flow_id("bulk");
         s.flow_tx(k, 1000);
         s.flow_rx(k, 1000, SimTime::ZERO, SimTime::from_secs(1));
         s.flow_tx(k, 1000);
         s.flow_rx(k, 1000, SimTime::ZERO, SimTime::from_secs(2));
         // 2000 bytes over 1 second window = 16 kbps.
-        assert!((s.flow(k).unwrap().goodput_bps() - 16_000.0).abs() < 1e-6);
+        assert!((s.flow("bulk").unwrap().goodput_bps() - 16_000.0).abs() < 1e-6);
     }
 }

@@ -6,9 +6,10 @@
 //! and `new_checked` logic stays in one place.
 
 use crate::error::{PacketError, Result};
-use crate::ip::{proto, Ipv4Addr, Ipv4Packet, Ipv4Repr};
+use crate::ip::{proto, Ipv4Addr, Ipv4Packet, Ipv4Repr, HEADER_LEN as IP_HEADER_LEN};
 use crate::shim::{ShimPacket, ShimRepr};
 use crate::udp::{UdpPacket, UdpRepr, HEADER_LEN as UDP_HEADER_LEN};
+use core::ops::Range;
 
 /// Default TTL for generated packets.
 pub const DEFAULT_TTL: u8 = 64;
@@ -85,21 +86,36 @@ pub fn build_shim_into(
     shim: &ShimRepr,
     payload: &[u8],
 ) -> Result<()> {
-    let shim_len = shim.header_len();
+    build_shim_with(buf, src, dst, dscp, shim, |buf| {
+        buf.extend_from_slice(payload)
+    })
+}
+
+/// Builds `IP(SHIM(...))` into a caller-supplied buffer (cleared first),
+/// with `write` appending the payload after the shim header, so a sender
+/// seals its payload straight into the frame instead of copying it in.
+/// The IP header, which counts the payload, is written last.
+pub fn build_shim_with(
+    buf: &mut Vec<u8>,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    dscp: u8,
+    shim: &ShimRepr,
+    write: impl FnOnce(&mut Vec<u8>),
+) -> Result<()> {
+    buf.clear();
+    buf.resize(IP_HEADER_LEN + shim.header_len(), 0);
+    shim.emit(&mut buf[IP_HEADER_LEN..])?;
+    write(buf);
     let ip = Ipv4Repr {
         src,
         dst,
         protocol: proto::SHIM,
         dscp,
         ttl: DEFAULT_TTL,
-        payload_len: shim_len + payload.len(),
+        payload_len: buf.len() - IP_HEADER_LEN,
     };
-    buf.clear();
-    buf.resize(ip.buffer_len(), 0);
-    ip.emit(buf)?;
-    shim.emit(&mut buf[20..])?;
-    buf[20 + shim_len..].copy_from_slice(payload);
-    Ok(())
+    ip.emit(buf)
 }
 
 /// A cracked `IP(UDP(...))` packet.
@@ -136,33 +152,51 @@ pub fn parse_udp(frame: &[u8]) -> Result<ParsedUdp<'_>> {
     })
 }
 
-/// A cracked `IP(SHIM(...))` packet.
+/// A cracked `IP(SHIM(...))` packet; the payload is `&[u8]` from
+/// [`parse_shim`] and `&mut [u8]` from [`parse_shim_mut`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedShim<'a> {
+pub struct ParsedShim<P> {
     /// IP header fields.
     pub ip: Ipv4Repr,
     /// Shim header fields.
     pub shim: ShimRepr,
     /// Bytes after the shim header.
-    pub payload: &'a [u8],
+    pub payload: P,
 }
 
 /// Cracks an `IP(SHIM(...))` packet, validating every layer.
-pub fn parse_shim(frame: &[u8]) -> Result<ParsedShim<'_>> {
+pub fn parse_shim(frame: &[u8]) -> Result<ParsedShim<&[u8]>> {
+    let (ip, shim, payload) = crack_shim(frame)?;
+    Ok(ParsedShim {
+        ip,
+        shim,
+        payload: &frame[payload],
+    })
+}
+
+/// [`parse_shim`] with the payload borrowed mutably, so a receiver can
+/// open a sealed payload where it lies in the frame.
+pub fn parse_shim_mut(frame: &mut [u8]) -> Result<ParsedShim<&mut [u8]>> {
+    let (ip, shim, payload) = crack_shim(frame)?;
+    Ok(ParsedShim {
+        ip,
+        shim,
+        payload: &mut frame[payload],
+    })
+}
+
+/// Validates every layer of an `IP(SHIM(...))` packet and returns its
+/// headers and where its payload lies.
+fn crack_shim(frame: &[u8]) -> Result<(Ipv4Repr, ShimRepr, Range<usize>)> {
     let ip_pkt = Ipv4Packet::new_checked(frame)?;
     let ip = Ipv4Repr::parse(&ip_pkt)?;
     if ip.protocol != proto::SHIM {
         return Err(PacketError::BadField);
     }
     let total = ip_pkt.total_len() as usize;
-    let shim_pkt = ShimPacket::new_checked(&frame[20..total])?;
+    let shim_pkt = ShimPacket::new_checked(&frame[IP_HEADER_LEN..total])?;
     let shim = ShimRepr::parse(&shim_pkt);
-    let hdr = shim_pkt.header_len();
-    Ok(ParsedShim {
-        ip,
-        shim,
-        payload: &frame[20 + hdr..total],
-    })
+    Ok((ip, shim, IP_HEADER_LEN + shim_pkt.header_len()..total))
 }
 
 /// Returns the IP protocol number of a frame, if it parses at all.
@@ -207,6 +241,31 @@ mod tests {
         assert_eq!(parsed.shim.nonce, 7);
         assert_eq!(parsed.payload, b"inner");
         assert_eq!(frame_protocol(&frame).unwrap(), proto::SHIM);
+    }
+
+    /// A payload written in place builds the same frame as one copied
+    /// in, and the mutable parse finds it where the shared one does.
+    #[test]
+    fn shim_built_in_place_matches_copied() {
+        let shim = ShimRepr {
+            shim_type: ShimType::Return,
+            flags: 0,
+            nonce: 11,
+            addr_block: [4u8; 16],
+            stamp: None,
+        };
+        let copied = build_shim(A, B, 0, &shim, b"sealed payload").unwrap();
+        let mut in_place = vec![0xee; 3];
+        build_shim_with(&mut in_place, A, B, 0, &shim, |buf| {
+            buf.extend_from_slice(b"sealed ");
+            buf.extend_from_slice(b"payload");
+        })
+        .unwrap();
+        assert_eq!(in_place, copied);
+        let parsed = parse_shim_mut(&mut in_place).unwrap();
+        assert_eq!(parsed.shim, shim);
+        parsed.payload[0] = b'S';
+        assert_eq!(parse_shim(&in_place).unwrap().payload, b"Sealed payload");
     }
 
     #[test]

@@ -130,7 +130,8 @@ pub mod ecn {
     }
 }
 
-const HEADER_LEN: usize = 20;
+/// Bytes of the fixed IPv4 header.
+pub(crate) const HEADER_LEN: usize = 20;
 
 /// Typed view over an IPv4 header (fixed 20-byte header, no options —
 /// the simulator never emits options, and packets carrying them are

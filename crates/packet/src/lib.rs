@@ -25,8 +25,8 @@ pub mod shim;
 pub mod udp;
 
 pub use builder::{
-    build_shim, build_shim_into, build_udp, build_udp_into, parse_shim, parse_udp, ParsedShim,
-    ParsedUdp,
+    build_shim, build_shim_into, build_shim_with, build_udp, build_udp_into, parse_shim,
+    parse_shim_mut, parse_udp, ParsedShim, ParsedUdp,
 };
 pub use error::{PacketError, Result};
 pub use ip::{dscp, ecn, proto, Ipv4Addr, Ipv4Cidr, Ipv4Packet, Ipv4Repr};

@@ -181,23 +181,6 @@ impl<T: AsRef<[u8]>> ShimPacket<T> {
     }
 }
 
-impl<T: AsRef<[u8]> + AsMut<[u8]>> ShimPacket<T> {
-    /// Overwrites the address block (neutralizer return-path rewrite).
-    pub fn set_addr_block(&mut self, block: &[u8; 16]) {
-        self.buffer.as_mut()[12..28].copy_from_slice(block);
-    }
-
-    /// Sets flag bits (does not clear others).
-    pub fn set_flags(&mut self, flag: u8) {
-        self.buffer.as_mut()[1] |= flag;
-    }
-
-    /// Clears flag bits.
-    pub fn clear_flags(&mut self, flag: u8) {
-        self.buffer.as_mut()[1] &= !flag;
-    }
-}
-
 /// High-level shim representation for building packets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShimRepr {
@@ -414,29 +397,6 @@ mod tests {
         let a = Ipv4Addr::new(172, 16, 5, 9);
         let block = ShimRepr::plain_addr_block(a);
         assert_eq!(ShimRepr::addr_from_plain_block(&block), a);
-    }
-
-    #[test]
-    fn flag_mutation() {
-        let repr = sample();
-        let mut buf = vec![0u8; repr.header_len()];
-        repr.emit(&mut buf).unwrap();
-        let mut pkt = ShimPacket::new_unchecked(&mut buf[..]);
-        pkt.set_flags(flags::ANONYMIZED);
-        assert!(pkt.has_flag(flags::ANONYMIZED));
-        assert!(pkt.has_flag(flags::KEY_REQUEST), "existing flags preserved");
-        pkt.clear_flags(flags::KEY_REQUEST);
-        assert!(!pkt.has_flag(flags::KEY_REQUEST));
-    }
-
-    #[test]
-    fn addr_block_rewrite() {
-        let repr = sample();
-        let mut buf = vec![0u8; repr.header_len()];
-        repr.emit(&mut buf).unwrap();
-        let mut pkt = ShimPacket::new_unchecked(&mut buf[..]);
-        pkt.set_addr_block(&[9u8; 16]);
-        assert_eq!(pkt.addr_block(), [9u8; 16]);
     }
 
     proptest! {
