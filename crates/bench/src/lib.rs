@@ -97,7 +97,7 @@ pub fn bench<F: FnMut()>(name: &str, iters: u64, mut f: F) -> BenchResult {
 }
 
 /// Prints one aligned result line and records it in the registry — for
-/// suites that time a loop by hand instead of going through [`bench`].
+/// suites that time a loop by hand instead of going through [`bench()`].
 pub fn report_result(r: &BenchResult) {
     print_result(r);
     registry().lock().expect("bench registry").push(r.clone());

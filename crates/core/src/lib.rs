@@ -29,7 +29,7 @@ pub mod probe;
 pub mod wire;
 
 pub use app::{AppSource, NullApp};
-pub use multihome::{NeutralizerSelector, SelectPolicy};
+pub use multihome::NeutralizerSelector;
 pub use neutralizer::{KeyTable, MasterKeyEpochs, NeutralizerConfig, NeutralizerNode};
 pub use probe::{ProbeKind, ProbePayload};
 pub use wire::{InnerPayload, TransportMsg};

@@ -6,28 +6,15 @@
 //! this takes path selection away from the site's BGP and suggests
 //! borrowing IPv6 multihoming techniques, with "trial-and-error to find a
 //! path that's working" as the universal fallback. This module implements
-//! the source-side selector with several policies, including the
-//! trial-and-error probe policy used in experiment E7.
+//! that trial-and-error selector on the source side: it prefers the
+//! address with the best observed success/latency record and fails over
+//! on timeouts. It is a pure function of the reported history and never
+//! draws randomness.
 
 use nn_packet::Ipv4Addr;
-use rand::Rng;
 use std::collections::HashMap;
 
-/// How a source picks among a destination's neutralizers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SelectPolicy {
-    /// Always the first listed (a site's "primary" provider).
-    First,
-    /// Rotate per session (coarse load balancing).
-    RoundRobin,
-    /// Uniformly random per session.
-    Random,
-    /// Trial-and-error: prefer the address with the best observed
-    /// success/latency record; fail over on timeouts.
-    Probe,
-}
-
-/// Per-address quality estimate for the probe policy.
+/// Per-address quality estimate.
 #[derive(Debug, Clone, Copy, Default)]
 struct AddrScore {
     /// Exponentially weighted RTT estimate, seconds.
@@ -36,26 +23,22 @@ struct AddrScore {
     failures: u32,
 }
 
-/// Source-side neutralizer selector.
+/// Source-side trial-and-error neutralizer selector.
 #[derive(Debug)]
 pub struct NeutralizerSelector {
     addrs: Vec<Ipv4Addr>,
-    policy: SelectPolicy,
-    rr_next: usize,
     scores: HashMap<Ipv4Addr, AddrScore>,
 }
 
 impl NeutralizerSelector {
     /// Builds a selector over the addresses from a `NEUT` record.
-    pub fn new(addrs: Vec<Ipv4Addr>, policy: SelectPolicy) -> Self {
+    pub fn new(addrs: Vec<Ipv4Addr>) -> Self {
         assert!(
             !addrs.is_empty(),
             "a NEUT record lists at least one neutralizer"
         );
         NeutralizerSelector {
             addrs,
-            policy,
-            rr_next: 0,
             scores: HashMap::new(),
         }
     }
@@ -65,38 +48,27 @@ impl NeutralizerSelector {
         &self.addrs
     }
 
-    /// Picks an address for a new session.
-    pub fn choose<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Ipv4Addr {
-        match self.policy {
-            SelectPolicy::First => self.addrs[0],
-            SelectPolicy::RoundRobin => {
-                let a = self.addrs[self.rr_next % self.addrs.len()];
-                self.rr_next += 1;
-                a
-            }
-            SelectPolicy::Random => self.addrs[rng.gen_range(0..self.addrs.len())],
-            SelectPolicy::Probe => {
-                // Score = srtt penalized by failures; unknowns get tried
-                // first (optimistic exploration).
-                let mut best = self.addrs[0];
-                let mut best_score = f64::INFINITY;
-                for &a in &self.addrs {
-                    let s = self.scores.get(&a).copied().unwrap_or_default();
-                    let score = match s.srtt {
-                        None => -1.0, // never tried: explore immediately
-                        Some(rtt) => rtt * (1.0 + s.failures as f64 * 4.0),
-                    };
-                    if score < best_score {
-                        best_score = score;
-                        best = a;
-                    }
-                }
-                best
+    /// Picks an address for a new session: the lowest srtt penalized by
+    /// failures, with never-tried addresses first (optimistic
+    /// exploration) and ties going to the earliest listed.
+    pub fn choose(&self) -> Ipv4Addr {
+        let mut best = self.addrs[0];
+        let mut best_score = f64::INFINITY;
+        for &a in &self.addrs {
+            let s = self.scores.get(&a).copied().unwrap_or_default();
+            let score = match s.srtt {
+                None => -1.0, // never tried: explore immediately
+                Some(rtt) => rtt * (1.0 + s.failures as f64 * 4.0),
+            };
+            if score < best_score {
+                best_score = score;
+                best = a;
             }
         }
+        best
     }
 
-    /// Records a successful exchange through `addr` (probe policy input).
+    /// Records a successful exchange through `addr`.
     pub fn report_success(&mut self, addr: Ipv4Addr, rtt_secs: f64) {
         let s = self.scores.entry(addr).or_default();
         s.failures = 0;
@@ -120,8 +92,6 @@ impl NeutralizerSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn addrs() -> Vec<Ipv4Addr> {
         vec![
@@ -132,80 +102,46 @@ mod tests {
     }
 
     #[test]
-    fn first_policy_is_constant() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut s = NeutralizerSelector::new(addrs(), SelectPolicy::First);
-        for _ in 0..5 {
-            assert_eq!(s.choose(&mut rng), addrs()[0]);
-        }
-    }
-
-    #[test]
-    fn round_robin_cycles() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut s = NeutralizerSelector::new(addrs(), SelectPolicy::RoundRobin);
-        let picks: Vec<_> = (0..6).map(|_| s.choose(&mut rng)).collect();
-        assert_eq!(picks[0], picks[3]);
-        assert_eq!(picks[1], picks[4]);
-        assert_ne!(picks[0], picks[1]);
-        assert_ne!(picks[1], picks[2]);
-    }
-
-    #[test]
-    fn random_covers_all_eventually() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut s = NeutralizerSelector::new(addrs(), SelectPolicy::Random);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..100 {
-            seen.insert(s.choose(&mut rng));
-        }
-        assert_eq!(seen.len(), 3);
-    }
-
-    #[test]
     fn probe_explores_then_prefers_fastest() {
-        let mut rng = StdRng::seed_from_u64(4);
         let a = addrs();
-        let mut s = NeutralizerSelector::new(a.clone(), SelectPolicy::Probe);
+        let mut s = NeutralizerSelector::new(a.clone());
         // Feed measurements: a[1] is fastest.
         s.report_success(a[0], 0.050);
         s.report_success(a[1], 0.010);
         s.report_success(a[2], 0.030);
-        assert_eq!(s.choose(&mut rng), a[1]);
+        assert_eq!(s.choose(), a[1]);
     }
 
     #[test]
     fn probe_fails_over_on_failures() {
-        let mut rng = StdRng::seed_from_u64(5);
         let a = addrs();
-        let mut s = NeutralizerSelector::new(a.clone(), SelectPolicy::Probe);
+        let mut s = NeutralizerSelector::new(a.clone());
         s.report_success(a[0], 0.010);
         s.report_success(a[1], 0.012);
         s.report_success(a[2], 0.060);
-        assert_eq!(s.choose(&mut rng), a[0]);
+        assert_eq!(s.choose(), a[0]);
         // The preferred path dies: repeated failures push selection away.
         s.report_failure(a[0]);
         s.report_failure(a[0]);
-        assert_eq!(s.choose(&mut rng), a[1], "fail over to next-best");
+        assert_eq!(s.choose(), a[1], "fail over to next-best");
         // Recovery resets the penalty.
         s.report_success(a[0], 0.010);
-        assert_eq!(s.choose(&mut rng), a[0]);
+        assert_eq!(s.choose(), a[0]);
     }
 
     #[test]
     fn probe_tries_unknown_addresses_first() {
-        let mut rng = StdRng::seed_from_u64(6);
         let a = addrs();
-        let mut s = NeutralizerSelector::new(a.clone(), SelectPolicy::Probe);
+        let mut s = NeutralizerSelector::new(a.clone());
         s.report_success(a[0], 0.001);
         // a[1] and a[2] unexplored: exploration wins over the known-fast.
-        let pick = s.choose(&mut rng);
+        let pick = s.choose();
         assert!(pick == a[1] || pick == a[2]);
     }
 
     #[test]
     #[should_panic(expected = "at least one neutralizer")]
     fn empty_candidate_set_rejected() {
-        let _ = NeutralizerSelector::new(vec![], SelectPolicy::First);
+        let _ = NeutralizerSelector::new(vec![]);
     }
 }

@@ -1,16 +1,14 @@
-//! Determinism battery for [`nn_core::multihome`]'s selection policies.
+//! Determinism battery for [`nn_core::multihome`]'s trial-and-error
+//! selector.
 //!
-//! The lab wires the `Probe` policy into every neutralized source, so
-//! its behavior is load-bearing for the golden-trace suite: it must
-//! never consume RNG (or single-homed cells would change byte-for-byte
-//! when the failover machinery landed), its scoring must be a pure
-//! function of the reported history, and the stateful policies must be
-//! exactly reproducible per seed.
+//! The lab wires the selector into every neutralized source, so its
+//! behavior is load-bearing for the golden-trace suite: `choose` takes
+//! no RNG, so it cannot perturb the seeded stream single-homed cells
+//! share, and its scoring must be a pure function of the reported
+//! history.
 
-use nn_core::multihome::{NeutralizerSelector, SelectPolicy};
+use nn_core::multihome::NeutralizerSelector;
 use nn_packet::Ipv4Addr;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn addrs() -> Vec<Ipv4Addr> {
     vec![
@@ -20,75 +18,23 @@ fn addrs() -> Vec<Ipv4Addr> {
     ]
 }
 
-/// `First` and `Probe` must leave the RNG untouched: a selector draw
-/// with either policy cannot perturb the seeded stream the simulation
-/// shares. (This is what keeps single-homed golden traces identical
-/// whether or not the failover machinery is compiled in.)
-#[test]
-fn first_and_probe_draw_no_rng() {
-    for policy in [SelectPolicy::First, SelectPolicy::Probe] {
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut s = NeutralizerSelector::new(addrs(), policy);
-        s.report_success(addrs()[0], 0.02);
-        s.report_failure(addrs()[1]);
-        for _ in 0..10 {
-            let _ = s.choose(&mut rng);
-        }
-        let after: u64 = rng.gen();
-        let mut untouched = StdRng::seed_from_u64(42);
-        assert_eq!(
-            after,
-            untouched.gen::<u64>(),
-            "{policy:?} must not consume randomness"
-        );
-    }
-}
-
-/// `Random` is deterministic per seed and actually consumes the stream.
-#[test]
-fn random_policy_reproduces_per_seed() {
-    let picks = |seed: u64| -> Vec<Ipv4Addr> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut s = NeutralizerSelector::new(addrs(), SelectPolicy::Random);
-        (0..20).map(|_| s.choose(&mut rng)).collect()
-    };
-    assert_eq!(picks(7), picks(7), "same seed, same sequence");
-    assert_ne!(picks(7), picks(8), "different seeds diverge");
-}
-
-/// `RoundRobin` cycles the full candidate list in listed order,
-/// independent of the RNG seed.
-#[test]
-fn round_robin_is_seed_independent() {
-    let picks = |seed: u64| -> Vec<Ipv4Addr> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut s = NeutralizerSelector::new(addrs(), SelectPolicy::RoundRobin);
-        (0..9).map(|_| s.choose(&mut rng)).collect()
-    };
-    let a = addrs();
-    let expected: Vec<Ipv4Addr> = (0..9).map(|i| a[i % 3]).collect();
-    assert_eq!(picks(1), expected);
-    assert_eq!(picks(2), expected, "rotation ignores the seed");
-}
-
 /// Probe scoring is srtt × (1 + 4·failures): one failure on a fast
 /// provider must outweigh a clean slower one only when the penalty
 /// crosses the slower srtt — pin the crossover arithmetic.
 #[test]
 fn probe_penalty_crossover_matches_the_scoring_formula() {
     let a = addrs();
-    let mut rng = StdRng::seed_from_u64(1);
-    let mut s = NeutralizerSelector::new(a.clone(), SelectPolicy::Probe);
+    let mut s = NeutralizerSelector::new(a.clone());
     // a[0]: 10ms, a[1]: 45ms, a[2]: slow decoy.
     s.report_success(a[0], 0.010);
     s.report_success(a[1], 0.045);
     s.report_success(a[2], 0.500);
     // One failure: 10ms × 5 = 50ms > 45ms — a[1] wins.
     s.report_failure(a[0]);
-    assert_eq!(s.choose(&mut rng), a[1]);
+    assert_eq!(s.choose(), a[1]);
     // Recovery resets the failure count: a[0] wins again.
     s.report_success(a[0], 0.010);
-    assert_eq!(s.choose(&mut rng), a[0]);
+    assert_eq!(s.choose(), a[0]);
 }
 
 /// The EWMA is 7/8 old + 1/8 new: a single slow sample must not unseat
@@ -96,22 +42,21 @@ fn probe_penalty_crossover_matches_the_scoring_formula() {
 #[test]
 fn probe_srtt_is_smoothed_not_replaced() {
     let a = addrs();
-    let mut rng = StdRng::seed_from_u64(1);
-    let mut s = NeutralizerSelector::new(a.clone(), SelectPolicy::Probe);
+    let mut s = NeutralizerSelector::new(a.clone());
     s.report_success(a[0], 0.010);
     s.report_success(a[1], 0.020);
     s.report_success(a[2], 0.500);
     // One 100ms outlier on a[0]: EWMA = 0.875·10 + 0.125·100 ≈ 21.25ms.
     s.report_success(a[0], 0.100);
     assert_eq!(
-        s.choose(&mut rng),
+        s.choose(),
         a[1],
         "one outlier nudges past 20ms, so a[1] takes over"
     );
     // But a[0]'s estimate recovers quickly with fresh fast samples.
     s.report_success(a[0], 0.010);
     s.report_success(a[0], 0.010);
-    assert_eq!(s.choose(&mut rng), a[0]);
+    assert_eq!(s.choose(), a[0]);
 }
 
 /// A failure on a never-probed address must stop it looking like an
@@ -120,11 +65,10 @@ fn probe_srtt_is_smoothed_not_replaced() {
 #[test]
 fn failed_unexplored_address_loses_exploration_priority() {
     let a = addrs();
-    let mut rng = StdRng::seed_from_u64(1);
-    let mut s = NeutralizerSelector::new(a.clone(), SelectPolicy::Probe);
+    let mut s = NeutralizerSelector::new(a.clone());
     s.report_failure(a[0]);
     // a[1]/a[2] are still unexplored; the failed a[0] must not win.
-    let pick = s.choose(&mut rng);
+    let pick = s.choose();
     assert_ne!(pick, a[0], "a failed address is no longer 'unexplored'");
 }
 
@@ -134,23 +78,22 @@ fn failed_unexplored_address_loses_exploration_priority() {
 #[test]
 fn failover_then_recover_round_trip() {
     let a = addrs();
-    let mut rng = StdRng::seed_from_u64(1);
-    let mut s = NeutralizerSelector::new(a.clone(), SelectPolicy::Probe);
+    let mut s = NeutralizerSelector::new(a.clone());
     s.report_success(a[0], 0.010);
     s.report_success(a[1], 0.030);
     s.report_success(a[2], 0.030);
-    assert_eq!(s.choose(&mut rng), a[0], "primary preferred while healthy");
+    assert_eq!(s.choose(), a[0], "primary preferred while healthy");
     for _ in 0..3 {
         s.report_failure(a[0]);
     }
-    let fallback = s.choose(&mut rng);
+    let fallback = s.choose();
     assert_ne!(fallback, a[0], "dead primary abandoned");
     // More failures keep it away (saturating, no overflow panic).
     for _ in 0..1000 {
         s.report_failure(a[0]);
     }
-    assert_eq!(s.choose(&mut rng), fallback);
+    assert_eq!(s.choose(), fallback);
     // Heal: one good round trip clears the penalty entirely.
     s.report_success(a[0], 0.010);
-    assert_eq!(s.choose(&mut rng), a[0], "healed primary wins back");
+    assert_eq!(s.choose(), a[0], "healed primary wins back");
 }

@@ -9,7 +9,7 @@
 //! * [`rsa`] — RSA with public exponent 3, so the neutralizer's per-packet
 //!   work is "as few as two multiplications" (§3.2), with CRT decryption
 //!   on the source side.
-//! * [`aes`] / [`cmac`] / [`ctr`] — "128-bit AES for both hashing and
+//! * [`aes`] / [`cmac`](mod@cmac) / [`ctr`] — "128-bit AES for both hashing and
 //!   encryption/decryption" (§4): the block cipher, the RFC 4493 keyed
 //!   hash, and the stream mode. The cipher runs on AES-NI where the CPU
 //!   has it, chosen at run time, and on T-tables elsewhere.

@@ -29,7 +29,7 @@ const MR_ROUNDS: usize = 32;
 /// prime — almost always serves the whole search for one prime.
 const SIEVE_WINDOW: usize = 1024;
 
-/// Returns all primes below [`SIEVE_BOUND`], computed once (Eratosthenes)
+/// Returns all primes below `SIEVE_BOUND`, computed once (Eratosthenes)
 /// and cached for the life of the process.
 pub fn small_primes() -> &'static [u64] {
     static PRIMES: OnceLock<Vec<u64>> = OnceLock::new();
@@ -52,13 +52,13 @@ pub fn small_primes() -> &'static [u64] {
 
 /// Sieves a window of odd candidates `base + 2k` for `k in 0..count`,
 /// returning `true` at offsets that survive trial division by every prime
-/// below [`SIEVE_BOUND`].
+/// below `SIEVE_BOUND`.
 ///
 /// One `base mod p` limb scan per sieve prime covers the whole window:
 /// `base + 2k ≡ 0 (mod p)` at `k ≡ (p - base mod p) · 2^{-1} (mod p)`,
 /// and for odd `p` the inverse of 2 is just `(p + 1) / 2`.
 ///
-/// `base` must be odd and at least [`SIEVE_BOUND`] (so a candidate can
+/// `base` must be odd and at least `SIEVE_BOUND` (so a candidate can
 /// never *be* one of the sieve primes); both are asserted.
 pub fn sieve_window(base: &BigUint, count: usize) -> Vec<bool> {
     assert!(!base.is_even(), "sieve_window requires an odd base");

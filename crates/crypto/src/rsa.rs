@@ -151,11 +151,6 @@ pub fn generate_keypair<R: Rng + ?Sized>(rng: &mut R, bits: usize) -> RsaKeypair
 }
 
 impl RsaPublicKey {
-    /// Modulus size in bytes (= ciphertext length).
-    pub fn modulus_len(&self) -> usize {
-        self.k
-    }
-
     /// Modulus size in bits.
     pub fn modulus_bits(&self) -> usize {
         self.k * 8
@@ -175,7 +170,8 @@ impl RsaPublicKey {
         Ok(self.mont.pow(m, &BigUint::from_u64(PUBLIC_EXPONENT)))
     }
 
-    /// Pads and encrypts `msg`; output is exactly `modulus_len()` bytes.
+    /// Pads and encrypts `msg`; output is exactly the modulus length in
+    /// bytes.
     pub fn encrypt<R: Rng + ?Sized>(&self, rng: &mut R, msg: &[u8]) -> Result<Vec<u8>> {
         if msg.len() > self.max_plaintext_len() {
             return Err(CryptoError::MessageTooLong);

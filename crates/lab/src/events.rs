@@ -40,17 +40,6 @@ impl EventTimelineSpec {
         }
     }
 
-    /// Parses an axis name back into its preset.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "static" => Some(EventTimelineSpec::Static),
-            "flap" => Some(EventTimelineSpec::Flap),
-            "partition-heal" => Some(EventTimelineSpec::PartitionHeal),
-            "neut-outage" => Some(EventTimelineSpec::NeutOutage),
-            _ => None,
-        }
-    }
-
     /// Lowers the preset onto a concrete timeline for `built`, with all
     /// event times as fixed fractions of `duration`.
     pub fn lower(self, built: &BuiltTopology, duration: Duration) -> EventTimeline {
@@ -113,18 +102,81 @@ impl EventTimelineSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::{named_matrix, NAMED_MATRICES};
+    use crate::topology::tests::build_for_test;
+    use crate::{LinkProfileSpec, TopologySpec};
+    use nn_netsim::{LinkProfile, QueueKind};
 
-    #[test]
-    fn names_round_trip() {
-        for spec in [
-            EventTimelineSpec::Static,
-            EventTimelineSpec::Flap,
-            EventTimelineSpec::PartitionHeal,
-            EventTimelineSpec::NeutOutage,
-        ] {
-            assert_eq!(EventTimelineSpec::from_name(spec.name()), Some(spec));
+    /// The position of a queue discipline in the drift guard's tally.
+    /// The match has no `_` arm, so a new discipline does not compile
+    /// until the guard counts it.
+    fn queue_kind_slot(kind: QueueKind) -> usize {
+        match kind {
+            QueueKind::DropTail => 0,
+            QueueKind::Red { .. } => 1,
         }
-        assert_eq!(EventTimelineSpec::from_name("nope"), None);
+    }
+
+    /// The position of a network event in the drift guard's tally, with
+    /// no `_` arm for the same reason.
+    fn net_event_slot(event: &NetEvent) -> usize {
+        match event {
+            NetEvent::LinkDown { .. } => 0,
+            NetEvent::LinkUp { .. } => 1,
+            NetEvent::Partition { .. } => 2,
+            NetEvent::Heal { .. } => 3,
+            NetEvent::NodePause { .. } => 4,
+            NetEvent::NodeResume { .. } => 5,
+        }
+    }
+
+    /// Every queue discipline and every network event is built by a lab
+    /// preset: lowering each link preset onto a bottleneck and each
+    /// events preset onto every named matrix's built topologies reaches
+    /// every variant. A variant that no preset builds is a mechanism no
+    /// cell can run, and fails here.
+    #[test]
+    fn every_queue_kind_and_net_event_is_built_by_a_preset() {
+        let native = LinkProfile::new(10_000_000, Duration::from_millis(5));
+        let mut queue_kinds = [false; 2];
+        for link in [
+            LinkProfileSpec::Clean,
+            LinkProfileSpec::lossy_burst_default(),
+            LinkProfileSpec::ecn_red_default(),
+            LinkProfileSpec::congested_default(),
+        ] {
+            queue_kinds[queue_kind_slot(link.bottleneck_profile(native.clone()).queue)] = true;
+        }
+        let mut topologies: Vec<TopologySpec> = Vec::new();
+        for name in NAMED_MATRICES {
+            for topology in named_matrix(name).expect("named matrix").topologies {
+                if !topologies.contains(&topology) {
+                    topologies.push(topology);
+                }
+            }
+        }
+        let mut net_events = [false; 6];
+        for topology in &topologies {
+            let (_, built) = build_for_test(topology);
+            for spec in [
+                EventTimelineSpec::Static,
+                EventTimelineSpec::Flap,
+                EventTimelineSpec::PartitionHeal,
+                EventTimelineSpec::NeutOutage,
+            ] {
+                for (_, event) in spec.lower(&built, Duration::from_millis(800)).entries() {
+                    net_events[net_event_slot(event)] = true;
+                }
+            }
+        }
+        assert!(
+            queue_kinds.iter().all(|&seen| seen),
+            "no link preset builds some queue discipline: {queue_kinds:?}"
+        );
+        assert!(
+            net_events.iter().all(|&seen| seen),
+            "no events preset builds some network event: {net_events:?}"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The finalization layer: baseline-relative metrics over the complete
 //! cell set.
 //!
-//! [`RelativeMetrics`](crate::matrix::RelativeMetrics) compare a cell
+//! [`RelativeMetrics`] compare a cell
 //! against the `(adversary = none, stack = plain)` cell of the same
 //! topology, link, workload, events and seed-axis group — context that spans
 //! shards (a shard rarely holds both a cell and its baseline). Keeping

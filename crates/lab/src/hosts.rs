@@ -17,7 +17,7 @@
 //! out-of-band channel.
 
 use nn_core::app::AppSource;
-use nn_core::multihome::{NeutralizerSelector, SelectPolicy};
+use nn_core::multihome::NeutralizerSelector;
 use nn_core::wire::{put_envelope, put_record, InnerPayload, TransportMsg};
 use nn_crypto::e2e;
 use nn_crypto::sealed::AddrSealer;
@@ -400,8 +400,8 @@ pub struct NeutralizedSourceNode {
     /// App frames generated before key setup completed, with their
     /// original send timestamps already encoded.
     pending: Vec<Vec<u8>>,
-    /// Picks which listed neutralizer to send through (§3.5). `Probe`
-    /// draws no RNG, so single-homed cells keep byte-identical streams.
+    /// Picks which listed neutralizer to send through (§3.5). It draws
+    /// no RNG, so single-homed cells keep byte-identical streams.
     selector: NeutralizerSelector,
     /// The provider currently in use (the selector's latest choice).
     current: Ipv4Addr,
@@ -417,9 +417,6 @@ pub struct NeutralizedSourceNode {
     /// Consecutive `KeySetup` retransmissions against `current`.
     setup_retries: u32,
     ids: SourceCounters,
-    /// Times the source switched providers (also the `source.failovers`
-    /// stat).
-    pub failovers: u64,
     /// Echo replies received and authenticated.
     pub replies: u64,
     /// Replies whose sealed return block opened to the real destination.
@@ -437,8 +434,7 @@ impl NeutralizedSourceNode {
         flow: impl Into<String>,
         app: Box<dyn AppSource>,
     ) -> Self {
-        let selector =
-            NeutralizerSelector::new(bootstrap.neutralizers.clone(), SelectPolicy::Probe);
+        let selector = NeutralizerSelector::new(bootstrap.neutralizers.clone());
         let current = bootstrap.neutralizers[0];
         NeutralizedSourceNode {
             addr,
@@ -456,7 +452,6 @@ impl NeutralizedSourceNode {
             path_alive: false,
             setup_retries: 0,
             ids: SourceCounters::default(),
-            failovers: 0,
             replies: 0,
             verified_return_blocks: 0,
         }
@@ -475,10 +470,9 @@ impl NeutralizedSourceNode {
     /// packets travel to changes.
     fn fail_over(&mut self, ctx: &mut Context) {
         self.selector.report_failure(self.current);
-        let next = self.selector.choose(ctx.rng);
+        let next = self.selector.choose();
         if next != self.current {
             self.current = next;
-            self.failovers += 1;
             ctx.stats.bump(self.ids.failovers);
             // The replacement starts unproven: its first silent window
             // must not immediately indict it too.

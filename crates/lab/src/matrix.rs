@@ -11,9 +11,10 @@
 //! of four explicit layers: [`crate::plan`] expands the spec lazily and
 //! partitions it into shards, [`crate::executor`] runs each shard (an
 //! in-process thread pool or `nn-lab --worker` child processes),
-//! [`crate::shard::merge_shards`] reassembles the raw [`ShardReport`]s
-//! in expansion order, and [`crate::finalize`] computes the
-//! baseline-relative goodput/delay/jitter per cell — the baseline being
+//! [`crate::shard::merge_shards`] reassembles the raw
+//! [`ShardReport`](crate::shard::ShardReport)s in expansion order, and
+//! [`crate::finalize`] computes the baseline-relative
+//! goodput/delay/jitter per cell — the baseline being
 //! the `(adversary = none, stack = plain)` cell of the same topology,
 //! link, workload and seed. [`MatrixReport`] renders to JSON and CSV
 //! from the field lists of [`crate::schema`] and one CSV column table.

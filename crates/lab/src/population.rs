@@ -216,11 +216,6 @@ impl PopulationSpec {
             .map(|(i, c)| c.to_model(self.flow_name(i)))
             .collect()
     }
-
-    /// Total modeled endpoints across every cohort.
-    pub fn total_endpoints(&self) -> u64 {
-        self.cohorts.iter().map(|c| c.endpoints).sum()
-    }
 }
 
 /// One endpoint-lattice schedule as an [`AppSource`]: writes
@@ -308,6 +303,6 @@ mod tests {
         assert_eq!(models[0].interval_ns, 20_000_000);
         assert!(models[1].marker.is_none());
         assert!(models[1].fluid);
-        assert_eq!(spec.total_endpoints(), 1_016);
+        assert_eq!(models.iter().map(|m| m.endpoints).sum::<u64>(), 1_016);
     }
 }

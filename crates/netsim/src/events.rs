@@ -4,12 +4,10 @@
 //! An [`EventTimeline`] is an ordered list of `(SimTime, NetEvent)`
 //! entries describing what happens *to the network* while traffic runs
 //! through it: links flap ([`NetEvent::LinkDown`]/[`NetEvent::LinkUp`]),
-//! a direction's impairment profile is swapped mid-run (sudden
-//! congestion, [`NetEvent::ProfileSwap`]), a set of nodes is cut off
-//! from the rest ([`NetEvent::Partition`]/[`NetEvent::Heal`]), a
-//! middlebox goes dark ([`NetEvent::NodePause`]/[`NetEvent::NodeResume`]
-//! — the neutralizer-outage story of the paper's §3.5), or an adversary
-//! switches its policy engine on ([`NetEvent::PolicySwitch`]).
+//! a set of nodes is cut off from the rest
+//! ([`NetEvent::Partition`]/[`NetEvent::Heal`]), or a middlebox goes dark
+//! ([`NetEvent::NodePause`]/[`NetEvent::NodeResume`] — the
+//! neutralizer-outage story of the paper's §3.5).
 //!
 //! Timelines are applied by [`crate::Simulator::install_timeline`]:
 //! every entry becomes an engine event on the same [`crate::TimingWheel`]
@@ -26,10 +24,6 @@
 //!   waiting in either direction's queue are flushed and counted as
 //!   [`crate::LinkCounters::down_drops`], and every frame offered while
 //!   the link is down is dropped the same way.
-//! * **Profile swap** replaces one direction's [`LinkProfile`] at the
-//!   quantum: stage state restarts fresh, and the queue is rebuilt
-//!   (flushing its contents as queue drops) only when the discipline or
-//!   capacity actually changed.
 //! * **Partition** downs every link direction crossing the boundary of
 //!   `group` (members keep talking to members, non-members to
 //!   non-members). **Heal** re-raises exactly those crossings.
@@ -37,22 +31,14 @@
 //!   are discarded (counted under the `events.pause_drops` stat) and its
 //!   timers are swallowed — the model for a crashed middlebox, not a
 //!   suspended host.
-//! * **Policy switch** installs a [`PolicyEngine`] on a
-//!   [`crate::RouterNode`] mid-run (a discriminating ISP turning its
-//!   rules on); it is a no-op on non-router nodes.
 //!
 //! Every applied event increments the `events.applied` stat counter, so
 //! harnesses can assert a timeline actually ran.
 
-use crate::link::LinkProfile;
-use crate::policy::PolicyEngine;
 use crate::sim::{IfaceId, NodeId};
 use crate::time::SimTime;
 
 /// One dynamic network event, applied at an exact wheel quantum.
-///
-/// Not `Clone`: [`NetEvent::PolicySwitch`] carries a [`PolicyEngine`],
-/// which owns per-rule hit counters and is deliberately single-owner.
 #[derive(Debug)]
 pub enum NetEvent {
     /// Takes down both directions of the link at `(node, iface)`.
@@ -68,16 +54,6 @@ pub enum NetEvent {
         node: NodeId,
         /// The interface on `node` the link hangs off.
         iface: IfaceId,
-    },
-    /// Replaces the impairment profile of the direction leaving `node`
-    /// on `iface` (the other direction keeps its wire).
-    ProfileSwap {
-        /// The transmitting endpoint.
-        node: NodeId,
-        /// The interface on `node` whose outgoing direction changes.
-        iface: IfaceId,
-        /// The new profile, effective at the event quantum.
-        profile: LinkProfile,
     },
     /// Downs every link direction with exactly one endpoint in `group`.
     Partition {
@@ -101,14 +77,6 @@ pub enum NetEvent {
     NodeResume {
         /// The node to wake.
         node: NodeId,
-    },
-    /// Installs `policy` on the [`crate::RouterNode`] `node` (no-op when
-    /// the node is not a router).
-    PolicySwitch {
-        /// The router to reconfigure.
-        node: NodeId,
-        /// The policy engine to install.
-        policy: PolicyEngine,
     },
 }
 

@@ -1,25 +1,20 @@
-//! Fixed-bucket log-scale histograms — the telemetry primitive behind
-//! per-flow delay/jitter/reorder/CE distributions.
+//! Fixed-bucket log-scale histograms — the one-way delay distribution
+//! behind every reported delay percentile.
 //!
-//! A [`Histogram`] records unsigned 64-bit samples (nanoseconds, gap
-//! counts — any non-negative magnitude) into a fixed layout of
+//! A [`Histogram`] records unsigned 64-bit samples (nanoseconds, or any
+//! other non-negative magnitude) into a fixed layout of
 //! [`BUCKET_COUNT`] buckets: values below 8 get exact buckets, larger
 //! values land in a log-scale bucket keyed by the exponent plus two
 //! mantissa bits, so relative bucket width never exceeds 25%. The layout
 //! is a pure function of the value — no per-instance configuration — so
-//! two histograms recorded on different threads, shards or hosts always
-//! merge bucket-for-bucket, and the encoded form is byte-identical for
-//! the same multiset of samples regardless of arrival order. That is the
-//! shard-invariance the experiment matrix's golden traces rely on.
+//! the buckets depend only on the multiset of samples, never on their
+//! arrival order, and two histograms always merge bucket-for-bucket.
 
 /// Number of buckets in the fixed layout. Index 0..8 hold exact values
 /// 0..8; the rest cover `8..=u64::MAX` in 4 sub-buckets per power of
 /// two (61 exponents × 4 = 244, of which the top indices are unused
 /// headroom).
 pub const BUCKET_COUNT: usize = 256;
-
-/// Magic + version prefix of the [`Histogram::encode`] byte form.
-const ENCODE_MAGIC: &[u8; 4] = b"NNH1";
 
 /// Bucket index for a sample. Total order preserving: `a <= b` implies
 /// `bucket_index(a) <= bucket_index(b)`.
@@ -115,8 +110,8 @@ impl Histogram {
 
     /// Folds another histogram into this one. Buckets are a fixed pure
     /// function of the value, so merging is elementwise addition —
-    /// associative and commutative, which is what makes per-shard
-    /// histograms reassemble into exactly the single-process result.
+    /// associative and commutative: however samples were split across
+    /// histograms, merging them back equals recording them all in one.
     pub fn merge(&mut self, other: &Histogram) {
         if other.counts.is_empty() {
             return;
@@ -154,68 +149,6 @@ impl Histogram {
             }
         }
         bucket_bounds(BUCKET_COUNT - 1)
-    }
-
-    /// Stable byte encoding: magic, total, and the non-zero buckets as
-    /// `(index: u16 LE, count: u64 LE)` pairs in index order. Equal
-    /// sample multisets encode byte-identically regardless of recording
-    /// order, thread count or merge shape.
-    pub fn encode(&self) -> Vec<u8> {
-        let nonzero: Vec<(usize, u64)> = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
-            .collect();
-        let mut out = Vec::with_capacity(4 + 8 + 4 + nonzero.len() * 10);
-        out.extend_from_slice(ENCODE_MAGIC);
-        out.extend_from_slice(&self.total.to_le_bytes());
-        out.extend_from_slice(&(nonzero.len() as u32).to_le_bytes());
-        for (idx, count) in nonzero {
-            out.extend_from_slice(&(idx as u16).to_le_bytes());
-            out.extend_from_slice(&count.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decodes an [`Histogram::encode`] byte form; `Err` on malformed
-    /// input (bad magic, truncation, out-of-range index, total mismatch).
-    pub fn decode(bytes: &[u8]) -> Result<Histogram, String> {
-        if bytes.len() < 16 || &bytes[..4] != ENCODE_MAGIC {
-            return Err("histogram: bad magic or truncated header".to_string());
-        }
-        let total = u64::from_le_bytes(bytes[4..12].try_into().unwrap());
-        let n = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        let body = &bytes[16..];
-        if body.len() != n * 10 {
-            return Err(format!(
-                "histogram: body is {} bytes, expected {} for {n} buckets",
-                body.len(),
-                n * 10
-            ));
-        }
-        let mut h = Histogram::new();
-        let mut sum = 0u64;
-        for pair in body.chunks_exact(10) {
-            let idx = u16::from_le_bytes(pair[..2].try_into().unwrap()) as usize;
-            let count = u64::from_le_bytes(pair[2..].try_into().unwrap());
-            if idx >= BUCKET_COUNT {
-                return Err(format!("histogram: bucket index {idx} out of range"));
-            }
-            if h.counts.is_empty() {
-                h.counts = vec![0; BUCKET_COUNT];
-            }
-            h.counts[idx] += count;
-            sum += count;
-        }
-        if sum != total {
-            return Err(format!(
-                "histogram: header total {total} != bucket sum {sum}"
-            ));
-        }
-        h.total = total;
-        Ok(h)
     }
 }
 
@@ -309,7 +242,6 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, all);
-        assert_eq!(a.encode(), all.encode());
     }
 
     #[test]
@@ -325,41 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
-        let mut h = Histogram::new();
-        for v in [0u64, 1, 8, 1_000_000, u64::MAX] {
-            h.record(v);
-        }
-        let bytes = h.encode();
-        assert_eq!(Histogram::decode(&bytes).unwrap(), h);
-        // The empty histogram round-trips too.
-        let empty = Histogram::new();
-        let decoded = Histogram::decode(&empty.encode()).unwrap();
-        assert!(decoded.is_empty());
-    }
-
-    #[test]
-    fn decode_rejects_malformed_input() {
-        let good = {
-            let mut h = Histogram::new();
-            h.record(9);
-            h.encode()
-        };
-        assert!(Histogram::decode(b"").is_err());
-        assert!(Histogram::decode(b"XXXX").is_err());
-        assert!(Histogram::decode(&good[..good.len() - 1]).is_err());
-        // Out-of-range bucket index.
-        let mut bad = good.clone();
-        bad[16] = 0xff;
-        bad[17] = 0xff;
-        assert!(Histogram::decode(&bad).is_err());
-        // Total / bucket-sum mismatch.
-        let mut bad = good;
-        bad[4] = bad[4].wrapping_add(1);
-        assert!(Histogram::decode(&bad).is_err());
-    }
-
-    #[test]
     fn record_n_equals_n_records() {
         let (mut weighted, mut looped) = (Histogram::new(), Histogram::new());
         weighted.record_n(1234, 5);
@@ -372,7 +269,6 @@ mod tests {
             looped.record_secs(0.002);
         }
         assert_eq!(weighted, looped);
-        assert_eq!(weighted.encode(), looped.encode());
     }
 
     #[test]

@@ -4,21 +4,20 @@
 //! its scenarios (see DESIGN.md §3). A single-threaded, seeded
 //! discrete-event engine moves whole IPv4 frames between [`sim::Node`]s
 //! over links with bandwidth, propagation delay, queue disciplines
-//! ([`queue`]: drop-tail, DSCP strict priority, RED, token-bucket
-//! policing) and optional fault injection.
+//! ([`queue`]: drop-tail or RED, plus token-bucket policing) and
+//! optional fault injection.
 //!
 //! * [`sim`] — the event engine and the `Node` trait.
 //! * [`events`] — seeded dynamic-event timelines ([`EventTimeline`]):
-//!   link flaps, mid-run profile swaps, partitions/heals, node
-//!   pause/resume and adversary policy switch-on, applied at exact wheel
-//!   quanta so fault injection interleaves deterministically with
-//!   traffic.
+//!   link flaps, partitions/heals and node pause/resume, applied at
+//!   exact wheel quanta so fault injection interleaves deterministically
+//!   with traffic.
 //! * [`frame`] — pooled [`FrameBuf`] buffers: the data path recycles
 //!   frames through a per-simulator [`FramePool`] freelist instead of
 //!   touching the allocator per hop.
-//! * [`histogram`] — fixed-bucket log-scale [`Histogram`]s: mergeable,
-//!   deterministic, shard-invariant distributions behind the per-flow
-//!   delay/jitter/reorder/CE telemetry in [`stats`].
+//! * [`histogram`] — fixed-bucket log-scale [`Histogram`]s: the
+//!   order-invariant one-way delay distributions behind every reported
+//!   delay percentile in [`stats`].
 //! * [`wheel`] — the hierarchical [`TimingWheel`] event queue: amortized
 //!   O(1) scheduling with the exact `(time, submission order)` contract
 //!   of the binary heap it replaced.
@@ -29,7 +28,7 @@
 //! * [`routing`] — latency-weighted shortest paths with anycast (the
 //!   neutralizer's service address model, §3 of the paper).
 //! * [`policy`] — the discriminatory-ISP adversary: DPI, encrypted-traffic
-//!   and key-setup detectors, drop/delay/throttle/DSCP actions (§1, §3.6).
+//!   and key-setup detectors, drop/jitter/throttle actions (§1, §3.6).
 //! * [`nodes`] — generic router and sink nodes.
 //! * [`population`] — flyweight endpoint populations: a
 //!   [`PopulationNode`] multiplexes thousands-to-millions of modeled
@@ -71,7 +70,7 @@ pub use population::{
     ArrivalClock, CohortAggregate, CohortModel, CohortTx, PopulationNode, PopulationSinkNode,
     AGGREGATE_STRIPES, FLUID_QUANTUM,
 };
-pub use queue::{DropTail, DscpPriority, EnqueueResult, Queue, Red, TokenBucket};
+pub use queue::{EnqueueResult, Queue, TokenBucket};
 pub use routing::{compute_routes, RouteTable};
 pub use sim::{Context, IfaceId, LinkCounters, Node, NodeId, Simulator};
 pub use stats::{CounterClass, CounterId, FlowId, FlowStats, Stats};

@@ -2,16 +2,16 @@
 //!
 //! A [`LinkProfile`] describes one direction of a point-to-point link as
 //! an ordered pipeline: rate shaping (`bandwidth_bps`), an AQM stage
-//! (the queue discipline, where [`QueueKind::Red`] may mark CE instead
-//! of dropping), propagation delay (`latency`), and then any number of
-//! post-serializer [`StageSpec`] impairments — loss ([`LossModel`]:
-//! Bernoulli, or a two-state Gilbert–Elliott burst process), byte
-//! corruption, and bounded reordering. The engine evaluates the stages
-//! per frame, in order, with every random draw taken from the one seeded
-//! simulation RNG, so a (topology, seed) pair reproduces a byte-identical
-//! drop/mark/reorder trace.
+//! (the direction's [`crate::Queue`]: drop-tail, or [`QueueKind::Red`],
+//! which may mark CE instead of dropping), propagation delay
+//! (`latency`), and then any number of post-serializer [`StageSpec`]
+//! impairments — loss ([`LossModel`]: Bernoulli, or a two-state
+//! Gilbert–Elliott burst process), byte corruption, and bounded
+//! reordering. The engine evaluates the stages per frame, in order, with
+//! every random draw taken from the one seeded simulation RNG, so a
+//! (topology, seed) pair reproduces a byte-identical drop/mark/reorder
+//! trace.
 
-use crate::queue::{DropTail, DscpPriority, Queue, Red};
 use std::time::Duration;
 
 /// Queue discipline for a link direction (the pipeline's AQM stage).
@@ -19,8 +19,6 @@ use std::time::Duration;
 pub enum QueueKind {
     /// FIFO tail-drop.
     DropTail,
-    /// Strict DSCP priority (three bands).
-    DscpPriority,
     /// Random early detection, optionally ECN-capable.
     Red {
         /// Early-drop ramp start (bytes).
@@ -173,22 +171,6 @@ impl LinkProfile {
     /// Appends a loss stage.
     pub fn with_loss(self, model: LossModel) -> Self {
         self.with_stage(StageSpec::Loss(model))
-    }
-
-    /// Builds the queue discipline instance for this profile.
-    pub(crate) fn make_queue(&self) -> Box<dyn Queue> {
-        match self.queue {
-            QueueKind::DropTail => Box::new(DropTail::new(self.queue_bytes)),
-            QueueKind::DscpPriority => Box::new(DscpPriority::new(self.queue_bytes)),
-            QueueKind::Red {
-                min_bytes,
-                max_bytes,
-                max_prob,
-                ecn_mark,
-            } => Box::new(
-                Red::new(self.queue_bytes, min_bytes, max_bytes, max_prob).with_ecn(ecn_mark),
-            ),
-        }
     }
 
     /// Fresh per-stage mutable state (one slot per stage, in order).

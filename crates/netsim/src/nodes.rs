@@ -111,16 +111,10 @@ impl RouterNode {
         self.routes = routes;
     }
 
-    /// Installs a discrimination policy. Drop counts keep accumulating
-    /// across a swap: a rule of the same name maps to the same counter.
+    /// Installs a discrimination policy.
     pub fn set_policy(&mut self, policy: PolicyEngine) {
         self.rule_drops = vec![None; policy.len()];
         self.policy = policy;
-    }
-
-    /// Read access to the policy (rule hit counts).
-    pub fn policy(&self) -> &PolicyEngine {
-        &self.policy
     }
 
     /// Read access to the routes.
@@ -200,12 +194,6 @@ impl Node for RouterNode {
         let verdict = self.policy.evaluate(ctx.now.as_nanos(), &frame, draw);
         match verdict {
             Verdict::Forward => self.forward_to(ctx, frame, dst),
-            Verdict::ForwardDscp(dscp) => {
-                if let Ok(mut ip) = Ipv4Packet::new_checked(frame.as_mut_slice()) {
-                    ip.set_dscp(dscp);
-                }
-                self.forward(ctx, frame);
-            }
             Verdict::Drop(rule) => {
                 let id = match self.rule_drops[rule.0] {
                     Some(id) => id,
@@ -384,45 +372,6 @@ mod tests {
         assert_eq!(sim.stats().counter("r.policy_drop.block-victim"), 1);
     }
 
-    /// A `PolicySwitch` replaces the engine, not the counters: a rule
-    /// of the same name keeps adding to the count its predecessor
-    /// started, even from a different position in the new engine.
-    #[test]
-    fn policy_drops_accumulate_across_a_policy_switch() {
-        let (mut sim, _a, r, b) = triangle();
-        let block = || {
-            Rule::new(
-                "block-victim",
-                MatchExpr::SrcPrefix(Ipv4Cidr::new(HOST_A, 32)),
-                Action::Drop { prob: 1.0 },
-            )
-        };
-        sim.node_mut::<RouterNode>(r)
-            .unwrap()
-            .set_policy(PolicyEngine::new().with(block()));
-        let frame = || build_udp(HOST_A, HOST_B, 0, 1, 2, b"v").unwrap();
-        sim.inject(crate::time::SimTime::ZERO, r, 0, frame());
-        let swapped = PolicyEngine::new()
-            .with(Rule::new(
-                "never",
-                MatchExpr::DstPort(9),
-                Action::Drop { prob: 1.0 },
-            ))
-            .with(block());
-        sim.schedule_event(
-            crate::time::SimTime::from_millis(10),
-            crate::events::NetEvent::PolicySwitch {
-                node: r,
-                policy: swapped,
-            },
-        );
-        sim.inject(crate::time::SimTime::from_millis(20), r, 0, frame());
-        sim.run(100);
-        assert_eq!(sim.node_ref::<SinkNode>(b).unwrap().rx_frames, 0);
-        assert_eq!(sim.stats().counter("r.policy_drop.block-victim"), 2);
-        assert_eq!(sim.stats().counter("r.policy_drop.never"), 0);
-    }
-
     #[test]
     fn policy_delay_adds_latency() {
         let (mut sim, _a, r, b) = triangle();
@@ -431,8 +380,9 @@ mod tests {
             .set_policy(PolicyEngine::new().with(Rule::new(
                 "lag",
                 MatchExpr::True,
-                Action::Delay {
-                    extra: Duration::from_millis(50),
+                Action::Jitter {
+                    min: Duration::from_millis(50),
+                    max: Duration::from_millis(50),
                 },
             )));
         let frame = build_udp(HOST_A, HOST_B, 0, 1, 2, b"slow").unwrap();

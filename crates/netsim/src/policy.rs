@@ -139,15 +139,11 @@ pub enum Action {
         /// Per-packet drop probability.
         prob: f64,
     },
-    /// Add queueing delay before forwarding.
-    Delay {
-        /// Extra one-way delay.
-        extra: Duration,
-    },
     /// Add a uniformly random delay in `[min, max]` before forwarding —
     /// deliberate jitter injection, the degradation that hurts
-    /// isochronous traffic (VoIP) most. The randomness comes from the
-    /// simulation RNG draw, so runs stay deterministic under a seed.
+    /// isochronous traffic (VoIP) most; `min == max` is a fixed delay.
+    /// The randomness comes from the simulation RNG draw, so runs stay
+    /// deterministic under a seed.
     Jitter {
         /// Smallest injected delay.
         min: Duration,
@@ -160,11 +156,6 @@ pub enum Action {
         rate_bps: u64,
         /// Bucket depth, bytes.
         burst_bytes: usize,
-    },
-    /// Rewrite the DSCP (de-prioritize or prioritize a class).
-    SetDscp {
-        /// New DSCP value.
-        dscp: u8,
     },
 }
 
@@ -195,7 +186,6 @@ impl Rule {
 pub struct PolicyEngine {
     rules: Vec<Rule>,
     buckets: Vec<Option<TokenBucket>>,
-    hits: Vec<u64>,
 }
 
 /// A rule's position in its [`PolicyEngine`], in insertion order.
@@ -207,8 +197,6 @@ pub struct RuleId(pub usize);
 pub enum Verdict {
     /// Forward unchanged.
     Forward,
-    /// Forward after rewriting DSCP.
-    ForwardDscp(u8),
     /// Drop; the rule is reported for statistics (its name via
     /// [`PolicyEngine::rule_name`]).
     Drop(RuleId),
@@ -231,7 +219,6 @@ impl PolicyEngine {
             } => Some(TokenBucket::new(*rate_bps, *burst_bytes)),
             _ => None,
         });
-        self.hits.push(0);
         self.rules.push(rule);
         self
     }
@@ -249,7 +236,6 @@ impl PolicyEngine {
             if !self.rules[i].matcher.matches(frame) {
                 continue;
             }
-            self.hits[i] += 1;
             return match &self.rules[i].action {
                 Action::Allow => Verdict::Forward,
                 Action::Drop { prob } => {
@@ -259,7 +245,6 @@ impl PolicyEngine {
                         Verdict::Forward
                     }
                 }
-                Action::Delay { extra } => Verdict::Delay(*extra),
                 Action::Jitter { min, max } => {
                     let span = max.saturating_sub(*min);
                     Verdict::Delay(*min + span.mul_f64(draw.clamp(0.0, 1.0)))
@@ -272,7 +257,6 @@ impl PolicyEngine {
                         Verdict::Drop(RuleId(i))
                     }
                 }
-                Action::SetDscp { dscp } => Verdict::ForwardDscp(*dscp),
             };
         }
         Verdict::Forward
@@ -285,16 +269,6 @@ impl PolicyEngine {
     /// When `rule` did not come from this engine.
     pub fn rule_name(&self, rule: RuleId) -> &str {
         &self.rules[rule.0].name
-    }
-
-    /// Times the named rule matched.
-    pub fn hits(&self, name: &str) -> u64 {
-        self.rules
-            .iter()
-            .zip(&self.hits)
-            .filter(|(r, _)| r.name == name)
-            .map(|(_, &h)| h)
-            .sum()
     }
 
     /// Number of installed rules.
@@ -466,9 +440,6 @@ mod tests {
         assert_eq!(pe.evaluate(0, &dns, 0.5), Verdict::Forward);
         assert_eq!(pe.evaluate(0, &other, 0.5), Verdict::Drop(RuleId(1)));
         assert_eq!(pe.rule_name(RuleId(1)), "drop-all-udp");
-        assert_eq!(pe.hits("allow-dns"), 1);
-        assert_eq!(pe.hits("drop-all-udp"), 1);
-        assert_eq!(pe.hits("nonexistent"), 0);
     }
 
     #[test]
@@ -523,29 +494,5 @@ mod tests {
             pe.evaluate(0, &f, 0.5),
             Verdict::Delay(Duration::from_millis(30))
         );
-    }
-
-    #[test]
-    fn delay_and_dscp_verdicts() {
-        let mut pe = PolicyEngine::new()
-            .with(Rule::new(
-                "lag-competitor",
-                MatchExpr::DstPort(16384),
-                Action::Delay {
-                    extra: Duration::from_millis(80),
-                },
-            ))
-            .with(Rule::new(
-                "downgrade",
-                MatchExpr::True,
-                Action::SetDscp { dscp: 0 },
-            ));
-        let voip = udp_frame(b"rtp");
-        assert_eq!(
-            pe.evaluate(0, &voip, 0.0),
-            Verdict::Delay(Duration::from_millis(80))
-        );
-        let other = build_udp(SRC, DST, 46, 1, 2, b"x").unwrap();
-        assert_eq!(pe.evaluate(0, &other, 0.0), Verdict::ForwardDscp(0));
     }
 }

@@ -19,8 +19,8 @@
 //!   traffic exactly as on foreground flows) while keeping only O(1)
 //!   counters per cohort.
 //! * [`PopulationSinkNode`] / [`CohortAggregate`] — the receive side:
-//!   per-cohort aggregate flow statistics (counts, bytes, delay /
-//!   jitter / reorder / CE-gap [`Histogram`]s) that replicate
+//!   per-cohort aggregate flow statistics (counts, bytes, a delay
+//!   [`Histogram`] and a jitter sum) that replicate
 //!   [`crate::stats::Stats::flow_rx`] semantics without a per-packet or
 //!   per-host sample vector.
 //!
@@ -53,10 +53,10 @@ use std::time::Duration;
 pub const FLUID_QUANTUM: Duration = Duration::from_millis(10);
 
 /// Stripe count cap for per-endpoint receive tracks: aggregates keep
-/// `min(endpoints, AGGREGATE_STRIPES)` small track slots (endpoint
-/// `e` maps to slot `e % stripes`), so jitter/reorder/CE-gap chains are
-/// exact per endpoint up to this population size and hash-striped —
-/// bounded memory — beyond it.
+/// `min(endpoints, AGGREGATE_STRIPES)` previous-delay slots (endpoint
+/// `e` maps to slot `e % stripes`), so jitter chains are exact per
+/// endpoint up to this population size and hash-striped — bounded
+/// memory — beyond it.
 pub const AGGREGATE_STRIPES: usize = 4096;
 
 // ---------------------------------------------------------------------------
@@ -535,22 +535,13 @@ impl Node for PopulationNode {
 // Receive side
 // ---------------------------------------------------------------------------
 
-/// Per-endpoint receive chain state (one stripe slot; see
-/// [`AGGREGATE_STRIPES`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct EndpointTrack {
-    last_delay: Option<f64>,
-    max_sent: Option<SimTime>,
-    rx_packets: u64,
-    last_ce_rx: Option<u64>,
-}
-
 /// Aggregate flow statistics for one cohort — the population-scale
-/// stand-in for [`crate::stats::FlowStats`]. Counters and the four
-/// histograms replicate [`crate::stats::Stats::flow_rx`] /
-/// [`crate::stats::Stats::flow_ce`] semantics exactly (per endpoint,
-/// up to [`AGGREGATE_STRIPES`] endpoints), but no per-packet sample
-/// vector is kept: memory is O(stripes), not O(received frames).
+/// stand-in for [`crate::stats::FlowStats`]. Counters, the delay
+/// histogram and the jitter sum replicate
+/// [`crate::stats::Stats::flow_rx`] / [`crate::stats::Stats::flow_ce`]
+/// semantics exactly (per endpoint, up to [`AGGREGATE_STRIPES`]
+/// endpoints), but no per-packet sample vector is kept: memory is
+/// O(stripes), not O(received frames).
 #[derive(Debug, Clone)]
 pub struct CohortAggregate {
     /// Cohort flow name.
@@ -568,12 +559,6 @@ pub struct CohortAggregate {
     pub ce_marks: u64,
     /// One-way delay distribution (nanosecond resolution).
     pub delay_hist: Histogram,
-    /// Inter-arrival delay-variation distribution per endpoint.
-    pub jitter_hist: Histogram,
-    /// Late-arrival (reorder) displacement distribution per endpoint.
-    pub reorder_hist: Histogram,
-    /// Received-frame gaps between CE marks per endpoint.
-    pub ce_gap_hist: Histogram,
     /// First delivery time.
     pub first_rx: Option<SimTime>,
     /// Last delivery time.
@@ -581,7 +566,8 @@ pub struct CohortAggregate {
     delay_sum: f64,
     jitter_sum: f64,
     jitter_count: u64,
-    tracks: Vec<EndpointTrack>,
+    /// Each stripe's previous one-way delay, seconds (jitter chains).
+    last_delays: Vec<Option<f64>>,
 }
 
 impl CohortAggregate {
@@ -596,15 +582,12 @@ impl CohortAggregate {
             wire_frames: 0,
             ce_marks: 0,
             delay_hist: Histogram::new(),
-            jitter_hist: Histogram::new(),
-            reorder_hist: Histogram::new(),
-            ce_gap_hist: Histogram::new(),
             first_rx: None,
             last_rx: None,
             delay_sum: 0.0,
             jitter_sum: 0.0,
             jitter_count: 0,
-            tracks: vec![EndpointTrack::default(); stripes],
+            last_delays: vec![None; stripes],
         }
     }
 
@@ -613,12 +596,10 @@ impl CohortAggregate {
     ///
     /// The update order mirrors [`crate::stats::Stats::flow_rx`]
     /// followed (when `ce`) by [`crate::stats::Stats::flow_ce`]: jitter
-    /// against the endpoint's previous delay *before* it is replaced,
-    /// reorder against the endpoint's max sent-time watermark, CE gaps
-    /// against the endpoint's post-increment receive count. A fluid
-    /// batch (`represented > 1`) shares one delay sample, so the batch
-    /// contributes `represented − 1` zero jitter samples beyond the
-    /// transition from the previous delivery.
+    /// against the endpoint's previous delay *before* it is replaced. A
+    /// fluid batch (`represented > 1`) shares one delay sample, so the
+    /// batch contributes `represented − 1` zero jitter samples beyond
+    /// the transition from the previous delivery.
     pub fn record(
         &mut self,
         endpoint: u32,
@@ -633,46 +614,21 @@ impl CohortAggregate {
         self.rx_packets += rep;
         self.rx_bytes += rep * body_bytes;
         let delay = (now - sent).as_secs_f64();
-        let slot = (endpoint as usize) % self.tracks.len();
-        let track = &mut self.tracks[slot];
-        if let Some(prev) = track.last_delay {
-            let dv = (delay - prev).abs();
-            self.jitter_hist.record_secs(dv);
-            self.jitter_sum += dv;
+        let slot = (endpoint as usize) % self.last_delays.len();
+        if let Some(prev) = self.last_delays[slot] {
+            self.jitter_sum += (delay - prev).abs();
             self.jitter_count += 1;
-            if rep > 1 {
-                self.jitter_hist.record_n(0, rep - 1);
-                self.jitter_count += rep - 1;
-            }
-        } else if rep > 1 {
-            self.jitter_hist.record_n(0, rep - 1);
-            self.jitter_count += rep - 1;
         }
-        track.last_delay = Some(delay);
+        self.jitter_count += rep - 1;
+        self.last_delays[slot] = Some(delay);
         self.delay_hist.record_secs_n(delay, rep);
         self.delay_sum += delay * rep as f64;
-        match track.max_sent {
-            Some(max) if sent < max => {
-                self.reorder_hist
-                    .record_secs_n((max - sent).as_secs_f64(), rep);
-            }
-            _ => track.max_sent = Some(sent),
-        }
-        track.rx_packets += rep;
         if self.first_rx.is_none() {
             self.first_rx = Some(now);
         }
         self.last_rx = Some(now);
         if ce {
             self.ce_marks += rep;
-            let gap = track.rx_packets - track.last_ce_rx.unwrap_or(0);
-            self.ce_gap_hist.record(gap);
-            if rep > 1 {
-                // Within the batch every modeled frame after the first
-                // is CE-marked back to back: gap 1 each.
-                self.ce_gap_hist.record_n(1, rep - 1);
-            }
-            track.last_ce_rx = Some(track.rx_packets);
         }
     }
 
@@ -921,8 +877,8 @@ mod tests {
         // Same seed, same run: byte-identical aggregates.
         let (tx2, rx2) = run_population(models, 11, 200);
         assert_eq!(tx[0], tx2[0]);
-        assert_eq!(rx[0].delay_hist.encode(), rx2[0].delay_hist.encode());
-        assert_eq!(rx[0].jitter_hist.encode(), rx2[0].jitter_hist.encode());
+        assert_eq!(rx[0].delay_hist, rx2[0].delay_hist);
+        assert_eq!(rx[0].jitter(), rx2[0].jitter());
         assert_eq!(rx[0].rx_packets, rx2[0].rx_packets);
     }
 
@@ -935,7 +891,7 @@ mod tests {
         let (tx2, rx2) = run_population(vec![m], 99, 150);
         assert_eq!(tx[0], tx2[0]);
         assert_eq!(rx[0].rx_bytes, rx2[0].rx_bytes);
-        assert_eq!(rx[0].delay_hist.encode(), rx2[0].delay_hist.encode());
+        assert_eq!(rx[0].delay_hist, rx2[0].delay_hist);
         // The spread actually varied frame sizes: bytes are not a
         // multiple of the fixed 200-byte body.
         assert!(tx[0].tx_bytes > tx[0].tx_packets * 200);
@@ -962,12 +918,20 @@ mod tests {
         assert_eq!(frx[0].rx_bytes, frx[0].rx_packets * 200);
         assert!(prx[0].rx_packets >= frx[0].rx_packets.saturating_sub(40));
         assert_eq!(frx[0].delay_hist.total(), frx[0].rx_packets);
-        // Every batch member beyond the first contributes a zero jitter
-        // sample; frames whose endpoint track already saw a delivery add
-        // one real transition sample on top.
-        let zeros = frx[0].rx_packets - frx[0].wire_frames;
-        assert!(frx[0].jitter_hist.total() >= zeros);
-        assert!(frx[0].jitter_hist.total() <= frx[0].rx_packets);
+    }
+
+    /// A fluid batch shares one delay sample: beyond the transition from
+    /// the endpoint's previous delivery, each of its `represented − 1`
+    /// further frames adds a zero jitter sample to the mean.
+    #[test]
+    fn fluid_batch_adds_zero_jitter_samples() {
+        let mut agg = CohortAggregate::new("coh", 1);
+        let (d1, d2): (f64, f64) = (0.002, 0.005);
+        agg.record(0, 1, 100, SimTime(0), SimTime(2_000_000), false);
+        assert_eq!(agg.jitter(), 0.0, "one delivery has no jitter yet");
+        agg.record(0, 4, 100, SimTime(10_000_000), SimTime(15_000_000), false);
+        assert_eq!(agg.jitter(), (d2 - d1).abs() / 4.0);
+        assert_eq!(agg.rx_packets, 5);
     }
 
     #[test]
@@ -1002,34 +966,30 @@ mod tests {
         let mut rx_bytes = 0;
         let mut ce_marks = 0;
         let mut delay = Histogram::new();
-        let mut jitter = Histogram::new();
-        let mut reorder = Histogram::new();
-        let mut ce_gap = Histogram::new();
+        // Jitter pools as a mean over every endpoint's consecutive pairs.
+        let (mut jitter_sum, mut jitter_samples) = (0.0, 0);
         for ep in 0..3 {
             let f = stats.flow(&format!("coh-ep{ep}")).expect("flow exists");
             rx_packets += f.rx_packets;
             rx_bytes += f.rx_bytes;
             ce_marks += f.ce_marks;
             delay.merge(&f.delay_hist);
-            jitter.merge(&f.jitter_hist);
-            reorder.merge(&f.reorder_hist);
-            ce_gap.merge(&f.ce_gap_hist);
+            let pairs = f.rx_packets.saturating_sub(1);
+            jitter_sum += f.jitter() * pairs as f64;
+            jitter_samples += pairs;
         }
         assert_eq!(agg.rx_packets, rx_packets);
         assert_eq!(agg.rx_bytes, rx_bytes);
         assert_eq!(agg.ce_marks, ce_marks);
-        assert_eq!(agg.delay_hist.encode(), delay.encode());
-        assert_eq!(agg.jitter_hist.encode(), jitter.encode());
-        assert_eq!(agg.reorder_hist.encode(), reorder.encode());
-        assert_eq!(agg.ce_gap_hist.encode(), ce_gap.encode());
-        assert!(!agg.reorder_hist.is_empty(), "the scripted reorder landed");
+        assert_eq!(agg.delay_hist, delay);
         assert!(agg.jitter() > 0.0);
+        assert!((agg.jitter() - jitter_sum / jitter_samples as f64).abs() < 1e-12);
     }
 
     #[test]
     fn striping_caps_track_memory_but_keeps_global_counts() {
         let mut agg = CohortAggregate::new("big", 1_000_000);
-        assert_eq!(agg.tracks.len(), AGGREGATE_STRIPES);
+        assert_eq!(agg.last_delays.len(), AGGREGATE_STRIPES);
         agg.record(999_999, 1000, 100, SimTime(0), SimTime(1_000_000), false);
         assert_eq!(agg.rx_packets, 1000);
         assert_eq!(agg.rx_bytes, 100_000);

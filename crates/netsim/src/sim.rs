@@ -18,7 +18,6 @@
 use crate::events::{EventTimeline, NetEvent};
 use crate::frame::{FrameBuf, FramePool};
 use crate::link::{LinkProfile, LossModel, StageSpec, StageState};
-use crate::nodes::RouterNode;
 use crate::queue::{EnqueueResult, Queue};
 use crate::stats::Stats;
 use crate::time::{tx_time, SimTime};
@@ -27,9 +26,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
 use std::time::Duration;
-
-// Legacy paths: these types lived here before the pipeline redesign.
-pub use crate::link::QueueKind;
 
 /// Index of a node in the simulator.
 pub type NodeId = usize;
@@ -154,7 +150,7 @@ struct LinkDir {
     profile: LinkProfile,
     /// Mutable per-stage state, parallel to `profile.stages`.
     stage_state: Vec<StageState>,
-    queue: Box<dyn Queue>,
+    queue: Queue,
     busy: bool,
     /// False while the direction is administratively down (link flap or
     /// partition): offered frames drop as `down_drops`.
@@ -164,6 +160,23 @@ struct LinkDir {
     /// sizes, and `tx_time`'s wide division is pure per `(len, rate)` —
     /// remembering the last answer removes it from the per-frame path.
     last_tx: (usize, Duration),
+}
+
+impl LinkDir {
+    /// An idle, up direction delivering to `to_iface` of `to_node`.
+    fn new(to_node: NodeId, to_iface: IfaceId, profile: LinkProfile) -> LinkDir {
+        LinkDir {
+            to_node,
+            to_iface,
+            queue: Queue::new(profile.queue, profile.queue_bytes),
+            stage_state: profile.initial_state(),
+            profile,
+            busy: false,
+            up: true,
+            counters: LinkCounters::default(),
+            last_tx: (usize::MAX, Duration::ZERO),
+        }
+    }
 }
 
 /// What the post-serializer stages decided for one frame.
@@ -364,29 +377,9 @@ impl Simulator {
         let iface_a = self.ifaces[a].len();
         let iface_b = self.ifaces[b].len();
         let dir_ab = self.dirs.len();
-        self.dirs.push(LinkDir {
-            to_node: b,
-            to_iface: iface_b,
-            queue: a_to_b.make_queue(),
-            stage_state: a_to_b.initial_state(),
-            profile: a_to_b,
-            busy: false,
-            up: true,
-            counters: LinkCounters::default(),
-            last_tx: (usize::MAX, Duration::ZERO),
-        });
+        self.dirs.push(LinkDir::new(b, iface_b, a_to_b));
         let dir_ba = self.dirs.len();
-        self.dirs.push(LinkDir {
-            to_node: a,
-            to_iface: iface_a,
-            queue: b_to_a.make_queue(),
-            stage_state: b_to_a.initial_state(),
-            profile: b_to_a,
-            busy: false,
-            up: true,
-            counters: LinkCounters::default(),
-            last_tx: (usize::MAX, Duration::ZERO),
-        });
+        self.dirs.push(LinkDir::new(a, iface_a, b_to_a));
         self.ifaces[a].push(dir_ab);
         self.ifaces[b].push(dir_ba);
         (iface_a, iface_b)
@@ -508,41 +501,10 @@ impl Simulator {
         match event {
             NetEvent::LinkDown { node, iface } => self.set_link_state(node, iface, false),
             NetEvent::LinkUp { node, iface } => self.set_link_state(node, iface, true),
-            NetEvent::ProfileSwap {
-                node,
-                iface,
-                profile,
-            } => {
-                let dir = self.ifaces[node][iface];
-                let this = &mut *self;
-                let d = &mut this.dirs[dir];
-                // Rebuild the queue only when the discipline actually
-                // changed; a bandwidth/latency/stage swap keeps queued
-                // frames. A rebuilt queue flushes its contents as queue
-                // drops (the reconfigured discipline starts empty).
-                if d.profile.queue != profile.queue || d.profile.queue_bytes != profile.queue_bytes
-                {
-                    let mut old = std::mem::replace(&mut d.queue, profile.make_queue());
-                    while let Some(q) = old.dequeue() {
-                        d.counters.queue_drops += 1;
-                        this.pool.recycle(q.frame);
-                    }
-                }
-                let d = &mut this.dirs[dir];
-                d.stage_state = profile.initial_state();
-                d.profile = profile;
-                // The serialization memo keys on the old bandwidth.
-                d.last_tx = (usize::MAX, Duration::ZERO);
-            }
             NetEvent::Partition { group } => self.set_partition_state(&group, false),
             NetEvent::Heal { group } => self.set_partition_state(&group, true),
             NetEvent::NodePause { node } => self.paused[node] = true,
             NetEvent::NodeResume { node } => self.paused[node] = false,
-            NetEvent::PolicySwitch { node, policy } => {
-                if let Some(router) = self.node_mut::<RouterNode>(node) {
-                    router.set_policy(policy);
-                }
-            }
         }
     }
 
@@ -575,9 +537,9 @@ impl Simulator {
         let d = &mut this.dirs[dir];
         d.up = up;
         if !up {
-            while let Some(q) = d.queue.dequeue() {
+            while let Some(frame) = d.queue.dequeue() {
                 d.counters.down_drops += 1;
-                this.pool.recycle(q.frame);
+                this.pool.recycle(frame);
             }
         }
     }
@@ -660,7 +622,7 @@ impl Simulator {
                 let dir = dir as usize;
                 self.dirs[dir].busy = false;
                 if let Some(next) = self.dirs[dir].queue.dequeue() {
-                    self.start_tx(dir, next.frame);
+                    self.start_tx(dir, next);
                 }
             }
         }
@@ -783,6 +745,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::QueueKind;
 
     /// Counts deliveries and echoes frames back out the arrival iface.
     struct Echo {

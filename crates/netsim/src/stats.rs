@@ -1,8 +1,9 @@
 //! Measurement collection.
 //!
 //! Experiments read everything they report from here: named counters
-//! and per-flow accounting (running delay/jitter sums plus log-scale
-//! histograms). Nodes write through [`crate::sim::Context::stats`].
+//! and per-flow accounting (counts, running delay and jitter sums, and
+//! a log-scale one-way delay histogram for the percentiles). Nodes write
+//! through [`crate::sim::Context::stats`].
 //!
 //! Counters live in a typed registry. A node registers each counter
 //! once, usually from [`crate::sim::Node::on_start`] through a
@@ -42,20 +43,6 @@ pub struct FlowStats {
     /// One-way delay distribution, nanoseconds — the source of every
     /// reported delay percentile.
     pub delay_hist: Histogram,
-    /// Distribution of |delay(n) − delay(n−1)| between consecutive
-    /// deliveries, nanoseconds — the jitter each arrival contributed.
-    pub jitter_hist: Histogram,
-    /// Send-order regression gaps, nanoseconds: for each delivery whose
-    /// send time precedes an already-delivered packet's, how far behind
-    /// the newest seen send time it arrived. Empty on in-order paths.
-    pub reorder_hist: Histogram,
-    /// Distribution of delivered-packet gaps between CE marks (how many
-    /// deliveries separated consecutive congestion signals).
-    pub ce_gap_hist: Histogram,
-    /// Newest send timestamp among delivered packets (reorder tracking).
-    max_sent: Option<SimTime>,
-    /// `rx_packets` as of the previous CE mark (gap tracking).
-    last_ce_rx: Option<u64>,
     /// Previous delivery's one-way delay, seconds (jitter tracking).
     last_delay: Option<f64>,
     /// Sum of one-way delays in arrival order, seconds.
@@ -301,13 +288,7 @@ impl Stats {
 
     /// Records a delivered packet that arrived CE-marked on a flow.
     pub fn flow_ce(&mut self, id: FlowId) {
-        let f = self.flow_mut(id);
-        f.ce_marks += 1;
-        // Distance (in delivered packets) from the previous mark: a
-        // burst of marks records small gaps, sparse marking large ones.
-        let gap = f.rx_packets - f.last_ce_rx.unwrap_or(0);
-        f.ce_gap_hist.record(gap);
-        f.last_ce_rx = Some(f.rx_packets);
+        self.flow_mut(id).ce_marks += 1;
     }
 
     /// Records a packet delivery on a flow.
@@ -317,19 +298,11 @@ impl Stats {
         f.rx_bytes += bytes as u64;
         let delay = (now - sent_at).as_secs_f64();
         if let Some(prev) = f.last_delay {
-            let dv = (delay - prev).abs();
-            f.jitter_hist.record_secs(dv);
-            f.jitter_sum += dv;
+            f.jitter_sum += (delay - prev).abs();
         }
         f.last_delay = Some(delay);
         f.delay_hist.record_secs(delay);
         f.delay_sum += delay;
-        match f.max_sent {
-            // Sent before an already-delivered packet: the path (or a
-            // policy detour) reordered it. Record how far behind.
-            Some(max) if sent_at < max => f.reorder_hist.record_secs((max - sent_at).as_secs_f64()),
-            _ => f.max_sent = Some(sent_at),
-        }
         if f.first_rx.is_none() {
             f.first_rx = Some(now);
         }
@@ -456,32 +429,6 @@ mod tests {
         for q in [0.0, 0.37, 0.5, 0.99, 1.0] {
             assert_eq!(single.quantile_bounds(q), bucket(42));
         }
-    }
-
-    /// The per-flow histograms fold in delay, jitter, reorder-gap and
-    /// CE-gap distributions as deliveries arrive.
-    #[test]
-    fn flow_histograms_track_deliveries() {
-        let mut s = Stats::new();
-        let k = s.flow_id("f");
-        // Two in-order deliveries 10ms apart in delay.
-        s.flow_rx(k, 10, SimTime::ZERO, SimTime::from_millis(20));
-        s.flow_rx(k, 10, SimTime::from_millis(5), SimTime::from_millis(35));
-        // A reordered delivery: sent before the previous packet.
-        s.flow_rx(k, 10, SimTime::from_millis(1), SimTime::from_millis(40));
-        s.flow_ce(k);
-        s.flow_rx(k, 10, SimTime::from_millis(6), SimTime::from_millis(50));
-        s.flow_ce(k);
-        let f = s.flow("f").unwrap();
-        assert_eq!(f.delay_hist.total(), 4);
-        assert_eq!(f.jitter_hist.total(), 3);
-        // One send-order regression of 4 ms (sent 1ms vs max seen 5ms).
-        assert_eq!(f.reorder_hist.total(), 1);
-        let (lo, hi) = f.reorder_hist.quantile_bounds(1.0);
-        assert!(lo <= 4_000_000 && 4_000_000 <= hi);
-        // CE gaps: first mark after 3 deliveries, second 1 delivery later.
-        assert_eq!(f.ce_gap_hist.total(), 2);
-        assert_eq!(f.ce_marks, 2);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! wheels) buckets events by time so a push is an append and a pop is a
 //! bitmask scan — amortized `O(1)`.
 //!
-//! [`TimingWheel`] keeps [`LEVELS`] wheels of [`SLOTS`] slots each.
+//! [`TimingWheel`] keeps `LEVELS` wheels of `SLOTS` slots each.
 //! Level 0 buckets time in ~2 µs quanta; each higher level is 64×
 //! coarser, so the wheels jointly cover ~2.3 days of simulated time and
 //! an overflow heap catches anything farther out. Events in the

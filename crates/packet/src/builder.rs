@@ -199,14 +199,6 @@ fn crack_shim(frame: &[u8]) -> Result<(Ipv4Repr, ShimRepr, Range<usize>)> {
     Ok((ip, shim, IP_HEADER_LEN + shim_pkt.header_len()..total))
 }
 
-/// Returns the IP protocol number of a frame, if it parses at all.
-/// Classifiers use this to split shim traffic from plain traffic without
-/// cracking deeper layers.
-pub fn frame_protocol(frame: &[u8]) -> Result<u8> {
-    let ip_pkt = Ipv4Packet::new_checked(frame)?;
-    Ok(ip_pkt.protocol())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,7 +232,7 @@ mod tests {
         assert_eq!(parsed.ip.dscp, dscp::EXPEDITED);
         assert_eq!(parsed.shim.nonce, 7);
         assert_eq!(parsed.payload, b"inner");
-        assert_eq!(frame_protocol(&frame).unwrap(), proto::SHIM);
+        assert_eq!(parsed.ip.protocol, proto::SHIM);
     }
 
     /// A payload written in place builds the same frame as one copied

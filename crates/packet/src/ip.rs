@@ -259,12 +259,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
         self.fill_checksum();
     }
 
-    /// Sets the source address and refreshes the checksum.
-    pub fn set_src_addr(&mut self, addr: Ipv4Addr) {
-        self.buffer.as_mut()[12..16].copy_from_slice(&addr.octets());
-        self.fill_checksum();
-    }
-
     /// Sets the destination address and refreshes the checksum.
     pub fn set_dst_addr(&mut self, addr: Ipv4Addr) {
         self.buffer.as_mut()[16..20].copy_from_slice(&addr.octets());
@@ -481,16 +475,15 @@ mod tests {
 
     #[test]
     fn rewriting_addresses_keeps_checksum_valid() {
-        // The neutralizer's core packet operation: rewrite src/dst.
+        // The neutralizer's core packet operation: rewrite the dst.
         let repr = sample_repr();
         let mut buf = vec![0u8; repr.buffer_len()];
         repr.emit(&mut buf).unwrap();
         let mut pkt = Ipv4Packet::new_unchecked(&mut buf[..]);
-        pkt.set_src_addr(Ipv4Addr::new(1, 2, 3, 4));
         pkt.set_dst_addr(Ipv4Addr::new(5, 6, 7, 8));
         pkt.set_ttl(63);
         assert!(pkt.verify_checksum());
-        assert_eq!(pkt.src_addr(), Ipv4Addr::new(1, 2, 3, 4));
+        assert_eq!(pkt.src_addr(), repr.src);
         assert_eq!(pkt.dst_addr(), Ipv4Addr::new(5, 6, 7, 8));
     }
 

@@ -281,7 +281,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use core::ops::Range;
 
-    /// Element-count bounds for [`vec`].
+    /// Element-count bounds for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         min: usize,
