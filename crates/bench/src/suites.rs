@@ -221,8 +221,8 @@ pub fn data_path() {
     // The *simulator's* per-frame data-path cost: 1000 UDP frames pushed
     // through two forwarding routers to a sink — engine event handling,
     // link serialization, queueing and router parsing, with no crypto.
-    // This is the hot loop the frame pool and the timing-wheel scheduler
-    // target; divide ns/iter by 1000 for the per-frame cost. The second
+    // This is the hot loop the frame pool and the event queue serve;
+    // divide ns/iter by 1000 for the per-frame cost. The second
     // run puts a content-DPI throttle on the first router, so most
     // frames die there and each drop bumps its per-rule counter — the
     // discriminating-hub path the counter registry keeps off the heap.

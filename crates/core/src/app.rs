@@ -3,8 +3,8 @@
 //! The same application (a VoIP call, a web fetch) must run unchanged over
 //! three transports — neutralized (this crate's client/server stacks),
 //! plain UDP (the baseline the discriminatory ISP can classify), and any
-//! future variant — so the A/B experiments in EXPERIMENTS.md compare
-//! *network* treatment, not application differences. Workload generators
+//! future variant — so the plain-versus-neutralized cells of a matrix
+//! compare *network* treatment, not application differences. Workload generators
 //! in `nn-lab` implement [`AppSource`]; host nodes drive it.
 //!
 //! An app writes each payload straight into a buffer the host owns and

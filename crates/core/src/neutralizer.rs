@@ -803,6 +803,106 @@ mod tests {
         assert_eq!(keys.derive(forged, Ipv4Addr::new(1, 2, 3, 4)), None);
     }
 
+    /// §3.4 at the rewrite itself: a sealed data frame forwarded to the
+    /// customer and a return frame anonymized toward the outside
+    /// initiator, both arriving marked DSCP EF and ECN CE, leave with
+    /// both marks.
+    #[test]
+    fn rewrites_keep_dscp_and_ecn() {
+        use nn_netsim::{LinkProfile, Simulator};
+        use nn_packet::{build_shim, dscp, ecn};
+        use std::time::Duration;
+
+        const OUTSIDE: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 5);
+        const CUSTOMER: Ipv4Addr = Ipv4Addr::new(10, 0, 3, 1);
+        const ANYCAST: Ipv4Addr = Ipv4Addr::new(198, 18, 0, 1);
+        const MASTER_KEY: [u8; 16] = [0x42; 16];
+        const NONCE: u64 = 0x0012_3456_789a_bcde;
+
+        /// Sends its frames at start and keeps every frame it receives.
+        struct Edge {
+            send: Vec<Vec<u8>>,
+            got: Vec<Vec<u8>>,
+        }
+        impl Node for Edge {
+            fn on_start(&mut self, ctx: &mut Context) {
+                for frame in self.send.drain(..) {
+                    ctx.send(0, frame);
+                }
+            }
+            fn on_packet(&mut self, ctx: &mut Context, _: IfaceId, frame: FrameBuf) {
+                self.got.push(frame.as_slice().to_vec());
+                ctx.recycle(frame);
+            }
+        }
+
+        let marked = |src: Ipv4Addr, shim: ShimRepr| {
+            let mut frame = build_shim(src, ANYCAST, dscp::EXPEDITED, &shim, b"body").unwrap();
+            Ipv4Packet::new_unchecked(&mut frame[..]).set_ecn(ecn::CE);
+            vec![frame]
+        };
+        let ks = MasterKey::new(MASTER_KEY).derive_ks(NONCE, OUTSIDE.to_u32());
+        let data = ShimRepr {
+            shim_type: ShimType::Data,
+            flags: 0,
+            nonce: NONCE,
+            addr_block: AddrSealer::new(&ks).seal(NONCE, CUSTOMER.to_u32()),
+            stamp: None,
+        };
+        let ret = ShimRepr {
+            shim_type: ShimType::Return,
+            flags: 0,
+            nonce: NONCE,
+            addr_block: ShimRepr::plain_addr_block(OUTSIDE),
+            stamp: None,
+        };
+
+        let mut sim = Simulator::new(1);
+        let outside = sim.add_node(
+            "outside",
+            Box::new(Edge {
+                send: marked(OUTSIDE, data),
+                got: Vec::new(),
+            }),
+        );
+        let config = NeutralizerConfig::new(ANYCAST, vec![Ipv4Cidr::new(CUSTOMER, 24)]);
+        let neut = sim.add_node("neut", Box::new(NeutralizerNode::new(config, MASTER_KEY)));
+        let customer = sim.add_node(
+            "customer",
+            Box::new(Edge {
+                send: marked(CUSTOMER, ret),
+                got: Vec::new(),
+            }),
+        );
+        let link = LinkProfile::new(1_000_000_000, Duration::from_micros(10));
+        let (_, to_outside) = sim.connect_sym(outside, neut, link.clone());
+        let (to_customer, _) = sim.connect_sym(neut, customer, link);
+        let mut routes = RouteTable::new();
+        routes.add(Ipv4Cidr::new(OUTSIDE, 24), to_outside);
+        routes.add(Ipv4Cidr::new(CUSTOMER, 24), to_customer);
+        sim.node_mut::<NeutralizerNode>(neut)
+            .unwrap()
+            .set_routes(routes);
+        sim.run(100);
+
+        for (node, rewrite, src, dst) in [
+            (customer, "data", OUTSIDE, CUSTOMER),
+            (outside, "return", ANYCAST, OUTSIDE),
+        ] {
+            let got = &sim.node_ref::<Edge>(node).unwrap().got;
+            assert_eq!(got.len(), 1, "the {rewrite} rewrite arrived");
+            let ip = Ipv4Packet::new_checked(&got[0][..]).unwrap();
+            assert_eq!(
+                (ip.src_addr(), ip.dst_addr()),
+                (src, dst),
+                "{rewrite} rewritten"
+            );
+            assert_eq!(ip.dscp(), dscp::EXPEDITED, "{rewrite} rewrite keeps DSCP");
+            assert_eq!(ip.ecn(), ecn::CE, "{rewrite} rewrite keeps ECN");
+            assert!(ip.verify_checksum(), "{rewrite} checksum");
+        }
+    }
+
     #[test]
     fn stateless_derivation_is_reproducible() {
         // Two "boxes" sharing KM derive identical keys — the anycast

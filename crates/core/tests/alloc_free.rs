@@ -16,12 +16,12 @@
 //! policy drop and queue drop, neutralizer transit, data forward and
 //! return anonymize, and population-sink ingest.
 //!
-//! The warm-up is long because the timing wheel's buckets grow on
-//! demand: each bucket keeps the largest capacity it ever needed, and a
-//! coarse level-2 bucket comes round once every ~537 ms, so the last
-//! growths here land about five simulated seconds in. Everything else
-//! (frame pool, key cache, counter registry, histograms) is warm well
-//! before that.
+//! The warm-up is six simulated seconds, well past the last growth: the
+//! packet cohort's seeded size spread and arrival jitter reach a new
+//! peak frame size or frames-in-flight count only now and then, and
+//! each one grows the frame pool. After a 0.5 s warm-up the window still
+//! allocates twice, both in the population's frame build (one new pooled
+//! buffer, one grown); after 1 s it allocates nothing.
 
 use nn_core::neutralizer::{NeutralizerConfig, NeutralizerNode};
 use nn_crypto::kdf::MasterKey;

@@ -332,36 +332,6 @@ impl BigUint {
         self.mul(other).rem(m)
     }
 
-    /// Modular exponentiation `self ^ exponent mod modulus`.
-    ///
-    /// Uses Montgomery reduction when the modulus is odd (all RSA moduli and
-    /// primes in this crate), falling back to multiply-and-reduce otherwise.
-    pub fn pow_mod(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
-        assert!(!modulus.is_zero(), "pow_mod with zero modulus");
-        if modulus.is_one() {
-            return BigUint::zero();
-        }
-        if exponent.is_zero() {
-            return BigUint::one();
-        }
-        if modulus.is_even() {
-            return self.pow_mod_generic(exponent, modulus);
-        }
-        crate::modexp::Montgomery::new(modulus).pow(self, exponent)
-    }
-
-    fn pow_mod_generic(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
-        let mut base = self.rem(modulus);
-        let mut acc = BigUint::one();
-        for i in 0..exponent.bit_len() {
-            if exponent.bit(i) {
-                acc = acc.mul_mod(&base, modulus);
-            }
-            base = base.mul_mod(&base, modulus);
-        }
-        acc
-    }
-
     /// Greatest common divisor (binary GCD).
     pub fn gcd(&self, other: &BigUint) -> BigUint {
         let mut a = self.clone();
@@ -739,22 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn pow_mod_small_known() {
-        // 4^13 mod 497 = 445 (classic textbook example).
-        assert_eq!(big(4).pow_mod(&big(13), &big(497)), big(445));
-        // Fermat: 2^(p-1) mod p = 1 for prime p.
-        let p = big(1_000_000_007);
-        assert_eq!(big(2).pow_mod(&p.sub(&BigUint::one()), &p), BigUint::one());
-    }
-
-    #[test]
-    fn pow_mod_even_modulus_fallback() {
-        // 3^5 mod 16 = 243 mod 16 = 3 (even modulus path).
-        assert_eq!(big(3).pow_mod(&big(5), &big(16)), big(3));
-        assert_eq!(big(7).pow_mod(&BigUint::zero(), &big(16)), BigUint::one());
-    }
-
-    #[test]
     fn gcd_known() {
         assert_eq!(big(48).gcd(&big(18)), big(6));
         assert_eq!(big(17).gcd(&big(31)), big(1));
@@ -853,20 +807,6 @@ mod tests {
             let (q, r) = ba.div_rem(&bb);
             prop_assert_eq!(q.mul(&bb).add(&r), ba);
             prop_assert!(r < bb);
-        }
-
-        #[test]
-        fn prop_pow_mod_agrees_with_generic(
-            base in any::<u64>(),
-            exp in any::<u16>(),
-            modulus in 3u64..,
-        ) {
-            let m = big((modulus | 1) as u128); // force odd -> Montgomery path
-            let b = big(base as u128);
-            let e = big(exp as u128);
-            let mont = b.pow_mod(&e, &m);
-            let generic = b.pow_mod_generic(&e, &m);
-            prop_assert_eq!(mont, generic);
         }
 
         #[test]

@@ -131,11 +131,6 @@ fn xor_block(dst: &mut [u8; 16], src: &[u8; 16]) {
     }
 }
 
-/// One-shot convenience: `CMAC(key, msg)`.
-pub fn cmac(key: &[u8; 16], msg: &[u8]) -> [u8; 16] {
-    Cmac::new(key).tag(msg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,7 +259,7 @@ mod tests {
             // a context derived fresh for every message.
             let cached = Cmac::new(&key);
             for m in &msgs {
-                prop_assert_eq!(cached.tag(m), cmac(&key, m));
+                prop_assert_eq!(cached.tag(m), Cmac::new(&key).tag(m));
             }
         }
 

@@ -17,7 +17,7 @@
 //! * [`sealed`] — the 16-byte encrypted-address block carried in the shim
 //!   header, with redundancy so wrong keys are detected.
 //! * [`e2e`] — the "IPsec black box" of §3.1 as a concrete hybrid channel.
-//! * [`factor`] — Pollard rho + cost models for the E6 security-window
+//! * [`factor`] — Pollard rho + its cost model for the E6 security-window
 //!   experiment.
 //!
 //! Nothing here is intended as production cryptography — the repository
@@ -48,10 +48,10 @@ pub mod sealed;
 
 pub use aes::Aes128;
 pub use biguint::BigUint;
-pub use cmac::{cmac, Cmac};
+pub use cmac::Cmac;
 pub use ctr::AesCtr;
 pub use e2e::{E2eEnvelope, E2eSession, SealedRecord};
 pub use error::{CryptoError, Result};
 pub use kdf::MasterKey;
 pub use rsa::{generate_keypair, keygen_rng, RsaKeypair, RsaPrivateKey, RsaPublicKey};
-pub use sealed::{open_addr, seal_addr, AddrSealer};
+pub use sealed::AddrSealer;

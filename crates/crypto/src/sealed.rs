@@ -18,33 +18,6 @@ use crate::error::{CryptoError, Result};
 /// Redundancy magic inside every sealed block.
 const MAGIC: &[u8; 4] = b"NEUT";
 
-/// Seals `addr` (IPv4, big-endian u32) under `key`, bound to `nonce`.
-///
-/// Block layout before encryption:
-/// `addr (4) ‖ "NEUT" (4) ‖ nonce (8)`.
-pub fn seal_addr(key: &[u8; 16], nonce: u64, addr: u32) -> [u8; 16] {
-    let mut block = [0u8; 16];
-    block[..4].copy_from_slice(&addr.to_be_bytes());
-    block[4..8].copy_from_slice(MAGIC);
-    block[8..16].copy_from_slice(&nonce.to_be_bytes());
-    let mut out = block;
-    Aes128::new(key).encrypt_block(&mut out);
-    out
-}
-
-/// Opens a sealed block, verifying the binding to `nonce`.
-pub fn open_addr(key: &[u8; 16], nonce: u64, sealed: &[u8; 16]) -> Result<u32> {
-    let mut block = *sealed;
-    Aes128::new(key).decrypt_block(&mut block);
-    if &block[4..8] != MAGIC {
-        return Err(CryptoError::AuthFailed);
-    }
-    if block[8..16] != nonce.to_be_bytes() {
-        return Err(CryptoError::AuthFailed);
-    }
-    Ok(u32::from_be_bytes([block[0], block[1], block[2], block[3]]))
-}
-
 /// A reusable sealer holding one key schedule — the data-path hot loop
 /// (experiment T2) seals/opens one block per packet, so the key schedule
 /// must not be recomputed per packet.
@@ -61,7 +34,10 @@ impl AddrSealer {
         }
     }
 
-    /// Seals with the precomputed schedule; see [`seal_addr`].
+    /// Seals `addr` (IPv4, big-endian u32), bound to `nonce`.
+    ///
+    /// Block layout before encryption:
+    /// `addr (4) ‖ "NEUT" (4) ‖ nonce (8)`.
     pub fn seal(&self, nonce: u64, addr: u32) -> [u8; 16] {
         let mut block = [0u8; 16];
         block[..4].copy_from_slice(&addr.to_be_bytes());
@@ -71,7 +47,8 @@ impl AddrSealer {
         block
     }
 
-    /// Opens with the precomputed schedule; see [`open_addr`].
+    /// Opens a sealed block, verifying the redundancy and the binding to
+    /// `nonce`.
     pub fn open(&self, nonce: u64, sealed: &[u8; 16]) -> Result<u32> {
         let mut block = *sealed;
         self.cipher.decrypt_block(&mut block);
@@ -89,16 +66,16 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let key = [0xabu8; 16];
-        let sealed = seal_addr(&key, 99, 0xc0a80a01);
-        assert_eq!(open_addr(&key, 99, &sealed).unwrap(), 0xc0a80a01);
+        let sealer = AddrSealer::new(&[0xabu8; 16]);
+        let sealed = sealer.seal(99, 0xc0a80a01);
+        assert_eq!(sealer.open(99, &sealed).unwrap(), 0xc0a80a01);
     }
 
     #[test]
     fn wrong_key_detected() {
-        let sealed = seal_addr(&[1u8; 16], 5, 42);
+        let sealed = AddrSealer::new(&[1u8; 16]).seal(5, 42);
         assert_eq!(
-            open_addr(&[2u8; 16], 5, &sealed),
+            AddrSealer::new(&[2u8; 16]).open(5, &sealed),
             Err(CryptoError::AuthFailed)
         );
     }
@@ -107,52 +84,59 @@ mod tests {
     fn wrong_nonce_detected() {
         // A replayed sealed block under a different nonce must not open:
         // this is what stops an ISP from splicing observed blocks together.
-        let key = [3u8; 16];
-        let sealed = seal_addr(&key, 5, 42);
-        assert_eq!(open_addr(&key, 6, &sealed), Err(CryptoError::AuthFailed));
+        let sealer = AddrSealer::new(&[3u8; 16]);
+        let sealed = sealer.seal(5, 42);
+        assert_eq!(sealer.open(6, &sealed), Err(CryptoError::AuthFailed));
     }
 
     #[test]
     fn bitflip_detected() {
-        let key = [4u8; 16];
-        let mut sealed = seal_addr(&key, 7, 0x0a000001);
+        let sealer = AddrSealer::new(&[4u8; 16]);
+        let mut sealed = sealer.seal(7, 0x0a000001);
         for i in 0..16 {
             sealed[i] ^= 0x80;
             assert!(
-                open_addr(&key, 7, &sealed).is_err(),
+                sealer.open(7, &sealed).is_err(),
                 "flip at byte {i} must be caught"
             );
             sealed[i] ^= 0x80;
         }
     }
 
+    /// The sealed block is one raw AES encryption of the documented
+    /// layout `addr ‖ "NEUT" ‖ nonce`.
     #[test]
     fn sealer_matches_one_shot() {
         let key = [5u8; 16];
         let sealer = AddrSealer::new(&key);
-        assert_eq!(sealer.seal(11, 77), seal_addr(&key, 11, 77));
-        assert_eq!(sealer.open(11, &sealer.seal(11, 77)).unwrap(), 77);
+        let mut block = [0u8; 16];
+        block[..4].copy_from_slice(&77u32.to_be_bytes());
+        block[4..8].copy_from_slice(b"NEUT");
+        block[8..].copy_from_slice(&11u64.to_be_bytes());
+        Aes128::new(&key).encrypt_block(&mut block);
+        assert_eq!(sealer.seal(11, 77), block);
+        assert_eq!(sealer.open(11, &block).unwrap(), 77);
     }
 
     #[test]
     fn ciphertext_leaks_nothing_obvious() {
         // Same address, different nonces => unrelated ciphertexts.
-        let key = [6u8; 16];
-        assert_ne!(seal_addr(&key, 1, 42), seal_addr(&key, 2, 42));
+        let sealer = AddrSealer::new(&[6u8; 16]);
+        assert_ne!(sealer.seal(1, 42), sealer.seal(2, 42));
     }
 
     proptest! {
         #[test]
         fn prop_roundtrip(key in any::<[u8;16]>(), nonce in any::<u64>(), addr in any::<u32>()) {
-            let sealed = seal_addr(&key, nonce, addr);
-            prop_assert_eq!(open_addr(&key, nonce, &sealed).unwrap(), addr);
+            let sealer = AddrSealer::new(&key);
+            prop_assert_eq!(sealer.open(nonce, &sealer.seal(nonce, addr)).unwrap(), addr);
         }
 
         #[test]
         fn prop_garbage_rejected(key in any::<[u8;16]>(), nonce in any::<u64>(), junk in any::<[u8;16]>()) {
             // A random block opens successfully only with probability
             // 2^-96; treat success as failure of the test.
-            prop_assert!(open_addr(&key, nonce, &junk).is_err());
+            prop_assert!(AddrSealer::new(&key).open(nonce, &junk).is_err());
         }
     }
 }

@@ -87,9 +87,6 @@ pub struct CellTuning {
     pub onetime_rsa_bits: usize,
     /// End-to-end RSA modulus bits for the destination's published key.
     pub e2e_rsa_bits: usize,
-    /// Whether the destination echoes frames back (exercises the
-    /// anonymized return path).
-    pub echo: bool,
 }
 
 impl Default for CellTuning {
@@ -98,7 +95,6 @@ impl Default for CellTuning {
             duration: Duration::from_secs(2),
             onetime_rsa_bits: 512,
             e2e_rsa_bits: 512,
-            echo: true,
         }
     }
 }
@@ -111,7 +107,6 @@ impl CellTuning {
             duration: Duration::from_millis(800),
             onetime_rsa_bits: 320,
             e2e_rsa_bits: 320,
-            ..CellTuning::default()
         }
     }
 }
@@ -406,15 +401,17 @@ fn run_cell_keyed(
         config_b.stats_name = "neutralizer-b".to_string();
         Box::new(NeutralizerNode::new(config_b, master_key)) as Box<dyn Node>
     });
+    // The destination always echoes, so every cell exercises the
+    // (anonymized) return path.
     let dst_node: Box<dyn Node> = if let Some((_, keys)) = bootstrap_and_keys {
         Box::new(NeutralizedServerNode::new(
             DST_ADDR,
             ANYCAST_ADDR,
             keys.dest,
-            tuning.echo,
+            true,
         ))
     } else {
-        Box::new(PlainServerNode::new(DST_ADDR, tuning.echo))
+        Box::new(PlainServerNode::new(DST_ADDR, true))
     };
 
     // The measurement plane rides beside the workload when the cell asks
@@ -453,8 +450,8 @@ fn run_cell_keyed(
     }
 
     // The events axis: lower the preset against the built shape and
-    // schedule it on the wheel, where it interleaves deterministically
-    // with traffic.
+    // schedule it in the engine's event queue, where it interleaves
+    // deterministically with traffic.
     let timeline = spec.events.lower(&built, tuning.duration);
     if !timeline.is_empty() {
         sim.install_timeline(timeline);

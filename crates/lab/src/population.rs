@@ -89,8 +89,8 @@ pub struct CohortDef {
     pub size_spread: u32,
     /// Seeded micro-jitter on arrival wakeups (packet mode).
     pub jitter: bool,
-    /// Advance this cohort as a fluid rate equation between wheel
-    /// quanta instead of frame-by-frame.
+    /// Advance this cohort as a fluid rate equation, once per
+    /// [`nn_netsim::FLUID_QUANTUM`], instead of frame-by-frame.
     pub fluid: bool,
 }
 

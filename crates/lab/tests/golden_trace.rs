@@ -1,13 +1,12 @@
 //! Golden-trace determinism tests for the data-path refactors.
 //!
-//! The frame-pool and timing-wheel work (ISSUE 4) is only allowed to
+//! Data-path work (the frame pool, the event queue) is only allowed to
 //! change *performance*, never *results*: the engine's documented
 //! ordering contract — events fire by (time, submission order) with all
 //! randomness from the one seeded RNG — must survive any scheduler or
 //! buffer-management swap. These tests pin that contract byte-for-byte:
-//! the full JSON and CSV reports of two fixed-seed matrices are compared
-//! against goldens captured *before* the refactor, at two different
-//! thread counts.
+//! the full JSON and CSV reports of fixed-seed matrices are compared
+//! against committed goldens, at two different thread counts.
 //!
 //! To regenerate after an *intentional* result change (new axes, new
 //! report columns):
@@ -170,7 +169,7 @@ fn sharded_runs_match_the_single_process_goldens() {
 /// The dynamic-event battery: the `flaky` matrix (multihomed topology,
 /// partition-heal timelines, failover in flight) must be byte-identical
 /// across thread counts and against its committed golden. Timeline
-/// events ride the same wheel as traffic, so any ordering leak between
+/// events share one event queue with traffic, so any ordering leak between
 /// event application and frame delivery shows up here first. And the
 /// failover story must hold: every neutralized partition-heal cell
 /// fails over and keeps its goodput.

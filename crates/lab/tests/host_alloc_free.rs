@@ -15,9 +15,8 @@
 //!
 //! The warm-up confirms the record channel within milliseconds (the
 //! envelopes of the first round trip are the one path that still
-//! allocates), but it runs six simulated seconds because the timing
-//! wheel's buckets grow on demand and a coarse bucket comes round only
-//! every ~537 ms.
+//! allocates). It runs six simulated seconds, a wide margin: after a
+//! 100 ms warm-up the window already allocates nothing.
 
 use nn_core::neutralizer::{NeutralizerConfig, NeutralizerNode};
 use nn_lab::hosts::{Bootstrap, NeutralizedServerNode, NeutralizedSourceNode};

@@ -10,11 +10,11 @@
 //! neutralizer-outage story of the paper's §3.5).
 //!
 //! Timelines are applied by [`crate::Simulator::install_timeline`]:
-//! every entry becomes an engine event on the same [`crate::TimingWheel`]
-//! as frame deliveries, so an event scheduled at time *t* interleaves
-//! with traffic at *exactly* that wheel quantum, in submission order —
-//! the outcome of a run with events is as byte-deterministic per seed as
-//! one without.
+//! every entry becomes an engine event in the same queue as frame
+//! deliveries, so an event scheduled at time *t* applies at *exactly*
+//! that nanosecond, in submission order with the traffic due then — the
+//! outcome of a run with events is as byte-deterministic per seed as one
+//! without.
 //!
 //! ## Semantics
 //!
@@ -38,7 +38,7 @@
 use crate::sim::{IfaceId, NodeId};
 use crate::time::SimTime;
 
-/// One dynamic network event, applied at an exact wheel quantum.
+/// One dynamic network event, applied at its exact nanosecond.
 #[derive(Debug)]
 pub enum NetEvent {
     /// Takes down both directions of the link at `(node, iface)`.
@@ -83,8 +83,8 @@ pub enum NetEvent {
 /// A declarative schedule of [`NetEvent`]s, ordered by application time.
 ///
 /// Entries may be pushed in any order; [`crate::Simulator::install_timeline`]
-/// schedules each at its own time, and same-quantum entries apply in the
-/// order they were pushed (the wheel's submission-order contract).
+/// schedules each at its own time, and entries due at the same time apply
+/// in the order they were pushed (the engine's submission-order contract).
 #[derive(Debug, Default)]
 pub struct EventTimeline {
     entries: Vec<(SimTime, NetEvent)>,
@@ -142,7 +142,7 @@ mod tests {
             );
         assert_eq!(tl.len(), 2);
         assert!(!tl.is_empty());
-        // Entries stay in push order (the wheel orders them by time).
+        // Entries stay in push order (the engine orders them by time).
         assert_eq!(tl.entries()[0].0, SimTime::from_millis(30));
         let entries = tl.into_entries();
         assert!(matches!(

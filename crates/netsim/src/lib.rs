@@ -1,26 +1,22 @@
 //! # nn-netsim — deterministic network simulator
 //!
 //! The substitute for the paper's Click/Linux testbed and for the ISPs of
-//! its scenarios (see DESIGN.md §3). A single-threaded, seeded
-//! discrete-event engine moves whole IPv4 frames between [`sim::Node`]s
-//! over links with bandwidth, propagation delay, queue disciplines
-//! ([`queue`]: drop-tail or RED, plus token-bucket policing) and
-//! optional fault injection.
+//! its scenarios. A single-threaded, seeded discrete-event engine moves
+//! whole IPv4 frames between [`sim::Node`]s over links with bandwidth,
+//! propagation delay, queue disciplines ([`queue`]: drop-tail or RED,
+//! plus token-bucket policing) and optional fault injection.
 //!
 //! * [`sim`] — the event engine and the `Node` trait.
 //! * [`events`] — seeded dynamic-event timelines ([`EventTimeline`]):
 //!   link flaps, partitions/heals and node pause/resume, applied at
-//!   exact wheel quanta so fault injection interleaves deterministically
-//!   with traffic.
+//!   their exact nanosecond so fault injection interleaves
+//!   deterministically with traffic.
 //! * [`frame`] — pooled [`FrameBuf`] buffers: the data path recycles
 //!   frames through a per-simulator [`FramePool`] freelist instead of
 //!   touching the allocator per hop.
 //! * [`histogram`] — fixed-bucket log-scale [`Histogram`]s: the
 //!   order-invariant one-way delay distributions behind every reported
 //!   delay percentile in [`stats`].
-//! * [`wheel`] — the hierarchical [`TimingWheel`] event queue: amortized
-//!   O(1) scheduling with the exact `(time, submission order)` contract
-//!   of the binary heap it replaced.
 //! * [`link`] — the composable link-impairment pipeline: [`LinkProfile`]
 //!   with rate/latency/AQM stages plus loss ([`LossModel`]: Bernoulli or
 //!   Gilbert–Elliott bursts), corruption and bounded-reordering stages;
@@ -34,14 +30,15 @@
 //!   [`PopulationNode`] multiplexes thousands-to-millions of modeled
 //!   hosts as seeded statistical cohorts that emit real pooled frames
 //!   but keep only per-cohort aggregate statistics, with an optional
-//!   fluid mode advancing bulk cohorts as rate equations between wheel
-//!   quanta.
+//!   fluid mode advancing bulk cohorts as rate equations once per
+//!   [`FLUID_QUANTUM`].
 //! * [`stats`] — the typed counter registry ([`counter_set!`]) and
 //!   per-flow delay/goodput accounting.
 //! * [`time`] — nanosecond simulated time.
 //!
 //! Everything is deterministic under a fixed seed: the same topology and
-//! seed reproduce byte-identical outcomes, which EXPERIMENTS.md relies on.
+//! seed reproduce byte-identical outcomes, which the lab's golden
+//! reports rely on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,7 +55,6 @@ pub mod routing;
 pub mod sim;
 pub mod stats;
 pub mod time;
-pub mod wheel;
 
 pub use events::{EventTimeline, NetEvent};
 pub use frame::{FrameBuf, FramePool};
@@ -75,4 +71,3 @@ pub use routing::{compute_routes, RouteTable};
 pub use sim::{Context, IfaceId, LinkCounters, Node, NodeId, Simulator};
 pub use stats::{CounterClass, CounterId, FlowId, FlowStats, Stats};
 pub use time::{tx_time, SimTime};
-pub use wheel::TimingWheel;

@@ -24,9 +24,9 @@
 //!   [`crate::stats::Stats::flow_rx`] semantics without a per-packet or
 //!   per-host sample vector.
 //!
-//! In **fluid mode** a bulk cohort advances as a rate equation between
-//! wheel quanta: every [`FLUID_QUANTUM`] the node integrates the
-//! arrival lattice over the elapsed quantum and emits *one*
+//! In **fluid mode** a bulk cohort advances as a rate equation on the
+//! population's own clock: every [`FLUID_QUANTUM`] the node integrates
+//! the arrival lattice over the elapsed quantum and emits *one*
 //! representative frame stamped with the represented count; the sink
 //! credits the whole batch in O(1) with the weighted histogram path.
 //! Fluid traffic therefore samples the path's treatment at quantum
@@ -48,8 +48,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
-/// Wheel quantum at which fluid cohorts integrate their rate equation
-/// and emit a representative frame.
+/// The population's fluid clock: the timer period at which fluid cohorts
+/// integrate their rate equation and emit a representative frame.
 pub const FLUID_QUANTUM: Duration = Duration::from_millis(10);
 
 /// Stripe count cap for per-endpoint receive tracks: aggregates keep

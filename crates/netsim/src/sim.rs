@@ -5,15 +5,23 @@
 //! frames between nodes over links described by [`LinkProfile`]
 //! impairment pipelines (rate shaping, AQM with optional ECN marking,
 //! propagation delay, then loss/corruption/reordering stages).
-//! Determinism matters because every experiment in EXPERIMENTS.md must
-//! be exactly reproducible: all randomness flows from one seeded RNG,
-//! and simultaneous events fire in submission order.
+//! Determinism matters because every experiment in a matrix must be
+//! exactly reproducible: all randomness flows from one seeded RNG, and
+//! simultaneous events fire in submission order.
 //!
 //! The data path is allocation-free in steady state: frames live in
 //! pooled [`FrameBuf`]s recycled through a per-simulator [`FramePool`]
-//! (see [`crate::frame`]), and the scheduler is a hierarchical
-//! [`TimingWheel`] (see [`crate::wheel`]) rather than a binary heap —
-//! same `(time, submission order)` contract, amortized O(1).
+//! (see [`crate::frame`]), and pending events sit in one deque sorted by
+//! due time, whose capacity is reused once warm.
+//!
+//! The event queue stays small by construction: a frame that finds its
+//! link direction busy waits in that direction's [`Queue`], not here.
+//! What is pending is one `TxDone` per busy direction, the frames in
+//! flight, a few timers per node and the timeline's entries — at most a
+//! few hundred events in any matrix cell or benchmark. At that size a
+//! binary search plus a short `memmove` per insert and a `pop_front` per
+//! event cost no more per frame than a timing wheel and less than a
+//! binary heap, with no slots to scan when timers are sparse.
 
 use crate::events::{EventTimeline, NetEvent};
 use crate::frame::{FrameBuf, FramePool};
@@ -21,10 +29,10 @@ use crate::link::{LinkProfile, LossModel, StageSpec, StageState};
 use crate::queue::{EnqueueResult, Queue};
 use crate::stats::Stats;
 use crate::time::{tx_time, SimTime};
-use crate::wheel::TimingWheel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Index of a node in the simulator.
@@ -262,9 +270,9 @@ fn run_stages(
     }
 }
 
-/// Scheduled work, sized to keep wheel entries small (they get moved
-/// through slots and sort runs constantly): ids are `u32` on the wire
-/// of the queue even though the public API uses `usize`.
+/// Scheduled work, sized to keep queue entries small (an insert moves
+/// the entries on its shorter side): ids are `u32` inside the queue even
+/// though the public API uses `usize`.
 enum EventKind {
     Deliver {
         node: u32,
@@ -279,14 +287,16 @@ enum EventKind {
         token: u64,
     },
     /// A dynamic network event from an [`EventTimeline`], boxed to keep
-    /// wheel entries small (the variant is rare next to frame traffic).
+    /// queue entries small (the variant is rare next to frame traffic).
     Net(Box<NetEvent>),
 }
 
 /// The discrete-event simulator.
 pub struct Simulator {
     now: SimTime,
-    events: TimingWheel<EventKind>,
+    /// Pending events sorted by due time; equal times in submission
+    /// order (see [`Self::schedule`]).
+    events: VecDeque<(SimTime, EventKind)>,
     nodes: Vec<Option<Box<dyn Node>>>,
     /// Interned node names: one backing string, per-node byte spans —
     /// no per-node `String` allocation, `node_name` is a slice.
@@ -324,7 +334,7 @@ impl Simulator {
         let ids = EngineCounters::register(&mut stats, "events");
         Simulator {
             now: SimTime::ZERO,
-            events: TimingWheel::new(),
+            events: VecDeque::new(),
             nodes: Vec::new(),
             name_bytes: String::new(),
             name_spans: Vec::new(),
@@ -468,7 +478,7 @@ impl Simulator {
         frame: impl Into<FrameBuf>,
     ) {
         assert!(at >= self.now, "cannot inject into the past");
-        self.events.push(
+        self.schedule(
             at,
             EventKind::Deliver {
                 node: node as u32,
@@ -479,16 +489,15 @@ impl Simulator {
     }
 
     /// Schedules one dynamic [`NetEvent`] at `at`. The event shares the
-    /// timing wheel with frame traffic, so it applies at exactly that
-    /// quantum, interleaved in submission order with everything else
-    /// scheduled there.
+    /// event queue with frame traffic, so it applies at exactly that
+    /// nanosecond, in submission order with everything else due then.
     pub fn schedule_event(&mut self, at: SimTime, event: NetEvent) {
         assert!(at >= self.now, "cannot schedule an event into the past");
-        self.events.push(at, EventKind::Net(Box::new(event)));
+        self.schedule(at, EventKind::Net(Box::new(event)));
     }
 
     /// Schedules every entry of `timeline` ([`Self::schedule_event`] per
-    /// entry, preserving push order for same-quantum entries).
+    /// entry, preserving push order for entries due at the same time).
     pub fn install_timeline(&mut self, timeline: EventTimeline) {
         for (at, event) in timeline.into_entries() {
             self.schedule_event(at, event);
@@ -573,7 +582,7 @@ impl Simulator {
     /// `until` are processed) or the queue drains.
     pub fn run_until(&mut self, until: SimTime) {
         self.start();
-        while let Some((time, kind)) = self.events.pop_due(until) {
+        while let Some((time, kind)) = self.events.pop_front_if(|(t, _)| *t <= until) {
             self.handle_event(time, kind);
         }
         if self.now < until {
@@ -583,11 +592,19 @@ impl Simulator {
 
     /// Processes one event; false when the queue is empty.
     fn step(&mut self) -> bool {
-        let Some((time, kind)) = self.events.pop() else {
+        let Some((time, kind)) = self.events.pop_front() else {
             return false;
         };
         self.handle_event(time, kind);
         true
+    }
+
+    /// Queues `kind` at `at`, behind every event due at or before it:
+    /// the queue stays sorted by due time, and events due at the same
+    /// time pop in the order they were scheduled.
+    fn schedule(&mut self, at: SimTime, kind: EventKind) {
+        let i = self.events.partition_point(|&(t, _)| t <= at);
+        self.events.insert(i, (at, kind));
     }
 
     /// Advances the clock to `time` and runs one event.
@@ -659,7 +676,7 @@ impl Simulator {
             self.transmit(dir, frame);
         }
         for (delay, token) in timers.drain(..) {
-            self.events.push(
+            self.schedule(
                 self.now + delay,
                 EventKind::Timer {
                     node: node_id as u32,
@@ -726,7 +743,7 @@ impl Simulator {
         let deliver_at = done_at + d.profile.latency + outcome.extra_delay;
         if outcome.deliver {
             d.counters.delivered += 1;
-            self.events.push(
+            self.schedule(
                 deliver_at,
                 EventKind::Deliver {
                     node: to_node as u32,
@@ -737,8 +754,7 @@ impl Simulator {
         } else {
             self.pool.recycle(frame);
         }
-        self.events
-            .push(done_at, EventKind::TxDone { dir: dir as u32 });
+        self.schedule(done_at, EventKind::TxDone { dir: dir as u32 });
     }
 }
 

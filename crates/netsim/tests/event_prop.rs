@@ -7,13 +7,17 @@
 //!   down-dropped. Link flaps at arbitrary times must not leak or
 //!   double-count a single frame.
 //! * **Determinism** — a run with a timeline is as byte-identical per
-//!   seed as one without: events ride the same wheel as traffic, so
+//!   seed as one without: events share one queue with traffic, so
 //!   repeating a (seed, timeline) pair reproduces the exact delivered
 //!   frame sequence, counters and stats.
 //!
 //! Plus the events' own semantics: frames offered strictly inside a
 //! down window are never delivered, and frames delivered to a paused
 //! node vanish into `events.pause_drops`.
+//!
+//! Under all of it sits the engine's ordering contract, tested here on a
+//! running `Simulator`: events fire in due-time order, and events due at
+//! the same time fire in the order they were scheduled.
 
 use nn_netsim::{
     Context, EventTimeline, FrameBuf, IfaceId, LinkCounters, LinkProfile, NetEvent, Node, SimTime,
@@ -21,6 +25,8 @@ use nn_netsim::{
 };
 use nn_packet::{build_udp, Ipv4Addr};
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Duration;
 
 const SRC: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 10);
@@ -106,7 +112,113 @@ fn run_flap(seed: u64, n: u64, down_ms: u64, up_ms: u64) -> (Vec<u64>, LinkCount
     (seqs, counters, sent, applied)
 }
 
+/// Every timer set and every timer fired, across all nodes, in the order
+/// the engine saw them: `(due or firing time, token)`.
+#[derive(Default)]
+struct TimerLog {
+    scheduled: Vec<(SimTime, u64)>,
+    fired: Vec<(SimTime, u64)>,
+}
+
+/// Sets scripted timers from `on_start` and from `on_timer`, logging each
+/// one into a log shared by every node.
+struct TimerScript {
+    /// `(delay, token)` pairs set from `on_start`.
+    roots: Vec<(Duration, u64)>,
+    /// `children[token]`: the `(delay, token)` pairs set when `token` fires.
+    children: Vec<Vec<(Duration, u64)>>,
+    log: Rc<RefCell<TimerLog>>,
+}
+
+impl TimerScript {
+    fn set(&self, ctx: &mut Context, timers: &[(Duration, u64)]) {
+        for &(delay, token) in timers {
+            ctx.set_timer(delay, token);
+            self.log
+                .borrow_mut()
+                .scheduled
+                .push((ctx.now + delay, token));
+        }
+    }
+}
+
+impl Node for TimerScript {
+    fn on_start(&mut self, ctx: &mut Context) {
+        self.set(ctx, &self.roots);
+    }
+    fn on_timer(&mut self, ctx: &mut Context, token: u64) {
+        self.log.borrow_mut().fired.push((ctx.now, token));
+        self.set(ctx, &self.children[token as usize]);
+    }
+    fn on_packet(&mut self, ctx: &mut Context, _: IfaceId, frame: FrameBuf) {
+        ctx.recycle(frame);
+    }
+}
+
+/// A delay from a `(kind, raw)` draw. The fixed kinds make equal due
+/// times common; the others span nanoseconds to hours.
+fn delay_of(kind: u8, raw: u64) -> Duration {
+    const HOUR: u64 = 3_600_000_000_000;
+    Duration::from_nanos(match kind {
+        0 => 0,
+        1 => 1,
+        2 => 2_000,
+        3 => 1_000_000,
+        4 => HOUR,
+        5 => raw % 4_096,
+        6 => raw % 10_000_000_000,
+        _ => raw % (3 * HOUR),
+    })
+}
+
 proptest! {
+    /// Timers fire in the order they were set, stably sorted by due time:
+    /// earlier due times first, equal due times in submission order.
+    /// Three nodes set arbitrary timers (zero, equal and nanosecond to
+    /// hour delays) from `on_start` and from `on_timer`; the run is cut
+    /// once by `run_until` at an arbitrary time, then drained by `run`.
+    #[test]
+    fn timers_fire_in_due_time_then_submission_order(
+        // (node, (delay kind, raw delay), parent draw): a timer is set
+        // from `on_start` by `node`, or, for two parent draws in three,
+        // by the node owning an earlier timer when that timer fires.
+        specs in proptest::collection::vec((0usize..3, (0u8..8, any::<u64>()), any::<u64>()), 1..120),
+        cut in (0u8..8, any::<u64>()),
+    ) {
+        let log = Rc::new(RefCell::new(TimerLog::default()));
+        let mut nodes: Vec<TimerScript> = (0..3)
+            .map(|_| TimerScript {
+                roots: Vec::new(),
+                children: vec![Vec::new(); specs.len()],
+                log: Rc::clone(&log),
+            })
+            .collect();
+        let mut owner: Vec<usize> = Vec::with_capacity(specs.len());
+        for (i, &(node, (kind, raw), parent)) in specs.iter().enumerate() {
+            let timer = (delay_of(kind, raw), i as u64);
+            if i > 0 && parent % 3 != 0 {
+                let p = (parent % i as u64) as usize;
+                owner.push(owner[p]);
+                nodes[owner[p]].children[p].push(timer);
+            } else {
+                owner.push(node);
+                nodes[node].roots.push(timer);
+            }
+        }
+        let mut sim = Simulator::new(1);
+        for (i, node) in nodes.into_iter().enumerate() {
+            sim.add_node(format!("n{i}"), Box::new(node));
+        }
+        sim.run_until(SimTime::ZERO + delay_of(cut.0, cut.1));
+        sim.run(u64::MAX);
+
+        let log = log.borrow();
+        prop_assert_eq!(log.scheduled.len(), specs.len(), "every scripted timer was set");
+        let mut expected = log.scheduled.clone();
+        expected.sort_by_key(|&(at, _)| at);
+        prop_assert_eq!(&log.fired, &expected);
+    }
+
     /// For arbitrary down windows, every offered frame is accounted for
     /// exactly once (conservation), frames offered strictly inside the
     /// window never arrive, and frames outside it always do.

@@ -238,13 +238,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
 }
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
-    /// Sets the DSCP field and refreshes the checksum.
-    pub fn set_dscp(&mut self, dscp: u8) {
-        let d = self.buffer.as_mut();
-        d[1] = (dscp << 2) | (d[1] & 0x3);
-        self.fill_checksum();
-    }
-
     /// Sets the ECN field (bottom 2 bits of the ToS byte) and refreshes
     /// the checksum. The DSCP bits are preserved.
     pub fn set_ecn(&mut self, ecn: u8) {
@@ -256,12 +249,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
     /// Sets the TTL and refreshes the checksum.
     pub fn set_ttl(&mut self, ttl: u8) {
         self.buffer.as_mut()[8] = ttl;
-        self.fill_checksum();
-    }
-
-    /// Sets the destination address and refreshes the checksum.
-    pub fn set_dst_addr(&mut self, addr: Ipv4Addr) {
-        self.buffer.as_mut()[16..20].copy_from_slice(&addr.octets());
         self.fill_checksum();
     }
 
@@ -475,27 +462,17 @@ mod tests {
 
     #[test]
     fn rewriting_addresses_keeps_checksum_valid() {
-        // The neutralizer's core packet operation: rewrite the dst.
+        // A router's per-hop rewrite: the TTL changes, the checksum
+        // follows, the addresses stay.
         let repr = sample_repr();
         let mut buf = vec![0u8; repr.buffer_len()];
         repr.emit(&mut buf).unwrap();
         let mut pkt = Ipv4Packet::new_unchecked(&mut buf[..]);
-        pkt.set_dst_addr(Ipv4Addr::new(5, 6, 7, 8));
         pkt.set_ttl(63);
         assert!(pkt.verify_checksum());
+        assert_eq!(pkt.ttl(), 63);
         assert_eq!(pkt.src_addr(), repr.src);
-        assert_eq!(pkt.dst_addr(), Ipv4Addr::new(5, 6, 7, 8));
-    }
-
-    #[test]
-    fn dscp_preserved_through_rewrite() {
-        // §3.4: the neutralizer must not clobber the DSCP.
-        let repr = sample_repr();
-        let mut buf = vec![0u8; repr.buffer_len()];
-        repr.emit(&mut buf).unwrap();
-        let mut pkt = Ipv4Packet::new_unchecked(&mut buf[..]);
-        pkt.set_dst_addr(Ipv4Addr::new(9, 9, 9, 9));
-        assert_eq!(pkt.dscp(), dscp::EXPEDITED);
+        assert_eq!(pkt.dst_addr(), repr.dst);
     }
 
     #[test]
@@ -516,7 +493,7 @@ mod tests {
     }
 
     /// Writing ECN must not clobber the DSCP — the neutralizer's §3.4
-    /// guarantee extends to AQM marking — and vice versa.
+    /// guarantee extends to AQM marking.
     #[test]
     fn ecn_and_dscp_setters_preserve_each_other() {
         let repr = sample_repr();
@@ -525,16 +502,14 @@ mod tests {
         let mut pkt = Ipv4Packet::new_unchecked(&mut buf[..]);
         pkt.set_ecn(ecn::ECT0);
         assert_eq!(pkt.dscp(), dscp::EXPEDITED, "set_ecn keeps DSCP");
-        pkt.set_dscp(dscp::AF11);
-        assert_eq!(pkt.ecn(), ecn::ECT0, "set_dscp keeps ECN");
         pkt.set_ecn(ecn::CE);
-        assert_eq!(pkt.dscp(), dscp::AF11, "CE mark keeps DSCP");
+        assert_eq!(pkt.dscp(), dscp::EXPEDITED, "CE mark keeps DSCP");
         assert_eq!(pkt.ecn(), ecn::CE);
         assert!(pkt.verify_checksum());
         // Out-of-range input is masked to the two ECN bits.
         pkt.set_ecn(0xff);
         assert_eq!(pkt.ecn(), ecn::CE);
-        assert_eq!(pkt.dscp(), dscp::AF11);
+        assert_eq!(pkt.dscp(), dscp::EXPEDITED);
     }
 
     #[test]
