@@ -5,8 +5,9 @@
 //!          [--tolerance PCT] [--list]
 //! ```
 //!
-//! With no arguments every suite runs and prints its table, exactly like
-//! `cargo bench -p nn-bench`. `--json` additionally writes a machine
+//! Run it with `cargo run --release -p nn-bench --bin nn-bench -- ARGS`;
+//! `--suites NAME` runs one suite. With no arguments every suite runs
+//! and prints its table. `--json` additionally writes a machine
 //! readable report (per-suite, per-bench ns/iter) so the repo keeps a
 //! perf trajectory across PRs. `--check` re-reads a committed baseline
 //! report and fails (exit 1) if any bench shared with the current run

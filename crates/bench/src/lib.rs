@@ -1,14 +1,16 @@
 //! # nn-bench — a tiny custom benchmark harness
 //!
-//! The workspace builds offline (no criterion), so the `benches/`
-//! targets use this harness: warm up, run a measured loop around
+//! The workspace builds offline (no criterion), so the suites in
+//! [`suites`] use this harness: warm up, run a measured loop around
 //! [`std::hint::black_box`], report nanoseconds per iteration. Results
 //! are indicative, not statistically rigorous — good enough to compare
 //! the paper's cost model (§4) against this implementation and to catch
 //! order-of-magnitude regressions.
 //!
-//! Every bench honors `NN_BENCH_ITERS` to scale the measured loop, so CI
-//! can run them as smoke tests while local runs measure properly.
+//! The `nn-bench` binary runs them, one suite or all:
+//! `cargo run --release -p nn-bench --bin nn-bench -- --suites NAME`.
+//! Every bench honors `NN_BENCH_ITERS` to scale the measured loop, so
+//! smoke runs stay short while local runs measure properly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -140,31 +142,6 @@ mod tests {
             crate::suites::SUITES.iter().map(|(n, _, _)| *n).collect();
         assert_eq!(names.len(), crate::suites::SUITES.len(), "names unique");
         assert!(names.iter().all(|n| !n.is_empty()));
-    }
-
-    /// The SUITES table, the `[[bench]]` manifest entries and the
-    /// `benches/*.rs` shell files must stay in sync — a drifted trio
-    /// compiles fine but breaks `cargo bench --bench <name>` at runtime.
-    #[test]
-    fn suite_table_matches_bench_targets() {
-        let manifest = include_str!("../Cargo.toml");
-        let bench_entries = manifest.matches("[[bench]]").count();
-        assert_eq!(
-            bench_entries,
-            crate::suites::SUITES.len(),
-            "one [[bench]] entry per suite"
-        );
-        let bench_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("benches");
-        for (name, _, _) in crate::suites::SUITES {
-            assert!(
-                manifest.contains(&format!("name = \"{name}\"")),
-                "suite {name} missing from Cargo.toml [[bench]] targets"
-            );
-            assert!(
-                bench_dir.join(format!("{name}.rs")).exists(),
-                "suite {name} missing its benches/{name}.rs shell"
-            );
-        }
     }
 
     #[test]

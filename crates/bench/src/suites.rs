@@ -1,10 +1,10 @@
 //! The benchmark suites themselves.
 //!
-//! Bodies live here — in the library, compiled by every plain
-//! `cargo build` — while the `benches/*.rs` targets are one-line shells
-//! invoking them, so bench code cannot silently rot between `cargo
-//! bench` runs. Iteration counts honor `NN_BENCH_ITERS` (see
-//! [`crate::iters`]).
+//! Bodies live here, in the library, so every plain `cargo build`
+//! compiles them and bench code cannot silently rot. The `nn-bench`
+//! binary runs them:
+//! `cargo run --release -p nn-bench --bin nn-bench -- --suites NAME`.
+//! Iteration counts honor `NN_BENCH_ITERS` (see [`crate::iters`]).
 
 use crate::{bench, header, iters, report_result, BenchResult};
 use nn_crypto::factor::{factor_semiprime, rho_ops_estimate};
@@ -20,8 +20,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// Name, one-line description and entry point of every suite — the
-/// single source of truth `nn-bench --list` prints. Keep in sync with
-/// the `[[bench]]` shell targets in `Cargo.toml`.
+/// one list `nn-bench --list` prints and `--suites` selects from.
 pub const SUITES: [(&str, &str, fn()); 12] = [
     (
         "raw_crypto",

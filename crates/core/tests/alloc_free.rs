@@ -16,12 +16,13 @@
 //! policy drop and queue drop, neutralizer transit, data forward and
 //! return anonymize, and population-sink ingest.
 //!
-//! The warm-up is six simulated seconds, well past the last growth: the
+//! The warm-up is two simulated seconds, past the last growth: the
 //! packet cohort's seeded size spread and arrival jitter reach a new
 //! peak frame size or frames-in-flight count only now and then, and
 //! each one grows the frame pool. After a 0.5 s warm-up the window still
 //! allocates twice, both in the population's frame build (one new pooled
-//! buffer, one grown); after 1 s it allocates nothing.
+//! buffer, one grown); after 1 s it allocates nothing. The run is
+//! seeded, so the window sees the same frames on every run.
 
 use nn_core::neutralizer::{NeutralizerConfig, NeutralizerNode};
 use nn_crypto::kdf::MasterKey;
@@ -287,11 +288,11 @@ fn progress(lab: &Lab) -> Progress {
 #[test]
 fn warm_simulation_moves_frames_without_allocating() {
     let mut lab = build();
-    lab.sim.run_until(SimTime::from_secs(6));
+    lab.sim.run_until(SimTime::from_secs(2));
     let before = progress(&lab);
 
     let allocs_before = allocations();
-    lab.sim.run_until(SimTime::from_secs(8));
+    lab.sim.run_until(SimTime::from_secs(4));
     let allocs = allocations() - allocs_before;
 
     let after = progress(&lab);

@@ -492,6 +492,37 @@ mod tests {
         }
     }
 
+    /// Checks [`RsaPublicKey::from_wire`] on one input, which may come
+    /// from any sender (the neutralizer parses a source's one-time key
+    /// out of a key-setup frame). The parse gives `BadKey`, or a key
+    /// that used exactly `2 + k` bytes for the length field `k` and
+    /// re-encodes to them. It accepts exactly the well-formed encodings:
+    /// `k` in 16–1024, `k` modulus bytes present, the top bit set and
+    /// the modulus odd.
+    fn check_from_wire(bytes: &[u8]) -> std::result::Result<(), TestCaseError> {
+        let k = bytes
+            .get(..2)
+            .map(|b| usize::from(u16::from_be_bytes([b[0], b[1]])));
+        let well_formed = k.is_some_and(|k| {
+            (16..=1024).contains(&k)
+                && bytes.len() >= 2 + k
+                && bytes[2] & 0x80 != 0
+                && bytes[1 + k] & 1 == 1
+        });
+        match RsaPublicKey::from_wire(bytes) {
+            Err(e) => {
+                prop_assert_eq!(e, CryptoError::BadKey);
+                prop_assert!(!well_formed, "rejected a well-formed key: {bytes:02x?}");
+            }
+            Ok((key, used)) => {
+                prop_assert!(well_formed, "accepted a malformed key: {bytes:02x?}");
+                prop_assert_eq!(Some(used), k.map(|k| 2 + k));
+                prop_assert_eq!(&key.to_wire()[..], &bytes[..used]);
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
         #[test]
@@ -502,6 +533,43 @@ mod tests {
             let kp = generate_keypair(&mut rng, 256);
             let ct = kp.public.encrypt(&mut rng, &msg).unwrap();
             prop_assert_eq!(kp.private.decrypt(&ct).unwrap(), msg);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+        /// Arbitrary bytes, then a near-valid encoding: a length field
+        /// of 16–96 (or any `u16`), random modulus bytes with the top
+        /// and the low bit each forced on or left as drawn, then cut
+        /// short, left exact or followed by trailing bytes.
+        #[test]
+        fn prop_from_wire_accepts_exactly_well_formed_keys(
+            noise in collection::vec(any::<u8>(), 0..120),
+            shape in (16u16..97, any::<u16>(), 0u8..8),
+            modulus in collection::vec(any::<u8>(), 96),
+            end in (0u8..3, 1usize..8),
+        ) {
+            check_from_wire(&noise)?;
+
+            let (short_len, any_len, flags) = shape;
+            let k = if flags & 1 == 0 { short_len } else { any_len };
+            let mut bytes = k.to_be_bytes().to_vec();
+            bytes.extend_from_slice(&modulus[..modulus.len().min(usize::from(k))]);
+            if bytes.len() > 2 {
+                if flags & 2 != 0 {
+                    bytes[2] |= 0x80;
+                }
+                if flags & 4 != 0 {
+                    *bytes.last_mut().unwrap() |= 1;
+                }
+            }
+            let (tail, n) = end;
+            match tail {
+                0 => bytes.truncate(bytes.len().saturating_sub(n)),
+                1 => bytes.extend(noise.iter().take(n)),
+                _ => {}
+            }
+            check_from_wire(&bytes)?;
         }
     }
 }

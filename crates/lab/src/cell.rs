@@ -20,7 +20,6 @@ use crate::topology::{
 use crate::workload::WorkloadSpec;
 use nn_core::neutralizer::{NeutralizerConfig, NeutralizerNode};
 use nn_crypto::RsaKeypair;
-use nn_dns::{rtype, DnsCache, DnsName, Lookup, NeutInfo, Record, RecordData, ZoneStore};
 use nn_netsim::{
     CohortAggregate, CohortTx, FlowStats, Histogram, Node, RouterNode, SimTime, Simulator,
 };
@@ -30,10 +29,6 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
-
-/// The destination's DNS name, whose `NEUT` record carries the bootstrap
-/// triple of §3.1.
-pub const DST_NAME: &str = "shop.neutral.example";
 
 /// Which host stack carries the workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,41 +230,6 @@ impl CellReport {
     }
 }
 
-/// Resolves the destination's bootstrap triple from its DNS records,
-/// going through the TTL cache the way a real stub resolver would.
-fn resolve_bootstrap(zone: &ZoneStore, cache: &mut DnsCache, now: SimTime) -> Bootstrap {
-    let name = DnsName::new(DST_NAME).expect("valid name");
-    if cache.get(now, &name, rtype::NEUT).is_none() {
-        match zone.query(&name, rtype::NEUT) {
-            Lookup::Found(records) => cache.insert(now, name.clone(), rtype::NEUT, records),
-            other => panic!("NEUT bootstrap record missing: {other:?}"),
-        }
-    }
-    // Serve from the cache so the hit path actually runs; repeat
-    // resolutions within the TTL never touch the zone again.
-    let records = cache
-        .get(now, &name, rtype::NEUT)
-        .expect("just-inserted NEUT record is cached");
-    assert!(cache.hits >= 1, "bootstrap must come from the cache");
-    let RecordData::Neut(info) = &records[0].data else {
-        panic!("NEUT query returned non-NEUT data");
-    };
-    let (pubkey, _) =
-        nn_crypto::RsaPublicKey::from_wire(&info.pubkey_wire).expect("published key parses");
-    let dest = match zone.query(&name, rtype::A) {
-        Lookup::Found(recs) => match recs[0].data {
-            RecordData::A(addr) => addr,
-            _ => unreachable!("A query returned non-A data"),
-        },
-        other => panic!("A record missing: {other:?}"),
-    };
-    Bootstrap {
-        dest,
-        neutralizers: info.neutralizers.clone(),
-        dest_pubkey: pubkey,
-    }
-}
-
 /// Deepest TTL the hop train sweeps — covers every built shape's router
 /// count; probes whose TTL outlives the path just echo from the far end.
 const PROBE_MAX_TTL: u8 = 8;
@@ -286,8 +246,9 @@ const DEST_KEY_SEED: u64 = 0x5e7;
 const ONETIME_KEY_SEED: u64 = 0x07e;
 
 /// The keypairs a neutralized cell runs with: the destination's
-/// long-lived end-to-end key, which its `NEUT` record publishes (§3.1),
-/// and the source's one-time key for its single key setup (§3.2).
+/// long-lived end-to-end key, whose public half the source is handed in
+/// its §3.1 bootstrap triple, and the source's one-time key for its
+/// single key setup (§3.2).
 struct CellKeys {
     dest: Arc<RsaKeypair>,
     onetime: Arc<RsaKeypair>,
@@ -351,36 +312,25 @@ fn run_cell_keyed(
     keys: impl FnOnce() -> CellKeys,
 ) -> CellReport {
     let flow = spec.workload.name();
-    // §3.1 bootstrap — only neutralized cells publish the destination's
-    // end-to-end key in a NEUT record and resolve it; plain transports
-    // need neither.
-    let bootstrap_and_keys = (spec.stack == StackKind::Neutralized).then(|| {
-        let keys = keys();
-        let mut zone = ZoneStore::new();
-        let name = DnsName::new(DST_NAME).expect("valid name");
-        zone.add(Record::new(name.clone(), 300, RecordData::A(DST_ADDR)));
-        zone.add(Record::new(
-            name,
-            300,
-            RecordData::Neut(NeutInfo {
-                // A multihomed destination lists one service address per
-                // provider, primary first (§3.5).
-                neutralizers: spec.topology.neut_addrs(),
-                pubkey_wire: keys.dest.public.to_wire(),
-            }),
-        ));
-        let mut cache = DnsCache::new();
-        (resolve_bootstrap(&zone, &mut cache, SimTime::ZERO), keys)
-    });
+    // Only neutralized cells need keys; plain transports run without.
+    let keys = (spec.stack == StackKind::Neutralized).then(keys);
 
     let mut sim = Simulator::new(spec.seed);
     sim.install_pool(std::mem::take(pool));
     let app = Box::new(spec.workload.app(tuning.duration));
 
-    let src_node: Box<dyn Node> = if let Some((bootstrap, keys)) = &bootstrap_and_keys {
+    let src_node: Box<dyn Node> = if let Some(keys) = &keys {
+        // §3.1's bootstrap triple, which a deployed source reads from the
+        // destination's `NEUT` record. A multihomed destination lists one
+        // service address per provider, primary first (§3.5).
+        let bootstrap = Bootstrap {
+            dest: DST_ADDR,
+            neutralizers: spec.topology.neut_addrs(),
+            dest_pubkey: keys.dest.public.clone(),
+        };
         Box::new(NeutralizedSourceNode::new(
             SRC_ADDR,
-            bootstrap.clone(),
+            bootstrap,
             0,
             Arc::clone(&keys.onetime),
             flow,
@@ -403,7 +353,7 @@ fn run_cell_keyed(
     });
     // The destination always echoes, so every cell exercises the
     // (anonymized) return path.
-    let dst_node: Box<dyn Node> = if let Some((_, keys)) = bootstrap_and_keys {
+    let dst_node: Box<dyn Node> = if let Some(keys) = keys {
         Box::new(NeutralizedServerNode::new(
             DST_ADDR,
             ANYCAST_ADDR,

@@ -354,8 +354,9 @@ impl Node for PlainServerNode {
 
 /// Bootstrap information a source needs before neutralized communication
 /// (§3.1): in deployment this triple comes out of the destination's DNS
-/// `NEUT` record; [`crate::cell::run_cell`] resolves it from a zone through
-/// the TTL cache at setup time.
+/// `NEUT` record, fetched over an encrypted channel; no cell models that
+/// lookup, so [`crate::cell::run_cell`] hands the source the triple at
+/// start.
 #[derive(Debug, Clone)]
 pub struct Bootstrap {
     /// The destination's real address (stays hidden inside sealed blocks).

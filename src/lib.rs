@@ -8,13 +8,12 @@
 //!   address blocks.
 //! * [`packet`] ([`nn_packet`]) — IPv4/UDP and the neutralizer shim
 //!   wire formats.
-//! * [`dns`] ([`nn_dns`]) — NEUT bootstrap records, zones and the
-//!   TTL-honoring client cache.
 //! * [`netsim`] ([`nn_netsim`]) — the deterministic discrete-event
 //!   simulator and the discriminatory-ISP policy engine.
 //! * [`core`] ([`nn_core`]) — the stateless neutralizer, multihomed
 //!   provider selection, measurement probes and application framing.
-//! * [`lab`] ([`nn_lab`]) — the experiment-matrix engine: host stacks,
+//! * [`lab`] ([`nn_lab`]) — the experiment-matrix engine: host stacks
+//!   (a neutralized source is handed its §3.1 bootstrap triple at start),
 //!   topology generators, workload and adversary libraries, and the
 //!   parallel matrix runner (see the `nn-lab` binary). The paper's
 //!   baseline / DPI-throttled / neutralized comparison is its `paper`
@@ -25,7 +24,6 @@
 
 pub use nn_core as core;
 pub use nn_crypto as crypto;
-pub use nn_dns as dns;
 pub use nn_lab as lab;
 pub use nn_netsim as netsim;
 pub use nn_packet as packet;
