@@ -7,7 +7,6 @@
 //! Iteration counts honor `NN_BENCH_ITERS` (see [`crate::iters`]).
 
 use crate::{bench, header, iters, report_result, BenchResult};
-use nn_crypto::factor::{factor_semiprime, rho_ops_estimate};
 use nn_crypto::kdf::MasterKey;
 use nn_crypto::sealed::AddrSealer;
 use nn_crypto::{e2e, Aes128, AesCtr, BigUint, Cmac, E2eSession, SealedRecord};
@@ -21,7 +20,7 @@ use std::time::Instant;
 
 /// Name, one-line description and entry point of every suite — the
 /// one list `nn-bench --list` prints and `--suites` selects from.
-pub const SUITES: [(&str, &str, fn()); 12] = [
+pub const SUITES: [(&str, &str, fn()); 11] = [
     (
         "raw_crypto",
         "AES block, CMAC, CTR keystream, Ks derivation",
@@ -41,11 +40,6 @@ pub const SUITES: [(&str, &str, fn()); 12] = [
         "data_path",
         "neutralizer per-packet work, record channel",
         data_path,
-    ),
-    (
-        "factoring",
-        "Pollard rho + E6 cost extrapolation",
-        factoring,
     ),
     (
         "blinding",
@@ -194,8 +188,9 @@ pub fn data_path() {
     // bulk frame, as the host stacks run it: sealed straight into a
     // reused frame buffer, and opened in place. Each open first copies
     // the sealed bytes back in, as a received frame would bring them.
-    // The CBC-MAC chain weighs most in the first, the pipelined CTR
-    // keystream in the second.
+    // Each record is AES-GCM: the in-register CTR kernel, which makes
+    // the tag mask in its first batch, and a GHASH that reduces once per
+    // eight blocks. The 1200-byte rows are where both pipelines fill.
     let mut tx = E2eSession::new(&ks, true);
     let rx = E2eSession::new(&ks, false);
     let mut frame = Vec::new();
@@ -330,36 +325,6 @@ fn sim_data_path() {
     bench("sim_dpi_drop_2router_1kframes", iters(50), || {
         black_box(run(true));
     });
-}
-
-/// Factoring costs for the security-window argument (E6): Pollard rho on
-/// small semiprimes plus the analytic extrapolation curve.
-pub fn factoring() {
-    header("factoring");
-
-    // 10403 = 101 * 103, then a pair of 31-bit primes.
-    bench("pollard_rho_14bit", iters(10_000), || {
-        black_box(factor_semiprime(black_box(10_403), 1 << 20).unwrap());
-    });
-    let n62: u128 = 2_147_483_647u128 * 2_147_483_629u128;
-    let reps = iters(5);
-    let start = Instant::now();
-    for _ in 0..reps {
-        black_box(factor_semiprime(black_box(n62), 1 << 32).unwrap());
-    }
-    report_result(&BenchResult {
-        name: "pollard_rho_62bit".into(),
-        iters: reps,
-        ns_per_iter: start.elapsed().as_nanos() as f64 / reps as f64,
-    });
-
-    // The analytic curve used by the E6 extrapolation.
-    for bits in [64u32, 128, 256, 512] {
-        println!(
-            "rho_ops_estimate({bits:>3} bits) = {:.3e}",
-            rho_ops_estimate(bits)
-        );
-    }
 }
 
 /// Randomized-padding cost: every key-setup encryption re-randomizes its

@@ -8,7 +8,8 @@
 //! fault-tolerance argument both rest on this property.
 //!
 //! Per-packet work, matching the paper's §4 cost model exactly:
-//! * key-setup packet → one short-RSA **encryption** (cheap, e = 3);
+//! * key-setup packet → one short-RSA **encryption** (cheap, e = 3) under
+//!   a one-time key of at most [`MAX_ONETIME_KEY_BYTES`];
 //! * data/return packet → one CMAC derivation + one AES block operation.
 
 use nn_crypto::kdf::MasterKey;
@@ -44,6 +45,7 @@ nn_netsim::counter_set! {
         no_route: Internal,
         setup_parse_error: Internal,
         setup_bad_pubkey: Internal,
+        setup_key_too_long: Internal,
         setup_encrypt_fail: Internal,
         setup_served: Reported,
         data_parse_error: Internal,
@@ -61,6 +63,12 @@ nn_netsim::counter_set! {
         key_rotated: Internal,
     }
 }
+
+/// The longest one-time key a neutralizer serves, in modulus bytes: the
+/// paper's 512 bits (§3.2). A key setup costs one RSA encryption and a
+/// reply the size of the modulus, so without a cap any sender could make
+/// one frame cost the box many times the paper's price.
+pub const MAX_ONETIME_KEY_BYTES: usize = 64;
 
 /// Timer token for master-key rotation.
 const TOKEN_KEY_ROTATION: u64 = 0xFC;
@@ -451,6 +459,14 @@ impl NeutralizerNode {
             ctx.stats.bump(self.ids.setup_parse_error);
             return;
         };
+        // The key's 2-byte length field is read before any big-number
+        // work: a longer key is refused without a Montgomery context.
+        if let Some(&[hi, lo]) = parsed.payload.get(..2) {
+            if usize::from(u16::from_be_bytes([hi, lo])) > MAX_ONETIME_KEY_BYTES {
+                ctx.stats.bump(self.ids.setup_key_too_long);
+                return;
+            }
+        }
         let Ok((pubkey, _)) = RsaPublicKey::from_wire(parsed.payload) else {
             ctx.stats.bump(self.ids.setup_bad_pubkey);
             return;
@@ -901,6 +917,87 @@ mod tests {
             assert_eq!(ip.ecn(), ecn::CE, "{rewrite} rewrite keeps ECN");
             assert!(ip.verify_checksum(), "{rewrite} checksum");
         }
+    }
+
+    /// A key setup is served only under a one-time key of at most
+    /// [`MAX_ONETIME_KEY_BYTES`]: a real 512-bit key draws one `KeyReply`,
+    /// while well-formed 65- and 1,024-byte moduli are counted and draw
+    /// nothing.
+    #[test]
+    fn key_setup_refuses_keys_over_the_cap() {
+        use nn_netsim::{LinkProfile, Simulator};
+        use nn_packet::build_shim;
+        use std::time::Duration;
+
+        const OUTSIDE: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 5);
+        const ANYCAST: Ipv4Addr = Ipv4Addr::new(198, 18, 0, 1);
+
+        /// Sends its frames at start and keeps the type of every shim
+        /// frame it receives.
+        struct Edge {
+            send: Vec<Vec<u8>>,
+            got: Vec<ShimType>,
+        }
+        impl Node for Edge {
+            fn on_start(&mut self, ctx: &mut Context) {
+                for frame in self.send.drain(..) {
+                    ctx.send(0, frame);
+                }
+            }
+            fn on_packet(&mut self, ctx: &mut Context, _: IfaceId, frame: FrameBuf) {
+                self.got.push(parse_shim(&frame).unwrap().shim.shim_type);
+                ctx.recycle(frame);
+            }
+        }
+
+        let setup = |key_wire: &[u8]| {
+            let shim = ShimRepr {
+                shim_type: ShimType::KeySetup,
+                flags: 0,
+                nonce: 0,
+                addr_block: ShimRepr::EMPTY_BLOCK,
+                stamp: None,
+            };
+            build_shim(OUTSIDE, ANYCAST, 0, &shim, key_wire).unwrap()
+        };
+        // A modulus `from_wire` accepts: `len` bytes, top bit set, odd.
+        let oversized = |len: usize| {
+            let mut wire = (len as u16).to_be_bytes().to_vec();
+            wire.resize(2 + len, 0xff);
+            assert!(RsaPublicKey::from_wire(&wire).is_ok(), "{len} bytes parse");
+            wire
+        };
+        let real = nn_crypto::generate_keypair(&mut StdRng::seed_from_u64(5), 512);
+        let mut sim = Simulator::new(1);
+        let outside = sim.add_node(
+            "outside",
+            Box::new(Edge {
+                send: vec![
+                    setup(&real.public.to_wire()),
+                    setup(&oversized(MAX_ONETIME_KEY_BYTES + 1)),
+                    setup(&oversized(1024)),
+                ],
+                got: Vec::new(),
+            }),
+        );
+        let config = NeutralizerConfig::new(ANYCAST, vec![]);
+        let neut = sim.add_node("neut", Box::new(NeutralizerNode::new(config, [0x42; 16])));
+        let link = LinkProfile::new(1_000_000_000, Duration::from_micros(10));
+        let (_, to_outside) = sim.connect_sym(outside, neut, link);
+        let mut routes = RouteTable::new();
+        routes.add(Ipv4Cidr::new(OUTSIDE, 24), to_outside);
+        sim.node_mut::<NeutralizerNode>(neut)
+            .unwrap()
+            .set_routes(routes);
+        sim.run(100);
+
+        assert_eq!(sim.stats().counter("neutralizer.setup_served"), 1);
+        assert_eq!(sim.stats().counter("neutralizer.setup_key_too_long"), 2);
+        assert_eq!(
+            sim.node_ref::<Edge>(outside).unwrap().got,
+            [ShimType::KeyReply],
+            "only the 512-bit key draws a reply"
+        );
     }
 
     #[test]

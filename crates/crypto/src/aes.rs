@@ -29,10 +29,18 @@
 //! fit the register file, where four lanes spill every round and run no
 //! faster than single blocks.
 //!
-//! [`Aes128::cbc_mac`] is the other multi-block call: the CBC-MAC chain
+//! [`Aes128::cbc_mac`] is another multi-block call: the CBC-MAC chain
 //! CMAC absorbs a message through. Its blocks depend on each other, so
 //! nothing pipelines; the hardware path instead loads the eleven round
 //! keys into registers once per call rather than once per block.
+//!
+//! The third is CTR mode, which [`AesCtr`](crate::ctr::AesCtr) and the
+//! end-to-end channel's GCM run on. On AES-NI, one kernel builds eight
+//! counter blocks per batch in registers, runs them through the rounds
+//! together and XORs each keystream block into the data where it lies;
+//! no counter array and no keystream buffer touch memory. The T-table
+//! path builds the counter blocks in an array and encrypts them as a
+//! batch, and is the reference the kernel is tested against.
 
 use std::sync::OnceLock;
 
@@ -145,6 +153,11 @@ fn inv_mix_word(w: u32) -> u32 {
 /// How many blocks the T-table path of [`Aes128::encrypt_blocks`]
 /// pipelines per inner pass.
 pub const BATCH: usize = 2;
+
+/// The gate of [`Aes128::ctr_xor`]: it gets the keystream block of the
+/// call's first counter before any data changes, and says whether the
+/// call goes on.
+pub(crate) type CtrGate<'a> = &'a mut dyn FnMut(&[u8; 16]) -> bool;
 
 /// AES-128 with a precomputed key schedule.
 ///
@@ -273,6 +286,32 @@ impl Aes128 {
         self.table_cbc_mac(chain, data);
     }
 
+    /// CTR mode: XORs the keystream block `E(nonce ‖ counter + i)`, both
+    /// halves big-endian, into the `i`-th 16-byte block of `data`; the
+    /// last block may be short. Encrypt and decrypt are the same call.
+    ///
+    /// With a `gate`, the keystream block of `counter` itself goes to the
+    /// gate before any byte of `data` changes, and `data` starts at
+    /// `counter + 1`. When the gate returns false, so does the call, and
+    /// `data` is left as it was. GCM's tag mask `E(J0)` rides in the
+    /// first batch this way, on open as well as on seal.
+    pub(crate) fn ctr_xor(
+        &self,
+        nonce: u64,
+        counter: u64,
+        data: &mut [u8],
+        gate: Option<CtrGate<'_>>,
+    ) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(keys) = &self.ni {
+            // SAFETY: `keys` exists only if `is_x86_feature_detected!("aes")`
+            // returned true, and `aes` is the one feature the callee enables.
+            #[allow(unsafe_code)]
+            return unsafe { ni::ctr_xor(keys, nonce, counter, data, gate) };
+        }
+        self.table_ctr_xor(nonce, counter, data, gate)
+    }
+
     /// Decrypts one block in place.
     pub fn decrypt_block(&self, block: &mut [u8; 16]) {
         #[cfg(target_arch = "x86_64")]
@@ -331,6 +370,41 @@ impl Aes128 {
         }
     }
 
+    /// [`ctr_xor`](Self::ctr_xor) on the T-table cipher: counter blocks
+    /// are laid out in an array eight at a time and encrypted as one
+    /// batch, then XORed into the data. The reference the AES-NI kernel
+    /// is tested against.
+    fn table_ctr_xor(
+        &self,
+        nonce: u64,
+        mut counter: u64,
+        data: &mut [u8],
+        gate: Option<CtrGate<'_>>,
+    ) -> bool {
+        const LANES: usize = 8;
+        if let Some(gate) = gate {
+            let mut head = counter_block(nonce, counter);
+            self.table_encrypt_block(&mut head);
+            if !gate(&head) {
+                return false;
+            }
+            counter = counter.wrapping_add(1);
+        }
+        for chunk in data.chunks_mut(16 * LANES) {
+            let blocks = chunk.len().div_ceil(16);
+            let mut ks: [[u8; 16]; LANES] =
+                core::array::from_fn(|i| counter_block(nonce, counter.wrapping_add(i as u64)));
+            self.table_encrypt_blocks(&mut ks[..blocks]);
+            for (seg, k) in chunk.chunks_mut(16).zip(ks.iter()) {
+                for (b, k) in seg.iter_mut().zip(k) {
+                    *b ^= k;
+                }
+            }
+            counter = counter.wrapping_add(blocks as u64);
+        }
+        true
+    }
+
     /// Decrypts one block in place on the T-table cipher.
     fn table_decrypt_block(&self, block: &mut [u8; 16]) {
         let t = tables();
@@ -349,6 +423,14 @@ impl Aes128 {
         self.encrypt_block(&mut b);
         b
     }
+}
+
+/// The CTR counter block `nonce ‖ counter`, both halves big-endian.
+fn counter_block(nonce: u64, counter: u64) -> [u8; 16] {
+    let mut block = [0u8; 16];
+    block[..8].copy_from_slice(&nonce.to_be_bytes());
+    block[8..].copy_from_slice(&counter.to_be_bytes());
+    block
 }
 
 /// Loads the four big-endian column words of a block.
@@ -587,10 +669,7 @@ mod ni {
     /// not once per block.
     #[target_feature(enable = "aes")]
     pub(super) fn cbc_mac(k: &RoundKeys, chain: &mut [u8; 16], data: &[u8]) {
-        let mut rk = [_mm_setzero_si128(); 11];
-        for (r, key) in rk.iter_mut().zip(&k.enc) {
-            *r = load(key);
-        }
+        let rk = load_enc(k);
         let mut x = load(chain);
         for block in data.chunks_exact(16) {
             let block = block.try_into().expect("16-byte block");
@@ -601,6 +680,110 @@ mod ni {
             x = _mm_aesenclast_si128(x, rk[10]);
         }
         store(chain, x);
+    }
+
+    /// The eleven encryption round keys, loaded into registers.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn load_enc(k: &RoundKeys) -> [__m128i; 11] {
+        let mut rk = [_mm_setzero_si128(); 11];
+        for (r, key) in rk.iter_mut().zip(&k.enc) {
+            *r = load(key);
+        }
+        rk
+    }
+
+    /// The counter block `nonce ‖ counter` whitened with round key 0.
+    /// `nonce` is already byte-swapped; register byte `i` is block byte
+    /// `i`, so each big-endian half goes in byte-swapped.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn counter_block(rk0: __m128i, nonce: i64, counter: u64) -> __m128i {
+        _mm_xor_si128(_mm_set_epi64x(counter.swap_bytes() as i64, nonce), rk0)
+    }
+
+    /// XORs keystream `ks` into a whole or short block of data.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn xor_into(seg: &mut [u8], ks: __m128i) {
+        if let Ok(block) = <&mut [u8; 16]>::try_from(&mut *seg) {
+            store(block, _mm_xor_si128(load(block), ks));
+        } else {
+            let mut k = [0u8; 16];
+            store(&mut k, ks);
+            for (b, k) in seg.iter_mut().zip(k) {
+                *b ^= k;
+            }
+        }
+    }
+
+    /// `Aes128::ctr_xor` with the keystream made and used in registers:
+    /// the round keys load once, eight counter blocks per batch are built
+    /// from the counter with `_mm_set_epi64x` and run through the rounds
+    /// together, and each keystream block is XORed into the data where
+    /// it lies. Fewer than eight blocks left run one at a time, which the
+    /// core overlaps as `encrypt_blocks`' remainder does.
+    #[target_feature(enable = "aes")]
+    pub(super) fn ctr_xor(
+        k: &RoundKeys,
+        nonce: u64,
+        mut counter: u64,
+        data: &mut [u8],
+        mut gate: Option<super::CtrGate<'_>>,
+    ) -> bool {
+        let rk = load_enc(k);
+        let nonce = nonce.swap_bytes() as i64;
+        let mut rest = data;
+        // Whether the next keystream block still goes to the gate.
+        let mut head = usize::from(gate.is_some());
+        while rest.len() >= 16 * (LANES - head) {
+            let mut s = [rk[0]; LANES];
+            for (i, x) in s.iter_mut().enumerate() {
+                *x = counter_block(rk[0], nonce, counter.wrapping_add(i as u64));
+            }
+            for r in &rk[1..10] {
+                for x in &mut s {
+                    *x = _mm_aesenc_si128(*x, *r);
+                }
+            }
+            for x in &mut s {
+                *x = _mm_aesenclast_si128(*x, rk[10]);
+            }
+            counter = counter.wrapping_add(LANES as u64);
+            if let Some(gate) = gate.take() {
+                let mut mask = [0u8; 16];
+                store(&mut mask, s[0]);
+                if !gate(&mask) {
+                    return false;
+                }
+            }
+            let (now, later) = rest.split_at_mut(16 * (LANES - head));
+            for (seg, ks) in now.chunks_exact_mut(16).zip(&s[head..]) {
+                xor_into(seg, *ks);
+            }
+            rest = later;
+            head = 0;
+        }
+        let one = |counter: u64| {
+            let mut x = counter_block(rk[0], nonce, counter);
+            for r in &rk[1..10] {
+                x = _mm_aesenc_si128(x, *r);
+            }
+            _mm_aesenclast_si128(x, rk[10])
+        };
+        if let Some(gate) = gate {
+            let mut mask = [0u8; 16];
+            store(&mut mask, one(counter));
+            counter = counter.wrapping_add(1);
+            if !gate(&mask) {
+                return false;
+            }
+        }
+        for seg in rest.chunks_mut(16) {
+            xor_into(seg, one(counter));
+            counter = counter.wrapping_add(1);
+        }
+        true
     }
 
     #[target_feature(enable = "aes")]
@@ -851,6 +1034,50 @@ mod tests {
             aes.table_cbc_mac(&mut table, &data);
             prop_assert_eq!(chain, expect);
             prop_assert_eq!(table, expect);
+        }
+
+        /// The CTR call, on whichever backend runs, equals the T-table
+        /// counter path at every length from 0 to 300 bytes and from any
+        /// start counter, wrapping included. With a gate, the gate gets
+        /// `E(nonce ‖ counter)` and the data the keystream from
+        /// `counter + 1`; a gate that refuses leaves the data as it was.
+        #[test]
+        fn prop_ctr_matches_table(
+            key in any::<[u8;16]>(),
+            nonce in any::<u64>(),
+            counter in any::<u64>(),
+            data in proptest::collection::vec(any::<u8>(), 300),
+        ) {
+            let aes = Aes128::new(&key);
+            let head = aes.encrypt_copy(&counter_block(nonce, counter));
+            for len in 0..=data.len() {
+                let plain = &data[..len];
+                let mut table = plain.to_vec();
+                aes.table_ctr_xor(nonce, counter, &mut table, None);
+                let mut run = plain.to_vec();
+                aes.ctr_xor(nonce, counter, &mut run, None);
+                prop_assert_eq!(&run, &table, "len {}", len);
+
+                let mut expect = plain.to_vec();
+                aes.table_ctr_xor(nonce, counter.wrapping_add(1), &mut expect, None);
+                let (mut table_head, mut table) = ([0u8; 16], plain.to_vec());
+                let mut gate = |m: &[u8; 16]| {
+                    table_head = *m;
+                    true
+                };
+                prop_assert!(aes.table_ctr_xor(nonce, counter, &mut table, Some(&mut gate)));
+                let (mut run_head, mut run) = ([0u8; 16], plain.to_vec());
+                let mut gate = |m: &[u8; 16]| {
+                    run_head = *m;
+                    true
+                };
+                prop_assert!(aes.ctr_xor(nonce, counter, &mut run, Some(&mut gate)));
+                prop_assert_eq!((table_head, &table), (head, &expect), "T-table gated, len {}", len);
+                prop_assert_eq!((run_head, &run), (head, &expect), "gated, len {}", len);
+                let mut refused = plain.to_vec();
+                prop_assert!(!aes.ctr_xor(nonce, counter, &mut refused, Some(&mut |_| false)));
+                prop_assert_eq!(&refused[..], plain);
+            }
         }
 
         /// The hardware path equals the T-table reference byte for byte,

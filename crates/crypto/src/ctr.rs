@@ -1,12 +1,14 @@
-//! AES-CTR stream encryption.
+//! AES-CTR stream encryption (NIST SP 800-38A).
 //!
-//! Used for payload confidentiality in the end-to-end channel (the paper's
-//! "IPsec as a black box", §3.1) and wherever more than one block must be
-//! encrypted under a session key. The counter block layout is
+//! The counter block layout is
 //! `nonce (8 bytes, big-endian) || block counter (8 bytes, big-endian)`.
+//! The end-to-end channel's AES-GCM (the paper's "IPsec as a black box",
+//! §3.1) uses the same counter blocks, under the IV `nonce ‖ 0³²`: its
+//! tag mask is block 1 and its data keystream starts at block 2.
 //!
-//! Nothing here knows which AES backend runs: with AES-NI, the CTR lanes
-//! are where the hardware path's eight-block pipeline pays off.
+//! The work happens in [`Aes128`]'s CTR call: on AES-NI, a kernel that
+//! makes and uses the keystream in registers, eight blocks at a time;
+//! elsewhere, batches of counter blocks through the T-table cipher.
 
 use crate::aes::Aes128;
 
@@ -30,42 +32,15 @@ impl AesCtr {
         self.cipher.encrypt_copy(counter_block)
     }
 
-    fn counter_block(nonce: u64, counter: u64) -> [u8; 16] {
-        let mut block = [0u8; 16];
-        block[..8].copy_from_slice(&nonce.to_be_bytes());
-        block[8..].copy_from_slice(&counter.to_be_bytes());
-        block
-    }
-
     /// XORs the keystream for (`nonce`, starting at block `first_block`)
     /// into `data`. Encrypt and decrypt are the same operation.
     ///
-    /// Keystream blocks are generated eight at a time through
-    /// [`Aes128::encrypt_blocks`], which keeps them all in flight on
-    /// AES-NI and amortizes table loads on the T-table path; the tail
-    /// blocks past the last full eight go through one more, shorter
-    /// batch. The bytes produced are identical to block-at-a-time CTR.
+    /// On AES-NI the counter blocks are built and encrypted in registers,
+    /// eight at a time, and XORed into `data` where it lies; elsewhere
+    /// they go through the T-table cipher in batches of eight. The bytes
+    /// produced are identical to block-at-a-time CTR.
     pub fn apply_keystream_at(&self, nonce: u64, first_block: u64, data: &mut [u8]) {
-        const LANES: usize = 8;
-        let mut counter = first_block;
-        for chunk in data.chunks_mut(16 * LANES) {
-            let blocks = chunk.len().div_ceil(16);
-            let mut ks: [[u8; 16]; LANES] = core::array::from_fn(|i| {
-                Self::counter_block(nonce, counter.wrapping_add(i as u64))
-            });
-            self.cipher.encrypt_blocks(&mut ks[..blocks]);
-            for (seg, k) in chunk.chunks_mut(16).zip(ks.iter()) {
-                if let Ok(seg) = <&mut [u8; 16]>::try_from(&mut *seg) {
-                    // Whole-block XOR as one 128-bit op.
-                    *seg = (u128::from_ne_bytes(*seg) ^ u128::from_ne_bytes(*k)).to_ne_bytes();
-                } else {
-                    for (b, k) in seg.iter_mut().zip(k.iter()) {
-                        *b ^= k;
-                    }
-                }
-            }
-            counter = counter.wrapping_add(blocks as u64);
-        }
+        self.cipher.ctr_xor(nonce, first_block, data, None);
     }
 
     /// XORs the keystream for `nonce` (starting at block 0) into `data`.
@@ -142,7 +117,10 @@ mod tests {
                 .chunks(16)
                 .enumerate()
                 .flat_map(|(i, seg)| {
-                    let ks = ctr.keystream_block_raw(&AesCtr::counter_block(9, 5 + i as u64));
+                    let mut block = [0u8; 16];
+                    block[..8].copy_from_slice(&9u64.to_be_bytes());
+                    block[8..].copy_from_slice(&(5 + i as u64).to_be_bytes());
+                    let ks = ctr.keystream_block_raw(&block);
                     seg.iter().zip(ks).map(|(b, k)| b ^ k).collect::<Vec<u8>>()
                 })
                 .collect();

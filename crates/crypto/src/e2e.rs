@@ -1,30 +1,41 @@
 //! End-to-end encryption channel.
 //!
 //! §3.1 treats end-to-end encryption "as a black box" (e.g. IPsec). This
-//! module is the box's concrete body: a hybrid scheme — RSA-1024 key
-//! transport plus AES-CTR confidentiality plus CMAC integrity — with both a
-//! one-shot envelope (for the first packet to a destination) and a
-//! symmetric session for everything after. The destination also uses this
-//! channel to return the neutralizer-stamped `(nonce', Ks')` pair of §3.2
-//! to the source.
+//! module is the box's concrete body, built the way IPsec's ESP
+//! authenticates with AES-GCM (RFC 4106): RSA key transport under the
+//! destination's published key, then AES-128-GCM (NIST SP 800-38D) for
+//! confidentiality and integrity. A one-shot envelope carries the first
+//! packet to a destination together with the wrapped session key; a
+//! symmetric session seals every record after it. Cells mint 320- and
+//! 512-bit destination keys. The destination also uses this channel to
+//! return the neutralizer-stamped `(nonce', Ks')` pair of §3.2 to the
+//! source.
+//!
+//! Each record or envelope is GCM under the IV `nonce ‖ 0³²`, so its
+//! counter blocks are exactly [`AesCtr`](crate::ctr::AesCtr)'s
+//! `nonce ‖ counter` with the data keystream from counter 2 and the tag
+//! mask `E_K(J0)` at counter 1. There is no additional data. The tag is
+//! `GHASH_H(C) ⊕ E_K(J0)` with `H = E_K(0¹²⁸)`, computed once per key.
 
+use crate::aes::Aes128;
 use crate::cmac::Cmac;
-use crate::ctr::AesCtr;
 use crate::error::{CryptoError, Result};
+use crate::ghash::Ghash;
 use crate::rsa::{RsaPrivateKey, RsaPublicKey};
 use rand::Rng;
 
 /// Everything needed to decrypt a one-shot message: RSA-wrapped session
-/// key, CTR nonce, ciphertext, and a CMAC tag over the lot.
+/// key, GCM nonce, ciphertext and GCM tag.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct E2eEnvelope {
     /// RSA ciphertext of the 16-byte session key.
     pub wrapped_key: Vec<u8>,
-    /// CTR nonce.
+    /// GCM nonce: the IV is `nonce ‖ 0³²`.
     pub nonce: u64,
-    /// AES-CTR ciphertext of the payload.
+    /// AES-GCM ciphertext of the payload.
     pub ciphertext: Vec<u8>,
-    /// CMAC over `nonce ‖ ciphertext` under the derived MAC key.
+    /// GCM tag over the ciphertext. The nonce is bound through the IV:
+    /// it picks both the keystream and the tag mask.
     pub tag: [u8; 16],
 }
 
@@ -73,10 +84,84 @@ impl E2eEnvelope {
     }
 }
 
-/// Derives independent encryption and MAC keys from a session key.
-fn split_keys(session_key: &[u8; 16]) -> ([u8; 16], [u8; 16]) {
-    let mac = Cmac::new(session_key);
-    (mac.tag(b"e2e-enc"), mac.tag(b"e2e-mac"))
+/// Derives the GCM key from a session key.
+fn gcm_key(session_key: &[u8; 16]) -> [u8; 16] {
+    Cmac::new(session_key).tag(b"e2e-enc")
+}
+
+/// AES-128-GCM (NIST SP 800-38D) with a 96-bit IV, no additional data
+/// and a 16-byte tag. The IV's first eight bytes are the CTR nonce and
+/// its last four the high half of the CTR counter, so `J0` is counter
+/// `iv_tail · 2³² + 1` under that nonce. The channel's IVs leave the tail
+/// at 0. A record fits a packet, far below the 2³² blocks after which the
+/// 64-bit counter would carry where GCM's 32-bit one wraps.
+#[derive(Clone)]
+struct Gcm {
+    aes: Aes128,
+    ghash: Ghash,
+}
+
+impl Gcm {
+    fn new(key: &[u8; 16]) -> Self {
+        let aes = Aes128::new(key);
+        let ghash = Ghash::new(&aes.encrypt_copy(&[0; 16]));
+        Gcm { aes, ghash }
+    }
+
+    /// The CTR nonce and the counter of `J0` for a 96-bit IV.
+    fn j0(iv: &[u8; 12]) -> (u64, u64) {
+        let nonce = u64::from_be_bytes(iv[..8].try_into().expect("8-byte nonce"));
+        let tail = u32::from_be_bytes(iv[8..].try_into().expect("4-byte tail"));
+        (nonce, (u64::from(tail) << 32) | 1)
+    }
+
+    /// Encrypts `data` in place and returns the tag: the keystream first,
+    /// with `E_K(J0)` in its first batch, then GHASH over the fresh
+    /// ciphertext.
+    fn seal(&self, iv: &[u8; 12], data: &mut [u8]) -> [u8; 16] {
+        let (nonce, j0) = Self::j0(iv);
+        let mut mask = [0u8; 16];
+        self.aes.ctr_xor(
+            nonce,
+            j0,
+            data,
+            Some(&mut |m: &[u8; 16]| {
+                mask = *m;
+                true
+            }),
+        );
+        xor_block(self.ghash.sum(data), &mask)
+    }
+
+    /// Checks `tag` over the ciphertext `data`, then decrypts it in place.
+    /// GHASH runs first, and the tag is compared against `E_K(J0)` before
+    /// any keystream reaches `data`: on false, `data` is untouched.
+    fn open(&self, iv: &[u8; 12], data: &mut [u8], tag: &[u8; 16]) -> bool {
+        let (nonce, j0) = Self::j0(iv);
+        let s = self.ghash.sum(data);
+        self.aes.ctr_xor(
+            nonce,
+            j0,
+            data,
+            Some(&mut |mask: &[u8; 16]| tags_match(&xor_block(s, mask), tag)),
+        )
+    }
+}
+
+/// The channel's IV for `nonce`: `nonce ‖ 0³²`.
+fn iv(nonce: u64) -> [u8; 12] {
+    let mut iv = [0u8; 12];
+    iv[..8].copy_from_slice(&nonce.to_be_bytes());
+    iv
+}
+
+fn xor_block(a: [u8; 16], b: &[u8; 16]) -> [u8; 16] {
+    (u128::from_ne_bytes(a) ^ u128::from_ne_bytes(*b)).to_ne_bytes()
+}
+
+/// Constant-shape tag comparison: every byte is read whatever differs.
+fn tags_match(a: &[u8; 16], b: &[u8; 16]) -> bool {
+    a.iter().zip(b).fold(0u8, |diff, (x, y)| diff | (x ^ y)) == 0
 }
 
 /// Encrypts `plaintext` to `recipient` as a one-shot envelope.
@@ -97,13 +182,10 @@ pub fn seal_keyed<R: Rng + ?Sized>(
     plaintext: &[u8],
     session_key: &[u8; 16],
 ) -> Result<E2eEnvelope> {
-    let session_key = *session_key;
     let nonce: u64 = rng.gen();
-    let wrapped_key = recipient.encrypt(rng, &session_key)?;
-    let (enc_key, mac_key) = split_keys(&session_key);
+    let wrapped_key = recipient.encrypt(rng, session_key)?;
     let mut ciphertext = plaintext.to_vec();
-    AesCtr::new(&enc_key).apply_keystream(nonce, &mut ciphertext);
-    let tag = Cmac::new(&mac_key).tag_parts(&[&nonce.to_be_bytes(), &ciphertext]);
+    let tag = Gcm::new(&gcm_key(session_key)).seal(&iv(nonce), &mut ciphertext);
     Ok(E2eEnvelope {
         wrapped_key,
         nonce,
@@ -125,17 +207,14 @@ pub fn open(private: &RsaPrivateKey, env: &E2eEnvelope) -> Result<(Vec<u8>, [u8;
 }
 
 /// Opens an envelope under a session key the receiver already holds,
-/// skipping the RSA unwrap: `wrapped_key` is not read, and the CMAC tag
+/// skipping the RSA unwrap: `wrapped_key` is not read, and the GCM tag
 /// alone decides. A receiver that recovered the key from an earlier
 /// envelope of the same session opens repeats this way.
 pub fn open_with_key(session_key: &[u8; 16], env: &E2eEnvelope) -> Result<Vec<u8>> {
-    let (enc_key, mac_key) = split_keys(session_key);
-    let mac = Cmac::new(&mac_key);
-    if !mac.verify_parts(&[&env.nonce.to_be_bytes(), &env.ciphertext], &env.tag) {
+    let mut plaintext = env.ciphertext.clone();
+    if !Gcm::new(&gcm_key(session_key)).open(&iv(env.nonce), &mut plaintext, &env.tag) {
         return Err(CryptoError::AuthFailed);
     }
-    let mut plaintext = env.ciphertext.clone();
-    AesCtr::new(&enc_key).apply_keystream(env.nonce, &mut plaintext);
     Ok(plaintext)
 }
 
@@ -143,8 +222,7 @@ pub fn open_with_key(session_key: &[u8; 16], env: &E2eEnvelope) -> Result<Vec<u8
 /// share `session_key` and exchange sealed records without public-key work.
 #[derive(Clone)]
 pub struct E2eSession {
-    enc: AesCtr,
-    mac: Cmac,
+    gcm: Gcm,
     /// Monotonic nonce for the sending direction.
     next_nonce: u64,
 }
@@ -157,7 +235,7 @@ impl core::fmt::Debug for E2eSession {
 
 /// Bytes a sealed record carries before its ciphertext: `nonce(8) ‖ len(4)`.
 const RECORD_HEADER_LEN: usize = 12;
-/// Bytes of the CMAC tag that closes a sealed record.
+/// Bytes of the GCM tag that closes a sealed record.
 const TAG_LEN: usize = 16;
 
 /// A sealed record where it lies in a received packet,
@@ -187,7 +265,7 @@ impl<'a> SealedRecord<'a> {
         Ok(SealedRecord { bytes })
     }
 
-    /// The record's CTR nonce (even = initiator, odd = responder).
+    /// The record's GCM nonce (even = initiator, odd = responder).
     fn nonce(&self) -> u64 {
         u64::from_be_bytes(self.bytes[..8].try_into().expect("8-byte nonce"))
     }
@@ -198,10 +276,8 @@ impl E2eSession {
     /// nonce spaces so initiator and responder never collide: initiators
     /// use even nonces, responders odd.
     pub fn new(session_key: &[u8; 16], initiator: bool) -> Self {
-        let (enc_key, mac_key) = split_keys(session_key);
         E2eSession {
-            enc: AesCtr::new(&enc_key),
-            mac: Cmac::new(&mac_key),
+            gcm: Gcm::new(&gcm_key(session_key)),
             next_nonce: if initiator { 0 } else { 1 },
         }
     }
@@ -221,25 +297,22 @@ impl E2eSession {
         let body = start + RECORD_HEADER_LEN;
         let clen = u32::try_from(out.len() - body).expect("a record fits a packet");
         out[body - 4..body].copy_from_slice(&clen.to_be_bytes());
-        let ciphertext = &mut out[body..];
-        self.enc.apply_keystream(nonce, ciphertext);
-        let tag = self.mac.tag_parts(&[&nonce.to_be_bytes(), ciphertext]);
+        let tag = self.gcm.seal(&iv(nonce), &mut out[body..]);
         out.extend_from_slice(&tag);
     }
 
-    /// Opens a record from the peer where it lies: checks the tag over
-    /// `nonce ‖ ciphertext`, then decrypts the ciphertext in place and
-    /// returns it. On [`CryptoError::AuthFailed`] the bytes are left
-    /// untouched.
+    /// Opens a record from the peer where it lies: checks the GCM tag,
+    /// which covers the ciphertext and, through the IV, the nonce, then
+    /// decrypts the ciphertext in place and returns it. On
+    /// [`CryptoError::AuthFailed`] the bytes are left untouched.
     pub fn open_in_place<'a>(&self, record: SealedRecord<'a>) -> Result<&'a mut [u8]> {
         let nonce = record.nonce();
-        let (head, rest) = record.bytes.split_at_mut(RECORD_HEADER_LEN);
+        let rest = &mut record.bytes[RECORD_HEADER_LEN..];
         let (ciphertext, tag) = rest.split_at_mut(rest.len() - TAG_LEN);
         let tag: &[u8; 16] = (&*tag).try_into().expect("16-byte tag");
-        if !self.mac.verify_parts(&[&head[..8], ciphertext], tag) {
+        if !self.gcm.open(&iv(nonce), ciphertext, tag) {
             return Err(CryptoError::AuthFailed);
         }
-        self.enc.apply_keystream(nonce, ciphertext);
         Ok(ciphertext)
     }
 }
@@ -458,6 +531,124 @@ mod tests {
         let sender = E2eSession::new(&session_key, true);
         let rec = seal_record(&mut receiver, b"reply");
         assert_eq!(open_record(&sender, &rec).unwrap(), b"reply");
+    }
+
+    fn hex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// The GCM spec's test cases 1–3 (McGrew and Viega; NIST SP 800-38D)
+    /// through the production CTR and GHASH code: on the carry-less GHASH
+    /// where the CPU has it, and on the bitwise one. Case 3's IV has a
+    /// nonzero tail, the counter's high 32 bits.
+    #[test]
+    fn gcm_spec_test_cases_1_to_3() {
+        let zero = "00000000000000000000000000000000";
+        let cases = [
+            (
+                zero,
+                &zero[..24],
+                "",
+                "",
+                "58e2fccefa7e3061367f1d57a4e7455a",
+            ),
+            (
+                zero,
+                &zero[..24],
+                zero,
+                "0388dace60b6a392f328c2b971b2fe78",
+                "ab6e47d42cec13bdf53a67b21257bddf",
+            ),
+            (
+                "feffe9928665731c6d6a8f9467308308",
+                "cafebabefacedbaddecaf888",
+                "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72\
+                 1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
+                "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e\
+                 21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985",
+                "4d5c2af327cd64a62cf35abd2ba6fab4",
+            ),
+        ];
+        for (case, (key, iv, plain, cipher, tag)) in cases.into_iter().enumerate() {
+            let key: [u8; 16] = hex(key).try_into().unwrap();
+            let iv: [u8; 12] = hex(iv).try_into().unwrap();
+            let gcm = Gcm::new(&key);
+            let bitwise = Gcm {
+                ghash: Ghash::portable(&gcm.aes.encrypt_copy(&[0; 16])),
+                ..gcm.clone()
+            };
+            for (path, gcm) in [("default", gcm), ("bitwise", bitwise)] {
+                let mut data = hex(plain);
+                assert_eq!(
+                    hex(tag),
+                    gcm.seal(&iv, &mut data),
+                    "TC{} {path} tag",
+                    case + 1
+                );
+                assert_eq!(data, hex(cipher), "TC{} {path} ciphertext", case + 1);
+                let tag: [u8; 16] = hex(tag).try_into().unwrap();
+                assert!(
+                    gcm.open(&iv, &mut data, &tag),
+                    "TC{} {path} opens",
+                    case + 1
+                );
+                assert_eq!(data, hex(plain), "TC{} {path} plaintext", case + 1);
+            }
+        }
+    }
+
+    /// Any one flipped bit of a sealed record, in its nonce, length field,
+    /// ciphertext or tag, is refused, and the bytes stay as they were.
+    #[test]
+    fn every_flipped_record_bit_is_refused_untouched() {
+        let key = [0x21u8; 16];
+        let mut tx = E2eSession::new(&key, true);
+        let rx = E2eSession::new(&key, false);
+        let record = seal_record(&mut tx, b"a record that spans three GCM blocks");
+        for bit in 0..8 * record.len() {
+            let mut bytes = record.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            let flipped = bytes.clone();
+            let err = match SealedRecord::parse(&mut bytes) {
+                Ok(parsed) => rx.open_in_place(parsed).unwrap_err(),
+                Err(err) => err,
+            };
+            assert!(
+                matches!(err, CryptoError::AuthFailed | CryptoError::BadLength),
+                "bit {bit}: {err:?}"
+            );
+            assert_eq!(bytes, flipped, "bit {bit}: the bytes changed");
+        }
+    }
+
+    /// Any one flipped bit of an envelope's nonce, ciphertext or tag fails
+    /// the tag.
+    #[test]
+    fn every_flipped_envelope_bit_is_refused() {
+        let (mut rng, kp) = setup();
+        let key = [0x44u8; 16];
+        let env = seal_keyed(&mut rng, &kp.public, b"an envelope of two blocks", &key).unwrap();
+        let bits = 64 + 8 * env.ciphertext.len() + 128;
+        for bit in 0..bits {
+            let mut forged = env.clone();
+            if bit < 64 {
+                forged.nonce ^= 1 << bit;
+            } else if bit < 64 + 8 * env.ciphertext.len() {
+                let b = bit - 64;
+                forged.ciphertext[b / 8] ^= 1 << (b % 8);
+            } else {
+                let b = bit - 64 - 8 * env.ciphertext.len();
+                forged.tag[b / 8] ^= 1 << (b % 8);
+            }
+            assert_eq!(
+                open_with_key(&key, &forged).unwrap_err(),
+                CryptoError::AuthFailed,
+                "bit {bit}"
+            );
+        }
     }
 
     proptest! {

@@ -18,10 +18,6 @@ pub enum CryptoError {
     BadKey,
     /// Input buffer has an impossible length for the operation.
     BadLength,
-    /// The integer was not the expected kind (e.g. not a semiprime).
-    NotSemiprime,
-    /// Factoring did not finish within the configured iteration budget.
-    FactorBudgetExhausted,
 }
 
 impl fmt::Display for CryptoError {
@@ -32,8 +28,6 @@ impl fmt::Display for CryptoError {
             CryptoError::AuthFailed => "authentication tag mismatch",
             CryptoError::BadKey => "malformed key material",
             CryptoError::BadLength => "invalid input length",
-            CryptoError::NotSemiprime => "integer is not a product of two primes",
-            CryptoError::FactorBudgetExhausted => "factoring budget exhausted",
         };
         f.write_str(msg)
     }

@@ -16,18 +16,29 @@
 //! * [`kdf`] — the stateless derivation `Ks = hash(KM, nonce, srcIP)`.
 //! * [`sealed`] — the 16-byte encrypted-address block carried in the shim
 //!   header, with redundancy so wrong keys are detected.
-//! * [`e2e`] — the "IPsec black box" of §3.1 as a concrete hybrid channel.
-//! * [`factor`] — Pollard rho + its cost model for the E6 security-window
-//!   experiment.
+//! * [`e2e`] — the "IPsec black box" of §3.1 as a concrete hybrid channel:
+//!   RSA key transport, then AES-128-GCM for every envelope and record.
+//!   Its GHASH (a private module, `ghash`) runs on `PCLMULQDQ` where the
+//!   CPU has it, chosen at run time, and on SP 800-38D's bitwise
+//!   multiplication elsewhere.
 //!
 //! Nothing here is intended as production cryptography — the repository
 //! reproduces a 2006 research design, including its deliberately short
 //! keys — but all primitives are test-vector-validated (FIPS-197,
-//! RFC 4493, NIST SP 800-38A) and panic-free on attacker-controlled input.
+//! RFC 4493, NIST SP 800-38A, and the GCM spec's test cases 1–3 from
+//! McGrew and Viega, as in SP 800-38D) and panic-free on
+//! attacker-controlled input.
 //!
-//! The crate denies `unsafe_code`. The three exceptions are in [`aes`]:
-//! the calls into its `#[target_feature(enable = "aes")]` functions,
-//! each made only after `is_x86_feature_detected!("aes")` returned true.
+//! The crate denies `unsafe_code`. The exceptions are the seven calls
+//! into `#[target_feature]` functions, each with its own
+//! `#[allow(unsafe_code)]` and a `// SAFETY:` comment, and each made only
+//! after `is_x86_feature_detected!` returned true for every feature the
+//! callee enables:
+//!
+//! * in [`aes`], on `aes`: one block encrypted, one block decrypted, a
+//!   batch of blocks, the CBC-MAC chain, and the CTR kernel;
+//! * in `ghash`, on `pclmulqdq` and `ssse3`: the powers of the hash key,
+//!   and the hash itself.
 
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
@@ -39,7 +50,7 @@ pub mod cmac;
 pub mod ctr;
 pub mod e2e;
 pub mod error;
-pub mod factor;
+mod ghash;
 pub mod kdf;
 pub mod modexp;
 pub mod prime;

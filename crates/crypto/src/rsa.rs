@@ -222,7 +222,7 @@ impl RsaPublicKey {
         Ok((RsaPublicKey { n, k, mont }, 2 + k))
     }
 
-    /// The modulus, for experiments that factor short keys (E6).
+    /// The modulus.
     pub fn modulus(&self) -> &BigUint {
         &self.n
     }

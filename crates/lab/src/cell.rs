@@ -18,7 +18,7 @@ use crate::topology::{
     SECONDARY_ANYCAST, SRC_ADDR,
 };
 use crate::workload::WorkloadSpec;
-use nn_core::neutralizer::{NeutralizerConfig, NeutralizerNode};
+use nn_core::neutralizer::{NeutralizerConfig, NeutralizerNode, MAX_ONETIME_KEY_BYTES};
 use nn_crypto::RsaKeypair;
 use nn_netsim::{
     CohortAggregate, CohortTx, FlowStats, Histogram, Node, RouterNode, SimTime, Simulator,
@@ -260,7 +260,19 @@ impl CellKeys {
     /// seed, so every cell — on any thread, shard or host — runs with
     /// the same key bytes. No report depends on them: key sizes shape
     /// the wire, key bytes do not (a unit test pins this per cell).
+    ///
+    /// # Panics
+    ///
+    /// When `tuning`'s one-time key is longer than the neutralizer
+    /// serves: every key setup of the cell would be refused, and it
+    /// would report zero delivery instead of failing.
     fn memoized(tuning: &CellTuning) -> CellKeys {
+        assert!(
+            tuning.onetime_rsa_bits.div_ceil(8) <= MAX_ONETIME_KEY_BYTES,
+            "a {}-bit one-time key is over the neutralizer's {}-byte cap",
+            tuning.onetime_rsa_bits,
+            MAX_ONETIME_KEY_BYTES
+        );
         CellKeys {
             dest: memoized_keypair(DEST_KEY_SEED, tuning.e2e_rsa_bits),
             onetime: memoized_keypair(ONETIME_KEY_SEED, tuning.onetime_rsa_bits),
@@ -534,6 +546,19 @@ fn run_cell_keyed(
 mod tests {
     use super::*;
     use crate::executor::to_matrix_cell;
+
+    /// A one-time key one byte over the neutralizer's cap fails the cell
+    /// before any keygen, rather than running it with every key setup
+    /// refused.
+    #[test]
+    #[should_panic(expected = "over the neutralizer's 64-byte cap")]
+    fn onetime_keys_over_the_cap_fail_loudly() {
+        let tuning = CellTuning {
+            onetime_rsa_bits: 8 * MAX_ONETIME_KEY_BYTES + 8,
+            ..CellTuning::default()
+        };
+        CellKeys::memoized(&tuning);
+    }
 
     fn cell(adversary: AdversarySpec, stack: StackKind) -> CellSpec {
         CellSpec {

@@ -136,10 +136,11 @@ fn is_ce(frame: &[u8]) -> bool {
 /// Domain separation: envelopes are sealed under the raw session key
 /// while records run under this derived key, so an on-path adversary
 /// cannot re-wrap a captured envelope body as an authenticated record
-/// (both formats MAC `nonce ‖ ciphertext`). Replay of an *unmodified*
-/// packet is deliberately out of scope — the discriminatory-ISP model
-/// here degrades traffic rather than injecting it, and the goodput
-/// accounting would need receiver-side nonce windows to de-duplicate.
+/// (both formats are AES-GCM with the IV `nonce ‖ 0³²`). Replay of an
+/// *unmodified* packet is deliberately out of scope — the
+/// discriminatory-ISP model here degrades traffic rather than injecting
+/// it, and the goodput accounting would need receiver-side nonce windows
+/// to de-duplicate.
 fn record_channel_key(session_key: &[u8; 16]) -> [u8; 16] {
     Cmac::new(session_key).tag(b"nn-record-channel")
 }
@@ -817,7 +818,7 @@ impl NeutralizedServerNode {
                             return;
                         };
                         // Keep an existing session so the responder's
-                        // record nonces never restart (CTR nonce reuse).
+                        // record nonces never restart (GCM nonce reuse).
                         self.sessions.entry(id).or_insert_with(|| ServerSession {
                             envelope_key: session_key,
                             session: E2eSession::new(&record_channel_key(&session_key), false),

@@ -390,6 +390,36 @@ fn sharded_metro_run_matches_the_single_process_golden() {
     assert_golden("metro_matrix.csv", &sharded.to_csv());
 }
 
+/// 64-bit FNV-1a over `bytes`: the digest `nn-benchmark` prints for
+/// each report.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The `full` matrix, 1,152 cells and a report near 1 MB, is pinned by
+/// the digests of its JSON and CSV rather than by their bytes. It runs
+/// on two threads, as `nn-benchmark`'s `full-sweep` does. That takes
+/// under a second in a release build and about 25 s in a debug one, so
+/// the test runs in release builds only:
+/// `cargo test --release -p nn-lab --test golden_trace`.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "runs the 1,152-cell full matrix; run it with --release"
+)]
+fn full_matrix_matches_its_golden_digests() {
+    let spec = named_matrix("full").expect("full matrix exists");
+    let report = run_matrix_with_threads(&spec, 2);
+    let digests = format!(
+        "json {:016x}\ncsv {:016x}\n",
+        fnv64(report.to_json().as_bytes()),
+        fnv64(report.to_csv().as_bytes())
+    );
+    assert_golden("full.fnv64", &digests);
+}
+
 /// The `Reported` counter that shows a cell ran `shim_type`. The match
 /// has no `_` arm, so a new wire type does not compile until it names
 /// the counter of a golden cell that runs it.
