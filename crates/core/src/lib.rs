@@ -30,6 +30,6 @@ pub mod wire;
 
 pub use app::{AppSource, NullApp};
 pub use multihome::NeutralizerSelector;
-pub use neutralizer::{KeyTable, MasterKeyEpochs, NeutralizerConfig, NeutralizerNode};
+pub use neutralizer::{KeyMemo, MasterKeyEpochs, NeutralizerConfig, NeutralizerNode};
 pub use probe::{ProbeKind, ProbePayload};
 pub use wire::{InnerPayload, TransportMsg};

@@ -35,13 +35,16 @@ nn_netsim::counter_set! {
     /// A neutralizer's counters, `<stats_name>.<field>`. Reports carry
     /// the four that show the neutralizer at work (key setups served,
     /// data forwarded, returns anonymized, plain transit); the error,
-    /// cache and rotation counters stay internal.
+    /// cache and rotation counters stay internal. Every frame the box
+    /// receives lands in exactly one counter; `data_stamped`, the cache
+    /// and the rotation counters count work, not frames.
     struct NeutralizerCounters {
         parse_error: Internal,
         shim_parse_error: Internal,
         transit: Reported,
         shim_transit: Internal,
         emit_parse_error: Internal,
+        emit_build_error: Internal,
         no_route: Internal,
         setup_parse_error: Internal,
         setup_bad_pubkey: Internal,
@@ -133,216 +136,70 @@ impl MasterKeyEpochs {
     }
 }
 
-/// Sentinel index for the intrusive LRU list.
-const NIL: usize = usize::MAX;
-
-/// One occupied slot of the [`KeyTable`] cache.
-struct CacheSlot {
-    nonce: u64,
-    src: u32,
-    ks: [u8; 16],
-    sealer: AddrSealer,
-    prev: usize,
-    next: usize,
-}
-
-/// Epoch-aware bounded LRU cache over [`MasterKeyEpochs::derive`].
+/// A one-entry memo over [`MasterKeyEpochs::derive`]: the last
+/// `(nonce, src)` this box derived, with the address sealer keyed by its
+/// `Ks`.
 ///
 /// The neutralizer is *logically* stateless — any box can derive any
 /// flow's key from the packet alone, which is what the anycast
-/// deployment rests on — but nothing stops a busy box from memoizing:
-/// this table caches the derived `Ks` and the expanded AES schedule of
-/// its address sealer per `(nonce, src)`, collapsing the per-packet
-/// CMAC derivation + key schedule to a hash lookup. Correctness
+/// deployment rests on — but a session's packets arrive back to back,
+/// so remembering the last derivation turns the per-packet CMAC and AES
+/// key schedule into a comparison. A cell runs one neutralized session
+/// per box, and a failover moves it whole to the other box, so one entry
+/// hits exactly as often as a bigger cache would. Correctness
 /// properties:
 ///
-/// * every hit re-validates the nonce's epoch byte against the live
-///   epochs, and [`rotate`](Self::rotate) purges slots of the epoch
-///   that just died, so the cache can never resurrect an expired epoch
-///   (nor confuse a wrapped epoch byte with an ancient entry);
-/// * eviction is strictly least-recently-used through an intrusive
-///   list over slot indices — never dependent on hash-map iteration
-///   order — so cached and uncached runs stay byte-identical;
-/// * capacity 0 disables caching entirely (every packet derives fresh).
-pub struct KeyTable {
+/// * a hit re-checks the nonce's epoch byte against the live epochs, and
+///   [`rotate`](Self::rotate) forgets a memo whose epoch just died, so the
+///   memo can never resurrect an expired epoch (nor confuse a wrapped
+///   epoch byte with an ancient key);
+/// * switched off, it derives on every packet: the fully stateless data
+///   path of the paper's §4 cost model.
+pub struct KeyMemo {
     keys: MasterKeyEpochs,
-    capacity: usize,
-    map: std::collections::HashMap<(u64, u32), usize>,
-    slots: Vec<Option<CacheSlot>>,
-    free: Vec<usize>,
-    /// Most-recently-used slot index, or `NIL`.
-    head: usize,
-    /// Least-recently-used slot index (eviction victim), or `NIL`.
-    tail: usize,
-    hits: u64,
-    misses: u64,
-    /// Holds the fresh sealer when the cache is disabled.
-    scratch: Option<AddrSealer>,
+    enabled: bool,
+    /// The last derivation's `(nonce, src)` and sealer. Switched off, it
+    /// only holds the sealer the caller borrows.
+    last: Option<(u64, Ipv4Addr, AddrSealer)>,
 }
 
-impl KeyTable {
-    /// Wraps the epoch machinery with a cache of at most `capacity`
-    /// derived keys (0 disables caching).
-    pub fn new(keys: MasterKeyEpochs, capacity: usize) -> Self {
-        KeyTable {
+impl KeyMemo {
+    /// Wraps the epoch machinery; `enabled` false derives on every call.
+    pub fn new(keys: MasterKeyEpochs, enabled: bool) -> Self {
+        KeyMemo {
             keys,
-            capacity,
-            map: std::collections::HashMap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            hits: 0,
-            misses: 0,
-            scratch: None,
+            enabled,
+            last: None,
         }
     }
 
     /// The wrapped epoch machinery.
-    pub fn epochs(&self) -> &MasterKeyEpochs {
+    fn epochs(&self) -> &MasterKeyEpochs {
         &self.keys
     }
 
-    /// Cache hits since construction.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses (fresh derivations that were inserted).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Number of currently cached keys.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache currently holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Rotates the master key and purges slots of the epoch that just
-    /// fell out of its grace window.
+    /// Rotates the master key and forgets the memo if its epoch just fell
+    /// out of the grace window.
     pub fn rotate(&mut self, key: [u8; 16]) {
         self.keys.rotate(key);
-        for idx in 0..self.slots.len() {
-            let dead = self.slots[idx]
-                .as_ref()
-                .is_some_and(|s| !self.keys.epoch_is_live((s.nonce >> 56) as u8));
-            if dead {
-                self.remove(idx);
+        if let Some((nonce, ..)) = self.last {
+            if !self.keys.epoch_is_live((nonce >> 56) as u8) {
+                self.last = None;
             }
         }
     }
 
-    fn unlink(&mut self, prev: usize, next: usize) {
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.slots[prev].as_mut().expect("linked slot").next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.slots[next].as_mut().expect("linked slot").prev = prev;
-        }
-    }
-
-    fn push_front(&mut self, idx: usize) {
-        let old_head = self.head;
-        {
-            let s = self.slots[idx].as_mut().expect("pushed slot");
-            s.prev = NIL;
-            s.next = old_head;
-        }
-        if old_head != NIL {
-            self.slots[old_head].as_mut().expect("old head").prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
-    }
-
-    fn remove(&mut self, idx: usize) {
-        let slot = self.slots[idx].take().expect("occupied slot");
-        self.map.remove(&(slot.nonce, slot.src));
-        self.unlink(slot.prev, slot.next);
-        self.free.push(idx);
-    }
-
-    /// Finds or creates the cache slot for `(nonce, src)`; `None` when
-    /// the nonce's epoch has expired. The bool is true on a hit.
-    fn lookup(&mut self, nonce: u64, src: Ipv4Addr) -> Option<(usize, bool)> {
-        let key = (nonce, src.to_u32());
-        if let Some(&idx) = self.map.get(&key) {
-            if self.keys.epoch_is_live((nonce >> 56) as u8) {
-                self.hits += 1;
-                if self.head != idx {
-                    let (prev, next) = {
-                        let s = self.slots[idx].as_ref().expect("mapped slot");
-                        (s.prev, s.next)
-                    };
-                    self.unlink(prev, next);
-                    self.push_front(idx);
-                }
-                return Some((idx, true));
-            }
-            // A dead epoch that survived in the map (possible only via
-            // an epoch-byte forgery, since rotate() purges) — drop it.
-            self.remove(idx);
-            return None;
-        }
-        let ks = self.keys.derive(nonce, src)?;
-        self.misses += 1;
-        let idx = if let Some(idx) = self.free.pop() {
-            idx
-        } else if self.slots.len() < self.capacity {
-            self.slots.push(None);
-            self.slots.len() - 1
-        } else {
-            self.remove(self.tail);
-            self.free.pop().expect("slot freed by eviction")
-        };
-        let sealer = AddrSealer::new(&ks);
-        self.slots[idx] = Some(CacheSlot {
-            nonce,
-            src: src.to_u32(),
-            ks,
-            sealer,
-            prev: NIL,
-            next: NIL,
-        });
-        self.map.insert(key, idx);
-        self.push_front(idx);
-        Some((idx, false))
-    }
-
-    /// Derives `Ks` for (nonce, source) through the cache. Semantically
-    /// identical to [`MasterKeyEpochs::derive`], only faster on repeats.
-    pub fn derive(&mut self, nonce: u64, src: Ipv4Addr) -> Option<[u8; 16]> {
-        if self.capacity == 0 {
-            return self.keys.derive(nonce, src);
-        }
-        let (idx, _) = self.lookup(nonce, src)?;
-        Some(self.slots[idx].as_ref().expect("looked-up slot").ks)
-    }
-
-    /// The address sealer keyed by `Ks(nonce, src)`, plus whether it
-    /// came from the cache. `None` when the nonce's epoch has expired.
+    /// The address sealer keyed by `Ks(nonce, src)`, plus whether the
+    /// memo already held it. `None` when the nonce's epoch is not live.
     pub fn sealer(&mut self, nonce: u64, src: Ipv4Addr) -> Option<(&AddrSealer, bool)> {
-        if self.capacity == 0 {
+        let hit = self.enabled
+            && self.keys.epoch_is_live((nonce >> 56) as u8)
+            && matches!(self.last, Some((n, s, _)) if (n, s) == (nonce, src));
+        if !hit {
             let ks = self.keys.derive(nonce, src)?;
-            self.scratch = Some(AddrSealer::new(&ks));
-            return Some((self.scratch.as_ref().expect("just set"), false));
+            self.last = Some((nonce, src, AddrSealer::new(&ks)));
         }
-        let (idx, hit) = self.lookup(nonce, src)?;
-        Some((
-            &self.slots[idx].as_ref().expect("looked-up slot").sealer,
-            hit,
-        ))
+        self.last.as_ref().map(|(.., sealer)| (sealer, hit))
     }
 }
 
@@ -355,9 +212,9 @@ pub struct NeutralizerConfig {
     /// Rotate the master key automatically at this interval (§4's
     /// one-hour lifetime), if set.
     pub key_lifetime: Option<std::time::Duration>,
-    /// Capacity of the per-flow derived-key cache (entries); 0 derives
-    /// fresh on every packet, recovering the fully stateless data path.
-    pub key_cache: usize,
+    /// Memoize the last derived key ([`KeyMemo`]); false derives `Ks` on
+    /// every packet, the fully stateless data path.
+    pub key_cache: bool,
     /// Name prefix for statistics counters.
     pub stats_name: String,
 }
@@ -369,7 +226,7 @@ impl NeutralizerConfig {
             anycast,
             domain,
             key_lifetime: None,
-            key_cache: 1024,
+            key_cache: true,
             stats_name: "neutralizer".to_string(),
         }
     }
@@ -378,7 +235,7 @@ impl NeutralizerConfig {
 /// The neutralizer node: border router + neutralization functions.
 pub struct NeutralizerNode {
     config: NeutralizerConfig,
-    keys: KeyTable,
+    keys: KeyMemo,
     routes: RouteTable,
     ids: NeutralizerCounters,
 }
@@ -386,7 +243,7 @@ pub struct NeutralizerNode {
 impl NeutralizerNode {
     /// Builds a neutralizer with the given master key material.
     pub fn new(config: NeutralizerConfig, master_key: [u8; 16]) -> Self {
-        let keys = KeyTable::new(MasterKeyEpochs::new(master_key), config.key_cache);
+        let keys = KeyMemo::new(MasterKeyEpochs::new(master_key), config.key_cache);
         NeutralizerNode {
             keys,
             routes: RouteTable::new(),
@@ -400,26 +257,27 @@ impl NeutralizerNode {
         self.routes = routes;
     }
 
-    /// The derived-key cache (tests and harnesses).
-    pub fn key_table(&self) -> &KeyTable {
-        &self.keys
-    }
-
     fn in_domain(&self, addr: Ipv4Addr) -> bool {
         self.config.domain.iter().any(|p| p.contains(addr))
     }
 
-    fn route_out(&mut self, ctx: &mut Context, frame: FrameBuf) {
+    /// Sends `frame` toward its destination and returns whether it left.
+    /// A frame that cannot leave is counted here and recycled.
+    fn route_out(&mut self, ctx: &mut Context, frame: FrameBuf) -> bool {
         let Ok(ip) = Ipv4Packet::new_checked(&frame[..]) else {
             ctx.stats.bump(self.ids.emit_parse_error);
             ctx.recycle(frame);
-            return;
+            return false;
         };
         match self.routes.lookup(ip.dst_addr()) {
-            Some(iface) => ctx.send(iface, frame),
+            Some(iface) => {
+                ctx.send(iface, frame);
+                true
+            }
             None => {
                 ctx.stats.bump(self.ids.no_route);
                 ctx.recycle(frame);
+                false
             }
         }
     }
@@ -428,8 +286,9 @@ impl NeutralizerNode {
     /// optionally restoring an ECN codepoint onto the rewrite. The
     /// rewrite path reuses recycled buffers instead of rebuilding frames
     /// from scratch — the §4 "commodity hardware" cost story depends on
-    /// the per-packet path staying off the allocator. Returns false when
-    /// the frame could not be built.
+    /// the per-packet path staying off the allocator. Returns whether the
+    /// frame left; one that could not be built (a stamp can push a full
+    /// frame past the IPv4 limit) or routed is counted here.
     #[allow(clippy::too_many_arguments)]
     fn emit_shim(
         &mut self,
@@ -444,13 +303,13 @@ impl NeutralizerNode {
         let Some(mut out) =
             ctx.alloc_built(|buf| build_shim_into(buf, src, dst, dscp, shim, payload))
         else {
+            ctx.stats.bump(self.ids.emit_build_error);
             return false;
         };
         if let Some(codepoint) = ecn {
             preserve_ecn(codepoint, &mut out);
         }
-        self.route_out(ctx, out);
-        true
+        self.route_out(ctx, out)
     }
 
     /// §3.2 key setup: one cheap RSA encryption.
@@ -487,7 +346,6 @@ impl NeutralizerNode {
             ctx.stats.bump(self.ids.setup_encrypt_fail);
             return;
         };
-        ctx.stats.bump(self.ids.setup_served);
         let shim = ShimRepr {
             shim_type: ShimType::KeyReply,
             flags: 0,
@@ -495,7 +353,7 @@ impl NeutralizerNode {
             addr_block: ShimRepr::EMPTY_BLOCK,
             stamp: None,
         };
-        self.emit_shim(
+        if self.emit_shim(
             ctx,
             self.config.anycast,
             parsed.ip.src,
@@ -503,7 +361,9 @@ impl NeutralizerNode {
             &shim,
             &ct,
             None,
-        );
+        ) {
+            ctx.stats.bump(self.ids.setup_served);
+        }
     }
 
     /// §3.2 forward data path: derive Ks, open the sealed destination,
@@ -542,7 +402,6 @@ impl NeutralizerNode {
                 .epochs()
                 .derive(nonce2, parsed.ip.src)
                 .expect("minted nonce is current-epoch");
-            ctx.stats.bump(self.ids.data_stamped);
             Some(KeyStamp {
                 nonce: nonce2,
                 key: ks2,
@@ -576,6 +435,9 @@ impl NeutralizerNode {
             Some(ecn_in),
         ) {
             ctx.stats.bump(self.ids.data_forwarded);
+            if shim.stamp.is_some() {
+                ctx.stats.bump(self.ids.data_stamped);
+            }
         }
     }
 
@@ -593,7 +455,7 @@ impl NeutralizerNode {
         }
         let initiator = ShimRepr::addr_from_plain_block(&parsed.shim.addr_block);
         // Both directions derive from (nonce, outside address), so the
-        // return path shares the forward path's cache entry.
+        // return path shares the forward path's memo.
         let (sealed, cache_hit) = match self.keys.sealer(parsed.shim.nonce, initiator) {
             None => {
                 ctx.stats.bump(self.ids.return_expired_epoch);
@@ -648,8 +510,9 @@ impl Node for NeutralizerNode {
         if protocol != nn_packet::proto::SHIM {
             // Plain traffic transits the border router untouched (§3.4's
             // opt-out: the neutralizer service is optional).
-            ctx.stats.bump(self.ids.transit);
-            self.route_out(ctx, frame);
+            if self.route_out(ctx, frame) {
+                ctx.stats.bump(self.ids.transit);
+            }
             return;
         }
         let Ok(shim_view) = nn_packet::ShimPacket::new_checked(&frame[20..]) else {
@@ -665,8 +528,9 @@ impl Node for NeutralizerNode {
             _ => {
                 // Shim traffic in transit (e.g. toward some other domain's
                 // neutralizer, or replies flowing outward).
-                ctx.stats.bump(self.ids.shim_transit);
-                self.route_out(ctx, frame);
+                if self.route_out(ctx, frame) {
+                    ctx.stats.bump(self.ids.shim_transit);
+                }
                 return;
             }
         }
@@ -724,91 +588,76 @@ mod tests {
     }
 
     #[test]
-    fn key_table_honors_epochs_with_grace() {
-        // The cached path must replay derive_honors_epochs_with_grace
-        // exactly: grace-epoch hits stay valid, dead epochs vanish.
+    fn key_memo_honors_epochs_with_grace() {
+        // The memo must replay derive_honors_epochs_with_grace exactly: a
+        // grace-epoch hit stays valid, a dead epoch is refused, and the
+        // rotation that kills an epoch forgets its key for good.
         let mut rng = StdRng::seed_from_u64(2);
-        let mut table = KeyTable::new(MasterKeyEpochs::new([1u8; 16]), 8);
-        let reference = MasterKeyEpochs::new([1u8; 16]);
+        let mut memo = KeyMemo::new(MasterKeyEpochs::new([1u8; 16]), true);
         let src = Ipv4Addr::new(10, 0, 0, 1);
-        let old_nonce = table.epochs().mint_nonce(&mut rng);
-        let old_key = table.derive(old_nonce, src).unwrap();
-        assert_eq!(reference.derive(old_nonce, src), Some(old_key));
-        assert_eq!((table.hits(), table.misses()), (0, 1));
+        let addr = 0x0a00_00ff;
+        let old_nonce = memo.epochs().mint_nonce(&mut rng);
+        let old_key = MasterKeyEpochs::new([1u8; 16])
+            .derive(old_nonce, src)
+            .unwrap();
+        let sealed = AddrSealer::new(&old_key).seal(old_nonce, addr);
+        let seal = |memo: &mut KeyMemo| {
+            memo.sealer(old_nonce, src)
+                .map(|(sealer, hit)| (sealer.seal(old_nonce, addr), hit))
+        };
+        assert_eq!(seal(&mut memo), Some((sealed, false)));
+        assert_eq!(seal(&mut memo), Some((sealed, true)));
 
-        table.rotate([2u8; 16]);
-        // Grace: the cached previous-epoch entry survives the rotation
-        // and serves a hit with the same value.
-        assert_eq!(table.derive(old_nonce, src), Some(old_key));
-        assert_eq!((table.hits(), table.misses()), (1, 1));
-        let new_nonce = table.epochs().mint_nonce(&mut rng);
-        assert!(table.derive(new_nonce, src).is_some());
+        memo.rotate([2u8; 16]);
+        // Grace: the memo survives the rotation and hits with the same key.
+        assert_eq!(seal(&mut memo), Some((sealed, true)));
 
-        table.rotate([3u8; 16]);
-        // Two rotations later the original epoch is dead: the entry was
-        // purged and derivation refuses.
-        assert_eq!(table.derive(old_nonce, src), None);
-        assert_eq!(table.len(), 1, "only the epoch-1 entry remains");
+        memo.rotate([3u8; 16]);
+        // Two rotations later the original epoch is dead and refused.
+        assert_eq!(seal(&mut memo), None);
 
-        // 254 more rotations wrap the epoch byte back to the old
-        // nonce's value; the purge must prevent a stale hit.
+        // 254 more rotations wrap the epoch byte back to the old nonce's
+        // value. Only the purge stops a stale hit here: the wrapped nonce
+        // must derive fresh under the new master key.
         for round in 0..254u16 {
-            table.rotate([round as u8; 16]);
+            memo.rotate([round as u8; 16]);
         }
-        assert_eq!(table.epochs().current_epoch(), (old_nonce >> 56) as u8);
-        assert!(table.is_empty());
-        // A wrapped-epoch derive is a fresh miss under the new key, not
-        // a replay of the cached original.
-        let rewrapped = table.derive(old_nonce, src).unwrap();
-        assert_ne!(rewrapped, old_key);
+        assert_eq!(memo.epochs().current_epoch(), (old_nonce >> 56) as u8);
+        let (rewrapped, hit) = seal(&mut memo).unwrap();
+        assert!(!hit, "a wrapped epoch derives fresh");
+        assert_ne!(rewrapped, sealed);
     }
 
     #[test]
-    fn key_table_evicts_least_recently_used() {
-        let mut table = KeyTable::new(MasterKeyEpochs::new([7u8; 16]), 2);
-        let src = Ipv4Addr::new(10, 0, 0, 9);
-        table.derive(1, src);
-        table.derive(2, src);
-        table.derive(1, src); // touch 1 → LRU victim is 2
-        assert_eq!((table.hits(), table.misses()), (1, 2));
-        table.derive(3, src); // evicts 2
-        assert_eq!(table.len(), 2);
-        table.derive(1, src); // still cached
-        assert_eq!(table.hits(), 2);
-        table.derive(2, src); // was evicted → miss again
-        assert_eq!((table.hits(), table.misses()), (2, 4));
-    }
-
-    #[test]
-    fn key_table_zero_capacity_disables_caching() {
-        let mut table = KeyTable::new(MasterKeyEpochs::new([4u8; 16]), 0);
-        let reference = MasterKeyEpochs::new([4u8; 16]);
+    fn key_memo_off_derives_every_packet() {
+        let mut memo = KeyMemo::new(MasterKeyEpochs::new([4u8; 16]), false);
         let src = Ipv4Addr::new(10, 2, 0, 1);
+        let key = MasterKeyEpochs::new([4u8; 16]).derive(5, src).unwrap();
+        let expect = AddrSealer::new(&key).seal(5, 9);
         for _ in 0..3 {
-            assert_eq!(table.derive(5, src), reference.derive(5, src));
+            let (sealer, hit) = memo.sealer(5, src).unwrap();
+            assert!(!hit, "a memo switched off never hits");
+            assert_eq!(sealer.seal(5, 9), expect);
         }
-        assert!(table.is_empty());
-        assert_eq!((table.hits(), table.misses()), (0, 0));
-        let (_, hit) = table.sealer(5, src).unwrap();
-        assert!(!hit);
     }
 
     #[test]
-    fn key_table_sealer_matches_fresh_sealer() {
-        // A cache-hit sealer must produce byte-identical output to one
-        // built fresh from the stateless derivation.
-        let mut table = KeyTable::new(MasterKeyEpochs::new([8u8; 16]), 4);
+    fn key_memo_sealer_matches_fresh_sealer() {
+        // A memo-hit sealer must produce byte-identical output to one
+        // built fresh from the stateless derivation, and a new nonce or a
+        // new source replaces the memo.
+        let mut memo = KeyMemo::new(MasterKeyEpochs::new([8u8; 16]), true);
         let reference = MasterKeyEpochs::new([8u8; 16]);
-        let src = Ipv4Addr::new(88, 1, 2, 3);
-        let nonce = 0x0042_4242;
         let addr = 0x0a00_00ffu32;
-        let fresh = AddrSealer::new(&reference.derive(nonce, src).unwrap());
-        let expect = fresh.seal(nonce, addr);
-        for round in 0..2 {
-            let (sealer, hit) = table.sealer(nonce, src).unwrap();
-            assert_eq!(hit, round == 1);
-            assert_eq!(sealer.seal(nonce, addr), expect);
-            assert_eq!(sealer.open(nonce, &expect).unwrap(), addr);
+        let (a, b) = (Ipv4Addr::new(88, 1, 2, 3), Ipv4Addr::new(88, 1, 2, 4));
+        for (nonce, src) in [(0x0042_4242, a), (0x0042_4243, a), (0x0042_4243, b)] {
+            let expect = AddrSealer::new(&reference.derive(nonce, src).unwrap()).seal(nonce, addr);
+            for round in 0..2 {
+                let (sealer, hit) = memo.sealer(nonce, src).unwrap();
+                assert_eq!(hit, round == 1);
+                assert_eq!(sealer.seal(nonce, addr), expect);
+                assert_eq!(sealer.open(nonce, &expect).unwrap(), addr);
+            }
         }
     }
 
@@ -819,93 +668,139 @@ mod tests {
         assert_eq!(keys.derive(forged, Ipv4Addr::new(1, 2, 3, 4)), None);
     }
 
+    const OUTSIDE: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 5);
+    const CUSTOMER: Ipv4Addr = Ipv4Addr::new(10, 0, 3, 1);
+    const ANYCAST: Ipv4Addr = Ipv4Addr::new(198, 18, 0, 1);
+    const MASTER_KEY: [u8; 16] = [0x42; 16];
+    /// A nonce of epoch 0.
+    const NONCE: u64 = 0x0012_3456_789a_bcde;
+
+    /// Keeps every frame it receives.
+    #[derive(Default)]
+    struct Sink(Vec<Vec<u8>>);
+
+    impl Node for Sink {
+        fn on_packet(&mut self, ctx: &mut Context, _: IfaceId, frame: FrameBuf) {
+            self.0.push(frame.as_slice().to_vec());
+            ctx.recycle(frame);
+        }
+    }
+
+    /// A neutralizer between two sinks, routing `OUTSIDE`'s /24 to one
+    /// and `CUSTOMER`'s /24 to the other.
+    struct Border {
+        sim: nn_netsim::Simulator,
+        neut: nn_netsim::NodeId,
+        outside: nn_netsim::NodeId,
+        customer: nn_netsim::NodeId,
+        /// The neutralizer's iface toward the outside sink.
+        from_outside: IfaceId,
+    }
+
+    impl Border {
+        fn new(config: NeutralizerConfig) -> Self {
+            use nn_netsim::{LinkProfile, Simulator};
+            let mut sim = Simulator::new(1);
+            let outside = sim.add_node("outside", Box::new(Sink::default()));
+            let neut = sim.add_node("neut", Box::new(NeutralizerNode::new(config, MASTER_KEY)));
+            let customer = sim.add_node("customer", Box::new(Sink::default()));
+            let link = LinkProfile::new(1_000_000_000, std::time::Duration::from_micros(10));
+            let (_, from_outside) = sim.connect_sym(outside, neut, link.clone());
+            let (to_customer, _) = sim.connect_sym(neut, customer, link);
+            let mut routes = RouteTable::new();
+            routes.add(Ipv4Cidr::new(OUTSIDE, 24), from_outside);
+            routes.add(Ipv4Cidr::new(CUSTOMER, 24), to_customer);
+            sim.node_mut::<NeutralizerNode>(neut)
+                .unwrap()
+                .set_routes(routes);
+            Border {
+                sim,
+                neut,
+                outside,
+                customer,
+                from_outside,
+            }
+        }
+
+        /// Hands `frame` to the neutralizer `at` into the run. The box
+        /// never reads the ingress iface, so every frame enters on the
+        /// outside one.
+        fn inject(&mut self, at: std::time::Duration, frame: Vec<u8>) {
+            let at = nn_netsim::SimTime::ZERO + at;
+            self.sim.inject(at, self.neut, self.from_outside, frame);
+        }
+
+        fn got(&self, sink: nn_netsim::NodeId) -> &[Vec<u8>] {
+            &self.sim.node_ref::<Sink>(sink).unwrap().0
+        }
+
+        fn counter(&self, name: &str) -> u64 {
+            self.sim.stats().counter(&format!("neutralizer.{name}"))
+        }
+    }
+
+    fn repr(shim_type: ShimType, flags: u8, nonce: u64, addr_block: [u8; 16]) -> ShimRepr {
+        ShimRepr {
+            shim_type,
+            flags,
+            nonce,
+            addr_block,
+            stamp: None,
+        }
+    }
+
+    /// `dst` sealed under the key of `(NONCE, OUTSIDE)` in epoch 0.
+    fn sealed(dst: Ipv4Addr) -> [u8; 16] {
+        let ks = MasterKey::new(MASTER_KEY).derive_ks(NONCE, OUTSIDE.to_u32());
+        AddrSealer::new(&ks).seal(NONCE, dst.to_u32())
+    }
+
+    /// A key-setup frame from `OUTSIDE` carrying `key_wire`.
+    fn setup(key_wire: &[u8]) -> Vec<u8> {
+        let shim = repr(ShimType::KeySetup, 0, 0, ShimRepr::EMPTY_BLOCK);
+        nn_packet::build_shim(OUTSIDE, ANYCAST, 0, &shim, key_wire).unwrap()
+    }
+
+    /// A public key `from_wire` accepts: a `len`-byte modulus with its top
+    /// bit set, odd.
+    fn modulus(len: usize) -> Vec<u8> {
+        let mut wire = (len as u16).to_be_bytes().to_vec();
+        wire.resize(2 + len, 0xff);
+        assert!(RsaPublicKey::from_wire(&wire).is_ok(), "{len} bytes parse");
+        wire
+    }
+
     /// §3.4 at the rewrite itself: a sealed data frame forwarded to the
     /// customer and a return frame anonymized toward the outside
     /// initiator, both arriving marked DSCP EF and ECN CE, leave with
     /// both marks.
     #[test]
     fn rewrites_keep_dscp_and_ecn() {
-        use nn_netsim::{LinkProfile, Simulator};
         use nn_packet::{build_shim, dscp, ecn};
-        use std::time::Duration;
-
-        const OUTSIDE: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 5);
-        const CUSTOMER: Ipv4Addr = Ipv4Addr::new(10, 0, 3, 1);
-        const ANYCAST: Ipv4Addr = Ipv4Addr::new(198, 18, 0, 1);
-        const MASTER_KEY: [u8; 16] = [0x42; 16];
-        const NONCE: u64 = 0x0012_3456_789a_bcde;
-
-        /// Sends its frames at start and keeps every frame it receives.
-        struct Edge {
-            send: Vec<Vec<u8>>,
-            got: Vec<Vec<u8>>,
-        }
-        impl Node for Edge {
-            fn on_start(&mut self, ctx: &mut Context) {
-                for frame in self.send.drain(..) {
-                    ctx.send(0, frame);
-                }
-            }
-            fn on_packet(&mut self, ctx: &mut Context, _: IfaceId, frame: FrameBuf) {
-                self.got.push(frame.as_slice().to_vec());
-                ctx.recycle(frame);
-            }
-        }
 
         let marked = |src: Ipv4Addr, shim: ShimRepr| {
             let mut frame = build_shim(src, ANYCAST, dscp::EXPEDITED, &shim, b"body").unwrap();
             Ipv4Packet::new_unchecked(&mut frame[..]).set_ecn(ecn::CE);
-            vec![frame]
+            frame
         };
-        let ks = MasterKey::new(MASTER_KEY).derive_ks(NONCE, OUTSIDE.to_u32());
-        let data = ShimRepr {
-            shim_type: ShimType::Data,
-            flags: 0,
-            nonce: NONCE,
-            addr_block: AddrSealer::new(&ks).seal(NONCE, CUSTOMER.to_u32()),
-            stamp: None,
-        };
-        let ret = ShimRepr {
-            shim_type: ShimType::Return,
-            flags: 0,
-            nonce: NONCE,
-            addr_block: ShimRepr::plain_addr_block(OUTSIDE),
-            stamp: None,
-        };
-
-        let mut sim = Simulator::new(1);
-        let outside = sim.add_node(
-            "outside",
-            Box::new(Edge {
-                send: marked(OUTSIDE, data),
-                got: Vec::new(),
-            }),
+        let data = repr(ShimType::Data, 0, NONCE, sealed(CUSTOMER));
+        let ret = repr(
+            ShimType::Return,
+            0,
+            NONCE,
+            ShimRepr::plain_addr_block(OUTSIDE),
         );
         let config = NeutralizerConfig::new(ANYCAST, vec![Ipv4Cidr::new(CUSTOMER, 24)]);
-        let neut = sim.add_node("neut", Box::new(NeutralizerNode::new(config, MASTER_KEY)));
-        let customer = sim.add_node(
-            "customer",
-            Box::new(Edge {
-                send: marked(CUSTOMER, ret),
-                got: Vec::new(),
-            }),
-        );
-        let link = LinkProfile::new(1_000_000_000, Duration::from_micros(10));
-        let (_, to_outside) = sim.connect_sym(outside, neut, link.clone());
-        let (to_customer, _) = sim.connect_sym(neut, customer, link);
-        let mut routes = RouteTable::new();
-        routes.add(Ipv4Cidr::new(OUTSIDE, 24), to_outside);
-        routes.add(Ipv4Cidr::new(CUSTOMER, 24), to_customer);
-        sim.node_mut::<NeutralizerNode>(neut)
-            .unwrap()
-            .set_routes(routes);
-        sim.run(100);
+        let mut border = Border::new(config);
+        border.inject(Default::default(), marked(OUTSIDE, data));
+        border.inject(Default::default(), marked(CUSTOMER, ret));
+        border.sim.run(100);
 
-        for (node, rewrite, src, dst) in [
-            (customer, "data", OUTSIDE, CUSTOMER),
-            (outside, "return", ANYCAST, OUTSIDE),
+        for (sink, rewrite, src, dst) in [
+            (border.customer, "data", OUTSIDE, CUSTOMER),
+            (border.outside, "return", ANYCAST, OUTSIDE),
         ] {
-            let got = &sim.node_ref::<Edge>(node).unwrap().got;
+            let got = border.got(sink);
             assert_eq!(got.len(), 1, "the {rewrite} rewrite arrived");
             let ip = Ipv4Packet::new_checked(&got[0][..]).unwrap();
             assert_eq!(
@@ -925,79 +820,203 @@ mod tests {
     /// nothing.
     #[test]
     fn key_setup_refuses_keys_over_the_cap() {
-        use nn_netsim::{LinkProfile, Simulator};
-        use nn_packet::build_shim;
-        use std::time::Duration;
-
-        const OUTSIDE: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 5);
-        const ANYCAST: Ipv4Addr = Ipv4Addr::new(198, 18, 0, 1);
-
-        /// Sends its frames at start and keeps the type of every shim
-        /// frame it receives.
-        struct Edge {
-            send: Vec<Vec<u8>>,
-            got: Vec<ShimType>,
-        }
-        impl Node for Edge {
-            fn on_start(&mut self, ctx: &mut Context) {
-                for frame in self.send.drain(..) {
-                    ctx.send(0, frame);
-                }
-            }
-            fn on_packet(&mut self, ctx: &mut Context, _: IfaceId, frame: FrameBuf) {
-                self.got.push(parse_shim(&frame).unwrap().shim.shim_type);
-                ctx.recycle(frame);
-            }
-        }
-
-        let setup = |key_wire: &[u8]| {
-            let shim = ShimRepr {
-                shim_type: ShimType::KeySetup,
-                flags: 0,
-                nonce: 0,
-                addr_block: ShimRepr::EMPTY_BLOCK,
-                stamp: None,
-            };
-            build_shim(OUTSIDE, ANYCAST, 0, &shim, key_wire).unwrap()
-        };
-        // A modulus `from_wire` accepts: `len` bytes, top bit set, odd.
-        let oversized = |len: usize| {
-            let mut wire = (len as u16).to_be_bytes().to_vec();
-            wire.resize(2 + len, 0xff);
-            assert!(RsaPublicKey::from_wire(&wire).is_ok(), "{len} bytes parse");
-            wire
-        };
         let real = nn_crypto::generate_keypair(&mut StdRng::seed_from_u64(5), 512);
-        let mut sim = Simulator::new(1);
-        let outside = sim.add_node(
-            "outside",
-            Box::new(Edge {
-                send: vec![
-                    setup(&real.public.to_wire()),
-                    setup(&oversized(MAX_ONETIME_KEY_BYTES + 1)),
-                    setup(&oversized(1024)),
-                ],
-                got: Vec::new(),
-            }),
-        );
-        let config = NeutralizerConfig::new(ANYCAST, vec![]);
-        let neut = sim.add_node("neut", Box::new(NeutralizerNode::new(config, [0x42; 16])));
-        let link = LinkProfile::new(1_000_000_000, Duration::from_micros(10));
-        let (_, to_outside) = sim.connect_sym(outside, neut, link);
-        let mut routes = RouteTable::new();
-        routes.add(Ipv4Cidr::new(OUTSIDE, 24), to_outside);
-        sim.node_mut::<NeutralizerNode>(neut)
-            .unwrap()
-            .set_routes(routes);
-        sim.run(100);
+        let mut border = Border::new(NeutralizerConfig::new(ANYCAST, vec![]));
+        for key in [
+            real.public.to_wire(),
+            modulus(MAX_ONETIME_KEY_BYTES + 1),
+            modulus(1024),
+        ] {
+            border.inject(Default::default(), setup(&key));
+        }
+        border.sim.run(100);
 
-        assert_eq!(sim.stats().counter("neutralizer.setup_served"), 1);
-        assert_eq!(sim.stats().counter("neutralizer.setup_key_too_long"), 2);
+        assert_eq!(border.counter("setup_served"), 1);
+        assert_eq!(border.counter("setup_key_too_long"), 2);
+        let got: Vec<ShimType> = (border.got(border.outside).iter())
+            .map(|f| parse_shim(f).unwrap().shim.shim_type)
+            .collect();
         assert_eq!(
-            sim.node_ref::<Edge>(outside).unwrap().got,
+            got,
             [ShimType::KeyReply],
             "only the 512-bit key draws a reply"
         );
+    }
+
+    /// Conservation at the box: every frame of a fixed hostile mix lands
+    /// in exactly one outcome counter, and the work stays at the paper's
+    /// §4 price, with the memo on and off. A key setup costs one RSA
+    /// encryption under a one-time key within [`MAX_ONETIME_KEY_BYTES`];
+    /// a data or return frame costs at most one `Ks` derivation.
+    #[test]
+    fn every_frame_lands_in_one_counter_at_the_papers_price() {
+        use nn_packet::{build_shim, build_udp, proto};
+        use std::time::Duration;
+
+        /// The counters a received frame ends in. The others count work:
+        /// `data_stamped`, the memo's hits and misses, and rotations.
+        const OUTCOMES: [&str; 21] = [
+            "parse_error",
+            "shim_parse_error",
+            "transit",
+            "shim_transit",
+            "emit_parse_error",
+            "emit_build_error",
+            "no_route",
+            "setup_parse_error",
+            "setup_bad_pubkey",
+            "setup_key_too_long",
+            "setup_encrypt_fail",
+            "setup_served",
+            "data_parse_error",
+            "data_expired_epoch",
+            "data_unseal_fail",
+            "data_not_customer",
+            "data_forwarded",
+            "return_parse_error",
+            "return_not_customer",
+            "return_expired_epoch",
+            "return_anonymized",
+        ];
+        /// The outcomes of the frames that leave the box.
+        const LEFT: [&str; 5] = [
+            "setup_served",
+            "transit",
+            "shim_transit",
+            "data_forwarded",
+            "return_anonymized",
+        ];
+        // The box rotates its master key every millisecond. The first
+        // frames arrive in epoch 0; the late ones in epoch 2, when epoch 0
+        // is dead and epoch 3 not yet minted.
+        const LIFETIME: Duration = Duration::from_millis(1);
+        const EARLY: Duration = Duration::ZERO;
+        const LATE: Duration = Duration::from_micros(2_500);
+        const FUTURE: u64 = (3 << 56) | 0x77;
+        const STRANGER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 7);
+        /// Inside the /16 the box serves, but with no route.
+        const UNROUTED: Ipv4Addr = Ipv4Addr::new(10, 0, 9, 1);
+
+        let real = nn_crypto::generate_keypair(&mut StdRng::seed_from_u64(5), 512)
+            .public
+            .to_wire();
+        let request = shim_flags::KEY_REQUEST;
+        let data = |flags: u8, nonce: u64, block: [u8; 16]| {
+            let shim = repr(ShimType::Data, flags, nonce, block);
+            build_shim(OUTSIDE, ANYCAST, 0, &shim, &[0; 100]).unwrap()
+        };
+        // The largest frame IPv4 carries: its stamped rewrite cannot be built.
+        let shim = repr(ShimType::Data, request, NONCE, sealed(CUSTOMER));
+        let full = build_shim(OUTSIDE, ANYCAST, 0, &shim, &[0; 65_535 - 20 - 28]).unwrap();
+        let ret = |src: Ipv4Addr, nonce: u64| {
+            let shim = repr(
+                ShimType::Return,
+                0,
+                nonce,
+                ShimRepr::plain_addr_block(OUTSIDE),
+            );
+            build_shim(src, ANYCAST, 0, &shim, b"reply").unwrap()
+        };
+        let plain = |dst: Ipv4Addr| build_udp(OUTSIDE, dst, 0, 1, 2, b"plain").unwrap();
+        let shim = repr(ShimType::Data, 0, NONCE, [1; 16]);
+        let onward = build_shim(CUSTOMER, OUTSIDE, 0, &shim, b"").unwrap();
+        // The IP header's total length stops ten bytes into the shim.
+        let cut = |mut frame: Vec<u8>| {
+            frame[2..4].copy_from_slice(&30u16.to_be_bytes());
+            Ipv4Packet::new_unchecked(&mut frame[..]).fill_checksum();
+            frame
+        };
+        let mut short_shim = plain(ANYCAST);
+        short_shim[9] = proto::SHIM;
+        Ipv4Packet::new_unchecked(&mut short_shim[..]).fill_checksum();
+
+        // When each frame arrives, and the one counter it must land in.
+        let mut mix: Vec<(Duration, &str, Vec<u8>)> = vec![
+            (EARLY, "setup_served", setup(&real)),
+            (EARLY, "setup_key_too_long", setup(&modulus(65))),
+            (EARLY, "setup_key_too_long", setup(&modulus(1024))),
+            (EARLY, "setup_bad_pubkey", setup(&real[..40])),
+            // Too short to carry `nonce ‖ Ks`.
+            (EARLY, "setup_encrypt_fail", setup(&modulus(16))),
+            (EARLY, "setup_parse_error", cut(setup(&real))),
+            (EARLY, "parse_error", vec![0x45; 10]),
+            (EARLY, "shim_parse_error", short_shim),
+            (EARLY, "transit", plain(CUSTOMER)),
+            (EARLY, "no_route", plain(STRANGER)),
+            (EARLY, "shim_transit", onward),
+        ];
+        let sessions = [
+            (EARLY, "data_forwarded", data(0, NONCE, sealed(CUSTOMER))),
+            (
+                EARLY,
+                "data_forwarded",
+                data(request, NONCE, sealed(CUSTOMER)),
+            ),
+            (EARLY, "emit_build_error", full),
+            (EARLY, "data_unseal_fail", data(0, NONCE, [0xa5; 16])),
+            (EARLY, "data_not_customer", data(0, NONCE, sealed(STRANGER))),
+            (EARLY, "no_route", data(0, NONCE, sealed(UNROUTED))),
+            (
+                EARLY,
+                "data_parse_error",
+                cut(data(0, NONCE, sealed(CUSTOMER))),
+            ),
+            (LATE, "data_expired_epoch", data(0, NONCE, sealed(CUSTOMER))),
+            (LATE, "data_expired_epoch", data(0, FUTURE, [0xa5; 16])),
+            (EARLY, "return_anonymized", ret(CUSTOMER, NONCE)),
+            (EARLY, "return_not_customer", ret(STRANGER, NONCE)),
+            (EARLY, "return_parse_error", cut(ret(CUSTOMER, NONCE))),
+            (LATE, "return_expired_epoch", ret(CUSTOMER, NONCE)),
+            (LATE, "return_expired_epoch", ret(CUSTOMER, FUTURE)),
+        ];
+        let handled = sessions.len() as u64;
+        mix.extend(sessions);
+        assert!(mix.iter().all(|(_, outcome, _)| OUTCOMES.contains(outcome)));
+
+        for key_cache in [true, false] {
+            let mut config = NeutralizerConfig::new(ANYCAST, vec![Ipv4Cidr::new(CUSTOMER, 16)]);
+            config.key_lifetime = Some(LIFETIME);
+            config.key_cache = key_cache;
+            let mut border = Border::new(config);
+            for (at, _, frame) in &mix {
+                border.inject(*at, frame.clone());
+            }
+            border
+                .sim
+                .run_until(nn_netsim::SimTime::ZERO + LATE + LIFETIME / 4);
+            assert_eq!(border.counter("key_rotated"), 2);
+
+            let landed: u64 = OUTCOMES.iter().map(|name| border.counter(name)).sum();
+            assert_eq!(landed, mix.len() as u64, "memo {key_cache}: frames in");
+            for name in OUTCOMES {
+                let expect = mix.iter().filter(|(_, outcome, _)| *outcome == name);
+                assert_eq!(
+                    border.counter(name),
+                    expect.count() as u64,
+                    "memo {key_cache}: {name}"
+                );
+            }
+            // What left is what the sinks got; a stamp counts only when
+            // its rewrite left.
+            let left: u64 = LEFT.iter().map(|name| border.counter(name)).sum();
+            let got = border.got(border.outside).len() + border.got(border.customer).len();
+            assert_eq!(left, got as u64, "memo {key_cache}: frames out");
+            assert_eq!(border.counter("data_stamped"), 1);
+
+            // The price: one RSA encryption per served key, each key
+            // within the cap, each answered by one reply.
+            let replies = (border.got(border.outside).iter())
+                .filter(|f| parse_shim(f).is_ok_and(|p| p.shim.shim_type == ShimType::KeyReply))
+                .count();
+            assert_eq!((border.counter("setup_served"), replies), (1, 1));
+            // At most one `Ks` derivation per data or return frame, and
+            // with the memo one per session.
+            let misses = border.counter("key_cache_miss");
+            assert!(misses <= handled, "memo {key_cache}: {misses} derivations");
+            let derived = misses + border.counter("key_cache_hit");
+            let expect = if key_cache { (1, 7) } else { (7, 7) };
+            assert_eq!((misses, derived), expect, "memo {key_cache}");
+        }
     }
 
     #[test]

@@ -21,26 +21,24 @@
 //! the T-table one byte for byte. The T-table cipher is the fallback on
 //! every other CPU and the reference.
 //!
-//! [`Aes128::encrypt_blocks`] pipelines independent blocks through the
-//! rounds together, giving the CTR keystream path instruction-level
-//! parallelism. The hardware path keeps eight blocks in flight, enough
-//! to cover the `AESENC` latency. The T-table path pipelines pairs:
-//! two lanes is its measured sweet spot, because eight live state words
-//! fit the register file, where four lanes spill every round and run no
-//! faster than single blocks.
+//! Beyond single blocks there is one call per mode, each run whole on
+//! one backend:
 //!
-//! [`Aes128::cbc_mac`] is another multi-block call: the CBC-MAC chain
-//! CMAC absorbs a message through. Its blocks depend on each other, so
-//! nothing pipelines; the hardware path instead loads the eleven round
-//! keys into registers once per call rather than once per block.
-//!
-//! The third is CTR mode, which [`AesCtr`](crate::ctr::AesCtr) and the
-//! end-to-end channel's GCM run on. On AES-NI, one kernel builds eight
-//! counter blocks per batch in registers, runs them through the rounds
-//! together and XORs each keystream block into the data where it lies;
-//! no counter array and no keystream buffer touch memory. The T-table
-//! path builds the counter blocks in an array and encrypts them as a
-//! batch, and is the reference the kernel is tested against.
+//! * [`Aes128::cbc_mac`] is the CBC-MAC chain CMAC absorbs a message
+//!   through. Its blocks depend on each other, so nothing pipelines; the
+//!   hardware path instead loads the eleven round keys into registers
+//!   once per call rather than once per block.
+//! * [`Aes128::ctr_xor`] is CTR mode (NIST SP 800-38A), which the
+//!   end-to-end channel's GCM runs on. On AES-NI, one kernel builds eight
+//!   counter blocks per batch in registers, enough to cover the `AESENC`
+//!   latency, runs them through the rounds together and XORs each
+//!   keystream block into the data where it lies; no counter array and
+//!   no keystream buffer touch memory. The T-table path builds the
+//!   counter blocks in an array and pipelines them through the rounds in
+//!   pairs: two lanes is its measured sweet spot, because eight live
+//!   state words fit the register file, where four lanes spill every
+//!   round and run no faster than single blocks. It is the reference the
+//!   kernel is tested against.
 
 use std::sync::OnceLock;
 
@@ -150,14 +148,13 @@ fn inv_mix_word(w: u32) -> u32 {
     ])
 }
 
-/// How many blocks the T-table path of [`Aes128::encrypt_blocks`]
-/// pipelines per inner pass.
-pub const BATCH: usize = 2;
+/// How many blocks the T-table CTR path pipelines per inner pass.
+const BATCH: usize = 2;
 
 /// The gate of [`Aes128::ctr_xor`]: it gets the keystream block of the
 /// call's first counter before any data changes, and says whether the
 /// call goes on.
-pub(crate) type CtrGate<'a> = &'a mut dyn FnMut(&[u8; 16]) -> bool;
+pub type CtrGate<'a> = &'a mut dyn FnMut(&[u8; 16]) -> bool;
 
 /// AES-128 with a precomputed key schedule.
 ///
@@ -250,20 +247,6 @@ impl Aes128 {
         self.table_encrypt_block(block);
     }
 
-    /// Encrypts a batch of blocks in place, pipelining independent blocks
-    /// through the rounds together. Bit-identical to calling
-    /// [`encrypt_block`](Self::encrypt_block) on each block.
-    pub fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(keys) = &self.ni {
-            // SAFETY: `keys` exists only if `is_x86_feature_detected!("aes")`
-            // returned true, and `aes` is the one feature the callee enables.
-            #[allow(unsafe_code)]
-            return unsafe { ni::encrypt_blocks(keys, blocks) };
-        }
-        self.table_encrypt_blocks(blocks);
-    }
-
     /// Runs the CBC-MAC chain over whole blocks: for each 16-byte block
     /// `b` of `data` in turn, `chain = E(chain ⊕ b)`. Bit-identical to
     /// that loop over [`encrypt_block`](Self::encrypt_block).
@@ -286,16 +269,19 @@ impl Aes128 {
         self.table_cbc_mac(chain, data);
     }
 
-    /// CTR mode: XORs the keystream block `E(nonce ‖ counter + i)`, both
-    /// halves big-endian, into the `i`-th 16-byte block of `data`; the
-    /// last block may be short. Encrypt and decrypt are the same call.
+    /// CTR mode (NIST SP 800-38A): XORs the keystream block
+    /// `E(nonce ‖ counter + i)`, both halves big-endian, into the `i`-th
+    /// 16-byte block of `data`; the last block may be short. The counter
+    /// half wraps at 2⁶⁴ and never carries into the nonce. Encrypt and
+    /// decrypt are the same call, and it returns true unless a gate
+    /// refused.
     ///
     /// With a `gate`, the keystream block of `counter` itself goes to the
     /// gate before any byte of `data` changes, and `data` starts at
     /// `counter + 1`. When the gate returns false, so does the call, and
     /// `data` is left as it was. GCM's tag mask `E(J0)` rides in the
     /// first batch this way, on open as well as on seal.
-    pub(crate) fn ctr_xor(
+    pub fn ctr_xor(
         &self,
         nonce: u64,
         counter: u64,
@@ -572,7 +558,7 @@ mod ni {
         _mm_cvtsi128_si64, _mm_set_epi64x, _mm_setzero_si128, _mm_unpackhi_epi64, _mm_xor_si128,
     };
 
-    /// Blocks [`encrypt_blocks`] keeps in flight: enough independent
+    /// Blocks the CTR kernel keeps in flight: enough independent
     /// `AESENC`s to cover the instruction's latency.
     const LANES: usize = 8;
 
@@ -635,36 +621,6 @@ mod ni {
         store(block, _mm_aesenclast_si128(s, load(&k.enc[10])));
     }
 
-    #[target_feature(enable = "aes")]
-    pub(super) fn encrypt_blocks(k: &RoundKeys, blocks: &mut [[u8; 16]]) {
-        let mut chunks = blocks.chunks_exact_mut(LANES);
-        for chunk in &mut chunks {
-            let rk = load(&k.enc[0]);
-            let mut s = [rk; LANES];
-            for (x, b) in s.iter_mut().zip(chunk.iter()) {
-                *x = _mm_xor_si128(load(b), rk);
-            }
-            for rk in &k.enc[1..10] {
-                let rk = load(rk);
-                for x in &mut s {
-                    *x = _mm_aesenc_si128(*x, rk);
-                }
-            }
-            let rk = load(&k.enc[10]);
-            for (x, b) in s.into_iter().zip(chunk.iter_mut()) {
-                store(b, _mm_aesenclast_si128(x, rk));
-            }
-        }
-        // Fewer than `LANES` blocks are left. Each is its own chain of
-        // rounds, and back-to-back calls are independent, so the core
-        // overlaps them out of order: on an AES-NI Xeon, one to seven
-        // such blocks cost about what one does, where a padded
-        // eight-lane pass costs two to three times as much.
-        for block in chunks.into_remainder() {
-            encrypt_block(k, block);
-        }
-    }
-
     /// The CBC-MAC chain with the round keys loaded into registers once,
     /// not once per block.
     #[target_feature(enable = "aes")]
@@ -721,8 +677,11 @@ mod ni {
     /// the round keys load once, eight counter blocks per batch are built
     /// from the counter with `_mm_set_epi64x` and run through the rounds
     /// together, and each keystream block is XORed into the data where
-    /// it lies. Fewer than eight blocks left run one at a time, which the
-    /// core overlaps as `encrypt_blocks`' remainder does.
+    /// it lies. Fewer than eight blocks left run one at a time. Each is
+    /// its own chain of rounds, independent of the next, so the core
+    /// overlaps them out of order: on an AES-NI Xeon, one to seven such
+    /// blocks cost about what one does, where a padded eight-lane pass
+    /// costs two to three times as much.
     #[target_feature(enable = "aes")]
     pub(super) fn ctr_xor(
         k: &RoundKeys,
@@ -898,9 +857,9 @@ mod tests {
         }
     }
 
-    /// Runs one FIPS-197 vector through the T-table cipher and, on a CPU
-    /// with AES-NI, through the hardware path: one block each way, and a
-    /// batch across the hardware lane width and its remainder.
+    /// Runs one FIPS-197 vector through the T-table cipher, one block each
+    /// way and a batch across its lane width, and, on a CPU with AES-NI,
+    /// one block each way through the hardware path.
     fn check_vector(key: &str, plain: &str, cipher: &str) {
         let aes = Aes128::new(&block(key));
         let (plain, cipher) = (block(plain), block(cipher));
@@ -917,9 +876,6 @@ mod tests {
             assert_eq!(b, cipher, "AES-NI encrypt");
             aes.decrypt_block(&mut b);
             assert_eq!(b, plain, "AES-NI decrypt");
-            let mut batch = [plain; 9];
-            aes.encrypt_blocks(&mut batch);
-            assert_eq!(batch, [cipher; 9], "AES-NI batch");
         }
     }
 
@@ -941,16 +897,18 @@ mod tests {
         );
     }
 
+    /// The T-table batch the CTR fallback runs on equals single blocks,
+    /// at lengths across its lane width and the CTR path's eight-block
+    /// array, with ragged tails.
     #[test]
     fn batch_encrypt_matches_single_blocks() {
         let aes = Aes128::new(&block("000102030405060708090a0b0c0d0e0f"));
-        // Lengths around both paths' lane widths, with ragged tails.
         for len in 0..=17 {
             let mut batch: Vec<[u8; 16]> = (0..len)
                 .map(|i| core::array::from_fn(|j| (i * 16 + j) as u8))
                 .collect();
             let singles: Vec<[u8; 16]> = batch.iter().map(|b| aes.encrypt_copy(b)).collect();
-            aes.encrypt_blocks(&mut batch);
+            aes.table_encrypt_blocks(&mut batch);
             assert_eq!(batch, singles, "len={len}");
         }
     }
@@ -1000,15 +958,20 @@ mod tests {
             prop_assert_ne!(aes.encrypt_copy(&d1), aes.encrypt_copy(&d2));
         }
 
+        /// The T-table batch equals T-table single blocks under any key.
         #[test]
         fn prop_batch_matches_singles(
             key in any::<[u8;16]>(),
             blocks in proptest::collection::vec(any::<[u8;16]>(), 0..12),
         ) {
             let aes = Aes128::new(&key);
-            let singles: Vec<[u8;16]> = blocks.iter().map(|b| aes.encrypt_copy(b)).collect();
+            let singles: Vec<[u8;16]> = blocks.iter().map(|b| {
+                let mut b = *b;
+                aes.table_encrypt_block(&mut b);
+                b
+            }).collect();
             let mut batch = blocks;
-            aes.encrypt_blocks(&mut batch);
+            aes.table_encrypt_blocks(&mut batch);
             prop_assert_eq!(batch, singles);
         }
 
@@ -1036,9 +999,10 @@ mod tests {
             prop_assert_eq!(table, expect);
         }
 
-        /// The CTR call, on whichever backend runs, equals the T-table
-        /// counter path at every length from 0 to 300 bytes and from any
-        /// start counter, wrapping included. With a gate, the gate gets
+        /// CTR from any start counter, wrapping included, at every length
+        /// from 0 to 300 bytes: the T-table path equals block-at-a-time
+        /// keystream, the call on whichever backend runs equals it too,
+        /// and a second call restores the data. With a gate, the gate gets
         /// `E(nonce ‖ counter)` and the data the keystream from
         /// `counter + 1`; a gate that refuses leaves the data as it was.
         #[test]
@@ -1049,17 +1013,25 @@ mod tests {
             data in proptest::collection::vec(any::<u8>(), 300),
         ) {
             let aes = Aes128::new(&key);
-            let head = aes.encrypt_copy(&counter_block(nonce, counter));
+            // One block more than the data, for the gated calls.
+            let keystream: Vec<u8> = (0..=data.len().div_ceil(16) as u64)
+                .flat_map(|i| aes.encrypt_copy(&counter_block(nonce, counter.wrapping_add(i))))
+                .collect();
+            let head: [u8; 16] = keystream[..16].try_into().unwrap();
             for len in 0..=data.len() {
                 let plain = &data[..len];
+                let xor = |ks: &[u8]| -> Vec<u8> { plain.iter().zip(ks).map(|(p, k)| p ^ k).collect() };
+                let expect = xor(&keystream);
                 let mut table = plain.to_vec();
                 aes.table_ctr_xor(nonce, counter, &mut table, None);
+                prop_assert_eq!(&table, &expect, "T-table, len {}", len);
                 let mut run = plain.to_vec();
                 aes.ctr_xor(nonce, counter, &mut run, None);
-                prop_assert_eq!(&run, &table, "len {}", len);
+                prop_assert_eq!(&run, &expect, "len {}", len);
+                aes.ctr_xor(nonce, counter, &mut run, None);
+                prop_assert_eq!(&run[..], plain, "round trip, len {}", len);
 
-                let mut expect = plain.to_vec();
-                aes.table_ctr_xor(nonce, counter.wrapping_add(1), &mut expect, None);
+                let expect = xor(&keystream[16..]);
                 let (mut table_head, mut table) = ([0u8; 16], plain.to_vec());
                 let mut gate = |m: &[u8; 16]| {
                     table_head = *m;
@@ -1081,35 +1053,19 @@ mod tests {
         }
 
         /// The hardware path equals the T-table reference byte for byte,
-        /// at every length across the eight-block lane width and its
-        /// remainder, and the T-table batch equals T-table singles.
+        /// one block at a time in each direction.
         #[test]
         fn prop_hardware_matches_table(
             key in any::<[u8;16]>(),
-            blocks in proptest::collection::vec(any::<[u8;16]>(), 17),
+            block in any::<[u8;16]>(),
         ) {
             let aes = Aes128::new(&key);
-            let hardware = on_hardware(&aes);
-            let encrypted: Vec<[u8;16]> = blocks.iter().map(|b| {
-                let mut b = *b;
-                aes.table_encrypt_block(&mut b);
-                b
-            }).collect();
-            for len in 0..=blocks.len() {
-                let mut batch = blocks[..len].to_vec();
-                aes.table_encrypt_blocks(&mut batch);
-                prop_assert_eq!(&batch[..], &encrypted[..len], "T-table batch, len {}", len);
-                if hardware {
-                    let mut batch = blocks[..len].to_vec();
-                    aes.encrypt_blocks(&mut batch);
-                    prop_assert_eq!(&batch[..], &encrypted[..len], "AES-NI batch, len {}", len);
-                }
-            }
-            for (b, e) in blocks.iter().zip(&encrypted).filter(|_| hardware) {
-                let mut hw = *b;
+            if on_hardware(&aes) {
+                let (mut hw, mut table) = (block, block);
                 aes.encrypt_block(&mut hw);
-                prop_assert_eq!(&hw, e);
-                let (mut hw, mut table) = (*b, *b);
+                aes.table_encrypt_block(&mut table);
+                prop_assert_eq!(hw, table);
+                let (mut hw, mut table) = (block, block);
                 aes.decrypt_block(&mut hw);
                 aes.table_decrypt_block(&mut table);
                 prop_assert_eq!(hw, table);

@@ -4,7 +4,9 @@
 //! `Ks = hash(KM, nonce, srcIP)` (§3.2) using "128-bit AES for both hashing
 //! and encryption" (§4). CMAC is exactly that: a keyed hash built from the
 //! AES block cipher, so one CMAC invocation costs a couple of AES block
-//! operations — the cost model the evaluation depends on.
+//! operations — the cost model the evaluation depends on. It derives `Ks`
+//! ([`crate::kdf`]) and the end-to-end channel's session keys, each a tag
+//! over one short slice.
 
 use crate::aes::Aes128;
 
@@ -47,80 +49,27 @@ impl Cmac {
         Cmac { cipher, k1, k2 }
     }
 
-    /// Computes the 128-bit tag over `msg`.
+    /// Computes the 128-bit tag over `msg`: every block but the last
+    /// through one [`Aes128::cbc_mac`] call, then the last block, masked
+    /// with K1 when it is complete or padded and masked with K2.
     pub fn tag(&self, msg: &[u8]) -> [u8; 16] {
-        self.tag_parts(&[msg])
-    }
-
-    /// Computes the tag over the logical concatenation of `parts`
-    /// without materializing it. `tag_parts(&[a, b])` equals
-    /// `tag(a ++ b)` for any split, which lets callers (record
-    /// seal/open, key derivation) tag `header || payload` messages
-    /// allocation-free.
-    ///
-    /// Whole blocks are absorbed straight out of each part through one
-    /// [`Aes128::cbc_mac`] call; only a block that straddles two parts
-    /// is copied together first.
-    pub fn tag_parts(&self, parts: &[&[u8]]) -> [u8; 16] {
+        let fill = match msg.len() % 16 {
+            0 if !msg.is_empty() => 16,
+            rest => rest,
+        };
+        let (body, tail) = msg.split_at(msg.len() - fill);
         let mut x = [0u8; 16];
-        let mut buf = [0u8; 16];
-        // Bytes buffered in `buf`. A full buffer is held back, not yet
-        // absorbed: CMAC treats the final block specially, so a block
-        // may only be absorbed once more data proves it is not last.
-        let mut fill = 0usize;
-        for mut part in parts.iter().copied() {
-            if part.is_empty() {
-                continue;
-            }
-            if fill > 0 {
-                if fill < 16 {
-                    let take = (16 - fill).min(part.len());
-                    buf[fill..fill + take].copy_from_slice(&part[..take]);
-                    fill += take;
-                    part = &part[take..];
-                    if part.is_empty() {
-                        continue;
-                    }
-                }
-                self.cipher.cbc_mac(&mut x, &buf);
-            }
-            // Absorb every whole block but the part's last (complete or
-            // partial) one, which is held back in `buf`.
-            fill = match part.len() % 16 {
-                0 => 16,
-                rest => rest,
-            };
-            let (body, last) = part.split_at(part.len() - fill);
-            self.cipher.cbc_mac(&mut x, body);
-            buf[..fill].copy_from_slice(last);
-        }
-        // Last block, masked with K1 (complete) or padded and masked with K2.
+        self.cipher.cbc_mac(&mut x, body);
         let mut last = [0u8; 16];
+        last[..fill].copy_from_slice(tail);
         if fill == 16 {
-            last = buf;
             xor_block(&mut last, &self.k1);
         } else {
-            last[..fill].copy_from_slice(&buf[..fill]);
             last[fill] = 0x80;
             xor_block(&mut last, &self.k2);
         }
         self.cipher.cbc_mac(&mut x, &last);
         x
-    }
-
-    /// Constant-shape tag verification.
-    pub fn verify(&self, msg: &[u8], tag: &[u8; 16]) -> bool {
-        self.verify_parts(&[msg], tag)
-    }
-
-    /// [`verify`](Self::verify) over a logical concatenation of parts.
-    pub fn verify_parts(&self, parts: &[&[u8]], tag: &[u8; 16]) -> bool {
-        let expect = self.tag_parts(parts);
-        let mut diff = 0u8;
-        for i in 0..16 {
-            diff |= expect[i] ^ tag[i];
-        }
-        diff == 0
     }
 }
 
@@ -197,18 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_accepts_and_rejects() {
-        let c = Cmac::new(&[7u8; 16]);
-        let msg = b"the neutralizer blurs packets";
-        let tag = c.tag(msg);
-        assert!(c.verify(msg, &tag));
-        let mut bad = tag;
-        bad[0] ^= 1;
-        assert!(!c.verify(msg, &bad));
-        assert!(!c.verify(b"different message", &tag));
-    }
-
-    #[test]
     fn length_extension_blocked_by_subkeys() {
         // Messages that differ only by zero-padding must not collide.
         let c = Cmac::new(&[9u8; 16]);
@@ -217,39 +154,39 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// `tag` equals RFC 4493's algorithm run one block at a time, at
+    /// every length from empty to four blocks, so every split between
+    /// the one-call body and the masked last block is covered.
     #[test]
-    fn tag_parts_matches_tag_at_every_split() {
+    fn tag_matches_block_at_a_time_cmac_at_every_length() {
         let c = Cmac::new(&rfc_key());
         let msg = rfc_msg();
-        for cut in 0..=msg.len() {
-            let (a, b) = msg.split_at(cut);
-            assert_eq!(c.tag_parts(&[a, b]), c.tag(&msg), "cut={cut}");
+        for len in 0..=msg.len() {
+            let mut blocks: Vec<[u8; 16]> = msg[..len]
+                .chunks(16)
+                .map(|chunk| {
+                    let mut block = [0u8; 16];
+                    block[..chunk.len()].copy_from_slice(chunk);
+                    block
+                })
+                .collect();
+            let mut last = blocks.pop().unwrap_or_default();
+            if len > 0 && len % 16 == 0 {
+                xor_block(&mut last, &c.k1);
+            } else {
+                last[len % 16] = 0x80;
+                xor_block(&mut last, &c.k2);
+            }
+            let mut x = [0u8; 16];
+            for block in blocks.iter().chain([&last]) {
+                xor_block(&mut x, block);
+                x = c.cipher.encrypt_copy(&x);
+            }
+            assert_eq!(c.tag(&msg[..len]), x, "len={len}");
         }
-        assert_eq!(c.tag_parts(&[]), c.tag(b""));
-        assert_eq!(c.tag_parts(&[b"", &msg, b""]), c.tag(&msg));
-    }
-
-    #[test]
-    fn verify_parts_roundtrip() {
-        let c = Cmac::new(&[4u8; 16]);
-        let tag = c.tag_parts(&[b"head", b"tail"]);
-        assert!(c.verify_parts(&[b"head", b"tail"], &tag));
-        assert!(c.verify(b"headtail", &tag));
-        assert!(!c.verify_parts(&[b"head", b"tale"], &tag));
     }
 
     proptest! {
-        #[test]
-        fn prop_tag_parts_matches_concat(
-            key in any::<[u8;16]>(),
-            parts in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 0..5),
-        ) {
-            let c = Cmac::new(&key);
-            let concat: Vec<u8> = parts.iter().flatten().copied().collect();
-            let views: Vec<&[u8]> = parts.iter().map(|p| p.as_slice()).collect();
-            prop_assert_eq!(c.tag_parts(&views), c.tag(&concat));
-        }
-
         #[test]
         fn prop_cached_context_matches_fresh(
             key in any::<[u8;16]>(),
@@ -278,7 +215,6 @@ mod tests {
         fn prop_tag_deterministic(key in any::<[u8;16]>(), m in proptest::collection::vec(any::<u8>(), 0..96)) {
             let c = Cmac::new(&key);
             prop_assert_eq!(c.tag(&m), c.tag(&m));
-            prop_assert!(c.verify(&m, &c.tag(&m)));
         }
     }
 }

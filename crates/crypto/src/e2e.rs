@@ -12,9 +12,9 @@
 //! source.
 //!
 //! Each record or envelope is GCM under the IV `nonce ‖ 0³²`, so its
-//! counter blocks are exactly [`AesCtr`](crate::ctr::AesCtr)'s
-//! `nonce ‖ counter` with the data keystream from counter 2 and the tag
-//! mask `E_K(J0)` at counter 1. There is no additional data. The tag is
+//! counter blocks are exactly [`Aes128::ctr_xor`]'s `nonce ‖ counter`,
+//! with the data keystream from counter 2 and the tag mask `E_K(J0)` at
+//! counter 1. There is no additional data. The tag is
 //! `GHASH_H(C) ⊕ E_K(J0)` with `H = E_K(0¹²⁸)`, computed once per key.
 
 use crate::aes::Aes128;

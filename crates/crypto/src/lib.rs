@@ -9,10 +9,11 @@
 //! * [`rsa`] — RSA with public exponent 3, so the neutralizer's per-packet
 //!   work is "as few as two multiplications" (§3.2), with CRT decryption
 //!   on the source side.
-//! * [`aes`] / [`cmac`](mod@cmac) / [`ctr`] — "128-bit AES for both hashing and
-//!   encryption/decryption" (§4): the block cipher, the RFC 4493 keyed
-//!   hash, and the stream mode. The cipher runs on AES-NI where the CPU
-//!   has it, chosen at run time, and on T-tables elsewhere.
+//! * [`aes`] / [`cmac`](mod@cmac) — "128-bit AES for both hashing and
+//!   encryption/decryption" (§4): the block cipher with its CTR mode
+//!   ([`Aes128::ctr_xor`]), and the RFC 4493 keyed hash. The cipher runs
+//!   on AES-NI where the CPU has it, chosen at run time, and on T-tables
+//!   elsewhere.
 //! * [`kdf`] — the stateless derivation `Ks = hash(KM, nonce, srcIP)`.
 //! * [`sealed`] — the 16-byte encrypted-address block carried in the shim
 //!   header, with redundancy so wrong keys are detected.
@@ -29,14 +30,14 @@
 //! McGrew and Viega, as in SP 800-38D) and panic-free on
 //! attacker-controlled input.
 //!
-//! The crate denies `unsafe_code`. The exceptions are the seven calls
+//! The crate denies `unsafe_code`. The exceptions are the six calls
 //! into `#[target_feature]` functions, each with its own
 //! `#[allow(unsafe_code)]` and a `// SAFETY:` comment, and each made only
 //! after `is_x86_feature_detected!` returned true for every feature the
 //! callee enables:
 //!
-//! * in [`aes`], on `aes`: one block encrypted, one block decrypted, a
-//!   batch of blocks, the CBC-MAC chain, and the CTR kernel;
+//! * in [`aes`], on `aes`: one block encrypted, one block decrypted, the
+//!   CBC-MAC chain, and the CTR kernel;
 //! * in `ghash`, on `pclmulqdq` and `ssse3`: the powers of the hash key,
 //!   and the hash itself.
 
@@ -47,7 +48,6 @@
 pub mod aes;
 pub mod biguint;
 pub mod cmac;
-pub mod ctr;
 pub mod e2e;
 pub mod error;
 mod ghash;
@@ -60,7 +60,6 @@ pub mod sealed;
 pub use aes::Aes128;
 pub use biguint::BigUint;
 pub use cmac::Cmac;
-pub use ctr::AesCtr;
 pub use e2e::{E2eEnvelope, E2eSession, SealedRecord};
 pub use error::{CryptoError, Result};
 pub use kdf::MasterKey;
