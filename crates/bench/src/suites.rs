@@ -348,19 +348,11 @@ pub fn ablation_keysetup() {
     let mut rng = StdRng::seed_from_u64(4);
     let msg = [0x5a; 24];
 
-    for bits in [320usize, 512, 768] {
+    for bits in [320usize, 512] {
         let kp = nn_crypto::generate_keypair(&mut rng, bits);
-        // Post-ISSUE-10 keygen is ~0.6–2.5 ms/iter; prime search's
-        // long-tailed per-iteration cost needs ~50+ iterations for a
-        // mean the 25% CI gate can rely on (the old 20/5 split dates
-        // from when one 768-bit keygen cost ~20 ms).
-        bench(
-            &format!("keygen_{bits}"),
-            iters(if bits > 512 { 50 } else { 100 }),
-            || {
-                black_box(nn_crypto::generate_keypair(&mut rng, bits));
-            },
-        );
+        bench(&format!("keygen_{bits}"), iters(100), || {
+            black_box(nn_crypto::generate_keypair(&mut rng, bits));
+        });
         bench(&format!("neutralizer_encrypt_{bits}"), iters(5_000), || {
             black_box(kp.public.encrypt(&mut rng, black_box(&msg)).unwrap());
         });
@@ -577,12 +569,7 @@ pub fn population() {
             LinkProfile::new(10_000_000_000, Duration::from_micros(100)),
         );
         sim.run_until(SimTime::from_millis(100));
-        let modeled = sim
-            .node_ref::<PopulationSinkNode>(sink)
-            .unwrap()
-            .cohort("c")
-            .unwrap()
-            .rx_packets;
+        let modeled = sim.stats().flow("c").unwrap().rx_packets;
         pool = sim.take_pool();
         modeled
     };

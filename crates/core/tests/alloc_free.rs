@@ -168,12 +168,10 @@ fn cohort(name: &str, endpoints: u64, fluid: bool) -> CohortModel {
 
 struct Lab {
     sim: Simulator,
-    pop: NodeId,
     r1: NodeId,
     r1_to_neut: IfaceId,
     r2: NodeId,
     r2_to_dsink: IfaceId,
-    psink: NodeId,
     dsink: NodeId,
 }
 
@@ -239,12 +237,10 @@ fn build() -> Lab {
         .set_routes(routes);
     Lab {
         sim,
-        pop,
         r1,
         r1_to_neut,
         r2,
         r2_to_dsink,
-        psink,
         dsink,
     }
 }
@@ -252,8 +248,8 @@ fn build() -> Lab {
 /// Every per-frame count the window must move, read between runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Progress {
-    packet_wire_tx: u64,
-    fluid_wire_tx: u64,
+    packet_tx: u64,
+    fluid_tx: u64,
     forwarded: u64,
     policy_drops: u64,
     queue_drops: u64,
@@ -267,20 +263,19 @@ struct Progress {
 
 fn progress(lab: &Lab) -> Progress {
     let sim = &lab.sim;
-    let tx = sim.node_ref::<PopulationNode>(lab.pop).unwrap().tx_stats();
-    let sink = sim.node_ref::<PopulationSinkNode>(lab.psink).unwrap();
     let counter = |name| sim.stats().counter(name);
+    let cohort = |name| sim.stats().flow(name).expect("cohort flow");
     Progress {
-        packet_wire_tx: tx[0].wire_frames,
-        fluid_wire_tx: tx[1].wire_frames,
+        packet_tx: cohort("packet").tx_packets,
+        fluid_tx: cohort("fluid").tx_packets,
         forwarded: sim.link_counters(lab.r1, lab.r1_to_neut).tx_frames,
         policy_drops: counter("r1.policy_drop.dpi"),
         queue_drops: sim.link_counters(lab.r2, lab.r2_to_dsink).queue_drops,
         transit: counter("neutralizer.transit"),
         data_forwarded: counter("neutralizer.data_forwarded"),
         return_anonymized: counter("neutralizer.return_anonymized"),
-        packet_ingested: sink.cohort("packet").unwrap().wire_frames,
-        fluid_ingested: sink.cohort("fluid").unwrap().wire_frames,
+        packet_ingested: cohort("packet").rx_packets,
+        fluid_ingested: cohort("fluid").rx_packets,
         data_delivered: sim.node_ref::<SinkNode>(lab.dsink).unwrap().rx_frames,
     }
 }
@@ -298,8 +293,8 @@ fn warm_simulation_moves_frames_without_allocating() {
     let after = progress(&lab);
     let moved = |f: fn(&Progress) -> u64| f(&after) - f(&before);
     let window = [
-        ("population packet emit", moved(|p| p.packet_wire_tx)),
-        ("population fluid emit", moved(|p| p.fluid_wire_tx)),
+        ("population packet emit", moved(|p| p.packet_tx)),
+        ("population fluid emit", moved(|p| p.fluid_tx)),
         ("router forward", moved(|p| p.forwarded)),
         ("router policy drop", moved(|p| p.policy_drops)),
         ("router queue drop", moved(|p| p.queue_drops)),

@@ -20,9 +20,7 @@ use crate::topology::{
 use crate::workload::WorkloadSpec;
 use nn_core::neutralizer::{NeutralizerConfig, NeutralizerNode, MAX_ONETIME_KEY_BYTES};
 use nn_crypto::RsaKeypair;
-use nn_netsim::{
-    CohortAggregate, CohortTx, FlowStats, Histogram, Node, RouterNode, SimTime, Simulator,
-};
+use nn_netsim::{FlowStats, Histogram, Node, RouterNode, SimTime, Simulator};
 use nn_packet::Ipv4Cidr;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -138,7 +136,8 @@ fields! {
 }
 
 impl CellFlow {
-    /// The workload flow's row, from its packet-level accounting.
+    /// A flow's row, from its record in the stats registry: the
+    /// workload's, or one population cohort's.
     fn from_flow_stats(flow: &str, fs: &FlowStats) -> CellFlow {
         CellFlow {
             flow: flow.to_string(),
@@ -152,30 +151,6 @@ impl CellFlow {
             p99_delay_ms: delay_quantile_ms(&fs.delay_hist, 0.99),
             jitter_ms: fs.jitter() * 1_000.0,
             ce_marks: fs.ce_marks,
-        }
-    }
-
-    /// One population cohort's row; `agg` is `None` when the sink never
-    /// heard from the cohort.
-    fn from_cohort(tx: &CohortTx, agg: Option<&CohortAggregate>) -> CellFlow {
-        let rx_packets = agg.map_or(0, |a| a.rx_packets);
-        let quantile = |q| agg.map_or(0.0, |a| delay_quantile_ms(&a.delay_hist, q));
-        CellFlow {
-            flow: tx.name.clone(),
-            tx_packets: tx.tx_packets,
-            rx_packets,
-            delivery_ratio: if tx.tx_packets == 0 {
-                1.0
-            } else {
-                rx_packets as f64 / tx.tx_packets as f64
-            },
-            goodput_bps: agg.map_or(0.0, |a| a.goodput_bps()),
-            mean_delay_ms: agg.map_or(0.0, |a| a.mean_delay() * 1_000.0),
-            p50_delay_ms: quantile(0.50),
-            p95_delay_ms: quantile(0.95),
-            p99_delay_ms: quantile(0.99),
-            jitter_ms: agg.map_or(0.0, |a| a.jitter() * 1_000.0),
-            ce_marks: agg.map_or(0, |a| a.ce_marks),
         }
     }
 }
@@ -468,58 +443,26 @@ fn run_cell_keyed(
             counters.push((name.to_string(), v));
         }
     }
-    // The population plane's frame economy, when the cell carries one:
-    // wire frames emitted and terminated (fluid cohorts batch many
-    // modeled frames per wire frame) plus the modeled endpoint count.
-    if let Some((pop_node, pop_sink)) = built.population {
-        let pop = sim
-            .node_ref::<nn_netsim::PopulationNode>(pop_node)
-            .expect("population node");
-        let sink = sim
-            .node_ref::<nn_netsim::PopulationSinkNode>(pop_sink)
-            .expect("population sink");
-        for (name, v) in [
-            ("population.wire_tx", pop.wire_frames()),
-            (
-                "population.wire_rx",
-                sink.cohorts().iter().map(|c| c.wire_frames).sum(),
-            ),
-            (
-                "population.endpoints",
-                pop.tx_stats().iter().map(|t| t.endpoints).sum(),
-            ),
-            ("population.parse_errors", sink.parse_errors),
-        ] {
-            if v > 0 {
-                counters.push((name.to_string(), v));
-            }
-        }
+    // The population plane's modeled endpoints, when the cell carries
+    // one; its wire and parse counters are registry counters above.
+    let population = spec.topology.population();
+    let endpoints: u64 = population.map_or(0, |p| p.cohorts.iter().map(|c| c.endpoints).sum());
+    if endpoints > 0 {
+        counters.push(("population.endpoints".to_string(), endpoints));
     }
     counters.sort();
 
-    let mut flows: Vec<CellFlow> = sim
-        .stats()
-        .flow(flow)
-        .map(|fs| CellFlow::from_flow_stats(flow, fs))
-        .into_iter()
-        .collect();
-
-    // Per-cohort aggregate rows ride after the workload flow (which
-    // stays first: CSV summaries key off the first row).
-    if let Some((pop_node, pop_sink)) = built.population {
-        let pop = sim
-            .node_ref::<nn_netsim::PopulationNode>(pop_node)
-            .expect("population node");
-        let sink = sim
-            .node_ref::<nn_netsim::PopulationSinkNode>(pop_sink)
-            .expect("population sink");
-        let mut cohort_flows: Vec<CellFlow> = pop
-            .tx_stats()
-            .iter()
-            .map(|tx| CellFlow::from_cohort(tx, sink.cohort(&tx.name)))
-            .collect();
-        cohort_flows.sort_by(|a, b| a.flow.cmp(&b.flow));
-        flows.extend(cohort_flows);
+    // The workload flow's row first (CSV summaries key off the first
+    // row), then one row per population cohort, sorted by flow name.
+    let mut cohorts: Vec<String> = population.map_or_else(Vec::new, |p| {
+        (0..p.cohorts.len()).map(|i| p.flow_name(i)).collect()
+    });
+    cohorts.sort();
+    let mut flows = Vec::with_capacity(1 + cohorts.len());
+    for name in std::iter::once(flow).chain(cohorts.iter().map(String::as_str)) {
+        if let Some(fs) = sim.stats().flow(name) {
+            flows.push(CellFlow::from_flow_stats(name, fs));
+        }
     }
 
     // Probe evidence comes off the prober node itself — never out of
@@ -804,40 +747,21 @@ mod tests {
         assert!(f.p50_delay_ms > 0.0 && f.p50_delay_ms <= f.p95_delay_ms);
         assert!(f.p95_delay_ms <= f.p99_delay_ms);
 
-        // Workload and cohort rows share one percentile path: each
-        // column is exactly the delay histogram's bucket upper bound.
-        // Delays of 1..=100 ms put the nearest-rank p99 (99 ms) inside
-        // a bucket, so the upper bound differs from the sample itself.
+        // Each percentile column is exactly the delay histogram's bucket
+        // upper bound. Delays of 1..=100 ms put the nearest-rank p99
+        // (99 ms) inside a bucket, so the upper bound differs from the
+        // sample itself.
         let mut stats = nn_netsim::Stats::new();
-        let mut agg = CohortAggregate::new("pop0-voip", 4);
-        let voip = stats.flow_id("voip");
+        let voip = stats.flow_id("voip", 1);
         for ms in 1..=100u64 {
-            let (sent, now) = (SimTime::ZERO, SimTime::from_millis(ms));
-            stats.flow_rx(voip, 160, sent, now);
-            agg.record(ms as u32, 1, 160, sent, now, false);
+            stats.flow_rx(voip, 0, 1, 160, SimTime::ZERO, SimTime::from_millis(ms));
         }
         let fs = stats.flow("voip").unwrap();
-        let tx = CohortTx {
-            name: "pop0-voip".to_string(),
-            endpoints: 4,
-            tx_packets: 100,
-            tx_bytes: 16_000,
-            wire_frames: 100,
-            fluid: false,
-        };
-        for (row, hist) in [
-            (CellFlow::from_flow_stats("voip", fs), &fs.delay_hist),
-            (CellFlow::from_cohort(&tx, Some(&agg)), &agg.delay_hist),
-        ] {
-            let upper = |q| hist.quantile_upper(q) as f64 / 1e6;
-            assert_eq!(row.p50_delay_ms, upper(0.50), "{}", row.flow);
-            assert_eq!(row.p95_delay_ms, upper(0.95), "{}", row.flow);
-            assert_eq!(row.p99_delay_ms, upper(0.99), "{}", row.flow);
-            assert!(row.p99_delay_ms > 99.0, "bucket bound, not the sample");
-        }
-        // A cohort the sink never heard from reports zeros.
-        let silent = CellFlow::from_cohort(&tx, None);
-        assert_eq!(silent.p99_delay_ms, 0.0);
-        assert_eq!(silent.delivery_ratio, 0.0);
+        let row = CellFlow::from_flow_stats("voip", fs);
+        let upper = |q| fs.delay_hist.quantile_upper(q) as f64 / 1e6;
+        assert_eq!(row.p50_delay_ms, upper(0.50));
+        assert_eq!(row.p95_delay_ms, upper(0.95));
+        assert_eq!(row.p99_delay_ms, upper(0.99));
+        assert!(row.p99_delay_ms > 99.0, "bucket bound, not the sample");
     }
 }

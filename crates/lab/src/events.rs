@@ -24,9 +24,6 @@ pub enum EventTimelineSpec {
     /// source itself) is partitioned off at 30% of the duration and
     /// healed at 65% — the flaky-ISP story.
     PartitionHeal,
-    /// The neutralizer goes dark (node pause) at 30% of the duration and
-    /// restarts at 65% — the §3.5 provider-outage story.
-    NeutOutage,
 }
 
 impl EventTimelineSpec {
@@ -36,7 +33,6 @@ impl EventTimelineSpec {
             EventTimelineSpec::Static => "static",
             EventTimelineSpec::Flap => "flap",
             EventTimelineSpec::PartitionHeal => "partition-heal",
-            EventTimelineSpec::NeutOutage => "neut-outage",
         }
     }
 
@@ -92,9 +88,6 @@ impl EventTimelineSpec {
                     )
                     .at(frac(13, 20), NetEvent::Heal { group })
             }
-            EventTimelineSpec::NeutOutage => EventTimeline::new()
-                .at(frac(3, 10), NetEvent::NodePause { node: built.neut })
-                .at(frac(13, 20), NetEvent::NodeResume { node: built.neut }),
         }
     }
 }
@@ -104,7 +97,6 @@ mod tests {
     use super::*;
     use crate::matrix::{named_matrix, NAMED_MATRICES};
     use crate::topology::tests::build_for_test;
-    use crate::{LinkProfileSpec, TopologySpec};
     use nn_netsim::{LinkProfile, QueueKind};
 
     /// The position of a queue discipline in the drift guard's tally.
@@ -125,47 +117,30 @@ mod tests {
             NetEvent::LinkUp { .. } => 1,
             NetEvent::Partition { .. } => 2,
             NetEvent::Heal { .. } => 3,
-            NetEvent::NodePause { .. } => 4,
-            NetEvent::NodeResume { .. } => 5,
         }
     }
 
-    /// Every queue discipline and every network event is built by a lab
-    /// preset: lowering each link preset onto a bottleneck and each
-    /// events preset onto every named matrix's built topologies reaches
-    /// every variant. A variant that no preset builds is a mechanism no
-    /// cell can run, and fails here.
+    /// Every queue discipline and every network event is built by a
+    /// named matrix: lowering each matrix's own link axis onto a
+    /// bottleneck and its own events axis onto its built topologies
+    /// reaches every variant. A variant that no matrix builds is a
+    /// mechanism no cell runs, and fails here.
     #[test]
     fn every_queue_kind_and_net_event_is_built_by_a_preset() {
         let native = LinkProfile::new(10_000_000, Duration::from_millis(5));
         let mut queue_kinds = [false; 2];
-        for link in [
-            LinkProfileSpec::Clean,
-            LinkProfileSpec::lossy_burst_default(),
-            LinkProfileSpec::ecn_red_default(),
-            LinkProfileSpec::congested_default(),
-        ] {
-            queue_kinds[queue_kind_slot(link.bottleneck_profile(native.clone()).queue)] = true;
-        }
-        let mut topologies: Vec<TopologySpec> = Vec::new();
+        let mut net_events = [false; 4];
         for name in NAMED_MATRICES {
-            for topology in named_matrix(name).expect("named matrix").topologies {
-                if !topologies.contains(&topology) {
-                    topologies.push(topology);
-                }
+            let spec = named_matrix(name).expect("named matrix");
+            for link in &spec.links {
+                queue_kinds[queue_kind_slot(link.bottleneck_profile(native.clone()).queue)] = true;
             }
-        }
-        let mut net_events = [false; 6];
-        for topology in &topologies {
-            let (_, built) = build_for_test(topology);
-            for spec in [
-                EventTimelineSpec::Static,
-                EventTimelineSpec::Flap,
-                EventTimelineSpec::PartitionHeal,
-                EventTimelineSpec::NeutOutage,
-            ] {
-                for (_, event) in spec.lower(&built, Duration::from_millis(800)).entries() {
-                    net_events[net_event_slot(event)] = true;
+            for topology in &spec.topologies {
+                let (_, built) = build_for_test(topology);
+                for events in &spec.events {
+                    for (_, event) in events.lower(&built, spec.tuning.duration).entries() {
+                        net_events[net_event_slot(event)] = true;
+                    }
                 }
             }
         }
@@ -192,10 +167,6 @@ mod tests {
         let part = EventTimelineSpec::PartitionHeal.lower(&built, d);
         assert!(
             matches!(&part.entries()[0].1, NetEvent::Partition { group } if group == &[built.src])
-        );
-        let outage = EventTimelineSpec::NeutOutage.lower(&built, d);
-        assert!(
-            matches!(outage.entries()[0].1, NetEvent::NodePause { node } if node == built.neut)
         );
     }
 }

@@ -190,7 +190,7 @@ impl AppDriver {
 
     /// Registers the flow; the host calls it from `on_start`.
     fn start(&mut self, stats: &mut Stats) {
-        self.flow = stats.flow_id(&self.name);
+        self.flow = stats.flow_id(&self.name, 1);
     }
 
     /// Writes the app's next due payload into `frame` (cleared first) as
@@ -201,7 +201,8 @@ impl AppDriver {
         put_app_frame_header(frame, &self.name, ctx.now);
         let header = frame.len();
         if self.app.poll(ctx.now, frame) {
-            ctx.stats.flow_tx(self.flow, frame.len() - header);
+            ctx.stats
+                .flow_tx(self.flow, 1, (frame.len() - header) as u64);
             return true;
         }
         if let Some(next) = self.app.next_wake(ctx.now) {
@@ -223,7 +224,7 @@ impl LastFlow {
     fn resolve(&mut self, stats: &mut Stats, name: &str) -> FlowId {
         match self.0 {
             Some(id) if stats.flow_name(id) == name => id,
-            _ => *self.0.insert(stats.flow_id(name)),
+            _ => *self.0.insert(stats.flow_id(name, 1)),
         }
     }
 }
@@ -332,9 +333,10 @@ impl Node for PlainServerNode {
             };
             self.rx_frames += 1;
             let flow = self.flow.resolve(ctx.stats, flow);
-            ctx.stats.flow_rx(flow, data.len(), sent, ctx.now);
+            ctx.stats
+                .flow_rx(flow, 0, 1, data.len() as u64, sent, ctx.now);
             if is_ce(&frame) {
-                ctx.stats.flow_ce(flow);
+                ctx.stats.flow_ce(flow, 1);
             }
             if self.echo {
                 reply = pooled_udp(
@@ -862,9 +864,10 @@ impl NeutralizedServerNode {
         };
         self.rx_frames += 1;
         let flow = self.flow.resolve(ctx.stats, flow);
-        ctx.stats.flow_rx(flow, data.len(), sent, ctx.now);
+        ctx.stats
+            .flow_rx(flow, 0, 1, data.len() as u64, sent, ctx.now);
         if ce {
-            ctx.stats.flow_ce(flow);
+            ctx.stats.flow_ce(flow, 1);
         }
         if self.echo {
             self.echo_reply(ctx, initiator, nonce, inner.app);

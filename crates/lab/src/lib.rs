@@ -23,7 +23,7 @@
 //! * [`hosts`] — the plain and neutralized (§3.2) endpoint stacks every
 //!   workload runs over.
 //! * [`events`] — the dynamic-events axis: named timeline presets
-//!   (static, flap, partition-heal, neut-outage) lowered onto
+//!   (static, flap, partition-heal) lowered onto
 //!   [`nn_netsim::EventTimeline`]s against the built topology.
 //! * [`probe`] — the edge measurement plane: an active prober emitting
 //!   hop-by-hop TTL sweeps, plain-vs-neutralized differential pairs and
@@ -32,8 +32,8 @@
 //! * [`population`] — the flyweight-population axis:
 //!   [`population::PopulationSpec`] cohorts (seeded statistical traffic
 //!   classes, packet-accurate or fluid) lowered onto
-//!   [`nn_netsim::PopulationNode`] by the `metro` topology, with
-//!   per-cohort aggregate rows in every report.
+//!   [`nn_netsim::PopulationNode`] by the `metro` topology, each cohort
+//!   one registered flow with its own row in every report.
 //! * [`cell`] — one deterministic simulation of one axis combination.
 //! * [`matrix`] — the spec, hashed per-cell seeds, named matrices, and
 //!   JSON/CSV reports.

@@ -7,8 +7,9 @@
 //! packet vs fluid advancement) — that rides the topology axis: the
 //! `metro` shape lowers it onto one [`nn_netsim::PopulationNode`] /
 //! [`nn_netsim::PopulationSinkNode`] pair feeding the discriminator
-//! bottleneck, and per-cohort aggregates surface as extra flow rows in
-//! the cell report.
+//! bottleneck. Each cohort is one flow in the simulator's stats
+//! registry, sized to its endpoints, and surfaces as an extra flow row
+//! in the cell report, built like the workload's.
 //!
 //! [`CohortApp`] is the same arrival lattice as an [`AppSource`]: one
 //! endpoint's schedule driving a full host stack. It is what
@@ -30,12 +31,6 @@ use nn_netsim::{CohortModel, SimTime};
 pub enum CohortKind {
     /// VoIP-marked frames (`VOIP/RTP`), the paper's victim class.
     Voip,
-    /// Bulk-transfer-marked frames (`BULK/FTP`).
-    Bulk,
-    /// Web-request-marked frames (`GET /index HTTP/1.1`).
-    Web,
-    /// Streaming-marked frames (`STREAM/TS`).
-    Stream,
     /// Cross-traffic marker (`BG/CROSS`) matching no workload DPI
     /// signature — competes for capacity, not for the classifier.
     Cross,
@@ -50,9 +45,6 @@ impl CohortKind {
     pub fn marker(&self) -> Option<&'static [u8]> {
         match self {
             CohortKind::Voip => Some(b"VOIP/RTP"),
-            CohortKind::Bulk => Some(b"BULK/FTP"),
-            CohortKind::Web => Some(b"GET /index HTTP/1.1"),
-            CohortKind::Stream => Some(b"STREAM/TS"),
             CohortKind::Cross => Some(b"BG/CROSS"),
             CohortKind::Neutral => None,
         }
@@ -62,9 +54,6 @@ impl CohortKind {
     pub fn token(&self) -> &'static str {
         match self {
             CohortKind::Voip => "voip",
-            CohortKind::Bulk => "bulk",
-            CohortKind::Web => "web",
-            CohortKind::Stream => "stream",
             CohortKind::Cross => "cross",
             CohortKind::Neutral => "neutral",
         }

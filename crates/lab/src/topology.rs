@@ -190,10 +190,6 @@ pub struct BuiltTopology {
     pub bottleneck: (NodeId, IfaceId),
     /// The cross-traffic source nodes (empty without background flows).
     pub background: Vec<NodeId>,
-    /// The population plane, when the shape carries one: the
-    /// multiplexing [`nn_netsim::PopulationNode`] and its
-    /// [`nn_netsim::PopulationSinkNode`].
-    pub population: Option<(NodeId, NodeId)>,
     /// The measurement-plane prober, when a [`ProbePlane`] was attached.
     pub prober: Option<NodeId>,
     /// The measurement-plane responder, when a [`ProbePlane`] was
@@ -291,6 +287,15 @@ impl TopologySpec {
         }
     }
 
+    /// The population the shape carries: the `metro` shape's cohorts,
+    /// each one registered flow of the cell.
+    pub fn population(&self) -> Option<&PopulationSpec> {
+        match self {
+            TopologySpec::Metro { population, .. } => Some(population),
+            _ => None,
+        }
+    }
+
     /// The neutralizer service addresses a destination behind this shape
     /// lists in its `NEUT` record, primary first (§3.5).
     pub fn neut_addrs(&self) -> Vec<Ipv4Addr> {
@@ -375,7 +380,6 @@ impl TopologySpec {
                     advertised,
                     bottleneck: (last, bneck_iface),
                     background: Vec::new(),
-                    population: None,
                     prober,
                     responder,
                     primary_path: Vec::new(),
@@ -428,7 +432,6 @@ impl TopologySpec {
                     advertised,
                     bottleneck: (isp, bneck_iface),
                     background,
-                    population: None,
                     prober,
                     responder,
                     primary_path: Vec::new(),
@@ -494,7 +497,6 @@ impl TopologySpec {
                     advertised,
                     bottleneck: (hub, bneck_iface),
                     background,
-                    population: None,
                     prober,
                     responder,
                     primary_path: Vec::new(),
@@ -568,7 +570,6 @@ impl TopologySpec {
                     advertised,
                     bottleneck: (hub, bneck_iface),
                     background: Vec::new(),
-                    population: Some((pop, pop_sink)),
                     prober,
                     responder,
                     primary_path: Vec::new(),
@@ -627,7 +628,6 @@ impl TopologySpec {
                     advertised,
                     bottleneck: (last, bneck_iface),
                     background: Vec::new(),
-                    population: None,
                     prober,
                     responder,
                     primary_path: Vec::new(),
@@ -684,7 +684,6 @@ impl TopologySpec {
                     advertised,
                     bottleneck: (prov_a, bneck_iface),
                     background: Vec::new(),
-                    population: None,
                     prober,
                     responder,
                     // Cutting off {prov-a, neut} severs isp—prov-a and
@@ -999,15 +998,23 @@ pub(crate) mod tests {
     }
 
     /// The metro shape carries its population plane into the hub
-    /// bottleneck: both cohorts' frames terminate at the sink with
-    /// their per-cohort aggregates filled, and the plane's prefixes are
+    /// bottleneck: both cohorts' frames terminate at the sink and fill
+    /// their cohorts' flow records, and the plane's prefixes are
     /// routable everywhere.
     #[test]
     fn metro_population_plane_feeds_the_bottleneck() {
-        let (mut sim, built) = build_for_test(&TopologySpec::metro_default());
-        let (pop, pop_sink) = built.population.expect("metro carries a population");
-        assert_eq!(sim.node_name(pop), "pop");
-        assert_eq!(sim.node_name(pop_sink), "pop-sink");
+        let spec = TopologySpec::metro_default();
+        let (mut sim, built) = build_for_test(&spec);
+        let owner = |addr| {
+            let (_, node) = built
+                .advertised
+                .iter()
+                .find(|(prefix, _)| prefix.contains(addr))
+                .expect("advertised");
+            *node
+        };
+        assert_eq!(sim.node_name(owner(POP_ADDR)), "pop");
+        assert_eq!(sim.node_name(owner(POP_SINK_ADDR)), "pop-sink");
         for &r in &built.routers {
             let router = sim.node_ref::<RouterNode>(r).expect("router");
             for addr in [POP_ADDR, POP_SINK_ADDR] {
@@ -1019,22 +1026,22 @@ pub(crate) mod tests {
             }
         }
         sim.run_until(nn_netsim::SimTime::from_millis(500));
-        let sink = sim
-            .node_ref::<nn_netsim::PopulationSinkNode>(pop_sink)
-            .expect("population sink");
-        assert_eq!(sink.parse_errors, 0);
-        for cohort in sink.cohorts() {
-            assert!(
-                cohort.rx_packets > 0,
-                "cohort {} must terminate frames",
-                cohort.name
-            );
+        let stats = sim.stats();
+        assert_eq!(stats.counter("population.parse_errors"), 0);
+        let population = spec.population().expect("metro carries a population");
+        for i in 0..population.cohorts.len() {
+            let name = population.flow_name(i);
+            let flow = stats.flow(&name).expect("cohort flow");
+            assert!(flow.rx_packets > 0, "cohort {name} must terminate frames");
         }
         // The fluid cohort models far more frames than it puts on the
         // wire: 1000 endpoints at 5 Hz for 0.5 s ≈ 2500 modeled frames
-        // over ~50 wire frames.
-        let neutral = sink.cohort("pop1-neutral").expect("fluid cohort");
-        assert!(neutral.rx_packets > 10 * neutral.wire_frames);
+        // over ~50 wire frames. The VoIP cohort runs packet-accurate, one
+        // wire frame per modeled frame.
+        let voip = stats.flow("pop0-voip").expect("packet cohort");
+        let neutral = stats.flow("pop1-neutral").expect("fluid cohort");
+        let neutral_wire = stats.counter("population.wire_rx") - voip.rx_packets;
+        assert!(neutral.rx_packets > 10 * neutral_wire);
         let counters = sim.link_counters(built.bottleneck.0, built.bottleneck.1);
         assert!(
             counters.tx_bytes > 50_000,

@@ -7,8 +7,8 @@
 //! slow shared bottleneck:
 //!
 //! * **Population**: one [`nn_netsim::PopulationNode`] multiplexing all
-//!   N endpoints, terminated by a [`nn_netsim::PopulationSinkNode`]
-//!   keeping only the per-cohort aggregate.
+//!   N endpoints, terminated by a [`nn_netsim::PopulationSinkNode`]; the
+//!   cohort is one N-endpoint flow in the stats registry.
 //! * **Per-host**: N real [`PlainSourceNode`] stacks, one per endpoint,
 //!   each driving its own slice of the arrival lattice toward a
 //!   [`PlainServerNode`] that keeps full per-flow stats.
@@ -17,15 +17,16 @@
 //! represented ids) than app frames, so the per-host flow names are
 //! exactly 8 characters longer than the cohort name — wire lengths
 //! match byte-for-byte, which makes serialization and queueing delays
-//! on the shared bottleneck identical. The aggregate must then equal
-//! the merge of the N per-flow stats: counts and the delay histogram
-//! exact, mean delay and mean jitter up to float-summation order.
+//! on the shared bottleneck identical. The cohort's flow record must
+//! then equal the merge of the N one-endpoint host flows: counts and
+//! the delay histogram exact, mean delay and mean jitter up to
+//! float-summation order.
 
 use nn_core::app::AppSource;
 use nn_lab::{PlainServerNode, PlainSourceNode};
 use nn_netsim::{
-    compute_routes, CohortModel, Histogram, LinkProfile, PopulationNode, PopulationSinkNode,
-    RouterNode, SimTime, Simulator,
+    compute_routes, CohortModel, FlowStats, Histogram, LinkProfile, PopulationNode,
+    PopulationSinkNode, RouterNode, SimTime, Simulator,
 };
 use nn_packet::{Ipv4Addr, Ipv4Cidr};
 use proptest::prelude::*;
@@ -80,8 +81,9 @@ struct CaseParams {
     millis: u64,
 }
 
-/// The population twin: pop — router — population sink.
-fn run_population(p: &CaseParams) -> (nn_netsim::CohortTx, nn_netsim::CohortAggregate) {
+/// The population twin: pop — router — population sink. Returns the
+/// cohort's flow record.
+fn run_population(p: &CaseParams) -> FlowStats {
     let model = CohortModel {
         name: COHORT.to_string(),
         endpoints: p.endpoints,
@@ -122,14 +124,7 @@ fn run_population(p: &CaseParams) -> (nn_netsim::CohortTx, nn_netsim::CohortAggr
         .unwrap()
         .set_routes(tables[&r].clone());
     sim.run_until(SimTime::from_millis(p.millis));
-    let tx = sim.node_ref::<PopulationNode>(pop).unwrap().tx_stats();
-    let agg = sim
-        .node_ref::<PopulationSinkNode>(sink)
-        .unwrap()
-        .cohort(COHORT)
-        .expect("cohort aggregate")
-        .clone();
-    (tx.into_iter().next().unwrap(), agg)
+    sim.stats().flow(COHORT).expect("cohort flow").clone()
 }
 
 /// Merged per-flow stats of the per-host twin: one source per endpoint,
@@ -214,28 +209,28 @@ fn run_hosts(p: &CaseParams) -> MergedHosts {
 }
 
 fn check(p: &CaseParams) -> Result<(), TestCaseError> {
-    let (tx, agg) = run_population(p);
+    let cohort = run_population(p);
     let hosts = run_hosts(p);
 
     // Modeled emission is exact: same lattice, same cutoff.
-    prop_assert_eq!(tx.tx_packets, hosts.tx_packets, "tx counts");
-    prop_assert_eq!(tx.tx_bytes, hosts.tx_bytes, "tx bytes");
+    prop_assert_eq!(cohort.tx_packets, hosts.tx_packets, "tx counts");
+    prop_assert_eq!(cohort.tx_bytes, hosts.tx_bytes, "tx bytes");
     // Identical wire lengths through an identical hop structure make
     // delivery (and any in-flight tail at the cutoff) exact too.
-    prop_assert_eq!(agg.rx_packets, hosts.rx_packets, "rx counts");
-    prop_assert_eq!(agg.rx_bytes, hosts.rx_bytes, "rx bytes");
-    prop_assert!(agg.rx_packets > 0, "the case must deliver something");
+    prop_assert_eq!(cohort.rx_packets, hosts.rx_packets, "rx counts");
+    prop_assert_eq!(cohort.rx_bytes, hosts.rx_bytes, "rx bytes");
+    prop_assert!(cohort.rx_packets > 0, "the case must deliver something");
 
-    // The aggregate delay histogram equals the merged per-flow
+    // The cohort's delay histogram equals the merged per-flow
     // histograms (buckets depend only on the sample multiset).
-    prop_assert_eq!(&agg.delay_hist, &hosts.delay_hist, "delay histograms");
+    prop_assert_eq!(&cohort.delay_hist, &hosts.delay_hist, "delay histograms");
 
     // Mean delay and mean jitter only up to float-summation order.
     let host_mean = hosts.delay_sum / hosts.rx_packets as f64;
     prop_assert!(
-        (agg.mean_delay() - host_mean).abs() < 1e-9,
+        (cohort.mean_delay() - host_mean).abs() < 1e-9,
         "mean delay diverged: {} vs {}",
-        agg.mean_delay(),
+        cohort.mean_delay(),
         host_mean
     );
     let host_jitter = if hosts.jitter_samples == 0 {
@@ -244,9 +239,9 @@ fn check(p: &CaseParams) -> Result<(), TestCaseError> {
         hosts.jitter_sum / hosts.jitter_samples as f64
     };
     prop_assert!(
-        (agg.jitter() - host_jitter).abs() < 1e-9,
+        (cohort.jitter() - host_jitter).abs() < 1e-9,
         "mean jitter diverged: {} vs {}",
-        agg.jitter(),
+        cohort.jitter(),
         host_jitter
     );
     Ok(())
@@ -255,8 +250,8 @@ fn check(p: &CaseParams) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A population cell's per-cohort aggregate equals the merged
-    /// per-flow stats of N real hosts on the same seeded schedules.
+    /// A cohort's N-endpoint flow record equals the merged one-endpoint
+    /// flows of N real hosts on the same seeded schedules.
     #[test]
     fn cohort_aggregate_equals_merged_real_hosts(
         endpoints in 1u64..9,

@@ -4,10 +4,8 @@
 //! An [`EventTimeline`] is an ordered list of `(SimTime, NetEvent)`
 //! entries describing what happens *to the network* while traffic runs
 //! through it: links flap ([`NetEvent::LinkDown`]/[`NetEvent::LinkUp`]),
-//! a set of nodes is cut off from the rest
-//! ([`NetEvent::Partition`]/[`NetEvent::Heal`]), or a middlebox goes dark
-//! ([`NetEvent::NodePause`]/[`NetEvent::NodeResume`] — the
-//! neutralizer-outage story of the paper's §3.5).
+//! or a set of nodes is cut off from the rest and later rejoined
+//! ([`NetEvent::Partition`]/[`NetEvent::Heal`]).
 //!
 //! Timelines are applied by [`crate::Simulator::install_timeline`]:
 //! every entry becomes an engine event in the same queue as frame
@@ -27,10 +25,6 @@
 //! * **Partition** downs every link direction crossing the boundary of
 //!   `group` (members keep talking to members, non-members to
 //!   non-members). **Heal** re-raises exactly those crossings.
-//! * **Node pause** is a hard outage: frames delivered to a paused node
-//!   are discarded (counted under the `events.pause_drops` stat) and its
-//!   timers are swallowed — the model for a crashed middlebox, not a
-//!   suspended host.
 //!
 //! Every applied event increments the `events.applied` stat counter, so
 //! harnesses can assert a timeline actually ran.
@@ -65,18 +59,6 @@ pub enum NetEvent {
     Heal {
         /// The node set to reconnect.
         group: Vec<NodeId>,
-    },
-    /// Hard-pauses a node: delivered frames are discarded and timers
-    /// swallowed until a matching [`NetEvent::NodeResume`].
-    NodePause {
-        /// The node to take dark.
-        node: NodeId,
-    },
-    /// Resumes a paused node (frames and timers dropped meanwhile are
-    /// gone — this models a crash/restart, not a suspension).
-    NodeResume {
-        /// The node to wake.
-        node: NodeId,
     },
 }
 
@@ -135,7 +117,7 @@ mod tests {
     #[test]
     fn builder_preserves_push_order() {
         let tl = EventTimeline::new()
-            .at(SimTime::from_millis(30), NetEvent::NodePause { node: 2 })
+            .at(SimTime::from_millis(30), NetEvent::Heal { group: vec![2] })
             .at(
                 SimTime::from_millis(10),
                 NetEvent::LinkDown { node: 0, iface: 1 },

@@ -8,9 +8,8 @@
 //!
 //! * [`sim`] — the event engine and the `Node` trait.
 //! * [`events`] — seeded dynamic-event timelines ([`EventTimeline`]):
-//!   link flaps, partitions/heals and node pause/resume, applied at
-//!   their exact nanosecond so fault injection interleaves
-//!   deterministically with traffic.
+//!   link flaps and partitions/heals, applied at their exact nanosecond
+//!   so fault injection interleaves deterministically with traffic.
 //! * [`frame`] — pooled [`FrameBuf`] buffers: the data path recycles
 //!   frames through a per-simulator [`FramePool`] freelist instead of
 //!   touching the allocator per hop.
@@ -28,12 +27,13 @@
 //! * [`nodes`] — generic router and sink nodes.
 //! * [`population`] — flyweight endpoint populations: a
 //!   [`PopulationNode`] multiplexes thousands-to-millions of modeled
-//!   hosts as seeded statistical cohorts that emit real pooled frames
-//!   but keep only per-cohort aggregate statistics, with an optional
-//!   fluid mode advancing bulk cohorts as rate equations once per
-//!   [`FLUID_QUANTUM`].
+//!   hosts as seeded statistical cohorts that emit real pooled frames,
+//!   each cohort one registered flow sized to its endpoints, with an
+//!   optional fluid mode advancing bulk cohorts as rate equations once
+//!   per [`FLUID_QUANTUM`].
 //! * [`stats`] — the typed counter registry ([`counter_set!`]) and
-//!   per-flow delay/goodput accounting.
+//!   per-flow delay/goodput accounting, one record per host flow or
+//!   population cohort.
 //! * [`time`] — nanosecond simulated time.
 //!
 //! Everything is deterministic under a fixed seed: the same topology and
@@ -63,11 +63,10 @@ pub use link::{LinkProfile, LossModel, QueueKind, StageSpec};
 pub use nodes::{RouterNode, SinkNode};
 pub use policy::{Action, MatchExpr, PolicyEngine, Rule, RuleId, Verdict};
 pub use population::{
-    ArrivalClock, CohortAggregate, CohortModel, CohortTx, PopulationNode, PopulationSinkNode,
-    AGGREGATE_STRIPES, FLUID_QUANTUM,
+    ArrivalClock, CohortModel, PopulationNode, PopulationSinkNode, FLUID_QUANTUM,
 };
 pub use queue::{EnqueueResult, Queue, TokenBucket};
 pub use routing::{compute_routes, RouteTable};
 pub use sim::{Context, IfaceId, LinkCounters, Node, NodeId, Simulator};
-pub use stats::{CounterClass, CounterId, FlowId, FlowStats, Stats};
+pub use stats::{CounterClass, CounterId, FlowId, FlowStats, Stats, ENDPOINT_STRIPES};
 pub use time::{tx_time, SimTime};

@@ -16,19 +16,20 @@
 //!   protocol marker, packet or fluid advancement.
 //! * [`PopulationNode`] — emits *real pooled frames* onto the wire for
 //!   every cohort (so queues, policies and ECN act on population
-//!   traffic exactly as on foreground flows) while keeping only O(1)
-//!   counters per cohort.
-//! * [`PopulationSinkNode`] / [`CohortAggregate`] — the receive side:
-//!   per-cohort aggregate flow statistics (counts, bytes, a delay
-//!   [`Histogram`] and a jitter sum) that replicate
-//!   [`crate::stats::Stats::flow_rx`] semantics without a per-packet or
-//!   per-host sample vector.
+//!   traffic exactly as on foreground flows) and counts what it sends.
+//! * [`PopulationSinkNode`] — the receive side.
+//!
+//! Each cohort is one registered flow in [`crate::stats`], sized to its
+//! endpoints: the record a host's flow keeps, with one jitter chain per
+//! endpoint (striped beyond [`crate::stats::ENDPOINT_STRIPES`]) and no
+//! per-packet or per-host sample vector. The node credits sends and the
+//! sink deliveries, through the same calls a host makes.
 //!
 //! In **fluid mode** a bulk cohort advances as a rate equation on the
 //! population's own clock: every [`FLUID_QUANTUM`] the node integrates
 //! the arrival lattice over the elapsed quantum and emits *one*
 //! representative frame stamped with the represented count; the sink
-//! credits the whole batch in O(1) with the weighted histogram path.
+//! credits the whole batch in O(1) as one delivery of that many frames.
 //! Fluid traffic therefore samples the path's treatment at quantum
 //! granularity instead of contending frame-by-frame — the documented
 //! approximation that buys million-endpoint cells in seconds.
@@ -39,9 +40,8 @@
 //! seed fully pins every emitted byte.
 
 use crate::frame::FrameBuf;
-use crate::histogram::Histogram;
 use crate::sim::{Context, IfaceId, Node};
-use crate::stats::{CounterClass, CounterId};
+use crate::stats::FlowId;
 use crate::time::SimTime;
 use nn_packet::{build_udp_into, ecn, parse_udp, Ipv4Addr, Ipv4Packet};
 use rand::rngs::StdRng;
@@ -51,13 +51,6 @@ use std::time::Duration;
 /// The population's fluid clock: the timer period at which fluid cohorts
 /// integrate their rate equation and emit a representative frame.
 pub const FLUID_QUANTUM: Duration = Duration::from_millis(10);
-
-/// Stripe count cap for per-endpoint receive tracks: aggregates keep
-/// `min(endpoints, AGGREGATE_STRIPES)` previous-delay slots (endpoint
-/// `e` maps to slot `e % stripes`), so jitter chains are exact per
-/// endpoint up to this population size and hash-striped — bounded
-/// memory — beyond it.
-pub const AGGREGATE_STRIPES: usize = 4096;
 
 // ---------------------------------------------------------------------------
 // Arrival lattice
@@ -243,7 +236,7 @@ pub fn decode_pop_payload(bytes: &[u8]) -> Option<PopPayload<'_>> {
 /// One seeded statistical traffic class inside a population.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CohortModel {
-    /// Cohort flow name (also the per-cohort stats key downstream).
+    /// Cohort flow name, under which the cohort's flow registers.
     pub name: String,
     /// Modeled endpoint count.
     pub endpoints: u64,
@@ -296,36 +289,24 @@ fn build_body(out: &mut Vec<u8>, marker: Option<&[u8]>, len: usize) {
 // Transmit side
 // ---------------------------------------------------------------------------
 
-/// Transmit-side aggregate for one cohort (harvested by the lab).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CohortTx {
-    /// Cohort flow name.
-    pub name: String,
-    /// Modeled endpoint count.
-    pub endpoints: u64,
-    /// Modeled frames sent (fluid batches count every represented
-    /// frame).
-    pub tx_packets: u64,
-    /// Modeled application bytes sent.
-    pub tx_bytes: u64,
-    /// Actual wire frames emitted (equals `tx_packets` in packet mode).
-    pub wire_frames: u64,
-    /// Whether the cohort ran fluid.
-    pub fluid: bool,
-}
-
 struct CohortRuntime {
     model: CohortModel,
     clock: ArrivalClock,
     rng: Option<StdRng>,
-    tx_packets: u64,
-    tx_bytes: u64,
-    wire_frames: u64,
+    flow: FlowId,
+}
+
+crate::counter_set! {
+    /// The population node's counters, `population.<field>`.
+    struct PopulationCounters {
+        unexpected_rx: Internal,
+        wire_tx: Reported,
+    }
 }
 
 /// One sim node multiplexing every cohort of a population: emits real
 /// pooled UDP frames (ECT-stamped, policy-visible) on interface 0 and
-/// keeps only per-cohort counters.
+/// credits each cohort's flow with the modeled frames they carry.
 pub struct PopulationNode {
     src: Ipv4Addr,
     dst: Ipv4Addr,
@@ -335,8 +316,7 @@ pub struct PopulationNode {
     cohorts: Vec<CohortRuntime>,
     body_scratch: Vec<u8>,
     payload_scratch: Vec<u8>,
-    /// `population.unexpected_rx`, registered at start.
-    unexpected_rx: CounterId,
+    ids: PopulationCounters,
 }
 
 impl PopulationNode {
@@ -358,9 +338,7 @@ impl PopulationNode {
                     model,
                     clock,
                     rng: None,
-                    tx_packets: 0,
-                    tx_bytes: 0,
-                    wire_frames: 0,
+                    flow: FlowId::default(),
                 }
             })
             .collect();
@@ -373,28 +351,8 @@ impl PopulationNode {
             cohorts,
             body_scratch: Vec::new(),
             payload_scratch: Vec::new(),
-            unexpected_rx: CounterId::default(),
+            ids: PopulationCounters::default(),
         }
-    }
-
-    /// Per-cohort transmit aggregates, in model order.
-    pub fn tx_stats(&self) -> Vec<CohortTx> {
-        self.cohorts
-            .iter()
-            .map(|c| CohortTx {
-                name: c.model.name.clone(),
-                endpoints: c.model.endpoints,
-                tx_packets: c.tx_packets,
-                tx_bytes: c.tx_bytes,
-                wire_frames: c.wire_frames,
-                fluid: c.model.fluid,
-            })
-            .collect()
-    }
-
-    /// Total wire frames emitted across every cohort.
-    pub fn wire_frames(&self) -> u64 {
-        self.cohorts.iter().map(|c| c.wire_frames).sum()
     }
 
     /// Emits one wire frame for cohort `i` carrying `represented`
@@ -423,11 +381,10 @@ impl PopulationNode {
         if let Some(mut pkt) = built {
             Ipv4Packet::new_unchecked(pkt.as_mut_slice()).set_ecn(ecn::ECT0);
             ctx.send(0, pkt);
-            let c = &mut self.cohorts[i];
-            let body_len = self.body_scratch.len() as u64;
-            c.wire_frames += 1;
-            c.tx_packets += represented as u64;
-            c.tx_bytes += represented as u64 * body_len;
+            let frames = u64::from(represented);
+            let bytes = frames * self.body_scratch.len() as u64;
+            ctx.stats.bump(self.ids.wire_tx);
+            ctx.stats.flow_tx(self.cohorts[i].flow, frames, bytes);
         }
     }
 
@@ -497,13 +454,12 @@ impl PopulationNode {
 
 impl Node for PopulationNode {
     fn on_start(&mut self, ctx: &mut Context) {
-        self.unexpected_rx = ctx
-            .stats
-            .register("population.unexpected_rx", CounterClass::Internal);
-        for i in 0..self.cohorts.len() {
-            if self.cohorts[i].model.needs_rng() {
+        self.ids = PopulationCounters::register(ctx.stats, "population");
+        for (i, c) in self.cohorts.iter_mut().enumerate() {
+            c.flow = ctx.stats.flow_id(&c.model.name, c.model.endpoints);
+            if c.model.needs_rng() {
                 let seed: u64 = ctx.rng.gen();
-                self.cohorts[i].rng = Some(StdRng::seed_from_u64(seed));
+                c.rng = Some(StdRng::seed_from_u64(seed));
             }
             // Both modes start at t=0: the first lattice arrival (and
             // the first fluid integral) are due immediately.
@@ -514,7 +470,7 @@ impl Node for PopulationNode {
     fn on_packet(&mut self, ctx: &mut Context, _iface: IfaceId, frame: FrameBuf) {
         // Populations are pure sources; anything delivered here (e.g. a
         // misrouted reply) is counted and recycled.
-        ctx.stats.bump(self.unexpected_rx);
+        ctx.stats.bump(self.ids.unexpected_rx);
         ctx.recycle(frame);
     }
 
@@ -535,171 +491,39 @@ impl Node for PopulationNode {
 // Receive side
 // ---------------------------------------------------------------------------
 
-/// Aggregate flow statistics for one cohort — the population-scale
-/// stand-in for [`crate::stats::FlowStats`]. Counters, the delay
-/// histogram and the jitter sum replicate
-/// [`crate::stats::Stats::flow_rx`] / [`crate::stats::Stats::flow_ce`]
-/// semantics exactly (per endpoint, up to [`AGGREGATE_STRIPES`]
-/// endpoints), but no per-packet sample vector is kept: memory is
-/// O(stripes), not O(received frames).
-#[derive(Debug, Clone)]
-pub struct CohortAggregate {
-    /// Cohort flow name.
-    pub name: String,
-    /// Modeled endpoint count.
-    pub endpoints: u64,
-    /// Modeled frames received (a fluid batch credits its whole
-    /// represented count).
-    pub rx_packets: u64,
-    /// Modeled application bytes received.
-    pub rx_bytes: u64,
-    /// Wire frames received for this cohort.
-    pub wire_frames: u64,
-    /// Modeled frames that arrived CE-marked.
-    pub ce_marks: u64,
-    /// One-way delay distribution (nanosecond resolution).
-    pub delay_hist: Histogram,
-    /// First delivery time.
-    pub first_rx: Option<SimTime>,
-    /// Last delivery time.
-    pub last_rx: Option<SimTime>,
-    delay_sum: f64,
-    jitter_sum: f64,
-    jitter_count: u64,
-    /// Each stripe's previous one-way delay, seconds (jitter chains).
-    last_delays: Vec<Option<f64>>,
-}
-
-impl CohortAggregate {
-    /// An empty aggregate for `endpoints` modeled hosts.
-    pub fn new(name: impl Into<String>, endpoints: u64) -> CohortAggregate {
-        let stripes = (endpoints.max(1) as usize).min(AGGREGATE_STRIPES);
-        CohortAggregate {
-            name: name.into(),
-            endpoints,
-            rx_packets: 0,
-            rx_bytes: 0,
-            wire_frames: 0,
-            ce_marks: 0,
-            delay_hist: Histogram::new(),
-            first_rx: None,
-            last_rx: None,
-            delay_sum: 0.0,
-            jitter_sum: 0.0,
-            jitter_count: 0,
-            last_delays: vec![None; stripes],
-        }
-    }
-
-    /// Credits one wire frame carrying `represented` modeled frames of
-    /// `body_bytes` each, sent at `sent` and delivered at `now`.
-    ///
-    /// The update order mirrors [`crate::stats::Stats::flow_rx`]
-    /// followed (when `ce`) by [`crate::stats::Stats::flow_ce`]: jitter
-    /// against the endpoint's previous delay *before* it is replaced. A
-    /// fluid batch (`represented > 1`) shares one delay sample, so the
-    /// batch contributes `represented − 1` zero jitter samples beyond
-    /// the transition from the previous delivery.
-    pub fn record(
-        &mut self,
-        endpoint: u32,
-        represented: u32,
-        body_bytes: u64,
-        sent: SimTime,
-        now: SimTime,
-        ce: bool,
-    ) {
-        let rep = represented.max(1) as u64;
-        self.wire_frames += 1;
-        self.rx_packets += rep;
-        self.rx_bytes += rep * body_bytes;
-        let delay = (now - sent).as_secs_f64();
-        let slot = (endpoint as usize) % self.last_delays.len();
-        if let Some(prev) = self.last_delays[slot] {
-            self.jitter_sum += (delay - prev).abs();
-            self.jitter_count += 1;
-        }
-        self.jitter_count += rep - 1;
-        self.last_delays[slot] = Some(delay);
-        self.delay_hist.record_secs_n(delay, rep);
-        self.delay_sum += delay * rep as f64;
-        if self.first_rx.is_none() {
-            self.first_rx = Some(now);
-        }
-        self.last_rx = Some(now);
-        if ce {
-            self.ce_marks += rep;
-        }
-    }
-
-    /// Mean one-way delay in seconds (0.0 before any delivery).
-    pub fn mean_delay(&self) -> f64 {
-        if self.rx_packets == 0 {
-            0.0
-        } else {
-            self.delay_sum / self.rx_packets as f64
-        }
-    }
-
-    /// Mean absolute delay variation in seconds (0.0 with fewer than
-    /// two samples on every endpoint chain).
-    pub fn jitter(&self) -> f64 {
-        if self.jitter_count == 0 {
-            0.0
-        } else {
-            self.jitter_sum / self.jitter_count as f64
-        }
-    }
-
-    /// Application-byte goodput over the first-to-last delivery window
-    /// (0.0 until the window has positive width).
-    pub fn goodput_bps(&self) -> f64 {
-        match (self.first_rx, self.last_rx) {
-            (Some(first), Some(last)) if last > first => {
-                self.rx_bytes as f64 * 8.0 / (last - first).as_secs_f64()
-            }
-            _ => 0.0,
-        }
+crate::counter_set! {
+    /// The population sink's counters, `population.<field>`.
+    struct PopulationSinkCounters {
+        wire_rx: Reported,
+        parse_errors: Reported,
     }
 }
 
-/// Terminates population traffic and folds every frame into its
-/// cohort's [`CohortAggregate`].
+/// Terminates population traffic and credits every frame to its
+/// cohort's flow.
 pub struct PopulationSinkNode {
-    cohorts: Vec<CohortAggregate>,
-    /// Frames that failed UDP/population parsing or named an unknown
-    /// cohort.
-    pub parse_errors: u64,
+    /// The cohorts this sink was built for: flow name, endpoint count
+    /// and flow id. A frame naming any other cohort is a parse error; a
+    /// name read off the wire never registers a flow.
+    cohorts: Vec<(String, u64, FlowId)>,
+    ids: PopulationSinkCounters,
 }
 
 impl PopulationSinkNode {
-    /// A sink expecting the given `(cohort name, endpoints)` set.
-    pub fn new(cohorts: impl IntoIterator<Item = (String, u64)>) -> PopulationSinkNode {
+    /// A sink matching a [`PopulationNode`]'s cohort models.
+    pub fn for_models(models: &[CohortModel]) -> PopulationSinkNode {
         PopulationSinkNode {
-            cohorts: cohorts
-                .into_iter()
-                .map(|(name, endpoints)| CohortAggregate::new(name, endpoints))
+            cohorts: models
+                .iter()
+                .map(|m| (m.name.clone(), m.endpoints, FlowId::default()))
                 .collect(),
-            parse_errors: 0,
+            ids: PopulationSinkCounters::default(),
         }
     }
 
-    /// A sink matching a [`PopulationNode`]'s cohort models.
-    pub fn for_models(models: &[CohortModel]) -> PopulationSinkNode {
-        PopulationSinkNode::new(models.iter().map(|m| (m.name.clone(), m.endpoints)))
-    }
-
-    /// Per-cohort receive aggregates, in registration order.
-    pub fn cohorts(&self) -> &[CohortAggregate] {
-        &self.cohorts
-    }
-
-    /// Looks up one cohort's aggregate by flow name.
-    pub fn cohort(&self, name: &str) -> Option<&CohortAggregate> {
-        self.cohorts.iter().find(|c| c.name == name)
-    }
-
-    fn ingest(&mut self, now: SimTime, frame: &[u8]) -> bool {
+    /// Credits one frame to its cohort's flow; false when it does not
+    /// parse or names a cohort this sink was not built for.
+    fn ingest(&self, ctx: &mut Context, frame: &[u8]) -> bool {
         let ce = Ipv4Packet::new_checked(frame).is_ok_and(|p| p.ecn() == ecn::CE);
         let Ok(parsed) = parse_udp(frame) else {
             return false;
@@ -707,25 +531,33 @@ impl PopulationSinkNode {
         let Some(pop) = decode_pop_payload(parsed.payload) else {
             return false;
         };
-        let Some(agg) = self.cohorts.iter_mut().find(|c| c.name == pop.flow) else {
+        let Some(&(_, _, flow)) = self.cohorts.iter().find(|(name, ..)| name == pop.flow) else {
             return false;
         };
-        agg.record(
-            pop.endpoint,
-            pop.represented,
-            pop.body.len() as u64,
-            pop.sent,
-            now,
-            ce,
-        );
+        let frames = u64::from(pop.represented.max(1));
+        let bytes = frames * pop.body.len() as u64;
+        ctx.stats
+            .flow_rx(flow, pop.endpoint, frames, bytes, pop.sent, ctx.now);
+        if ce {
+            ctx.stats.flow_ce(flow, frames);
+        }
         true
     }
 }
 
 impl Node for PopulationSinkNode {
+    fn on_start(&mut self, ctx: &mut Context) {
+        self.ids = PopulationSinkCounters::register(ctx.stats, "population");
+        for (name, endpoints, flow) in &mut self.cohorts {
+            *flow = ctx.stats.flow_id(name, *endpoints);
+        }
+    }
+
     fn on_packet(&mut self, ctx: &mut Context, _iface: IfaceId, frame: FrameBuf) {
-        if !self.ingest(ctx.now, &frame) {
-            self.parse_errors += 1;
+        if self.ingest(ctx, &frame) {
+            ctx.stats.bump(self.ids.wire_rx);
+        } else {
+            ctx.stats.bump(self.ids.parse_errors);
         }
         ctx.recycle(frame);
     }
@@ -736,7 +568,7 @@ mod tests {
     use super::*;
     use crate::link::LinkProfile;
     use crate::sim::Simulator;
-    use crate::stats::Stats;
+    use crate::stats::FlowStats;
 
     const POP: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 1);
     const SINK: Ipv4Addr = Ipv4Addr::new(10, 0, 2, 1);
@@ -822,13 +654,9 @@ mod tests {
         assert!(decode_pop_payload(b"").is_none());
     }
 
-    /// pop --(link)-- sink, run for `millis`, return the sink aggregates
-    /// plus the node's tx stats.
-    fn run_population(
-        models: Vec<CohortModel>,
-        seed: u64,
-        millis: u64,
-    ) -> (Vec<CohortTx>, Vec<CohortAggregate>) {
+    /// pop --(link)-- sink with one cohort, run for `millis`: the
+    /// cohort's flow record and the wire frames the node emitted.
+    fn run_population(model: CohortModel, seed: u64, millis: u64) -> (FlowStats, u64) {
         let mut sim = Simulator::new(seed);
         let pop = sim.add_node(
             "pop",
@@ -838,48 +666,42 @@ mod tests {
                 16384,
                 16384,
                 0,
-                models.clone(),
+                vec![model.clone()],
             )),
         );
-        let sink = sim.add_node("sink", Box::new(PopulationSinkNode::for_models(&models)));
+        let sink = sim.add_node(
+            "sink",
+            Box::new(PopulationSinkNode::for_models(std::slice::from_ref(&model))),
+        );
         sim.connect_sym(
             pop,
             sink,
             LinkProfile::new(100_000_000, Duration::from_millis(2)),
         );
         sim.run_until(SimTime::from_millis(millis));
-        let tx = sim
-            .node_ref::<PopulationNode>(pop)
-            .expect("population node")
-            .tx_stats();
-        let rx = sim
-            .node_ref::<PopulationSinkNode>(sink)
-            .expect("population sink")
-            .cohorts()
-            .to_vec();
-        (tx, rx)
+        let flow = sim.stats().flow(&model.name).expect("cohort flow").clone();
+        (flow, sim.stats().counter("population.wire_tx"))
     }
 
     #[test]
     fn packet_mode_delivers_every_modeled_frame_deterministically() {
-        let models = vec![model("m0", 5, false)];
-        let (tx, rx) = run_population(models.clone(), 11, 200);
+        let (f, wire_tx) = run_population(model("m0", 5, false), 11, 200);
         // 5 endpoints × one frame per 20 ms over 200 ms, phases inside
         // the first interval: every endpoint gets 10 or 11 sends.
-        assert_eq!(tx[0].wire_frames, tx[0].tx_packets);
-        assert!(tx[0].tx_packets >= 50, "{}", tx[0].tx_packets);
-        let agg = &rx[0];
+        assert_eq!(wire_tx, f.tx_packets);
+        assert!(f.tx_packets >= 50, "{}", f.tx_packets);
         // The clean link delivers everything emitted at least 2 ms early.
-        assert!(agg.rx_packets >= 50 && agg.rx_packets <= tx[0].tx_packets);
-        assert_eq!(agg.rx_bytes % 200, 0);
-        assert!(agg.mean_delay() > 0.0);
-        assert!(agg.goodput_bps() > 0.0);
-        // Same seed, same run: byte-identical aggregates.
-        let (tx2, rx2) = run_population(models, 11, 200);
-        assert_eq!(tx[0], tx2[0]);
-        assert_eq!(rx[0].delay_hist, rx2[0].delay_hist);
-        assert_eq!(rx[0].jitter(), rx2[0].jitter());
-        assert_eq!(rx[0].rx_packets, rx2[0].rx_packets);
+        assert!(f.rx_packets >= 50 && f.rx_packets <= f.tx_packets);
+        assert_eq!(f.rx_bytes % 200, 0);
+        assert!(f.mean_delay() > 0.0);
+        assert!(f.goodput_bps() > 0.0);
+        // Same seed, same run: identical records.
+        let (f2, wire_tx2) = run_population(model("m0", 5, false), 11, 200);
+        assert_eq!((f.tx_packets, f.tx_bytes), (f2.tx_packets, f2.tx_bytes));
+        assert_eq!(wire_tx, wire_tx2);
+        assert_eq!(f.delay_hist, f2.delay_hist);
+        assert_eq!(f.jitter(), f2.jitter());
+        assert_eq!(f.rx_packets, f2.rx_packets);
     }
 
     #[test]
@@ -887,120 +709,61 @@ mod tests {
         let mut m = model("m0", 8, false);
         m.size_spread = 64;
         m.arrival_jitter = true;
-        let (tx, rx) = run_population(vec![m.clone()], 99, 150);
-        let (tx2, rx2) = run_population(vec![m], 99, 150);
-        assert_eq!(tx[0], tx2[0]);
-        assert_eq!(rx[0].rx_bytes, rx2[0].rx_bytes);
-        assert_eq!(rx[0].delay_hist, rx2[0].delay_hist);
+        let (f, _) = run_population(m.clone(), 99, 150);
+        let (f2, _) = run_population(m, 99, 150);
+        assert_eq!((f.tx_packets, f.tx_bytes), (f2.tx_packets, f2.tx_bytes));
+        assert_eq!(f.rx_bytes, f2.rx_bytes);
+        assert_eq!(f.delay_hist, f2.delay_hist);
         // The spread actually varied frame sizes: bytes are not a
         // multiple of the fixed 200-byte body.
-        assert!(tx[0].tx_bytes > tx[0].tx_packets * 200);
+        assert!(f.tx_bytes > f.tx_packets * 200);
     }
 
     #[test]
     fn fluid_mode_matches_packet_mode_totals_with_fewer_wire_frames() {
-        let (ptx, prx) = run_population(vec![model("m0", 40, false)], 5, 300);
-        let (ftx, frx) = run_population(vec![model("m0", 40, true)], 5, 300);
+        let (p, p_wire) = run_population(model("m0", 40, false), 5, 300);
+        let (f, f_wire) = run_population(model("m0", 40, true), 5, 300);
         // The lattice integral is exact: both modes model the same
         // arrival count (quantum boundaries may defer the tail batch).
-        assert!(ftx[0].tx_packets >= ptx[0].tx_packets.saturating_sub(40));
-        assert!(ftx[0].tx_packets <= ptx[0].tx_packets);
+        assert!(f.tx_packets >= p.tx_packets.saturating_sub(40));
+        assert!(f.tx_packets <= p.tx_packets);
         assert!(
-            ftx[0].wire_frames * 10 < ftx[0].tx_packets * 10 + 10,
-            "fluid must batch: {} wire for {} modeled",
-            ftx[0].wire_frames,
-            ftx[0].tx_packets
+            f_wire * 10 < f.tx_packets * 10 + 10,
+            "fluid must batch: {f_wire} wire for {} modeled",
+            f.tx_packets
         );
-        assert!(ftx[0].wire_frames < ptx[0].wire_frames / 5);
+        assert!(f_wire < p_wire / 5);
         // The sink credits whole batches (the final quantum's batch may
         // still be in flight at the cutoff).
-        assert!(frx[0].rx_packets >= ftx[0].tx_packets.saturating_sub(40));
-        assert_eq!(frx[0].rx_bytes, frx[0].rx_packets * 200);
-        assert!(prx[0].rx_packets >= frx[0].rx_packets.saturating_sub(40));
-        assert_eq!(frx[0].delay_hist.total(), frx[0].rx_packets);
+        assert!(f.rx_packets >= f.tx_packets.saturating_sub(40));
+        assert_eq!(f.rx_bytes, f.rx_packets * 200);
+        assert!(p.rx_packets >= f.rx_packets.saturating_sub(40));
+        assert_eq!(f.delay_hist.total(), f.rx_packets);
     }
 
-    /// A fluid batch shares one delay sample: beyond the transition from
-    /// the endpoint's previous delivery, each of its `represented − 1`
-    /// further frames adds a zero jitter sample to the mean.
-    #[test]
-    fn fluid_batch_adds_zero_jitter_samples() {
-        let mut agg = CohortAggregate::new("coh", 1);
-        let (d1, d2): (f64, f64) = (0.002, 0.005);
-        agg.record(0, 1, 100, SimTime(0), SimTime(2_000_000), false);
-        assert_eq!(agg.jitter(), 0.0, "one delivery has no jitter yet");
-        agg.record(0, 4, 100, SimTime(10_000_000), SimTime(15_000_000), false);
-        assert_eq!(agg.jitter(), (d2 - d1).abs() / 4.0);
-        assert_eq!(agg.rx_packets, 5);
-    }
-
-    #[test]
-    fn aggregate_replicates_flow_rx_semantics_byte_for_byte() {
-        // Interleave three endpoints' deliveries (with reordering and CE
-        // marks) through both accounting paths: per-endpoint FlowStats
-        // merged at the end must equal the cohort aggregate exactly.
-        let deliveries: &[(u32, u64, u64, bool)] = &[
-            // (endpoint, sent_ns, now_ns, ce)
-            (0, 0, 2_000_000, false),
-            (1, 500_000, 2_600_000, false),
-            (0, 1_000_000, 3_700_000, true),
-            (2, 1_500_000, 3_900_000, false),
-            (1, 2_000_000, 4_000_000, false),
-            (0, 3_000_000, 4_100_000, false),
-            (0, 2_500_000, 4_200_000, true), // reordered + CE
-            (2, 3_500_000, 5_000_000, true),
-            (1, 4_000_000, 5_100_000, false),
-            (0, 4_500_000, 5_200_000, false),
-        ];
-        let mut agg = CohortAggregate::new("coh", 3);
-        let mut stats = Stats::new();
-        for &(ep, sent, now, ce) in deliveries {
-            agg.record(ep, 1, 180, SimTime(sent), SimTime(now), ce);
-            let flow = stats.flow_id(&format!("coh-ep{ep}"));
-            stats.flow_rx(flow, 180, SimTime(sent), SimTime(now));
-            if ce {
-                stats.flow_ce(flow);
-            }
-        }
-        let mut rx_packets = 0;
-        let mut rx_bytes = 0;
-        let mut ce_marks = 0;
-        let mut delay = Histogram::new();
-        // Jitter pools as a mean over every endpoint's consecutive pairs.
-        let (mut jitter_sum, mut jitter_samples) = (0.0, 0);
-        for ep in 0..3 {
-            let f = stats.flow(&format!("coh-ep{ep}")).expect("flow exists");
-            rx_packets += f.rx_packets;
-            rx_bytes += f.rx_bytes;
-            ce_marks += f.ce_marks;
-            delay.merge(&f.delay_hist);
-            let pairs = f.rx_packets.saturating_sub(1);
-            jitter_sum += f.jitter() * pairs as f64;
-            jitter_samples += pairs;
-        }
-        assert_eq!(agg.rx_packets, rx_packets);
-        assert_eq!(agg.rx_bytes, rx_bytes);
-        assert_eq!(agg.ce_marks, ce_marks);
-        assert_eq!(agg.delay_hist, delay);
-        assert!(agg.jitter() > 0.0);
-        assert!((agg.jitter() - jitter_sum / jitter_samples as f64).abs() < 1e-12);
-    }
-
-    #[test]
-    fn striping_caps_track_memory_but_keeps_global_counts() {
-        let mut agg = CohortAggregate::new("big", 1_000_000);
-        assert_eq!(agg.last_delays.len(), AGGREGATE_STRIPES);
-        agg.record(999_999, 1000, 100, SimTime(0), SimTime(1_000_000), false);
-        assert_eq!(agg.rx_packets, 1000);
-        assert_eq!(agg.rx_bytes, 100_000);
-        assert_eq!(agg.delay_hist.total(), 1000);
-    }
-
+    /// Garbage and a well-formed frame naming a cohort the sink was not
+    /// built for each count one parse error; neither registers a flow.
     #[test]
     fn sink_counts_unparseable_frames() {
-        let mut sink = PopulationSinkNode::new(vec![("coh".to_string(), 4)]);
-        assert!(!sink.ingest(SimTime(0), b"not a frame"));
-        assert!(sink.cohort("coh").is_some());
-        assert!(sink.cohort("other").is_none());
+        let mut sim = Simulator::new(1);
+        let sink = sim.add_node(
+            "sink",
+            Box::new(PopulationSinkNode::for_models(&[model("coh", 4, false)])),
+        );
+        let frame = |flow: &str| {
+            let mut payload = Vec::new();
+            encode_pop_payload(&mut payload, flow, 1, 1, SimTime(0), b"BULK/FTP");
+            nn_packet::build_udp(POP, SINK, 0, 16384, 16384, &payload).expect("frame")
+        };
+        sim.inject(SimTime(1_000), sink, 0, b"not a frame".to_vec());
+        sim.inject(SimTime(2_000), sink, 0, frame("other"));
+        sim.inject(SimTime(3_000), sink, 0, frame("coh"));
+        sim.run_until(SimTime::from_millis(1));
+        let stats = sim.stats();
+        assert_eq!(stats.counter("population.parse_errors"), 2);
+        assert_eq!(stats.counter("population.wire_rx"), 1);
+        assert_eq!(stats.flow("coh").expect("sink's cohort").rx_packets, 1);
+        let names: Vec<&str> = stats.flows().map(|(name, _)| name).collect();
+        assert_eq!(names, ["coh"], "a name off the wire registers no flow");
     }
 }

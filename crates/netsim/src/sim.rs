@@ -305,8 +305,6 @@ pub struct Simulator {
     /// node -> iface -> outgoing direction index.
     ifaces: Vec<Vec<usize>>,
     dirs: Vec<LinkDir>,
-    /// Per-node pause flags ([`NetEvent::NodePause`]).
-    paused: Vec<bool>,
     rng: StdRng,
     stats: Stats,
     pool: FramePool,
@@ -323,7 +321,6 @@ crate::counter_set! {
     /// The engine's own counters, `events.<field>`.
     struct EngineCounters {
         applied: Reported,
-        pause_drops: Reported,
     }
 }
 
@@ -340,7 +337,6 @@ impl Simulator {
             name_spans: Vec::new(),
             ifaces: Vec::new(),
             dirs: Vec::new(),
-            paused: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             stats,
             pool: FramePool::new(),
@@ -360,7 +356,6 @@ impl Simulator {
         self.name_bytes.push_str(name.as_ref());
         self.name_spans.push((start, self.name_bytes.len() as u32));
         self.ifaces.push(Vec::new());
-        self.paused.push(false);
         id
     }
 
@@ -512,8 +507,6 @@ impl Simulator {
             NetEvent::LinkUp { node, iface } => self.set_link_state(node, iface, true),
             NetEvent::Partition { group } => self.set_partition_state(&group, false),
             NetEvent::Heal { group } => self.set_partition_state(&group, true),
-            NetEvent::NodePause { node } => self.paused[node] = true,
-            NetEvent::NodeResume { node } => self.paused[node] = false,
         }
     }
 
@@ -614,24 +607,11 @@ impl Simulator {
         self.events_processed += 1;
         match kind {
             EventKind::Deliver { node, iface, frame } => {
-                // A paused node is dark: arriving frames vanish at its
-                // door (the link already counted them delivered — the
-                // outage is the node's, not the wire's).
-                if self.paused[node as usize] {
-                    self.stats.bump(self.ids.pause_drops);
-                    self.pool.recycle(frame);
-                    return;
-                }
                 self.dispatch(node as NodeId, |n, ctx| {
                     n.on_packet(ctx, iface as IfaceId, frame)
                 });
             }
             EventKind::Timer { node, token } => {
-                // Paused nodes lose their timers too (a crashed
-                // middlebox keeps no state) — swallowed, not deferred.
-                if self.paused[node as usize] {
-                    return;
-                }
                 self.dispatch(node as NodeId, |n, ctx| n.on_timer(ctx, token));
             }
             EventKind::Net(event) => self.apply_net_event(*event),

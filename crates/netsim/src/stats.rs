@@ -16,11 +16,19 @@
 //!
 //! Flows are registered the same way: [`Stats::flow_id`] hands out a
 //! [`FlowId`] once per flow name, and the per-packet accounting calls
-//! index a `Vec` by it instead of hashing the name.
+//! index a `Vec` by it instead of hashing the name. A host's flow has
+//! one endpoint; a population cohort is one flow of many endpoints,
+//! whose deliveries may each credit a batch of modeled frames.
 
 use crate::histogram::Histogram;
 use crate::time::SimTime;
 use std::collections::HashMap;
+
+/// Cap on a flow's jitter slots: a flow of `endpoints` keeps
+/// `min(endpoints, ENDPOINT_STRIPES)` previous-delay slots (endpoint `e`
+/// in slot `e % slots`), so jitter chains are exact per endpoint up to
+/// this population size and striped, in bounded memory, beyond it.
+pub const ENDPOINT_STRIPES: usize = 4096;
 
 /// Per-flow accounting record.
 #[derive(Debug, Clone, Default)]
@@ -43,15 +51,28 @@ pub struct FlowStats {
     /// One-way delay distribution, nanoseconds — the source of every
     /// reported delay percentile.
     pub delay_hist: Histogram,
-    /// Previous delivery's one-way delay, seconds (jitter tracking).
-    last_delay: Option<f64>,
+    /// Each endpoint slot's previous one-way delay, seconds (jitter
+    /// chains).
+    last_delays: Vec<Option<f64>>,
     /// Sum of one-way delays in arrival order, seconds.
     delay_sum: f64,
-    /// Sum of |delay(n) − delay(n−1)| in arrival order, seconds.
+    /// Sum of |delay(n) − delay(n−1)| along each endpoint's chain,
+    /// seconds.
     jitter_sum: f64,
+    /// Consecutive-delivery pairs behind `jitter_sum`.
+    jitter_pairs: u64,
 }
 
 impl FlowStats {
+    /// An empty record for a flow of `endpoints` endpoints.
+    fn new(endpoints: u64) -> FlowStats {
+        let slots = (endpoints.max(1) as usize).min(ENDPOINT_STRIPES);
+        FlowStats {
+            last_delays: vec![None; slots],
+            ..FlowStats::default()
+        }
+    }
+
     /// Delivery ratio in [0, 1]; 1.0 when nothing was sent.
     pub fn delivery_ratio(&self) -> f64 {
         if self.tx_packets == 0 {
@@ -70,13 +91,14 @@ impl FlowStats {
         }
     }
 
-    /// Mean absolute delay variation between consecutive deliveries
-    /// (simple jitter proxy), seconds; 0 with fewer than two deliveries.
+    /// Mean absolute delay variation between consecutive deliveries of
+    /// one endpoint (simple jitter proxy), seconds; 0 until some endpoint
+    /// has two deliveries.
     pub fn jitter(&self) -> f64 {
-        if self.rx_packets < 2 {
+        if self.jitter_pairs == 0 {
             0.0
         } else {
-            self.jitter_sum / (self.rx_packets - 1) as f64
+            self.jitter_sum / self.jitter_pairs as f64
         }
     }
 
@@ -246,14 +268,17 @@ impl Stats {
             .map(|((name, _), &v)| (name.as_str(), v))
     }
 
-    /// Registers a flow and returns its handle. Idempotent: the sending
-    /// and the receiving host of one flow share its record.
-    pub fn flow_id(&mut self, name: &str) -> FlowId {
+    /// Registers a flow of `endpoints` endpoints (a host's flow has one)
+    /// and returns its handle. Idempotent: the sending and the receiving
+    /// side of one flow share its record, and the first registration
+    /// fixes its endpoint count.
+    pub fn flow_id(&mut self, name: &str, endpoints: u64) -> FlowId {
         if let Some(&id) = self.flow_ids.get(name) {
             return id;
         }
         let id = FlowId(u32::try_from(self.flows.len()).expect("flow registry overflow"));
-        self.flows.push((name.to_string(), FlowStats::default()));
+        self.flows
+            .push((name.to_string(), FlowStats::new(endpoints)));
         self.flow_ids.insert(name.to_string(), id);
         id
     }
@@ -279,30 +304,46 @@ impl Stats {
         &mut self.flows[id.0 as usize].1
     }
 
-    /// Records a packet transmission on a flow.
-    pub fn flow_tx(&mut self, id: FlowId, bytes: usize) {
+    /// Records `frames` packets of `bytes` bytes in all sent on a flow.
+    pub fn flow_tx(&mut self, id: FlowId, frames: u64, bytes: u64) {
         let f = self.flow_mut(id);
-        f.tx_packets += 1;
-        f.tx_bytes += bytes as u64;
+        f.tx_packets += frames;
+        f.tx_bytes += bytes;
     }
 
-    /// Records a delivered packet that arrived CE-marked on a flow.
-    pub fn flow_ce(&mut self, id: FlowId) {
-        self.flow_mut(id).ce_marks += 1;
+    /// Records `frames` delivered packets that arrived CE-marked on a
+    /// flow.
+    pub fn flow_ce(&mut self, id: FlowId, frames: u64) {
+        self.flow_mut(id).ce_marks += frames;
     }
 
-    /// Records a packet delivery on a flow.
-    pub fn flow_rx(&mut self, id: FlowId, bytes: usize, sent_at: SimTime, now: SimTime) {
+    /// Records a delivery of `frames` (≥ 1) packets, `bytes` bytes in
+    /// all, from one `endpoint` of a flow. The frames share one delay
+    /// sample: each adds it to the histogram and the delay sum. Beyond
+    /// the step from that endpoint's previous delivery, each further
+    /// frame adds a zero jitter sample.
+    pub fn flow_rx(
+        &mut self,
+        id: FlowId,
+        endpoint: u32,
+        frames: u64,
+        bytes: u64,
+        sent_at: SimTime,
+        now: SimTime,
+    ) {
         let f = self.flow_mut(id);
-        f.rx_packets += 1;
-        f.rx_bytes += bytes as u64;
+        f.rx_packets += frames;
+        f.rx_bytes += bytes;
         let delay = (now - sent_at).as_secs_f64();
-        if let Some(prev) = f.last_delay {
+        let slot = endpoint as usize % f.last_delays.len();
+        if let Some(prev) = f.last_delays[slot] {
             f.jitter_sum += (delay - prev).abs();
+            f.jitter_pairs += 1;
         }
-        f.last_delay = Some(delay);
-        f.delay_hist.record_secs(delay);
-        f.delay_sum += delay;
+        f.jitter_pairs += frames - 1;
+        f.last_delays[slot] = Some(delay);
+        f.delay_hist.record_secs_n(delay, frames);
+        f.delay_sum += delay * frames as f64;
         if f.first_rx.is_none() {
             f.first_rx = Some(now);
         }
@@ -356,12 +397,16 @@ mod tests {
     #[test]
     fn flow_accounting() {
         let mut s = Stats::new();
-        let k = s.flow_id("voip:ann->ben");
-        assert_eq!(s.flow_id("voip:ann->ben"), k, "registration is idempotent");
-        s.flow_tx(k, 100);
-        s.flow_tx(k, 100);
-        s.flow_rx(k, 100, SimTime::ZERO, SimTime::from_millis(30));
-        s.flow_ce(k);
+        let k = s.flow_id("voip:ann->ben", 1);
+        assert_eq!(
+            s.flow_id("voip:ann->ben", 1),
+            k,
+            "registration is idempotent"
+        );
+        s.flow_tx(k, 1, 100);
+        s.flow_tx(k, 1, 100);
+        s.flow_rx(k, 0, 1, 100, SimTime::ZERO, SimTime::from_millis(30));
+        s.flow_ce(k, 1);
         let f = s.flow("voip:ann->ben").unwrap();
         assert_eq!(f.tx_packets, 2);
         assert_eq!(f.rx_packets, 1);
@@ -383,9 +428,9 @@ mod tests {
     #[test]
     fn percentiles_and_jitter() {
         let mut s = Stats::new();
-        let k = s.flow_id("f");
+        let k = s.flow_id("f", 1);
         for ms in [10, 20, 30, 40, 100] {
-            s.flow_rx(k, 10, SimTime::ZERO, SimTime::from_millis(ms));
+            s.flow_rx(k, 0, 1, 10, SimTime::ZERO, SimTime::from_millis(ms));
         }
         let f = s.flow("f").unwrap();
         // (10+20+30+40+100) / 5 = 40 ms.
@@ -412,10 +457,10 @@ mod tests {
             one.quantile_bounds(1.0)
         };
         let mut s = Stats::new();
-        let f = s.flow_id("f");
+        let f = s.flow_id("f", 1);
         for ms in [50, 10, 30] {
             // Deliberately unsorted.
-            s.flow_rx(f, 10, SimTime::ZERO, SimTime::from_millis(ms));
+            s.flow_rx(f, 0, 1, 10, SimTime::ZERO, SimTime::from_millis(ms));
         }
         let h = &s.flow("f").unwrap().delay_hist;
         assert_eq!(h.quantile_bounds(0.0), bucket(10));
@@ -423,8 +468,8 @@ mod tests {
         assert_eq!(h.quantile_bounds(-1.0), bucket(10));
         assert_eq!(h.quantile_bounds(10.0), bucket(50));
 
-        let single = s.flow_id("single");
-        s.flow_rx(single, 10, SimTime::ZERO, SimTime::from_millis(42));
+        let single = s.flow_id("single", 1);
+        s.flow_rx(single, 0, 1, 10, SimTime::ZERO, SimTime::from_millis(42));
         let single = &s.flow("single").unwrap().delay_hist;
         for q in [0.0, 0.37, 0.5, 0.99, 1.0] {
             assert_eq!(single.quantile_bounds(q), bucket(42));
@@ -434,12 +479,121 @@ mod tests {
     #[test]
     fn goodput_over_window() {
         let mut s = Stats::new();
-        let k = s.flow_id("bulk");
-        s.flow_tx(k, 1000);
-        s.flow_rx(k, 1000, SimTime::ZERO, SimTime::from_secs(1));
-        s.flow_tx(k, 1000);
-        s.flow_rx(k, 1000, SimTime::ZERO, SimTime::from_secs(2));
+        let k = s.flow_id("bulk", 1);
+        s.flow_tx(k, 1, 1000);
+        s.flow_rx(k, 0, 1, 1000, SimTime::ZERO, SimTime::from_secs(1));
+        s.flow_tx(k, 1, 1000);
+        s.flow_rx(k, 0, 1, 1000, SimTime::ZERO, SimTime::from_secs(2));
         // 2000 bytes over 1 second window = 16 kbps.
         assert!((s.flow("bulk").unwrap().goodput_bps() - 16_000.0).abs() < 1e-6);
+    }
+
+    /// The first registration sizes the record; a later one under the
+    /// same name (a host resolving a name read off the wire) gets the
+    /// same id and leaves the size alone.
+    #[test]
+    fn later_registration_keeps_the_first_size() {
+        let mut s = Stats::new();
+        let coh = s.flow_id("coh", 3);
+        assert_eq!(s.flow_id("coh", 1), coh);
+        assert_eq!(s.flow_id("coh", 1_000_000), coh);
+        assert_eq!(s.flow("coh").unwrap().last_delays.len(), 3);
+        let host = s.flow_id("host", 1);
+        assert_eq!(s.flow_id("host", 3), host);
+        assert_eq!(s.flow("host").unwrap().last_delays.len(), 1);
+    }
+
+    /// A fluid batch shares one delay sample: beyond the step from the
+    /// endpoint's previous delivery, each of its `frames − 1` further
+    /// frames adds a zero jitter sample to the mean.
+    #[test]
+    fn fluid_batch_adds_zero_jitter_samples() {
+        let mut s = Stats::new();
+        let coh = s.flow_id("coh", 1);
+        let (d1, d2): (f64, f64) = (0.002, 0.005);
+        s.flow_rx(coh, 0, 1, 100, SimTime(0), SimTime(2_000_000));
+        assert_eq!(
+            s.flow("coh").unwrap().jitter(),
+            0.0,
+            "one delivery has no jitter yet"
+        );
+        s.flow_rx(coh, 0, 4, 400, SimTime(10_000_000), SimTime(15_000_000));
+        let f = s.flow("coh").unwrap();
+        assert_eq!(f.jitter(), (d2 - d1).abs() / 4.0);
+        assert_eq!(f.rx_packets, 5);
+        assert_eq!(f.delay_hist.total(), 5);
+        assert_eq!(f.mean_delay(), (d1 + 4.0 * d2) / 5.0);
+    }
+
+    /// Interleave three endpoints' deliveries, with reordering and CE
+    /// marks, into one three-endpoint flow and into three one-endpoint
+    /// flows: the merged one-endpoint records equal the three-endpoint
+    /// one.
+    #[test]
+    fn n_endpoint_flow_equals_n_one_endpoint_flows_merged() {
+        let deliveries: &[(u32, u64, u64, bool)] = &[
+            // (endpoint, sent_ns, now_ns, ce)
+            (0, 0, 2_000_000, false),
+            (1, 500_000, 2_600_000, false),
+            (0, 1_000_000, 3_700_000, true),
+            (2, 1_500_000, 3_900_000, false),
+            (1, 2_000_000, 4_000_000, false),
+            (0, 3_000_000, 4_100_000, false),
+            (0, 2_500_000, 4_200_000, true), // reordered + CE
+            (2, 3_500_000, 5_000_000, true),
+            (1, 4_000_000, 5_100_000, false),
+            (0, 4_500_000, 5_200_000, false),
+        ];
+        let mut s = Stats::new();
+        let coh = s.flow_id("coh", 3);
+        for &(ep, sent, now, ce) in deliveries {
+            let host = s.flow_id(&format!("coh-ep{ep}"), 1);
+            for (flow, endpoint) in [(coh, ep), (host, 0)] {
+                s.flow_rx(flow, endpoint, 1, 180, SimTime(sent), SimTime(now));
+                if ce {
+                    s.flow_ce(flow, 1);
+                }
+            }
+        }
+        let mut merged = FlowStats::new(1);
+        for ep in 0..3 {
+            let f = s.flow(&format!("coh-ep{ep}")).expect("flow exists");
+            merged.rx_packets += f.rx_packets;
+            merged.rx_bytes += f.rx_bytes;
+            merged.ce_marks += f.ce_marks;
+            merged.delay_hist.merge(&f.delay_hist);
+            // Jitter pools as a mean over every endpoint's consecutive
+            // pairs.
+            merged.jitter_sum += f.jitter_sum;
+            merged.jitter_pairs += f.jitter_pairs;
+        }
+        let coh = s.flow("coh").unwrap();
+        assert_eq!(coh.rx_packets, merged.rx_packets);
+        assert_eq!(coh.rx_bytes, merged.rx_bytes);
+        assert_eq!(coh.ce_marks, merged.ce_marks);
+        assert_eq!(coh.delay_hist, merged.delay_hist);
+        assert!(coh.jitter() > 0.0);
+        assert!((coh.jitter() - merged.jitter()).abs() < 1e-12);
+    }
+
+    /// A flow of more endpoints than [`ENDPOINT_STRIPES`] keeps that many
+    /// jitter slots: endpoints `e` and `e + ENDPOINT_STRIPES` share a
+    /// chain, neighbours do not, and the counts cover every frame.
+    #[test]
+    fn striping_caps_track_memory_but_keeps_global_counts() {
+        let mut s = Stats::new();
+        let big = s.flow_id("big", 1_000_000);
+        assert_eq!(s.flow("big").unwrap().last_delays.len(), ENDPOINT_STRIPES);
+        s.flow_rx(big, 999_999, 1000, 100_000, SimTime(0), SimTime(1_000_000));
+        let f = s.flow("big").unwrap();
+        assert_eq!(f.rx_packets, 1000);
+        assert_eq!(f.rx_bytes, 100_000);
+        assert_eq!(f.delay_hist.total(), 1000);
+        // 999_999 % 4096 = 575: endpoint 575 continues its chain, 576
+        // starts its own.
+        s.flow_rx(big, 575, 1, 100, SimTime(0), SimTime(3_000_000));
+        s.flow_rx(big, 576, 1, 100, SimTime(0), SimTime(5_000_000));
+        let (d1, d2): (f64, f64) = (0.001, 0.003);
+        assert_eq!(s.flow("big").unwrap().jitter(), (d2 - d1).abs() / 1000.0);
     }
 }

@@ -12,8 +12,7 @@
 //!   frame sequence, counters and stats.
 //!
 //! Plus the events' own semantics: frames offered strictly inside a
-//! down window are never delivered, and frames delivered to a paused
-//! node vanish into `events.pause_drops`.
+//! down window are never delivered.
 //!
 //! Under all of it sits the engine's ordering contract, tested here on a
 //! running `Simulator`: events fire in due-time order, and events due at
@@ -265,51 +264,5 @@ proptest! {
         prop_assert_eq!(a.0, b.0, "delivered sequences diverged");
         prop_assert_eq!(a.1, b.1, "link counters diverged");
         prop_assert_eq!((a.2, a.3), (b.2, b.3), "sender/stat totals diverged");
-    }
-
-    /// A paused receiver loses exactly the frames that arrive during the
-    /// pause window: the link still delivers them (they crossed the
-    /// wire), but the node never sees them and `events.pause_drops`
-    /// counts each one.
-    #[test]
-    fn paused_node_drops_exactly_the_window_arrivals(
-        seed in any::<u64>(),
-        pause in 0u64..40,
-        len in 1u64..40,
-    ) {
-        let n = 80u64;
-        let resume = pause + len;
-        let mut sim = Simulator::new(seed);
-        let tx = sim.add_node("tx", Box::new(Ticker { n, sent: 0 }));
-        let rx = sim.add_node("rx", Box::new(Recorder::default()));
-        sim.connect_sym(tx, rx, fast_link());
-        let half = 500_000;
-        sim.install_timeline(
-            EventTimeline::new()
-                .at(
-                    SimTime(pause * 1_000_000 + half),
-                    NetEvent::NodePause { node: rx },
-                )
-                .at(
-                    SimTime(resume * 1_000_000 + half),
-                    NetEvent::NodeResume { node: rx },
-                ),
-        );
-        sim.run_until(SimTime::from_millis(n + 50));
-        let c = sim.link_counters(tx, 0);
-        prop_assert_eq!(c.delivered, n, "the wire is unaffected by a node pause");
-        // Seq k arrives just after (k+1)ms; lost iff (k+1) in [pause+0.5, resume+0.5).
-        let expected: Vec<u64> = (0..n)
-            .filter(|&k| {
-                let tick = k + 1;
-                !(tick * 2 > pause * 2 + 1 && tick * 2 < resume * 2 + 1)
-            })
-            .collect();
-        let seqs = &sim.node_ref::<Recorder>(rx).expect("recorder").seqs;
-        prop_assert_eq!(seqs, &expected, "received set must be exactly the awake-window arrivals");
-        prop_assert_eq!(
-            sim.stats().counter("events.pause_drops"),
-            n - expected.len() as u64
-        );
     }
 }
