@@ -110,20 +110,6 @@ impl AdversarySpec {
         }
     }
 
-    /// Names of the rules [`Self::build`] installs whose `Drop` verdicts
-    /// should count as discrimination drops in reports.
-    pub fn drop_rule_names(&self, workload: &WorkloadSpec) -> Vec<String> {
-        match self {
-            AdversarySpec::None | AdversarySpec::DelayJitter { .. } => Vec::new(),
-            AdversarySpec::ContentDpi { .. } => {
-                vec![format!("dpi-throttle-{}", workload.name())]
-            }
-            AdversarySpec::PortBlock => vec!["block-app-port".to_string()],
-            AdversarySpec::AddressDrop { .. } => vec!["drop-dst-prefix".to_string()],
-            AdversarySpec::TieredPriority { .. } => vec!["tier-besteffort".to_string()],
-        }
-    }
-
     /// Compiles the preset into a policy engine targeting `workload`.
     /// [`AdversarySpec::None`] compiles to an empty (all-forward) engine.
     pub fn build(&self, workload: &WorkloadSpec) -> PolicyEngine {
@@ -215,15 +201,12 @@ mod tests {
         assert_eq!(pe.evaluate(0, &voip_frame(), 0.0), Verdict::Forward);
         let mut dropped = 0;
         for _ in 0..100 {
-            if matches!(pe.evaluate(0, &voip_frame(), 0.0), Verdict::Drop(_)) {
+            if let Verdict::Drop(rule) = pe.evaluate(0, &voip_frame(), 0.0) {
+                assert_eq!(pe.rule_name(rule), "dpi-throttle-voip");
                 dropped += 1;
             }
         }
         assert!(dropped > 50, "throttle must bite: {dropped}/100");
-        assert_eq!(
-            AdversarySpec::content_dpi_default().drop_rule_names(&w),
-            vec!["dpi-throttle-voip".to_string()]
-        );
     }
 
     #[test]
@@ -250,9 +233,6 @@ mod tests {
             }
             other => panic!("expected delay, got {other:?}"),
         }
-        assert!(AdversarySpec::delay_jitter_default()
-            .drop_rule_names(&WorkloadSpec::voip_default())
-            .is_empty());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::probe::{ProbeNode, ProbeResponderNode, ProbeSummary};
 use crate::schema::fields;
 use crate::topology::{
     BuiltTopology, ProbePlane, TopologySpec, ANYCAST_ADDR, DST_ADDR, PROBER_ADDR, PROBE_SINK_ADDR,
-    SECONDARY_ANYCAST, SRC_ADDR,
+    SRC_ADDR,
 };
 use crate::workload::WorkloadSpec;
 use nn_core::neutralizer::{NeutralizerConfig, NeutralizerNode, MAX_ONETIME_KEY_BYTES};
@@ -173,7 +173,7 @@ pub struct CellReport {
     /// Anonymized return blocks that opened to the true destination
     /// (neutralized cells only).
     pub verified_return_blocks: u64,
-    /// Frames the adversary's drop rules discarded.
+    /// Frames the discriminator's policy dropped, over all its rules.
     pub policy_drops: u64,
     /// Selected named counters, sorted by name.
     pub counters: Vec<(String, u64)>,
@@ -312,7 +312,7 @@ fn run_cell_keyed(
         // service address per provider, primary first (§3.5).
         let bootstrap = Bootstrap {
             dest: DST_ADDR,
-            neutralizers: spec.topology.neut_addrs(),
+            neutralizers: spec.topology.neut_addrs().to_vec(),
             dest_pubkey: keys.dest.public.clone(),
         };
         Box::new(NeutralizedSourceNode::new(
@@ -326,18 +326,23 @@ fn run_cell_keyed(
     } else {
         Box::new(PlainSourceNode::new(SRC_ADDR, DST_ADDR, 0, flow, app))
     };
+    // One neutralizer per provider the topology has, all sharing the
+    // master key (the neutralizers are stateless, §3: any of them can
+    // serve any session, which is exactly what makes mid-run failover
+    // free). The primary counts under `neutralizer`, the secondary under
+    // `neutralizer-b`.
     let master_key = derive_master_key(spec.seed);
-    let neut_config = NeutralizerConfig::new(ANYCAST_ADDR, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
-    let neut_node: Box<dyn Node> = Box::new(NeutralizerNode::new(neut_config, master_key));
-    // The multihomed shape gets a second provider sharing the master key
-    // (the neutralizers are stateless, §3: either can serve any session,
-    // which is exactly what makes mid-run failover free).
-    let secondary = matches!(spec.topology, TopologySpec::Multihomed).then(|| {
-        let mut config_b =
-            NeutralizerConfig::new(SECONDARY_ANYCAST, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
-        config_b.stats_name = "neutralizer-b".to_string();
-        Box::new(NeutralizerNode::new(config_b, master_key)) as Box<dyn Node>
-    });
+    let neutralizers = spec
+        .topology
+        .neut_addrs()
+        .iter()
+        .zip(["", "-b"])
+        .map(|(&addr, suffix)| {
+            let mut config = NeutralizerConfig::new(addr, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
+            config.stats_name.push_str(suffix);
+            Box::new(NeutralizerNode::new(config, master_key)) as Box<dyn Node>
+        })
+        .collect();
     // The destination always echoes, so every cell exercises the
     // (anonymized) return path.
     let dst_node: Box<dyn Node> = if let Some(keys) = keys {
@@ -368,8 +373,7 @@ fn run_cell_keyed(
     let built: BuiltTopology = spec.topology.build(
         &mut sim,
         src_node,
-        neut_node,
-        secondary,
+        neutralizers,
         dst_node,
         &spec.link,
         probe_plane,
@@ -397,16 +401,11 @@ fn run_cell_keyed(
     // Run: schedule length plus grace for handshake and queue drain.
     sim.run_until(SimTime::ZERO + tuning.duration + Duration::from_millis(500));
 
-    // Harvest.
-    let policy_drops = spec
-        .adversary
-        .drop_rule_names(&spec.workload)
-        .iter()
-        .map(|rule| {
-            sim.stats()
-                .counter(&format!("{}.policy_drop.{}", built.disc_name, rule))
-        })
-        .sum();
+    // Harvest. The discriminator counts every frame its policy dropped.
+    let policy_drops = sim
+        .node_ref::<RouterNode>(built.discriminator)
+        .expect("discriminator is a router")
+        .policy_drops();
     let (replies, verified_return_blocks) = if spec.stack == StackKind::Neutralized {
         let node = sim
             .node_ref::<NeutralizedSourceNode>(built.src)

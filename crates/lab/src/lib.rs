@@ -6,10 +6,10 @@
 //! threads:
 //!
 //! * [`topology`] — chain (the legacy shape), dumbbell, eyeball-ISP
-//!   star, and multi-AS path generators with the discriminator at a
-//!   configurable hop, built on [`nn_netsim::Simulator::connect`];
-//!   dumbbell and star can attach background cross-traffic customers so
-//!   the bottleneck actually congests.
+//!   star, metro and multi-AS shapes, each the paper's one path built by
+//!   one skeleton with the discriminator at a configurable hop, plus
+//!   §3.5's multihomed fork; dumbbell and star can attach background
+//!   cross-traffic customers so the bottleneck actually congests.
 //! * [`link`] — the bottleneck impairment axis: clean, Gilbert–Elliott
 //!   burst loss, a congested ECN-marking RED bottleneck, and a plain
 //!   congested drop-tail bottleneck, lowered onto
@@ -92,7 +92,7 @@ pub use hosts::{
 };
 pub use link::LinkProfileSpec;
 pub use matrix::{
-    finalize_report, named_matrix, run_matrix, run_matrix_with_threads, verify_merged_against_spec,
+    finalize_report, named_matrix, run_matrix_with_threads, verify_merged_against_spec,
     ExperimentSpec, MatrixCell, MatrixReport, RelativeMetrics, NAMED_MATRICES,
 };
 pub use plan::{CellAssignment, CellIter, ExecutionPlan};

@@ -211,15 +211,6 @@ pub struct MatrixReport {
     pub cells: Vec<MatrixCell>,
 }
 
-/// Runs the matrix with one worker thread per available CPU (capped at
-/// the cell count).
-pub fn run_matrix(spec: &ExperimentSpec) -> MatrixReport {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    run_matrix_with_threads(spec, threads)
-}
-
 /// Runs the matrix on exactly `threads` in-process workers. Results are
 /// identical for any thread count: cells are independent simulations
 /// keyed only by their hashed seeds, and the report is assembled in

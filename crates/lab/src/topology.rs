@@ -1,37 +1,38 @@
 //! Topology generators — one axis of the experiment matrix.
 //!
-//! Every generator wires the same four logical endpoints — a source
-//! outside the neutral domain, a discriminating ISP router, the
-//! neutralizer at the neutral ISP's border, and the destination customer
-//! — into a different network shape, built on
-//! [`nn_netsim::Simulator::connect`]:
+//! The paper evaluates one path: a source outside the neutral domain, a
+//! discriminating ISP, the neutralizer at the neutral ISP's border, and
+//! the destination customer. Every single-provider shape is that path,
+//! `src — r0 — … — r(k-1) — neut — dst`, stated as its routers, one link
+//! profile per hop, the bottleneck hop (whose forward direction the link
+//! axis degrades) and the discriminator, plus the shape's own extras:
 //!
-//! * [`TopologySpec::Chain`] — the legacy PR-1 path, generalized to any
-//!   hop count with the discriminator at a configurable hop.
-//! * [`TopologySpec::Dumbbell`] — two access routers joined by a
-//!   bottleneck link, the classic congestion topology.
-//! * [`TopologySpec::Star`] — an eyeball-ISP hub with customer spokes;
-//!   the hub itself discriminates.
-//! * [`TopologySpec::MultiAs`] — a multi-AS path (ingress/egress router
-//!   pairs per AS) with the discriminator at a configurable AS egress.
+//! * [`TopologySpec::Chain`] — any number of ISP routers, the
+//!   discriminator at a configurable hop.
+//! * [`TopologySpec::Dumbbell`] — two access routers joined by the
+//!   bottleneck, a stub customer off each.
+//! * [`TopologySpec::Star`] — a discriminating eyeball-ISP hub with
+//!   customer spokes; [`TopologySpec::Metro`] adds a population plane.
+//! * [`TopologySpec::MultiAs`] — ingress/egress router pairs per AS,
+//!   the discriminator at a configurable AS egress.
 //!
-//! Route tables come from [`nn_netsim::compute_routes`] over the built
-//! graph, so anycast neutralizer addressing works identically in every
-//! shape.
-//!
-//! Every generator designates one *bottleneck* direction on the victim's
-//! forward path and lowers the cell's [`LinkProfileSpec`] onto it, so
-//! the link axis degrades the same logical hop in every shape. Dumbbell
-//! and star can additionally attach `background_flows` cross-traffic
-//! customers — stub hosts pushing bulk traffic over the bottleneck — so
-//! congestion-dependent cells (ECN marking, DSCP tiering) have
-//! competition to act on.
+//! [`TopologySpec::Multihomed`] is §3.5's fork instead: two neutralizing
+//! providers behind one discriminating access router. Every shape ends
+//! alike: the probe plane attaches beside the first and last routers,
+//! and route tables come from [`nn_netsim::compute_routes`] over the
+//! built graph, so anycast addressing works identically everywhere.
+//! Dumbbell and star can attach `background_flows` bulk cross-traffic
+//! customers, so congestion-dependent cells (ECN marking, DSCP tiering)
+//! have competition to act on.
 
-use crate::hosts::PlainSourceNode;
+use crate::hosts::{PlainSourceNode, APP_PORT};
 use crate::link::LinkProfileSpec;
 use crate::population::PopulationSpec;
 use nn_core::neutralizer::NeutralizerNode;
-use nn_netsim::{compute_routes, IfaceId, LinkProfile, Node, NodeId, RouterNode, Simulator};
+use nn_netsim::{
+    compute_routes, IfaceId, LinkProfile, Node, NodeId, PopulationNode, PopulationSinkNode,
+    RouterNode, Simulator, SinkNode,
+};
 use nn_packet::{Ipv4Addr, Ipv4Cidr};
 use std::time::Duration;
 
@@ -173,14 +174,10 @@ pub struct ProbePlane {
 pub struct BuiltTopology {
     /// The source host.
     pub src: NodeId,
-    /// The neutralizer.
-    pub neut: NodeId,
     /// The destination host.
     pub dst: NodeId,
     /// The router carrying the adversary's policy engine.
     pub discriminator: NodeId,
-    /// The discriminator's statistics prefix (its node name).
-    pub disc_name: String,
     /// Every router added (including the discriminator).
     pub routers: Vec<NodeId>,
     /// Every prefix advertised into routing, with its owner.
@@ -188,13 +185,8 @@ pub struct BuiltTopology {
     /// The forward direction the link axis impaired, as a
     /// `(node, iface)` pair for [`nn_netsim::Simulator::link_counters`].
     pub bottleneck: (NodeId, IfaceId),
-    /// The cross-traffic source nodes (empty without background flows).
-    pub background: Vec<NodeId>,
     /// The measurement-plane prober, when a [`ProbePlane`] was attached.
     pub prober: Option<NodeId>,
-    /// The measurement-plane responder, when a [`ProbePlane`] was
-    /// attached.
-    pub responder: Option<NodeId>,
     /// The nodes that make up the primary provider's path — the set a
     /// partition timeline cuts off to force multihome failover. Empty
     /// for single-provider shapes.
@@ -297,402 +289,349 @@ impl TopologySpec {
     }
 
     /// The neutralizer service addresses a destination behind this shape
-    /// lists in its `NEUT` record, primary first (§3.5).
-    pub fn neut_addrs(&self) -> Vec<Ipv4Addr> {
+    /// lists in its `NEUT` record, primary first (§3.5): one per
+    /// provider, and [`TopologySpec::build`] takes one neutralizer each.
+    pub fn neut_addrs(&self) -> &'static [Ipv4Addr] {
         match self {
-            TopologySpec::Multihomed => vec![ANYCAST_ADDR, SECONDARY_ANYCAST],
-            _ => vec![ANYCAST_ADDR],
+            TopologySpec::Multihomed => &[ANYCAST_ADDR, SECONDARY_ANYCAST],
+            _ => &[ANYCAST_ADDR],
         }
     }
 
-    /// Builds the topology into `sim`: adds the endpoints and routers,
-    /// connects links, computes and installs route tables. `neut_node`
-    /// must be a [`NeutralizerNode`] (it receives the neutral domain's
-    /// routes). The `link` axis is lowered onto the shape's bottleneck
-    /// direction (forward path only — the return path keeps the native
-    /// wire, so degradation is attributable). `secondary` is the second
-    /// provider's neutralizer node, which must share the primary's master
-    /// key so sessions survive failover (the neutralizers are stateless,
-    /// §3): required by the [`TopologySpec::Multihomed`] shape, rejected
-    /// by every other.
-    /// `probe` optionally attaches the measurement plane: the prober
-    /// lands beside the source, the responder on the destination side,
-    /// and every router answers expired-TTL probes.
-    #[allow(clippy::too_many_arguments)]
+    /// Builds the topology into `sim`: adds the nodes, connects links,
+    /// and computes and installs route tables. `neutralizers` holds one
+    /// [`NeutralizerNode`] per [`TopologySpec::neut_addrs`] entry, in
+    /// that order; a multihomed destination's providers must share one
+    /// master key so sessions survive failover (the neutralizers are
+    /// stateless, §3). The `link` axis is lowered onto the bottleneck's
+    /// forward direction only (the return path keeps the native wire, so
+    /// degradation is attributable). `probe` optionally attaches the
+    /// measurement plane (see [`ProbePlane`]).
     pub fn build(
         &self,
         sim: &mut Simulator,
         src_node: Box<dyn Node>,
-        neut_node: Box<dyn Node>,
-        secondary: Option<Box<dyn Node>>,
+        neutralizers: Vec<Box<dyn Node>>,
         dst_node: Box<dyn Node>,
         link: &LinkProfileSpec,
         probe: Option<ProbePlane>,
     ) -> BuiltTopology {
-        assert!(
-            secondary.is_none() || matches!(self, TopologySpec::Multihomed),
-            "only the multihomed shape takes a secondary provider"
+        assert_eq!(
+            neutralizers.len(),
+            self.neut_addrs().len(),
+            "{} takes one neutralizer per provider",
+            self.name()
         );
+        let mut providers = neutralizers.into_iter();
+        let mut provider = || providers.next().expect("one neutralizer per provider");
+        let mut wired = match self.path() {
+            Some(path) => path.wire(sim, src_node, provider(), dst_node, link),
+            None => multihomed(sim, src_node, provider(), provider(), dst_node, link),
+        };
+        let routers = &wired.built.routers;
+        let (first, last) = (routers[0], routers[routers.len() - 1]);
+        let neut = wired.neuts[0];
+        let advertised = &mut wired.built.advertised;
         match *self {
-            TopologySpec::Chain { hops, disc_hop } => {
-                assert!(hops >= 1, "chain needs at least one ISP hop");
-                assert!(disc_hop < hops, "disc_hop out of range");
-                let src = sim.add_node("src", src_node);
-                let routers: Vec<NodeId> = (0..hops)
-                    .map(|i| {
-                        let name = if hops == 1 {
-                            "isp".to_string()
-                        } else {
-                            format!("isp{i}")
-                        };
-                        sim.add_node(name.clone(), Box::new(RouterNode::new(name)))
-                    })
-                    .collect();
-                let neut = sim.add_node("neut", neut_node);
-                let dst = sim.add_node("dst", dst_node);
-
-                sim.connect_sym(src, routers[0], edge_link());
-                for w in routers.windows(2) {
-                    sim.connect_sym(w[0], w[1], backbone_link());
-                }
-                // The backbone hop into the neutral domain is the
-                // chain's bottleneck.
-                let last = *routers.last().unwrap();
-                let (bneck_iface, _) = sim.connect(
-                    last,
-                    neut,
-                    link.bottleneck_profile(backbone_link()),
-                    backbone_link(),
-                );
-                sim.connect_sym(neut, dst, edge_link());
-
-                let mut advertised = base_prefixes(src, dst, neut);
-                let (prober, responder) =
-                    attach_probe_plane(sim, probe, routers[0], last, &routers, &mut advertised);
-                install_routes(sim, &routers, &[neut], &advertised);
-                BuiltTopology {
-                    src,
-                    neut,
-                    dst,
-                    discriminator: routers[disc_hop],
-                    disc_name: sim.node_name(routers[disc_hop]).to_string(),
-                    routers,
-                    advertised,
-                    bottleneck: (last, bneck_iface),
-                    background: Vec::new(),
-                    prober,
-                    responder,
-                    primary_path: Vec::new(),
-                }
-            }
             TopologySpec::Dumbbell {
-                bottleneck_bps,
-                background_flows,
+                background_flows, ..
             } => {
-                let src = sim.add_node("src", src_node);
-                let isp = sim.add_node("isp", Box::new(RouterNode::new("isp")));
-                let core = sim.add_node("core", Box::new(RouterNode::new("core")));
-                let neut = sim.add_node("neut", neut_node);
-                let dst = sim.add_node("dst", dst_node);
-                let leaf_l = sim.add_node("leaf-l", Box::new(nn_netsim::SinkNode::new()));
-                let leaf_r = sim.add_node("leaf-r", Box::new(nn_netsim::SinkNode::new()));
-
-                sim.connect_sym(src, isp, edge_link());
-                let native = LinkProfile::new(bottleneck_bps, Duration::from_millis(10));
-                let (bneck_iface, _) =
-                    sim.connect(isp, core, link.bottleneck_profile(native.clone()), native);
-                sim.connect_sym(core, neut, edge_link());
-                sim.connect_sym(neut, dst, edge_link());
-                sim.connect_sym(isp, leaf_l, edge_link());
-                sim.connect_sym(core, leaf_r, edge_link());
-
-                let mut advertised = base_prefixes(src, dst, neut);
+                // One stub customer off each access router, and near-side
+                // cross traffic flooding the far-side stub, across the
+                // bottleneck.
+                let leaf_l = sim.add_node("leaf-l", Box::new(SinkNode::new()));
+                let leaf_r = sim.add_node("leaf-r", Box::new(SinkNode::new()));
+                sim.connect_sym(first, leaf_l, edge_link());
+                sim.connect_sym(last, leaf_r, edge_link());
                 advertised.push((stub_prefix(1), leaf_l));
                 advertised.push((stub_prefix(2), leaf_r));
-                // Cross traffic: near-side customers flooding the
-                // far-side stub, across the bottleneck.
-                let background = attach_background(
-                    sim,
-                    background_flows,
-                    isp,
-                    Ipv4Addr::new(10, 200, 2, 99),
-                    &mut advertised,
-                );
-                let (prober, responder) =
-                    attach_probe_plane(sim, probe, isp, core, &[isp, core], &mut advertised);
-                let routers = vec![isp, core];
-                install_routes(sim, &routers, &[neut], &advertised);
-                BuiltTopology {
-                    src,
-                    neut,
-                    dst,
-                    discriminator: isp,
-                    disc_name: "isp".to_string(),
-                    routers,
-                    advertised,
-                    bottleneck: (isp, bneck_iface),
-                    background,
-                    prober,
-                    responder,
-                    primary_path: Vec::new(),
-                }
+                let target = Ipv4Addr::new(10, 200, 2, 99);
+                attach_background(sim, background_flows, first, target, advertised);
             }
             TopologySpec::Star {
                 spokes,
                 background_flows,
             } => {
-                assert!(spokes >= 2, "star needs the source and neutral spokes");
-                // Stub customers get distinct 10.200.i.0/24 prefixes;
-                // one u8 octet bounds how many fit.
-                assert!(spokes <= 250, "star supports at most 250 spokes");
-                let src = sim.add_node("src", src_node);
-                let hub = sim.add_node("hub", Box::new(RouterNode::new("hub")));
-                let neut = sim.add_node("neut", neut_node);
-                let dst = sim.add_node("dst", dst_node);
-                sim.connect_sym(src, hub, edge_link());
-                // The hub's uplink into the neutral domain is the
-                // star's bottleneck.
-                let (bneck_iface, _) = sim.connect(
-                    hub,
-                    neut,
-                    link.bottleneck_profile(backbone_link()),
-                    backbone_link(),
-                );
-                sim.connect_sym(neut, dst, edge_link());
-
-                let mut advertised = base_prefixes(src, dst, neut);
-                for i in 0..spokes.saturating_sub(2) {
-                    let leaf =
-                        sim.add_node(format!("leaf{i}"), Box::new(nn_netsim::SinkNode::new()));
-                    sim.connect_sym(hub, leaf, edge_link());
-                    advertised.push((stub_prefix(i as u8 + 1), leaf));
-                }
+                attach_leaves(sim, spokes, first, advertised);
                 // Cross traffic: extra spokes flooding a dedicated sink
                 // inside the neutral domain, over the hub's uplink.
-                let background = if background_flows > 0 {
-                    let bg_sink = sim.add_node("bg-sink", Box::new(nn_netsim::SinkNode::new()));
+                if background_flows > 0 {
+                    let bg_sink = sim.add_node("bg-sink", Box::new(SinkNode::new()));
                     sim.connect_sym(neut, bg_sink, edge_link());
                     advertised.push((Ipv4Cidr::new(Ipv4Addr::new(10, 220, 0, 0), 24), bg_sink));
-                    attach_background(
-                        sim,
-                        background_flows,
-                        hub,
-                        Ipv4Addr::new(10, 220, 0, 99),
-                        &mut advertised,
-                    )
-                } else {
-                    Vec::new()
-                };
-                let (prober, responder) =
-                    attach_probe_plane(sim, probe, hub, hub, &[hub], &mut advertised);
-                let routers = vec![hub];
-                install_routes(sim, &routers, &[neut], &advertised);
-                BuiltTopology {
-                    src,
-                    neut,
-                    dst,
-                    discriminator: hub,
-                    disc_name: "hub".to_string(),
-                    routers,
-                    advertised,
-                    bottleneck: (hub, bneck_iface),
-                    background,
-                    prober,
-                    responder,
-                    primary_path: Vec::new(),
+                    let target = Ipv4Addr::new(10, 220, 0, 99);
+                    attach_background(sim, background_flows, first, target, advertised);
                 }
             }
             TopologySpec::Metro {
                 spokes,
                 ref population,
             } => {
-                assert!(spokes >= 2, "metro needs the source and neutral spokes");
-                assert!(spokes <= 250, "metro supports at most 250 spokes");
-                let src = sim.add_node("src", src_node);
-                let hub = sim.add_node("hub", Box::new(RouterNode::new("hub")));
-                let neut = sim.add_node("neut", neut_node);
-                let dst = sim.add_node("dst", dst_node);
-                sim.connect_sym(src, hub, edge_link());
-                // As in the star, the hub's uplink into the neutral
-                // domain is the bottleneck every cohort contends on.
-                let (bneck_iface, _) = sim.connect(
-                    hub,
-                    neut,
-                    link.bottleneck_profile(backbone_link()),
-                    backbone_link(),
-                );
-                sim.connect_sym(neut, dst, edge_link());
-
-                let mut advertised = base_prefixes(src, dst, neut);
-                for i in 0..spokes.saturating_sub(2) {
-                    let leaf =
-                        sim.add_node(format!("leaf{i}"), Box::new(nn_netsim::SinkNode::new()));
-                    sim.connect_sym(hub, leaf, edge_link());
-                    advertised.push((stub_prefix(i as u8 + 1), leaf));
-                }
+                attach_leaves(sim, spokes, first, advertised);
                 // The population plane: every cohort multiplexed behind
                 // one node on a fat access link into the hub, its sink
                 // on a fat link inside the neutral domain. Population
                 // frames cross the hub (the discriminator) and the
                 // bottleneck uplink like any foreground flow.
                 let models = population.models();
+                let sink = PopulationSinkNode::for_models(&models);
                 let pop = sim.add_node(
                     "pop",
-                    Box::new(nn_netsim::PopulationNode::new(
+                    Box::new(PopulationNode::new(
                         POP_ADDR,
                         POP_SINK_ADDR,
-                        crate::hosts::APP_PORT,
-                        crate::hosts::APP_PORT,
+                        APP_PORT,
+                        APP_PORT,
                         0,
-                        models.clone(),
+                        models,
                     )),
                 );
-                sim.connect_sym(hub, pop, pop_edge_link());
-                let pop_sink = sim.add_node(
-                    "pop-sink",
-                    Box::new(nn_netsim::PopulationSinkNode::for_models(&models)),
-                );
+                sim.connect_sym(first, pop, pop_edge_link());
+                let pop_sink = sim.add_node("pop-sink", Box::new(sink));
                 sim.connect_sym(neut, pop_sink, pop_edge_link());
                 advertised.push((Ipv4Cidr::new(POP_ADDR, 24), pop));
                 advertised.push((Ipv4Cidr::new(POP_SINK_ADDR, 24), pop_sink));
+            }
+            _ => {}
+        }
+        wired.finish(sim, probe)
+    }
 
-                let (prober, responder) =
-                    attach_probe_plane(sim, probe, hub, hub, &[hub], &mut advertised);
-                let routers = vec![hub];
-                install_routes(sim, &routers, &[neut], &advertised);
-                BuiltTopology {
-                    src,
-                    neut,
-                    dst,
-                    discriminator: hub,
-                    disc_name: "hub".to_string(),
-                    routers,
-                    advertised,
-                    bottleneck: (hub, bneck_iface),
-                    background: Vec::new(),
-                    prober,
-                    responder,
-                    primary_path: Vec::new(),
+    /// The single-provider path `src — r0 — … — r(k-1) — neut — dst`
+    /// this shape is built on; `None` for the §3.5 multihomed fork.
+    fn path(&self) -> Option<PathShape> {
+        let path = match *self {
+            TopologySpec::Chain { hops, disc_hop } => {
+                assert!(hops >= 1, "chain needs at least one ISP hop");
+                assert!(disc_hop < hops, "disc_hop out of range");
+                // Backbone hops throughout; the one into the neutral
+                // domain is the chain's bottleneck.
+                let mut links = vec![backbone_link(); hops + 1];
+                links[0] = edge_link();
+                PathShape {
+                    routers: match hops {
+                        1 => vec!["isp".to_string()],
+                        _ => (0..hops).map(|i| format!("isp{i}")).collect(),
+                    },
+                    hops: links,
+                    bottleneck: hops,
+                    discriminator: disc_hop,
+                }
+            }
+            // Two access routers joined by the bottleneck; the near one
+            // discriminates.
+            TopologySpec::Dumbbell { bottleneck_bps, .. } => PathShape {
+                routers: vec!["isp".to_string(), "core".to_string()],
+                hops: vec![
+                    edge_link(),
+                    LinkProfile::new(bottleneck_bps, Duration::from_millis(10)),
+                    edge_link(),
+                ],
+                bottleneck: 1,
+                discriminator: 0,
+            },
+            TopologySpec::Star { spokes, .. } | TopologySpec::Metro { spokes, .. } => {
+                // The source's and the neutral domain's spokes, plus stub
+                // customers on distinct 10.200.i.0/24 prefixes: one u8
+                // octet bounds how many fit.
+                assert!((2..=250).contains(&spokes), "{spokes} spokes out of range");
+                // The hub discriminates; its uplink into the neutral
+                // domain is the bottleneck every spoke contends on.
+                PathShape {
+                    routers: vec!["hub".to_string()],
+                    hops: vec![edge_link(), backbone_link()],
+                    bottleneck: 1,
+                    discriminator: 0,
                 }
             }
             TopologySpec::MultiAs { as_count, disc_as } => {
                 assert!(as_count >= 1, "need at least one AS");
                 assert!(disc_as < as_count, "disc_as out of range");
-                let src = sim.add_node("src", src_node);
-                let mut routers = Vec::with_capacity(as_count * 2);
-                for i in 0..as_count {
-                    for role in ["in", "eg"] {
-                        let name = format!("as{i}-{role}");
-                        routers.push(sim.add_node(name.clone(), Box::new(RouterNode::new(name))));
-                    }
-                }
-                let neut = sim.add_node("neut", neut_node);
-                let dst = sim.add_node("dst", dst_node);
-
-                sim.connect_sym(src, routers[0], edge_link());
-                for i in 0..as_count {
-                    // Intra-AS: ingress to egress, fast.
-                    sim.connect_sym(
-                        routers[2 * i],
-                        routers[2 * i + 1],
-                        LinkProfile::new(LINK_BPS, Duration::from_millis(1)),
-                    );
-                    // Inter-AS: egress to next ingress, slow.
-                    if i + 1 < as_count {
-                        sim.connect_sym(routers[2 * i + 1], routers[2 * i + 2], backbone_link());
-                    }
-                }
-                // The last inter-domain hop into the neutral domain is
-                // the multi-AS path's bottleneck.
-                let last = *routers.last().unwrap();
-                let (bneck_iface, _) = sim.connect(
-                    last,
-                    neut,
-                    link.bottleneck_profile(backbone_link()),
-                    backbone_link(),
-                );
-                sim.connect_sym(neut, dst, edge_link());
-
-                let mut advertised = base_prefixes(src, dst, neut);
-                let (prober, responder) =
-                    attach_probe_plane(sim, probe, routers[0], last, &routers, &mut advertised);
-                install_routes(sim, &routers, &[neut], &advertised);
-                let discriminator = routers[2 * disc_as + 1];
-                BuiltTopology {
-                    src,
-                    neut,
-                    dst,
-                    discriminator,
-                    disc_name: sim.node_name(discriminator).to_string(),
+                let routers = (0..as_count)
+                    .flat_map(|i| ["in", "eg"].map(|role| format!("as{i}-{role}")))
+                    .collect();
+                // Per AS, a fast intra-AS hop, then a slow inter-AS one;
+                // the last, into the neutral domain, is the bottleneck.
+                let intra = LinkProfile::new(LINK_BPS, Duration::from_millis(1));
+                let per_as = (0..as_count).flat_map(|_| [intra.clone(), backbone_link()]);
+                PathShape {
                     routers,
-                    advertised,
-                    bottleneck: (last, bneck_iface),
-                    background: Vec::new(),
-                    prober,
-                    responder,
-                    primary_path: Vec::new(),
+                    hops: std::iter::once(edge_link()).chain(per_as).collect(),
+                    bottleneck: 2 * as_count,
+                    discriminator: 2 * disc_as + 1,
                 }
             }
-            TopologySpec::Multihomed => {
-                let neut_b_node =
-                    secondary.expect("the multihomed shape needs a secondary provider");
-                let src = sim.add_node("src", src_node);
-                let isp = sim.add_node("isp", Box::new(RouterNode::new("isp")));
-                let prov_a = sim.add_node("prov-a", Box::new(RouterNode::new("prov-a")));
-                let prov_b = sim.add_node("prov-b", Box::new(RouterNode::new("prov-b")));
-                let neut = sim.add_node("neut", neut_node);
-                let neut_b = sim.add_node("neut-b", neut_b_node);
-                let dstr = sim.add_node("dstr", Box::new(RouterNode::new("dstr")));
-                let dst = sim.add_node("dst", dst_node);
+            TopologySpec::Multihomed => return None,
+        };
+        Some(path)
+    }
+}
 
-                sim.connect_sym(src, isp, edge_link());
-                sim.connect_sym(isp, prov_a, backbone_link());
-                sim.connect_sym(isp, prov_b, backbone_link());
-                // The hop into the primary provider's neutral domain
-                // carries the link axis (and is what flap timelines
-                // target): failover has something to route around.
-                let (bneck_iface, _) = sim.connect(
-                    prov_a,
-                    neut,
-                    link.bottleneck_profile(backbone_link()),
-                    backbone_link(),
-                );
-                sim.connect_sym(prov_b, neut_b, backbone_link());
-                sim.connect_sym(neut, dstr, edge_link());
-                sim.connect_sym(neut_b, dstr, edge_link());
-                sim.connect_sym(dstr, dst, edge_link());
+/// One shape's path `src — r0 — … — r(k-1) — neut — dst`: its routers,
+/// one native link profile per hop, the hop that carries the link axis
+/// and the router that discriminates.
+struct PathShape {
+    /// Router names, source side first (`k ≥ 1`).
+    routers: Vec<String>,
+    /// The native profiles of the `k + 1` hops from `src — r0` to
+    /// `r(k-1) — neut`; `neut — dst` is an edge link in every shape.
+    hops: Vec<LinkProfile>,
+    /// Index into `hops` of the hop whose forward direction is impaired.
+    bottleneck: usize,
+    /// Index into `routers` of the discriminator.
+    discriminator: usize,
+}
 
-                let mut advertised = base_prefixes(src, dst, neut);
-                advertised.push((Ipv4Cidr::new(SECONDARY_ANYCAST, 24), neut_b));
-                let (prober, responder) = attach_probe_plane(
-                    sim,
-                    probe,
-                    isp,
-                    dstr,
-                    &[isp, prov_a, prov_b, dstr],
-                    &mut advertised,
-                );
-                let routers = vec![isp, prov_a, prov_b, dstr];
-                install_routes(sim, &routers, &[neut, neut_b], &advertised);
-                BuiltTopology {
-                    src,
-                    neut,
-                    dst,
-                    discriminator: isp,
-                    disc_name: "isp".to_string(),
-                    routers,
-                    advertised,
-                    bottleneck: (prov_a, bneck_iface),
-                    background: Vec::new(),
-                    prober,
-                    responder,
-                    // Cutting off {prov-a, neut} severs isp—prov-a and
-                    // neut—dstr: the primary provider is unreachable
-                    // while the secondary path stays intact.
-                    primary_path: vec![prov_a, neut],
-                }
+impl PathShape {
+    /// Adds the path's nodes in order (source, routers, neutralizer,
+    /// destination) and connects its hops, source side first.
+    fn wire(
+        self,
+        sim: &mut Simulator,
+        src_node: Box<dyn Node>,
+        neut_node: Box<dyn Node>,
+        dst_node: Box<dyn Node>,
+        link: &LinkProfileSpec,
+    ) -> Wired {
+        let src = sim.add_node("src", src_node);
+        let routers: Vec<NodeId> = self
+            .routers
+            .iter()
+            .map(|name| sim.add_node(name, Box::new(RouterNode::new(name))))
+            .collect();
+        let neut = sim.add_node("neut", neut_node);
+        let dst = sim.add_node("dst", dst_node);
+        let mut bottleneck = None;
+        let mut from = src;
+        let path = routers.iter().copied().chain([neut]);
+        for (hop, (to, native)) in path.zip(self.hops).enumerate() {
+            if hop == self.bottleneck {
+                let impaired = link.bottleneck_profile(native.clone());
+                let (iface, _) = sim.connect(from, to, impaired, native);
+                bottleneck = Some((from, iface));
+            } else {
+                sim.connect_sym(from, to, native);
+            }
+            from = to;
+        }
+        sim.connect_sym(neut, dst, edge_link());
+        let built = BuiltTopology {
+            src,
+            dst,
+            discriminator: routers[self.discriminator],
+            advertised: base_prefixes(src, dst, neut),
+            bottleneck: bottleneck.expect("the bottleneck is one of the path's hops"),
+            routers,
+            prober: None,
+            primary_path: Vec::new(),
+        };
+        Wired {
+            built,
+            neuts: vec![neut],
+        }
+    }
+}
+
+/// The §3.5 fork: the shared access router `isp` discriminates before
+/// the providers split, and the `prov-a → neut` hop carries the link
+/// axis (and is what flap timelines target), so failover has something
+/// to route around.
+fn multihomed(
+    sim: &mut Simulator,
+    src_node: Box<dyn Node>,
+    neut_node: Box<dyn Node>,
+    neut_b_node: Box<dyn Node>,
+    dst_node: Box<dyn Node>,
+    link: &LinkProfileSpec,
+) -> Wired {
+    let router = |name: &str| Box::new(RouterNode::new(name));
+    let src = sim.add_node("src", src_node);
+    let isp = sim.add_node("isp", router("isp"));
+    let prov_a = sim.add_node("prov-a", router("prov-a"));
+    let prov_b = sim.add_node("prov-b", router("prov-b"));
+    let neut = sim.add_node("neut", neut_node);
+    let neut_b = sim.add_node("neut-b", neut_b_node);
+    let dstr = sim.add_node("dstr", router("dstr"));
+    let dst = sim.add_node("dst", dst_node);
+
+    sim.connect_sym(src, isp, edge_link());
+    sim.connect_sym(isp, prov_a, backbone_link());
+    sim.connect_sym(isp, prov_b, backbone_link());
+    let impaired = link.bottleneck_profile(backbone_link());
+    let (bneck_iface, _) = sim.connect(prov_a, neut, impaired, backbone_link());
+    sim.connect_sym(prov_b, neut_b, backbone_link());
+    sim.connect_sym(neut, dstr, edge_link());
+    sim.connect_sym(neut_b, dstr, edge_link());
+    sim.connect_sym(dstr, dst, edge_link());
+
+    let mut advertised = base_prefixes(src, dst, neut);
+    advertised.push((Ipv4Cidr::new(SECONDARY_ANYCAST, 24), neut_b));
+    let built = BuiltTopology {
+        src,
+        dst,
+        discriminator: isp,
+        routers: vec![isp, prov_a, prov_b, dstr],
+        advertised,
+        bottleneck: (prov_a, bneck_iface),
+        prober: None,
+        // Cutting off {prov-a, neut} severs isp—prov-a and neut—dstr:
+        // the primary provider is unreachable while the secondary path
+        // stays intact.
+        primary_path: vec![prov_a, neut],
+    };
+    Wired {
+        built,
+        neuts: vec![neut, neut_b],
+    }
+}
+
+/// A shape wired up, before [`Wired::finish`] attaches the probe plane
+/// and routes it.
+struct Wired {
+    /// The topology so far, its routers listed from the source's access
+    /// router to the last one before the destination side.
+    built: BuiltTopology,
+    /// One neutralizer per provider, primary first.
+    neuts: Vec<NodeId>,
+}
+
+impl Wired {
+    /// Attaches the [`ProbePlane`], when there is one: the prober beside
+    /// the source's access router, the responder off the last router,
+    /// both with their own advertised /24s, and TTL time-exceeded
+    /// replies on every router so hop trains measure per-hop delay.
+    /// Then computes shortest-path tables over the built graph and
+    /// installs them on every router and every neutralizer.
+    fn finish(self, sim: &mut Simulator, probe: Option<ProbePlane>) -> BuiltTopology {
+        let Wired { mut built, neuts } = self;
+        if let Some(plane) = probe {
+            let (routers, advertised) = (&built.routers, &mut built.advertised);
+            let prober = sim.add_node("prober", plane.prober);
+            let responder = sim.add_node("responder", plane.responder);
+            sim.connect_sym(routers[0], prober, edge_link());
+            sim.connect_sym(routers[routers.len() - 1], responder, edge_link());
+            advertised.push((Ipv4Cidr::new(PROBER_ADDR, 24), prober));
+            advertised.push((Ipv4Cidr::new(PROBE_SINK_ADDR, 24), responder));
+            for &r in routers {
+                let router = sim.node_mut::<RouterNode>(r).expect("router node");
+                router.enable_ttl_replies();
+            }
+            built.prober = Some(prober);
+        }
+        let mut tables = compute_routes(sim.edges(), &built.advertised, sim.node_count());
+        for &r in &built.routers {
+            if let Some(table) = tables.remove(&r) {
+                let router = sim.node_mut::<RouterNode>(r).expect("router node");
+                router.set_routes(table);
             }
         }
+        for &neut in &neuts {
+            if let Some(table) = tables.remove(&neut) {
+                let neutralizer = sim.node_mut::<NeutralizerNode>(neut);
+                neutralizer.expect("neutralizer node").set_routes(table);
+            }
+        }
+        built
     }
 }
 
@@ -719,9 +658,23 @@ fn bg_suffix(background_flows: usize) -> String {
     }
 }
 
+/// Attaches a star's `spokes - 2` stub customers to `hub`, each a sink
+/// with its own advertised /24.
+fn attach_leaves(
+    sim: &mut Simulator,
+    spokes: usize,
+    hub: NodeId,
+    advertised: &mut Vec<(Ipv4Cidr, NodeId)>,
+) {
+    for i in 0..spokes.saturating_sub(2) {
+        let leaf = sim.add_node(format!("leaf{i}"), Box::new(SinkNode::new()));
+        sim.connect_sym(hub, leaf, edge_link());
+        advertised.push((stub_prefix(i as u8 + 1), leaf));
+    }
+}
+
 /// Attaches `count` plain bulk customers to `attach_to`, each pushing
-/// cross-traffic toward `target`, and advertises their /24s. Returns
-/// the new node ids.
+/// cross-traffic toward `target`, and advertises their /24s.
 ///
 /// Each stub is a thin wrapper over one cohort of
 /// [`PopulationSpec::background`]: a one-endpoint bulk class (1200-byte
@@ -738,79 +691,18 @@ fn attach_background(
     attach_to: NodeId,
     target: Ipv4Addr,
     advertised: &mut Vec<(Ipv4Cidr, NodeId)>,
-) -> Vec<NodeId> {
+) {
     assert!(count <= 250, "at most 250 background flows fit the octet");
     let population = PopulationSpec::background(count);
-    population
-        .cohorts
-        .iter()
-        .enumerate()
-        .map(|(i, cohort)| {
-            let addr = Ipv4Addr::new(10, 210, i as u8, 1);
-            let app = Box::new(cohort.app());
-            let node = sim.add_node(
-                format!("bg{i}"),
-                Box::new(PlainSourceNode::new(addr, target, 0, format!("bg{i}"), app)),
-            );
-            sim.connect_sym(attach_to, node, edge_link());
-            advertised.push((Ipv4Cidr::new(addr, 24), node));
-            node
-        })
-        .collect()
-}
-
-/// Attaches a [`ProbePlane`]: the prober beside `near` (the source's
-/// access router), the responder off `far` (the last router before the
-/// destination side), both with their own advertised /24s, and turns on
-/// TTL time-exceeded replies on every router so hop trains measure
-/// per-hop delay. Must run before [`install_routes`].
-fn attach_probe_plane(
-    sim: &mut Simulator,
-    plane: Option<ProbePlane>,
-    near: NodeId,
-    far: NodeId,
-    routers: &[NodeId],
-    advertised: &mut Vec<(Ipv4Cidr, NodeId)>,
-) -> (Option<NodeId>, Option<NodeId>) {
-    let Some(plane) = plane else {
-        return (None, None);
-    };
-    let prober = sim.add_node("prober", plane.prober);
-    let responder = sim.add_node("responder", plane.responder);
-    sim.connect_sym(near, prober, edge_link());
-    sim.connect_sym(far, responder, edge_link());
-    advertised.push((Ipv4Cidr::new(PROBER_ADDR, 24), prober));
-    advertised.push((Ipv4Cidr::new(PROBE_SINK_ADDR, 24), responder));
-    for &r in routers {
-        sim.node_mut::<RouterNode>(r)
-            .expect("router node")
-            .enable_ttl_replies();
-    }
-    (Some(prober), Some(responder))
-}
-
-/// Computes shortest-path tables over the built graph and installs them
-/// on every router and on every neutralizer.
-fn install_routes(
-    sim: &mut Simulator,
-    routers: &[NodeId],
-    neuts: &[NodeId],
-    advertised: &[(Ipv4Cidr, NodeId)],
-) {
-    let tables = compute_routes(sim.edges(), advertised, sim.node_count());
-    for &r in routers {
-        if let Some(table) = tables.get(&r) {
-            sim.node_mut::<RouterNode>(r)
-                .expect("router node")
-                .set_routes(table.clone());
-        }
-    }
-    for &neut in neuts {
-        if let Some(table) = tables.get(&neut) {
-            sim.node_mut::<NeutralizerNode>(neut)
-                .expect("neutralizer node")
-                .set_routes(table.clone());
-        }
+    for (i, cohort) in population.cohorts.iter().enumerate() {
+        let addr = Ipv4Addr::new(10, 210, i as u8, 1);
+        let app = Box::new(cohort.app());
+        let node = sim.add_node(
+            format!("bg{i}"),
+            Box::new(PlainSourceNode::new(addr, target, 0, format!("bg{i}"), app)),
+        );
+        sim.connect_sym(attach_to, node, edge_link());
+        advertised.push((Ipv4Cidr::new(addr, 24), node));
     }
 }
 
@@ -818,7 +710,6 @@ fn install_routes(
 pub(crate) mod tests {
     use super::*;
     use nn_core::neutralizer::NeutralizerConfig;
-    use nn_netsim::SinkNode;
 
     /// Builds `spec` with sink endpoints, a real neutralizer and a
     /// clean link axis.
@@ -826,17 +717,19 @@ pub(crate) mod tests {
         build_with_link(spec, &LinkProfileSpec::Clean)
     }
 
-    /// The primary neutralizer for `spec`, plus the secondary when the
-    /// shape is multihomed; both share one master key.
-    fn providers(spec: &TopologySpec) -> (Box<dyn Node>, Option<Box<dyn Node>>) {
+    /// One neutralizer per provider of `spec`, sharing one master key.
+    fn providers(spec: &TopologySpec) -> Vec<Box<dyn Node>> {
         let domain = vec![Ipv4Cidr::new(DST_ADDR, 16)];
-        let config = NeutralizerConfig::new(ANYCAST_ADDR, domain.clone());
-        let secondary = matches!(spec, TopologySpec::Multihomed).then(|| {
-            let mut config_b = NeutralizerConfig::new(SECONDARY_ANYCAST, domain);
-            config_b.stats_name = "neutralizer-b".to_string();
-            Box::new(NeutralizerNode::new(config_b, [7u8; 16])) as Box<dyn Node>
-        });
-        (Box::new(NeutralizerNode::new(config, [7u8; 16])), secondary)
+        let stats_names = ["neutralizer", "neutralizer-b"];
+        spec.neut_addrs()
+            .iter()
+            .zip(stats_names)
+            .map(|(&addr, stats_name)| {
+                let mut config = NeutralizerConfig::new(addr, domain.clone());
+                config.stats_name = stats_name.to_string();
+                Box::new(NeutralizerNode::new(config, [7u8; 16])) as Box<dyn Node>
+            })
+            .collect()
     }
 
     /// Builds `spec` with sink endpoints and a chosen link axis.
@@ -845,17 +738,25 @@ pub(crate) mod tests {
         link: &LinkProfileSpec,
     ) -> (Simulator, BuiltTopology) {
         let mut sim = Simulator::new(1);
-        let (neut, secondary) = providers(spec);
         let built = spec.build(
             &mut sim,
             Box::new(SinkNode::new()),
-            neut,
-            secondary,
+            providers(spec),
             Box::new(SinkNode::new()),
             link,
             None,
         );
         (sim, built)
+    }
+
+    /// The node that advertises the prefix holding `addr`.
+    fn owner(built: &BuiltTopology, addr: Ipv4Addr) -> NodeId {
+        let (_, node) = built
+            .advertised
+            .iter()
+            .find(|(prefix, _)| prefix.contains(addr))
+            .expect("advertised");
+        *node
     }
 
     /// Every shape attaches the probe plane behind the discriminator:
@@ -875,7 +776,6 @@ pub(crate) mod tests {
             TopologySpec::Multihomed,
         ] {
             let mut sim = Simulator::new(1);
-            let (neut, secondary) = providers(&spec);
             let plane = ProbePlane {
                 prober: Box::new(SinkNode::new()),
                 responder: Box::new(SinkNode::new()),
@@ -883,14 +783,13 @@ pub(crate) mod tests {
             let built = spec.build(
                 &mut sim,
                 Box::new(SinkNode::new()),
-                neut,
-                secondary,
+                providers(&spec),
                 Box::new(SinkNode::new()),
                 &LinkProfileSpec::Clean,
                 Some(plane),
             );
             let prober = built.prober.expect("prober attached");
-            let responder = built.responder.expect("responder attached");
+            let responder = owner(&built, PROBE_SINK_ADDR);
             assert_eq!(sim.node_name(prober), "prober", "{}", spec.name());
             assert_eq!(sim.node_name(responder), "responder", "{}", spec.name());
             for &r in &built.routers {
@@ -921,9 +820,8 @@ pub(crate) mod tests {
         assert_eq!(sim.node_count(), 4);
         assert_eq!(sim.node_name(built.src), "src");
         assert_eq!(sim.node_name(built.discriminator), "isp");
-        assert_eq!(sim.node_name(built.neut), "neut");
+        assert_eq!(sim.node_name(owner(&built, ANYCAST_ADDR)), "neut");
         assert_eq!(sim.node_name(built.dst), "dst");
-        assert_eq!(built.disc_name, "isp");
         // Three bidirectional links = six directed edges.
         assert_eq!(sim.edges().count(), 6);
     }
@@ -1005,16 +903,8 @@ pub(crate) mod tests {
     fn metro_population_plane_feeds_the_bottleneck() {
         let spec = TopologySpec::metro_default();
         let (mut sim, built) = build_for_test(&spec);
-        let owner = |addr| {
-            let (_, node) = built
-                .advertised
-                .iter()
-                .find(|(prefix, _)| prefix.contains(addr))
-                .expect("advertised");
-            *node
-        };
-        assert_eq!(sim.node_name(owner(POP_ADDR)), "pop");
-        assert_eq!(sim.node_name(owner(POP_SINK_ADDR)), "pop-sink");
+        assert_eq!(sim.node_name(owner(&built, POP_ADDR)), "pop");
+        assert_eq!(sim.node_name(owner(&built, POP_SINK_ADDR)), "pop-sink");
         for &r in &built.routers {
             let router = sim.node_ref::<RouterNode>(r).expect("router");
             for addr in [POP_ADDR, POP_SINK_ADDR] {
@@ -1055,7 +945,10 @@ pub(crate) mod tests {
     #[test]
     fn dumbbell_background_flows_congest_the_bottleneck() {
         let (mut sim, built) = build_for_test(&TopologySpec::dumbbell_crossed());
-        assert_eq!(built.background.len(), 2);
+        for i in 0..2u8 {
+            let bg = owner(&built, Ipv4Addr::new(10, 210, i, 1));
+            assert_eq!(sim.node_name(bg), format!("bg{i}"));
+        }
         sim.run_until(nn_netsim::SimTime::from_millis(500));
         let counters = sim.link_counters(built.bottleneck.0, built.bottleneck.1);
         // 2 × 2 Mbit/s for 0.5 s ≈ 250 KB offered across the bottleneck.
@@ -1063,14 +956,9 @@ pub(crate) mod tests {
             counters.tx_bytes > 100_000,
             "bottleneck must carry cross traffic: {counters:?}"
         );
-        let (_, leaf_r_id) = *built
-            .advertised
-            .iter()
-            .find(|(prefix, _)| *prefix == stub_prefix(2))
-            .expect("leaf-r advertises its stub prefix");
-        let sink = sim
-            .node_ref::<nn_netsim::SinkNode>(leaf_r_id)
-            .expect("leaf-r sink");
+        let leaf_r = owner(&built, Ipv4Addr::new(10, 200, 2, 99));
+        assert_eq!(sim.node_name(leaf_r), "leaf-r");
+        let sink = sim.node_ref::<SinkNode>(leaf_r).expect("leaf-r sink");
         assert!(sink.rx_frames > 100, "far-side stub receives the flood");
     }
 
@@ -1153,6 +1041,21 @@ pub(crate) mod tests {
             vec![ANYCAST_ADDR, SECONDARY_ANYCAST]
         );
         assert_eq!(TopologySpec::chain().neut_addrs(), vec![ANYCAST_ADDR]);
+    }
+
+    /// The topology alone decides how many providers a cell has.
+    #[test]
+    #[should_panic(expected = "multihomed takes one neutralizer per provider")]
+    fn build_rejects_a_provider_count_the_shape_does_not_have() {
+        let mut sim = Simulator::new(1);
+        TopologySpec::Multihomed.build(
+            &mut sim,
+            Box::new(SinkNode::new()),
+            providers(&TopologySpec::chain()),
+            Box::new(SinkNode::new()),
+            &LinkProfileSpec::Clean,
+            None,
+        );
     }
 
     #[test]

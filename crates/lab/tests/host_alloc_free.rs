@@ -17,12 +17,15 @@
 //! envelopes of the first round trip are the one path that still
 //! allocates). It runs six simulated seconds, a wide margin: after a
 //! 100 ms warm-up the window already allocates nothing.
+//!
+//! Every node registers its counters once per cell, so the same
+//! allocator also bounds what a counter registration costs.
 
 use nn_core::neutralizer::{NeutralizerConfig, NeutralizerNode};
 use nn_lab::hosts::{Bootstrap, NeutralizedServerNode, NeutralizedSourceNode};
 use nn_lab::topology::{TopologySpec, ANYCAST_ADDR, DST_ADDR, SRC_ADDR};
 use nn_lab::{CohortApp, LinkProfileSpec, PlainServerNode, PlainSourceNode, WorkloadSpec};
-use nn_netsim::{Node, NodeId, SimTime, Simulator};
+use nn_netsim::{Node, NodeId, SimTime, Simulator, Stats};
 use nn_packet::Ipv4Cidr;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -99,8 +102,7 @@ fn chain(seed: u64, src: Box<dyn Node>, dst: Box<dyn Node>) -> (Simulator, NodeI
     let built = TopologySpec::chain().build(
         &mut sim,
         src,
-        neut,
-        None,
+        vec![neut],
         dst,
         &LinkProfileSpec::Clean,
         None,
@@ -221,5 +223,66 @@ fn warm_host_stacks_seal_open_and_echo_without_allocating() {
     assert_eq!(
         allocs, 0,
         "heap allocations while the host stacks ran warm: {window:?}"
+    );
+}
+
+nn_netsim::counter_set! {
+    /// A set as large as the neutralizer's: 25 counters.
+    struct TwentyFive {
+        parse_error: Internal,
+        shim_parse_error: Internal,
+        transit: Reported,
+        shim_transit: Internal,
+        emit_parse_error: Internal,
+        emit_build_error: Internal,
+        no_route: Internal,
+        setup_parse_error: Internal,
+        setup_bad_pubkey: Internal,
+        setup_key_too_long: Internal,
+        setup_encrypt_fail: Internal,
+        setup_served: Reported,
+        data_parse_error: Internal,
+        data_expired_epoch: Internal,
+        key_cache_hit: Internal,
+        key_cache_miss: Internal,
+        data_unseal_fail: Internal,
+        data_not_customer: Internal,
+        data_stamped: Internal,
+        data_forwarded: Reported,
+        return_parse_error: Internal,
+        return_not_customer: Internal,
+        return_expired_epoch: Internal,
+        return_anonymized: Reported,
+        key_rotated: Internal,
+    }
+}
+
+/// A registration stores each counter name once (shared by its slot and
+/// its lookup entry) and spells the set's names in one buffer: at most
+/// two allocations per counter the first time, counting the registry's
+/// growth, and at most two for the whole set when it registers again
+/// (a second node under the same prefix shares the set's counters).
+#[test]
+fn counter_registration_stores_each_name_once() {
+    const COUNTERS: u64 = 25;
+    let mut stats = Stats::new();
+    let before = allocations();
+    let first = TwentyFive::register(&mut stats, "neutralizer");
+    let first_allocs = allocations() - before;
+    let before = allocations();
+    let again = TwentyFive::register(&mut stats, "neutralizer");
+    let again_allocs = allocations() - before;
+
+    stats.bump(first.data_forwarded);
+    stats.bump(again.data_forwarded);
+    assert_eq!(stats.counter("neutralizer.data_forwarded"), 2);
+    assert_eq!(stats.counter("neutralizer.key_rotated"), 0);
+    assert!(
+        first_allocs <= 2 * COUNTERS,
+        "registering {COUNTERS} counters took {first_allocs} allocations"
+    );
+    assert!(
+        again_allocs <= 2,
+        "registering {COUNTERS} counters again took {again_allocs} allocations"
     );
 }

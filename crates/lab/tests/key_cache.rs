@@ -77,8 +77,7 @@ fn run_neutralized(key_cache: bool) -> (Outcome, CacheStats) {
     let built = TopologySpec::chain().build(
         &mut sim,
         src,
-        neut,
-        None,
+        vec![neut],
         dst,
         &LinkProfileSpec::Clean,
         None,

@@ -12,21 +12,22 @@ use nn_netsim::{Node, RouterNode, Simulator, SinkNode};
 use nn_packet::Ipv4Cidr;
 use proptest::prelude::*;
 
-/// Builds `spec` with sink endpoints, a real neutralizer (two for the
-/// multihomed shape) and a clean link axis.
+/// Builds `spec` with sink endpoints, one real neutralizer per provider
+/// and a clean link axis.
 fn build(spec: &TopologySpec) -> (Simulator, BuiltTopology) {
     let mut sim = Simulator::new(1);
-    let config = NeutralizerConfig::new(ANYCAST_ADDR, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
-    let neut = Box::new(NeutralizerNode::new(config, [7u8; 16]));
-    let secondary = matches!(spec, TopologySpec::Multihomed).then(|| {
-        let config_b = NeutralizerConfig::new(SECONDARY_ANYCAST, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
-        Box::new(NeutralizerNode::new(config_b, [7u8; 16])) as Box<dyn Node>
-    });
+    let neutralizers = spec
+        .neut_addrs()
+        .iter()
+        .map(|&addr| {
+            let config = NeutralizerConfig::new(addr, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
+            Box::new(NeutralizerNode::new(config, [7u8; 16])) as Box<dyn Node>
+        })
+        .collect();
     let built = spec.build(
         &mut sim,
         Box::new(SinkNode::new()),
-        neut,
-        secondary,
+        neutralizers,
         Box::new(SinkNode::new()),
         &LinkProfileSpec::Clean,
         None,

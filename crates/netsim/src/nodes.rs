@@ -48,6 +48,8 @@ pub struct RouterNode {
     /// Per-rule drop counters, parallel to the policy's rules; `None`
     /// until the rule first drops.
     rule_drops: Vec<Option<CounterId>>,
+    /// Frames the policy dropped, over every rule.
+    policy_drops: u64,
     /// Whether expired-TTL UDP packets earn a time-exceeded reply
     /// (off by default; see [`RouterNode::enable_ttl_replies`]).
     ttl_replies: bool,
@@ -64,6 +66,7 @@ impl RouterNode {
             stats_name: stats_name.into(),
             ids: RouterCounters::default(),
             rule_drops: Vec::new(),
+            policy_drops: 0,
             ttl_replies: false,
         }
     }
@@ -120,6 +123,12 @@ impl RouterNode {
     /// Read access to the routes.
     pub fn routes(&self) -> &RouteTable {
         &self.routes
+    }
+
+    /// Frames this router's policy dropped, summed over its rules (each
+    /// rule's own count is `<stats_name>.policy_drop.<rule>`).
+    pub fn policy_drops(&self) -> u64 {
+        self.policy_drops
     }
 
     /// The drop counter of `rule`, registered on the rule's first drop
@@ -200,6 +209,7 @@ impl Node for RouterNode {
                     None => self.register_rule_drop(ctx.stats, rule),
                 };
                 ctx.stats.bump(id);
+                self.policy_drops += 1;
                 ctx.recycle(frame);
             }
             Verdict::Delay(extra) => {
@@ -359,17 +369,28 @@ mod tests {
             MatchExpr::SrcPrefix(Ipv4Cidr::new(HOST_A, 32)),
             Action::Drop { prob: 1.0 },
         );
+        let second = Ipv4Addr::new(10, 0, 2, 99);
+        let second_rule = Rule::new(
+            "block-second",
+            MatchExpr::SrcPrefix(Ipv4Cidr::new(second, 32)),
+            Action::Drop { prob: 1.0 },
+        );
         sim.node_mut::<RouterNode>(r)
             .unwrap()
-            .set_policy(PolicyEngine::new().with(victim_rule));
+            .set_policy(PolicyEngine::new().with(victim_rule).with(second_rule));
         let from_victim = build_udp(HOST_A, HOST_B, 0, 1, 2, b"v").unwrap();
         let from_other = build_udp(Ipv4Addr::new(10, 0, 1, 99), HOST_B, 0, 1, 2, b"o").unwrap();
-        sim.inject(crate::time::SimTime::ZERO, r, 0, from_victim);
-        sim.inject(crate::time::SimTime::ZERO, r, 0, from_other);
+        let from_second = build_udp(second, HOST_B, 0, 1, 2, b"s").unwrap();
+        for frame in [from_victim, from_other, from_second] {
+            sim.inject(crate::time::SimTime::ZERO, r, 0, frame);
+        }
         sim.run(100);
         let sink = sim.node_ref::<SinkNode>(b).unwrap();
         assert_eq!(sink.rx_frames, 1);
         assert_eq!(sim.stats().counter("r.policy_drop.block-victim"), 1);
+        assert_eq!(sim.stats().counter("r.policy_drop.block-second"), 1);
+        // The router's total counts every rule's drops.
+        assert_eq!(sim.node_ref::<RouterNode>(r).unwrap().policy_drops(), 2);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 use crate::histogram::Histogram;
 use crate::time::SimTime;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Cap on a flow's jitter slots: a flow of `endpoints` keeps
 /// `min(endpoints, ENDPOINT_STRIPES)` previous-delay slots (endpoint `e`
@@ -137,7 +138,8 @@ impl Default for CounterId {
 /// Declares a node's counter set: a struct with one [`CounterId`] field
 /// per counter, and a `register(stats, prefix)` constructor that
 /// registers each field as `"{prefix}.{field}"` with the class written
-/// after it. Nodes call `register` once, from
+/// after it, spelling every name in one reused buffer. Nodes call
+/// `register` once, from
 /// [`Node::on_start`](crate::sim::Node::on_start), and bump the fields
 /// on the data path. Adding a counter is one line here plus its bumps.
 ///
@@ -172,11 +174,17 @@ macro_rules! counter_set {
         impl $name {
             /// Registers every counter of the set under `prefix`.
             $vis fn register(stats: &mut $crate::stats::Stats, prefix: &str) -> Self {
+                let longest = 0usize $(.max(stringify!($field).len()))*;
+                let mut buf = String::with_capacity(prefix.len() + 1 + longest);
+                let mut id = |field: &str, class| {
+                    buf.clear();
+                    buf.push_str(prefix);
+                    buf.push('.');
+                    buf.push_str(field);
+                    stats.register(&buf, class)
+                };
                 $name {
-                    $($field: stats.register(
-                        &format!("{prefix}.{}", stringify!($field)),
-                        $crate::stats::CounterClass::$class,
-                    ),)*
+                    $($field: id(stringify!($field), $crate::stats::CounterClass::$class),)*
                 }
             }
         }
@@ -198,18 +206,21 @@ impl Default for FlowId {
 }
 
 /// Simulation-wide statistics sink.
+///
+/// Each counter and flow name is stored once, shared by its slot and
+/// its lookup entry.
 #[derive(Debug, Default)]
 pub struct Stats {
     /// Counter values, indexed by [`CounterId`].
     counters: Vec<u64>,
     /// Name and class per counter slot, in registration order.
-    counter_meta: Vec<(String, CounterClass)>,
+    counter_meta: Vec<(Rc<str>, CounterClass)>,
     /// Name → slot, for idempotent registration and by-name reads.
-    counter_ids: HashMap<String, CounterId>,
+    counter_ids: HashMap<Rc<str>, CounterId>,
     /// Name and record per flow, indexed by [`FlowId`].
-    flows: Vec<(String, FlowStats)>,
+    flows: Vec<(Rc<str>, FlowStats)>,
     /// Name → flow, for idempotent registration and by-name reads.
-    flow_ids: HashMap<String, FlowId>,
+    flow_ids: HashMap<Rc<str>, FlowId>,
 }
 
 impl Stats {
@@ -235,9 +246,10 @@ impl Stats {
             return id;
         }
         let id = CounterId(u32::try_from(self.counters.len()).expect("counter registry overflow"));
+        let name: Rc<str> = Rc::from(name);
         self.counters.push(0);
-        self.counter_meta.push((name.to_string(), class));
-        self.counter_ids.insert(name.to_string(), id);
+        self.counter_meta.push((Rc::clone(&name), class));
+        self.counter_ids.insert(name, id);
         id
     }
 
@@ -265,7 +277,7 @@ impl Stats {
             .iter()
             .zip(&self.counters)
             .filter(|((_, class), &v)| *class == CounterClass::Reported && v > 0)
-            .map(|((name, _), &v)| (name.as_str(), v))
+            .map(|((name, _), &v)| (&**name, v))
     }
 
     /// Registers a flow of `endpoints` endpoints (a host's flow has one)
@@ -277,9 +289,10 @@ impl Stats {
             return id;
         }
         let id = FlowId(u32::try_from(self.flows.len()).expect("flow registry overflow"));
+        let name: Rc<str> = Rc::from(name);
         self.flows
-            .push((name.to_string(), FlowStats::new(endpoints)));
-        self.flow_ids.insert(name.to_string(), id);
+            .push((Rc::clone(&name), FlowStats::new(endpoints)));
+        self.flow_ids.insert(name, id);
         id
     }
 
@@ -297,7 +310,7 @@ impl Stats {
 
     /// All flows, in registration order, for report tables.
     pub fn flows(&self) -> impl Iterator<Item = (&str, &FlowStats)> {
-        self.flows.iter().map(|(name, f)| (name.as_str(), f))
+        self.flows.iter().map(|(name, f)| (&**name, f))
     }
 
     fn flow_mut(&mut self, id: FlowId) -> &mut FlowStats {
