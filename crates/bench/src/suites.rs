@@ -63,7 +63,7 @@ pub const SUITES: [(&str, &str, fn()); 11] = [
     ),
     (
         "link_pipeline",
-        "netsim link-impairment pipeline per-frame cost",
+        "netsim link per-frame cost, with and without burst loss",
         link_pipeline,
     ),
     (
@@ -443,13 +443,16 @@ pub fn matrix() {
     });
 }
 
-/// The link-pipeline hot path: one simulated link draining 1000
-/// back-to-back frames, timed with 0, 1 and 3 impairment stages, so the
-/// per-frame cost each stage adds stays visible. Divide the reported ns/iter by 1000 for the per-frame cost.
+/// The link hot path: one simulated link draining 1000 back-to-back
+/// frames. `pipeline_0stages_1kframes` times rate shaping, the drop-tail
+/// queue and propagation delay alone; `pipeline_1stage_1kframes` adds the
+/// `lossy-burst` preset's Gilbert–Elliott loss, so the difference is the
+/// per-frame cost of the loss process. Divide the reported ns/iter by
+/// 1000 for the per-frame cost.
 pub fn link_pipeline() {
     header("link_pipeline");
     use nn_netsim::{
-        Context, IfaceId, LinkProfile, LossModel, Node, SimTime, Simulator, SinkNode, StageSpec,
+        Context, GilbertElliott, IfaceId, LinkProfile, Node, SimTime, Simulator, SinkNode,
     };
     use std::time::Duration;
 
@@ -488,7 +491,7 @@ pub fn link_pipeline() {
     };
 
     let base = || LinkProfile::new(1_000_000_000, Duration::from_micros(10));
-    let ge = LossModel::GilbertElliott {
+    let ge = GilbertElliott {
         p_enter_bad: 0.02,
         p_exit_bad: 0.25,
         loss_good: 0.0,
@@ -497,16 +500,6 @@ pub fn link_pipeline() {
     let cases = [
         ("pipeline_0stages_1kframes", base()),
         ("pipeline_1stage_1kframes", base().with_loss(ge)),
-        (
-            "pipeline_3stages_1kframes",
-            base()
-                .with_loss(ge)
-                .with_stage(StageSpec::Corrupt { prob: 0.02 })
-                .with_stage(StageSpec::Reorder {
-                    prob: 0.05,
-                    max_extra: Duration::from_micros(50),
-                }),
-        ),
     ];
     for (name, profile) in &cases {
         bench(name, iters(50), || {

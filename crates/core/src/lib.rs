@@ -9,8 +9,6 @@
 //!   (one cheap RSA-e3 encryption), the data path (CMAC key derivation +
 //!   one AES block per packet), return-path anonymization and
 //!   epoch-based master-key rotation.
-//! * [`multihome`] — §3.5's source-side neutralizer selection across
-//!   multiple neutral providers, including trial-and-error probing.
 //! * [`wire`] — application-layer framing inside neutralized packets:
 //!   end-to-end transport messages and the key-rollover stamp they carry.
 //! * [`probe`] — active-measurement probe payloads: the edge
@@ -23,13 +21,11 @@
 #![warn(missing_docs)]
 
 pub mod app;
-pub mod multihome;
 pub mod neutralizer;
 pub mod probe;
 pub mod wire;
 
 pub use app::{AppSource, NullApp};
-pub use multihome::NeutralizerSelector;
 pub use neutralizer::{KeyMemo, MasterKeyEpochs, NeutralizerConfig, NeutralizerNode};
 pub use probe::{ProbeKind, ProbePayload};
 pub use wire::{InnerPayload, TransportMsg};

@@ -426,8 +426,8 @@ fn run_cell_keyed(
         .reported()
         .map(|(name, v)| (name.to_string(), v))
         .collect();
-    // The bottleneck direction's per-stage pipeline outcomes, so the
-    // link axis is observable in every report.
+    // The bottleneck direction's queue and loss outcomes, so the link
+    // axis is observable in every report.
     let bneck = sim.link_counters(built.bottleneck.0, built.bottleneck.1);
     for (name, v) in [
         ("bottleneck.tx_frames", bneck.tx_frames),
@@ -435,8 +435,6 @@ fn run_cell_keyed(
         ("bottleneck.ce_marks", bneck.ce_marks),
         ("bottleneck.loss_drops", bneck.fault_drops),
         ("bottleneck.burst_episodes", bneck.burst_episodes),
-        ("bottleneck.reordered", bneck.reordered),
-        ("bottleneck.corrupted", bneck.corrupted),
     ] {
         if v > 0 {
             counters.push((name.to_string(), v));
@@ -614,7 +612,7 @@ mod tests {
     }
 
     /// The link axis is live end-to-end: a bursty bottleneck degrades
-    /// delivery below the clean wire and its stage counters surface in
+    /// delivery below the clean wire and its loss counters surface in
     /// the report; an ECN-RED bottleneck under cross-traffic CE-marks
     /// frames the destination actually observes.
     #[test]

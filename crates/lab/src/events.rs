@@ -120,20 +120,23 @@ mod tests {
         }
     }
 
-    /// Every queue discipline and every network event is built by a
-    /// named matrix: lowering each matrix's own link axis onto a
-    /// bottleneck and its own events axis onto its built topologies
-    /// reaches every variant. A variant that no matrix builds is a
-    /// mechanism no cell runs, and fails here.
+    /// Every queue discipline, the burst-loss process and every network
+    /// event is built by a named matrix: lowering each matrix's own link
+    /// axis onto a bottleneck and its own events axis onto its built
+    /// topologies reaches every variant. A mechanism that no matrix
+    /// builds is one no cell runs, and fails here.
     #[test]
     fn every_queue_kind_and_net_event_is_built_by_a_preset() {
         let native = LinkProfile::new(10_000_000, Duration::from_millis(5));
         let mut queue_kinds = [false; 2];
+        let mut lossy = false;
         let mut net_events = [false; 4];
         for name in NAMED_MATRICES {
             let spec = named_matrix(name).expect("named matrix");
             for link in &spec.links {
-                queue_kinds[queue_kind_slot(link.bottleneck_profile(native.clone()).queue)] = true;
+                let profile = link.bottleneck_profile(native.clone());
+                queue_kinds[queue_kind_slot(profile.queue)] = true;
+                lossy |= profile.loss.is_some();
             }
             for topology in &spec.topologies {
                 let (_, built) = build_for_test(topology);
@@ -148,6 +151,7 @@ mod tests {
             queue_kinds.iter().all(|&seen| seen),
             "no link preset builds some queue discipline: {queue_kinds:?}"
         );
+        assert!(lossy, "no link preset builds burst loss");
         assert!(
             net_events.iter().all(|&seen| seen),
             "no events preset builds some network event: {net_events:?}"

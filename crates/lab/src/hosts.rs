@@ -17,7 +17,6 @@
 //! out-of-band channel.
 
 use nn_core::app::AppSource;
-use nn_core::multihome::NeutralizerSelector;
 use nn_core::wire::{put_envelope, put_record, InnerPayload, TransportMsg};
 use nn_crypto::e2e;
 use nn_crypto::sealed::AddrSealer;
@@ -366,8 +365,8 @@ pub struct Bootstrap {
     pub dest: Ipv4Addr,
     /// Every neutralizer service address the `NEUT` record listed, in
     /// record order. A multihomed destination lists one per provider
-    /// (§3.5); the source steers between them with a
-    /// [`NeutralizerSelector`].
+    /// (§3.5); the source starts with the first and, when it gives up on
+    /// one, tries the next.
     pub neutralizers: Vec<Ipv4Addr>,
     /// The destination's end-to-end RSA public key.
     pub dest_pubkey: nn_crypto::RsaPublicKey,
@@ -404,11 +403,8 @@ pub struct NeutralizedSourceNode {
     /// App frames generated before key setup completed, with their
     /// original send timestamps already encoded.
     pending: Vec<Vec<u8>>,
-    /// Picks which listed neutralizer to send through (§3.5). It draws
-    /// no RNG, so single-homed cells keep byte-identical streams.
-    selector: NeutralizerSelector,
-    /// The provider currently in use (the selector's latest choice).
-    current: Ipv4Addr,
+    /// Index in `bootstrap.neutralizers` of the provider in use (§3.5).
+    current: usize,
     /// Data packets sent since the last liveness check.
     liveness_tx: u64,
     /// Authenticated replies received since the last liveness check.
@@ -438,8 +434,10 @@ impl NeutralizedSourceNode {
         flow: impl Into<String>,
         app: Box<dyn AppSource>,
     ) -> Self {
-        let selector = NeutralizerSelector::new(bootstrap.neutralizers.clone());
-        let current = bootstrap.neutralizers[0];
+        assert!(
+            !bootstrap.neutralizers.is_empty(),
+            "a NEUT record lists at least one neutralizer"
+        );
         NeutralizedSourceNode {
             addr,
             bootstrap,
@@ -449,8 +447,7 @@ impl NeutralizedSourceNode {
             keypair,
             established: None,
             pending: Vec::new(),
-            selector,
-            current,
+            current: 0,
             liveness_tx: 0,
             liveness_rx: 0,
             path_alive: false,
@@ -462,32 +459,36 @@ impl NeutralizedSourceNode {
     }
 
     /// True when the `NEUT` record listed a fallback provider, i.e. when
-    /// failover machinery (liveness timer, selector feedback) is active.
+    /// the failover machinery (liveness timer, setup-retry failover) is
+    /// active.
     fn multihomed(&self) -> bool {
         self.bootstrap.neutralizers.len() > 1
     }
 
-    /// Reports `current` dead to the selector and switches to its next
-    /// choice. The neutralizers are stateless (§3: `Ks` is re-derivable
-    /// from the master key on any provider), so an established session
-    /// keeps working across the switch — only the service address the
-    /// packets travel to changes.
+    /// The service address of the provider in use.
+    fn provider(&self) -> Ipv4Addr {
+        self.bootstrap.neutralizers[self.current]
+    }
+
+    /// Gives up on the provider in use and moves to the next address in
+    /// the bootstrap list, wrapping round: §3.5's "trial-and-error to
+    /// find a path that's working". The neutralizers are stateless (§3:
+    /// `Ks` is re-derivable from the master key on any provider), so an
+    /// established session keeps working across the switch — only the
+    /// service address the packets travel to changes.
     fn fail_over(&mut self, ctx: &mut Context) {
-        self.selector.report_failure(self.current);
-        let next = self.selector.choose();
-        if next != self.current {
-            self.current = next;
-            ctx.stats.bump(self.ids.failovers);
-            // The replacement starts unproven: its first silent window
-            // must not immediately indict it too.
-            self.path_alive = false;
-        }
+        self.current = (self.current + 1) % self.bootstrap.neutralizers.len();
+        ctx.stats.bump(self.ids.failovers);
+        // The replacement starts unproven: its first silent window must
+        // not immediately indict it too.
+        self.path_alive = false;
         self.setup_retries = 0;
     }
 
     /// Sends one app frame as a neutralized data packet: on a confirmed
     /// channel a record sealed straight into the pooled frame.
     fn send_data(&mut self, ctx: &mut Context, app_frame: &[u8]) {
+        let via = self.provider();
         let est = self.established.as_mut().expect("established");
         let inner = InnerPayload::data(app_frame);
         let shim = ShimRepr {
@@ -498,7 +499,7 @@ impl NeutralizedSourceNode {
             stamp: None,
         };
         let pkt = if est.confirmed {
-            pooled_shim(ctx, self.addr, self.current, self.dscp, &shim, |buf| {
+            pooled_shim(ctx, self.addr, via, self.dscp, &shim, |buf| {
                 put_record(buf, &mut est.session, &inner)
             })
         } else {
@@ -514,7 +515,7 @@ impl NeutralizedSourceNode {
                 ctx.stats.bump(self.ids.envelope_fail);
                 return;
             };
-            pooled_shim(ctx, self.addr, self.current, self.dscp, &shim, |buf| {
+            pooled_shim(ctx, self.addr, via, self.dscp, &shim, |buf| {
                 put_envelope(buf, &env)
             })
         };
@@ -551,7 +552,7 @@ impl NeutralizedSourceNode {
             stamp: None,
         };
         let wire = self.keypair.public.to_wire();
-        if let Some(pkt) = pooled_shim(ctx, self.addr, self.current, self.dscp, &shim, |buf| {
+        if let Some(pkt) = pooled_shim(ctx, self.addr, self.provider(), self.dscp, &shim, |buf| {
             buf.extend_from_slice(&wire)
         }) {
             ctx.send(0, pkt);
@@ -614,13 +615,10 @@ impl NeutralizedSourceNode {
         let Ok(inner) = InnerPayload::parse(plain) else {
             return;
         };
-        // An authenticated reply is proof of provider liveness: feed the
-        // selector's srtt estimate and clear the silent-window counters.
+        // An authenticated reply is proof of provider liveness.
         self.liveness_rx += 1;
         self.path_alive = true;
-        if let Some((_, sent, _)) = decode_app_frame(inner.app) {
-            self.selector
-                .report_success(self.current, (ctx.now - sent).as_secs_f64());
+        if decode_app_frame(inner.app).is_some() {
             self.replies += 1;
         }
     }
@@ -889,25 +887,8 @@ mod tests {
     /// timer until a reply arrives.
     #[test]
     fn key_setup_is_retransmitted_until_established() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let kp = nn_crypto::generate_keypair(&mut rng, 320);
-        let onetime = Arc::new(nn_crypto::generate_keypair(&mut rng, 320));
         let mut sim = Simulator::new(9);
-        let src = sim.add_node(
-            "src",
-            Box::new(NeutralizedSourceNode::new(
-                Ipv4Addr::new(203, 0, 113, 10),
-                Bootstrap {
-                    dest: Ipv4Addr::new(10, 7, 0, 99),
-                    neutralizers: vec![Ipv4Addr::new(198, 18, 0, 1)],
-                    dest_pubkey: kp.public,
-                },
-                0,
-                onetime,
-                "flow",
-                Box::new(NullApp),
-            )),
-        );
+        let src = sim.add_node("src", Box::new(source_listing(vec![NEUT])));
         // The peer swallows everything: no KeyReply ever comes back.
         let sink = sim.add_node("blackhole", Box::new(SinkNode::new()));
         sim.connect_sym(
@@ -919,6 +900,71 @@ mod tests {
         let rx = sim.node_ref::<SinkNode>(sink).unwrap().rx_frames;
         assert!(rx >= 3, "initial setup plus retries expected, got {rx}");
         assert!(sim.stats().counter("source.setup_retry") >= 2);
+    }
+
+    /// Records the destination address of every frame it receives.
+    #[derive(Default)]
+    struct DstLog(Vec<Ipv4Addr>);
+
+    impl Node for DstLog {
+        fn on_packet(&mut self, ctx: &mut Context, _iface: IfaceId, frame: FrameBuf) {
+            self.0
+                .push(Ipv4Packet::new_checked(&frame[..]).unwrap().dst_addr());
+            ctx.recycle(frame);
+        }
+    }
+
+    /// A neutralized source for the test destination listing `providers`.
+    fn source_listing(providers: Vec<Ipv4Addr>) -> NeutralizedSourceNode {
+        let mut rng = StdRng::seed_from_u64(5);
+        let kp = nn_crypto::generate_keypair(&mut rng, 320);
+        let onetime = Arc::new(nn_crypto::generate_keypair(&mut rng, 320));
+        NeutralizedSourceNode::new(
+            INITIATOR,
+            Bootstrap {
+                dest: DEST,
+                neutralizers: providers,
+                dest_pubkey: kp.public,
+            },
+            0,
+            onetime,
+            "flow",
+            Box::new(NullApp),
+        )
+    }
+
+    /// §3.5's trial-and-error: when both listed providers swallow every
+    /// `KeySetup`, the source steps through the list in order, wrapping
+    /// round, with `SETUP_RETRIES_PER_PROVIDER` setups to each provider
+    /// and one failover per switch.
+    #[test]
+    fn silent_providers_are_tried_in_list_order() {
+        let providers = vec![NEUT, Ipv4Addr::new(198, 18, 1, 1)];
+        let mut sim = Simulator::new(9);
+        let src = sim.add_node("src", Box::new(source_listing(providers.clone())));
+        let log = sim.add_node("blackhole", Box::<DstLog>::default());
+        sim.connect_sym(
+            src,
+            log,
+            LinkProfile::new(10_000_000, Duration::from_millis(2)),
+        );
+        // Setups leave every 250 ms; the one at 1.75 s is the eighth.
+        sim.run_until(SimTime::from_millis(1_900));
+        let dsts = &sim.node_ref::<DstLog>(log).unwrap().0;
+        assert_eq!(dsts.len(), 8, "{dsts:?}");
+        let per = SETUP_RETRIES_PER_PROVIDER as usize;
+        for (i, dst) in dsts.iter().enumerate() {
+            assert_eq!(*dst, providers[(i / per) % 2], "setup {i}: {dsts:?}");
+        }
+        let switches = dsts.windows(2).filter(|w| w[0] != w[1]).count() as u64;
+        assert_eq!(switches, 3);
+        assert_eq!(sim.stats().counter("source.failovers"), switches);
+    }
+
+    #[test]
+    #[should_panic(expected = "a NEUT record lists at least one neutralizer")]
+    fn an_empty_provider_list_is_rejected() {
+        let _ = source_listing(Vec::new());
     }
 
     const INITIATOR: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 10);

@@ -13,7 +13,7 @@
 //! * [`link`] — the bottleneck impairment axis: clean, Gilbert–Elliott
 //!   burst loss, a congested ECN-marking RED bottleneck, and a plain
 //!   congested drop-tail bottleneck, lowered onto
-//!   [`nn_netsim::LinkProfile`] pipelines.
+//!   [`nn_netsim::LinkProfile`]s.
 //! * [`workload`] — VoIP (the legacy victim), bulk transfer, web-style
 //!   request/response and constant-rate streaming, each a deterministic
 //!   schedule pluggable into either host stack.

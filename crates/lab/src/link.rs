@@ -4,13 +4,12 @@
 //! victim's forward path (dumbbell: the shared inter-router link; chain
 //! and multi-AS: the backbone hop into the neutral domain; star: the
 //! hub's uplink to the neutral ISP). A [`LinkProfileSpec`] decides how
-//! that link misbehaves, lowering onto an [`nn_netsim::LinkProfile`]
-//! impairment pipeline:
+//! that link misbehaves, lowering onto an [`nn_netsim::LinkProfile`]:
 //!
 //! * [`LinkProfileSpec::Clean`] — the legacy wire: the topology's own
-//!   rate, drop-tail queue, no impairment stages.
-//! * [`LinkProfileSpec::LossyBurst`] — a Gilbert–Elliott burst-loss
-//!   stage: loss arrives in episodes, not as a Bernoulli coin flip.
+//!   rate, drop-tail queue, no loss.
+//! * [`LinkProfileSpec::LossyBurst`] — Gilbert–Elliott burst loss: loss
+//!   arrives in episodes, not as a coin flip per frame.
 //! * [`LinkProfileSpec::EcnRed`] — a congested ECN-capable RED
 //!   bottleneck: the AQM CE-marks ECT traffic on the early ramp instead
 //!   of dropping it (and still hard-drops at the queue limit).
@@ -22,7 +21,7 @@
 //! baseline is the `(none, plain)` cell *of the same link profile* — a
 //! lossy baseline, not a clean one).
 
-use nn_netsim::{LinkProfile, LossModel, QueueKind};
+use nn_netsim::{GilbertElliott, LinkProfile, QueueKind};
 
 /// One point on the link axis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,8 +105,8 @@ impl LinkProfileSpec {
         }
     }
 
-    /// Lowers the spec onto a concrete bottleneck pipeline, starting
-    /// from the topology's native rate and latency for that link.
+    /// Lowers the spec onto a concrete bottleneck profile, starting from
+    /// the topology's native rate and latency for that link.
     pub fn bottleneck_profile(&self, native: LinkProfile) -> LinkProfile {
         match *self {
             LinkProfileSpec::Clean => native,
@@ -115,7 +114,7 @@ impl LinkProfileSpec {
                 p_enter_bad,
                 p_exit_bad,
                 loss_bad,
-            } => native.with_loss(LossModel::GilbertElliott {
+            } => native.with_loss(GilbertElliott {
                 p_enter_bad,
                 p_exit_bad,
                 loss_good: 0.0,
@@ -157,7 +156,6 @@ fn prob_label(p: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nn_netsim::StageSpec;
     use std::time::Duration;
 
     fn native() -> LinkProfile {
@@ -219,23 +217,27 @@ mod tests {
     fn lossy_burst_keeps_rate_and_adds_one_ge_stage() {
         let p = LinkProfileSpec::lossy_burst_default().bottleneck_profile(native());
         assert_eq!(p.bandwidth_bps, native().bandwidth_bps);
-        assert_eq!(p.stages.len(), 1);
-        assert!(matches!(
-            p.stages[0],
-            StageSpec::Loss(LossModel::GilbertElliott { .. })
-        ));
+        assert_eq!(
+            p.loss,
+            Some(GilbertElliott {
+                p_enter_bad: 0.02,
+                p_exit_bad: 0.25,
+                loss_good: 0.0,
+                loss_bad: 0.5,
+            })
+        );
     }
 
     #[test]
     fn congested_presets_cut_the_rate_and_shrink_the_queue() {
         let red = LinkProfileSpec::ecn_red_default().bottleneck_profile(native());
         assert_eq!(red.bandwidth_bps, 1_500_000);
-        assert!(matches!(red.queue, QueueKind::Red { ecn_mark: true, .. }));
+        assert!(matches!(red.queue, QueueKind::Red { .. }));
         assert_eq!(red.queue_bytes, CONGESTED_QUEUE_BYTES);
 
         let plain = LinkProfileSpec::congested_default().bottleneck_profile(native());
         assert_eq!(plain.bandwidth_bps, 1_200_000);
         assert_eq!(plain.queue, QueueKind::DropTail);
-        assert!(plain.stages.is_empty());
+        assert_eq!(plain.loss, None);
     }
 }

@@ -27,7 +27,7 @@
 use crate::hosts::APP_PORT;
 use crate::schema::fields;
 use nn_core::probe::{ProbeKind, ProbePayload};
-use nn_netsim::nodes::TTL_REPLY_MAGIC;
+use nn_netsim::nodes::TtlReply;
 use nn_netsim::{Context, CounterClass, CounterId, FrameBuf, Histogram, IfaceId, Node};
 use nn_packet::{build_udp_into, parse_udp, Ipv4Addr, Ipv4Packet};
 use std::time::Duration;
@@ -373,19 +373,10 @@ impl ProbeNode {
         }
     }
 
-    /// Folds a router's time-exceeded reply into the hop table.
-    fn on_ttl_reply(&mut self, ctx: &mut Context, payload: &[u8]) {
-        // TTLX ‖ router_ns(8 LE) ‖ name_len(1) ‖ name ‖ quoted probe.
-        if payload.len() < 13 {
-            return;
-        }
-        let router_ns = u64::from_le_bytes(payload[4..12].try_into().unwrap());
-        let name_len = payload[12] as usize;
-        if payload.len() < 13 + name_len {
-            return;
-        }
-        let router = String::from_utf8_lossy(&payload[13..13 + name_len]).into_owned();
-        let Some((probe, _)) = ProbePayload::decode(&payload[13 + name_len..]) else {
+    /// Folds a router's time-exceeded reply, quoting one of our hop
+    /// probes, into the hop table.
+    fn on_ttl_reply(&mut self, ctx: &mut Context, reply: TtlReply) {
+        let Some((probe, _)) = ProbePayload::decode(reply.quote) else {
             return;
         };
         if probe.kind != ProbeKind::Hop {
@@ -393,7 +384,7 @@ impl ProbeNode {
         }
         let ttl = probe.seq as u8;
         let rtt = ctx.now.as_nanos().saturating_sub(probe.sent_ns);
-        let fwd = router_ns.saturating_sub(probe.sent_ns);
+        let fwd = reply.router_ns.saturating_sub(probe.sent_ns);
         ctx.stats.bump(self.ids.hop_rx);
         match self.hops.iter_mut().find(|h| h.ttl == ttl) {
             Some(h) => {
@@ -403,7 +394,7 @@ impl ProbeNode {
             }
             None => self.hops.push(HopState {
                 ttl,
-                router,
+                router: String::from_utf8_lossy(reply.router).into_owned(),
                 replies: 1,
                 rtt_sum_ns: rtt,
                 fwd_sum_ns: fwd,
@@ -476,9 +467,8 @@ impl Node for ProbeNode {
 
     fn on_packet(&mut self, ctx: &mut Context, _iface: IfaceId, frame: FrameBuf) {
         if let Ok(parsed) = parse_udp(&frame[..]) {
-            if parsed.payload.starts_with(TTL_REPLY_MAGIC) {
-                let payload = parsed.payload.to_vec();
-                self.on_ttl_reply(ctx, &payload);
+            if let Some(reply) = TtlReply::parse(parsed.payload) {
+                self.on_ttl_reply(ctx, reply);
             } else if let Some((probe, _)) = ProbePayload::decode(parsed.payload) {
                 let frame_len = frame.len();
                 self.on_echo(ctx, probe, frame_len);

@@ -1013,7 +1013,7 @@ pub(crate) mod tests {
             let counters = sim.link_counters(built.bottleneck.0, built.bottleneck.1);
             assert!(
                 counters.fault_drops > 0 && counters.burst_episodes > 0,
-                "{}: loss stage must act on the bottleneck: {counters:?}",
+                "{}: burst loss must act on the bottleneck: {counters:?}",
                 spec.name()
             );
         }

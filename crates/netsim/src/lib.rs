@@ -3,8 +3,8 @@
 //! The substitute for the paper's Click/Linux testbed and for the ISPs of
 //! its scenarios. A single-threaded, seeded discrete-event engine moves
 //! whole IPv4 frames between [`sim::Node`]s over links with bandwidth,
-//! propagation delay, queue disciplines ([`queue`]: drop-tail or RED,
-//! plus token-bucket policing) and optional fault injection.
+//! propagation delay, queue disciplines ([`queue`]: drop-tail or
+//! ECN-marking RED, plus token-bucket policing) and optional burst loss.
 //!
 //! * [`sim`] — the event engine and the `Node` trait.
 //! * [`events`] — seeded dynamic-event timelines ([`EventTimeline`]):
@@ -16,10 +16,9 @@
 //! * [`histogram`] — fixed-bucket log-scale [`Histogram`]s: the
 //!   order-invariant one-way delay distributions behind every reported
 //!   delay percentile in [`stats`].
-//! * [`link`] — the composable link-impairment pipeline: [`LinkProfile`]
-//!   with rate/latency/AQM stages plus loss ([`LossModel`]: Bernoulli or
-//!   Gilbert–Elliott bursts), corruption and bounded-reordering stages;
-//!   the ECN-capable RED stage marks CE instead of dropping.
+//! * [`link`] — one link direction, a [`LinkProfile`]: rate, latency,
+//!   a drop-tail or ECN-marking RED queue ([`QueueKind`]) and optional
+//!   [`GilbertElliott`] burst loss.
 //! * [`routing`] — latency-weighted shortest paths with anycast (the
 //!   neutralizer's service address model, §3 of the paper).
 //! * [`policy`] — the discriminatory-ISP adversary: DPI, encrypted-traffic
@@ -59,7 +58,7 @@ pub mod time;
 pub use events::{EventTimeline, NetEvent};
 pub use frame::{FrameBuf, FramePool};
 pub use histogram::Histogram;
-pub use link::{LinkProfile, LossModel, QueueKind, StageSpec};
+pub use link::{GilbertElliott, LinkProfile, QueueKind};
 pub use nodes::{RouterNode, SinkNode};
 pub use policy::{Action, MatchExpr, PolicyEngine, Rule, RuleId, Verdict};
 pub use population::{

@@ -14,13 +14,52 @@ use crate::stats::{CounterClass, CounterId, Stats};
 use nn_packet::{build_udp_into, parse_udp, Ipv4Packet};
 use std::collections::HashMap;
 
-/// Magic prefix of a TTL time-exceeded reply payload (see
-/// [`RouterNode::enable_ttl_replies`]).
-pub const TTL_REPLY_MAGIC: &[u8; 4] = b"TTLX";
+/// Magic prefix of a TTL time-exceeded reply payload.
+const TTL_REPLY_MAGIC: &[u8; 4] = b"TTLX";
 
 /// How many bytes of the expired packet's UDP payload a TTL reply
 /// quotes back (enough for a probe header, like ICMP's quoted bytes).
 const TTL_REPLY_QUOTE: usize = 32;
+
+/// The payload of a router's time-exceeded reply (see
+/// [`RouterNode::enable_ttl_replies`]), on the wire
+/// `TTLX ‖ router_ns(8 LE) ‖ name_len(1) ‖ name ‖ quote`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TtlReply<'a> {
+    /// The answering router's clock when the packet expired.
+    pub router_ns: u64,
+    /// The router's stats name; the wire keeps its first 255 bytes.
+    pub router: &'a [u8],
+    /// The first bytes of the expired packet's UDP payload.
+    pub quote: &'a [u8],
+}
+
+impl<'a> TtlReply<'a> {
+    /// Appends the wire form to `out`.
+    pub fn emit(&self, out: &mut Vec<u8>) {
+        let name = &self.router[..self.router.len().min(255)];
+        out.reserve(TTL_REPLY_MAGIC.len() + 8 + 1 + name.len() + self.quote.len());
+        out.extend_from_slice(TTL_REPLY_MAGIC);
+        out.extend_from_slice(&self.router_ns.to_le_bytes());
+        out.push(name.len() as u8);
+        out.extend_from_slice(name);
+        out.extend_from_slice(self.quote);
+    }
+
+    /// Reads a reply payload in place: `None` on a wrong magic or a
+    /// payload that ends inside the header or the name.
+    pub fn parse(payload: &'a [u8]) -> Option<Self> {
+        let rest = payload.strip_prefix(TTL_REPLY_MAGIC)?;
+        let (router_ns, rest) = rest.split_first_chunk::<8>()?;
+        let (&name_len, rest) = rest.split_first()?;
+        let (router, quote) = rest.split_at_checked(name_len as usize)?;
+        Some(TtlReply {
+            router_ns: u64::from_le_bytes(*router_ns),
+            router,
+            quote,
+        })
+    }
+}
 
 crate::counter_set! {
     /// A router's counters, `<stats_name>.<field>`. Per-rule drop
@@ -72,8 +111,8 @@ impl RouterNode {
     }
 
     /// Turns on TTL time-exceeded replies: when a UDP packet expires
-    /// here, the router answers the sender with a pooled reply carrying
-    /// [`TTL_REPLY_MAGIC`], this router's clock (the per-hop timestamp a
+    /// here, the router answers the sender with a pooled [`TtlReply`]
+    /// carrying this router's clock (the per-hop timestamp a
     /// traceroute-style prober attributes path segments with), its stats
     /// name, and the first quoted bytes of the expired payload. Off by
     /// default so ordinary cells keep byte-identical event streams.
@@ -81,9 +120,8 @@ impl RouterNode {
         self.ttl_replies = true;
     }
 
-    /// Builds the time-exceeded reply for an expired UDP frame:
-    /// `TTLX ‖ now_ns(8 LE) ‖ name_len(1) ‖ name ‖ quote`. `None` when
-    /// the frame is not UDP or the reply cannot be built.
+    /// Builds the time-exceeded reply for an expired UDP frame. `None`
+    /// when the frame is not UDP or the reply cannot be built.
     fn ttl_reply(
         &self,
         ctx: &mut Context,
@@ -91,12 +129,13 @@ impl RouterNode {
     ) -> Option<(FrameBuf, nn_packet::Ipv4Addr)> {
         let parsed = parse_udp(&frame[..]).ok()?;
         let quote = &parsed.payload[..parsed.payload.len().min(TTL_REPLY_QUOTE)];
-        let mut payload = Vec::with_capacity(4 + 8 + 1 + self.stats_name.len() + quote.len());
-        payload.extend_from_slice(TTL_REPLY_MAGIC);
-        payload.extend_from_slice(&ctx.now.as_nanos().to_le_bytes());
-        payload.push(self.stats_name.len().min(255) as u8);
-        payload.extend_from_slice(&self.stats_name.as_bytes()[..self.stats_name.len().min(255)]);
-        payload.extend_from_slice(quote);
+        let mut payload = Vec::new();
+        TtlReply {
+            router_ns: ctx.now.as_nanos(),
+            router: self.stats_name.as_bytes(),
+            quote,
+        }
+        .emit(&mut payload);
         let (src, dst) = (parsed.ip.src, parsed.ip.dst);
         let (sport, dport) = (parsed.src_port, parsed.dst_port);
         let reply = ctx.alloc_built(|buf| {
@@ -350,6 +389,37 @@ mod tests {
         assert_eq!(sink.rx_frames, 1);
         assert_eq!(sink.from_source(HOST_B.to_u32()), 1);
         assert_eq!(sim.stats().counter("r.ttl_expired"), 1);
+    }
+
+    /// A reply reads back field for field; a wrong magic, or a payload
+    /// that ends inside the header or the name, reads as `None`.
+    #[test]
+    fn ttl_reply_round_trips_and_rejects_truncation() {
+        let reply = TtlReply {
+            router_ns: 0x0102_0304_0506_0708,
+            router: b"isp-r1",
+            quote: b"NNPR quoted probe",
+        };
+        let mut wire = Vec::new();
+        reply.emit(&mut wire);
+        assert_eq!(TtlReply::parse(&wire), Some(reply));
+        let quote_at = wire.len() - reply.quote.len();
+        for cut in 0..quote_at {
+            assert_eq!(TtlReply::parse(&wire[..cut]), None, "cut at {cut}");
+        }
+        assert_eq!(TtlReply::parse(&wire[..quote_at]).unwrap().quote, b"");
+        wire[0] ^= 1;
+        assert_eq!(TtlReply::parse(&wire), None);
+        // A name longer than its length byte keeps its first 255 bytes.
+        let long = [b'r'; 300];
+        let mut wire = Vec::new();
+        TtlReply {
+            router: &long,
+            ..reply
+        }
+        .emit(&mut wire);
+        let back = TtlReply::parse(&wire).unwrap();
+        assert_eq!((back.router, back.quote), (&long[..255], reply.quote));
     }
 
     #[test]

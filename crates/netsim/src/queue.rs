@@ -2,7 +2,7 @@
 //!
 //! Each link direction drains one [`Queue`]: a FIFO that holds at most
 //! a fixed number of bytes, with an optional RED early-drop ramp that
-//! can CE-mark ECN-capable frames instead of dropping them. The
+//! CE-marks ECN-capable frames instead of dropping them. The
 //! discrimination policies' token-bucket policing lives here too
 //! ([`TokenBucket`]), for degradation that is throughput-shaped rather
 //! than all-or-nothing.
@@ -30,27 +30,18 @@ pub enum EnqueueResult {
     Marked,
 }
 
-/// The early-drop ramp of a [`QueueKind::Red`] queue.
-#[derive(Debug, Clone, Copy)]
-struct RedRamp {
-    min_bytes: usize,
-    max_bytes: usize,
-    max_prob: f64,
-    ecn_mark: bool,
-}
-
 /// A link direction's output queue: a byte-capped FIFO with tail drop,
 /// plus, for [`QueueKind::Red`], random early detection. The RED drop
 /// probability ramps linearly between the two thresholds and becomes
-/// certain above the max; with `ecn_mark`, the ramp marks CE on
-/// ECT-capable frames instead of dropping them (drops still happen above
-/// `max_bytes`, and for frames that are not ECN-capable).
+/// certain above the max. The ramp marks CE on ECT-capable frames
+/// instead of dropping them (RFC 3168); drops still happen above
+/// `max_bytes`, and for frames that are not ECN-capable.
 #[derive(Debug)]
 pub struct Queue {
     capacity_bytes: usize,
     bytes: usize,
     frames: VecDeque<FrameBuf>,
-    red: Option<RedRamp>,
+    kind: QueueKind,
 }
 
 impl Queue {
@@ -62,29 +53,20 @@ impl Queue {
     /// When a RED ramp is empty, ends above the capacity, or its
     /// `max_prob` lies outside [0, 1].
     pub fn new(kind: QueueKind, capacity_bytes: usize) -> Queue {
-        let red = match kind {
-            QueueKind::DropTail => None,
-            QueueKind::Red {
-                min_bytes,
-                max_bytes,
-                max_prob,
-                ecn_mark,
-            } => {
-                assert!(min_bytes < max_bytes && max_bytes <= capacity_bytes);
-                assert!((0.0..=1.0).contains(&max_prob));
-                Some(RedRamp {
-                    min_bytes,
-                    max_bytes,
-                    max_prob,
-                    ecn_mark,
-                })
-            }
-        };
+        if let QueueKind::Red {
+            min_bytes,
+            max_bytes,
+            max_prob,
+        } = kind
+        {
+            assert!(min_bytes < max_bytes && max_bytes <= capacity_bytes);
+            assert!((0.0..=1.0).contains(&max_prob));
+        }
         Queue {
             capacity_bytes,
             bytes: 0,
             frames: VecDeque::new(),
-            red,
+            kind,
         }
     }
 
@@ -93,15 +75,19 @@ impl Queue {
     /// compares against.
     pub fn enqueue(&mut self, mut frame: FrameBuf, rng_draw: f64) -> EnqueueResult {
         let mut marked = false;
-        if let Some(red) = self.red {
-            if self.bytes >= red.max_bytes {
+        if let QueueKind::Red {
+            min_bytes,
+            max_bytes,
+            max_prob,
+        } = self.kind
+        {
+            if self.bytes >= max_bytes {
                 return EnqueueResult::Dropped(frame);
             }
-            if self.bytes > red.min_bytes {
-                let ramp =
-                    (self.bytes - red.min_bytes) as f64 / (red.max_bytes - red.min_bytes) as f64;
-                if rng_draw < ramp * red.max_prob {
-                    if !(red.ecn_mark && is_ect_frame(&frame)) {
+            if self.bytes > min_bytes {
+                let ramp = (self.bytes - min_bytes) as f64 / (max_bytes - min_bytes) as f64;
+                if rng_draw < ramp * max_prob {
+                    if !is_ect_frame(&frame) {
                         return EnqueueResult::Dropped(frame);
                     }
                     Ipv4Packet::new_unchecked(frame.as_mut_slice()).set_ecn(ecn::CE);
@@ -225,7 +211,7 @@ mod tests {
 
     #[test]
     fn red_ramps_drops() {
-        let mut q = Queue::new(QueueKind::red(100, 500, 1.0), 1000);
+        let mut q = Queue::new(QueueKind::red_ecn(100, 500, 1.0), 1000);
         // Below min: always accepted regardless of draw.
         assert_eq!(q.enqueue(raw(vec![0; 100]), 0.0), EnqueueResult::Accepted);
         // Occupancy 100, still at min boundary: accepted.
@@ -270,15 +256,6 @@ mod tests {
         assert_eq!(ip.ecn(), ecn::CE);
         assert_eq!(ip.dscp(), dscp::AF11, "mark preserves DSCP");
         assert!(ip.verify_checksum(), "mark refreshes the checksum");
-    }
-
-    #[test]
-    fn red_without_ecn_never_marks() {
-        let mut q = Queue::new(QueueKind::red(100, 500, 1.0), 1000);
-        let mut f = ip_frame(dscp::AF11, 180);
-        Ipv4Packet::new_unchecked(f.as_mut_slice()).set_ecn(ecn::ECT0);
-        q.enqueue(f.clone(), 0.0);
-        assert!(dropped(q.enqueue(f, 0.1)));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! This is the substitute for the paper's Click/Linux testbed (§4): a
 //! deterministic, seeded, single-threaded event loop moving whole IPv4
-//! frames between nodes over links described by [`LinkProfile`]
-//! impairment pipelines (rate shaping, AQM with optional ECN marking,
-//! propagation delay, then loss/corruption/reordering stages).
+//! frames between nodes over links described by [`LinkProfile`]s (rate
+//! shaping, a queue that may CE-mark ECN-capable frames, propagation
+//! delay, then optional Gilbert–Elliott burst loss).
 //! Determinism matters because every experiment in a matrix must be
 //! exactly reproducible: all randomness flows from one seeded RNG, and
 //! simultaneous events fire in submission order.
@@ -25,7 +25,7 @@
 
 use crate::events::{EventTimeline, NetEvent};
 use crate::frame::{FrameBuf, FramePool};
-use crate::link::{LinkProfile, LossModel, StageSpec, StageState};
+use crate::link::{GilbertElliott, LinkProfile};
 use crate::queue::{EnqueueResult, Queue};
 use crate::stats::Stats;
 use crate::time::{tx_time, SimTime};
@@ -120,9 +120,9 @@ impl Context<'_> {
     }
 }
 
-/// Per-direction link counters, readable after a run. The per-stage
-/// pipeline outcomes (CE marks, burst episodes, reordered frames) fold
-/// in here so experiments can report them without instrumenting nodes.
+/// Per-direction link counters, readable after a run. Queue and loss
+/// outcomes (CE marks, burst episodes) fold in here so experiments can
+/// report them without instrumenting nodes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkCounters {
     /// Frames fully serialized onto the wire.
@@ -131,19 +131,13 @@ pub struct LinkCounters {
     pub tx_bytes: u64,
     /// Frames dropped by the queue discipline.
     pub queue_drops: u64,
-    /// Frames CE-marked by an ECN-capable AQM stage.
+    /// Frames CE-marked by the RED queue.
     pub ce_marks: u64,
-    /// Frames dropped by a loss stage (Bernoulli or Gilbert–Elliott).
+    /// Frames dropped by the Gilbert–Elliott loss process.
     pub fault_drops: u64,
-    /// Good → bad transitions of a Gilbert–Elliott loss stage — the
+    /// Good → bad transitions of the Gilbert–Elliott loss process — the
     /// number of burst-loss episodes the link entered.
     pub burst_episodes: u64,
-    /// Frames with a byte flipped by a corruption stage (still
-    /// delivered; receivers see the damage as checksum failures).
-    pub corrupted: u64,
-    /// Frames held back by a reordering stage (later frames may
-    /// overtake them).
-    pub reordered: u64,
     /// Frames discarded because the direction was administratively down
     /// (offered while down, or flushed from the queue at down time) —
     /// see [`crate::events::NetEvent::LinkDown`].
@@ -156,8 +150,8 @@ struct LinkDir {
     to_node: NodeId,
     to_iface: IfaceId,
     profile: LinkProfile,
-    /// Mutable per-stage state, parallel to `profile.stages`.
-    stage_state: Vec<StageState>,
+    /// True while the Gilbert–Elliott loss chain sits in its bad state.
+    loss_bad: bool,
     queue: Queue,
     busy: bool,
     /// False while the direction is administratively down (link flap or
@@ -177,7 +171,7 @@ impl LinkDir {
             to_node,
             to_iface,
             queue: Queue::new(profile.queue, profile.queue_bytes),
-            stage_state: profile.initial_state(),
+            loss_bad: false,
             profile,
             busy: false,
             up: true,
@@ -187,87 +181,30 @@ impl LinkDir {
     }
 }
 
-/// What the post-serializer stages decided for one frame.
-struct StageOutcome {
-    /// False when a loss stage consumed the frame.
-    deliver: bool,
-    /// Extra delivery delay injected by reordering stages.
-    extra_delay: Duration,
-}
-
-/// Evaluates the impairment stages for one frame, in order, drawing all
-/// randomness from `rng`. A loss verdict short-circuits the remaining
-/// stages (the frame is gone); stateful stages that already ran keep
-/// their updated state either way.
-fn run_stages(
-    profile: &LinkProfile,
-    state: &mut [StageState],
+/// Runs one frame through the Gilbert–Elliott chain: the loss draw in
+/// the current state, then the state flip, so a dropped frame still
+/// moves the chain forward. True when the frame is lost.
+fn ge_drops(
+    ge: &GilbertElliott,
+    bad: &mut bool,
     counters: &mut LinkCounters,
     rng: &mut StdRng,
-    frame: &mut [u8],
-) -> StageOutcome {
-    let mut extra_delay = Duration::ZERO;
-    for (stage, slot) in profile.stages.iter().zip(state.iter_mut()) {
-        match *stage {
-            StageSpec::Loss(LossModel::Bernoulli { prob }) => {
-                if prob > 0.0 && rng.gen::<f64>() < prob {
-                    counters.fault_drops += 1;
-                    return StageOutcome {
-                        deliver: false,
-                        extra_delay,
-                    };
-                }
-            }
-            StageSpec::Loss(LossModel::GilbertElliott {
-                p_enter_bad,
-                p_exit_bad,
-                loss_good,
-                loss_bad,
-            }) => {
-                let StageState::Ge { bad } = slot else {
-                    unreachable!("GE stage paired with stateless slot");
-                };
-                let loss = if *bad { loss_bad } else { loss_good };
-                let dropped = loss > 0.0 && rng.gen::<f64>() < loss;
-                // Advance the chain after the loss draw so dropped
-                // frames still move the state machine forward.
-                let flip: f64 = rng.gen();
-                if *bad {
-                    if flip < p_exit_bad {
-                        *bad = false;
-                    }
-                } else if flip < p_enter_bad {
-                    *bad = true;
-                    counters.burst_episodes += 1;
-                }
-                if dropped {
-                    counters.fault_drops += 1;
-                    return StageOutcome {
-                        deliver: false,
-                        extra_delay,
-                    };
-                }
-            }
-            StageSpec::Corrupt { prob } => {
-                if prob > 0.0 && rng.gen::<f64>() < prob && !frame.is_empty() {
-                    let idx = rng.gen_range(0..frame.len());
-                    frame[idx] ^= 1u8 << rng.gen_range(0..8);
-                    counters.corrupted += 1;
-                }
-            }
-            StageSpec::Reorder { prob, max_extra } => {
-                if prob > 0.0 && rng.gen::<f64>() < prob && !max_extra.is_zero() {
-                    let max_ns = max_extra.as_nanos() as u64;
-                    extra_delay += Duration::from_nanos(rng.gen_range(0..max_ns) + 1);
-                    counters.reordered += 1;
-                }
-            }
+) -> bool {
+    let loss = if *bad { ge.loss_bad } else { ge.loss_good };
+    let dropped = loss > 0.0 && rng.gen::<f64>() < loss;
+    let flip: f64 = rng.gen();
+    if *bad {
+        if flip < ge.p_exit_bad {
+            *bad = false;
         }
+    } else if flip < ge.p_enter_bad {
+        *bad = true;
+        counters.burst_episodes += 1;
     }
-    StageOutcome {
-        deliver: true,
-        extra_delay,
+    if dropped {
+        counters.fault_drops += 1;
     }
+    dropped
 }
 
 /// Scheduled work, sized to keep queue entries small (an insert moves
@@ -669,8 +606,8 @@ impl Simulator {
     }
 
     /// Offers a frame to a link direction: straight to the serializer if
-    /// idle, otherwise through the queue discipline (the AQM stage,
-    /// which may drop or CE-mark it).
+    /// idle, otherwise through the queue, which may drop it or, under
+    /// RED, CE-mark it.
     fn transmit(&mut self, dir: usize, frame: FrameBuf) {
         if !self.dirs[dir].up {
             self.dirs[dir].counters.down_drops += 1;
@@ -694,9 +631,9 @@ impl Simulator {
         }
     }
 
-    /// Serializes a frame onto the wire and evaluates the impairment
-    /// pipeline at the moment it leaves the serializer.
-    fn start_tx(&mut self, dir: usize, mut frame: FrameBuf) {
+    /// Serializes a frame onto the wire and runs the loss process at the
+    /// moment it leaves the serializer.
+    fn start_tx(&mut self, dir: usize, frame: FrameBuf) {
         let now = self.now;
         let this = &mut *self;
         let d = &mut this.dirs[dir];
@@ -713,15 +650,12 @@ impl Simulator {
         let done_at = now + serialization;
         let to_node = d.to_node;
         let to_iface = d.to_iface;
-        let outcome = run_stages(
-            &d.profile,
-            &mut d.stage_state,
-            &mut d.counters,
-            &mut this.rng,
-            frame.as_mut_slice(),
-        );
-        let deliver_at = done_at + d.profile.latency + outcome.extra_delay;
-        if outcome.deliver {
+        let lost = d
+            .profile
+            .loss
+            .is_some_and(|ge| ge_drops(&ge, &mut d.loss_bad, &mut d.counters, &mut this.rng));
+        let deliver_at = done_at + d.profile.latency;
+        if !lost {
             d.counters.delivered += 1;
             self.schedule(
                 deliver_at,
@@ -867,6 +801,16 @@ mod tests {
         assert_eq!(c.queue_drops, 7);
     }
 
+    /// Independent per-frame loss: a chain whose states lose alike.
+    fn coin(prob: f64) -> GilbertElliott {
+        GilbertElliott {
+            p_enter_bad: 0.0,
+            p_exit_bad: 0.0,
+            loss_good: prob,
+            loss_bad: prob,
+        }
+    }
+
     #[test]
     fn fault_injection_drops_frames() {
         let mut sim = Simulator::new(4);
@@ -881,8 +825,7 @@ mod tests {
             }),
         );
         let echo = sim.add_node("echo", Box::new(Echo { rx: 0 }));
-        let lossy = LinkProfile::new(mbps(100), Duration::from_micros(10))
-            .with_loss(LossModel::Bernoulli { prob: 0.5 });
+        let lossy = LinkProfile::new(mbps(100), Duration::from_micros(10)).with_loss(coin(0.5));
         let clean = LinkProfile::new(mbps(100), Duration::from_micros(10));
         sim.connect(pinger, echo, lossy, clean);
         sim.run(100_000);
@@ -911,9 +854,7 @@ mod tests {
                 }),
             );
             let echo = sim.add_node("e", Box::new(Echo { rx: 0 }));
-            let lossy = LinkProfile::new(mbps(50), Duration::from_micros(100))
-                .with_loss(LossModel::Bernoulli { prob: 0.3 })
-                .with_stage(StageSpec::Corrupt { prob: 0.1 });
+            let lossy = LinkProfile::new(mbps(50), Duration::from_micros(100)).with_loss(coin(0.3));
             sim.connect(pinger, echo, lossy.clone(), lossy);
             sim.run(1_000_000);
             sim.node_ref::<Pinger>(pinger).unwrap().replies

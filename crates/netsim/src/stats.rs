@@ -8,7 +8,7 @@
 //! Counters live in a typed registry. A node registers each counter
 //! once, usually from [`crate::sim::Node::on_start`] through a
 //! [`counter_set!`](crate::counter_set) struct, and keeps the returned
-//! [`CounterId`]; a count is then a bump of one `Vec<u64>` slot, with no
+//! [`CounterId`]; a count is then a bump of one slot's value, with no
 //! name formatting, hashing or allocation on the data path. Each
 //! counter is classed [`CounterClass::Reported`] (harvested into cell
 //! reports whenever nonzero) or [`CounterClass::Internal`] (readable by
@@ -122,7 +122,7 @@ pub enum CounterClass {
     Internal,
 }
 
-/// Handle to a registered counter: the index of its value slot.
+/// Handle to a registered counter: the index of its slot.
 ///
 /// The default id is unregistered; bumping it panics. Nodes hold default
 /// ids until [`crate::sim::Node::on_start`] registers the real ones.
@@ -205,16 +205,22 @@ impl Default for FlowId {
     }
 }
 
+/// A registered counter's slot.
+#[derive(Debug)]
+struct Counter {
+    name: Rc<str>,
+    class: CounterClass,
+    value: u64,
+}
+
 /// Simulation-wide statistics sink.
 ///
 /// Each counter and flow name is stored once, shared by its slot and
 /// its lookup entry.
 #[derive(Debug, Default)]
 pub struct Stats {
-    /// Counter values, indexed by [`CounterId`].
-    counters: Vec<u64>,
-    /// Name and class per counter slot, in registration order.
-    counter_meta: Vec<(Rc<str>, CounterClass)>,
+    /// Name, class and value per counter, indexed by [`CounterId`].
+    counters: Vec<Counter>,
     /// Name → slot, for idempotent registration and by-name reads.
     counter_ids: HashMap<Rc<str>, CounterId>,
     /// Name and record per flow, indexed by [`FlowId`].
@@ -238,7 +244,7 @@ impl Stats {
     /// When `name` is already registered with the other class.
     pub fn register(&mut self, name: &str, class: CounterClass) -> CounterId {
         if let Some(&id) = self.counter_ids.get(name) {
-            let registered = self.counter_meta[id.0 as usize].1;
+            let registered = self.counters[id.0 as usize].class;
             assert_eq!(
                 registered, class,
                 "counter {name} registered as {registered:?} and {class:?}"
@@ -247,8 +253,11 @@ impl Stats {
         }
         let id = CounterId(u32::try_from(self.counters.len()).expect("counter registry overflow"));
         let name: Rc<str> = Rc::from(name);
-        self.counters.push(0);
-        self.counter_meta.push((Rc::clone(&name), class));
+        self.counters.push(Counter {
+            name: Rc::clone(&name),
+            class,
+            value: 0,
+        });
         self.counter_ids.insert(name, id);
         id
     }
@@ -260,24 +269,23 @@ impl Stats {
     /// On an unregistered (default) id.
     #[inline]
     pub fn bump(&mut self, id: CounterId) {
-        self.counters[id.0 as usize] += 1;
+        self.counters[id.0 as usize].value += 1;
     }
 
     /// Reads a counter by name (0 if never registered).
     pub fn counter(&self, name: &str) -> u64 {
         self.counter_ids
             .get(name)
-            .map_or(0, |id| self.counters[id.0 as usize])
+            .map_or(0, |id| self.counters[id.0 as usize].value)
     }
 
     /// Every nonzero [`CounterClass::Reported`] counter, in registration
     /// order — what a cell report harvests.
     pub fn reported(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counter_meta
+        self.counters
             .iter()
-            .zip(&self.counters)
-            .filter(|((_, class), &v)| *class == CounterClass::Reported && v > 0)
-            .map(|((name, _), &v)| (&**name, v))
+            .filter(|c| c.class == CounterClass::Reported && c.value > 0)
+            .map(|c| (&*c.name, c.value))
     }
 
     /// Registers a flow of `endpoints` endpoints (a host's flow has one)

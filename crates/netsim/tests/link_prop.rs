@@ -1,14 +1,14 @@
-//! Property tests for the link-impairment pipeline.
+//! Property tests for link directions.
 //!
-//! The Gilbert–Elliott loss stage must converge to its analytic
-//! stationary loss rate over a long seeded run — otherwise "bursty loss
-//! at rate p" cells would measure a different p than they report — and
-//! the whole pipeline must be byte-for-byte deterministic under a fixed
-//! seed, because every matrix cell's reproducibility claim rests on it.
+//! Gilbert–Elliott loss must converge to its analytic stationary loss
+//! rate over a long seeded run — otherwise "bursty loss at rate p" cells
+//! would measure a different p than they report — and a link's drops and
+//! marks must be byte-for-byte deterministic under a fixed seed, because
+//! every matrix cell's reproducibility claim rests on it.
 
 use nn_netsim::{
-    Context, FrameBuf, IfaceId, LinkCounters, LinkProfile, LossModel, Node, QueueKind, SimTime,
-    Simulator, StageSpec,
+    Context, FrameBuf, GilbertElliott, IfaceId, LinkCounters, LinkProfile, Node, QueueKind,
+    SimTime, Simulator,
 };
 use nn_packet::{build_udp, ecn, Ipv4Addr, Ipv4Packet};
 use proptest::prelude::*;
@@ -19,7 +19,7 @@ const DST: Ipv4Addr = Ipv4Addr::new(10, 7, 0, 99);
 
 /// Sends `n` sequence-numbered frames: back-to-back when `interval` is
 /// zero (to load the queue), otherwise one per timer tick (so every
-/// frame meets an idle serializer and only the stages act on it).
+/// frame meets an idle serializer and only the loss process acts on it).
 struct Blaster {
     n: u64,
     sent: u64,
@@ -105,8 +105,8 @@ fn run_link(
     (frames, counters)
 }
 
-fn ge(p_enter_bad: f64, p_exit_bad: f64, loss_good: f64, loss_bad: f64) -> LossModel {
-    LossModel::GilbertElliott {
+fn ge(p_enter_bad: f64, p_exit_bad: f64, loss_good: f64, loss_bad: f64) -> GilbertElliott {
+    GilbertElliott {
         p_enter_bad,
         p_exit_bad,
         loss_good,
@@ -176,7 +176,7 @@ fn gilbert_elliott_losses_arrive_in_bursts() {
     assert!(counters.burst_episodes > 50);
 }
 
-/// Same seed ⇒ byte-identical drop/mark/reorder trace; different seeds
+/// Same seed ⇒ byte-identical drop/mark trace; different seeds
 /// diverge. This is the reproducibility contract every matrix cell
 /// inherits.
 #[test]
@@ -185,11 +185,6 @@ fn pipeline_trace_is_byte_identical_for_a_seed() {
         LinkProfile::new(2_000_000, Duration::from_millis(1))
             .with_queue(QueueKind::red_ecn(4_000, 12_000, 1.0), 16_000)
             .with_loss(ge(0.05, 0.3, 0.01, 0.6))
-            .with_stage(StageSpec::Corrupt { prob: 0.02 })
-            .with_stage(StageSpec::Reorder {
-                prob: 0.05,
-                max_extra: Duration::from_millis(5),
-            })
     };
     let (frames_a, counters_a) = run_link(11, 2_000, Duration::ZERO, true, profile());
     let (frames_b, counters_b) = run_link(11, 2_000, Duration::ZERO, true, profile());
@@ -197,40 +192,6 @@ fn pipeline_trace_is_byte_identical_for_a_seed() {
     assert_eq!(frames_a, frames_b, "delivered bytes must reproduce exactly");
     let (frames_c, _) = run_link(12, 2_000, Duration::ZERO, true, profile());
     assert_ne!(frames_a, frames_c, "different seeds must diverge");
-}
-
-#[test]
-fn reorder_stage_lets_later_frames_overtake() {
-    let profile =
-        LinkProfile::new(1_000_000_000, Duration::from_micros(10)).with_stage(StageSpec::Reorder {
-            prob: 0.3,
-            max_extra: Duration::from_micros(50),
-        });
-    let (frames, counters) = run_link(5, 500, Duration::from_micros(1), false, profile);
-    assert!(counters.reordered > 50, "stage must fire: {counters:?}");
-    assert_eq!(counters.delivered, 500, "reordering never drops");
-    let seqs: Vec<u64> = frames
-        .iter()
-        .map(|f| {
-            let p = Ipv4Packet::new_checked(&f[..]).unwrap();
-            u64::from_be_bytes(p.payload()[8..16].try_into().unwrap())
-        })
-        .collect();
-    assert!(
-        seqs.windows(2).any(|w| w[0] > w[1]),
-        "arrival order must actually invert somewhere"
-    );
-    // Bounded: frames launch 1 µs apart and a frame can be held back at
-    // most 50 µs, so no frame drifts more than ~50 positions behind the
-    // slot it was sent in.
-    let mut max_displacement = 0i64;
-    for (pos, &seq) in seqs.iter().enumerate() {
-        max_displacement = max_displacement.max(pos as i64 - seq as i64);
-    }
-    assert!(
-        (1..=60).contains(&max_displacement),
-        "displacement must be bounded by max_extra: {max_displacement}"
-    );
 }
 
 #[test]
@@ -259,8 +220,8 @@ fn ecn_red_marks_instead_of_dropping_under_congestion() {
 
 proptest! {
     /// Determinism holds for arbitrary Gilbert–Elliott parameters, and
-    /// accounting is conserved: every offered frame is either dropped by
-    /// a stage, dropped by the queue, or delivered.
+    /// accounting is conserved: every offered frame is either lost,
+    /// dropped by the queue, or delivered.
     #[test]
     fn prop_ge_accounting_conserved_and_deterministic(
         seed in any::<u64>(),

@@ -10,10 +10,11 @@
 //!   wire formats.
 //! * [`netsim`] ([`nn_netsim`]) — the deterministic discrete-event
 //!   simulator and the discriminatory-ISP policy engine.
-//! * [`core`] ([`nn_core`]) — the stateless neutralizer, multihomed
-//!   provider selection, measurement probes and application framing.
+//! * [`core`] ([`nn_core`]) — the stateless neutralizer, measurement
+//!   probes and application framing.
 //! * [`lab`] ([`nn_lab`]) — the experiment-matrix engine: host stacks
-//!   (a neutralized source is handed its §3.1 bootstrap triple at start),
+//!   (a neutralized source is handed its §3.1 bootstrap triple at start,
+//!   and a multihomed one fails over to the next listed provider),
 //!   topology generators, workload and adversary libraries, and the
 //!   parallel matrix runner (see the `nn-lab` binary). The paper's
 //!   baseline / DPI-throttled / neutralized comparison is its `paper`
