@@ -12,8 +12,7 @@
 //! * [`wire`] — application-layer framing inside neutralized packets:
 //!   end-to-end transport messages and the key-rollover stamp they carry.
 //! * [`probe`] — active-measurement probe payloads: the edge
-//!   measurement plane's hop, differential-pair, size and reorder
-//!   trains over the wire.
+//!   measurement plane's differential pairs over the wire.
 //! * [`app`] — the workload interface host stacks drive, so the same
 //!   application runs unchanged over plain and neutralized transports.
 

@@ -5,10 +5,9 @@
 //! they *can* do is send crafted packets and compare how the network
 //! treats them (the NetPoke-style "why is it slow" question the
 //! measurement plane answers). Every probe packet carries a
-//! [`ProbePayload`]: a kind tag, a train-local sequence number, and the
-//! sender's clock, so a response — an echo from the far end, or a
-//! router's TTL time-exceeded reply quoting the header — attributes
-//! itself to exactly one emitted probe.
+//! [`ProbePayload`]: a kind tag, the pair's sequence number, and the
+//! sender's clock, so an echo from the far end attributes itself to
+//! exactly one emitted probe.
 //!
 //! The differential pair is the paper-specific instrument: a
 //! [`ProbeKind::DiffPlain`] probe looks like the protected application
@@ -26,41 +25,29 @@ pub const PROBE_MAGIC: &[u8; 4] = b"NNPR";
 /// Encoded probe header length: magic(4) ‖ kind(1) ‖ seq(4) ‖ sent_ns(8).
 pub const PROBE_HEADER_LEN: usize = 17;
 
-/// What a probe is measuring.
+/// Which half of a differential pair a probe is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeKind {
-    /// Hop-by-hop delay probe: sent with a small TTL so router `ttl`
-    /// answers with a time-exceeded reply carrying its clock.
-    Hop,
     /// The application-lookalike half of a differential pair.
     DiffPlain,
     /// The unclassifiable half of a differential pair.
     DiffNeut,
-    /// MTU/size train member (padded to a target frame size).
-    Size,
-    /// Reorder train member (a back-to-back burst whose echo order
-    /// exposes path reordering).
-    Reorder,
 }
 
 impl ProbeKind {
+    /// The kind's wire code; every other byte, 1, 4 and 5 included, is
+    /// unassigned.
     fn code(self) -> u8 {
         match self {
-            ProbeKind::Hop => 1,
             ProbeKind::DiffPlain => 2,
             ProbeKind::DiffNeut => 3,
-            ProbeKind::Size => 4,
-            ProbeKind::Reorder => 5,
         }
     }
 
     fn from_code(code: u8) -> Option<ProbeKind> {
         Some(match code {
-            1 => ProbeKind::Hop,
             2 => ProbeKind::DiffPlain,
             3 => ProbeKind::DiffNeut,
-            4 => ProbeKind::Size,
-            5 => ProbeKind::Reorder,
             _ => return None,
         })
     }
@@ -69,9 +56,9 @@ impl ProbeKind {
 /// One probe packet's payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbePayload {
-    /// What this probe measures.
+    /// Which twin this probe is.
     pub kind: ProbeKind,
-    /// Train-local sequence number (for hop probes, the emitted TTL).
+    /// The pair's sequence number.
     pub seq: u32,
     /// The prober's clock at emission, nanoseconds.
     pub sent_ns: u64,
@@ -79,7 +66,7 @@ pub struct ProbePayload {
 
 impl ProbePayload {
     /// Encodes the probe header followed by `extra` filler bytes
-    /// (content markers, size padding). Layout:
+    /// (content markers, padding). Layout:
     /// `NNPR ‖ kind(1) ‖ seq(4 BE) ‖ sent_ns(8 BE) ‖ extra`.
     pub fn encode(&self, extra: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(PROBE_HEADER_LEN + extra.len());
@@ -111,16 +98,11 @@ impl ProbePayload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip_every_kind() {
-        for kind in [
-            ProbeKind::Hop,
-            ProbeKind::DiffPlain,
-            ProbeKind::DiffNeut,
-            ProbeKind::Size,
-            ProbeKind::Reorder,
-        ] {
+        for kind in [ProbeKind::DiffPlain, ProbeKind::DiffNeut] {
             let p = ProbePayload {
                 kind,
                 seq: 0xA1B2C3D4,
@@ -136,7 +118,7 @@ mod tests {
     #[test]
     fn malformed_input_rejected() {
         let good = ProbePayload {
-            kind: ProbeKind::Hop,
+            kind: ProbeKind::DiffPlain,
             seq: 1,
             sent_ns: 2,
         }
@@ -146,19 +128,46 @@ mod tests {
         let mut bad_magic = good.clone();
         bad_magic[0] = b'X';
         assert!(ProbePayload::decode(&bad_magic).is_none());
-        let mut bad_kind = good;
-        bad_kind[4] = 99;
-        assert!(ProbePayload::decode(&bad_kind).is_none());
+        // Unassigned codes, the neighbours of 2 and 3 among them.
+        for code in [1, 4, 5, 99] {
+            let mut bad_kind = good.clone();
+            bad_kind[4] = code;
+            assert!(ProbePayload::decode(&bad_kind).is_none(), "code {code}");
+        }
     }
 
     #[test]
     fn header_length_matches_encoding() {
         let p = ProbePayload {
-            kind: ProbeKind::Size,
+            kind: ProbeKind::DiffNeut,
             seq: 0,
             sent_ns: 0,
         };
         assert_eq!(p.encode(b"").len(), PROBE_HEADER_LEN);
         assert_eq!(p.encode(b"abc").len(), PROBE_HEADER_LEN + 3);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The magic, a kind byte and up to 48 more bytes, cut anywhere:
+        /// `decode` never panics, and what it accepts encodes back to
+        /// exactly its input. Half the cases carry a live kind code, so
+        /// accepted probes come up as often as refused ones.
+        #[test]
+        fn decode_never_panics_and_reencodes_what_it_accepts(
+            kind in any::<u8>(),
+            live in any::<bool>(),
+            body in collection::vec(any::<u8>(), 0..49),
+            cut in any::<usize>(),
+        ) {
+            let mut input = PROBE_MAGIC.to_vec();
+            input.push(if live { 2 + kind % 2 } else { kind });
+            input.extend_from_slice(&body);
+            let input = &input[..cut % (input.len() + 1)];
+            if let Some((probe, rest)) = ProbePayload::decode(input) {
+                prop_assert_eq!(probe.encode(rest), input);
+            }
+        }
     }
 }

@@ -63,7 +63,7 @@ pub struct CellSpec {
     /// Dynamic-event timeline the network suffers mid-run.
     pub events: EventTimelineSpec,
     /// Whether the edge measurement plane runs alongside the workload
-    /// (active probe trains plus a far-side responder; see
+    /// (a differential-pair prober plus a far-side responder; see
     /// [`crate::probe`]).
     pub probes: bool,
     /// Simulator seed; every random choice flows from it.
@@ -204,10 +204,6 @@ impl CellReport {
         self.flows.first().map(|f| f.p99_delay_ms).unwrap_or(0.0)
     }
 }
-
-/// Deepest TTL the hop train sweeps — covers every built shape's router
-/// count; probes whose TTL outlives the path just echo from the far end.
-const PROBE_MAX_TTL: u8 = 8;
 
 /// Derives 16 deterministic master-key bytes from the cell seed.
 fn derive_master_key(seed: u64) -> [u8; 16] {
@@ -365,7 +361,6 @@ fn run_cell_keyed(
             PROBE_SINK_ADDR,
             spec.workload.marker().to_vec(),
             tuning.duration,
-            PROBE_MAX_TTL,
         )) as Box<dyn Node>,
         responder: Box::new(ProbeResponderNode::new(PROBE_SINK_ADDR)) as Box<dyn Node>,
     });
@@ -729,9 +724,6 @@ mod tests {
             probe.plain_delivery(),
             probe.neut_delivery()
         );
-
-        // The hop train names the path's routers.
-        assert!(!probe.hops.is_empty(), "TTL sweep heard replies");
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //!   (static, flap, partition-heal) lowered onto
 //!   [`nn_netsim::EventTimeline`]s against the built topology.
 //! * [`probe`] — the edge measurement plane: an active prober emitting
-//!   hop-by-hop TTL sweeps, plain-vs-neutralized differential pairs and
-//!   size/reorder trains, folded into per-cell [`probe::ProbeSummary`]
-//!   evidence for the discrimination-inference pass.
+//!   plain-vs-neutralized differential pairs, folded into per-cell
+//!   [`probe::ProbeSummary`] evidence for the discrimination-inference
+//!   pass.
 //! * [`population`] — the flyweight-population axis:
 //!   [`population::PopulationSpec`] cohorts (seeded statistical traffic
 //!   classes, packet-accurate or fluid) lowered onto
@@ -97,7 +97,7 @@ pub use matrix::{
 };
 pub use plan::{CellAssignment, CellIter, ExecutionPlan};
 pub use population::{CohortApp, CohortDef, CohortKind, PopulationSpec};
-pub use probe::{HopReport, ProbeNode, ProbeResponderNode, ProbeSummary};
+pub use probe::{ProbeNode, ProbeResponderNode, ProbeSummary};
 pub use shard::{merge_shards, MergeError, MergedMatrix, ShardReport};
 pub use topology::{TopologySpec, ANYCAST_ADDR, DST_ADDR, PROBER_ADDR, PROBE_SINK_ADDR, SRC_ADDR};
 pub use workload::WorkloadSpec;

@@ -52,7 +52,7 @@ macro_rules! uint {
         }
     )*};
 }
-uint!(u8, u64, usize);
+uint!(u64, usize);
 
 /// JSON has no NaN: non-finite floats render as `null`, and `null`
 /// decodes to NaN, so a NaN metric survives the trip byte-exactly.

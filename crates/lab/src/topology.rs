@@ -157,10 +157,9 @@ pub enum TopologySpec {
 
 /// The measurement plane's two nodes, attached by every shape at the
 /// same logical points: the prober beside the source (behind the
-/// discriminator) and the responder on the destination side, so probe
-/// trains cross the policy engine exactly like application traffic.
-/// Attaching the plane also turns on TTL time-exceeded replies on every
-/// router, so hop trains get per-hop timestamps.
+/// discriminator) and the responder on the destination side, so the
+/// differential pairs cross the policy engine exactly like application
+/// traffic.
 pub struct ProbePlane {
     /// The probing node (typically [`crate::probe::ProbeNode`]).
     pub prober: Box<dyn Node>,
@@ -597,11 +596,10 @@ struct Wired {
 
 impl Wired {
     /// Attaches the [`ProbePlane`], when there is one: the prober beside
-    /// the source's access router, the responder off the last router,
-    /// both with their own advertised /24s, and TTL time-exceeded
-    /// replies on every router so hop trains measure per-hop delay.
-    /// Then computes shortest-path tables over the built graph and
-    /// installs them on every router and every neutralizer.
+    /// the source's access router and the responder off the last router,
+    /// both with their own advertised /24s. Then computes shortest-path
+    /// tables over the built graph and installs them on every router and
+    /// every neutralizer.
     fn finish(self, sim: &mut Simulator, probe: Option<ProbePlane>) -> BuiltTopology {
         let Wired { mut built, neuts } = self;
         if let Some(plane) = probe {
@@ -612,10 +610,6 @@ impl Wired {
             sim.connect_sym(routers[routers.len() - 1], responder, edge_link());
             advertised.push((Ipv4Cidr::new(PROBER_ADDR, 24), prober));
             advertised.push((Ipv4Cidr::new(PROBE_SINK_ADDR, 24), responder));
-            for &r in routers {
-                let router = sim.node_mut::<RouterNode>(r).expect("router node");
-                router.enable_ttl_replies();
-            }
             built.prober = Some(prober);
         }
         let mut tables = compute_routes(sim.edges(), &built.advertised, sim.node_count());

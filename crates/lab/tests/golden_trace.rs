@@ -37,13 +37,14 @@ fn golden_path(name: &str) -> PathBuf {
 /// bytes, finalized-only keys (`relative`, `verdict`, `detection`)
 /// included.
 fn assert_golden(name: &str, actual: &str) {
-    if name.ends_with(".json") {
+    let parsed = name.ends_with(".json").then(|| {
         let reparsed = Json::parse(actual).unwrap_or_else(|e| panic!("{name} is not JSON: {e}"));
         assert!(
             reparsed.render() == actual,
             "{name} does not re-render byte-identically after parsing"
         );
-    }
+        reparsed
+    });
     let path = golden_path(name);
     if std::env::var_os("NN_UPDATE_GOLDENS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -53,12 +54,145 @@ fn assert_golden(name: &str, actual: &str) {
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!("missing golden {path:?} ({e}); run with NN_UPDATE_GOLDENS=1 to capture it")
     });
-    assert!(
-        expected == actual,
+    if expected == actual {
+        return;
+    }
+    if let (Some(new), Ok(old)) = (&parsed, Json::parse(&expected)) {
+        eprintln!("{name} drift:\n{}", describe_drift(&old, new));
+    }
+    panic!(
         "{name} drifted from its pre-refactor golden: the engine's \
          deterministic trace contract is broken (or the report schema \
          changed intentionally — then regenerate with NN_UPDATE_GOLDENS=1)"
     );
+}
+
+/// A golden mismatch prints at most this many changed leaves.
+const MAX_DRIFT_LINES: usize = 50;
+
+/// `keys` in order of first appearance, each once.
+fn distinct<'a>(keys: impl Iterator<Item = &'a str>) -> Vec<&'a str> {
+    let mut out = Vec::new();
+    for key in keys {
+        if !out.contains(&key) {
+            out.push(key);
+        }
+    }
+    out
+}
+
+/// The key an array element is matched by across two reports: its
+/// `name` (a counter) or its `flow` (a flow row).
+fn element_key(item: &Json) -> Option<&str> {
+    item.get("name").or_else(|| item.get("flow"))?.as_str()
+}
+
+/// The element of `items` whose [`element_key`] is `key`.
+fn keyed<'a>(items: &'a [Json], key: &str) -> Option<&'a Json> {
+    items.iter().find(|i| element_key(i) == Some(key))
+}
+
+/// Cell `cell`'s axis value `key` (its adversary, its stack) in `report`.
+fn cell_axis<'a>(report: &'a Json, cell: usize, key: &str) -> Option<&'a str> {
+    report.get("cells")?.as_arr()?.get(cell)?.get(key)?.as_str()
+}
+
+/// A value as a drift line shows it: compact JSON cut at 60 characters,
+/// or `absent` for a side that lacks it.
+fn shown(value: Option<&Json>) -> String {
+    let Some(value) = value else {
+        return "absent".to_string();
+    };
+    let text = value.render();
+    match text.char_indices().nth(60) {
+        Some((cut, _)) => format!("{}…", &text[..cut]),
+        None => text,
+    }
+}
+
+/// Walks `old` and `new` in step and records, under `path`, every leaf
+/// that differs as `[path, old, new]`. Objects pair members by key.
+/// Arrays whose elements all carry an [`element_key`] pair elements by
+/// it, so a dropped counter is one removal rather than a shift of every
+/// later entry; other arrays pair by position.
+fn json_drift(path: String, old: Option<&Json>, new: Option<&Json>, out: &mut Vec<[String; 3]>) {
+    if old == new {
+        return;
+    }
+    match (old, new) {
+        (Some(old @ Json::Obj(o)), Some(new @ Json::Obj(n))) => {
+            for key in distinct(o.iter().chain(n).map(|(k, _)| k.as_str())) {
+                let member = match path.as_str() {
+                    "" => key.to_string(),
+                    _ => format!("{path}.{key}"),
+                };
+                json_drift(member, old.get(key), new.get(key), out);
+            }
+        }
+        (Some(Json::Arr(o)), Some(Json::Arr(n)))
+            if o.iter().chain(n).all(|i| element_key(i).is_some()) =>
+        {
+            for key in distinct(o.iter().chain(n).filter_map(element_key)) {
+                json_drift(format!("{path}[{key}]"), keyed(o, key), keyed(n, key), out);
+            }
+        }
+        (Some(Json::Arr(o)), Some(Json::Arr(n))) => {
+            for i in 0..o.len().max(n.len()) {
+                json_drift(format!("{path}[{i}]"), o.get(i), n.get(i), out);
+            }
+        }
+        _ => out.push([path, shown(old), shown(new)]),
+    }
+}
+
+/// How report `new` drifted from `old`: each changed leaf as `cell
+/// <index> <path>: old → new` (at most [`MAX_DRIFT_LINES`] of them),
+/// then one line per changed path with the cell index stripped, saying
+/// how many cells changed it and their adversary and stack values.
+fn describe_drift(old: &Json, new: &Json) -> String {
+    let mut leaves = Vec::new();
+    json_drift(String::new(), Some(old), Some(new), &mut leaves);
+    let mut lines = Vec::new();
+    let mut by_path: Vec<(&str, Vec<usize>)> = Vec::new();
+    for [path, was, now] in &leaves {
+        let in_cell = path.strip_prefix("cells[").and_then(|p| p.split_once(']'));
+        match in_cell.and_then(|(i, rest)| Some((i.parse::<usize>().ok()?, rest))) {
+            Some((cell, rest)) => {
+                let rest = rest.trim_start_matches('.');
+                match by_path.iter_mut().find(|(p, _)| *p == rest) {
+                    Some((_, cells)) => cells.push(cell),
+                    None => by_path.push((rest, vec![cell])),
+                }
+                lines.push(format!("cell {cell} {rest}: {was} → {now}"));
+            }
+            None => lines.push(format!("{path}: {was} → {now}")),
+        }
+    }
+    if lines.len() > MAX_DRIFT_LINES {
+        let more = lines.len() - MAX_DRIFT_LINES;
+        lines.truncate(MAX_DRIFT_LINES);
+        lines.push(format!("… and {more} more changed leaves"));
+    }
+    for (path, cells) in by_path {
+        let values = |key: &str| {
+            let axis = cells.iter().map(|&cell| {
+                cell_axis(new, cell, key)
+                    .or_else(|| cell_axis(old, cell, key))
+                    .unwrap_or("")
+            });
+            distinct(axis).join(", ")
+        };
+        let count = match cells.len() {
+            1 => "1 cell".to_string(),
+            n => format!("{n} cells"),
+        };
+        lines.push(format!(
+            "{path}: {count}; adversary {}; stack {}",
+            values("adversary"),
+            values("stack")
+        ));
+    }
+    lines.join("\n")
 }
 
 /// The congested story the acceptance gate names: cross-traffic dumbbell
@@ -253,7 +387,8 @@ fn sharded_flaky_run_matches_the_single_process_golden() {
 /// classification-keyed mechanisms (content DPI, port block, injected
 /// jitter) show up in the differential-pair evidence, while tiered
 /// priority throttles both probe twins identically and evades naive
-/// differential probing.
+/// differential probing; the unclassifiable twin reads as the control
+/// it is.
 #[test]
 fn detection_matrix_matches_golden_and_tells_the_story() {
     let spec = named_matrix("detection").expect("detection matrix exists");
@@ -296,9 +431,35 @@ fn detection_matrix_matches_golden_and_tells_the_story() {
     assert!(
         verdicts("tiered-priority")
             .iter()
-            .any(|v| !v.detected && v.truth == "evades"),
+            .all(|v| !v.detected && v.truth == "evades"),
         "tiered priority must evade naive differential probing"
     );
+    // The unclassifiable twin is the control, so nothing else the prober
+    // sends may touch it: under content DPI and port blocking it reads
+    // exactly as in its seed's `none` cell, under injected jitter it
+    // delivers as there, and tiered priority, which throttles both
+    // twins, throttles them alike.
+    let probe = |c: &MatrixCell| c.report.probe.clone().expect("probed cells carry evidence");
+    for c in &one.cells {
+        let control = one
+            .cells
+            .iter()
+            .find(|n| n.adversary == "none" && n.seed_axis == c.seed_axis)
+            .map(probe)
+            .expect("each seed has a none cell");
+        let twins = probe(c);
+        match c.adversary.as_str() {
+            "content-dpi" | "port-block" => assert_eq!(
+                (twins.neut_rx, twins.neut_rtt_ms),
+                (control.neut_rx, control.neut_rtt_ms),
+                "cell {}",
+                c.index
+            ),
+            "delay-jitter" => assert_eq!(twins.neut_rx, control.neut_rx, "cell {}", c.index),
+            "tiered-priority" => assert_eq!(twins.plain_rx, twins.neut_rx, "cell {}", c.index),
+            _ => {}
+        }
+    }
     let d = one.detection_summary().expect("probed matrix is scored");
     assert!(
         d.precision >= 0.9 && d.recall >= 0.9,
@@ -465,4 +626,33 @@ fn every_wire_type_runs_in_a_golden_cell() {
         );
     }
     assert!(types > 0, "the parser accepts no shim type");
+}
+
+/// Two reports that differ in one field of one cell drift by exactly
+/// that leaf, and a counter dropped from a cell reads as one removal.
+#[test]
+fn golden_drift_names_the_changed_leaf_and_its_cells() {
+    let report = |plain_rx: u64, counters: &str| {
+        Json::parse(&format!(
+            "{{\"matrix\":\"m\",\"cells\":[\
+             {{\"index\":0,\"adversary\":\"none\",\"stack\":\"plain\",\
+               \"counters\":[{{\"name\":\"a\",\"value\":1}},{{\"name\":\"b\",\"value\":2}}],\
+               \"probe\":{{\"plain_rx\":29}}}},\
+             {{\"index\":1,\"adversary\":\"tiered-priority\",\"stack\":\"plain\",\
+               \"counters\":[{counters}],\"probe\":{{\"plain_rx\":{plain_rx}}}}}]}}"
+        ))
+        .expect("test report is JSON")
+    };
+    let both = r#"{"name":"a","value":1},{"name":"b","value":2}"#;
+    assert_eq!(
+        describe_drift(&report(7, both), &report(11, both)),
+        "cell 1 probe.plain_rx: 7 → 11\n\
+         probe.plain_rx: 1 cell; adversary tiered-priority; stack plain"
+    );
+    assert_eq!(
+        describe_drift(&report(7, both), &report(7, r#"{"name":"b","value":2}"#)),
+        "cell 1 counters[a]: {\"name\":\"a\",\"value\":1} → absent\n\
+         counters[a]: 1 cell; adversary tiered-priority; stack plain"
+    );
+    assert_eq!(describe_drift(&report(7, both), &report(7, both)), "");
 }

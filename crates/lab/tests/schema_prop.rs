@@ -7,7 +7,7 @@
 
 use nn_lab::json::Json;
 use nn_lab::schema::{Decode, Encode};
-use nn_lab::{CellFlow, CellReport, HopReport, MatrixCell, ProbeSummary, ShardReport};
+use nn_lab::{CellFlow, CellReport, MatrixCell, ProbeSummary, ShardReport};
 use proptest::prelude::*;
 use std::ops::Range;
 
@@ -69,29 +69,14 @@ fn flow(rng: &mut TestRng) -> CellFlow {
     }
 }
 
-fn hop(rng: &mut TestRng) -> HopReport {
-    HopReport {
-        ttl: any::<u8>().generate(rng),
-        router: text(rng),
-        replies: rng.next_u64(),
-        rtt_ms: float(rng),
-        fwd_ms: float(rng),
-    }
-}
-
 fn probe(rng: &mut TestRng) -> ProbeSummary {
     ProbeSummary {
         plain_tx: rng.next_u64(),
         plain_rx: rng.next_u64(),
         plain_rtt_ms: float(rng),
-        plain_rtt_p95_ms: float(rng),
         neut_tx: rng.next_u64(),
         neut_rx: rng.next_u64(),
         neut_rtt_ms: float(rng),
-        neut_rtt_p95_ms: float(rng),
-        hops: list(rng, 1..4, hop),
-        max_echo_bytes: rng.next_u64(),
-        reorders: rng.next_u64(),
     }
 }
 
@@ -153,7 +138,7 @@ proptest! {
     }
 
     #[test]
-    fn probe_summaries_with_hops_roundtrip(probe in Gen(probe)) {
+    fn probe_summaries_roundtrip(probe in Gen(probe)) {
         roundtrips(&probe)?;
     }
 

@@ -11,8 +11,8 @@
 use nn_lab::{
     finalize_report, merge_shards, run_matrix_with_threads, run_shard, verify_merged_against_spec,
     AdversarySpec, CellReport, CellTuning, EventTimelineSpec, ExecutionPlan, ExperimentSpec,
-    HopReport, LinkProfileSpec, MatrixCell, MergeError, ProbeSummary, ShardReport, StackKind,
-    TopologySpec, WorkloadSpec,
+    LinkProfileSpec, MatrixCell, MergeError, ProbeSummary, ShardReport, StackKind, TopologySpec,
+    WorkloadSpec,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -278,40 +278,27 @@ fn shard_wire_format_rejects_relative_metrics() {
     ShardReport::from_json(&nulled).expect("null relative is still raw");
 }
 
+/// The shard wire refuses an integer its field cannot hold: a negative,
+/// fractional or past-`u64::MAX` count is an error naming the key, never
+/// a value rounded or wrapped into range.
 #[test]
-fn shard_wire_rejects_out_of_range_hop_ttls() {
+fn shard_wire_rejects_integers_it_cannot_hold() {
     let mut shard = fake_shard(0, 1, 2);
     shard.cells[0].report.probe = Some(ProbeSummary {
         plain_tx: 4,
         plain_rx: 4,
         plain_rtt_ms: 1.5,
-        plain_rtt_p95_ms: 2.0,
         neut_tx: 4,
         neut_rx: 4,
         neut_rtt_ms: 1.5,
-        neut_rtt_p95_ms: 2.0,
-        hops: vec![HopReport {
-            ttl: 1,
-            router: "isp".to_string(),
-            replies: 2,
-            rtt_ms: 1.0,
-            fwd_ms: 0.5,
-        }],
-        max_echo_bytes: 1052,
-        reorders: 0,
     });
     let wire = shard.to_json();
     ShardReport::from_json(&wire).expect("the probe-carrying wire parses");
-    // A TTL past u8::MAX is an error naming the key, never a wrapped hop
-    // (257 would otherwise read back as TTL 1).
-    for ttl in ["256", "257", "18446744073709551615"] {
-        let tampered = wire.replace("\"ttl\":1,", &format!("\"ttl\":{ttl},"));
-        assert_ne!(tampered, wire, "the hop carries a ttl");
-        let err = ShardReport::from_json(&tampered).expect_err(ttl);
-        assert!(
-            err.contains("\"ttl\"") && err.contains("out of range"),
-            "{ttl}: {err}"
-        );
+    for count in ["-1", "4.5", "18446744073709551616"] {
+        let tampered = wire.replace("\"plain_tx\":4,", &format!("\"plain_tx\":{count},"));
+        assert_ne!(tampered, wire, "the probe carries plain_tx");
+        let err = ShardReport::from_json(&tampered).expect_err(count);
+        assert!(err.contains("\"plain_tx\""), "{count}: {err}");
     }
 }
 

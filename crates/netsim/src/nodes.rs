@@ -11,55 +11,8 @@ use crate::policy::{PolicyEngine, RuleId, Verdict};
 use crate::routing::RouteTable;
 use crate::sim::{Context, IfaceId, Node};
 use crate::stats::{CounterClass, CounterId, Stats};
-use nn_packet::{build_udp_into, parse_udp, Ipv4Packet};
+use nn_packet::Ipv4Packet;
 use std::collections::HashMap;
-
-/// Magic prefix of a TTL time-exceeded reply payload.
-const TTL_REPLY_MAGIC: &[u8; 4] = b"TTLX";
-
-/// How many bytes of the expired packet's UDP payload a TTL reply
-/// quotes back (enough for a probe header, like ICMP's quoted bytes).
-const TTL_REPLY_QUOTE: usize = 32;
-
-/// The payload of a router's time-exceeded reply (see
-/// [`RouterNode::enable_ttl_replies`]), on the wire
-/// `TTLX ‖ router_ns(8 LE) ‖ name_len(1) ‖ name ‖ quote`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TtlReply<'a> {
-    /// The answering router's clock when the packet expired.
-    pub router_ns: u64,
-    /// The router's stats name; the wire keeps its first 255 bytes.
-    pub router: &'a [u8],
-    /// The first bytes of the expired packet's UDP payload.
-    pub quote: &'a [u8],
-}
-
-impl<'a> TtlReply<'a> {
-    /// Appends the wire form to `out`.
-    pub fn emit(&self, out: &mut Vec<u8>) {
-        let name = &self.router[..self.router.len().min(255)];
-        out.reserve(TTL_REPLY_MAGIC.len() + 8 + 1 + name.len() + self.quote.len());
-        out.extend_from_slice(TTL_REPLY_MAGIC);
-        out.extend_from_slice(&self.router_ns.to_le_bytes());
-        out.push(name.len() as u8);
-        out.extend_from_slice(name);
-        out.extend_from_slice(self.quote);
-    }
-
-    /// Reads a reply payload in place: `None` on a wrong magic or a
-    /// payload that ends inside the header or the name.
-    pub fn parse(payload: &'a [u8]) -> Option<Self> {
-        let rest = payload.strip_prefix(TTL_REPLY_MAGIC)?;
-        let (router_ns, rest) = rest.split_first_chunk::<8>()?;
-        let (&name_len, rest) = rest.split_first()?;
-        let (router, quote) = rest.split_at_checked(name_len as usize)?;
-        Some(TtlReply {
-            router_ns: u64::from_le_bytes(*router_ns),
-            router,
-            quote,
-        })
-    }
-}
 
 crate::counter_set! {
     /// A router's counters, `<stats_name>.<field>`. Per-rule drop
@@ -89,9 +42,6 @@ pub struct RouterNode {
     rule_drops: Vec<Option<CounterId>>,
     /// Frames the policy dropped, over every rule.
     policy_drops: u64,
-    /// Whether expired-TTL UDP packets earn a time-exceeded reply
-    /// (off by default; see [`RouterNode::enable_ttl_replies`]).
-    ttl_replies: bool,
 }
 
 impl RouterNode {
@@ -106,45 +56,7 @@ impl RouterNode {
             ids: RouterCounters::default(),
             rule_drops: Vec::new(),
             policy_drops: 0,
-            ttl_replies: false,
         }
-    }
-
-    /// Turns on TTL time-exceeded replies: when a UDP packet expires
-    /// here, the router answers the sender with a pooled [`TtlReply`]
-    /// carrying this router's clock (the per-hop timestamp a
-    /// traceroute-style prober attributes path segments with), its stats
-    /// name, and the first quoted bytes of the expired payload. Off by
-    /// default so ordinary cells keep byte-identical event streams.
-    pub fn enable_ttl_replies(&mut self) {
-        self.ttl_replies = true;
-    }
-
-    /// Builds the time-exceeded reply for an expired UDP frame. `None`
-    /// when the frame is not UDP or the reply cannot be built.
-    fn ttl_reply(
-        &self,
-        ctx: &mut Context,
-        frame: &FrameBuf,
-    ) -> Option<(FrameBuf, nn_packet::Ipv4Addr)> {
-        let parsed = parse_udp(&frame[..]).ok()?;
-        let quote = &parsed.payload[..parsed.payload.len().min(TTL_REPLY_QUOTE)];
-        let mut payload = Vec::new();
-        TtlReply {
-            router_ns: ctx.now.as_nanos(),
-            router: self.stats_name.as_bytes(),
-            quote,
-        }
-        .emit(&mut payload);
-        let (src, dst) = (parsed.ip.src, parsed.ip.dst);
-        let (sport, dport) = (parsed.src_port, parsed.dst_port);
-        let reply = ctx.alloc_built(|buf| {
-            // Addressed back to the expired packet's sender; the reply's
-            // source is the original destination (routers here own no
-            // address), and the payload names the answering hop.
-            build_udp_into(buf, dst, src, 0, dport, sport, &payload)
-        })?;
-        Some((reply, src))
     }
 
     /// Installs the forwarding table (normally from
@@ -226,11 +138,6 @@ impl Node for RouterNode {
             let ttl = ip.ttl();
             if ttl <= 1 {
                 ctx.stats.bump(self.ids.ttl_expired);
-                if self.ttl_replies {
-                    if let Some((reply, to)) = self.ttl_reply(ctx, &frame) {
-                        self.forward_to(ctx, reply, to);
-                    }
-                }
                 ctx.recycle(frame);
                 return;
             }
@@ -365,61 +272,6 @@ mod tests {
         sim.run(100);
         assert_eq!(sim.node_ref::<SinkNode>(b).unwrap().rx_frames, 0);
         assert_eq!(sim.stats().counter("r.ttl_expired"), 1);
-    }
-
-    /// With TTL replies enabled, an expired probe earns a time-exceeded
-    /// answer routed back to its sender, carrying the router's name and
-    /// clock — the hop-attribution primitive traceroute-style probing
-    /// builds on. Disabled routers (the default) stay silent.
-    #[test]
-    fn router_answers_expired_ttl_when_enabled() {
-        let (mut sim, a, r, b) = triangle();
-        sim.node_mut::<RouterNode>(r).unwrap().enable_ttl_replies();
-        let mut frame = build_udp(HOST_A, HOST_B, 0, 7001, 7002, b"probe payload").unwrap();
-        {
-            let mut ip = Ipv4Packet::new_unchecked(&mut frame[..]);
-            ip.set_ttl(1);
-        }
-        sim.inject(crate::time::SimTime::ZERO, r, 0, frame);
-        sim.run(100);
-        // The expired packet never reaches b; the reply reaches a,
-        // sourced from the original destination address.
-        assert_eq!(sim.node_ref::<SinkNode>(b).unwrap().rx_frames, 0);
-        let sink = sim.node_ref::<SinkNode>(a).unwrap();
-        assert_eq!(sink.rx_frames, 1);
-        assert_eq!(sink.from_source(HOST_B.to_u32()), 1);
-        assert_eq!(sim.stats().counter("r.ttl_expired"), 1);
-    }
-
-    /// A reply reads back field for field; a wrong magic, or a payload
-    /// that ends inside the header or the name, reads as `None`.
-    #[test]
-    fn ttl_reply_round_trips_and_rejects_truncation() {
-        let reply = TtlReply {
-            router_ns: 0x0102_0304_0506_0708,
-            router: b"isp-r1",
-            quote: b"NNPR quoted probe",
-        };
-        let mut wire = Vec::new();
-        reply.emit(&mut wire);
-        assert_eq!(TtlReply::parse(&wire), Some(reply));
-        let quote_at = wire.len() - reply.quote.len();
-        for cut in 0..quote_at {
-            assert_eq!(TtlReply::parse(&wire[..cut]), None, "cut at {cut}");
-        }
-        assert_eq!(TtlReply::parse(&wire[..quote_at]).unwrap().quote, b"");
-        wire[0] ^= 1;
-        assert_eq!(TtlReply::parse(&wire), None);
-        // A name longer than its length byte keeps its first 255 bytes.
-        let long = [b'r'; 300];
-        let mut wire = Vec::new();
-        TtlReply {
-            router: &long,
-            ..reply
-        }
-        .emit(&mut wire);
-        let back = TtlReply::parse(&wire).unwrap();
-        assert_eq!((back.router, back.quote), (&long[..255], reply.quote));
     }
 
     #[test]

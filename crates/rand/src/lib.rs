@@ -19,8 +19,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use core::ops::Range;
-
 /// Low-level source of random 64-bit words.
 pub trait RngCore {
     /// Returns the next 64 random bits.
@@ -33,32 +31,15 @@ pub trait Standard: Sized {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self;
 }
 
-macro_rules! impl_standard_int {
-    ($($t:ty),*) => {$(
-        impl Standard for $t {
-            fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-                rng.next_u64() as $t
-            }
-        }
-    )*};
-}
-impl_standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl Standard for u128 {
+impl Standard for u8 {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128
+        rng.next_u64() as u8
     }
 }
 
-impl Standard for i128 {
+impl Standard for u64 {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        u128::sample(rng) as i128
-    }
-}
-
-impl Standard for bool {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
+        rng.next_u64()
     }
 }
 
@@ -66,12 +47,6 @@ impl Standard for f64 {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         // 53 uniform mantissa bits in [0, 1).
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl Standard for f32 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
     }
 }
 
@@ -83,41 +58,11 @@ impl<const N: usize> Standard for [u8; N] {
     }
 }
 
-/// Ranges that [`Rng::gen_range`] can sample from.
-pub trait SampleRange<T> {
-    /// Draws one value uniformly from the range.
-    fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
-}
-
-macro_rules! impl_sample_range {
-    ($($t:ty),*) => {$(
-        impl SampleRange<$t> for Range<$t> {
-            fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
-                assert!(self.start < self.end, "cannot sample empty range");
-                // i128 keeps the span positive and the offset addition
-                // in-range for signed types whose span exceeds the
-                // type's positive max (e.g. i32::MIN..i32::MAX).
-                // Modulo bias is below 2^-64 for every span the
-                // simulator uses; accept it for simplicity.
-                let span = (self.end as i128) - (self.start as i128);
-                let draw = (u128::from(rng.next_u64()) % span as u128) as i128;
-                (self.start as i128 + draw) as $t
-            }
-        }
-    )*};
-}
-impl_sample_range!(u8, u16, u32, u64, usize, i32, i64);
-
 /// The user-facing randomness interface (the `rand::Rng` subset in use).
 pub trait Rng: RngCore {
     /// Draws a uniform value of any [`Standard`] type.
     fn gen<T: Standard>(&mut self) -> T {
         T::sample(self)
-    }
-
-    /// Draws uniformly from a half-open range.
-    fn gen_range<T, Rg: SampleRange<T>>(&mut self, range: Rg) -> T {
-        range.sample_from(self)
     }
 
     /// Fills a byte slice with random data.
@@ -228,35 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn gen_range_respects_bounds() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut seen = [false; 8];
-        for _ in 0..1_000 {
-            let v = rng.gen_range(0..8);
-            assert!((0..8).contains(&v));
-            seen[v as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "all values of 0..8 reachable");
-        for _ in 0..1_000 {
-            let v: usize = rng.gen_range(3..5);
-            assert!((3..5).contains(&v));
-        }
-    }
-
-    #[test]
-    fn gen_range_handles_full_signed_spans() {
-        // A signed range wider than the type's positive max must not
-        // wrap or overflow (regression test).
-        let mut rng = StdRng::seed_from_u64(11);
-        for _ in 0..10_000 {
-            let v = rng.gen_range(i32::MIN..i32::MAX);
-            assert!((i32::MIN..i32::MAX).contains(&v));
-            let w = rng.gen_range(-100i64..100);
-            assert!((-100..100).contains(&w));
-        }
-    }
-
-    #[test]
     fn array_sampling_fills_every_byte() {
         let mut rng = StdRng::seed_from_u64(6);
         // With 256 draws of 16 bytes, every byte position is almost surely
@@ -271,12 +187,5 @@ mod tests {
             }
         }
         assert!(any_nonzero.iter().all(|&x| x));
-    }
-
-    #[test]
-    fn bool_is_balanced() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let trues = (0..10_000).filter(|_| rng.gen::<bool>()).count();
-        assert!((4_000..6_000).contains(&trues));
     }
 }
