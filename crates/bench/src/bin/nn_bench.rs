@@ -1,49 +1,28 @@
 //! `nn-bench` — run benchmark suites and record `BENCH_perf.json`.
 //!
 //! ```text
-//! nn-bench [--json FILE] [--suites a,b,c] [--check BASELINE]
-//!          [--tolerance PCT] [--list]
+//! nn-bench [--json FILE] [--suites a,b,c | --check BASELINE] [--list]
 //! ```
 //!
-//! Run it with `cargo run --release -p nn-bench --bin nn-bench -- ARGS`;
-//! `--suites NAME` runs one suite. With no arguments every suite runs
-//! and prints its table. `--json` additionally writes a machine
-//! readable report (per-suite, per-bench ns/iter) so the repo keeps a
-//! perf trajectory across PRs. `--check` re-reads a committed baseline
-//! report and fails (exit 1) if any bench shared with the current run
-//! regressed by more than `--tolerance` percent (default 25) — the CI
-//! regression gate for the allocation-free data path.
-//!
-//! `--require SUITE/BENCH[,SUITE/BENCH…]` hardens the gate: each named
-//! bench must be present in both the current run and the baseline, so a
-//! renamed or silently dropped hot-path bench fails the check instead
-//! of being skipped.
-//!
-//! Raw numbers are machine-dependent, so `--check` on different
-//! hardware than the baseline's needs `--calibrate SUITE/BENCH`: the
-//! named bench (a stable, CPU-bound one like
-//! `key_setup/rsa512_crt_decrypt_source`) must appear in both the
-//! current run and the baseline, and every baseline number is scaled by
-//! the current/baseline ratio of it before comparison — cross-machine
-//! speed differences cancel, leaving genuine per-frame regressions
-//! visible. Calibrate on a bench whose code path is the same on every
-//! CPU: the AES benches are not, since AES runs on AES-NI where the CPU
-//! has it and on T-tables elsewhere. Without `--calibrate`, compare
-//! files only against baselines recorded on the same machine.
+//! Run it with `cargo run --release -p nn-bench --bin nn-bench -- ARGS`.
+//! With no arguments every suite runs and prints its table; `--suites`
+//! runs the named ones. `--json` also writes a machine-readable report
+//! (per suite, per bench ns/iter), so the repo keeps a perf trajectory
+//! across PRs. `--check` runs every suite and applies the regression
+//! gate, `nn_bench::suites::GATE`, against a committed baseline report:
+//! it fails (exit 1) if a gated bench regressed past the tolerance once
+//! the baseline is rescaled by the calibration bench, or if a required
+//! bench is missing from the run or the baseline. `--list` prints every
+//! suite with its role, and the gate.
 
-use nn_bench::{suites::SUITES, take_results, BenchResult};
+use nn_bench::suites::{Suite, GATE, SUITES};
+use nn_bench::{take_results, BenchResult};
 use nn_lab::json::Json;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: nn-bench [--json FILE] [--suites a,b,c] [--check BASELINE] \
-         [--tolerance PCT] [--calibrate SUITE/BENCH] [--gate a,b] \
-         [--require SUITE/BENCH,...] [--list]\nsuites: {}",
-        SUITES
-            .iter()
-            .map(|(n, _, _)| *n)
-            .collect::<Vec<_>>()
-            .join(", ")
+        "usage: nn-bench [--json FILE] [--suites a,b,c | --check BASELINE] [--list]\nsuites: {}",
+        SUITES.map(|s| s.name).join(", ")
     );
     std::process::exit(2);
 }
@@ -51,11 +30,7 @@ fn usage() -> ! {
 fn main() {
     let mut json_path: Option<String> = None;
     let mut check_path: Option<String> = None;
-    let mut tolerance_pct: f64 = 25.0;
     let mut selected: Option<Vec<String>> = None;
-    let mut calibrate: Option<String> = None;
-    let mut gated: Option<Vec<String>> = None;
-    let mut required: Vec<String> = Vec::new();
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -67,23 +42,11 @@ fn main() {
         match args[i].as_str() {
             "--json" => json_path = Some(next_value(&mut i)),
             "--check" => check_path = Some(next_value(&mut i)),
-            "--tolerance" => {
-                tolerance_pct = next_value(&mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--calibrate" => calibrate = Some(next_value(&mut i)),
-            "--gate" => {
-                gated = Some(next_value(&mut i).split(',').map(str::to_string).collect());
-            }
-            "--require" => {
-                required.extend(next_value(&mut i).split(',').map(str::to_string));
-            }
             "--suites" => {
                 selected = Some(next_value(&mut i).split(',').map(str::to_string).collect());
             }
             "--list" => {
-                for (name, what, _) in SUITES {
-                    println!("{name:<20} {what}");
-                }
+                print_list();
                 return;
             }
             _ => usage(),
@@ -91,48 +54,30 @@ fn main() {
         i += 1;
     }
 
-    if calibrate.is_some() && check_path.is_none() {
-        eprintln!("--calibrate only applies to --check; nothing to compare against");
+    if check_path.is_some() && selected.is_some() {
+        eprintln!("--check gates every suite, so it cannot run with --suites");
         usage();
     }
-    if gated.is_some() && check_path.is_none() {
-        eprintln!("--gate only applies to --check; nothing to compare against");
-        usage();
-    }
-    if !required.is_empty() && check_path.is_none() {
-        eprintln!("--require only applies to --check; nothing to compare against");
-        usage();
-    }
-    // Validate every suite name up front: a typo'd --gate would
-    // otherwise silently drop a suite from the regression gate.
-    let known = |name: &str| SUITES.iter().any(|(n, _, _)| *n == name);
-    for name in [&selected, &gated].into_iter().flatten().flatten() {
-        if !known(name) {
+    for name in selected.iter().flatten() {
+        if !SUITES.iter().any(|s| s.name == name) {
             eprintln!("unknown suite {name:?}");
-            usage();
-        }
-    }
-    for spec in calibrate.iter().chain(&required) {
-        let suite = spec.split_once('/').map(|(s, _)| s);
-        if !suite.is_some_and(known) {
-            eprintln!("--calibrate/--require want KNOWN_SUITE/BENCH, got {spec:?}");
             usage();
         }
     }
 
     // Run the suites, attributing each drained batch of results to the
     // suite that produced it.
-    let mut report: Vec<(&str, Vec<BenchResult>)> = Vec::new();
+    let mut report: Vec<(&Suite, Vec<BenchResult>)> = Vec::new();
     take_results(); // drop anything a previous harness left behind
-    for (name, _, run) in SUITES {
+    for suite in &SUITES {
         if selected
             .as_ref()
-            .is_some_and(|s| !s.iter().any(|n| n == name))
+            .is_some_and(|s| !s.iter().any(|n| n == suite.name))
         {
             continue;
         }
-        run();
-        report.push((name, take_results()));
+        (suite.run)();
+        report.push((suite, take_results()));
     }
 
     if let Some(path) = &json_path {
@@ -155,48 +100,44 @@ fn main() {
         let baseline = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("reading baseline {path}: {e}"));
         let baseline = Json::parse(&baseline).unwrap_or_else(|e| panic!("{path} is not JSON: {e}"));
-        let scale = match &calibrate {
-            None => 1.0,
-            Some(spec) => calibration_scale(&report, &baseline, spec),
-        };
-        // Only the suites named by --gate (default: every suite that
-        // ran) are held to the tolerance — a calibration suite can ride
-        // along in the run without being gated itself.
-        let gate_filter: Vec<(&str, Vec<BenchResult>)> = match &gated {
-            None => report.clone(),
-            Some(names) => report
-                .iter()
-                .filter(|(s, _)| names.iter().any(|n| n == s))
-                .cloned()
-                .collect(),
-        };
-        if !require_present(&report, &baseline, &required) {
-            std::process::exit(1);
-        }
-        if !check_against(&gate_filter, &baseline, tolerance_pct, scale) {
+        let scale = calibration_scale(&report, &baseline);
+        if !require_present(&report, &baseline) || !check_against(&report, &baseline, scale) {
             std::process::exit(1);
         }
     }
 }
 
-/// Verifies every `--require`d SUITE/BENCH exists in both the current
-/// run and the baseline, so the gate cannot silently lose coverage of a
+/// Prints every suite with its role, then the gate `--check` applies.
+fn print_list() {
+    for s in &SUITES {
+        let role = if s.gated { "gated" } else { "recorded" };
+        println!("{:<20} {role:<9} {}", s.name, s.what);
+    }
+    println!("tolerance {}%", GATE.tolerance_pct);
+    println!("calibrate {}", GATE.calibrate);
+    for row in GATE.required {
+        println!("require {row}");
+    }
+}
+
+/// Finds `suite/bench`'s ns/iter in the run.
+fn ns_in_run(report: &[(&Suite, Vec<BenchResult>)], suite: &str, name: &str) -> Option<f64> {
+    report
+        .iter()
+        .find(|(s, _)| s.name == suite)
+        .and_then(|(_, rs)| rs.iter().find(|r| r.name == name))
+        .map(|r| r.ns_per_iter)
+}
+
+/// Verifies every required SUITE/BENCH exists in both the current run
+/// and the baseline, so the gate cannot silently lose coverage of a
 /// pinned hot-path bench.
-fn require_present(
-    report: &[(&str, Vec<BenchResult>)],
-    baseline: &Json,
-    required: &[String],
-) -> bool {
+fn require_present(report: &[(&Suite, Vec<BenchResult>)], baseline: &Json) -> bool {
     let base = flatten(baseline);
     let mut ok = true;
-    for spec in required {
-        let Some((suite, name)) = spec.split_once('/') else {
-            eprintln!("--require wants SUITE/BENCH, got {spec:?}");
-            return false;
-        };
-        let in_run = report
-            .iter()
-            .any(|(s, rs)| *s == suite && rs.iter().any(|r| r.name == name));
+    for spec in GATE.required {
+        let (suite, name) = spec.split_once('/').expect("a gate row is SUITE/BENCH");
+        let in_run = ns_in_run(report, suite, name).is_some();
         let in_base = base.iter().any(|(s, n, _)| s == suite && n == name);
         if !in_run || !in_base {
             eprintln!(
@@ -214,36 +155,29 @@ fn require_present(
 }
 
 /// The machine-speed correction factor: current ÷ baseline ns/iter of
-/// the `suite/bench` calibration measurement, which must exist in both.
-fn calibration_scale(report: &[(&str, Vec<BenchResult>)], baseline: &Json, spec: &str) -> f64 {
-    let Some((suite, name)) = spec.split_once('/') else {
-        eprintln!("--calibrate wants SUITE/BENCH, got {spec:?}");
-        std::process::exit(2);
-    };
-    let current = report
-        .iter()
-        .find(|(s, _)| *s == suite)
-        .and_then(|(_, rs)| rs.iter().find(|r| r.name == name))
-        .map(|r| r.ns_per_iter);
+/// the gate's calibration bench, which must exist in both.
+fn calibration_scale(report: &[(&Suite, Vec<BenchResult>)], baseline: &Json) -> f64 {
+    let spec = GATE.calibrate;
+    let (suite, name) = spec.split_once('/').expect("a gate row is SUITE/BENCH");
     let base = flatten(baseline)
         .into_iter()
         .find(|(s, n, _)| s == suite && n == name)
         .map(|(_, _, ns)| ns);
-    match (current, base) {
+    match (ns_in_run(report, suite, name), base) {
         (Some(c), Some(b)) if b > 0.0 && c > 0.0 => {
             let scale = c / b;
             println!("calibrate {spec}: {c:.1} vs {b:.1} ns/iter -> scale {scale:.3}");
             scale
         }
         _ => {
-            eprintln!("--calibrate {spec}: bench missing from the run or the baseline");
-            std::process::exit(2);
+            eprintln!("calibrate {spec}: bench missing from the run or the baseline");
+            std::process::exit(1);
         }
     }
 }
 
 /// Renders the per-suite results as the `BENCH_perf.json` schema.
-fn render_report(report: &[(&str, Vec<BenchResult>)]) -> String {
+fn render_report(report: &[(&Suite, Vec<BenchResult>)]) -> String {
     let suites: Vec<Json> = report
         .iter()
         .map(|(suite, results)| {
@@ -258,20 +192,13 @@ fn render_report(report: &[(&str, Vec<BenchResult>)]) -> String {
                 })
                 .collect();
             Json::obj(vec![
-                ("suite", Json::Str(suite.to_string())),
+                ("suite", Json::Str(suite.name.to_string())),
                 ("benches", Json::Arr(benches)),
             ])
         })
         .collect();
     Json::obj(vec![
         ("schema", Json::Str("nn-bench-perf-v1".to_string())),
-        (
-            "iters_env",
-            match std::env::var("NN_BENCH_ITERS") {
-                Ok(v) => Json::Str(v),
-                Err(_) => Json::Null,
-            },
-        ),
         ("suites", Json::Arr(suites)),
     ])
     .render()
@@ -301,21 +228,17 @@ fn flatten(parsed: &Json) -> Vec<(String, String, f64)> {
     out
 }
 
-/// Compares the current run against a baseline report; returns false if
-/// any bench present in both regressed by more than `tolerance_pct`
-/// against the baseline's numbers scaled by the machine-speed
-/// correction `scale` (1.0 for same-machine comparisons).
-fn check_against(
-    report: &[(&str, Vec<BenchResult>)],
-    baseline: &Json,
-    tolerance_pct: f64,
-    scale: f64,
-) -> bool {
+/// Compares the gated suites of the current run against a baseline
+/// report; returns false if any bench present in both regressed past
+/// the gate's tolerance against the baseline's numbers scaled by the
+/// machine-speed correction `scale`.
+fn check_against(report: &[(&Suite, Vec<BenchResult>)], baseline: &Json, scale: f64) -> bool {
     let base = flatten(baseline);
-    let limit = 1.0 + tolerance_pct / 100.0;
+    let limit = 1.0 + GATE.tolerance_pct / 100.0;
     let mut compared = 0usize;
     let mut ok = true;
-    for (suite, results) in report {
+    for (suite, results) in report.iter().filter(|(s, _)| s.gated) {
+        let suite = suite.name;
         for r in results {
             let Some(&(_, _, raw_ns)) = base.iter().find(|(s, n, _)| s == suite && n == &r.name)
             else {
@@ -345,7 +268,10 @@ fn check_against(
         return false;
     }
     if !ok {
-        eprintln!("check: at least one bench regressed more than {tolerance_pct}% over baseline");
+        eprintln!(
+            "check: at least one bench regressed more than {}% over baseline",
+            GATE.tolerance_pct
+        );
     }
     ok
 }

@@ -9,8 +9,6 @@
 //!
 //! The `nn-bench` binary runs them, one suite or all:
 //! `cargo run --release -p nn-bench --bin nn-bench -- --suites NAME`.
-//! Every bench honors `NN_BENCH_ITERS` to scale the measured loop, so
-//! smoke runs stay short while local runs measure properly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,23 +35,6 @@ impl BenchResult {
         } else {
             f64::INFINITY
         }
-    }
-}
-
-/// Iteration count for a bench. `NN_BENCH_ITERS` is an **absolute
-/// override** replacing every suite's per-bench default — useful for
-/// uniformly tiny smoke runs (CI uses 5), hazardous for scaling *up*
-/// (it would also apply to the expensive keygen benches). A
-/// set-but-unparsable override aborts instead of silently running the
-/// full default (which could be 10^4 times more work than intended).
-pub fn iters(default: u64) -> u64 {
-    match std::env::var("NN_BENCH_ITERS") {
-        Ok(v) => v
-            .trim()
-            .parse::<u64>()
-            .unwrap_or_else(|_| panic!("NN_BENCH_ITERS is set but not a u64: {v:?}"))
-            .max(1),
-        Err(_) => default.max(1),
     }
 }
 
@@ -139,18 +120,21 @@ mod tests {
     #[test]
     fn suite_table_is_well_formed() {
         let names: std::collections::HashSet<&str> =
-            crate::suites::SUITES.iter().map(|(n, _, _)| *n).collect();
+            crate::suites::SUITES.iter().map(|s| s.name).collect();
         assert_eq!(names.len(), crate::suites::SUITES.len(), "names unique");
         assert!(names.iter().all(|n| !n.is_empty()));
     }
 
     #[test]
-    fn iters_default_applies() {
-        // Only meaningful when the override is absent from the
-        // environment; a developer with NN_BENCH_ITERS exported must not
-        // get a spurious failure.
-        if std::env::var_os("NN_BENCH_ITERS").is_none() {
-            assert_eq!(iters(123), 123);
+    fn gate_names_gated_suites() {
+        use crate::suites::{GATE, SUITES};
+        for row in GATE.required.iter().chain([&GATE.calibrate]) {
+            let (suite, bench) = row.split_once('/').expect("a row is SUITE/BENCH");
+            assert!(!bench.is_empty(), "{row} names a bench");
+            assert!(
+                SUITES.iter().any(|s| s.name == suite && s.gated),
+                "{row} names a gated suite"
+            );
         }
     }
 }

@@ -4,9 +4,8 @@
 //! compiles them and bench code cannot silently rot. The `nn-bench`
 //! binary runs them:
 //! `cargo run --release -p nn-bench --bin nn-bench -- --suites NAME`.
-//! Iteration counts honor `NN_BENCH_ITERS` (see [`crate::iters`]).
 
-use crate::{bench, header, iters, report_result, BenchResult};
+use crate::{bench, header, report_result, BenchResult};
 use nn_crypto::kdf::MasterKey;
 use nn_crypto::sealed::AddrSealer;
 use nn_crypto::{e2e, Aes128, BigUint, Cmac, E2eSession, SealedRecord};
@@ -18,71 +17,163 @@ use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Name, one-line description and entry point of every suite — the
-/// one list `nn-bench --list` prints and `--suites` selects from.
-pub const SUITES: [(&str, &str, fn()); 11] = [
-    (
-        "raw_crypto",
-        "AES block, CMAC, CTR keystream, Ks derivation",
-        raw_crypto,
-    ),
-    (
-        "key_setup",
-        "one-time RSA keygen / e=3 encrypt / CRT decrypt",
-        key_setup,
-    ),
-    (
-        "handshake",
-        "hybrid end-to-end envelope seal + open",
-        handshake,
-    ),
-    (
-        "data_path",
-        "neutralizer per-packet work, record channel",
-        data_path,
-    ),
-    (
-        "blinding",
-        "raw exponentiation, beside key_setup's padded encrypt",
-        blinding,
-    ),
-    (
-        "ablation_keysetup",
-        "one-time keys below key_setup's 512 bits",
-        ablation_keysetup,
-    ),
-    (
-        "ablation_stateless",
-        "stateful lookup and key memo, beside raw_crypto's derivation",
-        ablation_stateless,
-    ),
-    (
-        "matrix",
-        "nn-lab cell runs and full-matrix planning",
-        matrix,
-    ),
-    (
-        "link_pipeline",
-        "netsim link per-frame cost, with and without burst loss",
-        link_pipeline,
-    ),
-    (
-        "population",
-        "flyweight-cohort per-endpoint cost, packet vs fluid",
-        population,
-    ),
-    (
-        "report",
-        "1 MB full-matrix report: JSON render, parse, shard wire decode",
-        report,
-    ),
+/// One benchmark suite.
+pub struct Suite {
+    /// The name `--suites` selects and the report files results under.
+    pub name: &'static str,
+    /// A one-line description, printed by `--list`.
+    pub what: &'static str,
+    /// Runs every bench of the suite.
+    pub run: fn(),
+    /// Whether `--check` holds the suite's rows to [`GATE`]'s tolerance.
+    /// An ungated suite is only recorded.
+    pub gated: bool,
+}
+
+/// Every suite: the one list `nn-bench --list` prints, `--suites`
+/// selects from and `--check` gates.
+///
+/// The gate freezes the per-frame data path, the link pipeline, the
+/// population engine's per-endpoint cost, one-time RSA keygen (the
+/// windowed-sieve prime search), whole nn-lab cells, and per-packet
+/// crypto. The committed figures come from an AES-NI machine, so the
+/// AES rows gate the hardware path; `cargo test` pins the T-table
+/// path's output, not its speed. A report parser that turns quadratic
+/// again takes seconds per parse, not milliseconds, and fails
+/// outright. The two ungated suites add under a second.
+pub const SUITES: [Suite; 11] = [
+    Suite {
+        name: "raw_crypto",
+        what: "AES block, CMAC, CTR keystream, Ks derivation",
+        run: raw_crypto,
+        gated: true,
+    },
+    Suite {
+        name: "key_setup",
+        what: "one-time RSA keygen / e=3 encrypt / CRT decrypt",
+        run: key_setup,
+        gated: true,
+    },
+    Suite {
+        name: "handshake",
+        what: "hybrid end-to-end envelope seal + open",
+        run: handshake,
+        gated: true,
+    },
+    Suite {
+        name: "data_path",
+        what: "neutralizer per-packet work, record channel",
+        run: data_path,
+        gated: true,
+    },
+    Suite {
+        name: "blinding",
+        what: "raw exponentiation, beside key_setup's padded encrypt",
+        run: blinding,
+        gated: false,
+    },
+    Suite {
+        name: "ablation_keysetup",
+        what: "one-time keys below key_setup's 512 bits",
+        run: ablation_keysetup,
+        gated: true,
+    },
+    Suite {
+        name: "ablation_stateless",
+        what: "stateful lookup and key memo, beside raw_crypto's derivation",
+        run: ablation_stateless,
+        gated: false,
+    },
+    Suite {
+        name: "matrix",
+        what: "nn-lab cell runs and full-matrix planning",
+        run: matrix,
+        gated: true,
+    },
+    Suite {
+        name: "link_pipeline",
+        what: "netsim link per-frame cost, with and without burst loss",
+        run: link_pipeline,
+        gated: true,
+    },
+    Suite {
+        name: "population",
+        what: "flyweight-cohort per-endpoint cost, packet vs fluid",
+        run: population,
+        gated: true,
+    },
+    Suite {
+        name: "report",
+        what: "1 MB full-matrix report: JSON render, parse, shard wire decode",
+        run: report,
+        gated: true,
+    },
 ];
+
+/// The regression gate `nn-bench --check BASELINE` applies to a run of
+/// every suite against a committed baseline report.
+pub struct Gate {
+    /// How far past its rescaled baseline a gated row may read, in
+    /// percent.
+    pub tolerance_pct: f64,
+    /// The `suite/bench` row whose current ÷ baseline ratio rescales
+    /// every baseline figure before the comparison.
+    pub calibrate: &'static str,
+    /// The `suite/bench` rows that must be in both the run and the
+    /// baseline.
+    pub required: &'static [&'static str],
+}
+
+/// CI's gate, run as `nn-bench --json BENCH_perf.ci.json --check
+/// BENCH_perf.json`.
+///
+/// A gated row fails past 25% over its baseline. CI runners and the
+/// machine that recorded the baseline differ in raw speed, so the
+/// baseline is first rescaled by the calibration row measured in the
+/// same run: machine speed cancels, and real regressions remain. The
+/// calibration row is the CRT decrypt, Montgomery arithmetic with no
+/// AES in it. AES runs on AES-NI where the CPU has it and on T-tables
+/// elsewhere, so an AES bench would measure the backend, not the
+/// machine. The calibration row rescales to exactly its baseline and
+/// cannot fail.
+///
+/// A required row that is missing from the run or the baseline fails
+/// the gate, so a renamed or dropped hot-path bench cannot be skipped
+/// silently.
+pub const GATE: Gate = Gate {
+    tolerance_pct: 25.0,
+    calibrate: "key_setup/rsa512_crt_decrypt_source",
+    required: &[
+        // The CTR kernel's eight-block pipeline on AES-NI, which the
+        // record rows also run.
+        "raw_crypto/ctr_keystream_1500B",
+        // The windowed-sieve win of the paper's 512-bit one-time keygen.
+        "key_setup/rsa512_keygen_source",
+        "report/json_parse_full_1152cells",
+        "matrix/cell_neutralized_dpi_200ms",
+        // Per-rule drop counters, which the registry keeps off the heap.
+        "data_path/sim_dpi_drop_2router_1kframes",
+        // The record seal into a frame and open in place that every
+        // neutralized packet pays, at VoIP's 160 bytes and at 1200, where
+        // the CTR kernel and the eight-block GHASH gain most.
+        "data_path/e2e_record_seal_160B",
+        "data_path/e2e_record_open_160B",
+        "data_path/e2e_record_seal_1200B",
+        "data_path/e2e_record_open_1200B",
+        // The gated bench with the most pending events (up to 159), where
+        // a scheduler regression shows first.
+        "link_pipeline/pipeline_0stages_1kframes",
+        // Each cohort frame's accounting into its flow record.
+        "population/packet_1k_endpoints_100ms",
+        "population/fluid_1k_endpoints_100ms",
+    ],
+};
 
 /// Raw primitive costs: AES block, CMAC, CTR, and the Ks derivation —
 /// the per-packet operations of the paper's §4 cost model.
 pub fn raw_crypto() {
     header("raw_crypto");
-    let n = iters(100_000);
+    let n = 100_000;
 
     let aes = Aes128::new(&[0x2b; 16]);
     let mut block = [0x6b; 16];
@@ -123,13 +214,13 @@ pub fn key_setup() {
     // per-iteration cost (a window with a late first prime costs several
     // times the mean), so the CI tolerance gate needs enough iterations
     // to average the tail into a stable mean (~150 ms of work).
-    bench("rsa512_keygen_source", iters(100), || {
+    bench("rsa512_keygen_source", 100, || {
         black_box(nn_crypto::generate_keypair(&mut rng, 512));
     });
-    bench("rsa512_e3_encrypt_neutralizer", iters(10_000), || {
+    bench("rsa512_e3_encrypt_neutralizer", 10_000, || {
         black_box(kp.public.encrypt(&mut rng, black_box(&msg)).unwrap());
     });
-    bench("rsa512_crt_decrypt_source", iters(2_000), || {
+    bench("rsa512_crt_decrypt_source", 2_000, || {
         black_box(kp.private.decrypt(black_box(&ct)).unwrap());
     });
 }
@@ -144,10 +235,10 @@ pub fn handshake() {
     let payload = vec![0xc3u8; 160];
     let env = e2e::seal(&mut rng, &kp.public, &payload).expect("seals");
 
-    bench("e2e_envelope_seal_160B", iters(5_000), || {
+    bench("e2e_envelope_seal_160B", 5_000, || {
         black_box(e2e::seal(&mut rng, &kp.public, black_box(&payload)).unwrap());
     });
-    bench("e2e_envelope_open_160B", iters(2_000), || {
+    bench("e2e_envelope_open_160B", 2_000, || {
         black_box(e2e::open(&kp.private, black_box(&env)).unwrap());
     });
 }
@@ -157,7 +248,7 @@ pub fn handshake() {
 /// record-channel work at the endpoints.
 pub fn data_path() {
     header("data_path");
-    let n = iters(100_000);
+    let n = 100_000;
     let km = MasterKey::new([0x11; 16]);
     let ks = km.derive_ks(7, 0x0a00_0001);
     let sealer = AddrSealer::new(&ks);
@@ -313,10 +404,10 @@ fn sim_data_path() {
         pool = sim.take_pool();
         n
     };
-    bench("sim_forward_2router_1kframes", iters(50), || {
+    bench("sim_forward_2router_1kframes", 50, || {
         black_box(run(false));
     });
-    bench("sim_dpi_drop_2router_1kframes", iters(50), || {
+    bench("sim_dpi_drop_2router_1kframes", 50, || {
         black_box(run(true));
     });
 }
@@ -332,7 +423,7 @@ pub fn blinding() {
     let kp = nn_crypto::generate_keypair(&mut rng, 512);
 
     let m = BigUint::from_bytes_be(&[0x7e; 63]);
-    bench("raw_encrypt_512", iters(10_000), || {
+    bench("raw_encrypt_512", 10_000, || {
         black_box(kp.public.encrypt_raw(black_box(&m)).unwrap());
     });
 }
@@ -347,10 +438,10 @@ pub fn ablation_keysetup() {
     let msg = [0x5a; 24];
 
     let kp = nn_crypto::generate_keypair(&mut rng, 320);
-    bench("keygen_320", iters(100), || {
+    bench("keygen_320", 100, || {
         black_box(nn_crypto::generate_keypair(&mut rng, 320));
     });
-    bench("neutralizer_encrypt_320", iters(5_000), || {
+    bench("neutralizer_encrypt_320", 5_000, || {
         black_box(kp.public.encrypt(&mut rng, black_box(&msg)).unwrap());
     });
 }
@@ -361,7 +452,7 @@ pub fn ablation_keysetup() {
 /// property costs.
 pub fn ablation_stateless() {
     header("ablation_stateless");
-    let n = iters(100_000);
+    let n = 100_000;
     let km = MasterKey::new([0x11; 16]);
 
     let mut table: HashMap<(u64, u32), [u8; 16]> = HashMap::new();
@@ -414,7 +505,7 @@ pub fn matrix() {
         probes: false,
         seed: 1,
     };
-    bench("cell_plain_dpi_200ms", iters(500), || {
+    bench("cell_plain_dpi_200ms", 500, || {
         black_box(run_cell(black_box(&plain), &tuning));
     });
 
@@ -422,7 +513,7 @@ pub fn matrix() {
         stack: StackKind::Neutralized,
         ..plain.clone()
     };
-    bench("cell_neutralized_dpi_200ms", iters(100), || {
+    bench("cell_neutralized_dpi_200ms", 100, || {
         black_box(run_cell(black_box(&neutralized), &tuning));
     });
 
@@ -431,7 +522,7 @@ pub fn matrix() {
     // FNV seed hash, but none of the simulation. This is the per-shard
     // fixed overhead a worker pays before its first cell runs.
     let full = nn_lab::named_matrix("full").expect("full matrix exists");
-    bench("matrix_plan_full_1152cells_8shards", iters(200), || {
+    bench("matrix_plan_full_1152cells_8shards", 200, || {
         let plan = nn_lab::ExecutionPlan::new(black_box(&full), 8);
         let mut mix = 0u64;
         for assignment in plan.assignments() {
@@ -502,7 +593,7 @@ pub fn link_pipeline() {
         ("pipeline_1stage_1kframes", base().with_loss(ge)),
     ];
     for (name, profile) in &cases {
-        bench(name, iters(50), || {
+        bench(name, 50, || {
             black_box(run(black_box(profile)));
         });
     }
@@ -542,7 +633,6 @@ pub fn population() {
                 Ipv4Addr::new(10, 0, 2, 1),
                 16384,
                 16384,
-                0,
                 vec![model.clone()],
             )),
         );
@@ -564,13 +654,9 @@ pub fn population() {
         ("1m", 1_000_000, 2),
     ] {
         for (mode, fluid) in [("packet", false), ("fluid", true)] {
-            let r = bench(
-                &format!("{mode}_{label}_endpoints_100ms"),
-                iters(reps),
-                || {
-                    black_box(run(black_box(endpoints), fluid));
-                },
-            );
+            let r = bench(&format!("{mode}_{label}_endpoints_100ms"), reps, || {
+                black_box(run(black_box(endpoints), fluid));
+            });
             report_result(&BenchResult {
                 name: format!("{mode}_{label}_ns_per_endpoint"),
                 iters: r.iters,
@@ -623,7 +709,7 @@ pub fn population() {
         seed: 1,
     };
     let tuning = CellTuning::fast();
-    let reps = iters(2);
+    let reps = 2;
     let start = Instant::now();
     for _ in 0..reps {
         let report = run_cell(black_box(&spec), &tuning);
@@ -673,13 +759,13 @@ pub fn report() {
     let text = finalize_report(merged, &full).to_json();
     let tree = Json::parse(&text).expect("the report parses");
 
-    bench("json_render_full_1152cells", iters(50), || {
+    bench("json_render_full_1152cells", 50, || {
         black_box(black_box(&tree).render());
     });
-    bench("json_parse_full_1152cells", iters(50), || {
+    bench("json_parse_full_1152cells", 50, || {
         black_box(Json::parse(black_box(&text)).expect("the report parses"));
     });
-    bench("shard_from_json_full_1152cells", iters(50), || {
+    bench("shard_from_json_full_1152cells", 50, || {
         black_box(ShardReport::from_json(black_box(&wire)).expect("the wire parses"));
     });
 }

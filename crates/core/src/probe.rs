@@ -70,12 +70,18 @@ impl ProbePayload {
     /// `NNPR ‖ kind(1) ‖ seq(4 BE) ‖ sent_ns(8 BE) ‖ extra`.
     pub fn encode(&self, extra: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(PROBE_HEADER_LEN + extra.len());
+        self.encode_into(&mut out, extra);
+        out
+    }
+
+    /// [`ProbePayload::encode`], appended to `out`: a prober that reuses
+    /// one buffer encodes without allocating.
+    pub fn encode_into(&self, out: &mut Vec<u8>, extra: &[u8]) {
         out.extend_from_slice(PROBE_MAGIC);
         out.push(self.kind.code());
         out.extend_from_slice(&self.seq.to_be_bytes());
         out.extend_from_slice(&self.sent_ns.to_be_bytes());
         out.extend_from_slice(extra);
-        out
     }
 
     /// Decodes a probe header, returning the payload and the trailing

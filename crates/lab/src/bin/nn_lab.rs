@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! nn-lab [--matrix NAME] [--out FILE] [--csv FILE] [--threads N] [--list]
-//!        [--progress]                 stderr heartbeat per finished cell
 //!        [--shards N]                 multi-process run: N worker children
 //!        --worker --shard I/N         run one shard, emit ShardReport JSON
 //!        --merge FILE...              merge ShardReport files + finalize
@@ -22,16 +21,15 @@
 use nn_lab::json::Json;
 use nn_lab::matrix::{named_matrix, MatrixReport, NAMED_MATRICES};
 use nn_lab::{
-    finalize_report, merge_shards, run_shard_with_progress, verify_merged_against_spec,
-    CellAssignment, CellExecutor, ExecutionPlan, ProcessExecutor, ShardReport, ThreadExecutor,
+    finalize_report, merge_shards, run_shard, verify_merged_against_spec, CellAssignment,
+    CellExecutor, ExecutionPlan, ProcessExecutor, ShardReport, ThreadExecutor,
 };
 
 fn usage() -> ! {
     eprintln!(
         "usage: nn-lab [--matrix NAME] [--out FILE] [--csv FILE] [--threads N] [--list]\n\
-         \x20      [--progress] [--shards N] | [--worker --shard I/N] | [--merge FILE...]\n\
+         \x20      [--shards N] | [--worker --shard I/N] | [--merge FILE...]\n\
          matrices: {}\n\
-         --progress   print a per-cell heartbeat to stderr while running\n\
          --shards N   run the matrix as N worker child processes and merge\n\
          --worker     run one shard (requires --shard I/N); the ShardReport\n\
          \x20            JSON goes to --out or stdout\n\
@@ -55,7 +53,6 @@ struct Args {
     worker: bool,
     shard: Option<CellAssignment>,
     merge: Vec<String>,
-    progress: bool,
 }
 
 /// Strict argument parsing: unknown flags, missing values, zero counts
@@ -70,7 +67,6 @@ fn parse_args() -> Args {
         worker: false,
         shard: None,
         merge: Vec::new(),
-        progress: false,
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -104,7 +100,6 @@ fn parse_args() -> Args {
                 parsed.shards = Some(positive("--shards", v));
             }
             "--worker" => parsed.worker = true,
-            "--progress" => parsed.progress = true,
             "--shard" => {
                 let v = next_value(&mut i);
                 parsed.shard = Some(CellAssignment::parse(&v).unwrap_or_else(|e| {
@@ -166,10 +161,6 @@ fn parse_args() -> Args {
             eprintln!("nn-lab: --threads is not valid with --merge (nothing runs)");
             usage()
         }
-        if parsed.progress {
-            eprintln!("nn-lab: --progress is not valid with --merge (no cells run)");
-            usage()
-        }
     }
     parsed
 }
@@ -218,7 +209,7 @@ fn run_worker(args: &Args) {
         assignment.cell_count(spec.cell_count()),
         spec.cell_count(),
     );
-    let report = run_shard_with_progress(&spec, &assignment, threads, args.progress);
+    let report = run_shard(&spec, &assignment, threads);
     let json = report.to_json();
     match &args.out_path {
         Some(path) => {
@@ -250,7 +241,6 @@ fn sharded_mode(args: &Args, shards: usize) -> MatrixReport {
     );
     let mut executor = ProcessExecutor::new(program, name);
     executor.threads = Some(child_threads);
-    executor.progress = args.progress;
     let shard_reports = executor
         .execute(&plan)
         .unwrap_or_else(|e| fail(&format!("sharded run failed: {e}")));
@@ -294,8 +284,8 @@ fn merge_mode(args: &Args) -> MatrixReport {
     finalize_report(merged, &spec)
 }
 
-/// The classic single-process run (a one-shard plan on the thread
-/// executor, so `--progress` has a heartbeat to hook).
+/// The classic single-process run: a one-shard plan on the thread
+/// executor.
 fn single_process_mode(args: &Args) -> MatrixReport {
     let name = matrix_name(args);
     let spec = named_matrix(name).unwrap_or_else(|| fail(&format!("unknown matrix {name:?}")));
@@ -307,7 +297,6 @@ fn single_process_mode(args: &Args) -> MatrixReport {
     );
     let plan = ExecutionPlan::new(&spec, 1);
     let shards = ThreadExecutor::new(threads)
-        .with_progress(args.progress)
         .execute(&plan)
         .expect("in-process execution is infallible");
     let merged = merge_shards(shards).expect("a single in-process shard always merges");

@@ -314,13 +314,12 @@ fn run_cell_keyed(
         Box::new(NeutralizedSourceNode::new(
             SRC_ADDR,
             bootstrap,
-            0,
             Arc::clone(&keys.onetime),
             flow,
             app,
         ))
     } else {
-        Box::new(PlainSourceNode::new(SRC_ADDR, DST_ADDR, 0, flow, app))
+        Box::new(PlainSourceNode::new(SRC_ADDR, DST_ADDR, flow, app))
     };
     // One neutralizer per provider the topology has, all sharing the
     // master key (the neutralizers are stateless, §3: any of them can

@@ -62,20 +62,6 @@ pub fn run_shard(
     assignment: &CellAssignment,
     threads: usize,
 ) -> ShardReport {
-    run_shard_with_progress(spec, assignment, threads, false)
-}
-
-/// [`run_shard`] with an optional stderr heartbeat: after every finished
-/// cell the completing worker prints `shard S/N worker W: done/count
-/// cells (worker: k)`. Progress goes to stderr only — stdout stays the
-/// shard-report channel — and never touches the results, which remain
-/// byte-identical with the heartbeat on or off.
-pub fn run_shard_with_progress(
-    spec: &ExperimentSpec,
-    assignment: &CellAssignment,
-    threads: usize,
-    progress: bool,
-) -> ShardReport {
     let total = spec.cell_count();
     let count = assignment.cell_count(total);
     let threads = threads.clamp(1, count.max(1));
@@ -84,27 +70,17 @@ pub fn run_shard_with_progress(
     let queue = Mutex::new(assignment.cells(spec).enumerate());
     let results: Mutex<Vec<Option<MatrixCell>>> = Mutex::new((0..count).map(|_| None).collect());
     let (pool_allocs, pool_recycled) = (AtomicU64::new(0), AtomicU64::new(0));
-    let done = AtomicU64::new(0);
 
-    let work = |worker: usize| {
+    let work = || {
         // One frame pool per worker: consecutive cells reuse each other's
         // recycled buffers (purely an allocator handoff — reports are
         // byte-identical with or without it).
         let mut pool = nn_netsim::FramePool::new();
-        let mut mine = 0u64;
         loop {
             let next = queue.lock().expect("cell queue").next();
             let Some((pos, mc)) = next else { break };
             let report = run_cell_with_pool(&mc.cell, &spec.tuning, &mut pool);
             results.lock().expect("result slots")[pos] = Some(to_matrix_cell(&mc, report));
-            mine += 1;
-            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-            if progress {
-                eprintln!(
-                    "nn-lab: shard {}/{} worker {}: {}/{} cells (worker: {})",
-                    assignment.shard, assignment.shards, worker, finished, count, mine
-                );
-            }
         }
         // Alloc/recycle totals are per-cell-deterministic (pool warmth
         // changes where an alloc is served from, never whether it
@@ -122,10 +98,8 @@ pub fn run_shard_with_progress(
     // climb as matrices go by faster.
     std::thread::scope(|scope| {
         let work = &work;
-        let helpers: Vec<_> = (1..threads)
-            .map(|worker| scope.spawn(move || work(worker)))
-            .collect();
-        work(0);
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        work();
         for helper in helpers {
             if let Err(panic) = helper.join() {
                 std::panic::resume_unwind(panic);
@@ -155,23 +129,12 @@ pub fn run_shard_with_progress(
 pub struct ThreadExecutor {
     /// Worker threads per shard.
     pub threads: usize,
-    /// Print a per-cell heartbeat to stderr while running.
-    pub progress: bool,
 }
 
 impl ThreadExecutor {
     /// An executor running `threads` workers per shard.
     pub fn new(threads: usize) -> ThreadExecutor {
-        ThreadExecutor {
-            threads,
-            progress: false,
-        }
-    }
-
-    /// Enables the stderr heartbeat.
-    pub fn with_progress(mut self, progress: bool) -> ThreadExecutor {
-        self.progress = progress;
-        self
+        ThreadExecutor { threads }
     }
 }
 
@@ -180,7 +143,7 @@ impl CellExecutor for ThreadExecutor {
         Ok(plan
             .assignments()
             .iter()
-            .map(|a| run_shard_with_progress(plan.spec(), a, self.threads, self.progress))
+            .map(|a| run_shard(plan.spec(), a, self.threads))
             .collect())
     }
 }
@@ -199,9 +162,6 @@ pub struct ProcessExecutor {
     /// Worker threads per child (`None`: each child picks its own
     /// default).
     pub threads: Option<usize>,
-    /// Forward `--progress` to every child; their heartbeats surface on
-    /// the inherited stderr.
-    pub progress: bool,
 }
 
 impl ProcessExecutor {
@@ -211,7 +171,6 @@ impl ProcessExecutor {
             program,
             matrix: matrix.into(),
             threads: None,
-            progress: false,
         }
     }
 
@@ -226,9 +185,6 @@ impl ProcessExecutor {
             .stdout(Stdio::piped());
         if let Some(threads) = self.threads {
             cmd.arg("--threads").arg(threads.to_string());
-        }
-        if self.progress {
-            cmd.arg("--progress");
         }
         cmd.spawn()
             .map_err(|e| format!("spawning worker {:?}: {e}", self.program))

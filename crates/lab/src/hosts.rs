@@ -107,18 +107,17 @@ fn pooled_udp(
     Some(pkt)
 }
 
-/// Builds `IP(SHIM(...))` into a pooled buffer, ECT(0)-stamped, with
-/// `write` appending the payload in place: records are sealed straight
-/// into the frame.
+/// Builds `IP(SHIM(...))` into a pooled buffer, DSCP 0 and ECT(0)-stamped,
+/// with `write` appending the payload in place: records are sealed
+/// straight into the frame.
 fn pooled_shim(
     ctx: &mut Context,
     src: Ipv4Addr,
     dst: Ipv4Addr,
-    dscp: u8,
     shim: &ShimRepr,
     write: impl FnOnce(&mut Vec<u8>),
 ) -> Option<FrameBuf> {
-    let mut pkt = ctx.alloc_built(|buf| build_shim_with(buf, src, dst, dscp, shim, write))?;
+    let mut pkt = ctx.alloc_built(|buf| build_shim_with(buf, src, dst, 0, shim, write))?;
     stamp_ect(&mut pkt);
     Some(pkt)
 }
@@ -233,7 +232,6 @@ impl LastFlow {
 pub struct PlainSourceNode {
     addr: Ipv4Addr,
     dst: Ipv4Addr,
-    dscp: u8,
     driver: AppDriver,
     /// The app frame being sent, reused for every send.
     frame: Vec<u8>,
@@ -243,18 +241,16 @@ pub struct PlainSourceNode {
 }
 
 impl PlainSourceNode {
-    /// Builds a plain source sending `app`'s traffic to `dst`.
+    /// Builds a plain source sending `app`'s traffic to `dst`, at DSCP 0.
     pub fn new(
         addr: Ipv4Addr,
         dst: Ipv4Addr,
-        dscp: u8,
         flow: impl Into<String>,
         app: Box<dyn AppSource>,
     ) -> Self {
         PlainSourceNode {
             addr,
             dst,
-            dscp,
             driver: AppDriver::new(flow, app),
             frame: Vec::new(),
             ids: SourceCounters::default(),
@@ -264,7 +260,7 @@ impl PlainSourceNode {
 
     fn flush(&mut self, ctx: &mut Context) {
         while self.driver.next(ctx, &mut self.frame) {
-            match pooled_udp(ctx, self.addr, self.dst, self.dscp, &self.frame) {
+            match pooled_udp(ctx, self.addr, self.dst, 0, &self.frame) {
                 Some(pkt) => ctx.send(0, pkt),
                 // flow_tx already counted this packet: record that it
                 // never left, so 0% delivery is not misread as loss.
@@ -393,7 +389,6 @@ struct EstablishedSession {
 pub struct NeutralizedSourceNode {
     addr: Ipv4Addr,
     bootstrap: Bootstrap,
-    dscp: u8,
     driver: AppDriver,
     /// The app frame being sent, reused for every send.
     frame: Vec<u8>,
@@ -425,11 +420,11 @@ pub struct NeutralizedSourceNode {
 
 impl NeutralizedSourceNode {
     /// Builds a neutralized source from bootstrap info and the one-time
-    /// keypair it offers the neutralizer in its single key setup.
+    /// keypair it offers the neutralizer in its single key setup. It
+    /// sends at DSCP 0.
     pub fn new(
         addr: Ipv4Addr,
         bootstrap: Bootstrap,
-        dscp: u8,
         keypair: Arc<RsaKeypair>,
         flow: impl Into<String>,
         app: Box<dyn AppSource>,
@@ -441,7 +436,6 @@ impl NeutralizedSourceNode {
         NeutralizedSourceNode {
             addr,
             bootstrap,
-            dscp,
             driver: AppDriver::new(flow, app),
             frame: Vec::new(),
             keypair,
@@ -499,7 +493,7 @@ impl NeutralizedSourceNode {
             stamp: None,
         };
         let pkt = if est.confirmed {
-            pooled_shim(ctx, self.addr, via, self.dscp, &shim, |buf| {
+            pooled_shim(ctx, self.addr, via, &shim, |buf| {
                 put_record(buf, &mut est.session, &inner)
             })
         } else {
@@ -515,9 +509,7 @@ impl NeutralizedSourceNode {
                 ctx.stats.bump(self.ids.envelope_fail);
                 return;
             };
-            pooled_shim(ctx, self.addr, via, self.dscp, &shim, |buf| {
-                put_envelope(buf, &env)
-            })
+            pooled_shim(ctx, self.addr, via, &shim, |buf| put_envelope(buf, &env))
         };
         match pkt {
             Some(pkt) => {
@@ -552,7 +544,7 @@ impl NeutralizedSourceNode {
             stamp: None,
         };
         let wire = self.keypair.public.to_wire();
-        if let Some(pkt) = pooled_shim(ctx, self.addr, self.provider(), self.dscp, &shim, |buf| {
+        if let Some(pkt) = pooled_shim(ctx, self.addr, self.provider(), &shim, |buf| {
             buf.extend_from_slice(&wire)
         }) {
             ctx.send(0, pkt);
@@ -756,7 +748,7 @@ impl NeutralizedServerNode {
             addr_block: ShimRepr::plain_addr_block(initiator),
             stamp: None,
         };
-        if let Some(pkt) = pooled_shim(ctx, self.addr, entry.return_via, 0, &shim, |buf| {
+        if let Some(pkt) = pooled_shim(ctx, self.addr, entry.return_via, &shim, |buf| {
             put_record(buf, &mut entry.session, &InnerPayload::data(app_frame))
         }) {
             ctx.send(0, pkt);
@@ -926,7 +918,6 @@ mod tests {
                 neutralizers: providers,
                 dest_pubkey: kp.public,
             },
-            0,
             onetime,
             "flow",
             Box::new(NullApp),

@@ -83,9 +83,7 @@ pub use cell::{
     run_cell, run_cell_with_pool, CellFlow, CellReport, CellSpec, CellTuning, StackKind,
 };
 pub use events::EventTimelineSpec;
-pub use executor::{
-    run_shard, run_shard_with_progress, CellExecutor, ProcessExecutor, ThreadExecutor,
-};
+pub use executor::{run_shard, CellExecutor, ProcessExecutor, ThreadExecutor};
 pub use finalize::{finalize_relative, score_verdicts, DetectionSummary, Verdict};
 pub use hosts::{
     Bootstrap, NeutralizedServerNode, NeutralizedSourceNode, PlainServerNode, PlainSourceNode,

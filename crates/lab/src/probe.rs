@@ -82,6 +82,8 @@ pub struct ProbeNode {
     responder: Ipv4Addr,
     marker: Vec<u8>,
     duration: Duration,
+    /// The twin being built, reused for every probe.
+    body: Vec<u8>,
     pair_seq: u32,
     plain_tx: u64,
     plain_rx: u64,
@@ -101,6 +103,7 @@ impl ProbeNode {
             responder,
             marker,
             duration,
+            body: Vec::new(),
             pair_seq: 0,
             plain_tx: 0,
             plain_rx: 0,
@@ -130,27 +133,25 @@ impl ProbeNode {
         }
     }
 
-    /// One twin: its probe header behind `lead`, padded to
-    /// [`PAIR_PAYLOAD`] bytes, between the given ports.
-    fn build_twin(
-        &self,
-        ctx: &mut Context,
-        kind: ProbeKind,
-        lead: &[u8],
-        port: u16,
-        seq: u32,
-    ) -> Option<FrameBuf> {
+    /// One twin: its probe header, behind the marker for the lookalike,
+    /// padded to [`PAIR_PAYLOAD`] bytes, on the twin's port.
+    fn build_twin(&mut self, ctx: &mut Context, kind: ProbeKind, seq: u32) -> Option<FrameBuf> {
+        let (lead, port) = match kind {
+            ProbeKind::DiffPlain => (&self.marker[..], APP_PORT),
+            ProbeKind::DiffNeut => (&b""[..], NEUT_PROBE_PORT),
+        };
         let probe = ProbePayload {
             kind,
             seq,
             sent_ns: ctx.now.as_nanos(),
         };
-        let mut body = probe.encode(lead);
-        if body.len() < PAIR_PAYLOAD {
-            body.resize(PAIR_PAYLOAD, b'.');
+        self.body.clear();
+        probe.encode_into(&mut self.body, lead);
+        if self.body.len() < PAIR_PAYLOAD {
+            self.body.resize(PAIR_PAYLOAD, b'.');
         }
-        let (src, dst) = (self.addr, self.responder);
-        ctx.alloc_built(|buf| build_udp_into(buf, src, dst, 0, port, port, &body))
+        let (src, dst, body) = (self.addr, self.responder, &self.body);
+        ctx.alloc_built(|buf| build_udp_into(buf, src, dst, 0, port, port, body))
     }
 
     /// One differential pair: the application lookalike and its
@@ -160,8 +161,8 @@ impl ProbeNode {
     fn send_pair(&mut self, ctx: &mut Context) {
         let seq = self.pair_seq;
         self.pair_seq += 1;
-        let plain = self.build_twin(ctx, ProbeKind::DiffPlain, &self.marker, APP_PORT, seq);
-        let neut = self.build_twin(ctx, ProbeKind::DiffNeut, b"", NEUT_PROBE_PORT, seq);
+        let plain = self.build_twin(ctx, ProbeKind::DiffPlain, seq);
+        let neut = self.build_twin(ctx, ProbeKind::DiffNeut, seq);
         let mut send = |f: Option<FrameBuf>, tx: &mut u64| {
             if let Some(frame) = f {
                 *tx += 1;
@@ -243,9 +244,8 @@ impl Node for ProbeResponderNode {
                 if parsed.ip.dst == self.addr && ProbePayload::decode(parsed.payload).is_some() =>
             {
                 let (src, dst) = (parsed.ip.src, parsed.ip.dst);
-                let (sport, dport) = (parsed.src_port, parsed.dst_port);
-                let payload = parsed.payload.to_vec();
-                ctx.alloc_built(|buf| build_udp_into(buf, dst, src, 0, dport, sport, &payload))
+                let (sport, dport, payload) = (parsed.src_port, parsed.dst_port, parsed.payload);
+                ctx.alloc_built(|buf| build_udp_into(buf, dst, src, 0, dport, sport, payload))
             }
             _ => None,
         };

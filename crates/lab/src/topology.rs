@@ -381,7 +381,6 @@ impl TopologySpec {
                         POP_SINK_ADDR,
                         APP_PORT,
                         APP_PORT,
-                        0,
                         models,
                     )),
                 );
@@ -693,7 +692,7 @@ fn attach_background(
         let app = Box::new(cohort.app());
         let node = sim.add_node(
             format!("bg{i}"),
-            Box::new(PlainSourceNode::new(addr, target, 0, format!("bg{i}"), app)),
+            Box::new(PlainSourceNode::new(addr, target, format!("bg{i}"), app)),
         );
         sim.connect_sym(attach_to, node, edge_link());
         advertised.push((Ipv4Cidr::new(addr, 24), node));

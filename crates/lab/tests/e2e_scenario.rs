@@ -1,11 +1,11 @@
-//! Workspace-level end-to-end assertions over the `paper` named matrix
+//! End-to-end assertions over the `paper` named matrix
 //! (the baseline / DPI-throttled / neutralized comparison at the paper's
 //! key sizes): the neutralizer must recover goodput under DPI
 //! throttling, and the simulator must be exactly reproducible under a
 //! fixed seed.
 
-use net_neutrality::lab::schema::Encode;
-use net_neutrality::lab::{named_matrix, run_cell, CellReport, ExperimentSpec};
+use nn_lab::schema::Encode;
+use nn_lab::{named_matrix, run_cell, CellReport, ExperimentSpec};
 
 /// Runs the `spec` cell with the given adversary and stack axis names.
 fn run(spec: &ExperimentSpec, adversary: &str, stack: &str) -> CellReport {

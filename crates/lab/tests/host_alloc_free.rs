@@ -18,20 +18,31 @@
 //! allocates). It runs six simulated seconds, a wide margin: after a
 //! 100 ms warm-up the window already allocates nothing.
 //!
+//! The probe plane is held to the same rule: once warm, the prober
+//! builds its differential pairs and the responder echoes them without
+//! touching the heap.
+//!
 //! Every node registers its counters once per cell, so the same
 //! allocator also bounds what a counter registration costs.
 
 use nn_core::neutralizer::{NeutralizerConfig, NeutralizerNode};
 use nn_lab::hosts::{Bootstrap, NeutralizedServerNode, NeutralizedSourceNode};
-use nn_lab::topology::{TopologySpec, ANYCAST_ADDR, DST_ADDR, SRC_ADDR};
-use nn_lab::{CohortApp, LinkProfileSpec, PlainServerNode, PlainSourceNode, WorkloadSpec};
-use nn_netsim::{Node, NodeId, SimTime, Simulator, Stats};
+use nn_lab::topology::{
+    BuiltTopology, ProbePlane, TopologySpec, ANYCAST_ADDR, DST_ADDR, PROBER_ADDR, PROBE_SINK_ADDR,
+    SRC_ADDR,
+};
+use nn_lab::{
+    CohortApp, LinkProfileSpec, PlainServerNode, PlainSourceNode, ProbeNode, ProbeResponderNode,
+    WorkloadSpec,
+};
+use nn_netsim::{Node, NodeId, SimTime, Simulator, SinkNode, Stats};
 use nn_packet::Ipv4Cidr;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
+use std::time::Duration;
 
 thread_local! {
     /// Heap allocations (and reallocations) made by this thread.
@@ -94,8 +105,14 @@ fn unbounded_voip() -> Box<CohortApp> {
     Box::new(CohortApp::new(w.marker(), 5_000_000, 1, 160, u64::MAX))
 }
 
-/// One chain cell around the given endpoints, echo on.
-fn chain(seed: u64, src: Box<dyn Node>, dst: Box<dyn Node>) -> (Simulator, NodeId, NodeId) {
+/// One chain cell around the given endpoints, with the probe plane if
+/// one is given.
+fn chain(
+    seed: u64,
+    src: Box<dyn Node>,
+    dst: Box<dyn Node>,
+    probe: Option<ProbePlane>,
+) -> (Simulator, BuiltTopology) {
     let config = NeutralizerConfig::new(ANYCAST_ADDR, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
     let neut: Box<dyn Node> = Box::new(NeutralizerNode::new(config, [7u8; 16]));
     let mut sim = Simulator::new(seed);
@@ -105,9 +122,9 @@ fn chain(seed: u64, src: Box<dyn Node>, dst: Box<dyn Node>) -> (Simulator, NodeI
         vec![neut],
         dst,
         &LinkProfileSpec::Clean,
-        None,
+        probe,
     );
-    (sim, built.src, built.dst)
+    (sim, built)
 }
 
 fn neutralized_cell() -> (Simulator, NodeId, NodeId) {
@@ -119,18 +136,17 @@ fn neutralized_cell() -> (Simulator, NodeId, NodeId) {
         neutralizers: vec![ANYCAST_ADDR],
         dest_pubkey: dest.public.clone(),
     };
-    let src = NeutralizedSourceNode::new(SRC_ADDR, bootstrap, 0, onetime, FLOW, unbounded_voip());
+    let src = NeutralizedSourceNode::new(SRC_ADDR, bootstrap, onetime, FLOW, unbounded_voip());
     let dst = NeutralizedServerNode::new(DST_ADDR, ANYCAST_ADDR, dest, true);
-    chain(11, Box::new(src), Box::new(dst))
+    let (sim, built) = chain(11, Box::new(src), Box::new(dst), None);
+    (sim, built.src, built.dst)
 }
 
 fn plain_cell() -> (Simulator, NodeId, NodeId) {
-    let src = PlainSourceNode::new(SRC_ADDR, DST_ADDR, 0, FLOW, unbounded_voip());
-    chain(
-        12,
-        Box::new(src),
-        Box::new(PlainServerNode::new(DST_ADDR, true)),
-    )
+    let src = PlainSourceNode::new(SRC_ADDR, DST_ADDR, FLOW, unbounded_voip());
+    let dst = PlainServerNode::new(DST_ADDR, true);
+    let (sim, built) = chain(12, Box::new(src), Box::new(dst), None);
+    (sim, built.src, built.dst)
 }
 
 /// Every per-frame count the window must move, read between runs.
@@ -224,6 +240,49 @@ fn warm_host_stacks_seal_open_and_echo_without_allocating() {
         allocs, 0,
         "heap allocations while the host stacks ran warm: {window:?}"
     );
+}
+
+/// A chain with silent endpoints and the probe plane: two simulated
+/// seconds warm, then a two-second window of differential pairs and
+/// their echoes that must allocate nothing.
+#[test]
+fn warm_probe_plane_sends_and_echoes_without_allocating() {
+    let marker = WorkloadSpec::voip_default().marker().to_vec();
+    let plane = ProbePlane {
+        prober: Box::new(ProbeNode::new(
+            PROBER_ADDR,
+            PROBE_SINK_ADDR,
+            marker,
+            Duration::from_secs(5),
+        )),
+        responder: Box::new(ProbeResponderNode::new(PROBE_SINK_ADDR)),
+    };
+    let silent = || Box::new(SinkNode::new());
+    let (mut sim, built) = chain(13, silent(), silent(), Some(plane));
+    let prober = built.prober.expect("probe plane attached");
+    let counts = |sim: &Simulator| {
+        let s = sim.node_ref::<ProbeNode>(prober).unwrap().summary();
+        let echoed = sim.stats().counter("probe.responder_echoed");
+        [s.plain_rx, s.neut_rx, echoed]
+    };
+
+    sim.run_until(SimTime::from_secs(2));
+    let before = counts(&sim);
+    let allocs_before = allocations();
+    sim.run_until(SimTime::from_secs(4));
+    let allocs = allocations() - allocs_before;
+    let after = counts(&sim);
+
+    for (name, (b, a)) in ["plain_rx", "neut_rx", "probe.responder_echoed"]
+        .iter()
+        .zip(before.iter().zip(&after))
+    {
+        assert!(
+            a > b,
+            "the window never moved {name}: {before:?} -> {after:?}"
+        );
+    }
+    assert_eq!(allocs, 0, "heap allocations while the probe plane ran warm");
 }
 
 nn_netsim::counter_set! {

@@ -59,7 +59,6 @@ fn run_neutralized(key_cache: bool) -> (Outcome, CacheStats) {
     let src: Box<dyn Node> = Box::new(NeutralizedSourceNode::new(
         SRC_ADDR,
         bootstrap,
-        0,
         onetime_keypair,
         workload.name(),
         app,

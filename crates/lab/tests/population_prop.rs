@@ -103,7 +103,6 @@ fn run_population(p: &CaseParams) -> FlowStats {
             SERVER_ADDR,
             nn_lab::hosts::APP_PORT,
             nn_lab::hosts::APP_PORT,
-            0,
             vec![model.clone()],
         )),
     );
@@ -163,7 +162,6 @@ fn run_hosts(p: &CaseParams) -> MergedHosts {
             Box::new(PlainSourceNode::new(
                 addr,
                 SERVER_ADDR,
-                0,
                 host_flow(i),
                 Box::new(app),
             )),

@@ -312,7 +312,6 @@ pub struct PopulationNode {
     dst: Ipv4Addr,
     src_port: u16,
     dst_port: u16,
-    dscp: u8,
     cohorts: Vec<CohortRuntime>,
     body_scratch: Vec<u8>,
     payload_scratch: Vec<u8>,
@@ -321,13 +320,12 @@ pub struct PopulationNode {
 
 impl PopulationNode {
     /// A population at `src` sending every cohort to `dst` on the given
-    /// UDP port pair.
+    /// UDP port pair, at DSCP 0.
     pub fn new(
         src: Ipv4Addr,
         dst: Ipv4Addr,
         src_port: u16,
         dst_port: u16,
-        dscp: u8,
         models: Vec<CohortModel>,
     ) -> PopulationNode {
         let cohorts = models
@@ -347,7 +345,6 @@ impl PopulationNode {
             dst,
             src_port,
             dst_port,
-            dscp,
             cohorts,
             body_scratch: Vec::new(),
             payload_scratch: Vec::new(),
@@ -372,7 +369,7 @@ impl PopulationNode {
                 buf,
                 self.src,
                 self.dst,
-                self.dscp,
+                0,
                 self.src_port,
                 self.dst_port,
                 &self.payload_scratch,
@@ -665,7 +662,6 @@ mod tests {
                 SINK,
                 16384,
                 16384,
-                0,
                 vec![model.clone()],
             )),
         );
