@@ -496,10 +496,10 @@ pub fn matrix() {
         ..CellTuning::fast()
     };
     let plain = CellSpec {
-        topology: TopologySpec::chain(),
+        topology: TopologySpec::Chain,
         link: LinkProfileSpec::Clean,
-        workload: WorkloadSpec::voip_default(),
-        adversary: AdversarySpec::content_dpi_default(),
+        workload: WorkloadSpec::Voip,
+        adversary: AdversarySpec::ContentDpi,
         stack: StackKind::Plain,
         events: EventTimelineSpec::Static,
         probes: false,
@@ -632,7 +632,6 @@ pub fn population() {
                 Ipv4Addr::new(10, 0, 1, 1),
                 Ipv4Addr::new(10, 0, 2, 1),
                 16384,
-                16384,
                 vec![model.clone()],
             )),
         );
@@ -701,8 +700,8 @@ pub fn population() {
             },
         },
         link: LinkProfileSpec::Clean,
-        workload: WorkloadSpec::voip_default(),
-        adversary: AdversarySpec::content_dpi_default(),
+        workload: WorkloadSpec::Voip,
+        adversary: AdversarySpec::ContentDpi,
         stack: StackKind::Plain,
         events: EventTimelineSpec::Static,
         probes: false,

@@ -181,7 +181,7 @@ fn build() -> Lab {
     let psink_node = PopulationSinkNode::for_models(&models);
     let pop = sim.add_node(
         "pop",
-        Box::new(PopulationNode::new(POP, PSINK, 4000, 4000, models)),
+        Box::new(PopulationNode::new(POP, PSINK, 4000, models)),
     );
     let ks = MasterKey::new(MASTER_KEY).derive_ks(NONCE, OUTSIDE.to_u32());
     let outside = sim.add_node(

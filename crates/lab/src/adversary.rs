@@ -4,8 +4,9 @@
 //! analysis, delaying and dropping; §1 lists the motives (slow down a
 //! competitor's VoIP, prioritize the ISP's own). Each preset here is one
 //! such tactic compiled to a [`PolicyEngine`] over `netsim::policy`,
-//! parameterized by the workload under attack so the content classifier
-//! keys on the right plaintext signature.
+//! with its rates, delays and bucket sizes fixed in this module, and
+//! aimed at the workload under attack so the content classifier keys on
+//! the right plaintext signature.
 //!
 //! Not every preset is defeated by neutralization — deliberately so.
 //! Content DPI, port blocking and address-based drops lose their
@@ -13,117 +14,84 @@
 //! throttle still bites, because it needs no signal at all. The matrix
 //! makes that boundary measurable instead of asserted.
 
+use crate::topology::DST_PREFIX;
 use crate::workload::WorkloadSpec;
 use nn_netsim::{Action, MatchExpr, PolicyEngine, Rule};
-use nn_packet::{Ipv4Addr, Ipv4Cidr};
 use std::time::Duration;
 
 /// UDP port the plain host stacks use (mirrors `hosts::APP_PORT`).
 use crate::hosts::APP_PORT;
 
 /// One point on the adversary axis.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdversarySpec {
     /// No discrimination — the neutral-network baseline.
     None,
-    /// Content DPI: match the workload's plaintext marker, police the
-    /// flow to a trickle (§1's "slow down competing VoIP").
-    ContentDpi {
-        /// Policing rate, bits/sec on the wire.
-        rate_bps: u64,
-        /// Token-bucket depth, bytes.
-        burst_bytes: usize,
-    },
+    /// Content DPI: match the workload's plaintext marker and police the
+    /// flow to 64 kbit/s with a 3000-byte bucket (§1's "slow down
+    /// competing VoIP").
+    ContentDpi,
     /// Port blocking: drop everything to the application's UDP port.
     PortBlock,
     /// Address-based drop: drop everything addressed into the
-    /// destination prefix (the signal sealed address blocks remove).
-    AddressDrop {
-        /// The prefix being censored.
-        prefix: Ipv4Cidr,
-    },
-    /// Delay/jitter injection against the application port — the attack
-    /// that degrades interactive traffic without dropping a byte.
-    DelayJitter {
-        /// Smallest injected extra delay.
-        min: Duration,
-        /// Largest injected extra delay.
-        max: Duration,
-    },
-    /// Tiered prioritization: traffic already marked premium (high DSCP)
-    /// passes; everything best-effort is policed. Needs no
-    /// classification signal, so neutralization alone cannot defeat it.
-    TieredPriority {
-        /// DSCP at or above which traffic rides the premium tier.
-        premium_dscp: u8,
-        /// Best-effort policing rate, bits/sec.
-        rate_bps: u64,
-        /// Token-bucket depth, bytes.
-        burst_bytes: usize,
-    },
+    /// destination's `/16` (the signal sealed address blocks remove).
+    AddressDrop,
+    /// Delay/jitter injection against the application port, 20–80 ms
+    /// per frame — the attack that degrades interactive traffic without
+    /// dropping a byte.
+    DelayJitter,
+    /// Tiered prioritization: traffic already marked premium (DSCP ≥ 40)
+    /// passes; everything best-effort is policed to 128 kbit/s with a
+    /// 4000-byte bucket. Needs no classification signal, so
+    /// neutralization alone cannot defeat it.
+    TieredPriority,
 }
 
 impl AdversarySpec {
-    /// The content-DPI preset the `paper` matrix runs
-    /// (64 kbit/s police, 3000-byte bucket).
+    /// [`AdversarySpec::ContentDpi`], under the name `benchmark/` calls.
     pub fn content_dpi_default() -> Self {
-        AdversarySpec::ContentDpi {
-            rate_bps: 64_000,
-            burst_bytes: 3_000,
-        }
+        AdversarySpec::ContentDpi
     }
 
-    /// The address-drop preset against the legacy destination prefix.
+    /// [`AdversarySpec::AddressDrop`], under the name `benchmark/` calls.
     pub fn address_drop_default() -> Self {
-        AdversarySpec::AddressDrop {
-            prefix: Ipv4Cidr::new(Ipv4Addr::new(10, 7, 0, 0), 16),
-        }
+        AdversarySpec::AddressDrop
     }
 
-    /// The jitter preset: 20–80 ms of injected delay.
+    /// [`AdversarySpec::DelayJitter`], under the name `benchmark/` calls.
     pub fn delay_jitter_default() -> Self {
-        AdversarySpec::DelayJitter {
-            min: Duration::from_millis(20),
-            max: Duration::from_millis(80),
-        }
+        AdversarySpec::DelayJitter
     }
 
-    /// The tiered-priority preset: DSCP ≥ 40 rides free, the rest is
-    /// policed to 128 kbit/s.
+    /// [`AdversarySpec::TieredPriority`], under the name `benchmark/`
+    /// calls.
     pub fn tiered_default() -> Self {
-        AdversarySpec::TieredPriority {
-            premium_dscp: 40,
-            rate_bps: 128_000,
-            burst_bytes: 4_000,
-        }
+        AdversarySpec::TieredPriority
     }
 
     /// Stable axis name (report column).
     pub fn name(&self) -> &'static str {
         match self {
             AdversarySpec::None => "none",
-            AdversarySpec::ContentDpi { .. } => "content-dpi",
+            AdversarySpec::ContentDpi => "content-dpi",
             AdversarySpec::PortBlock => "port-block",
-            AdversarySpec::AddressDrop { .. } => "address-drop",
-            AdversarySpec::DelayJitter { .. } => "delay-jitter",
-            AdversarySpec::TieredPriority { .. } => "tiered-priority",
+            AdversarySpec::AddressDrop => "address-drop",
+            AdversarySpec::DelayJitter => "delay-jitter",
+            AdversarySpec::TieredPriority => "tiered-priority",
         }
     }
 
     /// Compiles the preset into a policy engine targeting `workload`.
     /// [`AdversarySpec::None`] compiles to an empty (all-forward) engine.
     pub fn build(&self, workload: &WorkloadSpec) -> PolicyEngine {
-        match *self {
+        match self {
             AdversarySpec::None => PolicyEngine::new(),
-            AdversarySpec::ContentDpi {
-                rate_bps,
-                burst_bytes,
-            } => PolicyEngine::new().with(Rule::new(
+            AdversarySpec::ContentDpi => PolicyEngine::new().with(Rule::new(
                 format!("dpi-throttle-{}", workload.name()),
                 MatchExpr::PayloadContains(workload.marker().to_vec()),
                 Action::Throttle {
-                    rate_bps,
-                    burst_bytes,
+                    rate_bps: 64_000,
+                    burst_bytes: 3_000,
                 },
             )),
             AdversarySpec::PortBlock => PolicyEngine::new().with(Rule::new(
@@ -131,35 +99,34 @@ impl AdversarySpec {
                 MatchExpr::DstPort(APP_PORT),
                 Action::Drop { prob: 1.0 },
             )),
-            AdversarySpec::AddressDrop { prefix } => PolicyEngine::new().with(Rule::new(
+            AdversarySpec::AddressDrop => PolicyEngine::new().with(Rule::new(
                 "drop-dst-prefix",
-                MatchExpr::DstPrefix(prefix),
+                MatchExpr::DstPrefix(DST_PREFIX),
                 Action::Drop { prob: 1.0 },
             )),
-            AdversarySpec::DelayJitter { min, max } => PolicyEngine::new().with(Rule::new(
+            AdversarySpec::DelayJitter => PolicyEngine::new().with(Rule::new(
                 "delay-inject",
                 MatchExpr::Any(vec![
                     MatchExpr::DstPort(APP_PORT),
                     MatchExpr::SrcPort(APP_PORT),
                 ]),
-                Action::Jitter { min, max },
+                Action::Jitter {
+                    min: Duration::from_millis(20),
+                    max: Duration::from_millis(80),
+                },
             )),
-            AdversarySpec::TieredPriority {
-                premium_dscp,
-                rate_bps,
-                burst_bytes,
-            } => PolicyEngine::new()
+            AdversarySpec::TieredPriority => PolicyEngine::new()
                 .with(Rule::new(
                     "tier-premium",
-                    MatchExpr::DscpAtLeast(premium_dscp),
+                    MatchExpr::DscpAtLeast(40),
                     Action::Allow,
                 ))
                 .with(Rule::new(
                     "tier-besteffort",
                     MatchExpr::True,
                     Action::Throttle {
-                        rate_bps,
-                        burst_bytes,
+                        rate_bps: 128_000,
+                        burst_bytes: 4_000,
                     },
                 )),
         }
@@ -170,7 +137,7 @@ impl AdversarySpec {
 mod tests {
     use super::*;
     use nn_netsim::Verdict;
-    use nn_packet::build_udp;
+    use nn_packet::{build_udp, Ipv4Addr};
 
     fn voip_frame() -> Vec<u8> {
         let mut payload = Vec::new();
@@ -188,15 +155,15 @@ mod tests {
 
     #[test]
     fn none_forwards_everything() {
-        let mut pe = AdversarySpec::None.build(&WorkloadSpec::voip_default());
+        let mut pe = AdversarySpec::None.build(&WorkloadSpec::Voip);
         assert!(pe.is_empty());
         assert_eq!(pe.evaluate(0, &voip_frame(), 0.0), Verdict::Forward);
     }
 
     #[test]
     fn content_dpi_rule_targets_the_workload_marker() {
-        let w = WorkloadSpec::voip_default();
-        let mut pe = AdversarySpec::content_dpi_default().build(&w);
+        let w = WorkloadSpec::Voip;
+        let mut pe = AdversarySpec::ContentDpi.build(&w);
         // First packet conforms to the bucket; flooding exceeds it.
         assert_eq!(pe.evaluate(0, &voip_frame(), 0.0), Verdict::Forward);
         let mut dropped = 0;
@@ -211,11 +178,8 @@ mod tests {
 
     #[test]
     fn port_block_and_address_drop_kill_plain_traffic() {
-        for spec in [
-            AdversarySpec::PortBlock,
-            AdversarySpec::address_drop_default(),
-        ] {
-            let mut pe = spec.build(&WorkloadSpec::voip_default());
+        for spec in [AdversarySpec::PortBlock, AdversarySpec::AddressDrop] {
+            let mut pe = spec.build(&WorkloadSpec::Voip);
             assert!(
                 matches!(pe.evaluate(0, &voip_frame(), 0.5), Verdict::Drop(_)),
                 "{} must drop the plain frame",
@@ -226,7 +190,7 @@ mod tests {
 
     #[test]
     fn jitter_delays_without_dropping() {
-        let mut pe = AdversarySpec::delay_jitter_default().build(&WorkloadSpec::voip_default());
+        let mut pe = AdversarySpec::DelayJitter.build(&WorkloadSpec::Voip);
         match pe.evaluate(0, &voip_frame(), 0.5) {
             Verdict::Delay(d) => {
                 assert!(d >= Duration::from_millis(20) && d <= Duration::from_millis(80))
@@ -237,7 +201,7 @@ mod tests {
 
     #[test]
     fn tiered_spares_premium_traffic_only() {
-        let mut pe = AdversarySpec::tiered_default().build(&WorkloadSpec::voip_default());
+        let mut pe = AdversarySpec::TieredPriority.build(&WorkloadSpec::Voip);
         let premium = build_udp(
             Ipv4Addr::new(203, 0, 113, 10),
             Ipv4Addr::new(10, 7, 0, 99),
@@ -262,11 +226,11 @@ mod tests {
     fn names_are_unique() {
         let specs = [
             AdversarySpec::None,
-            AdversarySpec::content_dpi_default(),
+            AdversarySpec::ContentDpi,
             AdversarySpec::PortBlock,
-            AdversarySpec::address_drop_default(),
-            AdversarySpec::delay_jitter_default(),
-            AdversarySpec::tiered_default(),
+            AdversarySpec::AddressDrop,
+            AdversarySpec::DelayJitter,
+            AdversarySpec::TieredPriority,
         ];
         let names: std::collections::HashSet<_> = specs.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), specs.len());

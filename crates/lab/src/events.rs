@@ -160,7 +160,7 @@ mod tests {
 
     #[test]
     fn presets_lower_to_expected_shapes() {
-        let (_, built) = crate::topology::tests::build_for_test(&crate::TopologySpec::chain());
+        let (_, built) = crate::topology::tests::build_for_test(&crate::TopologySpec::Chain);
         let d = Duration::from_millis(800);
         assert!(EventTimelineSpec::Static.lower(&built, d).is_empty());
         let flap = EventTimelineSpec::Flap.lower(&built, d);

@@ -39,7 +39,7 @@ pub(crate) fn to_matrix_cell(mc: &MatrixCellSpec, report: crate::cell::CellRepor
     MatrixCell {
         index: mc.index,
         topology: mc.cell.topology.name(),
-        link: mc.cell.link.name(),
+        link: mc.cell.link.name().to_string(),
         workload: mc.cell.workload.name().to_string(),
         adversary: mc.cell.adversary.name().to_string(),
         stack: mc.cell.stack.name().to_string(),

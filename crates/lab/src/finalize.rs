@@ -126,14 +126,14 @@ fn ground_truth(adversary: &AdversarySpec) -> &'static str {
         AdversarySpec::None => "negative",
         // Classification-keyed mechanisms treat the application-lookalike
         // probe differently from its unclassifiable twin — visible.
-        AdversarySpec::ContentDpi { .. }
-        | AdversarySpec::PortBlock
-        | AdversarySpec::DelayJitter { .. } => "positive",
+        AdversarySpec::ContentDpi | AdversarySpec::PortBlock | AdversarySpec::DelayJitter => {
+            "positive"
+        }
         // Tiered priority throttles everything below the premium DSCP
         // band — both twins alike, indistinguishable from congestion.
         // Address drops target the application's destination prefix, not
         // the probe sink, so probes never see them either.
-        AdversarySpec::TieredPriority { .. } | AdversarySpec::AddressDrop { .. } => "evades",
+        AdversarySpec::TieredPriority | AdversarySpec::AddressDrop => "evades",
     }
 }
 

@@ -296,18 +296,16 @@ impl Node for PlainSourceNode {
 /// app frame back to the sender.
 pub struct PlainServerNode {
     addr: Ipv4Addr,
-    echo: bool,
     flow: LastFlow,
     /// App frames delivered.
     pub rx_frames: u64,
 }
 
 impl PlainServerNode {
-    /// Builds a server at `addr`; `echo` controls replies.
-    pub fn new(addr: Ipv4Addr, echo: bool) -> Self {
+    /// Builds a server at `addr`.
+    pub fn new(addr: Ipv4Addr) -> Self {
         PlainServerNode {
             addr,
-            echo,
             flow: LastFlow::default(),
             rx_frames: 0,
         }
@@ -316,8 +314,7 @@ impl PlainServerNode {
 
 impl Node for PlainServerNode {
     fn on_packet(&mut self, ctx: &mut Context, _iface: IfaceId, frame: FrameBuf) {
-        let mut reply: Option<FrameBuf> = None;
-        {
+        let reply = {
             let Ok(parsed) = parse_udp(&frame) else {
                 ctx.recycle(frame);
                 return;
@@ -333,16 +330,14 @@ impl Node for PlainServerNode {
             if is_ce(&frame) {
                 ctx.stats.flow_ce(flow, 1);
             }
-            if self.echo {
-                reply = pooled_udp(
-                    ctx,
-                    self.addr,
-                    parsed.ip.src,
-                    parsed.ip.dscp,
-                    parsed.payload,
-                );
-            }
-        }
+            pooled_udp(
+                ctx,
+                self.addr,
+                parsed.ip.src,
+                parsed.ip.dscp,
+                parsed.payload,
+            )
+        };
         ctx.recycle(frame);
         if let Some(pkt) = reply {
             ctx.send(0, pkt);
@@ -696,13 +691,13 @@ struct ServerSession {
 
 /// The neutralized destination: a customer inside the neutral domain
 /// holding the end-to-end private key published in its `NEUT` record.
+/// It echoes every app frame back as a sealed record.
 pub struct NeutralizedServerNode {
     addr: Ipv4Addr,
     /// Default entry point for return traffic (the primary anycast
     /// address), used until a data packet stamps a serving provider.
     neutralizer: Ipv4Addr,
     keypair: Arc<RsaKeypair>,
-    echo: bool,
     /// Record channels per (initiator, nonce): responder direction.
     sessions: HashMap<(u32, u64), ServerSession>,
     flow: LastFlow,
@@ -713,17 +708,11 @@ pub struct NeutralizedServerNode {
 
 impl NeutralizedServerNode {
     /// Builds the destination stack.
-    pub fn new(
-        addr: Ipv4Addr,
-        neutralizer: Ipv4Addr,
-        keypair: Arc<RsaKeypair>,
-        echo: bool,
-    ) -> Self {
+    pub fn new(addr: Ipv4Addr, neutralizer: Ipv4Addr, keypair: Arc<RsaKeypair>) -> Self {
         NeutralizedServerNode {
             addr,
             neutralizer,
             keypair,
-            echo,
             sessions: HashMap::new(),
             flow: LastFlow::default(),
             ids: ServerCounters::default(),
@@ -859,9 +848,7 @@ impl NeutralizedServerNode {
         if ce {
             ctx.stats.flow_ce(flow, 1);
         }
-        if self.echo {
-            self.echo_reply(ctx, initiator, nonce, inner.app);
-        }
+        self.echo_reply(ctx, initiator, nonce, inner.app);
     }
 }
 
@@ -1019,7 +1006,7 @@ mod tests {
     fn serve_frames(keypair: RsaKeypair, frames: Vec<Vec<u8>>) -> (Simulator, nn_netsim::NodeId) {
         let mut sim = Simulator::new(3);
         let src = sim.add_node("src", Box::new(Replay(frames)));
-        let server = NeutralizedServerNode::new(DEST, NEUT, Arc::new(keypair), false);
+        let server = NeutralizedServerNode::new(DEST, NEUT, Arc::new(keypair));
         let dst = sim.add_node("dst", Box::new(server));
         sim.connect_sym(
             src,

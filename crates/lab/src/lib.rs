@@ -5,21 +5,25 @@
 //! adversary × host stack × seed) cells run in parallel across OS
 //! threads:
 //!
-//! * [`topology`] — chain (the legacy shape), dumbbell, eyeball-ISP
-//!   star, metro and multi-AS shapes, each the paper's one path built by
-//!   one skeleton with the discriminator at a configurable hop, plus
-//!   §3.5's multihomed fork; dumbbell and star can attach background
-//!   cross-traffic customers so the bottleneck actually congests.
+//! * [`topology`] — chain (the paper's shape), dumbbell, eyeball-ISP
+//!   star, metro and multi-AS presets, each the paper's one path built
+//!   by one skeleton, plus §3.5's multihomed fork; the dumbbell can
+//!   attach background cross-traffic customers so the bottleneck
+//!   actually congests.
 //! * [`link`] — the bottleneck impairment axis: clean, Gilbert–Elliott
 //!   burst loss, a congested ECN-marking RED bottleneck, and a plain
 //!   congested drop-tail bottleneck, lowered onto
 //!   [`nn_netsim::LinkProfile`]s.
-//! * [`workload`] — VoIP (the legacy victim), bulk transfer, web-style
+//! * [`workload`] — VoIP (the paper's victim), bulk transfer, web-style
 //!   request/response and constant-rate streaming, each a deterministic
 //!   schedule pluggable into either host stack.
 //! * [`adversary`] — named [`nn_netsim::PolicyEngine`] presets: content
 //!   DPI throttling, port blocking, address-based drops, delay/jitter
 //!   injection and tiered prioritization.
+//!
+//! Every value of those four axes is a preset whose numbers are
+//! constants of its module. Only the dumbbell's cross-traffic count and
+//! the metro shape's spokes and population are set by a spec.
 //! * [`hosts`] — the plain and neutralized (§3.2) endpoint stacks every
 //!   workload runs over.
 //! * [`events`] — the dynamic-events axis: named timeline presets

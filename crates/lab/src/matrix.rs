@@ -27,6 +27,7 @@ use crate::finalize::{DetectionSummary, Verdict};
 use crate::json::Json;
 use crate::link::LinkProfileSpec;
 use crate::plan::ExecutionPlan;
+use crate::population::PopulationSpec;
 use crate::schema::{fields, Encode};
 use crate::shard::{merge_shards, pool_json, MergedMatrix};
 use crate::topology::TopologySpec;
@@ -444,10 +445,10 @@ pub fn named_matrix(name: &str) -> Option<ExperimentSpec> {
         // 4 cells.
         "paper" => ExperimentSpec {
             name: "paper".to_string(),
-            topologies: vec![TopologySpec::chain()],
+            topologies: vec![TopologySpec::Chain],
             links: vec![LinkProfileSpec::Clean],
-            workloads: vec![WorkloadSpec::voip_default()],
-            adversaries: vec![AdversarySpec::None, AdversarySpec::content_dpi_default()],
+            workloads: vec![WorkloadSpec::Voip],
+            adversaries: vec![AdversarySpec::None, AdversarySpec::ContentDpi],
             stacks: vec![StackKind::Plain, StackKind::Neutralized],
             events: vec![EventTimelineSpec::Static],
             seeds: vec![42],
@@ -459,14 +460,14 @@ pub fn named_matrix(name: &str) -> Option<ExperimentSpec> {
         // smoke run so the link axis cannot silently rot.
         "smoke" => ExperimentSpec {
             name: "smoke".to_string(),
-            topologies: vec![TopologySpec::chain(), TopologySpec::star_default()],
+            topologies: vec![TopologySpec::Chain, TopologySpec::Star],
             links: vec![
                 LinkProfileSpec::Clean,
-                LinkProfileSpec::lossy_burst_default(),
-                LinkProfileSpec::ecn_red_default(),
+                LinkProfileSpec::LossyBurst,
+                LinkProfileSpec::EcnRed,
             ],
-            workloads: vec![WorkloadSpec::voip_default()],
-            adversaries: vec![AdversarySpec::None, AdversarySpec::content_dpi_default()],
+            workloads: vec![WorkloadSpec::Voip],
+            adversaries: vec![AdversarySpec::None, AdversarySpec::ContentDpi],
             stacks: vec![StackKind::Plain],
             events: vec![EventTimelineSpec::Static, EventTimelineSpec::Flap],
             seeds: vec![1, 2],
@@ -477,14 +478,15 @@ pub fn named_matrix(name: &str) -> Option<ExperimentSpec> {
         // 48 cells.
         "default" => ExperimentSpec {
             name: "default".to_string(),
-            topologies: vec![TopologySpec::chain(), TopologySpec::dumbbell_default()],
-            links: vec![LinkProfileSpec::Clean],
-            workloads: vec![
-                WorkloadSpec::voip_default(),
-                WorkloadSpec::bulk_default(),
-                WorkloadSpec::web_default(),
+            topologies: vec![
+                TopologySpec::Chain,
+                TopologySpec::Dumbbell {
+                    background_flows: 0,
+                },
             ],
-            adversaries: vec![AdversarySpec::None, AdversarySpec::content_dpi_default()],
+            links: vec![LinkProfileSpec::Clean],
+            workloads: vec![WorkloadSpec::Voip, WorkloadSpec::Bulk, WorkloadSpec::Web],
+            adversaries: vec![AdversarySpec::None, AdversarySpec::ContentDpi],
             stacks: vec![StackKind::Plain, StackKind::Neutralized],
             events: vec![EventTimelineSpec::Static],
             seeds: vec![1, 2],
@@ -498,17 +500,19 @@ pub fn named_matrix(name: &str) -> Option<ExperimentSpec> {
         // both stacks alike — 36 cells.
         "congested" => ExperimentSpec {
             name: "congested".to_string(),
-            topologies: vec![TopologySpec::dumbbell_crossed()],
+            topologies: vec![TopologySpec::Dumbbell {
+                background_flows: 2,
+            }],
             links: vec![
                 LinkProfileSpec::Clean,
-                LinkProfileSpec::ecn_red_default(),
-                LinkProfileSpec::congested_default(),
+                LinkProfileSpec::EcnRed,
+                LinkProfileSpec::Congested,
             ],
-            workloads: vec![WorkloadSpec::voip_default()],
+            workloads: vec![WorkloadSpec::Voip],
             adversaries: vec![
                 AdversarySpec::None,
-                AdversarySpec::content_dpi_default(),
-                AdversarySpec::tiered_default(),
+                AdversarySpec::ContentDpi,
+                AdversarySpec::TieredPriority,
             ],
             stacks: vec![StackKind::Plain, StackKind::Neutralized],
             events: vec![EventTimelineSpec::Static],
@@ -521,29 +525,31 @@ pub fn named_matrix(name: &str) -> Option<ExperimentSpec> {
         "full" => ExperimentSpec {
             name: "full".to_string(),
             topologies: vec![
-                TopologySpec::chain(),
-                TopologySpec::dumbbell_crossed(),
-                TopologySpec::star_default(),
-                TopologySpec::multi_as_default(),
+                TopologySpec::Chain,
+                TopologySpec::Dumbbell {
+                    background_flows: 2,
+                },
+                TopologySpec::Star,
+                TopologySpec::MultiAs,
             ],
             links: vec![
                 LinkProfileSpec::Clean,
-                LinkProfileSpec::lossy_burst_default(),
-                LinkProfileSpec::ecn_red_default(),
+                LinkProfileSpec::LossyBurst,
+                LinkProfileSpec::EcnRed,
             ],
             workloads: vec![
-                WorkloadSpec::voip_default(),
-                WorkloadSpec::bulk_default(),
-                WorkloadSpec::web_default(),
-                WorkloadSpec::stream_default(),
+                WorkloadSpec::Voip,
+                WorkloadSpec::Bulk,
+                WorkloadSpec::Web,
+                WorkloadSpec::Stream,
             ],
             adversaries: vec![
                 AdversarySpec::None,
-                AdversarySpec::content_dpi_default(),
+                AdversarySpec::ContentDpi,
                 AdversarySpec::PortBlock,
-                AdversarySpec::address_drop_default(),
-                AdversarySpec::delay_jitter_default(),
-                AdversarySpec::tiered_default(),
+                AdversarySpec::AddressDrop,
+                AdversarySpec::DelayJitter,
+                AdversarySpec::TieredPriority,
             ],
             stacks: vec![StackKind::Plain, StackKind::Neutralized],
             events: vec![EventTimelineSpec::Static],
@@ -559,8 +565,8 @@ pub fn named_matrix(name: &str) -> Option<ExperimentSpec> {
             name: "flaky".to_string(),
             topologies: vec![TopologySpec::Multihomed],
             links: vec![LinkProfileSpec::Clean],
-            workloads: vec![WorkloadSpec::voip_default()],
-            adversaries: vec![AdversarySpec::None, AdversarySpec::content_dpi_default()],
+            workloads: vec![WorkloadSpec::Voip],
+            adversaries: vec![AdversarySpec::None, AdversarySpec::ContentDpi],
             stacks: vec![StackKind::Plain, StackKind::Neutralized],
             events: vec![EventTimelineSpec::Static, EventTimelineSpec::PartitionHeal],
             seeds: vec![1, 2],
@@ -575,15 +581,15 @@ pub fn named_matrix(name: &str) -> Option<ExperimentSpec> {
         // stays invisible to naive differential probing — 10 cells.
         "detection" => ExperimentSpec {
             name: "detection".to_string(),
-            topologies: vec![TopologySpec::chain()],
+            topologies: vec![TopologySpec::Chain],
             links: vec![LinkProfileSpec::Clean],
-            workloads: vec![WorkloadSpec::voip_default()],
+            workloads: vec![WorkloadSpec::Voip],
             adversaries: vec![
                 AdversarySpec::None,
-                AdversarySpec::content_dpi_default(),
+                AdversarySpec::ContentDpi,
                 AdversarySpec::PortBlock,
-                AdversarySpec::delay_jitter_default(),
-                AdversarySpec::tiered_default(),
+                AdversarySpec::DelayJitter,
+                AdversarySpec::TieredPriority,
             ],
             stacks: vec![StackKind::Plain],
             events: vec![EventTimelineSpec::Static],
@@ -599,13 +605,16 @@ pub fn named_matrix(name: &str) -> Option<ExperimentSpec> {
         // 12 cells, each with per-cohort flow rows.
         "metro" => ExperimentSpec {
             name: "metro".to_string(),
-            topologies: vec![TopologySpec::metro_default()],
-            links: vec![LinkProfileSpec::Clean, LinkProfileSpec::ecn_red_default()],
-            workloads: vec![WorkloadSpec::voip_default()],
+            topologies: vec![TopologySpec::Metro {
+                spokes: 4,
+                population: PopulationSpec::metro_default(),
+            }],
+            links: vec![LinkProfileSpec::Clean, LinkProfileSpec::EcnRed],
+            workloads: vec![WorkloadSpec::Voip],
             adversaries: vec![
                 AdversarySpec::None,
-                AdversarySpec::content_dpi_default(),
-                AdversarySpec::tiered_default(),
+                AdversarySpec::ContentDpi,
+                AdversarySpec::TieredPriority,
             ],
             stacks: vec![StackKind::Plain, StackKind::Neutralized],
             events: vec![EventTimelineSpec::Static],
@@ -640,10 +649,10 @@ mod tests {
     fn tiny_spec() -> ExperimentSpec {
         ExperimentSpec {
             name: "tiny".to_string(),
-            topologies: vec![TopologySpec::chain()],
+            topologies: vec![TopologySpec::Chain],
             links: vec![LinkProfileSpec::Clean],
-            workloads: vec![WorkloadSpec::voip_default()],
-            adversaries: vec![AdversarySpec::None, AdversarySpec::content_dpi_default()],
+            workloads: vec![WorkloadSpec::Voip],
+            adversaries: vec![AdversarySpec::None, AdversarySpec::ContentDpi],
             stacks: vec![StackKind::Plain],
             events: vec![EventTimelineSpec::Static],
             seeds: vec![1, 2],
@@ -707,24 +716,22 @@ mod tests {
         }
     }
 
-    /// Two same-kind topologies with different parameters must keep
-    /// separate baselines — grouping is by spec, not display name.
+    /// The two dumbbells, quiet and crossed, keep separate baselines —
+    /// grouping is by spec, not by shape.
     #[test]
     fn parameterized_axes_do_not_share_baselines() {
         let spec = ExperimentSpec {
             name: "dumbbells".to_string(),
             topologies: vec![
                 TopologySpec::Dumbbell {
-                    bottleneck_bps: 5_000_000,
                     background_flows: 0,
                 },
                 TopologySpec::Dumbbell {
-                    bottleneck_bps: 300_000,
-                    background_flows: 0,
+                    background_flows: 2,
                 },
             ],
             links: vec![LinkProfileSpec::Clean],
-            workloads: vec![WorkloadSpec::voip_default()],
+            workloads: vec![WorkloadSpec::Voip],
             adversaries: vec![AdversarySpec::None],
             stacks: vec![StackKind::Plain],
             events: vec![EventTimelineSpec::Static],
@@ -737,8 +744,8 @@ mod tests {
         };
         let report = run_matrix_with_threads(&spec, 2);
         assert_eq!(report.cells.len(), 2);
-        // The 300 kbit/s bottleneck delays the same CBR flow more than
-        // the 5 Mbit/s one, so the two baselines genuinely differ...
+        // The cross traffic delays the same CBR flow at the shared
+        // bottleneck, so the two baselines genuinely differ...
         assert!(report.cells[1].report.mean_delay_ms() > report.cells[0].report.mean_delay_ms());
         // ...and each cell is its own baseline (ratio exactly 1), which
         // name-based grouping would get wrong for the second dumbbell.
@@ -779,6 +786,78 @@ mod tests {
         }
     }
 
+    /// The position of each axis value in the drift guard's tally. The
+    /// matches have no `_` arm, so a new preset does not compile until
+    /// the guard counts it.
+    fn topology_slot(topology: &TopologySpec) -> usize {
+        match topology {
+            TopologySpec::Chain => 0,
+            TopologySpec::Dumbbell { .. } => 1,
+            TopologySpec::Star => 2,
+            TopologySpec::Metro { .. } => 3,
+            TopologySpec::MultiAs => 4,
+            TopologySpec::Multihomed => 5,
+        }
+    }
+
+    fn link_slot(link: &LinkProfileSpec) -> usize {
+        match link {
+            LinkProfileSpec::Clean => 0,
+            LinkProfileSpec::LossyBurst => 1,
+            LinkProfileSpec::EcnRed => 2,
+            LinkProfileSpec::Congested => 3,
+        }
+    }
+
+    fn workload_slot(workload: &WorkloadSpec) -> usize {
+        match workload {
+            WorkloadSpec::Voip => 0,
+            WorkloadSpec::Bulk => 1,
+            WorkloadSpec::Web => 2,
+            WorkloadSpec::Stream => 3,
+        }
+    }
+
+    fn adversary_slot(adversary: &AdversarySpec) -> usize {
+        match adversary {
+            AdversarySpec::None => 0,
+            AdversarySpec::ContentDpi => 1,
+            AdversarySpec::PortBlock => 2,
+            AdversarySpec::AddressDrop => 3,
+            AdversarySpec::DelayJitter => 4,
+            AdversarySpec::TieredPriority => 5,
+        }
+    }
+
+    /// Marks the slot of every value in `values`.
+    fn tally<T>(seen: &mut [bool], values: &[T], slot: fn(&T) -> usize) {
+        for value in values {
+            seen[slot(value)] = true;
+        }
+    }
+
+    /// Every topology, link, workload and adversary preset runs in some
+    /// named matrix. A preset that no matrix runs is one no cell
+    /// measures, and fails here instead of lingering.
+    #[test]
+    fn every_axis_preset_runs_in_a_named_matrix() {
+        let mut topologies = [false; 6];
+        let mut links = [false; 4];
+        let mut workloads = [false; 4];
+        let mut adversaries = [false; 6];
+        for name in NAMED_MATRICES {
+            let spec = named_matrix(name).expect("named matrix");
+            tally(&mut topologies, &spec.topologies, topology_slot);
+            tally(&mut links, &spec.links, link_slot);
+            tally(&mut workloads, &spec.workloads, workload_slot);
+            tally(&mut adversaries, &spec.adversaries, adversary_slot);
+        }
+        assert!(topologies.iter().all(|&s| s), "{topologies:?}");
+        assert!(links.iter().all(|&s| s), "{links:?}");
+        assert!(workloads.iter().all(|&s| s), "{workloads:?}");
+        assert!(adversaries.iter().all(|&s| s), "{adversaries:?}");
+    }
+
     #[test]
     fn named_matrices_all_resolve() {
         for name in NAMED_MATRICES {
@@ -798,16 +877,9 @@ mod tests {
     fn link_axis_cells_keep_separate_baselines() {
         let spec = ExperimentSpec {
             name: "links".to_string(),
-            topologies: vec![TopologySpec::chain()],
-            links: vec![
-                LinkProfileSpec::Clean,
-                LinkProfileSpec::LossyBurst {
-                    p_enter_bad: 0.05,
-                    p_exit_bad: 0.15,
-                    loss_bad: 0.9,
-                },
-            ],
-            workloads: vec![WorkloadSpec::voip_default()],
+            topologies: vec![TopologySpec::Chain],
+            links: vec![LinkProfileSpec::Clean, LinkProfileSpec::LossyBurst],
+            workloads: vec![WorkloadSpec::Voip],
             adversaries: vec![AdversarySpec::None],
             stacks: vec![StackKind::Plain],
             events: vec![EventTimelineSpec::Static],
@@ -842,13 +914,15 @@ mod tests {
     fn congested_ecn_red_story_holds_and_is_thread_invariant() {
         let spec = ExperimentSpec {
             name: "congested-story".to_string(),
-            topologies: vec![TopologySpec::dumbbell_crossed()],
-            links: vec![LinkProfileSpec::ecn_red_default()],
-            workloads: vec![WorkloadSpec::voip_default()],
+            topologies: vec![TopologySpec::Dumbbell {
+                background_flows: 2,
+            }],
+            links: vec![LinkProfileSpec::EcnRed],
+            workloads: vec![WorkloadSpec::Voip],
             adversaries: vec![
                 AdversarySpec::None,
-                AdversarySpec::content_dpi_default(),
-                AdversarySpec::tiered_default(),
+                AdversarySpec::ContentDpi,
+                AdversarySpec::TieredPriority,
             ],
             stacks: vec![StackKind::Plain, StackKind::Neutralized],
             events: vec![EventTimelineSpec::Static],

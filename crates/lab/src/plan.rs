@@ -69,8 +69,8 @@ impl ExperimentSpec {
             cell: CellSpec {
                 topology: topology.clone(),
                 link: *link,
-                workload: workload.clone(),
-                adversary: adversary.clone(),
+                workload: *workload,
+                adversary: *adversary,
                 stack,
                 events,
                 probes: self.probes,

@@ -1,4 +1,4 @@
-//! Topology generators — one axis of the experiment matrix.
+//! Topology presets — one axis of the experiment matrix.
 //!
 //! The paper evaluates one path: a source outside the neutral domain, a
 //! discriminating ISP, the neutralizer at the neutral ISP's border, and
@@ -7,23 +7,25 @@
 //! profile per hop, the bottleneck hop (whose forward direction the link
 //! axis degrades) and the discriminator, plus the shape's own extras:
 //!
-//! * [`TopologySpec::Chain`] — any number of ISP routers, the
-//!   discriminator at a configurable hop.
-//! * [`TopologySpec::Dumbbell`] — two access routers joined by the
-//!   bottleneck, a stub customer off each.
-//! * [`TopologySpec::Star`] — a discriminating eyeball-ISP hub with
-//!   customer spokes; [`TopologySpec::Metro`] adds a population plane.
-//! * [`TopologySpec::MultiAs`] — ingress/egress router pairs per AS,
-//!   the discriminator at a configurable AS egress.
+//! * [`TopologySpec::Chain`] — the paper's one discriminating ISP.
+//! * [`TopologySpec::Dumbbell`] — two access routers joined by a
+//!   5 Mbit/s bottleneck, a stub customer off each, and
+//!   `background_flows` bulk cross-traffic customers, so
+//!   congestion-dependent cells (ECN marking, tiered priority) have
+//!   competition to act on.
+//! * [`TopologySpec::Star`] — a discriminating eyeball-ISP hub with five
+//!   spokes; [`TopologySpec::Metro`] adds a population plane.
+//! * [`TopologySpec::MultiAs`] — three ASes, each an ingress/egress
+//!   router pair, the middle AS's egress discriminating.
 //!
 //! [`TopologySpec::Multihomed`] is §3.5's fork instead: two neutralizing
 //! providers behind one discriminating access router. Every shape ends
 //! alike: the probe plane attaches beside the first and last routers,
 //! and route tables come from [`nn_netsim::compute_routes`] over the
 //! built graph, so anycast addressing works identically everywhere.
-//! Dumbbell and star can attach `background_flows` bulk cross-traffic
-//! customers, so congestion-dependent cells (ECN marking, DSCP tiering)
-//! have competition to act on.
+//! Each shape's numbers are constants of this module; a spec sets only
+//! the dumbbell's cross-traffic count and the metro shape's spokes and
+//! population.
 
 use crate::hosts::{PlainSourceNode, APP_PORT};
 use crate::link::LinkProfileSpec;
@@ -40,6 +42,9 @@ use std::time::Duration;
 pub const SRC_ADDR: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 10);
 /// The destination customer's address (inside the neutral domain).
 pub const DST_ADDR: Ipv4Addr = Ipv4Addr::new(10, 7, 0, 99);
+/// The destination customer's `/16`: the prefix its route advertises,
+/// the neutralizer's domain and what the address-drop adversary censors.
+pub const DST_PREFIX: Ipv4Cidr = Ipv4Cidr::new(DST_ADDR, 16);
 /// The neutralizer anycast service address.
 pub const ANYCAST_ADDR: Ipv4Addr = Ipv4Addr::new(198, 18, 0, 1);
 /// The secondary provider's anycast service address — only advertised by
@@ -79,40 +84,33 @@ fn backbone_link() -> LinkProfile {
     LinkProfile::new(LINK_BPS, Duration::from_millis(10))
 }
 
+/// The dumbbell's bottleneck rate (5 Mbit/s).
+const DUMBBELL_BOTTLENECK_BPS: u64 = 5_000_000;
+
+/// The star's spokes: the source, three stub customers and the neutral
+/// domain.
+const STAR_SPOKES: usize = 5;
+
 /// One point on the topology axis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologySpec {
-    /// `src — isp0 — … — isp(h-1) — neut — dst`. `hops = 1, disc_hop =
-    /// 0` is the paper's single-ISP topology.
-    Chain {
-        /// Number of ISP routers between source and neutralizer (≥ 1).
-        hops: usize,
-        /// Which hop discriminates (0-based, `< hops`).
-        disc_hop: usize,
-    },
-    /// Two access routers joined by a bottleneck:
+    /// `src — isp — neut — dst`: the paper's single-ISP topology. The
+    /// ISP discriminates, and its hop into the neutral domain is the
+    /// bottleneck.
+    Chain,
+    /// Two access routers joined by a 5 Mbit/s bottleneck:
     /// `src — isp =bottleneck= core — neut — dst`, with one stub
     /// customer hanging off each access router. The near-side access
     /// router discriminates.
     Dumbbell {
-        /// Bottleneck bandwidth in bits/sec.
-        bottleneck_bps: u64,
         /// Cross-traffic customers on the near side, each pushing a
         /// bulk schedule across the bottleneck to the far-side stub.
         background_flows: usize,
     },
-    /// An eyeball-ISP hub: the source and `spokes - 2` stub customers
-    /// attach directly to the hub, the neutral domain hangs off it. The
-    /// hub discriminates.
-    Star {
-        /// Total spokes including the source and the neutral-domain
-        /// branch (≥ 2).
-        spokes: usize,
-        /// Cross-traffic customers attached as extra spokes, each
-        /// pushing a bulk schedule over the hub's uplink into the
-        /// neutral domain (toward a dedicated background sink).
-        background_flows: usize,
-    },
+    /// An eyeball-ISP hub with five spokes: the source and three stub
+    /// customers attach directly to the hub, the neutral domain hangs
+    /// off it. The hub discriminates.
+    Star,
     /// The population-scale eyeball star: the [`TopologySpec::Star`]
     /// skeleton (hub discriminates, hub→neut uplink carries the link
     /// axis) plus a [`PopulationSpec`] of flyweight cohorts multiplexed
@@ -128,15 +126,10 @@ pub enum TopologySpec {
         /// The flyweight cohorts feeding the discriminator bottleneck.
         population: PopulationSpec,
     },
-    /// A path of autonomous systems, each an ingress/egress router pair
-    /// with fast intra-AS and slow inter-AS links. The egress of
-    /// `disc_as` discriminates.
-    MultiAs {
-        /// Number of ASes on the path (≥ 1).
-        as_count: usize,
-        /// Which AS discriminates (0-based, `< as_count`).
-        disc_as: usize,
-    },
+    /// A path of three autonomous systems, each an ingress/egress router
+    /// pair with a fast intra-AS and a slow inter-AS link. The middle
+    /// AS's egress discriminates.
+    MultiAs,
     /// The paper's §3.5 multihoming shape: the destination's domain is
     /// reachable through two independent neutralizing providers.
     ///
@@ -193,87 +186,47 @@ pub struct BuiltTopology {
 }
 
 impl TopologySpec {
-    /// The legacy single-ISP chain.
+    /// [`TopologySpec::Chain`], under the name `benchmark/` calls.
     pub fn chain() -> Self {
-        TopologySpec::Chain {
-            hops: 1,
-            disc_hop: 0,
-        }
+        TopologySpec::Chain
     }
 
-    /// A dumbbell with a 5 Mbit/s bottleneck and no cross-traffic.
-    pub fn dumbbell_default() -> Self {
-        TopologySpec::Dumbbell {
-            bottleneck_bps: 5_000_000,
-            background_flows: 0,
-        }
-    }
-
-    /// A dumbbell whose bottleneck carries two competing bulk customers
-    /// — the shape the congestion-dependent cells are studied on.
+    /// The dumbbell with two competing bulk customers, under the name
+    /// `benchmark/` calls.
     pub fn dumbbell_crossed() -> Self {
         TopologySpec::Dumbbell {
-            bottleneck_bps: 5_000_000,
             background_flows: 2,
         }
     }
 
-    /// A five-spoke eyeball-ISP star with no cross-traffic.
+    /// [`TopologySpec::Star`], under the name `benchmark/` calls.
     pub fn star_default() -> Self {
-        TopologySpec::Star {
-            spokes: 5,
-            background_flows: 0,
-        }
+        TopologySpec::Star
     }
 
-    /// The default metro cell: a four-spoke eyeball star carrying the
-    /// default population (a packet-accurate VoIP cohort and a fluid
-    /// neutralized bulk cohort).
-    pub fn metro_default() -> Self {
-        TopologySpec::Metro {
-            spokes: 4,
-            population: PopulationSpec::metro_default(),
-        }
-    }
-
-    /// A three-AS path discriminating in the middle AS.
+    /// [`TopologySpec::MultiAs`], under the name `benchmark/` calls.
     pub fn multi_as_default() -> Self {
-        TopologySpec::MultiAs {
-            as_count: 3,
-            disc_as: 1,
-        }
+        TopologySpec::MultiAs
     }
 
-    /// Stable axis name encoding the shape parameters.
+    /// Stable axis name (report column, seed-hash input). The
+    /// cross-traffic count and the population are part of the identity:
+    /// two dumbbells or metros that differ in them must not share a
+    /// report label (or a baseline).
     pub fn name(&self) -> String {
-        match *self {
-            TopologySpec::Chain {
-                hops: 1,
-                disc_hop: 0,
-            } => "chain".to_string(),
-            TopologySpec::Chain { hops, disc_hop } => format!("chain{hops}-d{disc_hop}"),
-            // The bottleneck and cross-traffic count are part of the
-            // identity: two dumbbells with different parameters must
-            // not share a report label (or a baseline).
+        match self {
+            TopologySpec::Chain => "chain".to_string(),
             TopologySpec::Dumbbell {
-                bottleneck_bps,
-                background_flows,
-            } => format!(
-                "dumbbell-{}k{}",
-                bottleneck_bps / 1000,
-                bg_suffix(background_flows)
-            ),
-            TopologySpec::Star {
-                spokes,
-                background_flows,
-            } => format!("star{spokes}{}", bg_suffix(background_flows)),
-            TopologySpec::Metro {
-                spokes,
-                ref population,
-            } => format!("metro{spokes}-{}", population.token()),
-            TopologySpec::MultiAs { as_count, disc_as } => {
-                format!("multi-as{as_count}-d{disc_as}")
+                background_flows: 0,
+            } => "dumbbell-5000k".to_string(),
+            TopologySpec::Dumbbell { background_flows } => {
+                format!("dumbbell-5000k-bg{background_flows}")
             }
+            TopologySpec::Star => "star5".to_string(),
+            TopologySpec::Metro { spokes, population } => {
+                format!("metro{spokes}-{}", population.token())
+            }
+            TopologySpec::MultiAs => "multi-as3-d1".to_string(),
             TopologySpec::Multihomed => "multihomed".to_string(),
         }
     }
@@ -332,9 +285,7 @@ impl TopologySpec {
         let neut = wired.neuts[0];
         let advertised = &mut wired.built.advertised;
         match *self {
-            TopologySpec::Dumbbell {
-                background_flows, ..
-            } => {
+            TopologySpec::Dumbbell { background_flows } => {
                 // One stub customer off each access router, and near-side
                 // cross traffic flooding the far-side stub, across the
                 // bottleneck.
@@ -344,24 +295,9 @@ impl TopologySpec {
                 sim.connect_sym(last, leaf_r, edge_link());
                 advertised.push((stub_prefix(1), leaf_l));
                 advertised.push((stub_prefix(2), leaf_r));
-                let target = Ipv4Addr::new(10, 200, 2, 99);
-                attach_background(sim, background_flows, first, target, advertised);
+                attach_background(sim, background_flows, first, advertised);
             }
-            TopologySpec::Star {
-                spokes,
-                background_flows,
-            } => {
-                attach_leaves(sim, spokes, first, advertised);
-                // Cross traffic: extra spokes flooding a dedicated sink
-                // inside the neutral domain, over the hub's uplink.
-                if background_flows > 0 {
-                    let bg_sink = sim.add_node("bg-sink", Box::new(SinkNode::new()));
-                    sim.connect_sym(neut, bg_sink, edge_link());
-                    advertised.push((Ipv4Cidr::new(Ipv4Addr::new(10, 220, 0, 0), 24), bg_sink));
-                    let target = Ipv4Addr::new(10, 220, 0, 99);
-                    attach_background(sim, background_flows, first, target, advertised);
-                }
-            }
+            TopologySpec::Star => attach_leaves(sim, STAR_SPOKES, first, advertised),
             TopologySpec::Metro {
                 spokes,
                 ref population,
@@ -380,7 +316,6 @@ impl TopologySpec {
                         POP_ADDR,
                         POP_SINK_ADDR,
                         APP_PORT,
-                        APP_PORT,
                         models,
                     )),
                 );
@@ -398,65 +333,52 @@ impl TopologySpec {
     /// The single-provider path `src — r0 — … — r(k-1) — neut — dst`
     /// this shape is built on; `None` for the §3.5 multihomed fork.
     fn path(&self) -> Option<PathShape> {
-        let path = match *self {
-            TopologySpec::Chain { hops, disc_hop } => {
-                assert!(hops >= 1, "chain needs at least one ISP hop");
-                assert!(disc_hop < hops, "disc_hop out of range");
-                // Backbone hops throughout; the one into the neutral
-                // domain is the chain's bottleneck.
-                let mut links = vec![backbone_link(); hops + 1];
-                links[0] = edge_link();
-                PathShape {
-                    routers: match hops {
-                        1 => vec!["isp".to_string()],
-                        _ => (0..hops).map(|i| format!("isp{i}")).collect(),
-                    },
-                    hops: links,
-                    bottleneck: hops,
-                    discriminator: disc_hop,
-                }
-            }
+        let path = match self {
+            // The ISP's hop into the neutral domain is the bottleneck.
+            TopologySpec::Chain => PathShape {
+                routers: &["isp"],
+                hops: vec![edge_link(), backbone_link()],
+                bottleneck: 1,
+                discriminator: 0,
+            },
             // Two access routers joined by the bottleneck; the near one
             // discriminates.
-            TopologySpec::Dumbbell { bottleneck_bps, .. } => PathShape {
-                routers: vec!["isp".to_string(), "core".to_string()],
+            TopologySpec::Dumbbell { .. } => PathShape {
+                routers: &["isp", "core"],
                 hops: vec![
                     edge_link(),
-                    LinkProfile::new(bottleneck_bps, Duration::from_millis(10)),
+                    LinkProfile::new(DUMBBELL_BOTTLENECK_BPS, Duration::from_millis(10)),
                     edge_link(),
                 ],
                 bottleneck: 1,
                 discriminator: 0,
             },
-            TopologySpec::Star { spokes, .. } | TopologySpec::Metro { spokes, .. } => {
-                // The source's and the neutral domain's spokes, plus stub
-                // customers on distinct 10.200.i.0/24 prefixes: one u8
-                // octet bounds how many fit.
-                assert!((2..=250).contains(&spokes), "{spokes} spokes out of range");
-                // The hub discriminates; its uplink into the neutral
-                // domain is the bottleneck every spoke contends on.
-                PathShape {
-                    routers: vec!["hub".to_string()],
-                    hops: vec![edge_link(), backbone_link()],
-                    bottleneck: 1,
-                    discriminator: 0,
-                }
-            }
-            TopologySpec::MultiAs { as_count, disc_as } => {
-                assert!(as_count >= 1, "need at least one AS");
-                assert!(disc_as < as_count, "disc_as out of range");
-                let routers = (0..as_count)
-                    .flat_map(|i| ["in", "eg"].map(|role| format!("as{i}-{role}")))
-                    .collect();
-                // Per AS, a fast intra-AS hop, then a slow inter-AS one;
-                // the last, into the neutral domain, is the bottleneck.
+            // The hub discriminates; its uplink into the neutral domain
+            // is the bottleneck every spoke contends on.
+            TopologySpec::Star | TopologySpec::Metro { .. } => PathShape {
+                routers: &["hub"],
+                hops: vec![edge_link(), backbone_link()],
+                bottleneck: 1,
+                discriminator: 0,
+            },
+            // Per AS, a fast intra-AS hop, then a slow inter-AS one; the
+            // last, into the neutral domain, is the bottleneck, and the
+            // middle AS's egress discriminates.
+            TopologySpec::MultiAs => {
                 let intra = LinkProfile::new(LINK_BPS, Duration::from_millis(1));
-                let per_as = (0..as_count).flat_map(|_| [intra.clone(), backbone_link()]);
                 PathShape {
-                    routers,
-                    hops: std::iter::once(edge_link()).chain(per_as).collect(),
-                    bottleneck: 2 * as_count,
-                    discriminator: 2 * disc_as + 1,
+                    routers: &["as0-in", "as0-eg", "as1-in", "as1-eg", "as2-in", "as2-eg"],
+                    hops: vec![
+                        edge_link(),
+                        intra.clone(),
+                        backbone_link(),
+                        intra.clone(),
+                        backbone_link(),
+                        intra,
+                        backbone_link(),
+                    ],
+                    bottleneck: 6,
+                    discriminator: 3,
                 }
             }
             TopologySpec::Multihomed => return None,
@@ -470,7 +392,7 @@ impl TopologySpec {
 /// and the router that discriminates.
 struct PathShape {
     /// Router names, source side first (`k ≥ 1`).
-    routers: Vec<String>,
+    routers: &'static [&'static str],
     /// The native profiles of the `k + 1` hops from `src — r0` to
     /// `r(k-1) — neut`; `neut — dst` is an edge link in every shape.
     hops: Vec<LinkProfile>,
@@ -495,7 +417,7 @@ impl PathShape {
         let routers: Vec<NodeId> = self
             .routers
             .iter()
-            .map(|name| sim.add_node(name, Box::new(RouterNode::new(name))))
+            .map(|&name| sim.add_node(name, Box::new(RouterNode::new(name))))
             .collect();
         let neut = sim.add_node("neut", neut_node);
         let dst = sim.add_node("dst", dst_node);
@@ -632,7 +554,7 @@ impl Wired {
 fn base_prefixes(src: NodeId, dst: NodeId, neut: NodeId) -> Vec<(Ipv4Cidr, NodeId)> {
     vec![
         (Ipv4Cidr::new(SRC_ADDR, 24), src),
-        (Ipv4Cidr::new(DST_ADDR, 16), dst),
+        (DST_PREFIX, dst),
         (Ipv4Cidr::new(ANYCAST_ADDR, 24), neut),
     ]
 }
@@ -640,15 +562,6 @@ fn base_prefixes(src: NodeId, dst: NodeId, neut: NodeId) -> Vec<(Ipv4Cidr, NodeI
 /// A /24 for the i-th stub customer.
 fn stub_prefix(i: u8) -> Ipv4Cidr {
     Ipv4Cidr::new(Ipv4Addr::new(10, 200, i, 0), 24)
-}
-
-/// Axis-name suffix for cross-traffic counts (empty when none).
-fn bg_suffix(background_flows: usize) -> String {
-    if background_flows == 0 {
-        String::new()
-    } else {
-        format!("-bg{background_flows}")
-    }
 }
 
 /// Attaches a star's `spokes - 2` stub customers to `hub`, each a sink
@@ -659,15 +572,20 @@ fn attach_leaves(
     hub: NodeId,
     advertised: &mut Vec<(Ipv4Cidr, NodeId)>,
 ) {
-    for i in 0..spokes.saturating_sub(2) {
+    // The source's and the neutral domain's spokes, plus stub customers
+    // on distinct 10.200.i.0/24 prefixes: one u8 octet bounds how many
+    // fit.
+    assert!((2..=250).contains(&spokes), "{spokes} spokes out of range");
+    for i in 0..spokes - 2 {
         let leaf = sim.add_node(format!("leaf{i}"), Box::new(SinkNode::new()));
         sim.connect_sym(hub, leaf, edge_link());
         advertised.push((stub_prefix(i as u8 + 1), leaf));
     }
 }
 
-/// Attaches `count` plain bulk customers to `attach_to`, each pushing
-/// cross-traffic toward `target`, and advertises their /24s.
+/// Attaches `count` plain bulk customers to the dumbbell's near-side
+/// access router `isp`, each pushing cross-traffic across the
+/// bottleneck to the far-side stub, and advertises their /24s.
 ///
 /// Each stub is a thin wrapper over one cohort of
 /// [`PopulationSpec::background`]: a one-endpoint bulk class (1200-byte
@@ -681,11 +599,12 @@ fn attach_leaves(
 fn attach_background(
     sim: &mut Simulator,
     count: usize,
-    attach_to: NodeId,
-    target: Ipv4Addr,
+    isp: NodeId,
     advertised: &mut Vec<(Ipv4Cidr, NodeId)>,
 ) {
     assert!(count <= 250, "at most 250 background flows fit the octet");
+    // An address inside the far-side stub's `stub_prefix(2)`.
+    let target = Ipv4Addr::new(10, 200, 2, 99);
     let population = PopulationSpec::background(count);
     for (i, cohort) in population.cohorts.iter().enumerate() {
         let addr = Ipv4Addr::new(10, 210, i as u8, 1);
@@ -694,7 +613,7 @@ fn attach_background(
             format!("bg{i}"),
             Box::new(PlainSourceNode::new(addr, target, format!("bg{i}"), app)),
         );
-        sim.connect_sym(attach_to, node, edge_link());
+        sim.connect_sym(isp, node, edge_link());
         advertised.push((Ipv4Cidr::new(addr, 24), node));
     }
 }
@@ -704,6 +623,27 @@ pub(crate) mod tests {
     use super::*;
     use nn_core::neutralizer::NeutralizerConfig;
 
+    /// Every single-valued shape, and the dumbbell without cross traffic.
+    fn shapes() -> [TopologySpec; 5] {
+        [
+            TopologySpec::Chain,
+            TopologySpec::Dumbbell {
+                background_flows: 0,
+            },
+            TopologySpec::Star,
+            TopologySpec::MultiAs,
+            TopologySpec::Multihomed,
+        ]
+    }
+
+    /// The `metro` matrix's shape.
+    fn metro() -> TopologySpec {
+        TopologySpec::Metro {
+            spokes: 4,
+            population: PopulationSpec::metro_default(),
+        }
+    }
+
     /// Builds `spec` with sink endpoints, a real neutralizer and a
     /// clean link axis.
     pub(crate) fn build_for_test(spec: &TopologySpec) -> (Simulator, BuiltTopology) {
@@ -712,7 +652,7 @@ pub(crate) mod tests {
 
     /// One neutralizer per provider of `spec`, sharing one master key.
     fn providers(spec: &TopologySpec) -> Vec<Box<dyn Node>> {
-        let domain = vec![Ipv4Cidr::new(DST_ADDR, 16)];
+        let domain = vec![DST_PREFIX];
         let stats_names = ["neutralizer", "neutralizer-b"];
         spec.neut_addrs()
             .iter()
@@ -757,17 +697,7 @@ pub(crate) mod tests {
     /// between them crosses the designated discriminator.
     #[test]
     fn probe_plane_attaches_and_routes_in_every_shape() {
-        for spec in [
-            TopologySpec::chain(),
-            TopologySpec::Chain {
-                hops: 3,
-                disc_hop: 1,
-            },
-            TopologySpec::dumbbell_default(),
-            TopologySpec::star_default(),
-            TopologySpec::multi_as_default(),
-            TopologySpec::Multihomed,
-        ] {
+        for spec in shapes() {
             let mut sim = Simulator::new(1);
             let plane = ProbePlane {
                 prober: Box::new(SinkNode::new()),
@@ -809,7 +739,7 @@ pub(crate) mod tests {
 
     #[test]
     fn chain_matches_legacy_layout() {
-        let (sim, built) = build_for_test(&TopologySpec::chain());
+        let (sim, built) = build_for_test(&TopologySpec::Chain);
         assert_eq!(sim.node_count(), 4);
         assert_eq!(sim.node_name(built.src), "src");
         assert_eq!(sim.node_name(built.discriminator), "isp");
@@ -821,17 +751,7 @@ pub(crate) mod tests {
 
     #[test]
     fn every_generator_routes_src_to_dst_and_anycast() {
-        for spec in [
-            TopologySpec::chain(),
-            TopologySpec::Chain {
-                hops: 3,
-                disc_hop: 2,
-            },
-            TopologySpec::dumbbell_default(),
-            TopologySpec::star_default(),
-            TopologySpec::multi_as_default(),
-            TopologySpec::Multihomed,
-        ] {
+        for spec in shapes() {
             let (sim, built) = build_for_test(&spec);
             for &r in &built.routers {
                 let router = sim.node_ref::<RouterNode>(r).expect("router");
@@ -849,43 +769,23 @@ pub(crate) mod tests {
 
     #[test]
     fn names_encode_parameters() {
-        assert_eq!(TopologySpec::chain().name(), "chain");
+        let names = shapes().map(|spec| spec.name());
+        let expected = [
+            "chain",
+            "dumbbell-5000k",
+            "star5",
+            "multi-as3-d1",
+            "multihomed",
+        ];
+        assert_eq!(names, expected);
         assert_eq!(
-            TopologySpec::Chain {
-                hops: 4,
-                disc_hop: 2
+            TopologySpec::Dumbbell {
+                background_flows: 2
             }
             .name(),
-            "chain4-d2"
-        );
-        assert_eq!(TopologySpec::star_default().name(), "star5");
-        assert_eq!(TopologySpec::multi_as_default().name(), "multi-as3-d1");
-        assert_eq!(TopologySpec::dumbbell_default().name(), "dumbbell-5000k");
-        assert_eq!(
-            TopologySpec::dumbbell_crossed().name(),
             "dumbbell-5000k-bg2"
         );
-        assert_eq!(
-            TopologySpec::Star {
-                spokes: 5,
-                background_flows: 3
-            }
-            .name(),
-            "star5-bg3"
-        );
-        assert_ne!(
-            TopologySpec::Dumbbell {
-                bottleneck_bps: 1_000_000,
-                background_flows: 0
-            }
-            .name(),
-            TopologySpec::dumbbell_default().name(),
-            "different bottlenecks must not share a label"
-        );
-        assert_eq!(
-            TopologySpec::metro_default().name(),
-            "metro4-voip16-20000up+neutral1000-200000uf"
-        );
+        assert_eq!(metro().name(), "metro4-voip16-20000up+neutral1000-200000uf");
     }
 
     /// The metro shape carries its population plane into the hub
@@ -894,7 +794,7 @@ pub(crate) mod tests {
     /// routable everywhere.
     #[test]
     fn metro_population_plane_feeds_the_bottleneck() {
-        let spec = TopologySpec::metro_default();
+        let spec = metro();
         let (mut sim, built) = build_for_test(&spec);
         assert_eq!(sim.node_name(owner(&built, POP_ADDR)), "pop");
         assert_eq!(sim.node_name(owner(&built, POP_SINK_ADDR)), "pop-sink");
@@ -937,7 +837,9 @@ pub(crate) mod tests {
     /// than the victim path alone would, and the far-side sink sees it.
     #[test]
     fn dumbbell_background_flows_congest_the_bottleneck() {
-        let (mut sim, built) = build_for_test(&TopologySpec::dumbbell_crossed());
+        let (mut sim, built) = build_for_test(&TopologySpec::Dumbbell {
+            background_flows: 2,
+        });
         for i in 0..2u8 {
             let bg = owner(&built, Ipv4Addr::new(10, 210, i, 1));
             assert_eq!(sim.node_name(bg), format!("bg{i}"));
@@ -955,40 +857,19 @@ pub(crate) mod tests {
         assert!(sink.rx_frames > 100, "far-side stub receives the flood");
     }
 
-    #[test]
-    fn star_background_flows_cross_the_hub_uplink() {
-        let spec = TopologySpec::Star {
-            spokes: 3,
-            background_flows: 2,
-        };
-        let (mut sim, built) = build_for_test(&spec);
-        sim.run_until(nn_netsim::SimTime::from_millis(500));
-        let counters = sim.link_counters(built.bottleneck.0, built.bottleneck.1);
-        assert!(
-            counters.tx_bytes > 100_000,
-            "hub uplink must carry cross traffic: {counters:?}"
-        );
-    }
-
-    /// The link axis lands on the designated bottleneck: a lossy-burst
-    /// profile drops frames there and counts burst episodes.
+    /// The link axis lands on the designated bottleneck: the lossy-burst
+    /// preset drops frames there and counts burst episodes.
     #[test]
     fn link_axis_applies_to_the_bottleneck_direction() {
         for spec in [
-            TopologySpec::chain(),
-            TopologySpec::dumbbell_crossed(),
-            TopologySpec::Star {
-                spokes: 3,
-                background_flows: 1,
+            TopologySpec::Chain,
+            TopologySpec::Dumbbell {
+                background_flows: 2,
             },
-            TopologySpec::multi_as_default(),
+            TopologySpec::Star,
+            TopologySpec::MultiAs,
         ] {
-            let lossy = LinkProfileSpec::LossyBurst {
-                p_enter_bad: 0.2,
-                p_exit_bad: 0.2,
-                loss_bad: 1.0,
-            };
-            let (mut sim, built) = build_with_link(&spec, &lossy);
+            let (mut sim, built) = build_with_link(&spec, &LinkProfileSpec::LossyBurst);
             // Push traffic across the bottleneck from its head node.
             for i in 0..200u64 {
                 let frame = nn_packet::build_udp(SRC_ADDR, DST_ADDR, 0, 7, 7, &i.to_be_bytes())
@@ -1033,7 +914,7 @@ pub(crate) mod tests {
             TopologySpec::Multihomed.neut_addrs(),
             vec![ANYCAST_ADDR, SECONDARY_ANYCAST]
         );
-        assert_eq!(TopologySpec::chain().neut_addrs(), vec![ANYCAST_ADDR]);
+        assert_eq!(TopologySpec::Chain.neut_addrs(), vec![ANYCAST_ADDR]);
     }
 
     /// The topology alone decides how many providers a cell has.
@@ -1044,19 +925,10 @@ pub(crate) mod tests {
         TopologySpec::Multihomed.build(
             &mut sim,
             Box::new(SinkNode::new()),
-            providers(&TopologySpec::chain()),
+            providers(&TopologySpec::Chain),
             Box::new(SinkNode::new()),
             &LinkProfileSpec::Clean,
             None,
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "disc_hop out of range")]
-    fn chain_rejects_out_of_range_discriminator() {
-        build_for_test(&TopologySpec::Chain {
-            hops: 2,
-            disc_hop: 2,
-        });
     }
 }

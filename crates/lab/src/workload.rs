@@ -4,7 +4,8 @@
 //! [`CohortApp`] with a frame limit), generated lazily as its payloads
 //! fall due, so the same traffic runs unchanged over the plain and
 //! neutralized host stacks and an A/B cell pair differs only in network
-//! treatment. Each workload carries a plaintext content marker (the
+//! treatment. Each workload's frame size and interval are constants of
+//! this module, and each carries a plaintext content marker (the
 //! string a real protocol would leak: RTP framing, HTTP verbs,
 //! transport-stream sync bytes) that a content-DPI adversary can key on
 //! — and that end-to-end encryption hides.
@@ -14,84 +15,51 @@ use std::io::Write;
 use std::time::Duration;
 
 /// A declarative traffic generator: one point on the workload axis.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadSpec {
-    /// Constant-bit-rate VoIP: small fixed-size frames on a strict clock
-    /// (one G.711 20 ms frame by default). This is the paper's victim
-    /// traffic — the `paper` matrix runs exactly this workload.
-    Voip {
-        /// Inter-packet gap.
-        packet_interval: Duration,
-        /// Application bytes per packet.
-        payload_bytes: usize,
-    },
-    /// Bulk transfer: large frames back-to-back at a target rate, the
+    /// Constant-bit-rate VoIP: one 160-byte G.711 frame every 5 ms on a
+    /// strict clock. This is the paper's victim traffic — the `paper`
+    /// matrix runs exactly this workload.
+    Voip,
+    /// Bulk transfer: 1200-byte frames back-to-back at 2 Mbit/s, the
     /// "fill the pipe" workload (FTP-style).
-    Bulk {
-        /// Application bytes per packet.
-        packet_bytes: usize,
-        /// Target application rate in bits/sec.
-        rate_bps: u64,
-    },
-    /// Web-style request/response: short requests separated by think
-    /// time; the echo path supplies the response.
-    Web {
-        /// Gap between successive requests.
-        think_time: Duration,
-        /// Request size in bytes.
-        request_bytes: usize,
-    },
-    /// Constant-rate media streaming: mid-size frames at a fixed rate
+    Bulk,
+    /// Web-style request/response: a 400-byte request every 25 ms of
+    /// think time; the echo path supplies the response.
+    Web,
+    /// Constant-rate media streaming: 1000-byte frames at 1 Mbit/s
     /// (MPEG-TS-style).
-    Stream {
-        /// Target application rate in bits/sec.
-        rate_bps: u64,
-        /// Application bytes per packet.
-        packet_bytes: usize,
-    },
+    Stream,
 }
 
 impl WorkloadSpec {
-    /// The VoIP workload the `paper` matrix runs
-    /// (160-byte G.711 frames every 5 ms).
+    /// [`WorkloadSpec::Voip`], under the name `benchmark/` calls.
     pub fn voip_default() -> Self {
-        WorkloadSpec::Voip {
-            packet_interval: Duration::from_millis(5),
-            payload_bytes: 160,
-        }
+        WorkloadSpec::Voip
     }
 
-    /// A moderate bulk transfer: 1200-byte frames at 2 Mbit/s.
+    /// [`WorkloadSpec::Bulk`], under the name `benchmark/` calls.
     pub fn bulk_default() -> Self {
-        WorkloadSpec::Bulk {
-            packet_bytes: 1200,
-            rate_bps: 2_000_000,
-        }
+        WorkloadSpec::Bulk
     }
 
-    /// A web session: 400-byte requests every 25 ms.
+    /// [`WorkloadSpec::Web`], under the name `benchmark/` calls.
     pub fn web_default() -> Self {
-        WorkloadSpec::Web {
-            think_time: Duration::from_millis(25),
-            request_bytes: 400,
-        }
+        WorkloadSpec::Web
     }
 
-    /// A media stream: 1000-byte frames at 1 Mbit/s.
+    /// [`WorkloadSpec::Stream`], under the name `benchmark/` calls.
     pub fn stream_default() -> Self {
-        WorkloadSpec::Stream {
-            rate_bps: 1_000_000,
-            packet_bytes: 1000,
-        }
+        WorkloadSpec::Stream
     }
 
     /// Stable axis name (report column and flow name).
     pub fn name(&self) -> &'static str {
         match self {
-            WorkloadSpec::Voip { .. } => "voip",
-            WorkloadSpec::Bulk { .. } => "bulk",
-            WorkloadSpec::Web { .. } => "web",
-            WorkloadSpec::Stream { .. } => "stream",
+            WorkloadSpec::Voip => "voip",
+            WorkloadSpec::Bulk => "bulk",
+            WorkloadSpec::Web => "web",
+            WorkloadSpec::Stream => "stream",
         }
     }
 
@@ -99,10 +67,10 @@ impl WorkloadSpec {
     /// content-DPI classifier matches on the plain stack.
     pub fn marker(&self) -> &'static [u8] {
         match self {
-            WorkloadSpec::Voip { .. } => b"VOIP/RTP",
-            WorkloadSpec::Bulk { .. } => b"BULK/FTP",
-            WorkloadSpec::Web { .. } => b"GET /index HTTP/1.1",
-            WorkloadSpec::Stream { .. } => b"STREAM/TS",
+            WorkloadSpec::Voip => b"VOIP/RTP",
+            WorkloadSpec::Bulk => b"BULK/FTP",
+            WorkloadSpec::Web => b"GET /index HTTP/1.1",
+            WorkloadSpec::Stream => b"STREAM/TS",
         }
     }
 
@@ -110,23 +78,11 @@ impl WorkloadSpec {
     /// [`marked_payload`] number `i`, due at `i × interval`, and at least
     /// one is sent (matching the legacy harness).
     pub fn app(&self, duration: Duration) -> CohortApp {
-        let (interval, size) = match *self {
-            WorkloadSpec::Voip {
-                packet_interval,
-                payload_bytes,
-            } => (packet_interval, payload_bytes),
-            WorkloadSpec::Bulk {
-                packet_bytes,
-                rate_bps,
-            } => (rate_interval(packet_bytes, rate_bps), packet_bytes),
-            WorkloadSpec::Web {
-                think_time,
-                request_bytes,
-            } => (think_time, request_bytes),
-            WorkloadSpec::Stream {
-                rate_bps,
-                packet_bytes,
-            } => (rate_interval(packet_bytes, rate_bps), packet_bytes),
+        let (interval, size) = match self {
+            WorkloadSpec::Voip => (Duration::from_millis(5), 160),
+            WorkloadSpec::Bulk => (rate_interval(1200, 2_000_000), 1200),
+            WorkloadSpec::Web => (Duration::from_millis(25), 400),
+            WorkloadSpec::Stream => (rate_interval(1000, 1_000_000), 1000),
         };
         let interval_ns = (interval.as_nanos() as u64).max(1);
         let frames = (duration.as_nanos() as u64 / interval_ns).max(1);
@@ -190,8 +146,7 @@ mod tests {
 
     #[test]
     fn voip_schedule_matches_legacy_cadence() {
-        let w = WorkloadSpec::voip_default();
-        let sched = sends(&w, Duration::from_millis(50));
+        let sched = sends(&WorkloadSpec::Voip, Duration::from_millis(50));
         assert_eq!(sched.len(), 10);
         assert_eq!(sched[0].0, SimTime::ZERO);
         assert_eq!(sched[1].0, SimTime::from_millis(5));
@@ -207,7 +162,7 @@ mod tests {
     /// call, and an app past its limit neither sends nor asks to wake.
     #[test]
     fn late_polls_catch_up_and_the_limit_ends_the_schedule() {
-        let mut app = WorkloadSpec::voip_default().app(Duration::from_millis(20));
+        let mut app = WorkloadSpec::Voip.app(Duration::from_millis(20));
         let mut out = Vec::new();
         assert!(app.poll(SimTime::ZERO, &mut out));
         assert!(!app.poll(SimTime::ZERO, &mut out));
@@ -224,10 +179,10 @@ mod tests {
     #[test]
     fn every_workload_schedules_and_carries_its_marker() {
         for w in [
-            WorkloadSpec::voip_default(),
-            WorkloadSpec::bulk_default(),
-            WorkloadSpec::web_default(),
-            WorkloadSpec::stream_default(),
+            WorkloadSpec::Voip,
+            WorkloadSpec::Bulk,
+            WorkloadSpec::Web,
+            WorkloadSpec::Stream,
         ] {
             let sched = sends(&w, Duration::from_millis(100));
             assert!(!sched.is_empty(), "{} produced no packets", w.name());
@@ -252,7 +207,7 @@ mod tests {
 
     #[test]
     fn tiny_duration_still_sends_one_packet() {
-        let sched = sends(&WorkloadSpec::voip_default(), Duration::from_micros(1));
+        let sched = sends(&WorkloadSpec::Voip, Duration::from_micros(1));
         assert_eq!(sched.len(), 1);
     }
 

@@ -202,13 +202,15 @@ fn describe_drift(old: &Json, new: &Json) -> String {
 fn congested_story_spec() -> ExperimentSpec {
     ExperimentSpec {
         name: "congested-golden".to_string(),
-        topologies: vec![TopologySpec::dumbbell_crossed()],
-        links: vec![LinkProfileSpec::congested_default()],
-        workloads: vec![WorkloadSpec::voip_default()],
+        topologies: vec![TopologySpec::Dumbbell {
+            background_flows: 2,
+        }],
+        links: vec![LinkProfileSpec::Congested],
+        workloads: vec![WorkloadSpec::Voip],
         adversaries: vec![
             AdversarySpec::None,
-            AdversarySpec::content_dpi_default(),
-            AdversarySpec::tiered_default(),
+            AdversarySpec::ContentDpi,
+            AdversarySpec::TieredPriority,
         ],
         stacks: vec![StackKind::Plain, StackKind::Neutralized],
         events: vec![EventTimelineSpec::Static],
@@ -559,11 +561,24 @@ fn fnv64(bytes: &[u8]) -> u64 {
     })
 }
 
+/// Runs the named matrix on two threads, as `nn-benchmark`'s
+/// `full-sweep` does, and pins the digests of its JSON and CSV against
+/// `{name}.fnv64`.
+fn assert_named_matrix_digests(name: &str) {
+    let spec = named_matrix(name).unwrap_or_else(|| panic!("{name} matrix exists"));
+    let report = run_matrix_with_threads(&spec, 2);
+    let digests = format!(
+        "json {:016x}\ncsv {:016x}\n",
+        fnv64(report.to_json().as_bytes()),
+        fnv64(report.to_csv().as_bytes())
+    );
+    assert_golden(&format!("{name}.fnv64"), &digests);
+}
+
 /// The `full` matrix, 1,152 cells and a report near 1 MB, is pinned by
-/// the digests of its JSON and CSV rather than by their bytes. It runs
-/// on two threads, as `nn-benchmark`'s `full-sweep` does. That takes
-/// under a second in a release build and about 25 s in a debug one, so
-/// the test runs in release builds only:
+/// the digests of its JSON and CSV rather than by their bytes. That
+/// takes under a second in a release build and about 25 s in a debug
+/// one, so the test runs in release builds only:
 /// `cargo test --release -p nn-lab --test golden_trace`.
 #[test]
 #[cfg_attr(
@@ -571,14 +586,15 @@ fn fnv64(bytes: &[u8]) -> u64 {
     ignore = "runs the 1,152-cell full matrix; run it with --release"
 )]
 fn full_matrix_matches_its_golden_digests() {
-    let spec = named_matrix("full").expect("full matrix exists");
-    let report = run_matrix_with_threads(&spec, 2);
-    let digests = format!(
-        "json {:016x}\ncsv {:016x}\n",
-        fnv64(report.to_json().as_bytes()),
-        fnv64(report.to_csv().as_bytes())
-    );
-    assert_golden("full.fnv64", &digests);
+    assert_named_matrix_digests("full");
+}
+
+/// The `congested` matrix's 36 cells are pinned the same way; the
+/// six-cell `congested-golden` sub-spec above hashes its own name into
+/// every seed, so it shares no cell with the named matrix.
+#[test]
+fn congested_matrix_matches_its_golden_digests() {
+    assert_named_matrix_digests("congested");
 }
 
 /// The `Reported` counter that shows a cell ran `shim_type`. The match

@@ -28,15 +28,14 @@
 use nn_core::neutralizer::{NeutralizerConfig, NeutralizerNode};
 use nn_lab::hosts::{Bootstrap, NeutralizedServerNode, NeutralizedSourceNode};
 use nn_lab::topology::{
-    BuiltTopology, ProbePlane, TopologySpec, ANYCAST_ADDR, DST_ADDR, PROBER_ADDR, PROBE_SINK_ADDR,
-    SRC_ADDR,
+    BuiltTopology, ProbePlane, TopologySpec, ANYCAST_ADDR, DST_ADDR, DST_PREFIX, PROBER_ADDR,
+    PROBE_SINK_ADDR, SRC_ADDR,
 };
 use nn_lab::{
     CohortApp, LinkProfileSpec, PlainServerNode, PlainSourceNode, ProbeNode, ProbeResponderNode,
     WorkloadSpec,
 };
 use nn_netsim::{Node, NodeId, SimTime, Simulator, SinkNode, Stats};
-use nn_packet::Ipv4Cidr;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -101,7 +100,7 @@ const RSA_BITS: usize = 320;
 
 /// The VoIP workload's lattice with no frame limit.
 fn unbounded_voip() -> Box<CohortApp> {
-    let w = WorkloadSpec::voip_default();
+    let w = WorkloadSpec::Voip;
     Box::new(CohortApp::new(w.marker(), 5_000_000, 1, 160, u64::MAX))
 }
 
@@ -113,10 +112,10 @@ fn chain(
     dst: Box<dyn Node>,
     probe: Option<ProbePlane>,
 ) -> (Simulator, BuiltTopology) {
-    let config = NeutralizerConfig::new(ANYCAST_ADDR, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
+    let config = NeutralizerConfig::new(ANYCAST_ADDR, vec![DST_PREFIX]);
     let neut: Box<dyn Node> = Box::new(NeutralizerNode::new(config, [7u8; 16]));
     let mut sim = Simulator::new(seed);
-    let built = TopologySpec::chain().build(
+    let built = TopologySpec::Chain.build(
         &mut sim,
         src,
         vec![neut],
@@ -137,14 +136,14 @@ fn neutralized_cell() -> (Simulator, NodeId, NodeId) {
         dest_pubkey: dest.public.clone(),
     };
     let src = NeutralizedSourceNode::new(SRC_ADDR, bootstrap, onetime, FLOW, unbounded_voip());
-    let dst = NeutralizedServerNode::new(DST_ADDR, ANYCAST_ADDR, dest, true);
+    let dst = NeutralizedServerNode::new(DST_ADDR, ANYCAST_ADDR, dest);
     let (sim, built) = chain(11, Box::new(src), Box::new(dst), None);
     (sim, built.src, built.dst)
 }
 
 fn plain_cell() -> (Simulator, NodeId, NodeId) {
     let src = PlainSourceNode::new(SRC_ADDR, DST_ADDR, FLOW, unbounded_voip());
-    let dst = PlainServerNode::new(DST_ADDR, true);
+    let dst = PlainServerNode::new(DST_ADDR);
     let (sim, built) = chain(12, Box::new(src), Box::new(dst), None);
     (sim, built.src, built.dst)
 }
@@ -247,7 +246,7 @@ fn warm_host_stacks_seal_open_and_echo_without_allocating() {
 /// their echoes that must allocate nothing.
 #[test]
 fn warm_probe_plane_sends_and_echoes_without_allocating() {
-    let marker = WorkloadSpec::voip_default().marker().to_vec();
+    let marker = WorkloadSpec::Voip.marker().to_vec();
     let plane = ProbePlane {
         prober: Box::new(ProbeNode::new(
             PROBER_ADDR,

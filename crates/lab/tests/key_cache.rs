@@ -9,10 +9,9 @@
 use nn_core::neutralizer::{NeutralizerConfig, NeutralizerNode};
 use nn_lab::hosts::{Bootstrap, NeutralizedServerNode, NeutralizedSourceNode};
 use nn_lab::link::LinkProfileSpec;
-use nn_lab::topology::{TopologySpec, ANYCAST_ADDR, DST_ADDR, SRC_ADDR};
+use nn_lab::topology::{TopologySpec, ANYCAST_ADDR, DST_ADDR, DST_PREFIX, SRC_ADDR};
 use nn_lab::workload::WorkloadSpec;
 use nn_netsim::{Node, SimTime, Simulator};
-use nn_packet::Ipv4Cidr;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -54,7 +53,7 @@ fn run_neutralized(key_cache: bool) -> (Outcome, CacheStats) {
         neutralizers: vec![ANYCAST_ADDR],
         dest_pubkey: dest_keypair.public.clone(),
     };
-    let workload = WorkloadSpec::voip_default();
+    let workload = WorkloadSpec::Voip;
     let app = Box::new(workload.app(DURATION));
     let src: Box<dyn Node> = Box::new(NeutralizedSourceNode::new(
         SRC_ADDR,
@@ -63,17 +62,16 @@ fn run_neutralized(key_cache: bool) -> (Outcome, CacheStats) {
         workload.name(),
         app,
     ));
-    let mut config = NeutralizerConfig::new(ANYCAST_ADDR, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
+    let mut config = NeutralizerConfig::new(ANYCAST_ADDR, vec![DST_PREFIX]);
     config.key_cache = key_cache;
     let neut: Box<dyn Node> = Box::new(NeutralizerNode::new(config, [7u8; 16]));
     let dst: Box<dyn Node> = Box::new(NeutralizedServerNode::new(
         DST_ADDR,
         ANYCAST_ADDR,
         dest_keypair,
-        true,
     ));
     let mut sim = Simulator::new(11);
-    let built = TopologySpec::chain().build(
+    let built = TopologySpec::Chain.build(
         &mut sim,
         src,
         vec![neut],

@@ -18,10 +18,10 @@ use rand::{Rng, SeedableRng};
 
 fn neutralized_cell() -> CellSpec {
     CellSpec {
-        topology: TopologySpec::chain(),
+        topology: TopologySpec::Chain,
         link: LinkProfileSpec::Clean,
-        workload: WorkloadSpec::voip_default(),
-        adversary: AdversarySpec::content_dpi_default(),
+        workload: WorkloadSpec::Voip,
+        adversary: AdversarySpec::ContentDpi,
         stack: StackKind::Neutralized,
         events: EventTimelineSpec::Static,
         probes: false,

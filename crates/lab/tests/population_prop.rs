@@ -102,7 +102,6 @@ fn run_population(p: &CaseParams) -> FlowStats {
             src_addr,
             SERVER_ADDR,
             nn_lab::hosts::APP_PORT,
-            nn_lab::hosts::APP_PORT,
             vec![model.clone()],
         )),
     );
@@ -146,7 +145,7 @@ fn run_hosts(p: &CaseParams) -> MergedHosts {
     let mut sim = Simulator::new(1);
     let interval_ns = p.interval_us * 1_000;
     let r = sim.add_node("r", Box::new(RouterNode::new("r")));
-    let server = sim.add_node("server", Box::new(PlainServerNode::new(SERVER_ADDR, false)));
+    let server = sim.add_node("server", Box::new(PlainServerNode::new(SERVER_ADDR)));
     let mut prefixes = vec![(Ipv4Cidr::new(SERVER_ADDR, 24), server)];
     for i in 0..p.endpoints {
         let addr = Ipv4Addr::new(10, 0, i as u8, 1);

@@ -24,10 +24,10 @@ use std::time::Duration;
 fn tiny_spec() -> ExperimentSpec {
     ExperimentSpec {
         name: "shard-prop".to_string(),
-        topologies: vec![TopologySpec::chain()],
+        topologies: vec![TopologySpec::Chain],
         links: vec![LinkProfileSpec::Clean],
-        workloads: vec![WorkloadSpec::voip_default()],
-        adversaries: vec![AdversarySpec::None, AdversarySpec::content_dpi_default()],
+        workloads: vec![WorkloadSpec::Voip],
+        adversaries: vec![AdversarySpec::None, AdversarySpec::ContentDpi],
         stacks: vec![StackKind::Plain],
         events: vec![EventTimelineSpec::Static],
         seeds: vec![1, 2],

@@ -1,16 +1,15 @@
-//! Property tests for the topology generators: every shape the axis can
-//! produce must be a connected graph whose route tables resolve every
-//! advertised host from every router — otherwise a matrix cell would
-//! silently measure a black hole instead of a policy.
+//! Invariants of the topology presets: every shape a named matrix runs
+//! must be a connected graph whose route tables resolve every advertised
+//! host from every router — otherwise a matrix cell would silently
+//! measure a black hole instead of a policy.
 
 use nn_core::neutralizer::{NeutralizerConfig, NeutralizerNode};
 use nn_lab::link::LinkProfileSpec;
+use nn_lab::matrix::{named_matrix, NAMED_MATRICES};
 use nn_lab::topology::{
-    BuiltTopology, TopologySpec, ANYCAST_ADDR, DST_ADDR, SECONDARY_ANYCAST, SRC_ADDR,
+    BuiltTopology, TopologySpec, ANYCAST_ADDR, DST_ADDR, DST_PREFIX, SECONDARY_ANYCAST, SRC_ADDR,
 };
 use nn_netsim::{Node, RouterNode, Simulator, SinkNode};
-use nn_packet::Ipv4Cidr;
-use proptest::prelude::*;
 
 /// Builds `spec` with sink endpoints, one real neutralizer per provider
 /// and a clean link axis.
@@ -20,7 +19,7 @@ fn build(spec: &TopologySpec) -> (Simulator, BuiltTopology) {
         .neut_addrs()
         .iter()
         .map(|&addr| {
-            let config = NeutralizerConfig::new(addr, vec![Ipv4Cidr::new(DST_ADDR, 16)]);
+            let config = NeutralizerConfig::new(addr, vec![DST_PREFIX]);
             Box::new(NeutralizerNode::new(config, [7u8; 16])) as Box<dyn Node>
         })
         .collect();
@@ -61,10 +60,10 @@ fn connected(sim: &Simulator) -> bool {
 }
 
 /// Checks the generator invariants for one spec.
-fn check(spec: &TopologySpec) -> Result<(), TestCaseError> {
+fn check(spec: &TopologySpec) {
     let (sim, built) = build(spec);
-    prop_assert!(connected(&sim), "{} is not connected", spec.name());
-    prop_assert!(
+    assert!(connected(&sim), "{} is not connected", spec.name());
+    assert!(
         built.routers.contains(&built.discriminator),
         "{}: discriminator must be a router",
         spec.name()
@@ -74,7 +73,7 @@ fn check(spec: &TopologySpec) -> Result<(), TestCaseError> {
     // host pair the matrix wires up has a forwarding path.
     for &r in &built.routers {
         let router = sim.node_ref::<RouterNode>(r).expect("router node");
-        prop_assert!(
+        assert!(
             !router.routes().is_empty(),
             "{}: router {} has an empty table",
             spec.name(),
@@ -84,7 +83,7 @@ fn check(spec: &TopologySpec) -> Result<(), TestCaseError> {
             if *owner == r {
                 continue;
             }
-            prop_assert!(
+            assert!(
                 router.routes().lookup(prefix.addr).is_some(),
                 "{}: router {} cannot resolve {}",
                 spec.name(),
@@ -93,7 +92,7 @@ fn check(spec: &TopologySpec) -> Result<(), TestCaseError> {
             );
         }
         for addr in [SRC_ADDR, DST_ADDR, ANYCAST_ADDR] {
-            prop_assert!(
+            assert!(
                 router.routes().lookup(addr).is_some(),
                 "{}: router {} cannot resolve {addr}",
                 spec.name(),
@@ -101,42 +100,15 @@ fn check(spec: &TopologySpec) -> Result<(), TestCaseError> {
             );
         }
     }
-    Ok(())
 }
 
-proptest! {
-    #[test]
-    fn chains_of_any_length_are_connected_and_routed(
-        hops in 1usize..6,
-        disc_seed in any::<u64>(),
-    ) {
-        let disc_hop = (disc_seed % hops as u64) as usize;
-        check(&TopologySpec::Chain { hops, disc_hop })?;
-    }
-
-    #[test]
-    fn stars_of_any_width_are_connected_and_routed(
-        spokes in 2usize..8,
-        background_flows in 0usize..4,
-    ) {
-        check(&TopologySpec::Star { spokes, background_flows })?;
-    }
-
-    #[test]
-    fn multi_as_paths_are_connected_and_routed(
-        as_count in 1usize..5,
-        disc_seed in any::<u64>(),
-    ) {
-        let disc_as = (disc_seed % as_count as u64) as usize;
-        check(&TopologySpec::MultiAs { as_count, disc_as })?;
-    }
-
-    #[test]
-    fn dumbbells_are_connected_and_routed(
-        bps in 500_000u64..20_000_000,
-        background_flows in 0usize..4,
-    ) {
-        check(&TopologySpec::Dumbbell { bottleneck_bps: bps, background_flows })?;
+/// Every topology of every named matrix passes the shared invariants.
+#[test]
+fn every_named_topology_is_connected_and_routed() {
+    for name in NAMED_MATRICES {
+        for topology in &named_matrix(name).expect("named matrix").topologies {
+            check(topology);
+        }
     }
 }
 
@@ -146,7 +118,7 @@ proptest! {
 #[test]
 fn multihomed_is_connected_routed_and_resolves_both_anycasts() {
     let spec = TopologySpec::Multihomed;
-    check(&spec).expect("shared topology invariants");
+    check(&spec);
     let (sim, built) = build(&spec);
     for &r in &built.routers {
         let router = sim.node_ref::<RouterNode>(r).expect("router node");

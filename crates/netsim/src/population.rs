@@ -310,8 +310,7 @@ crate::counter_set! {
 pub struct PopulationNode {
     src: Ipv4Addr,
     dst: Ipv4Addr,
-    src_port: u16,
-    dst_port: u16,
+    port: u16,
     cohorts: Vec<CohortRuntime>,
     body_scratch: Vec<u8>,
     payload_scratch: Vec<u8>,
@@ -319,13 +318,12 @@ pub struct PopulationNode {
 }
 
 impl PopulationNode {
-    /// A population at `src` sending every cohort to `dst` on the given
-    /// UDP port pair, at DSCP 0.
+    /// A population at `src` sending every cohort to `dst` from and to
+    /// UDP `port`, at DSCP 0.
     pub fn new(
         src: Ipv4Addr,
         dst: Ipv4Addr,
-        src_port: u16,
-        dst_port: u16,
+        port: u16,
         models: Vec<CohortModel>,
     ) -> PopulationNode {
         let cohorts = models
@@ -343,8 +341,7 @@ impl PopulationNode {
         PopulationNode {
             src,
             dst,
-            src_port,
-            dst_port,
+            port,
             cohorts,
             body_scratch: Vec::new(),
             payload_scratch: Vec::new(),
@@ -370,8 +367,8 @@ impl PopulationNode {
                 self.src,
                 self.dst,
                 0,
-                self.src_port,
-                self.dst_port,
+                self.port,
+                self.port,
                 &self.payload_scratch,
             )
         });
@@ -657,13 +654,7 @@ mod tests {
         let mut sim = Simulator::new(seed);
         let pop = sim.add_node(
             "pop",
-            Box::new(PopulationNode::new(
-                POP,
-                SINK,
-                16384,
-                16384,
-                vec![model.clone()],
-            )),
+            Box::new(PopulationNode::new(POP, SINK, 16384, vec![model.clone()])),
         );
         let sink = sim.add_node(
             "sink",

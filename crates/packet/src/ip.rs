@@ -64,7 +64,7 @@ pub struct Ipv4Cidr {
 
 impl Ipv4Cidr {
     /// Builds a prefix; panics on lengths above 32 (programmer error).
-    pub fn new(addr: Ipv4Addr, prefix_len: u8) -> Self {
+    pub const fn new(addr: Ipv4Addr, prefix_len: u8) -> Self {
         assert!(prefix_len <= 32, "prefix length out of range");
         Ipv4Cidr { addr, prefix_len }
     }
